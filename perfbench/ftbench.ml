@@ -37,6 +37,7 @@ type scenario = {
   setup_reps : int;
   (* run lengths *)
   horizon : float;  (** traffic-churn replication horizon *)
+  check_horizon : float;  (** traffic-churn warm-up and determinism replication *)
   warmup : int;  (** traffic-calls warm-up calls per replication *)
   measured : int;  (** traffic-calls measured calls per replication *)
   window : int;  (** serve-replay requests per window *)
@@ -56,8 +57,9 @@ let base =
     mtbf = infinity;
     mttr = 1.0;
     eps = 0.0;
-    setup_reps = 7;
+    setup_reps = 9;
     horizon = 0.0;
+    check_horizon = 0.0;
     warmup = 0;
     measured = 0;
     window = 0;
@@ -77,8 +79,9 @@ let scenario name ~smoke =
         mtbf;
         mttr;
         eps = unavailability ~mtbf ~mttr;
-        setup_reps = (if smoke then 3 else 5);
-        horizon = (if smoke then 20.0 else 8.0);
+        setup_reps = (if smoke then 3 else 9);
+        horizon = (if smoke then 20.0 else 60.0);
+        check_horizon = (if smoke then 5.0 else 8.0);
         trace_windows = 2;
       }
   | "traffic-calls" ->
@@ -104,7 +107,7 @@ let scenario name ~smoke =
         mtbf;
         mttr;
         eps = unavailability ~mtbf ~mttr;
-        window = (if smoke then 256 else 1024);
+        window = (if smoke then 256 else 2048);
         trace_windows = 16;
       }
   | "survive-curve" ->
@@ -117,7 +120,7 @@ let scenario name ~smoke =
         load = 0.0;
         (* geometric middle of the ε grid *)
         eps = sqrt (1e-4 *. 1e-1);
-        setup_reps = 15;
+        setup_reps = 31;
         trials = (if smoke then 4 else 16);
         trace_windows = 4;
       }
@@ -173,7 +176,8 @@ let build_net spec =
   | Error e -> failwith e
 
 (* Median of [reps] back-to-back constructions of the network plus the
-   workload's engine or workspace; returns (setup_s, build_s, net, x). *)
+   workload's engine or workspace, each at the nominal pace; returns
+   (setup_s, build_s, net, x). *)
 let setup sc construct =
   let total = Array.make sc.setup_reps 0.0 in
   let build = Array.make sc.setup_reps 0.0 in
@@ -181,26 +185,16 @@ let setup sc construct =
   for i = 0 to sc.setup_reps - 1 do
     last := None;
     Gc.full_major ();
-    let t0 = Util.now_ns () in
-    let net = build_net sc.spec in
-    let t1 = Util.now_ns () in
-    let x = construct net in
-    total.(i) <- Util.seconds_since t0;
-    build.(i) <- float_of_int (t1 - t0) *. 1e-9;
+    let net, b_ns, b_scale = Pace.timed (fun () -> build_net sc.spec) in
+    let x, c_ns, c_scale = Pace.timed (fun () -> construct net) in
+    build.(i) <- b_ns *. b_scale *. 1e-9;
+    total.(i) <- build.(i) +. (c_ns *. c_scale *. 1e-9);
     last := Some (net, x)
   done;
+  Printf.printf "setup s:%s\n"
+    (String.concat "" (Array.to_list (Array.map (Printf.sprintf " %.4g") total)));
   let net, x = Option.get !last in
   (Util.median total, Util.median build, net, x)
-
-(* Timed windows 1, 2, ... until [seconds] have passed (at least
-   [min_windows]); window 0 is the untimed warm-up. *)
-let timed_windows ~seconds ~min_windows f =
-  let t0 = Util.now_ns () in
-  let w = ref 1 in
-  while !w <= min_windows || Util.seconds_since t0 < seconds do
-    f !w;
-    incr w
-  done
 
 let delta_counters names f =
   let before = List.map Util.counter names in
@@ -222,15 +216,21 @@ type breakdown = {
 }
 
 (* Print the per-layer time split; the rows plus the unattributed
-   remainder sum to the traced wall time by construction.  Returns the
+   remainder sum to the traced wall time by construction.  A row marked
+   "est." is not a measured self time but a count times a probe's median
+   cost, so the remainder can go negative; that is flagged.  Returns the
    unattributed share. *)
 let print_breakdown sc bd =
   let attributed = List.fold_left (fun a (_, s, _) -> a +. s) 0.0 bd.rows in
   let rest = bd.wall -. attributed in
   Printf.printf "breakdown %s: traced wall %.4f s\n" sc.name bd.wall;
+  (* measured rows can overshoot by clock rounding only *)
+  if rest < -1e-3 *. bd.wall then
+    Printf.printf "  warning: the rows exceed the traced wall by %.4f s; the estimates overshoot\n"
+      (-.rest);
   List.iter
     (fun (name, s, how) ->
-      Printf.printf "  %-22s %10.4f s %6.1f%%  %s\n" name s
+      Printf.printf "  %-24s %10.4f s %6.1f%%  %s\n" name s
         (100.0 *. Util.ratio s bd.wall)
         how)
     (bd.rows @ [ ("unattributed", rest, "traced wall minus the rows above; " ^ bd.rest) ]);
@@ -377,59 +377,78 @@ let survival_probe sc net rng ~trials =
     Util.ratio (float_of_int (List.fold_left ( + ) 0 chunks) *. 1e-9) wall,
     Util.iratio (List.fold_left ( + ) 0 d) trials )
 
+(* A short Traffic.run on a non-traffic workload's network, at its load
+   and failure rate (survive-curve's ε as the switch unavailability), so
+   the Traffic layer is measured there too, where it should stay flat. *)
+let traffic_probe sc net rng =
+  let mtbf = if sc.mtbf < infinity then sc.mtbf else sc.mttr *. (1.0 -. sc.eps) /. sc.eps in
+  let policy = if sc.engine = `Loop then Traffic.Route_loop else Traffic.Route_staged in
+  let cfg =
+    Traffic.config ~load:(Float.max sc.load 1.0) ~mtbf ~mttr:sc.mttr ~policy
+      ~stop:(Traffic.Calls { warmup = 0; measured = 2000 })
+      ~shards:1 ~shard_jobs:1 ()
+  in
+  let w0 = Gc.minor_words () in
+  let s = Traffic.run ~rng ~config:cfg net in
+  let words = Gc.minor_words () -. w0 in
+  metric "traffic.words_per_event" "words" (words /. float_of_int s.events);
+  metric "traffic.failures_per_event" "count" (Util.iratio s.failures s.events);
+  metric "traffic.reroutes_per_failure" "count" (Util.iratio s.rerouted s.failures)
+
 let report_trials ~chunks ~busy ~survivor_calls =
   metric "trials.busy_share" "ratio" busy;
   metric "trials.chunks" "count" (float_of_int chunks);
   metric "survivor.calls_per_trial" "count" survivor_calls
 
-(* One timed window: [ops] ops in [busy_s] seconds, and each op's time
-   in ns when ops are timed one by one (otherwise [||]). *)
-type window = { ops : int; busy_s : float; op_ns : float array }
-
-(* The end-to-end metrics come from the timed windows.  Interference
-   from other tenants of the host only ever slows a window down, and it
-   comes in bursts that last seconds, so the metrics are read from the
-   run's quiet windows: the fastest [max_quiet] of those within [quiet]
-   of the fastest window's rate.  Throughput is their pooled rate, and
-   the latencies are quantiles of their pooled op times; where ops are
-   not timed one by one, both latencies are the pooled mean op time.
-   The cap keeps the stored op times, and so the peak RSS the benchmark
-   adds, small and independent of how noisy the run was. *)
-let quiet = 0.9
-
-let max_quiet = 64
+(* One timed window: [ops] ops in [busy_s] seconds at the nominal pace
+   ([raw_s] as measured), and each op's time in ns at the nominal pace
+   when ops are timed one by one (otherwise [||]). *)
+type window = { ops : int; busy_s : float; raw_s : float; op_ns : float array }
 
 let rate w = float_of_int w.ops /. w.busy_s
 
-type quiet_set = {
+(* The end-to-end metrics come from the timed windows.  Throughput is
+   their median rate.  The latencies are quantiles of every op time of
+   every window, kept in a fixed-size histogram so the memory the
+   benchmark adds stays small and does not grow with the run; where ops
+   are not timed one by one, both are the mean op time at the median
+   rate. *)
+type windows = {
   mutable rates : float list;  (** every window's rate, newest first *)
-  mutable best : float;
-  mutable kept : window list;  (** the quiet windows so far, fastest first *)
+  mutable raw_rates : float list;  (** the same as measured *)
+  hist : Util.Loghist.t;  (** every op time *)
 }
 
-let quiet_set () = { rates = []; best = 0.0; kept = [] }
+(* Timed windows 1, 2, ... for about [seconds]: at least [min_windows],
+   and no new one once the last one's length would run past the end.
+   Window 0, the warm-up, runs before. *)
+let timed_windows ~seconds ~min_windows f =
+  let ws = { rates = []; raw_rates = []; hist = Util.Loghist.create () } in
+  let t0 = Util.now_ns () in
+  let w = ref 1 and last = ref 0.0 in
+  while !w <= min_windows || Util.seconds_since t0 +. !last < seconds do
+    let t = Util.now_ns () in
+    let x = f !w in
+    last := Util.seconds_since t;
+    ws.rates <- rate x :: ws.rates;
+    ws.raw_rates <- (float_of_int x.ops /. x.raw_s) :: ws.raw_rates;
+    Array.iter (Util.Loghist.add ws.hist) x.op_ns;
+    incr w
+  done;
+  ws
 
-(* The best rate only rises, so a window that drops out never returns. *)
-let add_window q w =
-  q.rates <- rate w :: q.rates;
-  q.best <- Float.max q.best (rate w);
-  q.kept <-
-    List.sort (fun a b -> Float.compare (rate b) (rate a)) (w :: q.kept)
-    |> List.filter (fun w -> rate w >= quiet *. q.best)
-    |> List.filteri (fun i _ -> i < max_quiet)
-
-let report_end_to_end q ~setup_s =
-  let rates = List.rev q.rates in
-  Printf.printf "windows %d, op/s:%s\n" (List.length rates)
-    (String.concat "" (List.map (Printf.sprintf " %.4g") rates));
-  Printf.printf "quiet windows %d of %d\n" (List.length q.kept) (List.length rates);
-  let ops = List.fold_left (fun a w -> a + w.ops) 0 q.kept in
-  let busy = List.fold_left (fun a w -> a +. w.busy_s) 0.0 q.kept in
-  let times = Array.concat (List.map (fun w -> w.op_ns) q.kept) in
+let report_end_to_end ws ~setup_s =
+  let rates = Array.of_list (List.rev ws.rates) in
+  let raw = Array.of_list (List.rev ws.raw_rates) in
+  Printf.printf "windows %d, op/s at the nominal pace:%s\n" (Array.length rates)
+    (String.concat "" (Array.to_list (Array.map (Printf.sprintf " %.4g") rates)));
+  Printf.printf "median op/s as measured %.4g, at the nominal pace %.4g (pace kernel %.1f us)\n"
+    (Util.median raw) (Util.median rates) (Pace.mean_us ());
+  let tput = Util.median rates in
   let lat p =
-    if times = [||] then busy *. 1e6 /. float_of_int ops else Util.quantile times p *. 1e-3
+    if ws.hist.Util.Loghist.n > 0 then Util.Loghist.quantile ws.hist p *. 1e-3 else 1e6 /. tput
   in
-  metric "throughput" "op/s" (float_of_int ops /. busy);
+  metric "throughput" "op/s" tput;
   metric "setup_s" "s" setup_s;
   metric "peak_rss_mb" "MB" (Util.peak_rss_mb ());
   metric "p50_us" "us" (lat 0.5);
@@ -536,7 +555,7 @@ let run_traffic sc ~seed ~seconds ~trace =
   let root = Rng.create ~seed in
   (* replication w runs on substream 0 of window stream w, which is
      exactly the replication [Traffic.estimate ~trials:1] runs on it *)
-  let window w =
+  let window ?(cfg = cfg) w =
     let t0 = Util.now_ns () in
     let t =
       of_stats (Traffic.run ~rng:(Rng.substream (Rng.substream root w) 0) ~config:cfg net)
@@ -549,23 +568,31 @@ let run_traffic sc ~seed ~seconds ~trace =
     res.attempted <- res.attempted + t.events;
     res.failed <- res.failed + traffic_failed t
   in
+  (* window 0, the warm-up and the digest: on traffic-churn a shorter
+     replication, so running it twice stays cheap *)
+  let check_cfg =
+    if sc.kind = Churn then traffic_config { sc with horizon = sc.check_horizon } else cfg
+  in
+  let first, _ = window ~cfg:check_cfg 0 in
+  digest_line sc ~seed (Digest.string (tstats_line first));
   if not trace then begin
-    let first, _ = window 0 in
-    let windows = quiet_set () in
-    timed_windows ~seconds ~min_windows:3 (fun w ->
-        let t, wall = window w in
-        count t;
-        add_window windows { ops = t.events; busy_s = wall; op_ns = [||] });
-    let again, _ = window 0 in
+    let windows =
+      timed_windows ~seconds ~min_windows:3 (fun w ->
+          (* the last window's O(m) state is garbage by now; collecting
+             it first keeps peak_rss_mb to one replication's worth *)
+          Gc.full_major ();
+          let (t, _), ns, scale = Pace.timed (fun () -> window w) in
+          count t;
+          { ops = t.events; busy_s = ns *. scale *. 1e-9; raw_s = ns *. 1e-9; op_ns = [||] })
+    in
+    let again, _ = window ~cfg:check_cfg 0 in
     if tstats_line again <> tstats_line first then
       problem "%s: window 0 differs between two runs of one seed" sc.name;
-    digest_line sc ~seed (Digest.string (tstats_line first));
     report_end_to_end windows ~setup_s
   end
   else begin
     let k = sc.trace_windows in
-    let untraced = Array.init k window in
-    digest_line sc ~seed (Digest.string (tstats_line (fst untraced.(0))));
+    let untraced = Array.init k (fun w -> window (w + 1)) in
     let sp = Spans.create () in
     let n_rep = Spans.intern sp "traffic.replication" in
     let n_chunk = Spans.intern sp "trials.chunk" in
@@ -574,10 +601,10 @@ let run_traffic sc ~seed ~seconds ~trace =
       delta_counters [ "greedy.search"; "dyn_conn.rebuilds" ] (fun () ->
           Array.init k (fun w ->
               let sink, events = Trace.memory () in
-              let i = Spans.enter sp n_rep ~req:w in
+              let i = Spans.enter sp n_rep ~req:(w + 1) in
               let s =
                 Traffic.estimate ~jobs:1 ~trace:sink ~trials:1
-                  ~rng:(Rng.substream root w) ~config:cfg net
+                  ~rng:(Rng.substream root (w + 1)) ~config:cfg net
               in
               Spans.leave sp i;
               List.iter
@@ -588,9 +615,9 @@ let run_traffic sc ~seed ~seconds ~trace =
     let wall = Util.seconds_since t_phase in
     Array.iteri
       (fun w t ->
-        check_traffic sc w t;
+        check_traffic sc (w + 1) t;
         if tstats_line t <> tstats_line (fst untraced.(w)) then
-          problem "%s window %d: traced and untraced runs differ" sc.name w)
+          problem "%s window %d: traced and untraced runs differ" sc.name (w + 1))
       traced;
     Array.iter (fun (t, _) -> count t) untraced;
     Array.iter count traced;
@@ -618,19 +645,19 @@ let run_traffic sc ~seed ~seconds ~trace =
                 wall -. rep_total,
                 "span bookkeeping and output checks between replications" );
               ("trials engine", rep_total -. chunk_total, "Traffic.estimate outside its trial chunk");
-              ( "clock bootstrap",
+              ( "clock bootstrap est.",
                 float_of_int k *. p.bootstrap_s,
                 Printf.sprintf "%d replications x Traffic.run to t=1e-9 (%.4f s)" k p.bootstrap_s );
-              ( "clock steps",
+              ( "clock steps est.",
                 float_of_int events *. p.step_ns *. 1e-9,
                 Printf.sprintf "%d events x heap step %.1f ns" events p.step_ns );
-              ( "greedy",
+              ( "greedy est.",
                 float_of_int searches *. g,
                 Printf.sprintf "%d searches x route p50 %.0f ns" searches
                   p.greedy.Probe.route_ns_p50 );
               (* half the failures are closed ones, which reach Dyn_conn;
                  a repair costs little until the next query rebuilds *)
-              ( "dyn_conn",
+              ( "dyn_conn est.",
                 ((0.5 *. float_of_int failures *. p.dyn.Probe.close_ns)
                 +. (float_of_int rebuilds *. p.dyn.Probe.reopen_query_ns))
                 *. 1e-9,
@@ -680,20 +707,35 @@ let run_serve sc ~seed ~seconds ~trace =
   if not trace then begin
     let s = first in
     let times = Array.make win 0.0 in
+    (* the pace kernel runs between requests, every [pace_every] of them *)
+    let pace_every = 512 in
     let run_window () =
+      Pace.reset ();
+      Pace.sample ();
       for i = 0 to win - 1 do
-        times.(i) <- float_of_int (Session.step s)
-      done
+        times.(i) <- float_of_int (Session.step s);
+        if (i + 1) mod pace_every = 0 then Pace.sample ()
+      done;
+      let raw = Array.fold_left ( +. ) 0.0 times in
+      let scale = Pace.scale () in
+      Array.iteri (fun i t -> times.(i) <- t *. scale) times;
+      raw
     in
-    run_window ();
+    ignore (run_window ());
     let d0 = Session.digest s in
-    let windows = quiet_set () in
     let failed0 = Session.failed_ops s in
-    timed_windows ~seconds ~min_windows:5 (fun _ ->
-        run_window ();
-        let busy = Array.fold_left ( +. ) 0.0 times *. 1e-9 in
-        add_window windows { ops = win; busy_s = busy; op_ns = Array.copy times };
-        res.attempted <- res.attempted + win);
+    (* [times] is read into the histogram before the next window *)
+    let windows =
+      timed_windows ~seconds ~min_windows:5 (fun _ ->
+          let raw = run_window () in
+          res.attempted <- res.attempted + win;
+          {
+            ops = win;
+            busy_s = Array.fold_left ( +. ) 0.0 times *. 1e-9;
+            raw_s = raw *. 1e-9;
+            op_ns = times;
+          })
+    in
     res.failed <- Session.failed_ops s - failed0;
     Session.finish s;
     session_problem s;
@@ -769,12 +811,7 @@ let run_serve sc ~seed ~seconds ~trace =
     metric "greedy.searches_per_op" "count" (Util.iratio searches n);
     report_probes p;
     metric "dyn_conn.rebuilds_per_event" "count" (Util.iratio rebuilds n);
-    metric "traffic.words_per_event" "words"
-      ((tr.Session.parse_words +. tr.Session.engine_words +. tr.Session.serialize_words)
-      /. float_of_int n);
-    metric "traffic.failures_per_event" "count" (Util.iratio s.Session.failures s.Session.events);
-    metric "traffic.reroutes_per_failure" "count"
-      (Util.iratio s.Session.rerouted s.Session.failures);
+    probe_timed "traffic" (fun () -> traffic_probe sc net (Rng.create ~seed:(seed + 29)));
     metric "traffic.unattributed_share" "ratio" unattributed;
     report_session s tr ~requests:n;
     let chunks, busy, survivor_calls =
@@ -829,14 +866,13 @@ let run_survive sc ~seed ~seconds ~trace =
     let est0 = curve 0 in
     check 0 est0;
     independent est0;
-    let windows = quiet_set () in
-    timed_windows ~seconds ~min_windows:5 (fun w ->
-        let t0 = Util.now_ns () in
-        let est = curve w in
-        let wall = Util.seconds_since t0 in
-        check w est;
-        res.attempted <- res.attempted + sc.trials;
-        add_window windows { ops = sc.trials; busy_s = wall; op_ns = [||] });
+    let windows =
+      timed_windows ~seconds ~min_windows:5 (fun w ->
+          let est, ns, scale = Pace.timed (fun () -> curve w) in
+          check w est;
+          res.attempted <- res.attempted + sc.trials;
+          { ops = sc.trials; busy_s = ns *. scale *. 1e-9; raw_s = ns *. 1e-9; op_ns = [||] })
+    in
     if line (curve 0) <> line est0 then
       problem "%s: window 0 differs between two runs of one seed" sc.name;
     digest_line sc ~seed (Digest.string (line est0));
@@ -856,7 +892,7 @@ let run_survive sc ~seed ~seconds ~trace =
     let n_curve = Spans.intern sp "pipeline.survival_curve" in
     let n_chunk = Spans.intern sp "trials.chunk" in
     let t_phase = Util.now_ns () in
-    let traced, words, d =
+    let traced, _, d =
       delta_counters ("greedy.search" :: "dyn_conn.rebuilds" :: survivor_counters) (fun () ->
           Array.init k (fun w ->
               let sink, events = Trace.memory () in
@@ -895,10 +931,10 @@ let run_survive sc ~seed ~seconds ~trace =
             [
               ("bench", wall -. curve_total, "span bookkeeping and output checks between curves");
               ("trials engine", curve_total -. chunk_total, "survival_curve outside its trial chunk");
-              ( "fault",
+              ( "fault est.",
                 float_of_int trials *. l.Probe.sample_ns *. 1e-9,
                 Printf.sprintf "%d trials x sample %.0f ns" trials l.Probe.sample_ns );
-              ( "fault_strip",
+              ( "fault_strip est.",
                 float_of_int strips *. l.Probe.strip_ns *. 1e-9,
                 Printf.sprintf "%d survivor applications x strip %.0f ns" strips
                   l.Probe.strip_ns );
@@ -923,9 +959,7 @@ let run_survive sc ~seed ~seconds ~trace =
     metric "greedy.searches_per_op" "count" (Util.iratio searches trials);
     report_probes p;
     metric "dyn_conn.rebuilds_per_event" "count" (Util.iratio rebuilds trials);
-    metric "traffic.words_per_event" "words" (words /. float_of_int trials);
-    metric "traffic.failures_per_event" "count" 0.0;
-    metric "traffic.reroutes_per_failure" "count" 0.0;
+    probe_timed "traffic" (fun () -> traffic_probe sc net (Rng.create ~seed:(seed + 29)));
     metric "traffic.unattributed_share" "ratio" unattributed;
     probe_timed "session" (fun () -> session_probe sc net ~seed ~budget_s:1.0);
     report_trials

@@ -102,3 +102,33 @@ module Fold = struct
 end
 
 let float_bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x)
+
+(* Op times in ns in fixed memory: buckets 0.5% wide on a log scale,
+   the last one holding everything longer; quantiles interpolate within
+   a bucket. *)
+module Loghist = struct
+  let base = 1.005
+
+  let buckets = 4000 (* up to 1.005^4000 ns, about 0.5 s *)
+
+  type t = { c : int array; mutable n : int }
+
+  let create () = { c = Array.make buckets 0; n = 0 }
+
+  let add h ns =
+    let b = if ns <= 1.0 then 0 else min (buckets - 1) (int_of_float (log ns /. log base)) in
+    h.c.(b) <- h.c.(b) + 1;
+    h.n <- h.n + 1
+
+  let quantile h q =
+    if h.n = 0 then nan
+    else
+      let target = q *. float_of_int (h.n - 1) in
+      let rec go b below =
+        let upto = below + h.c.(b) in
+        if float_of_int upto > target || b = buckets - 1 then (b, below) else go (b + 1) upto
+      in
+      let b, below = go 0 0 in
+      let frac = (target -. float_of_int below +. 0.5) /. float_of_int (max 1 h.c.(b)) in
+      base ** (float_of_int b +. Float.min 1.0 frac)
+end
