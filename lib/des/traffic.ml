@@ -291,11 +291,18 @@ let init ~rng ~cfg net =
   let eshard =
     if sharded then Shard.partition net ~shards:cfg.shards else Bytes.empty
   in
+  let ncalls = min (Network.n_inputs net) (Network.n_outputs net) in
+  (* unsharded, the heap holds one clock per switch, one hangup per call
+     slot and the next arrival: presized, it never regrows *)
+  let capacity =
+    if (not sharded) && cfg.mtbf < infinity then Some (m + ncalls + 1)
+    else None
+  in
   {
     net;
     cfg;
     crng;
-    heap = Heap.create ~dummy:0 ();
+    heap = Heap.create ?capacity ~dummy:0 ();
     router =
       Greedy.create ~allowed ~edge_ok ~engine:(engine_of_policy cfg.policy)
         net;
@@ -303,7 +310,7 @@ let init ~rng ~cfg net =
     faulty_deg;
     is_terminal;
     owner = Array.make n (-1);
-    calls = store_create (min (Network.n_inputs net) (Network.n_outputs net));
+    calls = store_create ncalls;
     next_id = 0;
     idle_in = pool_create (Network.n_inputs net);
     idle_out = pool_create (Network.n_outputs net);

@@ -223,43 +223,62 @@ let shortest_path_into_buf ?(allowed = always) ?(edge_ok = always) g ~src ~dst
     end
   end
 
+(* Kahn's algorithm over the raw CSR.  [order] doubles as the FIFO:
+   vertices are appended when their in-degree drops to zero and popped
+   from [head], so the output is the order a queue would produce. *)
 let topological_order ?(edge_ok = always) g =
   let n = Digraph.vertex_count g in
+  let out_off = Digraph.Csr.out_off g
+  and out_dst = Digraph.Csr.out_dst g
+  and out_eid = Digraph.Csr.out_eid g in
   let indeg = Array.make n 0 in
-  Digraph.iter_edges g (fun ~eid ~src:_ ~dst ->
-      if edge_ok eid then indeg.(dst) <- indeg.(dst) + 1);
-  let queue = Queue.create () in
-  Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indeg;
-  let order = Array.make n (-1) in
-  let filled = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    order.(!filled) <- v;
-    incr filled;
-    Digraph.iter_out g v (fun ~dst ~eid ->
-        if edge_ok eid then begin
-          indeg.(dst) <- indeg.(dst) - 1;
-          if indeg.(dst) = 0 then Queue.add dst queue
-        end)
+  for k = 0 to out_off.(n) - 1 do
+    if edge_ok out_eid.(k) then indeg.(out_dst.(k)) <- indeg.(out_dst.(k)) + 1
   done;
-  if !filled = n then Some order else None
+  let order = Array.make n (-1) in
+  let tail = ref 0 in
+  for v = 0 to n - 1 do
+    if indeg.(v) = 0 then begin
+      order.(!tail) <- v;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = order.(!head) in
+    incr head;
+    for k = out_off.(v) to out_off.(v + 1) - 1 do
+      if edge_ok out_eid.(k) then begin
+        let w = out_dst.(k) in
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then begin
+          order.(!tail) <- w;
+          incr tail
+        end
+      end
+    done
+  done;
+  if !tail = n then Some order else None
 
 let is_acyclic g = topological_order g <> None
 
-let longest_path_dag ?edge_ok g ~sources =
-  match topological_order ?edge_ok g with
+let longest_path_dag ?(edge_ok = always) g ~sources =
+  match topological_order ~edge_ok g with
   | None -> invalid_arg "Traverse.longest_path_dag: cyclic graph"
   | Some order ->
-      let edge_ok = Option.value edge_ok ~default:always in
-      let n = Digraph.vertex_count g in
-      let dist = Array.make n (-1) in
+      let out_off = Digraph.Csr.out_off g
+      and out_dst = Digraph.Csr.out_dst g
+      and out_eid = Digraph.Csr.out_eid g in
+      let dist = Array.make (Digraph.vertex_count g) (-1) in
       List.iter (fun s -> dist.(s) <- 0) sources;
       Array.iter
         (fun v ->
-          if dist.(v) >= 0 then
-            Digraph.iter_out g v (fun ~dst ~eid ->
-                if edge_ok eid && dist.(v) + 1 > dist.(dst) then
-                  dist.(dst) <- dist.(v) + 1))
+          let d = dist.(v) in
+          if d >= 0 then
+            for k = out_off.(v) to out_off.(v + 1) - 1 do
+              let w = out_dst.(k) in
+              if edge_ok out_eid.(k) && d + 1 > dist.(w) then dist.(w) <- d + 1
+            done)
         order;
       dist
 

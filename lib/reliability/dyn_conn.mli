@@ -8,25 +8,31 @@
     over the whole edge array — O(n + m) per event, which is exactly what
     caps the engine at small n.
 
-    This structure makes fault state an overlay over the static topology:
+    This structure makes fault state an overlay over the static topology.
+    Its union-find trees are exactly the closed-contraction classes; each
+    root carries its class's terminal count, and a running count of the
+    classes holding two or more terminals is the catastrophe verdict.
 
-    - {!close} unions the edge's endpoints in a generation-stamped forest
-      ({!Ftcsn_util.Union_find.Stamped}) and maintains a per-root count of
-      terminals, so the catastrophe verdict is maintained, not recomputed
-      — amortised O(alpha).
-    - {!reopen} cannot split a class, so it just removes the edge from the
-      live closed set (an items/pos index pool, O(1)) and ticks a rebuild
-      epoch: the next query pays one O(1) generation bump plus a re-union
-      of only the {e currently} closed edges — O(f·alpha) for f live
-      failures, not O(m).
+    Cost model:
+
+    - {!close} is one union by size with path compression — O(alpha).
+    - {!reopen} runs a BFS from the edge's endpoints over the closed edges
+      of its class and relabels the one or two resulting pieces flat.  It
+      stops as soon as the first BFS reaches the other endpoint (the class
+      did not split, e.g. a parallel closed edge still joins them).  Cost
+      O(sum of degrees over the old class): O(degree) for the isolated
+      closed switches of any survivable regime, and never more than the
+      maximum degree times a re-union of the whole closed set.
+    - {!connected} is two finds; {!terminals_shorted} is a field read.
+    - No operation allocates.
 
     Verdicts agree exactly with the batch oracles at every point of any
-    close/reopen sequence; the qcheck suite pins this against
-    {!Survivor.shorted_by_closure_into} on every registry family.
+    close/reopen sequence; the qcheck suite pins this against a
+    from-scratch union-find on every registry family.
 
-    Single-domain state: never share an instance between domains.
-    Rebuilds are counted under [dyn_conn.rebuilds] in the default metrics
-    registry. *)
+    Single-domain state: never share an instance between domains.  Every
+    {!reopen} of a closed edge counts one relabel under [dyn_conn.rebuilds]
+    in the default metrics registry. *)
 
 type t
 
@@ -39,8 +45,8 @@ val close : t -> int -> unit
 (** Mark an edge closed-failed.  No-op if already closed. *)
 
 val reopen : t -> int -> unit
-(** Repair a closed edge.  No-op if not closed.  O(1) now; the deferred
-    epoch rebuild runs at the next query. *)
+(** Repair a closed edge, splitting its class if the edge was a bridge of
+    it.  No-op if not closed. *)
 
 val connected : t -> int -> int -> bool
 (** [connected t a b]: are [a] and [b] in one closed-contraction class?
@@ -48,12 +54,7 @@ val connected : t -> int -> int -> bool
     fault pattern. *)
 
 val terminals_shorted : t -> bool
-(** Lemma-7 catastrophe: do two terminals share a closed class?  O(1)
-    when no repair is pending. *)
+(** Lemma-7 catastrophe: do two terminals share a closed class?  O(1). *)
 
 val closed_count : t -> int
 (** Number of currently-closed edges. *)
-
-val rebuilds : t -> int
-(** Epoch rebuilds performed so far (observability; also counted under
-    [dyn_conn.rebuilds]). *)

@@ -37,8 +37,7 @@ type t = {
           with {!Fault.faulty_vertices_into}) *)
   suf : Ftcsn_util.Union_find.Stamped.t;
       (** contraction classes; generation-stamped, so the per-use reset
-          is O(1) instead of O(n) — the epoch trick {!Dyn_conn} extends
-          to incremental failure/repair sequences *)
+          is O(1) instead of O(n) *)
   queue : int array;  (** BFS ring buffer, length [vertex_count graph] *)
   dist : int array;  (** BFS distances, length [vertex_count graph] *)
   parent : int array;

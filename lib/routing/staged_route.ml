@@ -1,7 +1,6 @@
 module Network = Ftcsn_networks.Network
 module Digraph = Ftcsn_graph.Digraph
 module Staged = Ftcsn_graph.Staged
-module Traverse = Ftcsn_graph.Traverse
 
 type t = {
   g : Digraph.t;
@@ -27,34 +26,32 @@ type t = {
 
 let create net =
   let g = net.Network.graph in
-  match Traverse.topological_order g with
-  | None -> None
-  | Some _ ->
-      let sources = Array.to_list net.Network.inputs in
-      let st = Staged.of_sources g ~sources in
-      if not (Staged.is_strictly_staged g st) then None
-      else begin
-        let n = Digraph.vertex_count g in
-        Some
-          {
-            g;
-            level = st.Staged.stage;
-            stages = st.Staged.stages;
-            fpar = Array.make n 0;
-            fstamp = Array.make n 0;
-            fqueue = Array.make n 0;
-            bpar = Array.make n 0;
-            bstamp = Array.make n 0;
-            bqueue = Array.make n 0;
-            gen = 0;
-            fhead = 0;
-            ftail = 0;
-            bhead = 0;
-            btail = 0;
-            meet = -1;
-            scan = 0;
-          }
-      end
+  let sources = Array.to_list net.Network.inputs in
+  (* staging sorts the graph once and refuses a cyclic one *)
+  match Staged.of_sources g ~sources with
+  | exception Invalid_argument _ -> None
+  | st when not (Staged.is_strictly_staged g st) -> None
+  | st ->
+      let n = Digraph.vertex_count g in
+      Some
+        {
+          g;
+          level = st.Staged.stage;
+          stages = st.Staged.stages;
+          fpar = Array.make n 0;
+          fstamp = Array.make n 0;
+          fqueue = Array.make n 0;
+          bpar = Array.make n 0;
+          bstamp = Array.make n 0;
+          bqueue = Array.make n 0;
+          gen = 0;
+          fhead = 0;
+          ftail = 0;
+          bhead = 0;
+          btail = 0;
+          meet = -1;
+          scan = 0;
+        }
 
 let stages t = t.stages
 

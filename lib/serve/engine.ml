@@ -10,6 +10,7 @@ module Shard = Ftcsn_des.Shard
 module Json = Ftcsn_obs.Json
 module Trace = Ftcsn_obs.Trace
 module Histogram = Ftcsn_obs.Histogram
+module Clock = Ftcsn_obs.Clock
 
 (* Event encoding, heap layout and the call bookkeeping below mirror
    Ftcsn_des.Traffic (see DESIGN.md §9): unboxed int events, an
@@ -149,9 +150,18 @@ let create ?(engine = `Bfs) ?(holding = Dist.Exponential) ?(mtbf = infinity)
   let allowed v = is_terminal.(v) || faulty_deg.(v) = 0 in
   let edge_ok e = is_normal fstate.(e) in
   let erng = Array.init m (fun e -> Rng.substream rng (1 + e)) in
-  let fheaps = Array.init shards (fun _ -> Heap.create ~dummy:0 ()) in
   let eshard =
     if shards > 1 then Shard.partition net ~shards else Bytes.empty
+  in
+  (* each failure heap is presized to the switch clocks it will hold *)
+  let clocks = Array.make shards 0 in
+  if mtbf < infinity then
+    for e = 0 to m - 1 do
+      let k = if shards = 1 then 0 else Shard.shard_of eshard e in
+      clocks.(k) <- clocks.(k) + 1
+    done;
+  let fheaps =
+    Array.map (fun c -> Heap.create ~capacity:c ~dummy:0 ()) clocks
   in
   let st =
     {
@@ -478,8 +488,6 @@ let advance_opt st = function Some at -> advance st at | None -> ()
 
 (* ---- requests ---- *)
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 let out_of_range bound = function
   | Some i -> i < 0 || i >= bound
   | None -> false
@@ -584,10 +592,10 @@ let handle st req =
         st.emit
           (Proto.Error { id = Some id; message = "duplicate live call id" })
       else begin
-        let t0 = now_ns () in
+        let t0 = Clock.now_ns () in
         Trace.span st.trace "serve.decide" (fun () ->
             decide_call st ~id ~src ~dst ~hold);
-        Histogram.record st.latency (max 1 (now_ns () - t0))
+        Histogram.record st.latency (max 1 (Clock.elapsed_ns ~since:t0))
       end
 
 let shed st ~id =

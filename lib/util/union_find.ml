@@ -95,8 +95,6 @@ module Stamped = struct
 
   let size t = Array.length t.parent
 
-  let generation t = t.gen
-
   let reset t = t.gen <- t.gen + 1
 
   let rec find t i =

@@ -42,8 +42,7 @@ val compress_labels : t -> int array * int
     the arrays: an element with a stale stamp is treated as a fresh
     singleton and lazily re-initialised by {!Stamped.find}.  This is what
     lets a million-vertex workspace be "cleared" between uses for free —
-    the epoch-rebuild trick behind {!Ftcsn_reliability.Dyn_conn} and the
-    scratch-path contraction in {!Ftcsn_reliability.Survivor}. *)
+    the scratch-path contraction in {!Ftcsn_reliability.Survivor}. *)
 module Stamped : sig
   type t
 
@@ -51,11 +50,6 @@ module Stamped : sig
   (** [create n] is [n] singleton classes [0 .. n-1], in generation 1. *)
 
   val size : t -> int
-
-  val generation : t -> int
-  (** The current generation — pairs with external per-root payload
-      arrays that stamp themselves against it (see
-      {!Ftcsn_reliability.Dyn_conn}'s terminal counts). *)
 
   val reset : t -> unit
   (** Restore [n] singleton classes in O(1) by bumping the generation. *)

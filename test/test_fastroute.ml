@@ -245,6 +245,12 @@ let test_engine_fallbacks () =
   in
   checkb "skip net is not strictly staged" true
     (Staged_route.create skip = None);
+  let cycle =
+    Network.make ~name:"cycle"
+      ~graph:(Digraph.of_edges ~n:3 [| (0, 1); (1, 0); (1, 2) |])
+      ~inputs:[| 0 |] ~outputs:[| 2 |]
+  in
+  checkb "cyclic net is not staged" true (Staged_route.create cycle = None);
   checkb "skip net is not a benes" true (Loop_route.create skip = None);
   checks "staged on skip net" "bfs"
     (Greedy.engine_name (Greedy.create ~engine:`Staged skip));

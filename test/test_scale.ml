@@ -14,6 +14,8 @@ module Benes = Ftcsn_networks.Benes
 module Shard = Ftcsn_des.Shard
 module Traffic = Ftcsn_des.Traffic
 module Traffic_ref = Ftcsn_des.Traffic_ref
+module Metrics = Ftcsn_obs.Metrics
+module Counter = Ftcsn_obs.Counter
 
 let checkb = Alcotest.(check bool)
 let check = Alcotest.(check int)
@@ -65,8 +67,8 @@ let oracle_connected g closed a b =
   Union_find.equiv uf a b
 
 (* random close/reopen sequence, checked against the oracle after every
-   operation — exercises the epoch-rebuild path (reopen dirties, the
-   next query flushes) on every registry family *)
+   operation — exercises the split path (a reopen BFS-relabels its
+   class) on every registry family *)
 let dyn_conn_agrees (name, net) seed ops =
   let g = net.Network.graph in
   let n = Digraph.vertex_count g and m = Digraph.edge_count g in
@@ -130,6 +132,120 @@ let test_dyn_conn_qcheck =
          let net = Benes.create 8 in
          dyn_conn_agrees ("benes:8", net) seed ops;
          true))
+
+(* Hand-built reopen cases: replay [(close?, edge)] steps on a small
+   graph, checking both oracles on every vertex pair after each step. *)
+let replay name ~n ~terminals edges steps =
+  let g = Digraph.of_edges ~n edges in
+  let dc = Dyn_conn.create ~terminals g in
+  let closed = Array.make (Array.length edges) false in
+  List.iteri
+    (fun i (close, e) ->
+      closed.(e) <- close;
+      if close then Dyn_conn.close dc e else Dyn_conn.reopen dc e;
+      let at what = Printf.sprintf "%s, step %d: %s" name i what in
+      checkb (at "terminals_shorted")
+        (oracle_shorted g closed terminals)
+        (Dyn_conn.terminals_shorted dc);
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          checkb
+            (at (Printf.sprintf "connected %d %d" a b))
+            (oracle_connected g closed a b)
+            (Dyn_conn.connected dc a b)
+        done
+      done)
+    steps;
+  dc
+
+let test_reopen_parallel () =
+  let dc =
+    replay "parallel" ~n:3 ~terminals:[ 0; 1 ]
+      [| (0, 1); (0, 1); (1, 2) |]
+      [ (true, 0); (true, 1); (true, 2); (false, 0) ]
+  in
+  checkb "the twin edge still joins the class" true (Dyn_conn.connected dc 0 2);
+  checkb "still shorted" true (Dyn_conn.terminals_shorted dc);
+  check "closed_count" 2 (Dyn_conn.closed_count dc)
+
+let test_reopen_self_loop () =
+  let dc =
+    replay "self-loop" ~n:3 ~terminals:[ 0; 2 ]
+      [| (0, 1); (1, 1); (1, 2) |]
+      [ (true, 1); (false, 1); (true, 0); (true, 1); (false, 1) ]
+  in
+  checkb "loop repair keeps 0~1" true (Dyn_conn.connected dc 0 1);
+  checkb "loop repair joins nothing" false (Dyn_conn.connected dc 1 2);
+  checkb "no short" false (Dyn_conn.terminals_shorted dc)
+
+let test_reopen_path_clears_short () =
+  List.iter
+    (fun e ->
+      let name = Printf.sprintf "path, reopen edge %d" e in
+      let dc =
+        replay name ~n:3 ~terminals:[ 0; 2 ]
+          [| (0, 1); (1, 2) |]
+          [ (true, 0); (true, 1); (false, e) ]
+      in
+      checkb (name ^ ": short cleared") false (Dyn_conn.terminals_shorted dc))
+    [ 0; 1 ]
+
+let test_two_shorted_classes () =
+  let dc =
+    replay "two classes" ~n:6 ~terminals:[ 0; 2; 3; 5 ]
+      [| (0, 1); (1, 2); (3, 4); (4, 5) |]
+      [ (true, 0); (true, 1); (true, 2); (true, 3); (false, 1) ]
+  in
+  checkb "the other class keeps the short" true (Dyn_conn.terminals_shorted dc);
+  Dyn_conn.reopen dc 3;
+  checkb "both cleared" false (Dyn_conn.terminals_shorted dc)
+
+let c_rebuild = Metrics.counter Metrics.default "dyn_conn.rebuilds"
+
+(* 10k close/reopen/query operations allocate no minor words, and every
+   reopen of a closed edge counts one relabel *)
+let test_dyn_conn_alloc_free () =
+  let net = Benes.create 64 in
+  let g = net.Network.graph in
+  let n = Digraph.vertex_count g and m = Digraph.edge_count g in
+  let terminals = Network.terminals net in
+  let dc = Dyn_conn.create ~terminals g in
+  let ops = 10_000 in
+  let rng = Rng.create ~seed:5 in
+  (* a pool of m/8 edges keeps the closed classes small and splitting *)
+  let pool = Array.init (m / 8) (fun _ -> Rng.int rng m) in
+  let edge = Array.init ops (fun _ -> pool.(Rng.int rng (Array.length pool))) in
+  let va = Array.init ops (fun _ -> Rng.int rng n) in
+  let vb = Array.init ops (fun _ -> Rng.int rng n) in
+  let closed = Array.make m false in
+  let reopens = ref 0 and shorted = ref 0 in
+  let run () =
+    reopens := 0;
+    shorted := 0;
+    for k = 0 to ops - 1 do
+      let e = edge.(k) in
+      if closed.(e) then begin
+        Dyn_conn.reopen dc e;
+        incr reopens
+      end
+      else Dyn_conn.close dc e;
+      closed.(e) <- not closed.(e);
+      if Dyn_conn.terminals_shorted dc then incr shorted;
+      ignore (Dyn_conn.connected dc va.(k) vb.(k))
+    done
+  in
+  run ();
+  let r0 = Counter.get c_rebuild in
+  let w0 = Gc.minor_words () in
+  run ();
+  let w1 = Gc.minor_words () in
+  check "one relabel per reopened closed edge" !reopens
+    (Counter.get c_rebuild - r0);
+  checkb "shorts came and went" true (!shorted > 0 && !shorted < ops);
+  checkb "final verdict = oracle" (oracle_shorted g closed terminals)
+    (Dyn_conn.terminals_shorted dc);
+  Alcotest.(check (float 0.0))
+    "minor words allocated by 10k close/reopen/query ops" 0.0 (w1 -. w0)
 
 (* ---------- Shard partitions ---------- *)
 
@@ -311,6 +427,16 @@ let () =
           Alcotest.test_case "oracle agreement on every family" `Quick
             test_dyn_conn_oracle;
           test_dyn_conn_qcheck;
+          Alcotest.test_case "reopening a parallel edge keeps the class"
+            `Quick test_reopen_parallel;
+          Alcotest.test_case "self-loop close/reopen changes nothing" `Quick
+            test_reopen_self_loop;
+          Alcotest.test_case "reopening either path edge clears the short"
+            `Quick test_reopen_path_clears_short;
+          Alcotest.test_case "a second shorted class keeps the verdict"
+            `Quick test_two_shorted_classes;
+          Alcotest.test_case "close/reopen/query is allocation-free" `Quick
+            test_dyn_conn_alloc_free;
         ] );
       ( "shard",
         [ Alcotest.test_case "partition properties" `Quick test_shard_partition ] );
