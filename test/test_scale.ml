@@ -1,8 +1,9 @@
 (* Tests for the million-switch scale layer: Dyn_conn incremental
    connectivity against batch oracles, Shard partitions, the
    single-shard bit-identity pin of the rewritten Traffic engine
-   against the frozen Traffic_ref copy, and determinism/conservation of
-   the sharded mode. *)
+   against the frozen Traffic_ref copy, determinism/conservation of the
+   sharded mode, and fixed-seed goldens of the fast routers and the
+   sharded mode. *)
 
 module Rng = Ftcsn_prng.Rng
 module Digraph = Ftcsn_graph.Digraph
@@ -408,6 +409,67 @@ let test_sharded_conservation () =
   checkb "sim time reached horizon or catastrophe" true
     (s.Traffic.sim_time = 150.0 || s.Traffic.catastrophe_at <> None)
 
+(* ---------- goldens: fixed-seed runs pinned field by field ---------- *)
+
+(* Every stats field, floats in hex so the comparison is exact.  The
+   Traffic_ref pin above only covers the BFS-routed policies; these
+   pin the fast routers and the sharded discretization against values
+   recorded from the engine itself. *)
+let show_stats (s : Traffic.stats) =
+  let f = Printf.sprintf "%h" in
+  let fo = function None -> "none" | Some x -> f x in
+  Printf.sprintf
+    "sim_time=%s events=%d offered=%d served=%d blocked=%d blocked_full=%d \
+     dropped=%d rerouted=%d rearranged=%d failures=%d repairs=%d \
+     max_concurrent=%d occupancy=%s carried=%s measured_offered=%d \
+     blocking=%s batch_blocking=[%s] degraded_at=%s catastrophe_at=%s"
+    (f s.sim_time) s.events s.offered s.served s.blocked s.blocked_full
+    s.dropped s.rerouted s.rearranged s.failures s.repairs s.max_concurrent
+    (f s.occupancy) (f s.carried) s.measured_offered (f s.blocking)
+    (String.concat ";" (Array.to_list (Array.map f s.batch_blocking)))
+    (fo s.degraded_at) (fo s.catastrophe_at)
+
+(* staged and loop agree field for field on this run *)
+let golden_benes64 =
+  "sim_time=0x1.c1e253b41b441p+6 events=2578 offered=900 served=886 \
+   blocked=14 blocked_full=0 dropped=21 rerouted=19 rearranged=0 \
+   failures=404 repairs=399 max_concurrent=18 \
+   occupancy=0x1.e1e1150e25be2p+2 carried=0x1.e67f858d03dfbp+2 \
+   measured_offered=800 blocking=0x1.1eb851eb851ecp-6 \
+   batch_blocking=[0x1.47ae147ae147bp-6;0x1.999999999999ap-6;\
+   0x1.47ae147ae147bp-8;0x1.47ae147ae147bp-6] degraded_at=none \
+   catastrophe_at=none"
+
+let test_golden_fast_routers () =
+  let net = Benes.create 64 in
+  List.iter
+    (fun (name, policy) ->
+      let config =
+        Traffic.config ~load:8.0 ~mtbf:400.0 ~mttr:1.0 ~policy
+          ~stop:(Traffic.Calls { warmup = 100; measured = 800 })
+          ~batches:4 ()
+      in
+      let s = Traffic.run ~rng:(Rng.create ~seed:42) ~config net in
+      Alcotest.(check string) (name ^ " stats") golden_benes64 (show_stats s))
+    [ ("staged", Traffic.Route_staged); ("loop", Traffic.Route_loop) ]
+
+(* seed 25 runs longest of seeds 1-40 before the catastrophe that ends
+   every run at this failure intensity *)
+let test_golden_sharded () =
+  let s =
+    Traffic.run ~rng:(Rng.create ~seed:25)
+      ~config:(shard_config ~shards:3 ~shard_jobs:1)
+      (Benes.create 16)
+  in
+  Alcotest.(check string) "shards=3 stats"
+    "sim_time=0x1.3b086f628711ep+6 events=1630 offered=139 served=84 \
+     blocked=55 blocked_full=0 dropped=16 rerouted=6 rearranged=0 \
+     failures=713 repairs=696 max_concurrent=3 \
+     occupancy=0x1.bc66cf39321b4p-1 carried=0x1.062960c70d7d8p+0 \
+     measured_offered=139 blocking=0x1.952e0b0ce45fcp-2 batch_blocking=[] \
+     degraded_at=none catastrophe_at=0x1.3b086f628711ep+6"
+    (show_stats s)
+
 let test_sharded_refusal () =
   let net = Benes.create 16 in
   let r = Shard.regions net in
@@ -457,5 +519,12 @@ let () =
             test_sharded_conservation;
           Alcotest.test_case "refuses shards > regions" `Quick
             test_sharded_refusal;
+        ] );
+      ( "goldens",
+        [
+          Alcotest.test_case "staged and loop runs on benes:64" `Quick
+            test_golden_fast_routers;
+          Alcotest.test_case "shards=3 run on benes:16" `Quick
+            test_golden_sharded;
         ] );
     ]

@@ -2,7 +2,7 @@
    round-trips (qcheck) and malformed-line diagnostics, admission
    policies, engine conservation laws, the replay-determinism pin
    (byte-identical response stream across runs, shard counts and
-   engines), and the soak guard (steady-state allocation per decision
+   engines), MD5 goldens of the response stream, and the soak guard (steady-state allocation per decision
    stays flat between the first and last window). *)
 
 module Rng = Ftcsn_prng.Rng
@@ -264,6 +264,20 @@ let test_replay_deterministic () =
   Alcotest.(check (list string))
     "engines agree on accept vs block" (verdicts bfs) (verdicts loop)
 
+(* MD5 of the response stream per routing engine, recorded from the
+   engine itself: the determinism pin above compares two runs of the
+   same build, this one compares against a fixed past *)
+let test_replay_goldens () =
+  List.iter
+    (fun (engine, name, md5) ->
+      let out, _, _ = run_replay ~engine ~calls:600 (fun () -> benes 64) in
+      checks (name ^ " stream MD5") md5 (Digest.to_hex (Digest.string out)))
+    [
+      (`Bfs, "bfs", "dd653b133dd65668479fef2c0a2faeb7");
+      (`Staged, "staged", "dd653b133dd65668479fef2c0a2faeb7");
+      (`Loop, "loop", "dd653b133dd65668479fef2c0a2faeb7");
+    ]
+
 let test_conservation_and_metrics () =
   let out, eng, _ =
     run_replay ~engine:`Loop ~calls:1200
@@ -402,6 +416,8 @@ let () =
         [
           Alcotest.test_case "replay determinism pin" `Quick
             test_replay_deterministic;
+          Alcotest.test_case "replay stream goldens" `Quick
+            test_replay_goldens;
           Alcotest.test_case "conservation + metrics" `Quick
             test_conservation_and_metrics;
           Alcotest.test_case "endpoints, duplicates, hangups" `Quick
