@@ -1542,9 +1542,7 @@ let traffic_cmd =
    never bypasses the cleanup. *)
 let serve_cmd =
   let run family n seed policy holding mtbf mttr max_load queue replay calls
-      socket shards speed jobs obsargs =
-    let shards = check_pos "--shards" shards in
-    let _jobs = check_jobs jobs in
+      socket speed obsargs =
     if calls < 0 then
       die "invalid --calls value %d: must be >= 0 (0 = unbounded)" calls;
     (match mtbf with
@@ -1583,13 +1581,6 @@ let serve_cmd =
         phase obs "build-network" (fun () -> build_network family ~n ~seed)
       in
       let net = built.Topology.net in
-      (if shards > 1 then
-         let regions = Shard.regions net in
-         if shards > regions then
-           die
-             "invalid --shards value %d: exceeds the %d shardable regions \
-              of this topology"
-             shards regions);
       let rng = Seeds.serve seed in
       (* responses go to the current sink: stdout, or the connected
          client in --socket mode *)
@@ -1602,7 +1593,7 @@ let serve_cmd =
         try
           Serve_engine.create ~engine:engine_kind ~holding
             ~mtbf:(Option.value mtbf ~default:infinity)
-            ~mttr ~shards ?trace:obs.trace ~emit ~rng net
+            ~mttr ?trace:obs.trace ~emit ~rng net
         with Invalid_argument msg -> die "%s" msg
       in
       let admission =
@@ -1788,7 +1779,7 @@ let serve_cmd =
              line; - for stdin) as fast as possible, driving virtual time \
              from the requests' \"at\" fields only.  Deterministic: the \
              same file, seed and options produce a byte-identical response \
-             stream at every --shards and --jobs setting.")
+             stream.")
   in
   let calls =
     Arg.(
@@ -1806,16 +1797,6 @@ let serve_cmd =
             "Listen on a Unix-domain socket instead of stdin; clients are \
              served one at a time against the same persistent fabric.")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Partition the failure/repair clocks across $(docv) \
-             stage-level event heaps (the scale layer's layout).  Every \
-             switch draws its clock history from its own PRNG substream, \
-             so the response stream is byte-identical at every $(docv).")
-  in
   let speed =
     Arg.(
       value & opt float 1.0
@@ -1823,15 +1804,6 @@ let serve_cmd =
           ~doc:
             "Wall-clock coupling for live mode: $(docv) virtual time units \
              elapse per wall second (ignored under --replay).")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"J"
-          ~doc:
-            "Accepted for interface symmetry with the batch subcommands; \
-             the reactor is single-threaded and the response stream is \
-             independent of $(docv).")
   in
   let doc =
     "Live switch-controller daemon over the DES fabric: line-JSON \
@@ -1845,8 +1817,8 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ spec_args $ n_arg $ seed_arg $ policy $ holding $ mtbf
-      $ mttr $ max_load $ queue $ replay $ calls $ socket $ shards $ speed
-      $ jobs $ obs_args)
+      $ mttr $ max_load $ queue $ replay $ calls $ socket $ speed
+      $ obs_args)
 
 (* ---------- degrade ---------- *)
 

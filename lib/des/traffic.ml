@@ -1,7 +1,6 @@
 module Network = Ftcsn_networks.Network
 module Digraph = Ftcsn_graph.Digraph
 module Fault = Ftcsn_reliability.Fault
-module Dyn_conn = Ftcsn_reliability.Dyn_conn
 module Greedy = Ftcsn_routing.Greedy
 module Backtrack = Ftcsn_routing.Backtrack
 module Rng = Ftcsn_prng.Rng
@@ -97,99 +96,12 @@ type stats = {
   catastrophe_at : float option;
 }
 
-(* Events are unboxed ints: [(arg lsl 2) lor tag].  Tag 0 = Arrival
-   (arg 0), 1 = Hangup (arg = stamp * cap + slot, see the call store),
-   2 = Fail e, 3 = Repair e.  Pushing an immediate int onto the heap
-   allocates nothing, and the [(time, push-seq)] determinism contract
-   only cares about push order, which is unchanged from the variant
-   encoding this replaced. *)
-let ev_arrival = 0
-let ev_hangup key = (key lsl 2) lor 1
-let ev_fail e = (e lsl 2) lor 2
-let ev_repair e = (e lsl 2) lor 3
-
-(* idle-terminal index pool: [items] is always a permutation of [0, n)
-   whose prefix [0, size) is the idle set, with [pos] the inverse map —
-   O(1) remove/add and an exactly-uniform draw over the idle set *)
-type pool = { items : int array; pos : int array; mutable size : int }
-
-let pool_create n =
-  { items = Array.init n Fun.id; pos = Array.init n Fun.id; size = n }
-
-let pool_remove p x =
-  let i = p.pos.(x) in
-  let last = p.size - 1 in
-  let y = p.items.(last) in
-  p.items.(i) <- y;
-  p.pos.(y) <- i;
-  p.items.(last) <- x;
-  p.pos.(x) <- last;
-  p.size <- last
-
-let pool_add p x =
-  let i = p.pos.(x) in
-  let y = p.items.(p.size) in
-  p.items.(p.size) <- x;
-  p.pos.(x) <- p.size;
-  p.items.(i) <- y;
-  p.pos.(y) <- i;
-  p.size <- p.size + 1
-
-let pool_draw rng p = p.items.(Rng.int rng p.size)
-
-(* Structure-of-arrays call store.  At most [min n_inputs n_outputs]
-   calls are ever live (each holds one input and one output), so slots
-   are preallocated and recycled through an intrusive freelist; the
-   live set is an intrusive doubly-linked list through [c_prev]/[c_next]
-   (order is irrelevant — the only order-sensitive consumer, the
-   rearrangement re-lay, sorts by call id).  Per-slot path/edge arrays
-   grow once to the path length and are reused, so the steady-state
-   call path — place, sever, reroute, hang up — allocates nothing.
-
-   Hangup staleness: a pending hangup event carries [stamp * cap +
-   slot].  [c_stamp] bumps only when a slot is {e permanently} freed
-   (hangup or sever-without-reroute), never on a sever that reroutes
-   the same call, so a rerouted call's pending hangup stays valid —
-   exactly the semantics of the hashtable re-add it replaces. *)
-type store = {
-  cap : int;
-  call_id : int array;  (* unique id (legacy next_id); -1 when free *)
-  c_in : int array;  (* input index, not vertex id *)
-  c_out : int array;
-  c_stamp : int array;
-  c_plen : int array;
-  c_path : int array array;
-  c_edges : int array array;
-  c_prev : int array;
-  c_next : int array;  (* live-list next, or freelist next when free *)
-  mutable live_head : int;
-  mutable live_count : int;
-  mutable free_head : int;
-}
-
-let store_create cap =
-  {
-    cap;
-    call_id = Array.make cap (-1);
-    c_in = Array.make cap (-1);
-    c_out = Array.make cap (-1);
-    c_stamp = Array.make cap 0;
-    c_plen = Array.make cap 0;
-    c_path = Array.make cap [||];
-    c_edges = Array.make cap [||];
-    c_prev = Array.make cap (-1);
-    c_next = Array.init cap (fun i -> if i + 1 < cap then i + 1 else -1);
-    live_head = -1;
-    live_count = 0;
-    free_head = (if cap > 0 then 0 else -1);
-  }
-
 (* One event shard: a contiguous block of topological edge levels with
    its own heap, PRNG stream and scratch buffers.  During a drain the
-   shard touches only its own fields, the [fstate] entries of its own
-   edges, and (read-only) the frozen [owner] array; everything that
-   crosses shard boundaries — faulty-degree updates, closed failures,
-   severs — is buffered here and applied at window commit. *)
+   shard touches only its own fields, the fabric's [fstate] entries of
+   its own edges, and (read-only) the frozen [owner] array; everything
+   that crosses shard boundaries — faulty-degree updates, closed
+   failures, severs — is buffered here and applied at window commit. *)
 type shard_st = {
   sheap : int Heap.t;
   srng : Rng.t;
@@ -207,24 +119,13 @@ type shard_st = {
 }
 
 type state = {
-  net : Network.t;
   cfg : config;
   crng : Rng.t;  (* the trial stream (shards = 1) or its control substream *)
-  heap : int Heap.t;  (* control heap; the only heap when shards = 1 *)
-  router : Greedy.t;
-  fstate : Fault.state array;
-  faulty_deg : int array;  (* failed edges incident to each vertex *)
-  is_terminal : bool array;
-  owner : int array;  (* vertex -> slot of the call whose path holds it *)
-  calls : store;
+  fab : Fabric.t;  (* its heap is the control heap; the only one unsharded *)
+  call_id : int array;  (* slot -> arrival order, for the re-lay order *)
   mutable next_id : int;
-  idle_in : pool;
-  idle_out : pool;
-  conn : Dyn_conn.t;  (* incremental Lemma-7 catastrophe check *)
-  route_buf : int array;  (* shared allocation-free routing target *)
-  (* hot float scalars live in a flat float array so per-event updates
-     don't box: 0 = now, 1 = area (∫ live-call count dt since
-     window_start), 2 = holding_sum, 3 = current drain window end *)
+  (* hot float scalars, unboxed: 0 = holding_sum, 1 = current drain
+     window end *)
   fs : float array;
   mutable offered : int;
   mutable served : int;
@@ -236,7 +137,6 @@ type state = {
   mutable failures : int;
   mutable repairs : int;
   mutable events : int;
-  mutable max_concurrent : int;
   mutable window_start : float;
   mutable measuring : bool;
   mutable w_offered : int;
@@ -250,20 +150,7 @@ type state = {
   esc_idx : int array;  (* k-way merge cursors, one per shard *)
 }
 
-let is_normal s = Fault.state_equal s Fault.Normal
-
 let init ~rng ~cfg net =
-  let g = net.Network.graph in
-  let n = Digraph.vertex_count g and m = Digraph.edge_count g in
-  let is_terminal = Array.make n false in
-  List.iter (fun v -> is_terminal.(v) <- true) (Network.terminals net);
-  let fstate = Array.make m Fault.Normal in
-  let faulty_deg = Array.make n 0 in
-  (* terminals stay routable with faulty incident switches (the switches
-     themselves are unusable via edge_ok); internal vertices are stripped
-     once faulty, mirroring Fault_strip and Ft_session *)
-  let allowed v = is_terminal.(v) || faulty_deg.(v) = 0 in
-  let edge_ok e = is_normal fstate.(e) in
   let sharded = cfg.shards > 1 in
   (* substreams are derived without advancing [rng], so the unsharded
      engine — which consumes [rng] directly — is untouched by this *)
@@ -291,32 +178,17 @@ let init ~rng ~cfg net =
   let eshard =
     if sharded then Shard.partition net ~shards:cfg.shards else Bytes.empty
   in
-  let ncalls = min (Network.n_inputs net) (Network.n_outputs net) in
-  (* unsharded, the heap holds one clock per switch, one hangup per call
-     slot and the next arrival: presized, it never regrows *)
-  let capacity =
-    if (not sharded) && cfg.mtbf < infinity then Some (m + ncalls + 1)
-    else None
+  let fab =
+    Fabric.create ~engine:(engine_of_policy cfg.policy) ~mtbf:cfg.mtbf
+      ~mttr:cfg.mttr net
   in
   {
-    net;
     cfg;
     crng;
-    heap = Heap.create ?capacity ~dummy:0 ();
-    router =
-      Greedy.create ~allowed ~edge_ok ~engine:(engine_of_policy cfg.policy)
-        net;
-    fstate;
-    faulty_deg;
-    is_terminal;
-    owner = Array.make n (-1);
-    calls = store_create ncalls;
+    fab;
+    call_id = Array.make fab.Fabric.cap (-1);
     next_id = 0;
-    idle_in = pool_create (Network.n_inputs net);
-    idle_out = pool_create (Network.n_outputs net);
-    conn = Dyn_conn.create ~terminals:(Network.terminals net) g;
-    route_buf = Array.make n 0;
-    fs = Array.make 4 0.0;
+    fs = Array.make 2 0.0;
     offered = 0;
     served = 0;
     blocked = 0;
@@ -327,7 +199,6 @@ let init ~rng ~cfg net =
     failures = 0;
     repairs = 0;
     events = 0;
-    max_concurrent = 0;
     window_start = 0.0;
     measuring = (match cfg.stop with Horizon _ -> true | Calls _ -> false);
     w_offered = 0;
@@ -345,164 +216,27 @@ let init ~rng ~cfg net =
     esc_idx = Array.make (max cfg.shards 1) 0;
   }
 
-let advance st t =
-  if t > st.fs.(0) then begin
-    st.fs.(1) <-
-      st.fs.(1) +. (float_of_int st.calls.live_count *. (t -. st.fs.(0)));
-    st.fs.(0) <- t
-  end
+let number st slot =
+  st.call_id.(slot) <- st.next_id;
+  st.next_id <- st.next_id + 1
 
-let schedule st dt ev = Heap.push st.heap ~time:(st.fs.(0) +. dt) ev
-
-(* grow-once per-slot buffers: steady state reuses them *)
-let slot_path st slot len =
-  let p = st.calls.c_path.(slot) in
-  if Array.length p >= len then p
-  else begin
-    let p' = Array.make (max len (2 * Array.length p)) 0 in
-    st.calls.c_path.(slot) <- p';
-    p'
-  end
-
-let slot_edges st slot len =
-  let p = st.calls.c_edges.(slot) in
-  if Array.length p >= len then p
-  else begin
-    let p' = Array.make (max len (2 * Array.length p)) 0 in
-    st.calls.c_edges.(slot) <- p';
-    p'
-  end
-
-(* the BFS only crossed normal switches, so every hop has a normal edge;
-   with parallel edges the first normal edge in CSR order is the switch
-   the call occupies (a deterministic choice) *)
-let edges_of_slot st slot =
-  let g = st.net.Network.graph in
-  let plen = st.calls.c_plen.(slot) in
-  let path = st.calls.c_path.(slot) in
-  let edges = slot_edges st slot (max (plen - 1) 0) in
-  for i = 0 to plen - 2 do
-    let u = path.(i) and v = path.(i + 1) in
-    let e = ref (-1) in
-    Digraph.iter_out g u (fun ~dst ~eid ->
-        if !e < 0 && dst = v && is_normal st.fstate.(eid) then e := eid);
-    if !e < 0 then invalid_arg "Traffic: path hop has no normal switch";
-    edges.(i) <- !e
-  done
-
-let note_concurrency st =
-  if st.calls.live_count > st.max_concurrent then
-    st.max_concurrent <- st.calls.live_count
-
-let link_live st slot =
-  let s = st.calls in
-  s.c_prev.(slot) <- -1;
-  s.c_next.(slot) <- s.live_head;
-  if s.live_head >= 0 then s.c_prev.(s.live_head) <- slot;
-  s.live_head <- slot;
-  s.live_count <- s.live_count + 1
-
-let unlink_live st slot =
-  let s = st.calls in
-  let p = s.c_prev.(slot) and n = s.c_next.(slot) in
-  if p >= 0 then s.c_next.(p) <- n else s.live_head <- n;
-  if n >= 0 then s.c_prev.(n) <- p;
-  s.live_count <- s.live_count - 1
-
-let alloc_slot st ~input ~output =
-  let s = st.calls in
-  let slot = s.free_head in
-  (* an idle input/output pair existed, so a free slot must too *)
-  s.free_head <- s.c_next.(slot);
-  s.call_id.(slot) <- st.next_id;
-  st.next_id <- st.next_id + 1;
-  s.c_in.(slot) <- input;
-  s.c_out.(slot) <- output;
-  slot
-
-(* permanent release: the stamp bump is what invalidates any pending
-   hangup event for this occupancy *)
-let free_slot st slot =
-  let s = st.calls in
-  s.c_stamp.(slot) <- s.c_stamp.(slot) + 1;
-  s.call_id.(slot) <- -1;
-  s.c_next.(slot) <- s.free_head;
-  s.free_head <- slot
-
-(* adopt a path already marked busy in the router, from route_buf *)
-let adopt_buf st slot ~len =
-  let s = st.calls in
-  let p = slot_path st slot len in
-  Array.blit st.route_buf 0 p 0 len;
-  s.c_plen.(slot) <- len;
-  edges_of_slot st slot;
-  for i = 0 to len - 1 do
-    st.owner.(p.(i)) <- slot
-  done;
-  pool_remove st.idle_in s.c_in.(slot);
-  pool_remove st.idle_out s.c_out.(slot);
-  link_live st slot;
-  note_concurrency st
-
-(* cold-path variant taking a list path (saturation, rearrangement) *)
-let set_path_list st slot path =
-  let len = List.length path in
-  let p = slot_path st slot len in
-  List.iteri (fun i v -> p.(i) <- v) path;
-  st.calls.c_plen.(slot) <- len;
-  edges_of_slot st slot
-
-let adopt_list st slot path =
-  set_path_list st slot path;
-  let s = st.calls in
-  let p = s.c_path.(slot) in
-  for i = 0 to s.c_plen.(slot) - 1 do
-    st.owner.(p.(i)) <- slot
-  done;
-  pool_remove st.idle_in s.c_in.(slot);
-  pool_remove st.idle_out s.c_out.(slot);
-  link_live st slot;
-  note_concurrency st
-
-(* take the call off the network but keep its slot (the sever path may
-   immediately re-adopt it under the same id and stamp) *)
-let vacate st slot =
-  let s = st.calls in
-  let p = s.c_path.(slot) and len = s.c_plen.(slot) in
-  Greedy.release_buf st.router p ~len;
-  for i = 0 to len - 1 do
-    st.owner.(p.(i)) <- -1
-  done;
-  pool_add st.idle_in s.c_in.(slot);
-  pool_add st.idle_out s.c_out.(slot);
-  unlink_live st slot
-
-(* a new call goes live: draw its holding time, schedule its hangup *)
-let place_new_buf st ~i ~o ~len =
-  let slot = alloc_slot st ~input:i ~output:o in
-  adopt_buf st slot ~len;
+(* a new call goes live: its id, then its holding time and hangup *)
+let start_call st slot =
+  number st slot;
   let h = Dist.holding_time st.crng st.cfg.holding in
-  schedule st h (ev_hangup ((st.calls.c_stamp.(slot) * st.calls.cap) + slot));
-  if st.measuring then st.fs.(2) <- st.fs.(2) +. h
-
-let place_new_list st ~i ~o path =
-  let slot = alloc_slot st ~input:i ~output:o in
-  adopt_list st slot path;
-  let h = Dist.holding_time st.crng st.cfg.holding in
-  schedule st h (ev_hangup ((st.calls.c_stamp.(slot) * st.calls.cap) + slot));
-  if st.measuring then st.fs.(2) <- st.fs.(2) +. h
+  Fabric.hang_up_after st.fab slot h;
+  if st.measuring then st.fs.(0) <- st.fs.(0) +. h
 
 (* identity calls input i -> output i that never hang up — the
    saturating workload of the time-to-degradation experiments *)
 let saturate st =
-  let k = min (Network.n_inputs st.net) (Network.n_outputs st.net) in
-  for i = 0 to k - 1 do
-    let input = st.net.Network.inputs.(i)
-    and output = st.net.Network.outputs.(i) in
-    match Greedy.route st.router ~input ~output with
+  let f = st.fab in
+  for i = 0 to f.Fabric.cap - 1 do
+    let input = f.net.Network.inputs.(i)
+    and output = f.net.Network.outputs.(i) in
+    match Greedy.route f.router ~input ~output with
     | Some path ->
-        let slot = alloc_slot st ~input:i ~output:i in
-        adopt_list st slot path;
+        number st (Fabric.place_path f i i path);
         st.served <- st.served + 1
     | None -> st.blocked <- st.blocked + 1
   done
@@ -511,42 +245,31 @@ let saturate st =
    from scratch over the fault-masked graph; on success the whole layout
    migrates at once.  Cold path — list allocations are fine here. *)
 let try_rearrange st ~budget ~i ~o =
-  let s = st.calls in
-  let live = ref [] in
-  let sl = ref s.live_head in
-  while !sl >= 0 do
-    live := !sl :: !live;
-    sl := s.c_next.(!sl)
-  done;
+  let f = st.fab in
   let live =
-    List.sort (fun a b -> Int.compare s.call_id.(a) s.call_id.(b)) !live
+    List.sort
+      (fun a b -> Int.compare st.call_id.(a) st.call_id.(b))
+      (Fabric.live_slots f)
   in
-  let inputs = st.net.Network.inputs and outputs = st.net.Network.outputs in
+  let inputs = f.net.Network.inputs and outputs = f.net.Network.outputs in
   let reqs =
-    List.map (fun sl -> (inputs.(s.c_in.(sl)), outputs.(s.c_out.(sl)))) live
+    List.map (fun sl -> (inputs.(f.c_in.(sl)), outputs.(f.c_out.(sl)))) live
     @ [ (inputs.(i), outputs.(o)) ]
   in
-  let allowed v = st.is_terminal.(v) || st.faulty_deg.(v) = 0 in
-  let edge_ok e = is_normal st.fstate.(e) in
-  match Backtrack.route_all ~budget ~allowed ~edge_ok st.net reqs with
+  match
+    Backtrack.route_all ~budget ~allowed:f.allowed ~edge_ok:f.edge_ok f.net
+      reqs
+  with
   | Backtrack.Unroutable | Backtrack.Budget_exceeded -> false
   | Backtrack.Routed paths ->
-      List.iter
-        (fun sl ->
-          Greedy.release_buf st.router s.c_path.(sl) ~len:s.c_plen.(sl);
-          for j = 0 to s.c_plen.(sl) - 1 do
-            st.owner.(s.c_path.(sl).(j)) <- -1
-          done)
-        live;
+      List.iter (Fabric.unroute f) live;
       let rec go cs ps =
         match (cs, ps) with
         | [], [ p_new ] ->
-            Greedy.occupy st.router p_new;
-            place_new_list st ~i ~o p_new
+            Greedy.occupy f.router p_new;
+            start_call st (Fabric.place_path f i o p_new)
         | sl :: cs', p :: ps' ->
-            Greedy.occupy st.router p;
-            set_path_list st sl p;
-            List.iter (fun v -> st.owner.(v) <- sl) p;
+            Fabric.relay f sl p;
             go cs' ps'
         | _ -> assert false
       in
@@ -555,28 +278,26 @@ let try_rearrange st ~budget ~i ~o =
       true
 
 let handle_arrival st =
+  let f = st.fab in
   st.offered <- st.offered + 1;
   (match st.cfg.stop with
   | Calls { warmup; _ } when (not st.measuring) && st.offered > warmup ->
       (* warm-up over: the measured window starts now *)
       st.measuring <- true;
-      st.window_start <- st.fs.(0);
-      st.fs.(1) <- 0.0
+      st.window_start <- f.fs.(0);
+      f.fs.(1) <- 0.0
   | _ -> ());
   let blocked, full =
-    if st.idle_in.size = 0 || st.idle_out.size = 0 then (true, true)
+    if Fabric.idle f.idle_in = 0 || Fabric.idle f.idle_out = 0 then
+      (true, true)
     else begin
       (* draws, in fixed order: input pick, output pick, then (on
          placement) the holding time *)
-      let i = pool_draw st.crng st.idle_in in
-      let o = pool_draw st.crng st.idle_out in
-      let input = st.net.Network.inputs.(i)
-      and output = st.net.Network.outputs.(o) in
-      let len =
-        Greedy.route_into st.router ~input ~output ~buf:st.route_buf
-      in
-      if len >= 0 then begin
-        place_new_buf st ~i ~o ~len;
+      let i = Fabric.draw st.crng f.idle_in in
+      let o = Fabric.draw st.crng f.idle_out in
+      let slot = Fabric.connect f i o in
+      if slot >= 0 then begin
+        start_call st slot;
         (false, false)
       end
       else
@@ -601,7 +322,7 @@ let handle_arrival st =
     | None -> ()
   end;
   if blocked && (not full) && st.cfg.stop_on_degradation then begin
-    st.degraded_at <- Some st.fs.(0);
+    st.degraded_at <- Some f.fs.(0);
     st.stopped <- true
   end;
   (match st.cfg.stop with
@@ -609,98 +330,39 @@ let handle_arrival st =
       st.stopped <- true
   | _ -> ());
   if not st.stopped then
-    schedule st (Dist.exponential st.crng ~rate:st.cfg.load) ev_arrival
+    Fabric.schedule f (Dist.exponential st.crng ~rate:st.cfg.load)
+      Fabric.ev_arrival
 
-let handle_hangup st key =
-  let slot = key mod st.calls.cap and stamp = key / st.calls.cap in
-  (* stamp mismatch = the call was severed earlier and its slot
-     permanently freed; this hangup event is stale *)
-  if st.calls.c_stamp.(slot) = stamp then begin
-    vacate st slot;
-    free_slot st slot
-  end
-
-let crosses st slot e =
-  let edges = st.calls.c_edges.(slot) in
-  let k = st.calls.c_plen.(slot) - 1 in
-  let found = ref false in
-  let i = ref 0 in
-  while (not !found) && !i < k do
-    if edges.(!i) = e then found := true;
-    incr i
-  done;
-  !found
-
-(* drop the call (if any) whose path crosses the failed switch, then
-   attempt an immediate greedy reroute of the same endpoint pair *)
-let sever st e ~u ~v =
-  let try_drop vtx =
-    let slot = st.owner.(vtx) in
-    if slot >= 0 && crosses st slot e then begin
-      st.dropped <- st.dropped + 1;
-      vacate st slot;
-      let input = st.net.Network.inputs.(st.calls.c_in.(slot))
-      and output = st.net.Network.outputs.(st.calls.c_out.(slot)) in
-      let len =
-        Greedy.route_into st.router ~input ~output ~buf:st.route_buf
-      in
-      if len >= 0 then begin
-        (* same slot, same stamp: the pending hangup stays valid *)
-        adopt_buf st slot ~len;
-        st.rerouted <- st.rerouted + 1
-      end
-      else begin
-        free_slot st slot;
-        if st.cfg.stop_on_degradation && not st.stopped then begin
-          st.degraded_at <- Some st.fs.(0);
-          st.stopped <- true
-        end
-      end
+(* every severed call counts as dropped; one that cannot be rerouted is
+   a service failure *)
+let tally_sever st e =
+  let f = st.fab in
+  for j = 0 to Fabric.sever f e - 1 do
+    st.dropped <- st.dropped + 1;
+    if f.severed.(j) land 1 = 1 then st.rerouted <- st.rerouted + 1
+    else if st.cfg.stop_on_degradation && not st.stopped then begin
+      st.degraded_at <- Some f.fs.(0);
+      st.stopped <- true
     end
-  in
-  try_drop u;
-  if v <> u then try_drop v
+  done
 
 let note_catastrophe st =
-  st.catastrophe_at <- Some st.fs.(0);
+  let now = st.fab.fs.(0) in
+  st.catastrophe_at <- Some now;
   if st.cfg.stop_on_degradation && st.degraded_at = None then
-    st.degraded_at <- Some st.fs.(0);
+    st.degraded_at <- Some now;
   st.stopped <- true
 
 (* unsharded failure/repair: the open/closed coin is drawn when the
    event fires, exactly as the engine always did *)
 let handle_fail st e =
   st.failures <- st.failures + 1;
-  (* draws, in fixed order: the open/closed coin, then the repair clock *)
-  let closed = Rng.bool st.crng in
-  if st.cfg.mttr < infinity then
-    schedule st
-      (Dist.exponential st.crng ~rate:(1.0 /. st.cfg.mttr))
-      (ev_repair e);
-  st.fstate.(e) <-
-    (if closed then Fault.Closed_failure else Fault.Open_failure);
-  let u, v = Digraph.edge_endpoints st.net.Network.graph e in
-  st.faulty_deg.(u) <- st.faulty_deg.(u) + 1;
-  if v <> u then st.faulty_deg.(v) <- st.faulty_deg.(v) + 1;
-  if closed then begin
-    (* two terminals in one closed-contraction class is the Lemma 7
-       catastrophe; Dyn_conn maintains the verdict incrementally *)
-    Dyn_conn.close st.conn e;
-    if Dyn_conn.terminals_shorted st.conn then note_catastrophe st
-    else sever st e ~u ~v
-  end
-  else sever st e ~u ~v
+  if Fabric.fail st.fab st.crng e = Fabric.shorted then note_catastrophe st
+  else tally_sever st e
 
 let handle_repair st e =
   st.repairs <- st.repairs + 1;
-  if Fault.state_equal st.fstate.(e) Fault.Closed_failure then
-    Dyn_conn.reopen st.conn e;
-  st.fstate.(e) <- Fault.Normal;
-  let u, v = Digraph.edge_endpoints st.net.Network.graph e in
-  st.faulty_deg.(u) <- st.faulty_deg.(u) - 1;
-  if v <> u then st.faulty_deg.(v) <- st.faulty_deg.(v) - 1;
-  (* back in service with a fresh failure clock *)
-  schedule st (Dist.exponential st.crng ~rate:(1.0 /. st.cfg.mtbf)) (ev_fail e)
+  Fabric.repair st.fab st.crng e
 
 (* sharded failure/repair: the coin is pre-drawn when the failure is
    scheduled, which routes closed failures (the only kind that touches
@@ -710,29 +372,25 @@ let handle_fail_closed st e =
   st.failures <- st.failures + 1;
   let sh = st.shs.(Shard.shard_of st.eshard e) in
   if st.cfg.mttr < infinity then
-    schedule st
+    Fabric.schedule st.fab
       (Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mttr))
-      (ev_repair e);
-  st.fstate.(e) <- Fault.Closed_failure;
-  let u, v = Digraph.edge_endpoints st.net.Network.graph e in
-  st.faulty_deg.(u) <- st.faulty_deg.(u) + 1;
-  if v <> u then st.faulty_deg.(v) <- st.faulty_deg.(v) + 1;
-  Dyn_conn.close st.conn e;
-  if Dyn_conn.terminals_shorted st.conn then note_catastrophe st
-  else sever st e ~u ~v
+      (Fabric.ev_repair e);
+  if Fabric.mark_failed st.fab e ~closed:true = Fabric.shorted then
+    note_catastrophe st
+  else tally_sever st e
 
-let handle_repair_closed st e =
-  st.repairs <- st.repairs + 1;
-  Dyn_conn.reopen st.conn e;
-  st.fstate.(e) <- Fault.Normal;
-  let u, v = Digraph.edge_endpoints st.net.Network.graph e in
-  st.faulty_deg.(u) <- st.faulty_deg.(u) - 1;
-  if v <> u then st.faulty_deg.(v) <- st.faulty_deg.(v) - 1;
+(* a sharded failure clock from [t]: the delay, then the coin *)
+let arm_sharded st e t =
   let sh = st.shs.(Shard.shard_of st.eshard e) in
   let dt = Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mtbf) in
   let closed = Rng.bool sh.srng in
-  if closed then Heap.push st.heap ~time:(st.fs.(0) +. dt) (ev_fail e)
-  else Heap.push sh.sheap ~time:(st.fs.(0) +. dt) (ev_fail e)
+  Heap.push (if closed then st.fab.heap else sh.sheap) ~time:(t +. dt)
+    (Fabric.ev_fail e)
+
+let handle_repair_closed st e =
+  st.repairs <- st.repairs + 1;
+  Fabric.mark_repaired st.fab e;
+  arm_sharded st e st.fab.fs.(0)
 
 (* shard scratch-buffer appends, grow-once *)
 let grow_f a len = Array.append a (Array.make (max 8 (Array.length a + len)) 0.0)
@@ -762,7 +420,7 @@ let deg_push sh v ~dec =
   sh.deg_v.(sh.deg_len) <- (v lsl 1) lor (if dec then 1 else 0);
   sh.deg_len <- sh.deg_len + 1
 
-(* Drain shard [k] up to the window end fs.(3): process its open
+(* Drain shard [k] up to the window end fs.(1): process its open
    failures and repairs, keeping every cross-shard-visible effect in
    the shard's buffers.  Safe to run concurrently with the other
    shards' drains: this touches only the shard's own heap/rng/buffers,
@@ -770,8 +428,9 @@ let deg_push sh v ~dec =
    array.  No global-time or statistics access. *)
 let drain_shard st k =
   let sh = st.shs.(k) in
-  let w = st.fs.(3) in
-  let g = st.net.Network.graph in
+  let f = st.fab in
+  let w = st.fs.(1) in
+  let g = f.net.Network.graph in
   let continue_ = ref true in
   while !continue_ do
     if Heap.is_empty sh.sheap || Heap.min_time sh.sheap > w then
@@ -787,9 +446,9 @@ let drain_shard st k =
         sh.s_failures <- sh.s_failures + 1;
         if st.cfg.mttr < infinity then begin
           let dt = Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mttr) in
-          Heap.push sh.sheap ~time:(t +. dt) (ev_repair e)
+          Heap.push sh.sheap ~time:(t +. dt) (Fabric.ev_repair e)
         end;
-        st.fstate.(e) <- Fault.Open_failure;
+        f.fstate.(e) <- Fault.Open_failure;
         deg_push sh u ~dec:false;
         if v <> u then deg_push sh v ~dec:false;
         (* escalate the sever to commit time only if a live call can be
@@ -797,21 +456,21 @@ let drain_shard st k =
            and any call placed or rerouted at commit routes over the
            fully-committed fault mask — so it cannot cross this edge,
            and no sever is ever missed. *)
-        if st.owner.(u) >= 0 || (v <> u && st.owner.(v) >= 0) then
+        if f.owner.(u) >= 0 || (v <> u && f.owner.(v) >= 0) then
           esc_push sh t e
       end
       else begin
         (* open repair *)
         sh.s_repairs <- sh.s_repairs + 1;
-        st.fstate.(e) <- Fault.Normal;
+        f.fstate.(e) <- Fault.Normal;
         deg_push sh u ~dec:true;
         if v <> u then deg_push sh v ~dec:true;
         (* fresh failure clock: the clock draw, then the coin that
            decides whether the next failure is control-bound *)
         let dt = Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mtbf) in
         let closed = Rng.bool sh.srng in
-        if closed then ctl_push sh (t +. dt) (ev_fail e)
-        else Heap.push sh.sheap ~time:(t +. dt) (ev_fail e)
+        if closed then ctl_push sh (t +. dt) (Fabric.ev_fail e)
+        else Heap.push sh.sheap ~time:(t +. dt) (Fabric.ev_fail e)
       end
     end
   done
@@ -822,14 +481,15 @@ let drain_shard st k =
    shard id), then the escalated severs merged across shards by
    (time, shard). *)
 let commit_window st =
+  let f = st.fab in
   let ns = Array.length st.shs in
   for k = 0 to ns - 1 do
     let sh = st.shs.(k) in
     for j = 0 to sh.deg_len - 1 do
       let enc = sh.deg_v.(j) in
       let v = enc lsr 1 in
-      st.faulty_deg.(v) <-
-        (st.faulty_deg.(v) + if enc land 1 = 1 then -1 else 1)
+      f.faulty_deg.(v) <-
+        (f.faulty_deg.(v) + if enc land 1 = 1 then -1 else 1)
     done;
     sh.deg_len <- 0;
     st.failures <- st.failures + sh.s_failures;
@@ -839,7 +499,7 @@ let commit_window st =
     st.events <- st.events + sh.s_events;
     sh.s_events <- 0;
     for j = 0 to sh.ctl_len - 1 do
-      Heap.push st.heap ~time:sh.ctl_t.(j) sh.ctl_ev.(j)
+      Heap.push f.heap ~time:sh.ctl_t.(j) sh.ctl_ev.(j)
     done;
     sh.ctl_len <- 0
   done;
@@ -860,42 +520,37 @@ let commit_window st =
     let e = sh.esc_e.(idx.(!best)) in
     idx.(!best) <- idx.(!best) + 1;
     decr remaining;
-    advance st !bt;
-    let u, v = Digraph.edge_endpoints st.net.Network.graph e in
-    sever st e ~u ~v
+    Fabric.advance f !bt;
+    tally_sever st e
   done;
   Array.iter (fun sh -> sh.esc_len <- 0) st.shs
 
-let dispatch_mono st ev =
+(* sharded, the control heap's failures and repairs are closed ones *)
+let dispatch st ev =
+  let sharded = Array.length st.shs > 0 in
   match ev land 3 with
   | 0 -> handle_arrival st
-  | 1 -> handle_hangup st (ev lsr 2)
-  | 2 -> handle_fail st (ev lsr 2)
-  | _ -> handle_repair st (ev lsr 2)
-
-let dispatch_sharded st ev =
-  match ev land 3 with
-  | 0 -> handle_arrival st
-  | 1 -> handle_hangup st (ev lsr 2)
-  | 2 -> handle_fail_closed st (ev lsr 2)
-  | _ -> handle_repair_closed st (ev lsr 2)
+  | 1 -> ignore (Fabric.hangup st.fab (ev lsr 2))
+  | 2 -> (if sharded then handle_fail_closed else handle_fail) st (ev lsr 2)
+  | _ -> (if sharded then handle_repair_closed else handle_repair) st (ev lsr 2)
 
 let run_mono st horizon =
+  let f = st.fab in
   let continue_ = ref true in
   while !continue_ do
-    if st.stopped || Heap.is_empty st.heap then continue_ := false
+    if st.stopped || Heap.is_empty f.heap then continue_ := false
     else begin
-      let t = Heap.min_time st.heap in
+      let t = Heap.min_time f.heap in
       if t > horizon then begin
-        advance st horizon;
+        Fabric.advance f horizon;
         st.stopped <- true;
         continue_ := false
       end
       else begin
-        let ev = Heap.pop st.heap in
-        advance st t;
+        let ev = Heap.pop f.heap in
+        Fabric.advance f t;
         st.events <- st.events + 1;
-        dispatch_mono st ev
+        dispatch st ev
       end
     end
   done
@@ -907,6 +562,7 @@ let run_mono st horizon =
    shards up to that window, commits, then executes exactly one control
    event. *)
 let run_sharded st horizon =
+  let f = st.fab in
   let ns = Array.length st.shs in
   let tasks = Array.init ns (fun k () -> drain_shard st k) in
   let jobs = st.cfg.shard_jobs in
@@ -915,7 +571,7 @@ let run_sharded st horizon =
     if st.stopped then continue_ := false
     else begin
       let wc =
-        if Heap.is_empty st.heap then infinity else Heap.min_time st.heap
+        if Heap.is_empty f.heap then infinity else Heap.min_time f.heap
       in
       let w = min wc horizon in
       if w = infinity then
@@ -923,24 +579,24 @@ let run_sharded st horizon =
            open-failure churn cannot affect any statistic *)
         continue_ := false
       else begin
-        st.fs.(3) <- w;
+        st.fs.(1) <- w;
         Trials.parallel_tasks ~jobs tasks;
         commit_window st;
         if not st.stopped then begin
           (* a drain may have delivered a closed failure below [w] *)
           let wc' =
-            if Heap.is_empty st.heap then infinity else Heap.min_time st.heap
+            if Heap.is_empty f.heap then infinity else Heap.min_time f.heap
           in
           if wc' > horizon then begin
-            advance st horizon;
+            Fabric.advance f horizon;
             st.stopped <- true;
             continue_ := false
           end
           else begin
-            let ev = Heap.pop st.heap in
-            advance st wc';
+            let ev = Heap.pop f.heap in
+            Fabric.advance f wc';
             st.events <- st.events + 1;
-            dispatch_sharded st ev
+            dispatch st ev
           end
         end
       end
@@ -948,9 +604,10 @@ let run_sharded st horizon =
   done
 
 let finish st =
-  let window = st.fs.(0) -. st.window_start in
-  let occupancy = if window > 0.0 then st.fs.(1) /. window else 0.0 in
-  let carried = if window > 0.0 then st.fs.(2) /. window else 0.0 in
+  let f = st.fab in
+  let window = f.fs.(0) -. st.window_start in
+  let occupancy = if window > 0.0 then f.fs.(1) /. window else 0.0 in
+  let carried = if window > 0.0 then st.fs.(0) /. window else 0.0 in
   let blocking =
     if st.w_offered > 0 then
       float_of_int st.w_blocked /. float_of_int st.w_offered
@@ -972,7 +629,7 @@ let finish st =
   c "traffic.repairs" st.repairs;
   if st.catastrophe_at <> None then c "traffic.catastrophes" 1;
   {
-    sim_time = st.fs.(0);
+    sim_time = f.fs.(0);
     events = st.events;
     offered = st.offered;
     served = st.served;
@@ -983,7 +640,7 @@ let finish st =
     rearranged = st.rearranged;
     failures = st.failures;
     repairs = st.repairs;
-    max_concurrent = st.max_concurrent;
+    max_concurrent = f.max_concurrent;
     occupancy;
     carried;
     measured_offered = st.w_offered;
@@ -1001,30 +658,26 @@ let run ~rng ~config:cfg net =
      failure clock per switch in ascending edge order, then the first
      arrival *)
   if cfg.saturate then saturate st;
+  let f = st.fab in
   if cfg.mtbf < infinity then begin
     let m = Digraph.edge_count net.Network.graph in
     if cfg.shards = 1 then
       for e = 0 to m - 1 do
-        schedule st
-          (Dist.exponential st.crng ~rate:(1.0 /. cfg.mtbf))
-          (ev_fail e)
+        Fabric.arm f st.crng e
       done
     else
       for e = 0 to m - 1 do
-        let sh = st.shs.(Shard.shard_of st.eshard e) in
-        let dt = Dist.exponential sh.srng ~rate:(1.0 /. cfg.mtbf) in
-        let closed = Rng.bool sh.srng in
-        if closed then Heap.push st.heap ~time:dt (ev_fail e)
-        else Heap.push sh.sheap ~time:dt (ev_fail e)
+        arm_sharded st e 0.0
       done
   end;
   if cfg.load > 0.0 then
-    schedule st (Dist.exponential st.crng ~rate:cfg.load) ev_arrival;
+    Fabric.schedule f (Dist.exponential st.crng ~rate:cfg.load)
+      Fabric.ev_arrival;
   let horizon = match cfg.stop with Horizon h -> h | Calls _ -> infinity in
   if cfg.shards = 1 then run_mono st horizon else run_sharded st horizon;
   (* a horizon run whose queue dried up still spans [0, h] *)
   (match cfg.stop with
-  | Horizon h when (not st.stopped) && st.fs.(0) < h -> advance st h
+  | Horizon h when (not st.stopped) && f.fs.(0) < h -> Fabric.advance f h
   | _ -> ());
   finish st
 

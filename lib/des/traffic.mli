@@ -15,6 +15,12 @@
     reroute), and a closed failure that contracts two terminals — the
     Lemma 7 catastrophe — ends the run.
 
+    The switches, calls, clocks and event heap are a {!Fabric}, the same
+    core [Ftcsn_serve.Engine] drives; this module adds the arrival
+    process, the statistics, saturation, rearrangement and the sharded
+    mode, and passes its one trial stream to {!Fabric.fail} and
+    {!Fabric.repair}.
+
     {2 Determinism contract}
 
     Events execute in [(time, push-sequence)] order ({!Heap}), and every
@@ -42,10 +48,11 @@
     heap, PRNG substream and scratch buffers.  Open-switch failures and
     repairs — the overwhelming bulk of events at scale, and the only
     ones that never touch global connectivity — stay shard-local; calls
-    (arrivals, hangups) and closed failures stay on a global control
-    heap.  Each step drains every shard up to the next control event (a
-    conservative safe window), merges the buffered cross-shard effects
-    deterministically, and executes one control event.  [shard_jobs]
+    (arrivals, hangups) and closed failures stay on the fabric's heap,
+    the control heap.  Each step drains every shard up to the next
+    control event (a conservative safe window), merges the buffered
+    cross-shard effects deterministically, and executes one control
+    event.  [shard_jobs]
     leases that many domains from the {!Ftcsn_sim.Trials} pool to run
     the drains concurrently {e within} one replication.
 

@@ -5,33 +5,25 @@
     reports a batch summary, this engine takes each arrival from the
     outside as a {!Proto.request} and answers through an [emit]
     callback, while per-switch failure/repair clocks keep firing in
-    virtual time between requests.  The call path reuses the scaled
-    engine's machinery — idle-terminal pools, the structure-of-arrays
+    virtual time between requests.  Both engines drive the same
+    {!Ftcsn_des.Fabric}: idle-terminal pools, the structure-of-arrays
     call store with stamp-keyed hangup invalidation, [Greedy.route_into]
-    over fault masks, and incremental Lemma-7 catastrophe detection —
-    so a decision allocates only its protocol strings: steady-state
+    over fault masks, incremental Lemma-7 catastrophe detection, and one
+    [(time, seq)] event heap holding hangups and switch clocks alike.  A
+    decision allocates only its protocol strings: steady-state
     allocation per decision is flat over a 10^8-call soak.
 
     {2 Determinism}
 
     The response stream is a pure function of (network, seed, options,
-    request stream).  Two ingredients make it also independent of
-    [shards]:
-
-    - every switch [e] draws its entire clock history (first failure,
-      open/closed coin, repair, next failure, ...) from its own indexed
-      substream [Rng.substream rng (1 + e)], so event {e times} never
-      depend on processing order;
-    - events fire in ascending time with ties broken control-heap
-      first, then by ascending shard; distinct continuous draws tie
-      with probability zero, so the execution order is the time order
-      whatever the partition.
-
-    Endpoint picks and holding-time draws for requests come from the
-    control substream ([Rng.substream rng 0]) in request order.
-    [shards] therefore only changes which heap holds which clock —
-    never a draw or a verdict — and the acceptance pin (byte-identical
-    replay at every shard count) holds by construction. *)
+    request stream).  Endpoint picks and holding-time draws for
+    requests come from the request substream ([Rng.substream rng 0]) in
+    request order.  Every switch [e] draws its entire clock history
+    (first failure, open/closed coin, repair, next failure, ...) from
+    its own indexed substream [Rng.substream rng (1 + e)], so the fault
+    schedule is independent of request decisions: whether a call is
+    accepted, blocked or shed never moves a failure.  The substreams
+    are derived only when the fault process runs ([mtbf] finite). *)
 
 type t
 
@@ -40,7 +32,6 @@ val create :
   ?holding:Ftcsn_des.Dist.holding ->
   ?mtbf:float ->
   ?mttr:float ->
-  ?shards:int ->
   ?trace:Ftcsn_obs.Trace.sink ->
   emit:(Proto.response -> unit) ->
   rng:Ftcsn_prng.Rng.t ->
@@ -52,8 +43,7 @@ val create :
     emits one JSONL span per call decision.  [emit] receives every
     response, including asynchronous ones (reroutes, drops, releases)
     produced while virtual time advances.
-    @raise Invalid_argument on non-positive [mtbf]/[mttr], or [shards]
-    outside [1 .. Shard.regions net]. *)
+    @raise Invalid_argument on non-positive [mtbf]/[mttr]. *)
 
 val handle : t -> Proto.request -> unit
 (** Advance virtual time to the request's [at] (never backwards), fire

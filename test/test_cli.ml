@@ -618,9 +618,7 @@ let test_serve_replay_deterministic () =
   in
   let reference = go "" in
   Alcotest.(check bool) "stream non-empty" true (String.length reference > 0);
-  Alcotest.(check string) "identical across runs" reference (go "");
-  Alcotest.(check string) "identical at --shards 3" reference (go "--shards 3");
-  Alcotest.(check string) "identical at --jobs 4" reference (go "--jobs 4")
+  Alcotest.(check string) "identical across runs" reference (go "")
 
 let test_serve_calls_bound () =
   with_request_file ~calls:60 @@ fun reqs ->
@@ -687,9 +685,7 @@ let test_serve_errors () =
     "--replay and --socket cannot both be given";
   check_usage_error "serve missing replay file"
     "serve --net benes:16 --replay /nonexistent/reqs.jsonl"
-    "cannot open --replay file";
-  check_usage_error "serve shards too many"
-    "serve --net benes:16 --replay /dev/null --shards 99" "shardable regions"
+    "cannot open --replay file"
 
 (* ---------- ε-grid curves ---------- *)
 
@@ -980,7 +976,7 @@ let () =
       ( "serve",
         [
           Alcotest.test_case "replay smoke" `Quick test_serve_replay_smoke;
-          Alcotest.test_case "replay byte-identical across runs/shards/jobs"
+          Alcotest.test_case "replay byte-identical across runs"
             `Quick test_serve_replay_deterministic;
           Alcotest.test_case "--calls bound" `Quick test_serve_calls_bound;
           Alcotest.test_case "live stdin until EOF" `Quick test_serve_stdin_live;

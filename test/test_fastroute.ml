@@ -2,8 +2,9 @@
    bit-identity with the fill-based search, Staged_route / Loop_route
    agreement with the BFS oracle on every registry family under random
    fault masks, busy-state accept/block agreement over call sequences,
-   engine fallback resolution, zero-allocation of the DES call path, and
-   fault-free policy-independence of the traffic statistics. *)
+   engine fallback resolution, zero-allocation of the DES call path
+   (router and fabric), and fault-free policy-independence of the
+   traffic statistics. *)
 
 module Network = Ftcsn_networks.Network
 module Topology = Ftcsn_networks.Topology
@@ -16,6 +17,7 @@ module Greedy = Ftcsn_routing.Greedy
 module Staged_route = Ftcsn_routing.Staged_route
 module Loop_route = Ftcsn_routing.Loop_route
 module Traffic = Ftcsn_des.Traffic
+module Fabric = Ftcsn_des.Fabric
 module Rng = Ftcsn_prng.Rng
 module Metrics = Ftcsn_obs.Metrics
 module Counter = Ftcsn_obs.Counter
@@ -300,6 +302,36 @@ let test_alloc_free_bfs () = alloc_free `Bfs ()
 let test_alloc_free_staged () = alloc_free `Staged ()
 let test_alloc_free_loop () = alloc_free `Loop ()
 
+(* The fabric's call path, without the router's share measured above:
+   place a call, fail a switch in the middle of its path, sever and
+   reroute it, release it and repair the switch.  The fault state is
+   set by hand, so no clock is drawn inside the measured region. *)
+let test_fabric_alloc_free () =
+  let net = Benes.create 64 in
+  let f = Fabric.create ~mtbf:infinity ~mttr:infinity net in
+  let n_in = Network.n_inputs net and n_out = Network.n_outputs net in
+  let rerouted = ref 0 in
+  let cycle k =
+    let slot = Fabric.connect f (k mod n_in) ((k * 7) mod n_out) in
+    let e = f.c_edges.(slot).(f.c_plen.(slot) / 2) in
+    ignore (Fabric.mark_failed f e ~closed:false);
+    if Fabric.sever f e = 1 && f.severed.(0) land 1 = 1 then incr rerouted;
+    Fabric.release f slot;
+    Fabric.mark_repaired f e
+  in
+  (* warm-up: every slot buffer grows to its longest path once *)
+  for k = 0 to 63 do
+    cycle k
+  done;
+  let w0 = Gc.minor_words () in
+  for k = 0 to 9_999 do
+    cycle k
+  done;
+  let w1 = Gc.minor_words () in
+  check "every severed call was rerouted" 10_064 !rerouted;
+  Alcotest.(check (float 0.0))
+    "minor words over 10k place/sever/reroute/release cycles" 0.0 (w1 -. w0)
+
 (* ---------- fault-free traffic statistics are policy-independent ---------- *)
 
 (* Without failures no call is ever severed, so path choice cannot feed
@@ -396,6 +428,8 @@ let () =
             test_alloc_free_staged;
           Alcotest.test_case "loop call path is allocation-free" `Quick
             test_alloc_free_loop;
+          Alcotest.test_case "fabric place/sever/release is allocation-free"
+            `Quick test_fabric_alloc_free;
         ] );
       ( "traffic",
         [
