@@ -59,6 +59,41 @@ let test_advance_matches_splits () =
   Rng.advance b 13;
   Alcotest.(check int64) "same stream after advance" (Rng.int64 a) (Rng.int64 b)
 
+(* Outputs recorded from the generator itself: the tests above compare
+   two runs of one build, this one compares against a fixed past, so a
+   change to how draws are computed cannot move a single bit unseen. *)
+let test_reference_vector () =
+  let g = Splitmix64.create 0x0123456789ABCDEFL in
+  Alcotest.(check (list int64))
+    "Splitmix64.next"
+    [ 1547611027431991965L; -3066016094752747373L; 3427440727199435966L;
+      -6713713436388857876L ]
+    (List.init 4 (fun _ -> Splitmix64.next g));
+  let r = Rng.create ~seed:2024 in
+  (* the last bound rejects about half of all raw draws *)
+  Alcotest.(check (list int))
+    "Rng.int"
+    [ 0; 0; 2; 5; 6; 11; 925741; 268867774354; 3114776667611587888;
+      1604587247303511323 ]
+    (List.map (Rng.int r)
+       [ 1; 2; 3; 7; 10; 1000; 1_000_003; 1 lsl 40; max_int; (1 lsl 61) + 1 ]);
+  Alcotest.(check (list string))
+    "Rng.float"
+    [ "0x1.b023bfb6aaff5p-1"; "0x1.52ab878fb3a75p-1"; "0x1.2a18709a4eaa8p-3";
+      "0x1.60a70d7e0c146p-1" ]
+    (List.init 4 (fun _ -> Printf.sprintf "%h" (Rng.float r)));
+  Alcotest.(check (list bool))
+    "Rng.bool"
+    [ true; true; true; true; false; false; false; false ]
+    (List.init 8 (fun _ -> Rng.bool r));
+  let s = Rng.substream r 5 in
+  Alcotest.(check (list int64))
+    "Rng.substream"
+    [ 4300744985164940653L; 5693603253761048825L ]
+    [ Rng.int64 s; Rng.int64 s ];
+  Alcotest.(check int64)
+    "the parent does not advance" (-4779199592365441225L) (Rng.int64 r)
+
 let test_int_bounds () =
   let g = Rng.create ~seed:3 in
   for _ = 1 to 10_000 do
@@ -261,6 +296,7 @@ let () =
             test_substream_matches_split;
           Alcotest.test_case "advance = k splits" `Quick
             test_advance_matches_splits;
+          Alcotest.test_case "reference vector" `Quick test_reference_vector;
         ] );
       ( "xoshiro",
         [
