@@ -7,8 +7,10 @@ module Rng = Ftcsn_prng.Rng
 
 (* Events are unboxed ints: [(arg lsl 2) lor tag].  Pushing an immediate
    int onto the heap allocates nothing, and the [(time, push-seq)]
-   determinism contract only cares about push order. *)
+   determinism contract only cares about push order.  Tag 0 carries the
+   two argument-free events. *)
 let ev_arrival = 0
+let ev_tick = 1 lsl 2
 let ev_hangup key = (key lsl 2) lor 1
 let ev_fail e = (e lsl 2) lor 2
 let ev_repair e = (e lsl 2) lor 3
@@ -72,6 +74,7 @@ type t = {
   mutable live_count : int;
   mutable free_head : int;
   mutable max_concurrent : int;
+  mutable failed : int;
   severed : int array;
   fs : float array;
 }
@@ -91,14 +94,13 @@ let create ?(engine = `Bfs) ~mtbf ~mttr net =
      once faulty, mirroring Fault_strip and Ft_session *)
   let allowed v = is_terminal.(v) || faulty_deg.(v) = 0 in
   let edge_ok e = is_normal fstate.(e) in
-  (* with failures on the heap holds one clock per switch, one hangup
-     per call slot and the next arrival: presized, it rarely regrows *)
-  let capacity = if mtbf < infinity then Some (m + cap + 1) else None in
   {
     net;
     mtbf;
     mttr;
-    heap = Heap.create ?capacity ~dummy:0 ();
+    (* one hangup per call slot, the next arrival and the failure clock's
+       tick; pending repairs grow it by doubling *)
+    heap = Heap.create ~capacity:(cap + 2) ~dummy:0 ();
     router = Greedy.create ~engine ~allowed ~edge_ok net;
     route_buf = Array.make n 0;
     fstate;
@@ -122,6 +124,7 @@ let create ?(engine = `Bfs) ~mtbf ~mttr net =
     live_count = 0;
     free_head = (if cap > 0 then 0 else -1);
     max_concurrent = 0;
+    failed = 0;
     severed = Array.make 2 0;
     fs = Array.make 2 0.0;
   }
@@ -333,15 +336,42 @@ let mark_repaired f e =
 
 let terminals_shorted f = Dyn_conn.terminals_shorted f.conn
 
-let arm f rng e =
-  schedule f (Dist.exponential rng ~rate:(1.0 /. f.mtbf)) (ev_fail e)
+(* ---- the failure clock ---- *)
 
-let fail f rng e =
-  let closed = Rng.bool rng in
-  if f.mttr < infinity then
-    schedule f (Dist.exponential rng ~rate:(1.0 /. f.mttr)) (ev_repair e);
-  mark_failed f e ~closed
+(* m independent clocks of rate 1/mtbf sum to one Poisson stream of rate
+   m/mtbf whose events land on a uniformly chosen switch; a tick on a
+   switch that is already down is discarded, which thins each normal
+   switch's stream back to rate 1/mtbf *)
+let arm_tick f rng =
+  let m = Array.length f.fstate in
+  schedule f
+    (Dist.exponential rng ~rate:(float_of_int m /. f.mtbf))
+    ev_tick
+
+let start_clock f rng =
+  if f.mtbf < infinity && Array.length f.fstate > 0 then arm_tick f rng
+
+let discarded = -1
+
+let tick f rng =
+  let m = Array.length f.fstate in
+  let e = Rng.int rng m in
+  let r =
+    if not (is_normal f.fstate.(e)) then discarded
+    else begin
+      let closed = Rng.bool rng in
+      if f.mttr < infinity then
+        schedule f (Dist.exponential rng ~rate:(1.0 /. f.mttr)) (ev_repair e);
+      f.failed <- f.failed + 1;
+      (e lsl 2) lor mark_failed f e ~closed
+    end
+  in
+  (* with every switch down nothing can fail: the clock stops until the
+     next repair *)
+  if f.failed < m then arm_tick f rng;
+  r
 
 let repair f rng e =
   mark_repaired f e;
-  arm f rng e
+  f.failed <- f.failed - 1;
+  if f.failed = Array.length f.fstate - 1 then arm_tick f rng

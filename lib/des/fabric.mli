@@ -7,21 +7,47 @@
     store, the vertex owner index, per-switch fault state with faulty
     degrees and {!Ftcsn_reliability.Dyn_conn}, the fault-masked
     {!Ftcsn_routing.Greedy} router with its route buffer, the
-    [∫ live·dt] accumulator, and the [(time, seq)] event {!Heap} with
-    its int event encoding.  Arrival processes, statistics and replies
+    [∫ live·dt] accumulator, the failure clock, and the [(time, seq)]
+    event {!Heap} with its int event encoding.  Arrival processes, statistics and replies
     stay in the engines.
 
     The call path — {!connect}, {!sever} with its reroute, {!release},
     {!hangup} — allocates nothing once each slot's grow-once path
     buffers have reached the longest path it has carried.
 
+    {2 The failure clock}
+
+    Every switch fails independently at rate [1/mtbf].  Rather than one
+    exponential clock per switch, the fabric runs one clock for the
+    whole network: m independent clocks of rate [1/mtbf] add up to one
+    Poisson stream of rate [m/mtbf] whose events land on a uniformly
+    chosen switch.  Each event of that stream is a {e tick}
+    ({!ev_tick}).  A tick that lands on a normal switch fails it; a tick
+    that lands on a switch that has already failed is {e discarded}.
+    Discarding (thinning) leaves each normal switch failing at exactly
+    rate [1/mtbf], so this samples the per-switch process itself, not an
+    approximation of it, while the heap holds one tick instead of m
+    clocks.  A discarded tick changes nothing, and the engines count it
+    as no event.
+
+    When every switch has failed nothing can fail, so the clock stops:
+    the tick is not re-armed, and the next {!repair} re-arms it (by
+    memorylessness this too is exact).  With [mttr = infinity] the heap
+    therefore runs dry after the m-th failure.
+
     {2 Draw order}
 
-    The fabric never owns a PRNG: {!fail}, {!repair} and {!arm} draw
-    from the stream the caller passes ([Traffic]'s trial stream,
-    [Serve]'s per-switch substream), in a fixed order — the open/closed
-    coin, then the repair delay (when [mttr] is finite), then, on
-    repair, the next-failure delay.
+    The fabric never owns a PRNG: {!start_clock}, {!tick} and {!repair}
+    draw from the stream the caller passes ([Traffic]'s trial stream,
+    [Serve]'s fault substream), in a fixed order.  {!start_clock} draws
+    the first tick's delay.  Each {!tick} draws
+    + the switch pick;
+    + only if that switch is normal, the open/closed coin and then the
+      repair delay (when [mttr] is finite);
+    + the next tick's delay (unless the clock stops).
+
+    A {!repair} draws only when it restarts a stopped clock: the next
+    tick's delay.
 
     {2 Two meanings of "dropped"}
 
@@ -72,6 +98,9 @@ type t = private {
   mutable live_count : int;
   mutable free_head : int;
   mutable max_concurrent : int;
+  mutable failed : int;
+      (** switches the failure clock has failed and {!repair} has not
+          yet repaired *)
   severed : int array;  (** the last {!sever}'s outcomes *)
   fs : float array;  (** [fs.(0)] = now, [fs.(1)] = [∫ live·dt] since reset *)
 }
@@ -86,16 +115,25 @@ val create :
   mttr:float ->
   Ftcsn_networks.Network.t ->
   t
-(** An idle, fault-free fabric at time 0 with an empty heap, presized
-    for one clock per switch when [mtbf] is finite. *)
+(** An idle, fault-free fabric at time 0 with an empty heap sized for
+    one hangup per call slot, the next arrival and the tick; it grows by
+    doubling. *)
 
 (** {2 Events}
 
-    Heap payloads are unboxed ints [(arg lsl 2) lor tag]. *)
+    Heap payloads are unboxed ints [(arg lsl 2) lor tag].  Tag 0 holds
+    the two argument-free events, {!ev_arrival} and {!ev_tick}. *)
 
 val ev_arrival : int
+
+val ev_tick : int
+(** The failure clock's tick. *)
+
 val ev_hangup : int -> int
 val ev_fail : int -> int
+(** A per-switch failure, which only [Traffic]'s windowed shard path
+    schedules. *)
+
 val ev_repair : int -> int
 
 val advance : t -> float -> unit
@@ -138,7 +176,7 @@ val relay : t -> int -> int list -> unit
 val open_failure : int
 val closed_failure : int
 val shorted : int
-(** The outcome codes of {!fail} and {!mark_failed}: an open failure, a
+(** The outcome codes of {!tick} and {!mark_failed}: an open failure, a
     closed one, or a closed one that put two terminals in one
     contraction class (the Lemma 7 catastrophe). *)
 
@@ -150,17 +188,23 @@ val mark_failed : t -> int -> closed:bool -> int
 val mark_repaired : t -> int -> unit
 (** The state update of a repair, with no draw. *)
 
-val fail : t -> Ftcsn_prng.Rng.t -> int -> int
-(** Fail switch [e]: draw the open/closed coin, schedule the repair (when
-    [mttr] is finite), then {!mark_failed}.  Returns the outcome code;
-    the caller decides whether to {!sever}. *)
+val start_clock : t -> Ftcsn_prng.Rng.t -> unit
+(** Schedule the failure clock's first tick (one draw), when [mtbf] is
+    finite and the network has a switch; otherwise do nothing. *)
+
+val discarded : int
+(** [-1], what {!tick} returns for a discarded tick. *)
+
+val tick : t -> Ftcsn_prng.Rng.t -> int
+(** Fire a tick: pick a switch [e] uniformly.  If [e] is normal, draw the
+    open/closed coin, schedule its repair (when [mttr] is finite) and
+    {!mark_failed} it; then re-arm the clock unless every switch is down.
+    Returns {!discarded} when [e] had already failed, else
+    [(e lsl 2) lor outcome]; the caller decides whether to {!sever}. *)
 
 val repair : t -> Ftcsn_prng.Rng.t -> int -> unit
-(** {!mark_repaired}, then {!arm} the switch's next failure. *)
-
-val arm : t -> Ftcsn_prng.Rng.t -> int -> unit
-(** Schedule switch [e]'s next failure after an exponential delay of
-    mean [mtbf]. *)
+(** {!mark_repaired} a switch a {!tick} failed, re-arming the clock if it
+    had stopped. *)
 
 val terminals_shorted : t -> bool
 

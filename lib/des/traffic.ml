@@ -353,12 +353,16 @@ let note_catastrophe st =
     st.degraded_at <- Some now;
   st.stopped <- true
 
-(* unsharded failure/repair: the open/closed coin is drawn when the
-   event fires, exactly as the engine always did *)
-let handle_fail st e =
-  st.failures <- st.failures + 1;
-  if Fabric.fail st.fab st.crng e = Fabric.shorted then note_catastrophe st
-  else tally_sever st e
+(* unsharded failures come from the fabric's one clock; a discarded
+   tick is no event *)
+let handle_tick st =
+  let r = Fabric.tick st.fab st.crng in
+  if r <> Fabric.discarded then begin
+    st.events <- st.events + 1;
+    st.failures <- st.failures + 1;
+    if r land 3 = Fabric.shorted then note_catastrophe st
+    else tally_sever st (r lsr 2)
+  end
 
 let handle_repair st e =
   st.repairs <- st.repairs + 1;
@@ -525,14 +529,20 @@ let commit_window st =
   done;
   Array.iter (fun sh -> sh.esc_len <- 0) st.shs
 
-(* sharded, the control heap's failures and repairs are closed ones *)
+(* per-switch failures exist only sharded, where the control heap's
+   failures and repairs are closed ones *)
 let dispatch st ev =
-  let sharded = Array.length st.shs > 0 in
-  match ev land 3 with
-  | 0 -> handle_arrival st
-  | 1 -> ignore (Fabric.hangup st.fab (ev lsr 2))
-  | 2 -> (if sharded then handle_fail_closed else handle_fail) st (ev lsr 2)
-  | _ -> (if sharded then handle_repair_closed else handle_repair) st (ev lsr 2)
+  if ev = Fabric.ev_tick then handle_tick st
+  else begin
+    st.events <- st.events + 1;
+    match ev land 3 with
+    | 0 -> handle_arrival st
+    | 1 -> ignore (Fabric.hangup st.fab (ev lsr 2))
+    | 2 -> handle_fail_closed st (ev lsr 2)
+    | _ ->
+        if Array.length st.shs > 0 then handle_repair_closed st (ev lsr 2)
+        else handle_repair st (ev lsr 2)
+  end
 
 let run_mono st horizon =
   let f = st.fab in
@@ -549,7 +559,6 @@ let run_mono st horizon =
       else begin
         let ev = Heap.pop f.heap in
         Fabric.advance f t;
-        st.events <- st.events + 1;
         dispatch st ev
       end
     end
@@ -595,7 +604,6 @@ let run_sharded st horizon =
           else begin
             let ev = Heap.pop f.heap in
             Fabric.advance f wc';
-            st.events <- st.events + 1;
             dispatch st ev
           end
         end
@@ -654,22 +662,16 @@ let run ~rng ~config:cfg net =
   if Network.n_inputs net = 0 || Network.n_outputs net = 0 then
     invalid_arg "Traffic.run: network has no terminals";
   let st = init ~rng ~cfg net in
-  (* deterministic bootstrap: saturation placements (no draws), one
-     failure clock per switch in ascending edge order, then the first
-     arrival *)
+  (* deterministic bootstrap: saturation placements (no draws), the
+     failure clock (unsharded: the fabric's first tick; sharded: one
+     clock per switch in ascending edge order), then the first arrival *)
   if cfg.saturate then saturate st;
   let f = st.fab in
-  if cfg.mtbf < infinity then begin
-    let m = Digraph.edge_count net.Network.graph in
-    if cfg.shards = 1 then
-      for e = 0 to m - 1 do
-        Fabric.arm f st.crng e
-      done
-    else
-      for e = 0 to m - 1 do
-        arm_sharded st e 0.0
-      done
-  end;
+  if cfg.shards = 1 then Fabric.start_clock f st.crng
+  else if cfg.mtbf < infinity then
+    for e = 0 to Digraph.edge_count net.Network.graph - 1 do
+      arm_sharded st e 0.0
+    done;
   if cfg.load > 0.0 then
     Fabric.schedule f (Dist.exponential st.crng ~rate:cfg.load)
       Fabric.ev_arrival;

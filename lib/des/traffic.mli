@@ -9,24 +9,29 @@
     the maskable {!Ftcsn_routing.Greedy} router ([~allowed]/[~edge_ok])
     — optionally falling back to a {!Ftcsn_routing.Backtrack}
     rearrangement when the greedy probe blocks.  Meanwhile each switch
-    carries exponential failure and repair clocks; a failure is open or
-    closed with equal probability (the paper's ε₁/ε₂ split), severs the
+    fails at rate [1/mtbf] and is repaired after an exponential time of
+    mean [mttr]; a failure is open or closed with equal probability (the paper's ε₁/ε₂ split), severs the
     call using that switch (the engine immediately attempts a greedy
     reroute), and a closed failure that contracts two terminals — the
     Lemma 7 catastrophe — ends the run.
 
-    The switches, calls, clocks and event heap are a {!Fabric}, the same
-    core [Ftcsn_serve.Engine] drives; this module adds the arrival
-    process, the statistics, saturation, rearrangement and the sharded
-    mode, and passes its one trial stream to {!Fabric.fail} and
-    {!Fabric.repair}.
+    The switches, calls, the failure clock and the event heap are a
+    {!Fabric}, the same core [Ftcsn_serve.Engine] drives; this module
+    adds the arrival process, the statistics, saturation, rearrangement
+    and the sharded mode, and passes its one trial stream to
+    {!Fabric.start_clock}, {!Fabric.tick} and {!Fabric.repair}.  With
+    [shards = 1] failures come from the fabric's one thinned clock: a
+    tick at rate [m/mtbf] on a uniformly chosen switch, discarded when
+    that switch is already down.  A discarded tick counts in neither
+    [events] nor [failures].
 
     {2 Determinism contract}
 
     Events execute in [(time, push-sequence)] order ({!Heap}), and every
     PRNG draw happens while handling some event, in a fixed documented
     order (arrival: endpoint picks, holding time, next interarrival;
-    failure: open/closed coin, repair time).  A replication's trace is
+    tick: switch pick, then for a normal switch the open/closed coin and
+    repair time, then the next tick's delay; see {!Fabric}).  A replication's trace is
     therefore a pure function of its substream, and {!estimate}
     fan-outs on {!Ftcsn_sim.Trials} are bit-identical at every [jobs]
     and with tracing on or off.
@@ -68,10 +73,15 @@
     placed or rerouted at commit route over the fully-committed mask,
     so they cannot cross an edge that failed during the window.
 
-    With [shards = 1] (the default) the engine is bit-identical to the
-    pre-scale-layer implementation, event for event and draw for draw
-    — {!Traffic_ref} keeps that engine frozen and the test suite pins
-    the equivalence. *)
+    With [shards = 1] (the default) and no failures ([mtbf = infinity])
+    the engine is bit-identical to the pre-scale-layer implementation,
+    event for event and draw for draw — {!Traffic_ref} keeps that engine
+    frozen and the test suite pins the equivalence.  With failures on,
+    {!Traffic_ref} arms one clock per switch and this engine one
+    fabric-wide clock: the same random process sampled differently, so
+    the runs differ draw for draw, and the test suite pins their
+    statistical agreement instead (blocking intervals, failure rate,
+    time to degradation). *)
 
 type stop =
   | Horizon of float

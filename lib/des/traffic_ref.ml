@@ -1,12 +1,19 @@
 (* The PRE-SCALE-LAYER traffic engine, kept verbatim as a same-commit
    baseline: every failure/repair event pays the full O(n + m)
    union-find rebuild for the Lemma-7 check, call records are heap
-   structures (lists, hashtable) and the event queue is monolithic.
-   Two consumers depend on this copy staying byte-for-byte faithful to
-   the engine it was forked from:
+   structures (lists, hashtable), the event queue is monolithic and
+   every switch carries its own exponential failure clock.  Three
+   consumers depend on this copy staying byte-for-byte faithful to the
+   engine it was forked from:
 
-   - the qcheck bit-identity pin ([Traffic.estimate] with [shards = 1]
-     must reproduce this engine's summaries exactly, at every [jobs]);
+   - the bit-identity pin: without failures ([mtbf = infinity]) neither
+     engine draws a clock, and [Traffic.estimate] with [shards = 1] must
+     reproduce this engine's summaries exactly, at every [jobs];
+   - the statistical-equivalence tests: with failures on, [Traffic]
+     samples the same per-switch process from one thinned fabric-wide
+     clock, so the runs differ draw for draw, and the tests pin that
+     blocking, failure rate and time to degradation agree with this
+     per-switch-clock reference;
    - the [traffic-benes-1M-baseline] bench row, which prices the
      incremental-connectivity + allocation-free rewrite against the
      non-incremental original on the same commit.

@@ -8,11 +8,15 @@
     (the [shards] / [shard_jobs] fields of [config] are ignored — this
     engine is always monolithic) and serves two purposes:
 
-    - {b bit-identity oracle}: the test suite pins
-      [Traffic.estimate ~config:{... shards = 1}] against
-      {!estimate} — structurally equal summaries across seeds, [jobs]
-      and tracing — so the allocation-free rewrite provably changed
-      nothing observable in single-shard mode;
+    - {b oracle}: without failures the test suite pins
+      [Traffic.estimate ~config:{... shards = 1}] against {!estimate} —
+      structurally equal summaries across seeds, [jobs] and tracing —
+      so the allocation-free rewrite provably changed nothing
+      observable in single-shard mode.  With failures on, this engine
+      runs one exponential clock per switch while {!Traffic} runs one
+      thinned fabric-wide clock; the tests pin their statistical
+      agreement (blocking intervals, failure rate, mean time to
+      degradation);
     - {b same-commit bench baseline}: the [traffic-benes-1M-baseline]
       row in [BENCH_timings.json] runs this engine on the same network
       and commit as the incremental engine, so the reported speedup is

@@ -14,23 +14,25 @@ let copy = Splitmix64.copy
 
 let int64 = Splitmix64.next
 
+(* Rejection sampling on the low 62 bits for exact uniformity, as a
+   top-level loop: a local [let rec] closure would be allocated on every
+   call. *)
+let mask = 0x3FFF_FFFF_FFFF_FFFF
+
+let rec draw_below t bound =
+  let raw = Splitmix64.next_int t land mask in
+  let v = raw mod bound in
+  if raw - v > mask - bound + 1 then draw_below t bound else v
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the top 62 bits for exact uniformity. *)
-  let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let rec draw () =
-    let raw = Int64.to_int (Splitmix64.next t) land mask in
-    let v = raw mod bound in
-    if raw - v > mask - bound + 1 then draw () else v
-  in
-  draw ()
+  draw_below t bound
 
-let float t =
-  (* 53 high bits -> [0, 1) *)
-  let bits = Int64.shift_right_logical (Splitmix64.next t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+(* 53 high bits -> [0, 1) *)
+let[@inline] float t =
+  float_of_int (Splitmix64.next_bits53 t) *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (Splitmix64.next t) 1L = 1L
+let bool t = Splitmix64.next_int t land 1 = 1
 
 let bernoulli t p =
   if p <= 0.0 then false else if p >= 1.0 then true else float t < p

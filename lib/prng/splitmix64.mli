@@ -12,6 +12,16 @@ val create : int64 -> t
 val next : t -> int64
 (** Next raw 64-bit output (advances the state). *)
 
+val next_int : t -> int
+(** The low 63 bits of the next {!next} output, as an immediate [int]
+    (advances the state exactly as {!next} does).  Unlike an [int64]
+    result it is never boxed, so a caller in another module draws
+    without allocating. *)
+
+val next_bits53 : t -> int
+(** The high 53 bits of the next {!next} output, in [\[0, 2^53)]
+    (advances the state exactly as {!next} does). *)
+
 val split : t -> t
 (** A statistically independent generator derived from (and advancing)
     the parent. *)

@@ -1,5 +1,4 @@
 module Network = Ftcsn_networks.Network
-module Digraph = Ftcsn_graph.Digraph
 module Greedy = Ftcsn_routing.Greedy
 module Rng = Ftcsn_prng.Rng
 module Heap = Ftcsn_des.Heap
@@ -10,10 +9,10 @@ module Trace = Ftcsn_obs.Trace
 module Histogram = Ftcsn_obs.Histogram
 module Clock = Ftcsn_obs.Clock
 
-(* The switches, calls, clocks and the one event heap live in
+(* The switches, calls, the failure clock and the one event heap live in
    Ftcsn_des.Fabric, the same core Traffic drives.  What this engine
    adds: external requests instead of a Poisson clock, wire call names,
-   per-switch clock substreams, replies and counters. *)
+   the fault substream, replies and counters. *)
 
 type t = {
   fab : Fabric.t;
@@ -21,7 +20,7 @@ type t = {
   trace : Trace.sink option;
   holding : Dist.holding;
   crng : Rng.t;  (* request stream: endpoint picks, holding draws *)
-  erng : Rng.t array;  (* per-switch clock streams; [||] without faults *)
+  frng : Rng.t;  (* fault stream: every draw of the failure clock *)
   name : string array;  (* slot -> wire call id; "" when free *)
   tbl : (string, int) Hashtbl.t;  (* live call id -> slot *)
   latency : Histogram.t;  (* per-decision wall nanoseconds *)
@@ -45,22 +44,17 @@ let create ?(engine = `Bfs) ?(holding = Dist.Exponential) ?(mtbf = infinity)
   if not (mtbf > 0.0) then invalid_arg "Engine.create: mtbf must be > 0";
   if not (mttr > 0.0) then invalid_arg "Engine.create: mttr must be > 0";
   let fab = Fabric.create ~engine ~mtbf ~mttr net in
-  let erng =
-    if mtbf = infinity then [||]
-    else
-      Array.init (Digraph.edge_count net.Network.graph) (fun e ->
-          Rng.substream rng (1 + e))
-  in
-  (* every switch gets its first failure clock up front, from its own
-     substream — the whole fault schedule is fixed at creation *)
-  Array.iteri (fun e r -> Fabric.arm fab r e) erng;
+  (* the failure clock draws only from its own substream, so no request
+     decision can move a failure *)
+  let frng = Rng.substream rng 1 in
+  Fabric.start_clock fab frng;
   {
     fab;
     emit;
     trace;
     holding;
     crng = Rng.substream rng 0;
-    erng;
+    frng;
     name = Array.make fab.Fabric.cap "";
     tbl = Hashtbl.create 1024;
     latency = Histogram.create ();
@@ -114,32 +108,40 @@ let report_sever st e =
     end
   done
 
-let handle_fail st e =
-  st.failures <- st.failures + 1;
-  if Fabric.fail st.fab st.erng.(e) e = Fabric.shorted && not st.cat_live
-  then begin
-    (* Lemma-7 catastrophe: report it, keep serving — repairs can
-       clear it, and the client deserves the signal either way *)
-    st.cat_live <- true;
-    st.catastrophes <- st.catastrophes + 1;
-    st.emit (Proto.Catastrophe { t = st.fab.fs.(0) })
-  end;
-  report_sever st e
+(* a discarded tick is no event *)
+let handle_tick st =
+  let r = Fabric.tick st.fab st.frng in
+  if r <> Fabric.discarded then begin
+    st.events <- st.events + 1;
+    st.failures <- st.failures + 1;
+    if r land 3 = Fabric.shorted && not st.cat_live then begin
+      (* Lemma-7 catastrophe: report it, keep serving — repairs can
+         clear it, and the client deserves the signal either way *)
+      st.cat_live <- true;
+      st.catastrophes <- st.catastrophes + 1;
+      st.emit (Proto.Catastrophe { t = st.fab.fs.(0) })
+    end;
+    report_sever st (r lsr 2)
+  end
 
 let handle_repair st e =
   st.repairs <- st.repairs + 1;
-  Fabric.repair st.fab st.erng.(e) e;
+  Fabric.repair st.fab st.frng e;
   if st.cat_live && not (Fabric.terminals_shorted st.fab) then
     st.cat_live <- false
 
+(* serve schedules no arrivals: tag 0 is the tick, and tag 2 (a
+   per-switch failure) never occurs *)
 let dispatch st ev =
-  st.events <- st.events + 1;
-  match ev land 3 with
-  | 1 ->
+  if ev = Fabric.ev_tick then handle_tick st
+  else begin
+    st.events <- st.events + 1;
+    if ev land 3 = 1 then begin
       let slot = Fabric.hangup st.fab (ev lsr 2) in
       if slot >= 0 then note_release st slot
-  | 2 -> handle_fail st (ev lsr 2)
-  | _ -> handle_repair st (ev lsr 2)
+    end
+    else handle_repair st (ev lsr 2)
+  end
 
 let next_event_time st =
   let h = st.fab.heap in

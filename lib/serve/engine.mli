@@ -4,12 +4,14 @@
     Where [Ftcsn_des.Traffic] generates its own Poisson arrivals and
     reports a batch summary, this engine takes each arrival from the
     outside as a {!Proto.request} and answers through an [emit]
-    callback, while per-switch failure/repair clocks keep firing in
-    virtual time between requests.  Both engines drive the same
+    callback, while switch failures and repairs keep firing in virtual
+    time between requests.  Both engines drive the same
     {!Ftcsn_des.Fabric}: idle-terminal pools, the structure-of-arrays
     call store with stamp-keyed hangup invalidation, [Greedy.route_into]
-    over fault masks, incremental Lemma-7 catastrophe detection, and one
-    [(time, seq)] event heap holding hangups and switch clocks alike.  A
+    over fault masks, incremental Lemma-7 catastrophe detection, the
+    fabric-wide failure clock ({!Ftcsn_des.Fabric.tick}), and one
+    [(time, seq)] event heap holding hangups, repairs and the clock's
+    tick alike.  A
     decision allocates only its protocol strings: steady-state
     allocation per decision is flat over a 10^8-call soak.
 
@@ -18,12 +20,15 @@
     The response stream is a pure function of (network, seed, options,
     request stream).  Endpoint picks and holding-time draws for
     requests come from the request substream ([Rng.substream rng 0]) in
-    request order.  Every switch [e] draws its entire clock history
-    (first failure, open/closed coin, repair, next failure, ...) from
-    its own indexed substream [Rng.substream rng (1 + e)], so the fault
-    schedule is independent of request decisions: whether a call is
-    accepted, blocked or shed never moves a failure.  The substreams
-    are derived only when the fault process runs ([mtbf] finite). *)
+    request order.  The failure clock draws everything it draws (each
+    tick's delay, switch pick, open/closed coin and repair time, in the
+    order {!Ftcsn_des.Fabric} documents) from one fault substream
+    ([Rng.substream rng 1]), and which switch a tick fails depends only
+    on earlier failures and repairs, so the fault schedule is
+    independent of request decisions: whether a call is accepted,
+    blocked or shed never moves a failure.  A tick that lands on a
+    failed switch is discarded and does not count in the [events]
+    metric. *)
 
 type t
 

@@ -1,14 +1,18 @@
 (* Tests for the discrete-event traffic engine (lib/des): event-queue
-   ordering, stochastic primitives, batch-means intervals, and the
-   Traffic engine itself — conservation laws, Little's law, determinism
-   across the Trials fan-out, and agreement with the Erlang-B formula on
-   a crossbar (a true M/M/c/c loss system). *)
+   ordering, stochastic primitives, batch-means intervals, the fabric's
+   failure clock (the law of the per-switch failure process it samples),
+   and the Traffic engine itself — conservation laws, Little's law,
+   determinism across the Trials fan-out, and agreement with the
+   Erlang-B formula on a crossbar (a true M/M/c/c loss system). *)
 
 module Rng = Ftcsn_prng.Rng
 module Heap = Ftcsn_des.Heap
 module Dist = Ftcsn_des.Dist
 module Batch_means = Ftcsn_des.Batch_means
 module Traffic = Ftcsn_des.Traffic
+module Fabric = Ftcsn_des.Fabric
+module Digraph = Ftcsn_graph.Digraph
+module Network = Ftcsn_networks.Network
 module Crossbar = Ftcsn_networks.Crossbar
 module Benes = Ftcsn_networks.Benes
 
@@ -127,6 +131,152 @@ let test_of_means_and_quantile () =
     (abs_float (Batch_means.t_quantile ~df:3 -. 3.182) < 1e-9);
   checkb "t(1000) -> normal limit" true
     (abs_float (Batch_means.t_quantile ~df:1000 -. 1.96) < 1e-9)
+
+(* ---------- Fabric: the failure clock ---------- *)
+
+(* What a run of the clock alone (no calls) produced. *)
+type clock_run = {
+  failures : int;  (* ticks that failed a switch *)
+  discards : int;  (* ticks that landed on a failed switch *)
+  closed : int;
+  repairs : int;
+  per_switch : int array;  (* failures of each switch *)
+  down_time : float;  (* integral of the failed-switch count over time *)
+  until : float;  (* when the run stopped *)
+  shorted_at : float option;  (* the first Lemma-7 short, if any *)
+}
+
+(* Fire the fabric's ticks and repairs in heap order up to [horizon] (or
+   until the heap runs dry, or, with [stop_on_short], at the first
+   short), drawing from [rng] exactly as the engines do. *)
+let drive_clock ?(stop_on_short = false) ~horizon f rng =
+  let m = Digraph.edge_count f.Fabric.net.Network.graph in
+  let per_switch = Array.make m 0 in
+  let failures = ref 0 and discards = ref 0 and closed = ref 0 in
+  let repairs = ref 0 and down = ref 0.0 and now = ref 0.0 in
+  let shorted_at = ref None in
+  Fabric.start_clock f rng;
+  let h = f.Fabric.heap in
+  while
+    (not (Heap.is_empty h))
+    && Heap.min_time h <= horizon
+    && not (stop_on_short && !shorted_at <> None)
+  do
+    let t = Heap.min_time h in
+    let ev = Heap.pop h in
+    down := !down +. (float_of_int f.Fabric.failed *. (t -. !now));
+    now := t;
+    Fabric.advance f t;
+    if ev = Fabric.ev_tick then begin
+      let r = Fabric.tick f rng in
+      if r = Fabric.discarded then incr discards
+      else begin
+        incr failures;
+        per_switch.(r lsr 2) <- per_switch.(r lsr 2) + 1;
+        if r land 3 <> Fabric.open_failure then incr closed;
+        if r land 3 = Fabric.shorted && !shorted_at = None then
+          shorted_at := Some t
+      end
+    end
+    else begin
+      incr repairs;
+      Fabric.repair f rng (ev lsr 2)
+    end
+  done;
+  let until =
+    if Heap.is_empty h || !shorted_at <> None then !now else horizon
+  in
+  down := !down +. (float_of_int f.Fabric.failed *. (until -. !now));
+  {
+    failures = !failures;
+    discards = !discards;
+    closed = !closed;
+    repairs = !repairs;
+    per_switch;
+    down_time = !down;
+    until;
+    shorted_at = !shorted_at;
+  }
+
+(* The clock must sample the per-switch process exactly: each switch an
+   independent two-state chain, failing at rate a = 1/mtbf and repaired
+   at rate b = 1/mttr, so in steady state a switch is down a fraction
+   eps = mttr/(mtbf + mttr) of the time, and every failure is closed
+   with probability 1/2.  Over a horizon T the time-average of a
+   switch's down indicator has variance 2 eps (1 - eps) / ((a + b) T),
+   and the m switches are independent. *)
+let test_clock_law () =
+  let net = Benes.create 16 in
+  let m = Digraph.edge_count net.Network.graph in
+  check "benes:16 has 224 switches" 224 m;
+  let mtbf = 10.0 and mttr = 1.0 and horizon = 20_000.0 in
+  let f = Fabric.create ~mtbf ~mttr net in
+  let r = drive_clock ~horizon f (Rng.create ~seed:61) in
+  let eps = mttr /. (mtbf +. mttr) in
+  let a = 1.0 /. mtbf and b = 1.0 /. mttr in
+  let frac = r.down_time /. (horizon *. float_of_int m) in
+  let se =
+    sqrt
+      (2.0 *. eps *. (1.0 -. eps) /. ((a +. b) *. horizon *. float_of_int m))
+  in
+  if Float.abs (frac -. eps) > 4.0 *. se then
+    Alcotest.failf "failed fraction %.5f, want %.5f +- 4 x %.5f" frac eps se;
+  checkb "ticks were discarded" true (r.discards > 0);
+  let n = float_of_int r.failures in
+  let half =
+    Float.abs (float_of_int r.closed -. (n /. 2.0)) /. sqrt (n /. 4.0)
+  in
+  if half > 4.0 then
+    Alcotest.failf "%d of %d failures closed (%.1f standard errors from half)"
+      r.closed r.failures half;
+  (* chi-square of the per-switch failure counts against uniform, m - 1
+     degrees of freedom; the bound is 4 standard deviations above the
+     mean (renewal counts vary a little less than multinomial ones, so
+     this is conservative) *)
+  let expect = n /. float_of_int m in
+  let chi2 =
+    Array.fold_left
+      (fun acc c -> acc +. (((float_of_int c -. expect) ** 2.0) /. expect))
+      0.0 r.per_switch
+  in
+  let df = float_of_int (m - 1) in
+  if chi2 > df +. (4.0 *. sqrt (2.0 *. df)) then
+    Alcotest.failf "per-switch failure counts: chi-square %.1f on %d df" chi2
+      (m - 1);
+  check "every repair matches a failure" r.failures
+    (r.repairs + f.Fabric.failed)
+
+(* Without repairs every switch fails exactly once; once all m are down
+   the clock stops, so the heap runs dry instead of ticking forever. *)
+let test_clock_stops () =
+  let net = Benes.create 16 in
+  let m = Digraph.edge_count net.Network.graph in
+  let f = Fabric.create ~mtbf:10.0 ~mttr:infinity net in
+  let r = drive_clock ~horizon:infinity f (Rng.create ~seed:67) in
+  checkb "the heap ran dry" true (Heap.is_empty f.Fabric.heap);
+  check "exactly m failures" m r.failures;
+  checkb "each switch failed once" true (Array.for_all (( = ) 1) r.per_switch);
+  check "all down" m f.Fabric.failed;
+  checkb "ticks were discarded" true (r.discards > 0)
+
+(* Traffic with no calls draws from its stream exactly as the driver
+   above does, so the two see the same ticks: Traffic must count the
+   failing ones and no discarded one. *)
+let test_discards_are_no_events () =
+  let net = Benes.create 16 in
+  let mtbf = 10.0 and mttr = 1.0 and horizon = 50.0 in
+  let f = Fabric.create ~mtbf ~mttr net in
+  let r = drive_clock ~stop_on_short:true ~horizon f (Rng.create ~seed:71) in
+  let config =
+    Traffic.config ~load:0.0 ~mtbf ~mttr ~stop:(Traffic.Horizon horizon) ()
+  in
+  let s = Traffic.run ~rng:(Rng.create ~seed:71) ~config net in
+  checkb "ticks were discarded" true (r.discards > 0);
+  check "failures" r.failures s.Traffic.failures;
+  check "repairs" r.repairs s.Traffic.repairs;
+  check "events = failures + repairs" (r.failures + r.repairs) s.Traffic.events;
+  checkb "same stop" true
+    (r.shorted_at = s.Traffic.catastrophe_at && r.until = s.Traffic.sim_time)
 
 (* ---------- Traffic: conservation laws ---------- *)
 
@@ -295,6 +445,14 @@ let () =
         [
           Alcotest.test_case "unit means" `Quick test_dist_means;
           Alcotest.test_case "CLI parsing" `Quick test_dist_parse;
+        ] );
+      ( "fabric clock",
+        [
+          Alcotest.test_case "the per-switch failure law" `Quick test_clock_law;
+          Alcotest.test_case "stops when every switch is down" `Quick
+            test_clock_stops;
+          Alcotest.test_case "a discarded tick is no event" `Quick
+            test_discards_are_no_events;
         ] );
       ( "batch-means",
         [

@@ -94,6 +94,40 @@ let test_reference_vector () =
   Alcotest.(check int64)
     "the parent does not advance" (-4779199592365441225L) (Rng.int64 r)
 
+(* The state is unboxed and [Rng] takes its bits as immediate ints, so
+   in this (dev-profile) build a draw allocates nothing but the box of
+   the float [Rng.float] returns. *)
+let test_draws_allocation_free () =
+  let r = Rng.create ~seed:53 in
+  let n = 1_000_000 in
+  let words f =
+    f ();
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.0))
+    "minor words of 1M Rng.int draws" 0.0
+    (words (fun () ->
+         for _ = 1 to n do
+           ignore (Rng.int r 1000)
+         done));
+  Alcotest.(check (float 0.0))
+    "minor words of 1M Rng.bool draws" 0.0
+    (words (fun () ->
+         for _ = 1 to n do
+           ignore (Rng.bool r)
+         done));
+  let w =
+    words (fun () ->
+        for _ = 1 to n do
+          ignore (Rng.float r)
+        done)
+  in
+  if w > 2.0 *. float_of_int n then
+    Alcotest.failf "Rng.float: %.2f minor words per draw, want at most 2"
+      (w /. float_of_int n)
+
 let test_int_bounds () =
   let g = Rng.create ~seed:3 in
   for _ = 1 to 10_000 do
@@ -308,6 +342,8 @@ let () =
         ] );
       ( "distributions",
         [
+          Alcotest.test_case "draws are allocation-free" `Quick
+            test_draws_allocation_free;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int uniformity" `Quick test_int_uniformity;
           Alcotest.test_case "float range" `Quick test_float_range;

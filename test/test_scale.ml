@@ -1,9 +1,11 @@
 (* Tests for the million-switch scale layer: Dyn_conn incremental
    connectivity against batch oracles, Shard partitions, the
-   single-shard bit-identity pin of the rewritten Traffic engine
-   against the frozen Traffic_ref copy, determinism/conservation of the
-   sharded mode, and fixed-seed goldens of the fast routers and the
-   sharded mode. *)
+   single-shard agreement of the rewritten Traffic engine with the
+   frozen Traffic_ref copy (bit for bit without failures, statistically
+   with them, since Traffic samples failures from one fabric-wide clock
+   and Traffic_ref from one clock per switch), determinism/conservation
+   of the sharded mode, and fixed-seed goldens of the fast routers and
+   the sharded mode. *)
 
 module Rng = Ftcsn_prng.Rng
 module Digraph = Ftcsn_graph.Digraph
@@ -15,6 +17,7 @@ module Benes = Ftcsn_networks.Benes
 module Shard = Ftcsn_des.Shard
 module Traffic = Ftcsn_des.Traffic
 module Traffic_ref = Ftcsn_des.Traffic_ref
+module Batch_means = Ftcsn_des.Batch_means
 module Metrics = Ftcsn_obs.Metrics
 module Counter = Ftcsn_obs.Counter
 
@@ -285,6 +288,9 @@ let test_shard_partition () =
 
 (* ---------- single-shard bit-identity against Traffic_ref ---------- *)
 
+(* Without failures neither engine draws a clock, so the single-shard
+   engine must still reproduce Traffic_ref bit for bit: same arrivals,
+   endpoint picks, holding times, routes and statistics. *)
 let test_bit_identity_run () =
   let nets = registry_nets ~n:16 in
   List.iter
@@ -292,7 +298,7 @@ let test_bit_identity_run () =
       List.iter
         (fun (policy, seed) ->
           let config =
-            Traffic.config ~load:4.0 ~mtbf:50.0 ~mttr:5.0 ~policy
+            Traffic.config ~load:4.0 ~mtbf:infinity ~mttr:5.0 ~policy
               ~stop:(Traffic.Calls { warmup = 100; measured = 400 })
               ~batches:4 ()
           in
@@ -311,7 +317,7 @@ let test_bit_identity_run () =
 let test_bit_identity_saturate () =
   let net = Benes.create 16 in
   let config =
-    Traffic.config ~load:0.5 ~mtbf:30.0 ~mttr:3.0 ~saturate:true
+    Traffic.config ~load:0.5 ~mtbf:infinity ~mttr:3.0 ~saturate:true
       ~stop_on_degradation:true
       ~stop:(Traffic.Horizon 400.0) ()
   in
@@ -327,7 +333,7 @@ let test_bit_identity_saturate () =
 let test_bit_identity_estimate () =
   let net = Benes.create 16 in
   let config =
-    Traffic.config ~load:4.0 ~mtbf:50.0 ~mttr:5.0
+    Traffic.config ~load:4.0 ~mtbf:infinity ~mttr:5.0
       ~stop:(Traffic.Calls { warmup = 100; measured = 400 })
       ~batches:4 ()
   in
@@ -343,6 +349,77 @@ let test_bit_identity_estimate () =
       if s <> reference then
         Alcotest.failf "estimate diverged from Traffic_ref at jobs=%d" jobs)
     [ 1; 2; 4 ]
+
+(* ---------- with failures: agreement with Traffic_ref ---------- *)
+
+(* The same random process sampled two ways: Traffic_ref arms one
+   exponential clock per switch, Traffic one thinned fabric-wide clock.
+   Blocking must agree within the reported CIs, and both engines must
+   fail normal switches at rate m(1 - eps)/mtbf, eps = mttr/(mtbf +
+   mttr), within 4 standard errors (Poisson counting). *)
+let test_equivalence_blocking_and_rate () =
+  let net = Benes.create 16 in
+  let m = Digraph.edge_count net.Network.graph in
+  let mtbf = 2000.0 and mttr = 5.0 in
+  let config =
+    Traffic.config ~load:4.0 ~mtbf ~mttr ~stop:(Traffic.Horizon 4000.0) ()
+  in
+  let rng () = Rng.create ~seed:19 in
+  let s_new = Traffic.estimate ~jobs:1 ~trials:40 ~rng:(rng ()) ~config net in
+  let s_ref =
+    Traffic_ref.estimate ~jobs:1 ~trials:40 ~rng:(rng ()) ~config net
+  in
+  let a = s_new.Traffic.blocking and b = s_ref.Traffic.blocking in
+  if not (a.Batch_means.ci_low <= b.Batch_means.ci_high
+          && b.Batch_means.ci_low <= a.Batch_means.ci_high)
+  then
+    Alcotest.failf
+      "blocking CIs disjoint: %.5f [%.5f, %.5f] vs %.5f [%.5f, %.5f]"
+      a.Batch_means.mean a.Batch_means.ci_low a.Batch_means.ci_high
+      b.Batch_means.mean b.Batch_means.ci_low b.Batch_means.ci_high;
+  let eps = mttr /. (mtbf +. mttr) in
+  let want = float_of_int m *. (1.0 -. eps) /. mtbf in
+  List.iter
+    (fun (name, (s : Traffic.summary)) ->
+      let f = float_of_int s.Traffic.t_failures and t = s.Traffic.t_sim_time in
+      let se = sqrt f /. t in
+      if Float.abs ((f /. t) -. want) > 4.0 *. se then
+        Alcotest.failf "%s: %.5f failures per unit time, want %.5f +- 4 x %.5f"
+          name (f /. t) want se)
+    [ ("Traffic", s_new); ("Traffic_ref", s_ref) ]
+
+(* Saturated identity calls under fast failures stop at the first
+   degradation: the mean stopping time over 60 seeds must agree between
+   the engines within 4 standard errors of the difference. *)
+let test_equivalence_degradation () =
+  let net = Benes.create 16 in
+  let config =
+    Traffic.config ~load:0.5 ~mtbf:30.0 ~mttr:3.0 ~saturate:true
+      ~stop_on_degradation:true
+      ~stop:(Traffic.Horizon 400.0) ()
+  in
+  let seeds = List.init 60 (fun i -> i + 1) in
+  let times run =
+    Array.of_list
+      (List.map
+         (fun seed ->
+           let s = run ~rng:(Rng.create ~seed) ~config net in
+           match s.Traffic.degraded_at with
+           | Some t -> t
+           | None -> Alcotest.failf "seed %d: no degradation by horizon" seed)
+         seeds)
+  in
+  let mean_var xs =
+    let n = float_of_int (Array.length xs) in
+    let mean = Array.fold_left ( +. ) 0.0 xs /. n in
+    let ss = Array.fold_left (fun a x -> a +. ((x -. mean) ** 2.0)) 0.0 xs in
+    (mean, ss /. (n -. 1.0) /. n)
+  in
+  let m_new, v_new = mean_var (times Traffic.run) in
+  let m_ref, v_ref = mean_var (times Traffic_ref.run) in
+  if Float.abs (m_new -. m_ref) > 4.0 *. sqrt (v_new +. v_ref) then
+    Alcotest.failf "mean degraded_at %.4f vs Traffic_ref %.4f (se %.4f)" m_new
+      m_ref (sqrt (v_new +. v_ref))
 
 (* ---------- sharded mode: determinism and conservation ---------- *)
 
@@ -431,14 +508,13 @@ let show_stats (s : Traffic.stats) =
 
 (* staged and loop agree field for field on this run *)
 let golden_benes64 =
-  "sim_time=0x1.c1e253b41b441p+6 events=2578 offered=900 served=886 \
-   blocked=14 blocked_full=0 dropped=21 rerouted=19 rearranged=0 \
-   failures=404 repairs=399 max_concurrent=18 \
-   occupancy=0x1.e1e1150e25be2p+2 carried=0x1.e67f858d03dfbp+2 \
-   measured_offered=800 blocking=0x1.1eb851eb851ecp-6 \
-   batch_blocking=[0x1.47ae147ae147bp-6;0x1.999999999999ap-6;\
-   0x1.47ae147ae147bp-8;0x1.47ae147ae147bp-6] degraded_at=none \
-   catastrophe_at=none"
+  "sim_time=0x1.3a5cfa5f23feap+5 events=861 offered=322 served=320 \
+   blocked=2 blocked_full=0 dropped=8 rerouted=8 rearranged=0 \
+   failures=118 repairs=111 max_concurrent=15 \
+   occupancy=0x1.2061e1a5ec872p+3 carried=0x1.2a12dd905456p+3 \
+   measured_offered=222 blocking=0x1.27350b8812735p-7 \
+   batch_blocking=[0x1.47ae147ae147bp-7] degraded_at=none \
+   catastrophe_at=0x1.3a5cfa5f23feap+5"
 
 let test_golden_fast_routers () =
   let net = Benes.create 64 in
@@ -510,6 +586,13 @@ let () =
             test_bit_identity_saturate;
           Alcotest.test_case "estimate = Traffic_ref.estimate at every jobs"
             `Quick test_bit_identity_estimate;
+        ] );
+      ( "equivalence",
+        [
+          Alcotest.test_case "blocking and failure rate agree with Traffic_ref"
+            `Slow test_equivalence_blocking_and_rate;
+          Alcotest.test_case "mean degradation time agrees with Traffic_ref"
+            `Quick test_equivalence_degradation;
         ] );
       ( "sharded mode",
         [

@@ -265,9 +265,9 @@ let test_replay_goldens () =
       let out, _, _ = run_replay ~engine ~calls:600 (fun () -> benes 64) in
       checks (name ^ " stream MD5") md5 (Digest.to_hex (Digest.string out)))
     [
-      (`Bfs, "bfs", "dd653b133dd65668479fef2c0a2faeb7");
-      (`Staged, "staged", "dd653b133dd65668479fef2c0a2faeb7");
-      (`Loop, "loop", "dd653b133dd65668479fef2c0a2faeb7");
+      (`Bfs, "bfs", "920cfe7a55c56c06f880b30d9efa83f4");
+      (`Staged, "staged", "920cfe7a55c56c06f880b30d9efa83f4");
+      (`Loop, "loop", "920cfe7a55c56c06f880b30d9efa83f4");
     ]
 
 let test_conservation_and_metrics () =
