@@ -153,7 +153,7 @@ let drive_clock ?(stop_on_short = false) ~horizon f rng =
   let m = Digraph.edge_count f.Fabric.net.Network.graph in
   let per_switch = Array.make m 0 in
   let failures = ref 0 and discards = ref 0 and closed = ref 0 in
-  let repairs = ref 0 and down = ref 0.0 and now = ref 0.0 in
+  let repairs = ref 0 and down = ref 0.0 in
   let shorted_at = ref None in
   Fabric.start_clock f rng;
   let h = f.Fabric.heap in
@@ -164,8 +164,7 @@ let drive_clock ?(stop_on_short = false) ~horizon f rng =
   do
     let t = Heap.min_time h in
     let ev = Heap.pop h in
-    down := !down +. (float_of_int f.Fabric.failed *. (t -. !now));
-    now := t;
+    down := !down +. (float_of_int f.Fabric.failed *. (t -. f.Fabric.fs.(0)));
     Fabric.advance f t;
     if ev = Fabric.ev_tick then begin
       let r = Fabric.tick f rng in
@@ -183,10 +182,11 @@ let drive_clock ?(stop_on_short = false) ~horizon f rng =
       Fabric.repair f rng (ev lsr 2)
     end
   done;
+  let now = f.Fabric.fs.(0) in
   let until =
-    if Heap.is_empty h || !shorted_at <> None then !now else horizon
+    if Heap.is_empty h || !shorted_at <> None then now else horizon
   in
-  down := !down +. (float_of_int f.Fabric.failed *. (until -. !now));
+  down := !down +. (float_of_int f.Fabric.failed *. (until -. now));
   {
     failures = !failures;
     discards = !discards;

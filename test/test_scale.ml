@@ -18,6 +18,7 @@ module Shard = Ftcsn_des.Shard
 module Traffic = Ftcsn_des.Traffic
 module Traffic_ref = Ftcsn_des.Traffic_ref
 module Batch_means = Ftcsn_des.Batch_means
+module Stats = Ftcsn_util.Stats
 module Metrics = Ftcsn_obs.Metrics
 module Counter = Ftcsn_obs.Counter
 
@@ -399,24 +400,20 @@ let test_equivalence_degradation () =
       ~stop:(Traffic.Horizon 400.0) ()
   in
   let seeds = List.init 60 (fun i -> i + 1) in
-  let times run =
-    Array.of_list
-      (List.map
-         (fun seed ->
-           let s = run ~rng:(Rng.create ~seed) ~config net in
-           match s.Traffic.degraded_at with
-           | Some t -> t
-           | None -> Alcotest.failf "seed %d: no degradation by horizon" seed)
-         seeds)
+  (* the mean stopping time and its squared standard error *)
+  let mean_var run =
+    let st = Stats.create () in
+    List.iter
+      (fun seed ->
+        let s = run ~rng:(Rng.create ~seed) ~config net in
+        match s.Traffic.degraded_at with
+        | Some t -> Stats.add st t
+        | None -> Alcotest.failf "seed %d: no degradation by horizon" seed)
+      seeds;
+    (Stats.mean st, Stats.variance st /. float_of_int (Stats.count st))
   in
-  let mean_var xs =
-    let n = float_of_int (Array.length xs) in
-    let mean = Array.fold_left ( +. ) 0.0 xs /. n in
-    let ss = Array.fold_left (fun a x -> a +. ((x -. mean) ** 2.0)) 0.0 xs in
-    (mean, ss /. (n -. 1.0) /. n)
-  in
-  let m_new, v_new = mean_var (times Traffic.run) in
-  let m_ref, v_ref = mean_var (times Traffic_ref.run) in
+  let m_new, v_new = mean_var Traffic.run in
+  let m_ref, v_ref = mean_var Traffic_ref.run in
   if Float.abs (m_new -. m_ref) > 4.0 *. sqrt (v_new +. v_ref) then
     Alcotest.failf "mean degraded_at %.4f vs Traffic_ref %.4f (se %.4f)" m_new
       m_ref (sqrt (v_new +. v_ref))
