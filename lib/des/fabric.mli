@@ -8,8 +8,8 @@
     degrees and {!Ftcsn_reliability.Dyn_conn}, the fault-masked
     {!Ftcsn_routing.Greedy} router with its route buffer, the
     [∫ live·dt] accumulator, the failure clock, and the [(time, seq)]
-    event {!Heap} with its int event encoding.  Arrival processes, statistics and replies
-    stay in the engines.
+    event {!Heap} with its int event encoding.  Arrival processes,
+    statistics and replies stay in the engines.
 
     The call path — {!connect}, {!sever} with its reroute, {!release},
     {!hangup} — allocates nothing once each slot's grow-once path

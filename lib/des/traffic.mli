@@ -10,10 +10,11 @@
     — optionally falling back to a {!Ftcsn_routing.Backtrack}
     rearrangement when the greedy probe blocks.  Meanwhile each switch
     fails at rate [1/mtbf] and is repaired after an exponential time of
-    mean [mttr]; a failure is open or closed with equal probability (the paper's ε₁/ε₂ split), severs the
-    call using that switch (the engine immediately attempts a greedy
-    reroute), and a closed failure that contracts two terminals — the
-    Lemma 7 catastrophe — ends the run.
+    mean [mttr]; a failure is open or closed with equal probability
+    (the paper's ε₁/ε₂ split), severs the call using that switch (the
+    engine immediately attempts a greedy reroute), and a closed failure
+    that contracts two terminals — the Lemma 7 catastrophe — ends the
+    run.
 
     The switches, calls, the failure clock and the event heap are a
     {!Fabric}, the same core [Ftcsn_serve.Engine] drives; this module
@@ -31,10 +32,10 @@
     PRNG draw happens while handling some event, in a fixed documented
     order (arrival: endpoint picks, holding time, next interarrival;
     tick: switch pick, then for a normal switch the open/closed coin and
-    repair time, then the next tick's delay; see {!Fabric}).  A replication's trace is
-    therefore a pure function of its substream, and {!estimate}
-    fan-outs on {!Ftcsn_sim.Trials} are bit-identical at every [jobs]
-    and with tracing on or off.
+    repair time, then the next tick's delay; see {!Fabric}).  A
+    replication's trace is therefore a pure function of its substream,
+    and {!estimate} fan-outs on {!Ftcsn_sim.Trials} are bit-identical
+    at every [jobs] and with tracing on or off.
 
     {2 Steady-state statistics}
 
