@@ -311,6 +311,26 @@ let test_conservation_and_metrics () =
       checkb "latency histogram populated" true (cnt <> None && cnt <> Some 0)
   | None -> Alcotest.fail "decision_latency_ns missing"
 
+(* With no calls every event is a failure or a repair: the failure
+   clock's discarded ticks (about one in six at this unavailability of
+   1/6) must not count in the [events] metric. *)
+let test_discarded_ticks_not_events () =
+  let eng =
+    Engine.create ~mtbf:5.0 ~mttr:1.0 ~emit:ignore ~rng:(Rng.create ~seed:13)
+      (benes 16)
+  in
+  Engine.advance eng 50.0;
+  let j = Engine.metrics_json eng in
+  let geti k =
+    match Option.bind (Json.member k j) Json.to_int with
+    | Some v -> v
+    | None -> Alcotest.failf "metrics field %s missing" k
+  in
+  checkb "failures happened" true (geti "failures" > 1000);
+  checki "events = failures + repairs"
+    (geti "failures" + geti "repairs")
+    (geti "events")
+
 let test_explicit_endpoints_and_hangups () =
   let net = benes 16 in
   let out = Buffer.create 256 in
@@ -412,6 +432,8 @@ let () =
             test_replay_goldens;
           Alcotest.test_case "conservation + metrics" `Quick
             test_conservation_and_metrics;
+          Alcotest.test_case "discarded ticks are no events" `Quick
+            test_discarded_ticks_not_events;
           Alcotest.test_case "endpoints, duplicates, hangups" `Quick
             test_explicit_endpoints_and_hangups;
         ] );
