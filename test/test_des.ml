@@ -446,7 +446,7 @@ let () =
           Alcotest.test_case "unit means" `Quick test_dist_means;
           Alcotest.test_case "CLI parsing" `Quick test_dist_parse;
         ] );
-      ( "fabric clock",
+      ( "clock",
         [
           Alcotest.test_case "the per-switch failure law" `Quick test_clock_law;
           Alcotest.test_case "stops when every switch is down" `Quick
