@@ -420,79 +420,34 @@ let engine_samples ?(quick = false) ~jobs_list () =
             ];
         }
   in
-  (* Million-switch scale pair (the scale-layer headline): the sharded
-     engine with incremental Dyn_conn catastrophe checks on the largest
-     Benes that fits the run budget, raced against {!Traffic_ref} — the
-     frozen pre-scale-layer engine — on the {e same} network.  The
-     baseline rebuilds terminal connectivity from scratch on every
-     closed failure (O(V + E) per event at ~2M edges), so it only
-     affords a much shorter horizon; events/s is horizon-independent
-     once clock bootstrap is amortized, so the rates stay comparable.
-     Quick mode shrinks the network but keeps the row names: CI greps
-     for them, and the [switches] extra records the honest size. *)
+  (* Million-switch scale row (the scale-layer headline): incremental
+     Dyn_conn catastrophe checks and the Benes looping router (the
+     realistic operating point at this size) on the largest Benes that
+     fits the run budget.  Quick mode shrinks the network but keeps the
+     row name: CI greps for it, and the [switches] extra records the
+     honest size. *)
   let scale_n = if quick then 1_024 else 32_768 in
   let scale_net = Benes.create scale_n in
   let scale_switches = Network.size scale_net in
-  (* the scale row runs the Benes looping router (the realistic operating
-     point at this size); the reference engine ignores the policy and
-     routes with its plain BFS, so speedup_vs_ref prices exactly the
-     routing change plus the scale-layer machinery *)
-  let scale_config ~horizon =
+  let scale_horizon = if quick then 20.0 else 50.0 in
+  let scale_config =
     Ftcsn_des.Traffic.config ~load:50.0 ~mtbf:1000.0 ~mttr:1.0
       ~policy:Ftcsn_des.Traffic.Route_loop
-      ~stop:(Ftcsn_des.Traffic.Horizon horizon) ~shards:8 ()
+      ~stop:(Ftcsn_des.Traffic.Horizon scale_horizon) ()
   in
-  let scale_horizon = if quick then 20.0 else 50.0 in
-  let ref_horizon = if quick then 5.0 else 1.0 in
   let scale_last = ref None in
   let scale_sweep ~jobs ~trials ~trace =
     let rng = Rng.create ~seed:49 in
     scale_last :=
       Some
         (Ftcsn_des.Traffic.estimate ~jobs ~trace ~trials ~rng
-           ~config:(scale_config ~horizon:scale_horizon) scale_net)
-  in
-  let ref_last = ref None in
-  let ref_sweep ~jobs ~trials ~trace =
-    let rng = Rng.create ~seed:49 in
-    ref_last :=
-      Some
-        (Ftcsn_des.Traffic_ref.estimate ~jobs ~trace ~trials ~rng
-           ~config:(scale_config ~horizon:ref_horizon) scale_net)
-  in
-  let events_per_sec last t =
-    match !last with
-    | None -> nan
-    | Some s -> float_of_int s.Ftcsn_des.Traffic.t_events /. t.seconds
-  in
-  let scale_baseline =
-    let t =
-      timed ~reps:1 ~bench:"traffic-benes-1M-baseline" ~jobs:1 ~trials:1
-        ref_sweep
-    in
-    let open Ftcsn_obs.Json in
-    {
-      t with
-      extras =
-        [
-          ("switches", Int scale_switches);
-          ("n", Int scale_n);
-          ("horizon", Float ref_horizon);
-          ("events_per_sec", Float (events_per_sec ref_last t));
-        ];
-    }
+           ~config:scale_config scale_net)
   in
   let scale =
     let t =
       timed ~reps:1 ~bench:"traffic-benes-1M" ~jobs:1 ~trials:1 scale_sweep
     in
     let open Ftcsn_obs.Json in
-    let eps_new = events_per_sec scale_last t in
-    let eps_ref =
-      match List.assoc_opt "events_per_sec" scale_baseline.extras with
-      | Some (Float v) -> v
-      | _ -> nan
-    in
     let events =
       match !scale_last with
       | Some s -> s.Ftcsn_des.Traffic.t_events
@@ -505,17 +460,14 @@ let engine_samples ?(quick = false) ~jobs_list () =
           ("switches", Int scale_switches);
           ("n", Int scale_n);
           ("horizon", Float scale_horizon);
-          ("shards", Int 8);
           ("events", Int events);
-          ("events_per_sec", Float eps_new);
-          ("speedup_vs_ref", Float (eps_new /. eps_ref));
+          ("events_per_sec", Float (float_of_int events /. t.seconds));
           ( "minor_words_per_event",
             Float
               (if events = 0 then nan
                else t.minor_words_per_trial /. float_of_int events) );
-          ("router", String (Ftcsn_des.Traffic.router_name
-                               (scale_config ~horizon:scale_horizon)
-                               scale_net));
+          ( "router",
+            String (Ftcsn_des.Traffic.router_name scale_config scale_net) );
         ]
         @ (match !scale_last with
           | None -> []
@@ -741,7 +693,7 @@ let engine_samples ?(quick = false) ~jobs_list () =
   ( tournament_last,
     per_jobs
     @ [
-        curve; independent; traffic; serve; scale_baseline; scale;
+        curve; independent; traffic; serve; scale;
         route_baseline; route_stamped; route_staged; route_loop; mc_price;
         rare; tournament;
       ] )
@@ -836,9 +788,8 @@ let run_engine ?(quick = false) ?(json_path = "BENCH_timings.json") () =
          %d ns)\n"
         t.rate p99
   | None -> ());
-  (* scale-layer headline: the sharded incremental engine's event rate
-     on the million-switch network against the frozen pre-scale-layer
-     engine on the same network *)
+  (* scale-layer headline: the engine's event rate on the
+     million-switch network *)
   (match List.find_opt (fun s -> s.bench = "traffic-benes-1M") samples with
   | Some t ->
       let f key =
@@ -858,11 +809,9 @@ let run_engine ?(quick = false) ?(json_path = "BENCH_timings.json") () =
       in
       Printf.printf
         "traffic-benes-1M: %d switches, %d events in %.2fs = %.0f events/s \
-         (%.1f minor w/event, router %s at <= %.0f ns/call); %.1fx the \
-         pre-scale-layer engine\n"
+         (%.1f minor w/event, router %s at <= %.0f ns/call)\n"
         (i "switches") (i "events") t.seconds (f "events_per_sec")
         (f "minor_words_per_event") router (f "router_ns_per_call")
-        (f "speedup_vs_ref")
   | None -> ());
   (* single-request routing headline: the Benes looping router against
      the pre-arena masked-CSR BFS on the same million-switch network *)

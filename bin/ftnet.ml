@@ -45,7 +45,6 @@ module Monte_carlo = Ftcsn_reliability.Monte_carlo
 module Splitting = Ftcsn_reliability.Splitting
 module Trials = Ftcsn_sim.Trials
 module Traffic = Ftcsn_des.Traffic
-module Shard = Ftcsn_des.Shard
 module Dist = Ftcsn_des.Dist
 module Serve_engine = Ftcsn_serve.Engine
 module Serve_loop = Ftcsn_serve.Loop
@@ -1314,12 +1313,11 @@ let parse_policy s =
 
 let traffic_cmd =
   let run family n seed load holding mtbf mttr warmup calls batches policy
-      shards trials jobs json obsargs =
+      trials jobs json obsargs =
     let trials = check_pos "--trials" trials in
     let jobs = check_jobs jobs in
     let calls = check_pos "--calls" calls in
     let batches = check_pos "--batches" batches in
-    let shards = check_pos "--shards" shards in
     if warmup < 0 then
       die "invalid --warmup value %d: must be an integer >= 0" warmup;
     if not (load > 0.0 && Float.is_finite load) then
@@ -1333,16 +1331,13 @@ let traffic_cmd =
            permanent failures)" mttr;
     let holding = parse_holding holding in
     let policy = parse_policy policy in
-    (* with a single replication the --jobs domains would otherwise sit
-       idle, so lease them to the shard drains instead *)
-    let shard_jobs = if trials = 1 && shards > 1 then jobs else 1 in
     let config =
       try
         Traffic.config ~load ~holding
           ~mtbf:(Option.value mtbf ~default:infinity)
           ~mttr
           ~stop:(Traffic.Calls { warmup; measured = calls })
-          ~batches ~policy ~shards ~shard_jobs ()
+          ~batches ~policy ()
       with Invalid_argument msg -> die "%s" msg
     in
     with_obs obsargs @@ fun obs ->
@@ -1350,13 +1345,6 @@ let traffic_cmd =
       phase obs "build-network" (fun () -> build_network family ~n ~seed)
     in
     let net = built.Topology.net in
-    (if shards > 1 then
-       let regions = Shard.regions net in
-       if shards > regions then
-         die
-           "invalid --shards value %d: exceeds the %d shardable regions of \
-            this topology"
-           shards regions);
     let rng = Seeds.traffic seed in
     (* which router engaged after fallback resolution (e.g. --policy loop
        on a non-Benes family reports staged or bfs) *)
@@ -1383,7 +1371,6 @@ let traffic_cmd =
                 ("switches", Obs_json.Int (Network.size net));
                 ("n_requested", Obs_json.Int built.Topology.n_requested);
                 ("n_effective", Obs_json.Int built.Topology.n_effective);
-                ("shards", Obs_json.Int shards);
                 ("router", Obs_json.String router);
                 ("load", Obs_json.Float load);
                 ("holding", Obs_json.String (Format.asprintf "%a" Dist.pp_holding holding));
@@ -1415,13 +1402,10 @@ let traffic_cmd =
       else Format.printf "effective n: %d@." built.Topology.n_effective;
       Format.printf
         "offered load %g Erlang, holding %a, %d replication%s x (%d warmup \
-         + %d measured calls), jobs=%d%s@."
+         + %d measured calls), jobs=%d@."
         load Dist.pp_holding holding s.Traffic.replications
         (if s.Traffic.replications = 1 then "" else "s")
-        warmup calls jobs
-        (if shards > 1 then
-           Printf.sprintf ", shards=%d (shard-jobs=%d)" shards shard_jobs
-         else "");
+        warmup calls jobs;
       Format.printf "router: %s@." router;
       Format.printf
         "blocking: %.5f  (95%% CI [%.5f, %.5f], %d batches, %d measured calls)@."
@@ -1503,18 +1487,6 @@ let traffic_cmd =
                 each call in O(depth) instead of O(switches); the table and \
                 JSON report which router actually engaged.")
   in
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"K"
-             ~doc:
-               "Event shards for million-switch networks (default 1 = the \
-                monolithic engine).  Open-switch failure/repair events are \
-                partitioned across $(docv) contiguous stage-level blocks, \
-                each drained on its own heap up to the next call event.  \
-                Must not exceed the topology's shardable regions.  With \
-                --trials 1 the --jobs domains drain shards concurrently; \
-                results are deterministic at every job count either way.")
-  in
   let trials =
     trials_arg ~default:5 ~doc:"Independent replications (one substream each)."
   in
@@ -1532,8 +1504,8 @@ let traffic_cmd =
   Cmd.v (Cmd.info "traffic" ~doc)
     Term.(
       const run $ spec_args $ n_arg $ seed_arg $ load $ holding $ mtbf
-      $ mttr $ warmup $ calls $ batches $ policy $ shards $ trials
-      $ jobs_arg $ json $ obs_args)
+      $ mttr $ warmup $ calls $ batches $ policy $ trials $ jobs_arg
+      $ json $ obs_args)
 
 (* ---------- serve ---------- *)
 

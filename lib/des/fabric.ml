@@ -8,11 +8,10 @@ module Rng = Ftcsn_prng.Rng
 (* Events are unboxed ints: [(arg lsl 2) lor tag].  Pushing an immediate
    int onto the heap allocates nothing, and the [(time, push-seq)]
    determinism contract only cares about push order.  Tag 0 carries the
-   two argument-free events. *)
+   two argument-free events; tag 2 is unused. *)
 let ev_arrival = 0
 let ev_tick = 1 lsl 2
 let ev_hangup key = (key lsl 2) lor 1
-let ev_fail e = (e lsl 2) lor 2
 let ev_repair e = (e lsl 2) lor 3
 
 (* idle-terminal index pool: [items] is always a permutation of [0, n)

@@ -105,9 +105,8 @@ type t = private {
   fs : float array;  (** [fs.(0)] = now, [fs.(1)] = [∫ live·dt] since reset *)
 }
 (** Fields are exposed read-only so the engines' hot loops index the
-    arrays directly.  Engines write only [fs.(1)] (to restart the
-    integral) and, in [Traffic]'s windowed shard path, [fstate] and
-    [faulty_deg]. *)
+    arrays directly.  Engines write only [fs.(1)], to restart the
+    integral. *)
 
 val create :
   ?engine:Ftcsn_routing.Greedy.engine ->
@@ -122,7 +121,8 @@ val create :
 (** {2 Events}
 
     Heap payloads are unboxed ints [(arg lsl 2) lor tag].  Tag 0 holds
-    the two argument-free events, {!ev_arrival} and {!ev_tick}. *)
+    the two argument-free events, {!ev_arrival} and {!ev_tick}; tag 1
+    is {!ev_hangup} and tag 3 {!ev_repair}. *)
 
 val ev_arrival : int
 
@@ -130,10 +130,6 @@ val ev_tick : int
 (** The failure clock's tick. *)
 
 val ev_hangup : int -> int
-val ev_fail : int -> int
-(** A per-switch failure, which only [Traffic]'s windowed shard path
-    schedules. *)
-
 val ev_repair : int -> int
 
 val advance : t -> float -> unit

@@ -1,6 +1,4 @@
 module Network = Ftcsn_networks.Network
-module Digraph = Ftcsn_graph.Digraph
-module Fault = Ftcsn_reliability.Fault
 module Greedy = Ftcsn_routing.Greedy
 module Backtrack = Ftcsn_routing.Backtrack
 module Rng = Ftcsn_prng.Rng
@@ -26,8 +24,6 @@ type config = {
   policy : policy;
   saturate : bool;
   stop_on_degradation : bool;
-  shards : int;
-  shard_jobs : int;
 }
 
 let config ?(load = 1.0) ?(holding = Dist.Exponential) ?(mtbf = infinity)
@@ -39,10 +35,8 @@ let config ?(load = 1.0) ?(holding = Dist.Exponential) ?(mtbf = infinity)
   if not (mtbf > 0.0) then invalid_arg "Traffic.config: mtbf must be > 0";
   if not (mttr > 0.0) then invalid_arg "Traffic.config: mttr must be > 0";
   if batches < 2 then invalid_arg "Traffic.config: need batches >= 2";
-  if shards < 1 then invalid_arg "Traffic.config: need shards >= 1";
-  if shards > Shard.max_shards then
-    invalid_arg "Traffic.config: at most 255 shards";
-  if shard_jobs < 1 then invalid_arg "Traffic.config: need shard_jobs >= 1";
+  if shards <> 1 || shard_jobs <> 1 then
+    invalid_arg "Traffic.config: shards and shard_jobs must be 1";
   (match holding with
   | Dist.Pareto alpha when not (alpha > 1.0) ->
       invalid_arg "Traffic.config: pareto shape must be > 1"
@@ -62,7 +56,7 @@ let config ?(load = 1.0) ?(holding = Dist.Exponential) ?(mtbf = infinity)
       if not (load > 0.0) then
         invalid_arg "Traffic.config: a Calls stop needs load > 0");
   { load; holding; mtbf; mttr; stop; batches; policy; saturate;
-    stop_on_degradation; shards; shard_jobs }
+    stop_on_degradation }
 
 (* which deterministic search engine the policy asks for; Greedy resolves
    fallbacks (loop off-Benes -> staged -> bfs) at create time *)
@@ -96,36 +90,13 @@ type stats = {
   catastrophe_at : float option;
 }
 
-(* One event shard: a contiguous block of topological edge levels with
-   its own heap, PRNG stream and scratch buffers.  During a drain the
-   shard touches only its own fields, the fabric's [fstate] entries of
-   its own edges, and (read-only) the frozen [owner] array; everything
-   that crosses shard boundaries — faulty-degree updates, closed
-   failures, severs — is buffered here and applied at window commit. *)
-type shard_st = {
-  sheap : int Heap.t;
-  srng : Rng.t;
-  mutable esc_t : float array;  (* severs to run at commit: times *)
-  mutable esc_e : int array;  (* ... and failed-edge ids *)
-  mutable esc_len : int;
-  mutable ctl_t : float array;  (* closed failures bound for control *)
-  mutable ctl_ev : int array;
-  mutable ctl_len : int;
-  mutable deg_v : int array;  (* (v lsl 1) lor (1 = decrement) *)
-  mutable deg_len : int;
-  mutable s_failures : int;
-  mutable s_repairs : int;
-  mutable s_events : int;
-}
-
 type state = {
   cfg : config;
-  crng : Rng.t;  (* the trial stream (shards = 1) or its control substream *)
-  fab : Fabric.t;  (* its heap is the control heap; the only one unsharded *)
+  rng : Rng.t;  (* the trial stream *)
+  fab : Fabric.t;
   call_id : int array;  (* slot -> arrival order, for the re-lay order *)
   mutable next_id : int;
-  (* hot float scalars, unboxed: 0 = holding_sum, 1 = current drain
-     window end *)
+  (* the holding-time sum; a float array so writes do not box *)
   fs : float array;
   mutable offered : int;
   mutable served : int;
@@ -145,50 +116,20 @@ type state = {
   mutable degraded_at : float option;
   mutable catastrophe_at : float option;
   mutable stopped : bool;
-  shs : shard_st array;  (* [||] when cfg.shards = 1 *)
-  eshard : Bytes.t;  (* edge -> shard id; empty when unsharded *)
-  esc_idx : int array;  (* k-way merge cursors, one per shard *)
 }
 
 let init ~rng ~cfg net =
-  let sharded = cfg.shards > 1 in
-  (* substreams are derived without advancing [rng], so the unsharded
-     engine — which consumes [rng] directly — is untouched by this *)
-  let crng = if sharded then Rng.substream rng 0 else rng in
-  let shards =
-    if not sharded then [||]
-    else
-      Array.init cfg.shards (fun k ->
-          {
-            sheap = Heap.create ~dummy:0 ();
-            srng = Rng.substream rng (k + 1);
-            esc_t = [||];
-            esc_e = [||];
-            esc_len = 0;
-            ctl_t = [||];
-            ctl_ev = [||];
-            ctl_len = 0;
-            deg_v = [||];
-            deg_len = 0;
-            s_failures = 0;
-            s_repairs = 0;
-            s_events = 0;
-          })
-  in
-  let eshard =
-    if sharded then Shard.partition net ~shards:cfg.shards else Bytes.empty
-  in
   let fab =
     Fabric.create ~engine:(engine_of_policy cfg.policy) ~mtbf:cfg.mtbf
       ~mttr:cfg.mttr net
   in
   {
     cfg;
-    crng;
+    rng;
     fab;
     call_id = Array.make fab.Fabric.cap (-1);
     next_id = 0;
-    fs = Array.make 2 0.0;
+    fs = Array.make 1 0.0;
     offered = 0;
     served = 0;
     blocked = 0;
@@ -211,9 +152,6 @@ let init ~rng ~cfg net =
     degraded_at = None;
     catastrophe_at = None;
     stopped = false;
-    shs = shards;
-    eshard;
-    esc_idx = Array.make (max cfg.shards 1) 0;
   }
 
 let number st slot =
@@ -223,7 +161,7 @@ let number st slot =
 (* a new call goes live: its id, then its holding time and hangup *)
 let start_call st slot =
   number st slot;
-  let h = Dist.holding_time st.crng st.cfg.holding in
+  let h = Dist.holding_time st.rng st.cfg.holding in
   Fabric.hang_up_after st.fab slot h;
   if st.measuring then st.fs.(0) <- st.fs.(0) +. h
 
@@ -293,8 +231,8 @@ let handle_arrival st =
     else begin
       (* draws, in fixed order: input pick, output pick, then (on
          placement) the holding time *)
-      let i = Fabric.draw st.crng f.idle_in in
-      let o = Fabric.draw st.crng f.idle_out in
+      let i = Fabric.draw st.rng f.idle_in in
+      let o = Fabric.draw st.rng f.idle_out in
       let slot = Fabric.connect f i o in
       if slot >= 0 then begin
         start_call st slot;
@@ -330,7 +268,7 @@ let handle_arrival st =
       st.stopped <- true
   | _ -> ());
   if not st.stopped then
-    Fabric.schedule f (Dist.exponential st.crng ~rate:st.cfg.load)
+    Fabric.schedule f (Dist.exponential st.rng ~rate:st.cfg.load)
       Fabric.ev_arrival
 
 (* every severed call counts as dropped; one that cannot be rerouted is
@@ -353,10 +291,10 @@ let note_catastrophe st =
     st.degraded_at <- Some now;
   st.stopped <- true
 
-(* unsharded failures come from the fabric's one clock; a discarded
-   tick is no event *)
+(* failures come from the fabric's one clock; a discarded tick is no
+   event *)
 let handle_tick st =
-  let r = Fabric.tick st.fab st.crng in
+  let r = Fabric.tick st.fab st.rng in
   if r <> Fabric.discarded then begin
     st.events <- st.events + 1;
     st.failures <- st.failures + 1;
@@ -366,171 +304,8 @@ let handle_tick st =
 
 let handle_repair st e =
   st.repairs <- st.repairs + 1;
-  Fabric.repair st.fab st.crng e
+  Fabric.repair st.fab st.rng e
 
-(* sharded failure/repair: the coin is pre-drawn when the failure is
-   scheduled, which routes closed failures (the only kind that touches
-   global connectivity) to the control heap and leaves open failures
-   shard-local *)
-let handle_fail_closed st e =
-  st.failures <- st.failures + 1;
-  let sh = st.shs.(Shard.shard_of st.eshard e) in
-  if st.cfg.mttr < infinity then
-    Fabric.schedule st.fab
-      (Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mttr))
-      (Fabric.ev_repair e);
-  if Fabric.mark_failed st.fab e ~closed:true = Fabric.shorted then
-    note_catastrophe st
-  else tally_sever st e
-
-(* a sharded failure clock from [t]: the delay, then the coin *)
-let arm_sharded st e t =
-  let sh = st.shs.(Shard.shard_of st.eshard e) in
-  let dt = Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mtbf) in
-  let closed = Rng.bool sh.srng in
-  Heap.push (if closed then st.fab.heap else sh.sheap) ~time:(t +. dt)
-    (Fabric.ev_fail e)
-
-let handle_repair_closed st e =
-  st.repairs <- st.repairs + 1;
-  Fabric.mark_repaired st.fab e;
-  arm_sharded st e st.fab.fs.(0)
-
-(* shard scratch-buffer appends, grow-once *)
-let grow_f a len = Array.append a (Array.make (max 8 (Array.length a + len)) 0.0)
-let grow_i a len = Array.append a (Array.make (max 8 (Array.length a + len)) 0)
-
-let esc_push sh t e =
-  if sh.esc_len = Array.length sh.esc_t then begin
-    sh.esc_t <- grow_f sh.esc_t sh.esc_len;
-    sh.esc_e <- grow_i sh.esc_e sh.esc_len
-  end;
-  sh.esc_t.(sh.esc_len) <- t;
-  sh.esc_e.(sh.esc_len) <- e;
-  sh.esc_len <- sh.esc_len + 1
-
-let ctl_push sh t ev =
-  if sh.ctl_len = Array.length sh.ctl_t then begin
-    sh.ctl_t <- grow_f sh.ctl_t sh.ctl_len;
-    sh.ctl_ev <- grow_i sh.ctl_ev sh.ctl_len
-  end;
-  sh.ctl_t.(sh.ctl_len) <- t;
-  sh.ctl_ev.(sh.ctl_len) <- ev;
-  sh.ctl_len <- sh.ctl_len + 1
-
-let deg_push sh v ~dec =
-  if sh.deg_len = Array.length sh.deg_v then
-    sh.deg_v <- grow_i sh.deg_v sh.deg_len;
-  sh.deg_v.(sh.deg_len) <- (v lsl 1) lor (if dec then 1 else 0);
-  sh.deg_len <- sh.deg_len + 1
-
-(* Drain shard [k] up to the window end fs.(1): process its open
-   failures and repairs, keeping every cross-shard-visible effect in
-   the shard's buffers.  Safe to run concurrently with the other
-   shards' drains: this touches only the shard's own heap/rng/buffers,
-   the fstate entries of its own edges, and reads the frozen [owner]
-   array.  No global-time or statistics access. *)
-let drain_shard st k =
-  let sh = st.shs.(k) in
-  let f = st.fab in
-  let w = st.fs.(1) in
-  let g = f.net.Network.graph in
-  let continue_ = ref true in
-  while !continue_ do
-    if Heap.is_empty sh.sheap || Heap.min_time sh.sheap > w then
-      continue_ := false
-    else begin
-      let t = Heap.min_time sh.sheap in
-      let ev = Heap.pop sh.sheap in
-      sh.s_events <- sh.s_events + 1;
-      let e = ev lsr 2 in
-      let u, v = Digraph.edge_endpoints g e in
-      if ev land 3 = 2 then begin
-        (* open failure *)
-        sh.s_failures <- sh.s_failures + 1;
-        if st.cfg.mttr < infinity then begin
-          let dt = Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mttr) in
-          Heap.push sh.sheap ~time:(t +. dt) (Fabric.ev_repair e)
-        end;
-        f.fstate.(e) <- Fault.Open_failure;
-        deg_push sh u ~dec:false;
-        if v <> u then deg_push sh v ~dec:false;
-        (* escalate the sever to commit time only if a live call can be
-           crossing this switch.  [owner] is frozen during the window,
-           and any call placed or rerouted at commit routes over the
-           fully-committed fault mask — so it cannot cross this edge,
-           and no sever is ever missed. *)
-        if f.owner.(u) >= 0 || (v <> u && f.owner.(v) >= 0) then
-          esc_push sh t e
-      end
-      else begin
-        (* open repair *)
-        sh.s_repairs <- sh.s_repairs + 1;
-        f.fstate.(e) <- Fault.Normal;
-        deg_push sh u ~dec:true;
-        if v <> u then deg_push sh v ~dec:true;
-        (* fresh failure clock: the clock draw, then the coin that
-           decides whether the next failure is control-bound *)
-        let dt = Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mtbf) in
-        let closed = Rng.bool sh.srng in
-        if closed then ctl_push sh (t +. dt) (Fabric.ev_fail e)
-        else Heap.push sh.sheap ~time:(t +. dt) (Fabric.ev_fail e)
-      end
-    end
-  done
-
-(* Apply everything the drains buffered, in deterministic order:
-   faulty-degree deltas and counters shard by shard, control-bound
-   closed failures shard by shard (heap seq breaks same-time ties by
-   shard id), then the escalated severs merged across shards by
-   (time, shard). *)
-let commit_window st =
-  let f = st.fab in
-  let ns = Array.length st.shs in
-  for k = 0 to ns - 1 do
-    let sh = st.shs.(k) in
-    for j = 0 to sh.deg_len - 1 do
-      let enc = sh.deg_v.(j) in
-      let v = enc lsr 1 in
-      f.faulty_deg.(v) <-
-        (f.faulty_deg.(v) + if enc land 1 = 1 then -1 else 1)
-    done;
-    sh.deg_len <- 0;
-    st.failures <- st.failures + sh.s_failures;
-    sh.s_failures <- 0;
-    st.repairs <- st.repairs + sh.s_repairs;
-    sh.s_repairs <- 0;
-    st.events <- st.events + sh.s_events;
-    sh.s_events <- 0;
-    for j = 0 to sh.ctl_len - 1 do
-      Heap.push f.heap ~time:sh.ctl_t.(j) sh.ctl_ev.(j)
-    done;
-    sh.ctl_len <- 0
-  done;
-  let idx = st.esc_idx in
-  Array.fill idx 0 ns 0;
-  let remaining = ref 0 in
-  Array.iter (fun sh -> remaining := !remaining + sh.esc_len) st.shs;
-  while !remaining > 0 && not st.stopped do
-    let best = ref (-1) and bt = ref infinity in
-    for k = 0 to ns - 1 do
-      let sh = st.shs.(k) in
-      if idx.(k) < sh.esc_len && sh.esc_t.(idx.(k)) < !bt then begin
-        best := k;
-        bt := sh.esc_t.(idx.(k))
-      end
-    done;
-    let sh = st.shs.(!best) in
-    let e = sh.esc_e.(idx.(!best)) in
-    idx.(!best) <- idx.(!best) + 1;
-    decr remaining;
-    Fabric.advance f !bt;
-    tally_sever st e
-  done;
-  Array.iter (fun sh -> sh.esc_len <- 0) st.shs
-
-(* per-switch failures exist only sharded, where the control heap's
-   failures and repairs are closed ones *)
 let dispatch st ev =
   if ev = Fabric.ev_tick then handle_tick st
   else begin
@@ -538,13 +313,10 @@ let dispatch st ev =
     match ev land 3 with
     | 0 -> handle_arrival st
     | 1 -> ignore (Fabric.hangup st.fab (ev lsr 2))
-    | 2 -> handle_fail_closed st (ev lsr 2)
-    | _ ->
-        if Array.length st.shs > 0 then handle_repair_closed st (ev lsr 2)
-        else handle_repair st (ev lsr 2)
+    | _ -> handle_repair st (ev lsr 2)
   end
 
-let run_mono st horizon =
+let run_events st horizon =
   let f = st.fab in
   let continue_ = ref true in
   while !continue_ do
@@ -560,53 +332,6 @@ let run_mono st horizon =
         let ev = Heap.pop f.heap in
         Fabric.advance f t;
         dispatch st ev
-      end
-    end
-  done
-
-(* Conservative time-window synchronizer: the safe horizon for a drain
-   is the next control event (arrivals, hangups and closed failures all
-   live on the control heap, and they are the only events that mutate
-   call state), capped by the stop horizon.  Each iteration drains all
-   shards up to that window, commits, then executes exactly one control
-   event. *)
-let run_sharded st horizon =
-  let f = st.fab in
-  let ns = Array.length st.shs in
-  let tasks = Array.init ns (fun k () -> drain_shard st k) in
-  let jobs = st.cfg.shard_jobs in
-  let continue_ = ref true in
-  while !continue_ do
-    if st.stopped then continue_ := false
-    else begin
-      let wc =
-        if Heap.is_empty f.heap then infinity else Heap.min_time f.heap
-      in
-      let w = min wc horizon in
-      if w = infinity then
-        (* no control events and no horizon: the remaining shard-local
-           open-failure churn cannot affect any statistic *)
-        continue_ := false
-      else begin
-        st.fs.(1) <- w;
-        Trials.parallel_tasks ~jobs tasks;
-        commit_window st;
-        if not st.stopped then begin
-          (* a drain may have delivered a closed failure below [w] *)
-          let wc' =
-            if Heap.is_empty f.heap then infinity else Heap.min_time f.heap
-          in
-          if wc' > horizon then begin
-            Fabric.advance f horizon;
-            st.stopped <- true;
-            continue_ := false
-          end
-          else begin
-            let ev = Heap.pop f.heap in
-            Fabric.advance f wc';
-            dispatch st ev
-          end
-        end
       end
     end
   done
@@ -663,20 +388,15 @@ let run ~rng ~config:cfg net =
     invalid_arg "Traffic.run: network has no terminals";
   let st = init ~rng ~cfg net in
   (* deterministic bootstrap: saturation placements (no draws), the
-     failure clock (unsharded: the fabric's first tick; sharded: one
-     clock per switch in ascending edge order), then the first arrival *)
+     failure clock's first tick, then the first arrival *)
   if cfg.saturate then saturate st;
   let f = st.fab in
-  if cfg.shards = 1 then Fabric.start_clock f st.crng
-  else if cfg.mtbf < infinity then
-    for e = 0 to Digraph.edge_count net.Network.graph - 1 do
-      arm_sharded st e 0.0
-    done;
+  Fabric.start_clock f st.rng;
   if cfg.load > 0.0 then
-    Fabric.schedule f (Dist.exponential st.crng ~rate:cfg.load)
+    Fabric.schedule f (Dist.exponential st.rng ~rate:cfg.load)
       Fabric.ev_arrival;
   let horizon = match cfg.stop with Horizon h -> h | Calls _ -> infinity in
-  if cfg.shards = 1 then run_mono st horizon else run_sharded st horizon;
+  run_events st horizon;
   (* a horizon run whose queue dried up still spans [0, h] *)
   (match cfg.stop with
   | Horizon h when (not st.stopped) && f.fs.(0) < h -> Fabric.advance f h

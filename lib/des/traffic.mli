@@ -18,13 +18,13 @@
 
     The switches, calls, the failure clock and the event heap are a
     {!Fabric}, the same core [Ftcsn_serve.Engine] drives; this module
-    adds the arrival process, the statistics, saturation, rearrangement
-    and the sharded mode, and passes its one trial stream to
-    {!Fabric.start_clock}, {!Fabric.tick} and {!Fabric.repair}.  With
-    [shards = 1] failures come from the fabric's one thinned clock: a
-    tick at rate [m/mtbf] on a uniformly chosen switch, discarded when
-    that switch is already down.  A discarded tick counts in neither
-    [events] nor [failures].
+    adds the arrival process, the statistics, saturation and
+    rearrangement, and passes its one trial stream to
+    {!Fabric.start_clock}, {!Fabric.tick} and {!Fabric.repair}.
+    Failures come from the fabric's one thinned clock: a tick at rate
+    [m/mtbf] on a uniformly chosen switch, discarded when that switch
+    is already down.  A discarded tick counts in neither [events] nor
+    [failures].
 
     {2 Determinism contract}
 
@@ -46,39 +46,13 @@
     against Little's law (time-average occupancy [L] versus carried
     load [λ·W̄]).
 
-    {2 The scale layer: sharded execution}
+    {2 The frozen reference engine}
 
-    With [shards > 1] the engine switches to event-sharded execution
-    for million-switch networks: {!Shard.partition} splits the edges
-    into contiguous topological-level blocks, each with its own event
-    heap, PRNG substream and scratch buffers.  Open-switch failures and
-    repairs — the overwhelming bulk of events at scale, and the only
-    ones that never touch global connectivity — stay shard-local; calls
-    (arrivals, hangups) and closed failures stay on the fabric's heap,
-    the control heap.  Each step drains every shard up to the next
-    control event (a conservative safe window), merges the buffered
-    cross-shard effects deterministically, and executes one control
-    event.  [shard_jobs]
-    leases that many domains from the {!Ftcsn_sim.Trials} pool to run
-    the drains concurrently {e within} one replication.
-
-    The sharded mode is deterministic — a pure function of the seed,
-    identical at every [shard_jobs] and [jobs] and with tracing on or
-    off — but it is a {e different documented discretization} from
-    [shards = 1], not bit-identical to it: the open/closed coin is
-    pre-drawn at scheduling time, per-edge clocks come from the owning
-    shard's substream, and a call severed by an open failure inside a
-    window is rerouted at window commit over the fault mask as of the
-    window end (a bounded relaxation — one control-event interarrival —
-    of the instantaneous-reroute rule).  No sever is ever missed: calls
-    placed or rerouted at commit route over the fully-committed mask,
-    so they cannot cross an edge that failed during the window.
-
-    With [shards = 1] (the default) and no failures ([mtbf = infinity])
-    the engine is bit-identical to the pre-scale-layer implementation,
-    event for event and draw for draw — {!Traffic_ref} keeps that engine
-    frozen and the test suite pins the equivalence.  With failures on,
-    {!Traffic_ref} arms one clock per switch and this engine one
+    Without failures ([mtbf = infinity]) the engine is bit-identical to
+    the pre-scale-layer implementation, event for event and draw for
+    draw; [test/traffic_ref.ml] keeps that engine frozen as a test
+    oracle and the test suite pins the equivalence.  With failures on,
+    the reference arms one clock per switch and this engine one
     fabric-wide clock: the same random process sampled differently, so
     the runs differ draw for draw, and the test suite pins their
     statistical agreement instead (blocking intervals, failure rate,
@@ -130,13 +104,6 @@ type config = private {
           terminals that could not be routed, a severed call that could
           not be rerouted, or a catastrophe (system-full losses are a
           capacity limit, not degradation) *)
-  shards : int;
-      (** event shards (default 1 = the monolithic engine); must not
-          exceed {!Shard.regions} of the simulated network *)
-  shard_jobs : int;
-      (** domains leased from the {!Ftcsn_sim.Trials} pool to drain
-          shards concurrently within one replication (default 1;
-          results are identical at every value) *)
 }
 
 val config :
@@ -155,12 +122,13 @@ val config :
   config
 (** Validated constructor (defaults: load 1.0 Erlang, exponential
     holding, no failures, mttr 10, [Calls {warmup = 500; measured =
-    5000}], 10 batches, greedy policy, 1 shard).
+    5000}], 10 batches, greedy policy).  [shards] and [shard_jobs] are
+    labels left over from the removed sharded mode: each accepts only
+    [1] and is stored nowhere; they go with the next benchmark change,
+    whose harness still passes them.
     @raise Invalid_argument on out-of-range values, e.g. [load < 0],
     [mtbf <= 0], [batches < 2], a [Calls] stop with [load = 0], a
-    non-finite horizon, or [shards < 1].  ([shards] against the
-    network's region count is checked by {!run}, which knows the
-    network.) *)
+    non-finite horizon, or [shards] or [shard_jobs] other than [1]. *)
 
 val router_name : config -> Ftcsn_networks.Network.t -> string
 (** Which deterministic router a {!run} with this config on this network

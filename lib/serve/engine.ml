@@ -130,8 +130,7 @@ let handle_repair st e =
   if st.cat_live && not (Fabric.terminals_shorted st.fab) then
     st.cat_live <- false
 
-(* serve schedules no arrivals: tag 0 is the tick, and tag 2 (a
-   per-switch failure) never occurs *)
+(* serve schedules no arrivals, so tag 0 is only the tick *)
 let dispatch st ev =
   if ev = Fabric.ev_tick then handle_tick st
   else begin

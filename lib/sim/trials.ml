@@ -47,8 +47,7 @@ let recommended_jobs () = Domain.recommended_domain_count ()
    process.  The pool only changes *where* a chunk executes — chunk
    boundaries, PRNG substream indexing and consumption order are decided
    by [exec] exactly as before — so every estimate stays bit-identical
-   to the spawn-per-round engine ([pool_enabled := false] keeps that
-   path alive for A/B tests).
+   to the spawn-per-round engine it replaced.
 
    Publication safety: a task writes its result slot on a worker domain,
    then decrements the batch counter under the batch mutex (release);
@@ -173,42 +172,6 @@ module Pool = struct
     Mutex.unlock b.bm
 end
 
-let pool_enabled = ref true
-
-(* ---------- intra-trial pool lease ----------
-
-   [exec] fans whole trials across the pool; the sharded DES wants the
-   opposite grain — one replication briefly borrowing the same workers
-   for a window of per-shard event draining, then giving them back.
-   Tasks must touch disjoint state; the lease only promises that all of
-   them have completed (with their writes published, via the batch
-   mutex) when the call returns.  A task that runs *on* a pool worker
-   can itself lease: [Pool.await] help-drains the queue, so nested use
-   cannot deadlock even on a 1-core host. *)
-let parallel_tasks ?(jobs = 1) tasks =
-  let k = Array.length tasks in
-  if jobs <= 1 || k <= 1 then Array.iter (fun f -> f ()) tasks
-  else begin
-    let fail = Atomic.make None in
-    let guard f () =
-      try f () with e -> Atomic.set fail (Some e)
-    in
-    if !pool_enabled then begin
-      Pool.ensure (min (jobs - 1) (k - 1));
-      let b = Pool.submit (Array.init (k - 1) (fun i -> guard tasks.(i + 1))) in
-      guard tasks.(0) ();
-      Pool.await b
-    end
-    else begin
-      let ds =
-        Array.init (k - 1) (fun i -> Domain.spawn (guard tasks.(i + 1)))
-      in
-      guard tasks.(0) ();
-      Array.iter Domain.join ds
-    end;
-    match Atomic.get fail with Some e -> raise e | None -> ()
-  end
-
 (* The scheduler: trial [i] always runs on [Rng.substream root i], so its
    outcome is a pure function of (root seed, i) and the partition of the
    index space into chunks/domains cannot affect any result.  Chunks are
@@ -242,18 +205,10 @@ let exec ~jobs ~chunk ~cap ~run_chunk ~consume =
         | r -> accs.(k) <- Some r
         | exception e -> Atomic.set fail (Some e)
       in
-      let tasks = Array.init (batch - 1) (fun k -> task (k + 1)) in
-      if !pool_enabled then begin
-        Pool.ensure (jobs - 1);
-        let b = Pool.submit tasks in
-        task 0 ();
-        Pool.await b
-      end
-      else begin
-        let workers = Array.map Domain.spawn tasks in
-        task 0 ();
-        Array.iter Domain.join workers
-      end;
+      Pool.ensure (jobs - 1);
+      let b = Pool.submit (Array.init (batch - 1) (fun k -> task (k + 1))) in
+      task 0 ();
+      Pool.await b;
       match Atomic.get fail with Some e -> raise e | None -> ()
     end;
     Array.iteri

@@ -32,8 +32,7 @@
     by an [at_exit] hook.  The pool only decides {e where} a chunk
     executes; chunk boundaries, PRNG substream indexing and consumption
     order are fixed by the scheduler, so every estimate is bit-identical
-    to the historical spawn-per-round engine (and [pool_enabled] keeps
-    that engine available for A/B verification).  Spawns are counted in
+    to the historical spawn-per-round engine.  Spawns are counted in
     [Ftcsn_obs.Metrics.default] under [trials.pool.spawns]: a healthy
     multi-run process shows the counter frozen at [jobs - 1] while work
     keeps flowing.  Trial functions must be safe to run concurrently:
@@ -91,23 +90,6 @@ val default_chunk : int
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — a sensible [~jobs] for "use
     the whole machine". *)
-
-val pool_enabled : bool ref
-(** When [true] (the default), parallel rounds execute on the persistent
-    domain pool; when [false], every round spawns and joins fresh
-    domains, reproducing the pre-pool engine exactly.  An A/B switch for
-    tests and benchmarks — results are bit-identical either way. *)
-
-val parallel_tasks : ?jobs:int -> (unit -> unit) array -> unit
-(** Intra-trial pool lease: run the tasks to completion, borrowing up to
-    [jobs - 1] persistent pool workers alongside the calling domain
-    (sequential, in array order, when [jobs <= 1] or there is only one
-    task).  Tasks must write disjoint state; on return all tasks have
-    completed and their writes are published to the caller.  Nested use
-    from inside a pool task is safe (the wait help-drains the queue).
-    The first exception any task raised is re-raised after all complete.
-    This is how one sharded DES replication uses the same domain pool
-    {e within} itself that {!map_reduce} uses {e across} replications. *)
 
 val run :
   ?jobs:int ->

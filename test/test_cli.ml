@@ -177,17 +177,6 @@ let test_traffic_router_report () =
   Alcotest.(check int) "exit code" 0 code;
   check_contains "traffic loop fallback" out "router: staged"
 
-let test_traffic_sharded () =
-  let code, out =
-    run
-      "traffic --net benes:16 --load 1 --warmup 50 --calls 200 --trials 1 \
-       --shards 2 --seed 3"
-  in
-  Alcotest.(check int) "exit code" 0 code;
-  check_contains "traffic sharded" out "shards=2";
-  check_contains "traffic sharded" out "blocking:";
-  check_contains "traffic sharded" out "effective n: 16"
-
 let test_traffic_json_effective_n () =
   let code, out =
     run
@@ -196,8 +185,7 @@ let test_traffic_json_effective_n () =
   in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "traffic json n" out "\"n_requested\":10";
-  check_contains "traffic json n" out "\"n_effective\":16";
-  check_contains "traffic json n" out "\"shards\":1"
+  check_contains "traffic json n" out "\"n_effective\":16"
 
 let test_traffic_pareto_rearrange () =
   let code, out =
@@ -874,14 +862,6 @@ let test_error_traffic_mtbf () =
   check_usage_error "traffic mtbf" "traffic --family benes -n 8 --mtbf 0"
     "invalid --mtbf value"
 
-let test_error_traffic_shards () =
-  check_usage_error "traffic shards 0"
-    "traffic --family benes -n 8 --shards 0" "invalid --shards value 0";
-  (* benes:16 has only a handful of shardable stage regions *)
-  check_usage_error "traffic shards too many"
-    "traffic --family benes -n 16 --load 1 --warmup 10 --calls 50 --shards 99"
-    "shardable regions"
-
 let test_error_degrade_arrival () =
   check_usage_error "degrade arrival 1.5"
     "degrade --family ft -n 8 --arrival 1.5" "invalid --arrival value";
@@ -931,7 +911,6 @@ let () =
           Alcotest.test_case "traffic json" `Quick test_traffic_json;
           Alcotest.test_case "traffic effective n" `Quick
             test_traffic_effective_n;
-          Alcotest.test_case "traffic sharded" `Quick test_traffic_sharded;
           Alcotest.test_case "traffic router report" `Quick
             test_traffic_router_report;
           Alcotest.test_case "traffic json effective n" `Quick
@@ -1006,7 +985,6 @@ let () =
           Alcotest.test_case "traffic holding" `Quick test_error_traffic_holding;
           Alcotest.test_case "traffic policy" `Quick test_error_traffic_policy;
           Alcotest.test_case "traffic mtbf" `Quick test_error_traffic_mtbf;
-          Alcotest.test_case "traffic shards" `Quick test_error_traffic_shards;
           Alcotest.test_case "rare method" `Quick test_error_rare_method;
           Alcotest.test_case "rare grid with split" `Quick
             test_error_rare_grid_with_split;

@@ -280,15 +280,15 @@ let test_discards_are_no_events () =
 
 (* ---------- Traffic: conservation laws ---------- *)
 
-let test_traffic_conservation () =
-  let net = Benes.create 8 in
+(* the laws every horizon run obeys, whether it reaches the horizon or a
+   closed-failure catastrophe ends it first *)
+let conserved ~n ~mtbf ~horizon ~seed =
+  let net = Benes.create n in
   let config =
-    Traffic.config ~load:2.0 ~mtbf:2000.0 ~mttr:2.0
-      ~stop:(Traffic.Horizon 200.0) ()
+    Traffic.config ~load:2.0 ~mtbf ~mttr:2.0 ~stop:(Traffic.Horizon horizon) ()
   in
-  let s = Traffic.run ~rng:(Rng.create ~seed:10) ~config net in
+  let s = Traffic.run ~rng:(Rng.create ~seed) ~config net in
   checkb "events happened" true (s.Traffic.events > 0);
-  checkb "traffic flowed" true (s.Traffic.served > 50);
   check "offered conserved" s.Traffic.offered
     (s.Traffic.served + s.Traffic.blocked);
   checkb "blocked_full within blocked" true
@@ -301,7 +301,19 @@ let test_traffic_conservation () =
   checkb "repairs happened" true (s.Traffic.repairs > 0);
   checkb "occupancy positive" true (s.Traffic.occupancy > 0.0);
   checkb "max_concurrent sane" true
-    (s.Traffic.max_concurrent >= 1 && s.Traffic.max_concurrent <= 8)
+    (s.Traffic.max_concurrent >= 1 && s.Traffic.max_concurrent <= n);
+  checkb "sim time reached horizon or catastrophe" true
+    (s.Traffic.sim_time = horizon || s.Traffic.catastrophe_at <> None);
+  s
+
+let test_traffic_conservation () =
+  (* rare failures: the run reaches its horizon *)
+  let s = conserved ~n:8 ~mtbf:2000.0 ~horizon:200.0 ~seed:10 in
+  checkb "traffic flowed" true (s.Traffic.served > 50);
+  checkb "no catastrophe" true (s.Traffic.catastrophe_at = None);
+  (* fast failures: a Lemma-7 catastrophe ends this run early *)
+  let s = conserved ~n:16 ~mtbf:20.0 ~horizon:150.0 ~seed:5 in
+  checkb "ended in a catastrophe" true (s.Traffic.catastrophe_at <> None)
 
 (* Little's law: on the measured window, time-average occupancy L must
    match the carried load lambda * W-bar computed from holding times *)
@@ -394,7 +406,10 @@ let test_config_validation () =
       Traffic.config ~load:0.0
         ~stop:(Traffic.Calls { warmup = 10; measured = 100 })
         ());
-  rejects (fun () -> Traffic.config ~stop:(Traffic.Horizon infinity) ())
+  rejects (fun () -> Traffic.config ~stop:(Traffic.Horizon infinity) ());
+  (* shards and shard_jobs are labels that accept only 1 *)
+  rejects (fun () -> Traffic.config ~shards:2 ());
+  rejects (fun () -> Traffic.config ~shard_jobs:2 ())
 
 (* ---------- Traffic: determinism across the Trials fan-out ---------- *)
 

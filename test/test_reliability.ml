@@ -729,20 +729,6 @@ let test_hammock_curve_matches_independent () =
 
 (* ---------- persistent domain pool ---------- *)
 
-let test_pool_vs_spawn_identical () =
-  let run () =
-    let rng = Rng.create ~seed:2024 in
-    let est = Trials.run ~jobs:4 ~chunk:64 ~trials:1500 ~rng spiky_trial in
-    (est, Rng.int64 rng)
-  in
-  let pooled, next_p = run () in
-  let spawned, next_s =
-    Trials.pool_enabled := false;
-    Fun.protect ~finally:(fun () -> Trials.pool_enabled := true) run
-  in
-  check_estimate "pool vs spawn-per-round" pooled spawned;
-  Alcotest.(check int64) "parent stream" next_p next_s
-
 let test_pool_spawns_counted_once () =
   let c =
     Ftcsn_obs.Metrics.counter Ftcsn_obs.Metrics.default "trials.pool.spawns"
@@ -1011,8 +997,6 @@ let () =
         ] );
       ( "domain-pool",
         [
-          Alcotest.test_case "pool estimates = spawn-per-round" `Quick
-            test_pool_vs_spawn_identical;
           Alcotest.test_case "warm pool spawns nothing" `Quick
             test_pool_spawns_counted_once;
         ] );

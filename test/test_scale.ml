@@ -1,11 +1,9 @@
 (* Tests for the million-switch scale layer: Dyn_conn incremental
-   connectivity against batch oracles, Shard partitions, the
-   single-shard agreement of the rewritten Traffic engine with the
-   frozen Traffic_ref copy (bit for bit without failures, statistically
-   with them, since Traffic samples failures from one fabric-wide clock
-   and Traffic_ref from one clock per switch), determinism/conservation
-   of the sharded mode, and fixed-seed goldens of the fast routers and
-   the sharded mode. *)
+   connectivity against batch oracles, the agreement of the rewritten
+   Traffic engine with the frozen Traffic_ref copy (bit for bit without
+   failures, statistically with them, since Traffic samples failures
+   from one fabric-wide clock and Traffic_ref from one clock per
+   switch), and fixed-seed goldens of the fast routers. *)
 
 module Rng = Ftcsn_prng.Rng
 module Digraph = Ftcsn_graph.Digraph
@@ -14,9 +12,7 @@ module Dyn_conn = Ftcsn_reliability.Dyn_conn
 module Network = Ftcsn_networks.Network
 module Topology = Ftcsn_networks.Topology
 module Benes = Ftcsn_networks.Benes
-module Shard = Ftcsn_des.Shard
 module Traffic = Ftcsn_des.Traffic
-module Traffic_ref = Ftcsn_des.Traffic_ref
 module Batch_means = Ftcsn_des.Batch_means
 module Stats = Ftcsn_util.Stats
 module Metrics = Ftcsn_obs.Metrics
@@ -252,46 +248,11 @@ let test_dyn_conn_alloc_free () =
   Alcotest.(check (float 0.0))
     "minor words allocated by 10k close/reopen/query ops" 0.0 (w1 -. w0)
 
-(* ---------- Shard partitions ---------- *)
+(* ---------- bit-identity against Traffic_ref ---------- *)
 
-let test_shard_partition () =
-  let nets = registry_nets ~n:8 in
-  List.iter
-    (fun (name, net) ->
-      let m = Digraph.edge_count net.Network.graph in
-      let r = Shard.regions net in
-      checkb (name ^ ": regions >= 1") true (r >= 1);
-      List.iter
-        (fun shards ->
-          if shards <= r then begin
-            let b = Shard.partition net ~shards in
-            check (name ^ ": bytes per edge") m (Bytes.length b);
-            let seen = Array.make shards 0 in
-            for e = 0 to m - 1 do
-              let s = Shard.shard_of b e in
-              checkb (name ^ ": id in range") true (s >= 0 && s < shards);
-              seen.(s) <- seen.(s) + 1
-            done;
-            Array.iteri
-              (fun s c ->
-                checkb (Printf.sprintf "%s: shard %d nonempty" name s) true
-                  (c > 0))
-              seen
-          end)
-        [ 1; 2; 3; 5 ];
-      (match Shard.partition net ~shards:(r + 1) with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "%s: shards > regions should be refused" name);
-      match Shard.partition net ~shards:0 with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "shards = 0 should be refused")
-    nets
-
-(* ---------- single-shard bit-identity against Traffic_ref ---------- *)
-
-(* Without failures neither engine draws a clock, so the single-shard
-   engine must still reproduce Traffic_ref bit for bit: same arrivals,
-   endpoint picks, holding times, routes and statistics. *)
+(* Without failures neither engine draws a clock, so Traffic must still
+   reproduce Traffic_ref bit for bit: same arrivals, endpoint picks,
+   holding times, routes and statistics. *)
 let test_bit_identity_run () =
   let nets = registry_nets ~n:16 in
   List.iter
@@ -418,77 +379,12 @@ let test_equivalence_degradation () =
     Alcotest.failf "mean degraded_at %.4f vs Traffic_ref %.4f (se %.4f)" m_new
       m_ref (sqrt (v_new +. v_ref))
 
-(* ---------- sharded mode: determinism and conservation ---------- *)
-
-let shard_config ~shards ~shard_jobs =
-  Traffic.config ~load:2.0 ~mtbf:20.0 ~mttr:2.0 ~shards ~shard_jobs
-    ~stop:(Traffic.Horizon 150.0) ()
-
-let test_sharded_deterministic () =
-  let net = Benes.create 16 in
-  let r = Shard.regions net in
-  checkb "benes:16 has several regions" true (r >= 2);
-  let shards = min 3 r in
-  let baseline =
-    Traffic.run ~rng:(Rng.create ~seed:77)
-      ~config:(shard_config ~shards ~shard_jobs:1)
-      net
-  in
-  (* repeatable, and identical at every shard_jobs *)
-  List.iter
-    (fun shard_jobs ->
-      let s =
-        Traffic.run ~rng:(Rng.create ~seed:77)
-          ~config:(shard_config ~shards ~shard_jobs)
-          net
-      in
-      if s <> baseline then
-        Alcotest.failf "sharded run diverged at shard_jobs=%d" shard_jobs)
-    [ 1; 2; 4 ];
-  (* and under the Trials fan-out, at every jobs *)
-  let est jobs =
-    Traffic.estimate ~jobs ~trials:4 ~rng:(Rng.create ~seed:78)
-      ~config:(shard_config ~shards ~shard_jobs:2)
-      net
-  in
-  let e1 = est 1 in
-  List.iter
-    (fun jobs ->
-      if est jobs <> e1 then
-        Alcotest.failf "sharded estimate diverged at jobs=%d" jobs)
-    [ 2; 4 ]
-
-let test_sharded_conservation () =
-  let net = Benes.create 16 in
-  let shards = min 3 (Shard.regions net) in
-  let s =
-    Traffic.run ~rng:(Rng.create ~seed:5)
-      ~config:(shard_config ~shards ~shard_jobs:2)
-      net
-  in
-  checkb "events happened" true (s.Traffic.events > 0);
-  checkb "failures happened" true (s.Traffic.failures > 0);
-  checkb "repairs happened" true (s.Traffic.repairs > 0);
-  check "offered conserved" s.Traffic.offered
-    (s.Traffic.served + s.Traffic.blocked);
-  checkb "blocked_full within blocked" true
-    (s.Traffic.blocked_full <= s.Traffic.blocked);
-  checkb "rerouted within dropped" true
-    (s.Traffic.rerouted <= s.Traffic.dropped);
-  checkb "repairs within failures" true
-    (s.Traffic.repairs <= s.Traffic.failures);
-  checkb "occupancy positive" true (s.Traffic.occupancy > 0.0);
-  (* the run spans the full horizon unless a closed-failure catastrophe
-     (a legitimate outcome at this failure intensity) ended it early *)
-  checkb "sim time reached horizon or catastrophe" true
-    (s.Traffic.sim_time = 150.0 || s.Traffic.catastrophe_at <> None)
-
 (* ---------- goldens: fixed-seed runs pinned field by field ---------- *)
 
 (* Every stats field, floats in hex so the comparison is exact.  The
    Traffic_ref pin above only covers the BFS-routed policies; these
-   pin the fast routers and the sharded discretization against values
-   recorded from the engine itself. *)
+   pin the fast routers against values recorded from the engine
+   itself. *)
 let show_stats (s : Traffic.stats) =
   let f = Printf.sprintf "%h" in
   let fo = function None -> "none" | Some x -> f x in
@@ -526,34 +422,6 @@ let test_golden_fast_routers () =
       Alcotest.(check string) (name ^ " stats") golden_benes64 (show_stats s))
     [ ("staged", Traffic.Route_staged); ("loop", Traffic.Route_loop) ]
 
-(* seed 25 runs longest of seeds 1-40 before the catastrophe that ends
-   every run at this failure intensity *)
-let test_golden_sharded () =
-  let s =
-    Traffic.run ~rng:(Rng.create ~seed:25)
-      ~config:(shard_config ~shards:3 ~shard_jobs:1)
-      (Benes.create 16)
-  in
-  Alcotest.(check string) "shards=3 stats"
-    "sim_time=0x1.3b086f628711ep+6 events=1630 offered=139 served=84 \
-     blocked=55 blocked_full=0 dropped=16 rerouted=6 rearranged=0 \
-     failures=713 repairs=696 max_concurrent=3 \
-     occupancy=0x1.bc66cf39321b4p-1 carried=0x1.062960c70d7d8p+0 \
-     measured_offered=139 blocking=0x1.952e0b0ce45fcp-2 batch_blocking=[] \
-     degraded_at=none catastrophe_at=0x1.3b086f628711ep+6"
-    (show_stats s)
-
-let test_sharded_refusal () =
-  let net = Benes.create 16 in
-  let r = Shard.regions net in
-  let config = shard_config ~shards:(r + 1) ~shard_jobs:1 in
-  (match Traffic.run ~rng:(Rng.create ~seed:1) ~config net with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "shards > regions should be refused by run");
-  match Traffic.config ~shards:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "config shards=0 should be refused"
-
 let () =
   Alcotest.run "ftcsn_scale"
     [
@@ -573,8 +441,6 @@ let () =
           Alcotest.test_case "close/reopen/query is allocation-free" `Quick
             test_dyn_conn_alloc_free;
         ] );
-      ( "shard",
-        [ Alcotest.test_case "partition properties" `Quick test_shard_partition ] );
       ( "bit identity",
         [
           Alcotest.test_case "run = Traffic_ref.run on every family" `Quick
@@ -591,20 +457,9 @@ let () =
           Alcotest.test_case "mean degradation time agrees with Traffic_ref"
             `Quick test_equivalence_degradation;
         ] );
-      ( "sharded mode",
-        [
-          Alcotest.test_case "deterministic at every shard_jobs/jobs" `Quick
-            test_sharded_deterministic;
-          Alcotest.test_case "conservation laws" `Quick
-            test_sharded_conservation;
-          Alcotest.test_case "refuses shards > regions" `Quick
-            test_sharded_refusal;
-        ] );
       ( "goldens",
         [
           Alcotest.test_case "staged and loop runs on benes:64" `Quick
             test_golden_fast_routers;
-          Alcotest.test_case "shards=3 run on benes:16" `Quick
-            test_golden_sharded;
         ] );
     ]

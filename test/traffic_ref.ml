@@ -1,24 +1,21 @@
-(* The PRE-SCALE-LAYER traffic engine, kept verbatim as a same-commit
-   baseline: every failure/repair event pays the full O(n + m)
+(* The PRE-SCALE-LAYER traffic engine, kept verbatim as a test oracle:
+   every failure/repair event pays the full O(n + m)
    union-find rebuild for the Lemma-7 check, call records are heap
    structures (lists, hashtable), the event queue is monolithic and
-   every switch carries its own exponential failure clock.  Three
+   every switch carries its own exponential failure clock.  Two
    consumers depend on this copy staying byte-for-byte faithful to the
    engine it was forked from:
 
    - the bit-identity pin: without failures ([mtbf = infinity]) neither
-     engine draws a clock, and [Traffic.estimate] with [shards = 1] must
+     engine draws a clock, and [Traffic.estimate] must
      reproduce this engine's summaries exactly, at every [jobs];
    - the statistical-equivalence tests: with failures on, [Traffic]
      samples the same per-switch process from one thinned fabric-wide
      clock, so the runs differ draw for draw, and the tests pin that
      blocking, failure rate and time to degradation agree with this
-     per-switch-clock reference;
-   - the [traffic-benes-1M-baseline] bench row, which prices the
-     incremental-connectivity + allocation-free rewrite against the
-     non-incremental original on the same commit.
+     per-switch-clock reference.
 
-   Do not "improve" this module; that would erase the baseline. *)
+   Do not "improve" this module; that would erase the oracle. *)
 
 module Network = Ftcsn_networks.Network
 module Digraph = Ftcsn_graph.Digraph
@@ -30,6 +27,10 @@ module Rng = Ftcsn_prng.Rng
 module Trials = Ftcsn_sim.Trials
 module Metrics = Ftcsn_obs.Metrics
 module Counter = Ftcsn_obs.Counter
+module Heap = Ftcsn_des.Heap
+module Dist = Ftcsn_des.Dist
+module Batch_means = Ftcsn_des.Batch_means
+module Traffic = Ftcsn_des.Traffic
 open Traffic
 (* [open Traffic] supplies the shared public types (config, stats,
    summary, stop, policy); the engine internals below are this module's
