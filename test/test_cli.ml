@@ -111,6 +111,36 @@ let test_degrade_arrival () =
   check_contains "degrade arrival" out "ticks=150";
   check_contains "degrade arrival" out "placed="
 
+(* full-output goldens: every count of a single run, and the estimator's
+   mean at two job counts, must stay exactly as recorded *)
+let check_output args expected =
+  let code, out = run args in
+  Alcotest.(check int) ("exit of " ^ args) 0 code;
+  Alcotest.(check string) args expected out
+
+let test_degrade_golden () =
+  check_output "degrade --net cantor:8 --hazard 1e-3 --ticks 2000 --seed 1"
+    "cantor-8-m3: n=8x8 size=288 depth=7\n\
+     ticks=876 placed=126 blocked=409 dropped=2 rerouted=1 failures=182\n\
+     catastrophe (terminals fused) at tick 876\n";
+  check_output "degrade --net cantor:8 --hazard 3e-4 --ticks 2000 --seed 3"
+    "cantor-8-m3: n=8x8 size=288 depth=7\n\
+     ticks=2000 placed=233 blocked=937 dropped=2 rerouted=1 failures=128\n\
+     no catastrophe within the horizon\n";
+  List.iter
+    (fun jobs ->
+      check_output
+        (Printf.sprintf
+           "degrade --net cantor:8 --hazard 1e-3 --ticks 2000 --trials 40 \
+            --jobs %d"
+           jobs)
+        (Printf.sprintf
+           "cantor-8-m3: n=8x8 size=288 depth=7\n\
+            mean time to degradation: 86 ticks (40 trials, horizon 2000, \
+            jobs=%d)\n"
+           jobs))
+    [ 1; 2 ]
+
 let test_traffic () =
   let code, out =
     run
@@ -907,6 +937,7 @@ let () =
           Alcotest.test_case "route eps-grid" `Quick test_route_eps_grid;
           Alcotest.test_case "degrade" `Quick test_degrade;
           Alcotest.test_case "degrade arrival" `Quick test_degrade_arrival;
+          Alcotest.test_case "degrade golden" `Quick test_degrade_golden;
           Alcotest.test_case "traffic" `Quick test_traffic;
           Alcotest.test_case "traffic json" `Quick test_traffic_json;
           Alcotest.test_case "traffic effective n" `Quick
