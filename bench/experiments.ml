@@ -37,6 +37,7 @@ module Directed_grid = Ftcsn.Directed_grid
 module Tree_paths = Ftcsn.Tree_paths
 module Lower_bound = Ftcsn.Lower_bound
 module Tournament = Ftcsn.Tournament
+module Traffic = Ftcsn_des.Traffic
 
 let quick = ref false
 
@@ -905,10 +906,19 @@ let e11_degradation () =
     (fun (name, net) ->
       let rng = rng_for ("e11-" ^ name) in
       let hazard = lambda /. float_of_int (Network.size net) in
-      let mttd =
-        Ftcsn.Ft_session.mean_time_to_degradation ~jobs:!jobs ~rng ~hazard
-          ~trials:(max 3 (trials 20)) ~max_ticks:20_000 net
+      (* saturated identity calls, permanent failures at a per-switch
+         hazard per tick; a run stops at its first service failure or at
+         the horizon, so its sim_time is the time to degradation *)
+      let config =
+        Traffic.config ~load:0.0 ~mtbf:(1.0 /. hazard) ~mttr:infinity
+          ~stop:(Traffic.Horizon 20_000.0) ~saturate:true
+          ~stop_on_degradation:true ()
       in
+      let s =
+        Traffic.estimate ~jobs:!jobs ~trials:(max 3 (trials 20)) ~rng ~config
+          net
+      in
+      let mttd = s.Traffic.t_sim_time /. float_of_int s.Traffic.replications in
       Table.add_row t
         [
           name;

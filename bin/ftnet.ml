@@ -297,9 +297,18 @@ let seed_arg =
   in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* open = closed = EPS, so no EPS above 0.5 is a distribution; NaN fails
+   both comparisons *)
 let eps_arg =
   let doc = "Per-switch failure probability (open = closed = EPS)." in
-  Arg.(value & opt float 0.01 & info [ "eps" ] ~docv:"EPS" ~doc)
+  let check eps =
+    if not (eps >= 0.0 && eps <= 0.5) then
+      die "invalid --eps value %g: need 0 <= EPS <= 0.5 (open = closed = EPS)"
+        eps;
+    eps
+  in
+  Term.(
+    const check $ Arg.(value & opt float 0.01 & info [ "eps" ] ~docv:"EPS" ~doc))
 
 let n_arg =
   let doc = "Number of terminals (rounded to the family's natural grid)." in
@@ -789,25 +798,32 @@ let check_cmd =
               Format.printf "strictly nonblocking: budget exceeded@."
         end
         else begin
-          (* estimate P[a 200-step stress episode blocks nothing] so that
-             --target-ci / --jobs have something to sharpen *)
+          (* estimate P[a 200-call stress episode blocks no request
+             between idle terminals] so that --target-ci / --jobs have
+             something to sharpen; offering one Erlang per call slot keeps
+             the fabric busy without every arrival being a system-full
+             loss *)
           let episodes = max 5 (trials / 5) in
-          let steps = 200 in
+          let calls = 200 in
+          let config =
+            Traffic.config
+              ~load:
+                (float_of_int
+                   (min (Network.n_inputs net) (Network.n_outputs net)))
+              ~stop:(Traffic.Calls { warmup = 0; measured = calls })
+              ~stop_on_degradation:true ()
+          in
           let est =
             Monte_carlo.estimate ~jobs ?target_ci ?progress:obs.progress
               ?trace:obs.trace ~label:"check.nonblocking_stress"
               ~trials:episodes ~rng (fun sub ->
-                let stats =
-                  Ftcsn_routing.Properties.nonblocking_stress ~steps ~rng:sub
-                    net
-                in
-                stats.Ftcsn_routing.Session.blocked = 0)
+                (Traffic.run ~rng:sub ~config net).Traffic.degraded_at = None)
           in
           note_estimate obs "check.nonblocking_stress" est;
           Format.printf
-            "nonblocking stress: P[0 blocked in %d-step episode] = %a  (%d \
+            "nonblocking stress: P[0 blocked in %d-call episode] = %a  (%d \
              episodes, jobs=%d)@."
-            steps Monte_carlo.pp est est.Monte_carlo.trials jobs
+            calls Monte_carlo.pp est est.Monte_carlo.trials jobs
         end)
   in
   let trials =
@@ -1799,32 +1815,53 @@ let degrade_cmd =
     let trials = check_pos "--trials" trials in
     let jobs = check_jobs jobs in
     let ticks = check_pos "--ticks" ticks in
+    if not (hazard >= 0.0 && hazard <= 1.0) then
+      die "invalid --hazard value %g: must be a probability in [0, 1]" hazard;
     if not (arrival >= 0.0 && arrival <= 1.0) then
       die "invalid --arrival value %g: must be a probability in [0, 1]" arrival;
     with_obs obsargs @@ fun obs ->
     let net = phase obs "build-network" (fun () -> build_net family ~n ~seed) in
     let rng = Seeds.degrade seed in
+    (* a per-tick hazard is an exponential failure clock of mean 1/hazard
+       (the same expected failures per unit time), repairs stay off, and
+       the ticks are the time horizon *)
+    let mtbf = if hazard > 0.0 then 1.0 /. hazard else infinity in
+    let stop = Traffic.Horizon (float_of_int ticks) in
+    let tick_of t = int_of_float (ceil t) in
     if trials <= 1 then begin
-      let stats =
-        phase obs "session" (fun () ->
-            Ftcsn.Ft_session.run ~rng ~hazard ~arrival ~ticks net)
+      let config =
+        Traffic.config ~load:arrival ~mtbf ~mttr:infinity ~stop ()
       in
+      let s = phase obs "session" (fun () -> Traffic.run ~rng ~config net) in
       Format.printf "%a@." Network.pp net;
+      (* placed counts reroutes; blocked counts only requests between idle
+         terminals, never system-full losses *)
       Format.printf
         "ticks=%d placed=%d blocked=%d dropped=%d rerouted=%d failures=%d@."
-        stats.Ftcsn.Ft_session.ticks stats.Ftcsn.Ft_session.placed
-        stats.Ftcsn.Ft_session.blocked stats.Ftcsn.Ft_session.dropped
-        stats.Ftcsn.Ft_session.rerouted stats.Ftcsn.Ft_session.failed_switches;
-      match stats.Ftcsn.Ft_session.catastrophe_at with
-      | Some t -> Format.printf "catastrophe (terminals fused) at tick %d@." t
+        (match s.Traffic.catastrophe_at with
+        | Some t -> max 1 (tick_of t)
+        | None -> ticks)
+        (s.Traffic.served + s.Traffic.rerouted)
+        (s.Traffic.blocked - s.Traffic.blocked_full)
+        s.Traffic.dropped s.Traffic.rerouted s.Traffic.failures;
+      match s.Traffic.catastrophe_at with
+      | Some t ->
+          Format.printf "catastrophe (terminals fused) at tick %d@." (tick_of t)
       | None -> Format.printf "no catastrophe within the horizon@."
     end
     else begin
-      let mttd =
-        phase obs "estimate" (fun () ->
-            Ftcsn.Ft_session.mean_time_to_degradation ~jobs ?trace:obs.trace
-              ~rng ~hazard ~trials ~max_ticks:ticks net)
+      (* a saturated run stops at its first service failure or at the
+         horizon, so its sim_time is the time to degradation *)
+      let config =
+        Traffic.config ~load:0.0 ~mtbf ~mttr:infinity ~stop ~saturate:true
+          ~stop_on_degradation:true ()
       in
+      let s =
+        phase obs "estimate" (fun () ->
+            Traffic.estimate ~jobs ?trace:obs.trace ~label:"degrade.mttd"
+              ~trials ~rng ~config net)
+      in
+      let mttd = s.Traffic.t_sim_time /. float_of_int s.Traffic.replications in
       Obs_metrics.set_gauge obs.registry "degrade.mttd_ticks" mttd;
       Format.printf "%a@." Network.pp net;
       Format.printf

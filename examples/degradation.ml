@@ -2,45 +2,58 @@
 
    The paper's model fixes one fault pattern; operators live through the
    integral of it.  This example ages three fabrics under identical
-   expected failures-per-tick (so the comparison measures redundancy, not
-   exposure) and prints a degradation timeline: calls placed, dropped by
-   live failures, rerouted, and the moment service first degrades.
+   expected failures per unit time (so the comparison measures
+   redundancy, not exposure) and prints a degradation timeline: calls
+   served, calls dropped by live failures and rerouted, blocked
+   requests, and the moment service first degrades.  Time is continuous;
+   calls hold for one time unit on average.
 
    Run with: dune exec examples/degradation.exe *)
 
 module Rng = Ftcsn_prng.Rng
 module Network = Ftcsn_networks.Network
+module Traffic = Ftcsn_des.Traffic
 
-let horizon = 5_000
-let failures_per_tick = 0.02
+let horizon = 5_000.0
+let failures_per_unit = 0.02
 
 let age name net =
   let rng = Rng.create ~seed:(Hashtbl.hash name) in
-  let hazard = failures_per_tick /. float_of_int (Network.size net) in
-  let stats =
-    Ftcsn.Ft_session.run ~rng ~hazard ~arrival:0.6 ~ticks:horizon net
+  (* every switch fails at rate 1/mtbf and stays failed, so the whole
+     fabric loses failures_per_unit switches per unit time whatever its
+     size *)
+  let mtbf = float_of_int (Network.size net) /. failures_per_unit in
+  let config =
+    Traffic.config ~load:0.6 ~mtbf ~mttr:infinity
+      ~stop:(Traffic.Horizon horizon) ()
   in
-  Format.printf "%-16s size=%5d  placed=%5d dropped=%4d rerouted=%4d \
+  let s = Traffic.run ~rng ~config net in
+  Format.printf "%-16s size=%5d  served=%5d dropped=%4d rerouted=%4d \
                  blocked=%4d  failures=%3d%s@."
-    name (Network.size net) stats.Ftcsn.Ft_session.placed
-    stats.Ftcsn.Ft_session.dropped stats.Ftcsn.Ft_session.rerouted
-    stats.Ftcsn.Ft_session.blocked stats.Ftcsn.Ft_session.failed_switches
-    (match stats.Ftcsn.Ft_session.catastrophe_at with
-    | Some t -> Printf.sprintf "  CATASTROPHE at tick %d (terminals fused)" t
+    name (Network.size net) s.Traffic.served s.Traffic.dropped
+    s.Traffic.rerouted s.Traffic.blocked s.Traffic.failures
+    (match s.Traffic.catastrophe_at with
+    | Some t -> Printf.sprintf "  CATASTROPHE at t=%.0f (terminals fused)" t
     | None -> "");
-  let mttd =
-    Ftcsn.Ft_session.mean_time_to_degradation ~rng ~hazard ~trials:10
-      ~max_ticks:20_000 net
+  (* saturated identity calls: each run stops at its first service
+     failure (or the horizon), so its sim_time is the time to
+     degradation *)
+  let config =
+    Traffic.config ~load:0.0 ~mtbf ~mttr:infinity
+      ~stop:(Traffic.Horizon 20_000.0) ~saturate:true
+      ~stop_on_degradation:true ()
   in
-  Format.printf "%-16s mean time to first service degradation: %.0f ticks \
+  let e = Traffic.estimate ~trials:10 ~rng ~config net in
+  let mttd = e.Traffic.t_sim_time /. float_of_int e.Traffic.replications in
+  Format.printf "%-16s mean time to first service degradation: %.0f \
                  (~%.0f switch failures absorbed)@.@."
-    "" mttd (mttd *. failures_per_tick)
+    "" mttd (mttd *. failures_per_unit)
 
 let () =
   Format.printf
-    "ageing fabrics at %.2f expected switch failures per tick, %d-tick \
-     horizon:@.@."
-    failures_per_tick horizon;
+    "ageing fabrics at %.2f expected switch failures per unit time, \
+     horizon %.0f:@.@."
+    failures_per_unit horizon;
   let rng = Rng.create ~seed:1 in
   age "ft-construction"
     (Ftcsn.Ft_network.make ~rng (Ftcsn.Ft_params.scaled ~u:3 ())).Ftcsn

@@ -2,53 +2,57 @@
 
    The paper's opening motivation: metallic-contact switches, still common
    in video switching, suffer open and closed failures.  This example runs
-   a day of call traffic (arrivals and hang-ups) through three switch
-   fabrics wired from the same unreliable components and compares the
-   fraction of calls that get through:
+   a day of call traffic (Poisson arrivals, unit-mean holding times)
+   through three switch fabrics wired from the same unreliable
+   components, with switches failing during the day, and compares the
+   fraction of requests between idle terminals that get through:
 
-   - the paper's fault-tolerant construction (stripped after faults),
+   - the paper's fault-tolerant construction,
    - a strictly nonblocking Clos fabric (no fault tolerance), and
    - a Benes fabric (rearrangeable only, no fault tolerance).
+
+   A failed switch stays failed; the fabric strips it and routes around
+   it, and a call crossing it is rerouted when a path remains.
 
    Run with: dune exec examples/video_switching.exe *)
 
 module Rng = Ftcsn_prng.Rng
 module Network = Ftcsn_networks.Network
-module Fault = Ftcsn_reliability.Fault
-module Session = Ftcsn_routing.Session
+module Traffic = Ftcsn_des.Traffic
 
 let n = 8
-let steps = 2_000
-let arrival_prob = 0.65
+let day = 1_000.0
+let load = 4.0 (* offered Erlangs: about half the call slots busy *)
 
 let run_day ~rng ~eps name net =
-  (* overnight, some switches fail ... *)
-  let pattern =
-    Fault.sample rng ~eps_open:eps ~eps_close:eps ~m:(Network.size net)
+  (* a switch failing at rate 1/mtbf has failed by the end of the day
+     with probability 1 - exp (-day/mtbf) = 2 eps, open or closed with
+     equal odds *)
+  let mtbf =
+    if eps = 0.0 then infinity else -.day /. log (1.0 -. (2.0 *. eps))
   in
-  let strip = Ftcsn.Fault_strip.strip net pattern in
-  if not (Ftcsn.Fault_strip.healthy strip) then
-    Format.printf "%-16s catastrophic: terminals shorted together@." name
-  else begin
-    (* ... the operator strips the faulty components and runs traffic *)
-    let surviving = Ftcsn.Fault_strip.surviving_network net strip in
-    let session =
-      Session.create ~allowed:strip.Ftcsn.Fault_strip.allowed
-        ~choice:(Session.Randomised (Rng.split rng))
-        surviving
-    in
-    let stats = Session.run_random_traffic session ~rng ~steps ~arrival_prob in
-    let grade =
-      if stats.Session.blocked = 0 then "perfect service"
-      else
-        Printf.sprintf "%.2f%% of calls blocked"
-          (100.0
-          *. float_of_int stats.Session.blocked
-          /. float_of_int stats.Session.offered)
-    in
-    Format.printf "%-16s %5d offered, %5d served, %4d blocked — %s@." name
-      stats.Session.offered stats.Session.served stats.Session.blocked grade
-  end
+  let config =
+    Traffic.config ~load ~mtbf ~mttr:infinity ~stop:(Traffic.Horizon day) ()
+  in
+  let s = Traffic.run ~rng ~config net in
+  match s.Traffic.catastrophe_at with
+  | Some t ->
+      Format.printf "%-16s catastrophic at t=%.0f: terminals shorted together@."
+        name t
+  | None ->
+      (* a request finding every input or output busy is a capacity
+         limit, not a routing failure *)
+      let requests = s.Traffic.offered - s.Traffic.blocked_full in
+      let blocked = s.Traffic.blocked - s.Traffic.blocked_full in
+      let grade =
+        if blocked = 0 then "perfect service"
+        else
+          Printf.sprintf "%.2f%% of requests blocked"
+            (100.0 *. float_of_int blocked /. float_of_int requests)
+      in
+      Format.printf "%-16s %5d requests, %5d served, %4d blocked, %3d \
+                     failures — %s@."
+        name requests s.Traffic.served blocked s.Traffic.failures grade
 
 let () =
   let rng = Rng.create ~seed:7 in

@@ -90,7 +90,7 @@ let create ?(engine = `Bfs) ~mtbf ~mttr net =
   let faulty_deg = Array.make n 0 in
   (* terminals stay routable with faulty incident switches (the switches
      themselves are unusable via edge_ok); internal vertices are stripped
-     once faulty, mirroring Fault_strip and Ft_session *)
+     once faulty, mirroring Fault_strip *)
   let allowed v = is_terminal.(v) || faulty_deg.(v) = 0 in
   let edge_ok e = is_normal fstate.(e) in
   {

@@ -63,14 +63,6 @@ let binomial t ~n ~p =
     !count
   end
 
-let shuffle_in_place t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let permutation t n = Ftcsn_util.Perm.shuffle ~rand_int:(int t) n
 
 let sample_without_replacement t ~n ~k =

@@ -56,8 +56,6 @@ val binomial : t -> n:int -> p:float -> int
 (** Number of successes in [n] Bernoulli(p) trials (direct simulation for
     small n, inversion by waiting times for small p). *)
 
-val shuffle_in_place : t -> 'a array -> unit
-
 val permutation : t -> int -> Ftcsn_util.Perm.t
 (** Uniform permutation of [0, n). *)
 

@@ -18,9 +18,10 @@ let pp_state ppf = function
   | Open_failure -> Format.pp_print_string ppf "open"
   | Closed_failure -> Format.pp_print_string ppf "closed"
 
+(* written as the negation of the valid range so that NaN is rejected *)
 let check_probabilities ~eps_open ~eps_close =
-  if eps_open < 0.0 || eps_close < 0.0 || eps_open +. eps_close > 1.0 then
-    invalid_arg "Fault.sample: bad probabilities"
+  if not (eps_open >= 0.0 && eps_close >= 0.0 && eps_open +. eps_close <= 1.0)
+  then invalid_arg "Fault.sample: bad probabilities"
 
 let sample_into rng ~eps_open ~eps_close pattern =
   check_probabilities ~eps_open ~eps_close;

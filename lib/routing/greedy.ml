@@ -3,7 +3,6 @@ module Digraph = Ftcsn_graph.Digraph
 module Arena = Ftcsn_graph.Arena
 module Traverse = Ftcsn_graph.Traverse
 module Bitset = Ftcsn_util.Bitset
-module Rng = Ftcsn_prng.Rng
 module Metrics = Ftcsn_obs.Metrics
 module Counter = Ftcsn_obs.Counter
 
@@ -22,7 +21,6 @@ type t = {
   net : Network.t;
   allowed : int -> bool;
   edge_ok : int -> bool;
-  rng : Rng.t option;
   busy_set : Bitset.t;
   (* epoch-stamped BFS scratch: starting a search is a generation bump,
      not an O(V) refill *)
@@ -35,7 +33,7 @@ type t = {
   fast : fast;
 }
 
-let create ?(allowed = fun _ -> true) ?(edge_ok = fun _ -> true) ?rng
+let create ?(allowed = fun _ -> true) ?(edge_ok = fun _ -> true)
     ?(engine = `Bfs) net =
   let n = Digraph.vertex_count net.Network.graph in
   let busy_set = Bitset.create n in
@@ -59,7 +57,6 @@ let create ?(allowed = fun _ -> true) ?(edge_ok = fun _ -> true) ?rng
     net;
     allowed;
     edge_ok;
-    rng;
     busy_set;
     arena = Arena.create n;
     path_buf = Array.make n 0;
@@ -92,102 +89,34 @@ let search t ~src ~dst ~buf =
   | Fast_loop l ->
       Loop_route.route_into l ~allowed:t.ok ~edge_ok:t.edge_ok ~src ~dst ~buf
 
-(* BFS with shuffled expansion order: each dequeued vertex's edge_ok
-   out-neighbours are collected in CSR order and shuffled, so the parent
-   choice among equal-distance vertices — and hence the returned path —
-   is sampled uniformly among the tie-breaks.  Visit discipline otherwise
-   matches [Traverse.shortest_path_into] exactly (here in the stamp
-   encoding: "seen" was [v = src || parent.(v) >= 0], now it is
-   [stamp.(v) = gen] with the source pre-stamped). *)
-let route_shuffled t rng ~src ~dst =
-  let g = t.net.Network.graph in
-  if src = dst then Some [ src ]
-  else begin
-    Counter.incr c_search;
-    let a = t.arena in
-    let gen = Arena.next_generation a in
-    let stamp = a.Arena.stamp
-    and parent = a.Arena.parent
-    and queue = a.Arena.queue in
-    stamp.(src) <- gen;
-    queue.(0) <- src;
-    a.Arena.head <- 0;
-    a.Arena.tail <- 1;
-    let found = ref false in
-    while (not !found) && a.Arena.head < a.Arena.tail do
-      let u = queue.(a.Arena.head) in
-      a.Arena.head <- a.Arena.head + 1;
-      let nbrs = Array.make (Digraph.out_degree g u) (-1) in
-      let k = ref 0 in
-      Digraph.iter_out g u (fun ~dst:v ~eid ->
-          if t.edge_ok eid then begin
-            nbrs.(!k) <- v;
-            incr k
-          end);
-      let nbrs =
-        if !k = Array.length nbrs then nbrs else Array.sub nbrs 0 !k
-      in
-      Rng.shuffle_in_place rng nbrs;
-      Array.iter
-        (fun v ->
-          if (not !found) && stamp.(v) <> gen && (v = dst || t.ok v) then begin
-            stamp.(v) <- gen;
-            parent.(v) <- u;
-            if v = dst then found := true
-            else begin
-              queue.(a.Arena.tail) <- v;
-              a.Arena.tail <- a.Arena.tail + 1
-            end
-          end)
-        nbrs
-    done;
-    if not !found then None
-    else begin
-      let rec walk v acc =
-        if v = src then v :: acc else walk parent.(v) (v :: acc)
-      in
-      Some (walk dst [])
-    end
-  end
-
 let route t ~input ~output =
   if busy t input || busy t output then
     invalid_arg "Greedy.route: endpoint already busy";
   if not (t.ok input && t.ok output) then None
   else begin
-    let path =
-      match t.rng with
-      | None ->
-          let len = search t ~src:input ~dst:output ~buf:t.path_buf in
-          if len < 0 then None
-          else begin
-            let rec take i acc =
-              if i < 0 then acc else take (i - 1) (t.path_buf.(i) :: acc)
-            in
-            Some (take (len - 1) [])
-          end
-      | Some rng -> route_shuffled t rng ~src:input ~dst:output
-    in
-    (match path with
-    | Some p -> List.iter (Bitset.add t.busy_set) p
-    | None -> ());
-    path
+    let len = search t ~src:input ~dst:output ~buf:t.path_buf in
+    if len < 0 then None
+    else begin
+      let rec take i acc =
+        if i < 0 then acc else take (i - 1) (t.path_buf.(i) :: acc)
+      in
+      let path = take (len - 1) [] in
+      List.iter (Bitset.add t.busy_set) path;
+      Some path
+    end
   end
 
 let release t path = List.iter (Bitset.remove t.busy_set) path
 
 let occupy t path = List.iter (Bitset.add t.busy_set) path
 
-(* Buffer variants of route/release/occupy: the DES call path routes into
+(* Buffer variants of route/release: the DES call path routes into
    caller-owned arrays so a steady-state simulation makes no per-call
    allocations — the test suite asserts a zero [Gc.minor_words] delta
    over a routing loop.  The default deterministic BFS shares its visit
    discipline with [Traverse.shortest_path_into], so [route_into] yields
    exactly the path [route] would have returned as a list. *)
 let route_into t ~input ~output ~buf =
-  (match t.rng with
-  | Some _ -> invalid_arg "Greedy.route_into: not available on a shuffled router"
-  | None -> ());
   if busy t input || busy t output then
     invalid_arg "Greedy.route_into: endpoint already busy";
   if not (t.ok input && t.ok output) then -1
@@ -203,14 +132,6 @@ let release_buf t buf ~len =
   for i = 0 to len - 1 do
     Bitset.remove t.busy_set buf.(i)
   done
-
-let occupy_buf t buf ~len =
-  for i = 0 to len - 1 do
-    Bitset.add t.busy_set buf.(i)
-  done
-
-let route_many t requests =
-  List.map (fun (i, o) -> (i, o, route t ~input:i ~output:o)) requests
 
 let route_permutation t pi ~success =
   let inputs = t.net.Network.inputs and outputs = t.net.Network.outputs in

@@ -28,20 +28,16 @@ type engine = [ `Bfs | `Staged | `Loop ]
 val create :
   ?allowed:(int -> bool) ->
   ?edge_ok:(int -> bool) ->
-  ?rng:Ftcsn_prng.Rng.t ->
   ?engine:engine ->
   Ftcsn_networks.Network.t ->
   t
 (** Fresh routing state; [allowed] excludes vertices globally (e.g. the
     fault-stripped set), [edge_ok] excludes edges (e.g. failed switches),
-    so routing a surviving network needs no subgraph rebuild.  With [rng],
-    the BFS shuffles each vertex's expansion order so every {!route} call
-    samples uniformly among the tie-breaks (near-shortest paths) — the
-    adversary-ish path choice of the stress tests; without it, paths come
+    so routing a surviving network needs no subgraph rebuild.  Paths come
     from the deterministic [engine].  The router's searches run on
     internal epoch-stamped scratch: after creation, {!route_into}
     allocates nothing at all, and {!route} allocates only the returned
-    path (plus the per-expansion shuffle buffers when [rng] is set). *)
+    path. *)
 
 val network : t -> Ftcsn_networks.Network.t
 
@@ -70,19 +66,11 @@ val route_into : t -> input:int -> output:int -> buf:int array -> int
 (** Allocation-free {!route}: the path vertices are written into
     [buf.(0 .. len-1)] (caller-owned, length at least the vertex count),
     marked busy, and the length returned; [-1] when blocked (state
-    unchanged).  Deterministic routers only — the path is exactly what
-    {!route} would return.
-    @raise Invalid_argument if an endpoint is busy or the router was
-    created with [~rng]. *)
+    unchanged).  The path is exactly what {!route} would return.
+    @raise Invalid_argument if an endpoint is busy. *)
 
 val release_buf : t -> int array -> len:int -> unit
 (** Un-busy the path in [buf.(0 .. len-1)]. *)
-
-val occupy_buf : t -> int array -> len:int -> unit
-(** Mark the path in [buf.(0 .. len-1)] busy without routing. *)
-
-val route_many : t -> (int * int) list -> (int * int * int list option) list
-(** Route requests in order; each result keeps its request. *)
 
 val route_permutation :
   t -> Ftcsn_util.Perm.t -> success:int ref -> int list option array

@@ -183,12 +183,6 @@ let nonblocking_exhaustive ?(max_states = 200_000) net =
   | exception Nb_violation v -> `Violated v
   | exception Nb_budget -> `Budget_exceeded
 
-let nonblocking_stress ~steps ~rng ?(arrival_prob = 0.6) net =
-  let session =
-    Session.create ~choice:(Session.Randomised (Rng.split rng)) net
-  in
-  Session.run_random_traffic session ~rng ~steps ~arrival_prob
-
 let is_banyan net =
   Array.for_all
     (fun i ->

@@ -12,10 +12,10 @@
     Superconcentration is decided per request by max-flow (Menger);
     rearrangeability by exact backtracking (exhaustive over permutations
     for small n, sampled for large); strict nonblocking by an exhaustive
-    game over reachable busy-sets for tiny networks and by online stress
-    simulation otherwise.  Every [`Violated] answer carries a concrete
-    witness; [`Holds] from a sampled checker is statistical evidence, not
-    proof. *)
+    game over reachable busy-sets for tiny networks (online stress on
+    larger ones runs as call traffic in [Ftcsn_des.Traffic]).  Every
+    [`Violated] answer carries a concrete witness; [`Holds] from a
+    sampled checker is statistical evidence, not proof. *)
 
 type sc_violation = {
   r : int;
@@ -71,15 +71,6 @@ val nonblocking_exhaustive :
 (** Exhaustive game over all reachable sets of established paths (memoised
     on busy sets).  Exponential: use for tiny networks only.
     [max_states] (default 200_000) bounds visited states. *)
-
-val nonblocking_stress :
-  steps:int ->
-  rng:Ftcsn_prng.Rng.t ->
-  ?arrival_prob:float ->
-  Ftcsn_networks.Network.t ->
-  Session.stats
-(** Online stress with randomised path choice; a strictly nonblocking
-    network must report zero blocked calls. *)
 
 val is_banyan : Ftcsn_networks.Network.t -> bool
 (** Every input/output pair joined by exactly one path (e.g. butterfly). *)

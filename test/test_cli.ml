@@ -91,6 +91,17 @@ let test_check_crossbar () =
   Alcotest.(check int) "exit code" 0 code;
   check_contains "check crossbar" out "strictly nonblocking: yes (exhaustive)"
 
+(* the stress episode offers 200 calls; a crossbar never blocks a request
+   between idle terminals, a Benes network always does within 200 *)
+let test_check_stress () =
+  List.iter
+    (fun (net, p) ->
+      let code, out = run ("check --net " ^ net ^ " --seed 1") in
+      Alcotest.(check int) "exit code" 0 code;
+      check_contains ("check " ^ net) out
+        ("nonblocking stress: P[0 blocked in 200-call episode] = " ^ p))
+    [ ("crossbar:8", "1.0000"); ("benes:8", "0.0000") ]
+
 let test_survive () =
   let code, out = run "survive --family butterfly -n 8 --eps 0.01 --trials 40 --seed 5" in
   Alcotest.(check int) "exit code" 0 code;
@@ -898,6 +909,30 @@ let test_error_degrade_arrival () =
   check_usage_error "degrade arrival negative"
     "degrade --family ft -n 8 --arrival=-0.1" "invalid --arrival value"
 
+let test_error_degrade_hazard () =
+  List.iter
+    (fun args ->
+      check_usage_error ("degrade " ^ args)
+        ("degrade --family ft -n 8 " ^ args)
+        "invalid --hazard value")
+    [ "--hazard 2"; "--hazard inf"; "--hazard=-1 --trials 3"; "--hazard nan" ]
+
+(* open = closed = EPS, so every command taking --eps refuses values
+   outside [0, 0.5] *)
+let test_error_eps_range () =
+  List.iter
+    (fun (cmd, eps) ->
+      check_usage_error
+        (cmd ^ " " ^ eps)
+        (Printf.sprintf "%s --family benes -n 8 %s" cmd eps)
+        "invalid --eps value")
+    [
+      ("survive", "--eps 2");
+      ("critical", "--eps 2");
+      ("faults", "--eps nan");
+      ("route", "--eps=-0.5");
+    ]
+
 let test_help () =
   let code, out = run "--help=plain" in
   Alcotest.(check int) "exit code" 0 code;
@@ -922,6 +957,7 @@ let () =
           Alcotest.test_case "route verbose" `Quick test_route_verbose;
           Alcotest.test_case "check benes" `Slow test_check;
           Alcotest.test_case "check crossbar" `Quick test_check_crossbar;
+          Alcotest.test_case "check stress" `Quick test_check_stress;
           Alcotest.test_case "survive" `Quick test_survive;
           Alcotest.test_case "curve" `Quick test_curve;
           Alcotest.test_case "curve json" `Quick test_curve_json;
@@ -1024,5 +1060,8 @@ let () =
             test_error_eps_grid_degenerate;
           Alcotest.test_case "degrade arrival range" `Quick
             test_error_degrade_arrival;
+          Alcotest.test_case "degrade hazard range" `Quick
+            test_error_degrade_hazard;
+          Alcotest.test_case "eps range" `Quick test_error_eps_range;
         ] );
     ]

@@ -14,6 +14,7 @@ module Network = Ftcsn_networks.Network
 module Digraph = Ftcsn_graph.Digraph
 module Fault = Ftcsn_reliability.Fault
 module Rng = Ftcsn_prng.Rng
+module Traffic = Ftcsn_des.Traffic
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -676,46 +677,54 @@ let test_transfer_delta_shift () =
   Alcotest.(check (float 1e-12)) "growing delta caps at eps" 0.01
     (Ftcsn.Transfer.delta_shift ~eps:0.01 ~delta_from:0.25 ~delta_to:0.5)
 
-(* ---------- Ft_session (degradation) ---------- *)
+(* ---------- degradation: Traffic with permanent failures ---------- *)
 
-let test_session_no_hazard_is_clean () =
-  let ft = build_small () in
-  let rng = Rng.create ~seed:71 in
-  let stats =
-    Ftcsn.Ft_session.run ~rng ~hazard:0.0 ~arrival:0.6 ~ticks:300
-      ft.Ft_network.net
-  in
-  check "full horizon" 300 stats.Ftcsn.Ft_session.ticks;
-  check "no drops" 0 stats.Ftcsn.Ft_session.dropped;
-  check "no blocks" 0 stats.Ftcsn.Ft_session.blocked;
-  check "no failures" 0 stats.Ftcsn.Ft_session.failed_switches;
-  checkb "no catastrophe" true (stats.Ftcsn.Ft_session.catastrophe_at = None);
-  checkb "traffic flowed" true (stats.Ftcsn.Ft_session.placed > 20)
+(* a per-tick hazard becomes the failure clock's mean time between
+   failures (1/hazard), repairs stay off, and the ticks are the horizon *)
+let mtbf_of hazard = if hazard > 0.0 then 1.0 /. hazard else infinity
 
-let test_session_hazard_accumulates () =
-  let ft = build_small () in
-  let rng = Rng.create ~seed:72 in
-  let stats =
-    Ftcsn.Ft_session.run ~rng ~hazard:1e-4 ~arrival:0.6 ~ticks:400
-      ft.Ft_network.net
+let degrade_run ~seed ~hazard ~ticks net =
+  let config =
+    Traffic.config ~load:0.6 ~mtbf:(mtbf_of hazard) ~mttr:infinity
+      ~stop:(Traffic.Horizon (float_of_int ticks)) ()
   in
-  checkb "some switches failed" true (stats.Ftcsn.Ft_session.failed_switches > 0);
-  checkb "reroutes covered drops" true
-    (stats.Ftcsn.Ft_session.rerouted <= stats.Ftcsn.Ft_session.dropped)
+  Traffic.run ~rng:(Rng.create ~seed) ~config net
 
-let test_session_catastrophe_under_heavy_hazard () =
-  let ft = build_small () in
-  let rng = Rng.create ~seed:73 in
-  let stats =
-    Ftcsn.Ft_session.run ~rng ~hazard:0.05 ~arrival:0.6 ~ticks:500
-      ft.Ft_network.net
+(* mean time to the first service failure under saturating traffic: a
+   run stops there or at the horizon, so its sim_time is that time *)
+let mttd ~rng ~hazard ~trials ~max_ticks net =
+  let config =
+    Traffic.config ~load:0.0 ~mtbf:(mtbf_of hazard) ~mttr:infinity
+      ~stop:(Traffic.Horizon (float_of_int max_ticks)) ~saturate:true
+      ~stop_on_degradation:true ()
   in
+  let s = Traffic.estimate ~trials ~rng ~config net in
+  s.Traffic.t_sim_time /. float_of_int s.Traffic.replications
+
+let test_degrade_no_hazard_is_clean () =
+  let ft = build_small () in
+  let s = degrade_run ~seed:71 ~hazard:0.0 ~ticks:300 ft.Ft_network.net in
+  checkb "full horizon" true (s.Traffic.sim_time = 300.0);
+  check "no drops" 0 s.Traffic.dropped;
+  check "no blocks" 0 (s.Traffic.blocked - s.Traffic.blocked_full);
+  check "no failures" 0 s.Traffic.failures;
+  checkb "no catastrophe" true (s.Traffic.catastrophe_at = None);
+  checkb "traffic flowed" true (s.Traffic.served > 20)
+
+let test_degrade_hazard_accumulates () =
+  let ft = build_small () in
+  let s = degrade_run ~seed:72 ~hazard:1e-4 ~ticks:400 ft.Ft_network.net in
+  checkb "some switches failed" true (s.Traffic.failures > 0);
+  checkb "reroutes covered drops" true (s.Traffic.rerouted <= s.Traffic.dropped)
+
+let test_degrade_catastrophe_under_heavy_hazard () =
+  let ft = build_small () in
+  let s = degrade_run ~seed:73 ~hazard:0.05 ~ticks:500 ft.Ft_network.net in
   (* at 5% per tick the fabric must melt within the horizon *)
-  checkb "catastrophe happened" true
-    (stats.Ftcsn.Ft_session.catastrophe_at <> None);
-  checkb "ended early" true (stats.Ftcsn.Ft_session.ticks < 500)
+  checkb "catastrophe happened" true (s.Traffic.catastrophe_at <> None);
+  checkb "ended early" true (s.Traffic.sim_time < 500.0)
 
-let test_session_mttd_ordering () =
+let test_degrade_mttd_ordering () =
   (* Fair comparison: equal expected switch failures per tick (hazard
      scaled inversely to size), so MTTD measures pure redundancy — how
      many failures a fabric absorbs before service degrades.  At equal
@@ -728,20 +737,18 @@ let test_session_mttd_ordering () =
   let failures_per_tick = 0.05 in
   let mttd net =
     let hazard = failures_per_tick /. float_of_int (Network.size net) in
-    Ftcsn.Ft_session.mean_time_to_degradation ~rng ~hazard ~trials:10
-      ~max_ticks:4000 net
+    mttd ~rng ~hazard ~trials:10 ~max_ticks:4000 net
   in
   let t_ft = mttd ft.Ft_network.net and t_benes = mttd benes in
   checkb
     (Printf.sprintf "ft %.0f > benes %.0f" t_ft t_benes)
     true (t_ft > t_benes)
 
-let test_session_mttd_monotone_in_hazard () =
+let test_degrade_mttd_monotone_in_hazard () =
   let ft = build_small () in
   let rng = Rng.create ~seed:75 in
   let mttd hazard =
-    Ftcsn.Ft_session.mean_time_to_degradation ~rng ~hazard ~trials:8
-      ~max_ticks:2000 ft.Ft_network.net
+    mttd ~rng ~hazard ~trials:8 ~max_ticks:2000 ft.Ft_network.net
   in
   let slow = mttd 5e-5 and fast = mttd 2e-3 in
   checkb (Printf.sprintf "slow %.0f >= fast %.0f" slow fast) true (slow >= fast)
@@ -1065,15 +1072,16 @@ let () =
           Alcotest.test_case "improves survival" `Quick test_transfer_improves_survival;
           Alcotest.test_case "delta shift" `Quick test_transfer_delta_shift;
         ] );
-      ( "ft-session",
+      ( "degradation",
         [
-          Alcotest.test_case "no hazard" `Quick test_session_no_hazard_is_clean;
-          Alcotest.test_case "hazard accumulates" `Quick test_session_hazard_accumulates;
+          Alcotest.test_case "no hazard" `Quick test_degrade_no_hazard_is_clean;
+          Alcotest.test_case "hazard accumulates" `Quick
+            test_degrade_hazard_accumulates;
           Alcotest.test_case "catastrophe" `Quick
-            test_session_catastrophe_under_heavy_hazard;
-          Alcotest.test_case "mttd ordering" `Slow test_session_mttd_ordering;
+            test_degrade_catastrophe_under_heavy_hazard;
+          Alcotest.test_case "mttd ordering" `Slow test_degrade_mttd_ordering;
           Alcotest.test_case "mttd monotone" `Slow
-            test_session_mttd_monotone_in_hazard;
+            test_degrade_mttd_monotone_in_hazard;
         ] );
       ( "pipeline",
         [

@@ -1,9 +1,10 @@
 (* Tests for the discrete-event traffic engine (lib/des): event-queue
    ordering, stochastic primitives, batch-means intervals, the fabric's
-   failure clock (the law of the per-switch failure process it samples),
-   and the Traffic engine itself — conservation laws, Little's law,
-   determinism across the Trials fan-out, and agreement with the
-   Erlang-B formula on a crossbar (a true M/M/c/c loss system). *)
+   failure clock (the law of the per-switch failure process it samples)
+   and call store, and the Traffic engine itself — conservation laws,
+   Little's law, determinism across the Trials fan-out, and agreement
+   with the Erlang-B formula on a crossbar (a true M/M/c/c loss
+   system). *)
 
 module Rng = Ftcsn_prng.Rng
 module Heap = Ftcsn_des.Heap
@@ -15,6 +16,7 @@ module Digraph = Ftcsn_graph.Digraph
 module Network = Ftcsn_networks.Network
 module Crossbar = Ftcsn_networks.Crossbar
 module Benes = Ftcsn_networks.Benes
+module Fault = Ftcsn_reliability.Fault
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -278,6 +280,122 @@ let test_discards_are_no_events () =
   checkb "same stop" true
     (r.shorted_at = s.Traffic.catastrophe_at && r.until = s.Traffic.sim_time)
 
+(* ---------- Fabric: the call store ---------- *)
+
+(* The call store must agree with itself and with the switch states: live
+   paths are vertex-disjoint, run from their input to their output over
+   the switches recorded for them, and cross no failed switch; the owner
+   index and the router's busy set are exactly the live paths; the idle
+   pools hold the terminals no live call uses; and the counters equal the
+   caller's running values. *)
+let call_store_ok f ~live ~peak =
+  let net = f.Fabric.net in
+  let g = net.Network.graph in
+  let n_in = Network.n_inputs net and n_out = Network.n_outputs net in
+  let holder = Array.make (Digraph.vertex_count g) (-1) in
+  let in_use = Array.make n_in false and out_use = Array.make n_out false in
+  let ok = ref true in
+  let slots = Fabric.live_slots f in
+  List.iter
+    (fun sl ->
+      let path = f.Fabric.c_path.(sl) and len = f.Fabric.c_plen.(sl) in
+      let edges = f.Fabric.c_edges.(sl) in
+      in_use.(f.Fabric.c_in.(sl)) <- true;
+      out_use.(f.Fabric.c_out.(sl)) <- true;
+      if
+        path.(0) <> net.Network.inputs.(f.Fabric.c_in.(sl))
+        || path.(len - 1) <> net.Network.outputs.(f.Fabric.c_out.(sl))
+      then ok := false;
+      for i = 0 to len - 1 do
+        if holder.(path.(i)) >= 0 then ok := false;
+        holder.(path.(i)) <- sl
+      done;
+      for i = 0 to len - 2 do
+        let e = edges.(i) in
+        if
+          Digraph.edge_src g e <> path.(i)
+          || Digraph.edge_dst g e <> path.(i + 1)
+          || not (Fault.state_equal f.Fabric.fstate.(e) Fault.Normal)
+        then ok := false
+      done)
+    slots;
+  Array.iteri
+    (fun v sl ->
+      if
+        f.Fabric.owner.(v) <> sl
+        || Ftcsn_routing.Greedy.busy f.Fabric.router v <> (sl >= 0)
+      then ok := false)
+    holder;
+  Array.iteri
+    (fun i used -> if Fabric.is_idle f.Fabric.idle_in i = used then ok := false)
+    in_use;
+  Array.iteri
+    (fun o used ->
+      if Fabric.is_idle f.Fabric.idle_out o = used then ok := false)
+    out_use;
+  !ok
+  && List.length slots = live
+  && f.Fabric.live_count = live
+  && f.Fabric.max_concurrent = peak
+  && Fabric.idle f.Fabric.idle_in = n_in - live
+  && Fabric.idle f.Fabric.idle_out = n_out - live
+
+(* random connects, releases, failures (each severing the calls it hits)
+   and repairs on benes:8, checking the call store after every step *)
+let prop_fabric_invariants =
+  QCheck2.Test.make
+    ~name:"fabric invariants: disjoint fault-free paths, owners, pools"
+    ~count:30
+    QCheck2.Gen.(int_range 0 100000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let net = Benes.create 8 in
+      let m = Digraph.edge_count net.Network.graph in
+      let f = Fabric.create ~mtbf:infinity ~mttr:infinity net in
+      let failed = ref [] in
+      let live = ref 0 and peak = ref 0 in
+      let ok = ref true in
+      for _ = 1 to 200 do
+        let u = Rng.float rng in
+        (if u < 0.45 then begin
+           if Fabric.idle f.Fabric.idle_in > 0 then begin
+             let i = Fabric.draw rng f.Fabric.idle_in in
+             let o = Fabric.draw rng f.Fabric.idle_out in
+             if Fabric.connect f i o >= 0 then begin
+               incr live;
+               peak := max !peak !live
+             end
+           end
+         end
+         else if u < 0.75 then begin
+           match Fabric.live_slots f with
+           | [] -> ()
+           | slots ->
+               Fabric.release f
+                 (List.nth slots (Rng.int rng (List.length slots)));
+               decr live
+         end
+         else if u < 0.9 then begin
+           let e = Rng.int rng m in
+           if Fault.state_equal f.Fabric.fstate.(e) Fault.Normal then begin
+             ignore (Fabric.mark_failed f e ~closed:(Rng.bool rng));
+             failed := e :: !failed;
+             for j = 0 to Fabric.sever f e - 1 do
+               if f.Fabric.severed.(j) land 1 = 0 then decr live
+             done
+           end
+         end
+         else
+           match !failed with
+           | [] -> ()
+           | es ->
+               let e = List.nth es (Rng.int rng (List.length es)) in
+               Fabric.mark_repaired f e;
+               failed := List.filter (( <> ) e) es);
+        if not (call_store_ok f ~live:!live ~peak:!peak) then ok := false
+      done;
+      !ok)
+
 (* ---------- Traffic: conservation laws ---------- *)
 
 (* the laws every horizon run obeys, whether it reaches the horizon or a
@@ -469,6 +587,7 @@ let () =
           Alcotest.test_case "a discarded tick is no event" `Quick
             test_discards_are_no_events;
         ] );
+      ("fabric", [ QCheck_alcotest.to_alcotest prop_fabric_invariants ]);
       ( "batch-means",
         [
           Alcotest.test_case "streaming batches" `Quick test_batch_means_basic;

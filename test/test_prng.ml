@@ -238,55 +238,6 @@ let test_reproducibility () =
   Alcotest.(check (list int)) "same seed same stream" (run 1001) (run 1001);
   checkb "different seeds differ" true (run 1001 <> run 1002)
 
-module Xoshiro256 = Ftcsn_prng.Xoshiro256
-
-let test_xoshiro_deterministic () =
-  let a = Xoshiro256.create 42L and b = Xoshiro256.create 42L in
-  for _ = 1 to 100 do
-    Alcotest.(check int64) "streams equal" (Xoshiro256.next a) (Xoshiro256.next b)
-  done
-
-let test_xoshiro_of_state_validation () =
-  Alcotest.check_raises "arity"
-    (Invalid_argument "Xoshiro256.of_state: need 4 words") (fun () ->
-      ignore (Xoshiro256.of_state [| 1L |]));
-  Alcotest.check_raises "zero state"
-    (Invalid_argument "Xoshiro256.of_state: all-zero state") (fun () ->
-      ignore (Xoshiro256.of_state [| 0L; 0L; 0L; 0L |]))
-
-let test_xoshiro_reference_vector () =
-  (* reference: state (1,2,3,4); first output of xoshiro256** is
-     rotl(2*5,7)*9 = rotl(10,7)*9 = 1280*9 = 11520 *)
-  let g = Xoshiro256.of_state [| 1L; 2L; 3L; 4L |] in
-  Alcotest.(check int64) "first output" 11520L (Xoshiro256.next g)
-
-let test_xoshiro_jump_disjoint () =
-  let g = Xoshiro256.create 7L in
-  let h = Xoshiro256.jump g in
-  let xs = List.init 50 (fun _ -> Xoshiro256.next g) in
-  let ys = List.init 50 (fun _ -> Xoshiro256.next h) in
-  checkb "jumped stream differs" true (xs <> ys)
-
-let test_xoshiro_uniformity_smell () =
-  let g = Xoshiro256.create 99L in
-  (* high bit should be set about half the time *)
-  let hits = ref 0 in
-  let trials = 20_000 in
-  for _ = 1 to trials do
-    if Int64.compare (Xoshiro256.next g) 0L < 0 then incr hits
-  done;
-  let rate = float_of_int !hits /. float_of_int trials in
-  checkb "sign bit balanced" true (Float.abs (rate -. 0.5) < 0.02)
-
-let prop_shuffle_preserves_multiset =
-  QCheck2.Test.make ~name:"shuffle preserves elements" ~count:200
-    QCheck2.Gen.(pair (list int) int)
-    (fun (xs, seed) ->
-      let g = Rng.create ~seed in
-      let a = Array.of_list xs in
-      Rng.shuffle_in_place g a;
-      List.sort compare (Array.to_list a) = List.sort compare xs)
-
 let prop_sample_sorted_distinct =
   QCheck2.Test.make ~name:"sample_without_replacement sorted distinct"
     ~count:200
@@ -312,11 +263,7 @@ let prop_permutation_valid =
 
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [
-      prop_shuffle_preserves_multiset;
-      prop_sample_sorted_distinct;
-      prop_permutation_valid;
-    ]
+    [ prop_sample_sorted_distinct; prop_permutation_valid ]
 
 let () =
   Alcotest.run "ftcsn_prng"
@@ -331,14 +278,6 @@ let () =
           Alcotest.test_case "advance = k splits" `Quick
             test_advance_matches_splits;
           Alcotest.test_case "reference vector" `Quick test_reference_vector;
-        ] );
-      ( "xoshiro",
-        [
-          Alcotest.test_case "deterministic" `Quick test_xoshiro_deterministic;
-          Alcotest.test_case "of_state" `Quick test_xoshiro_of_state_validation;
-          Alcotest.test_case "reference" `Quick test_xoshiro_reference_vector;
-          Alcotest.test_case "jump" `Quick test_xoshiro_jump_disjoint;
-          Alcotest.test_case "uniformity" `Quick test_xoshiro_uniformity_smell;
         ] );
       ( "distributions",
         [

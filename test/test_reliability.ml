@@ -34,7 +34,10 @@ let test_sample_validation () =
   let rng = Rng.create ~seed:1 in
   Alcotest.check_raises "bad probabilities"
     (Invalid_argument "Fault.sample: bad probabilities") (fun () ->
-      ignore (Fault.sample rng ~eps_open:0.7 ~eps_close:0.7 ~m:10))
+      ignore (Fault.sample rng ~eps_open:0.7 ~eps_close:0.7 ~m:10));
+  Alcotest.check_raises "NaN probability"
+    (Invalid_argument "Fault.sample: bad probabilities") (fun () ->
+      ignore (Fault.sample rng ~eps_open:nan ~eps_close:nan ~m:10))
 
 let test_pattern_probability () =
   let pattern = [| Fault.Normal; Fault.Open_failure; Fault.Closed_failure |] in

@@ -1,5 +1,5 @@
 (* Tests for routing: greedy path-finding, exact backtracking, flow-based
-   batch routing, online sessions, and the property deciders. *)
+   batch routing, and the property deciders. *)
 
 module Network = Ftcsn_networks.Network
 module Crossbar = Ftcsn_networks.Crossbar
@@ -9,7 +9,6 @@ module Butterfly = Ftcsn_networks.Butterfly
 module Greedy = Ftcsn_routing.Greedy
 module Backtrack = Ftcsn_routing.Backtrack
 module Flow_route = Ftcsn_routing.Flow_route
-module Session = Ftcsn_routing.Session
 module Properties = Ftcsn_routing.Properties
 module Perm = Ftcsn_util.Perm
 module Rng = Ftcsn_prng.Rng
@@ -85,6 +84,19 @@ let test_greedy_clear () =
   ignore (Greedy.route r ~input:net.Network.inputs.(0) ~output:net.Network.outputs.(0));
   Greedy.clear r;
   checkb "cleared" false (Greedy.busy r net.Network.inputs.(0))
+
+let test_greedy_blocking_funnel () =
+  (* two inputs forced through one interior vertex: while the first call
+     holds it, the second request blocks and changes nothing *)
+  let g = Ftcsn_graph.Digraph.of_edges ~n:5 [| (0, 2); (1, 2); (2, 3); (2, 4) |] in
+  let net = Network.make ~name:"funnel" ~graph:g ~inputs:[| 0; 1 |] ~outputs:[| 3; 4 |] in
+  let r = Greedy.create net in
+  Alcotest.(check (option (list int))) "first call" (Some [ 0; 2; 3 ])
+    (Greedy.route r ~input:0 ~output:3);
+  let busy () = List.init 5 (Greedy.busy r) in
+  let before = busy () in
+  checkb "second blocks" true (Greedy.route r ~input:1 ~output:4 = None);
+  Alcotest.(check (list bool)) "state unchanged" before (busy ())
 
 (* ---------- Backtrack ---------- *)
 
@@ -179,55 +191,6 @@ let test_flow_route_arity () =
     (fun () ->
       ignore (Flow_route.connect net ~input_indices:[| 0 |] ~output_indices:[||]))
 
-(* ---------- Session ---------- *)
-
-let test_session_lifecycle () =
-  let net = Crossbar.square 3 in
-  let s = Session.create ~choice:Session.Shortest net in
-  checkb "call 0->1" true (Session.request s ~input:0 ~output:1 <> None);
-  checkb "call 1->0" true (Session.request s ~input:1 ~output:0 <> None);
-  Alcotest.(check (list (pair int int))) "live" [ (0, 1); (1, 0) ]
-    (List.sort compare (Session.live_calls s));
-  Session.hangup s ~input:0;
-  check "released count" 1 (Session.stats s).Session.released;
-  checkb "0 can call again" true (Session.request s ~input:0 ~output:2 <> None);
-  let st = Session.stats s in
-  check "served" 3 st.Session.served;
-  check "blocked" 0 st.Session.blocked;
-  check "max concurrent" 2 st.Session.max_concurrent
-
-let test_session_busy_validation () =
-  let net = Crossbar.square 2 in
-  let s = Session.create ~choice:Session.Shortest net in
-  ignore (Session.request s ~input:0 ~output:0);
-  Alcotest.check_raises "busy input"
-    (Invalid_argument "Session.request: input already in a call") (fun () ->
-      ignore (Session.request s ~input:0 ~output:1));
-  Alcotest.check_raises "busy output"
-    (Invalid_argument "Session.request: output already in a call") (fun () ->
-      ignore (Session.request s ~input:1 ~output:0));
-  Alcotest.check_raises "hangup unknown" Not_found (fun () ->
-      Session.hangup s ~input:1)
-
-let test_session_random_traffic_crossbar () =
-  (* crossbar: no blocking ever *)
-  let net = Crossbar.square 4 in
-  let s = Session.create ~choice:Session.Shortest net in
-  let rng = Rng.create ~seed:4 in
-  let st = Session.run_random_traffic s ~rng ~steps:500 ~arrival_prob:0.6 in
-  check "no blocking" 0 st.Session.blocked;
-  checkb "traffic flowed" true (st.Session.served > 50)
-
-let test_session_blocking_on_funnel () =
-  (* two inputs forced through one middle vertex: second concurrent call
-     must block *)
-  let g = Ftcsn_graph.Digraph.of_edges ~n:5 [| (0, 2); (1, 2); (2, 3); (2, 4) |] in
-  let net = Network.make ~name:"funnel" ~graph:g ~inputs:[| 0; 1 |] ~outputs:[| 3; 4 |] in
-  let s = Session.create ~choice:Session.Shortest net in
-  checkb "first call ok" true (Session.request s ~input:0 ~output:0 <> None);
-  checkb "second blocks" true (Session.request s ~input:1 ~output:1 = None);
-  check "blocked recorded" 1 (Session.stats s).Session.blocked
-
 (* ---------- Properties ---------- *)
 
 let test_crossbar_nonblocking () =
@@ -296,11 +259,6 @@ let test_superconcentrator_sampled_agrees () =
   let bf = Butterfly.make 8 in
   checkb "violation found" true
     (Properties.superconcentrator_sampled ~trials:200 ~rng bf <> None)
-
-let test_nonblocking_stress_crossbar () =
-  let rng = Rng.create ~seed:6 in
-  let st = Properties.nonblocking_stress ~steps:400 ~rng (Crossbar.square 4) in
-  check "never blocks" 0 st.Session.blocked
 
 let test_rearrangeable_sampled () =
   let rng = Rng.create ~seed:7 in
@@ -403,82 +361,9 @@ let prop_greedy_paths_valid =
       done;
       !ok)
 
-let prop_session_conservation =
-  QCheck2.Test.make ~name:"session stats conserve: served = blocked-complement"
-    ~count:40
-    QCheck2.Gen.(int_range 0 100000)
-    (fun seed ->
-      let rng = Rng.create ~seed in
-      let net = Crossbar.square 4 in
-      let s = Session.create ~choice:Session.Shortest net in
-      let st = Session.run_random_traffic s ~rng ~steps:100 ~arrival_prob:0.5 in
-      st.Session.offered = st.Session.served + st.Session.blocked
-      && st.Session.released <= st.Session.served)
-
-(* drive a session by hand (tracking every path it returns) and check the
-   §2 invariants at every step: live paths pairwise vertex-disjoint,
-   counters conserved, max_concurrent the true running maximum *)
-let prop_session_invariants =
-  QCheck2.Test.make
-    ~name:"session invariants: disjoint live paths, conserved counters"
-    ~count:30
-    QCheck2.Gen.(int_range 0 100000)
-    (fun seed ->
-      let rng = Rng.create ~seed in
-      let n = 8 in
-      let net = Benes.create n in
-      let s =
-        Session.create
-          ~choice:(Session.Randomised (Rng.create ~seed:(seed + 1)))
-          net
-      in
-      let paths = Hashtbl.create 8 in
-      let my_max = ref 0 in
-      let ok = ref true in
-      for _ = 1 to 200 do
-        let live = Session.live_calls s in
-        let nlive = List.length live in
-        if Rng.float rng < 0.6 && nlive < n then begin
-          let all = List.init n Fun.id in
-          let ins = List.filter (fun i -> not (List.mem_assoc i live)) all in
-          let outs = List.map snd live in
-          let louts = List.filter (fun o -> not (List.mem o outs)) all in
-          if ins <> [] && louts <> [] then begin
-            let i = List.nth ins (Rng.int rng (List.length ins)) in
-            let o = List.nth louts (Rng.int rng (List.length louts)) in
-            match Session.request s ~input:i ~output:o with
-            | Some p -> Hashtbl.replace paths i p
-            | None -> ()
-          end
-        end
-        else if nlive > 0 then begin
-          let i, _ = List.nth live (Rng.int rng nlive) in
-          Session.hangup s ~input:i;
-          Hashtbl.remove paths i
-        end;
-        let seen = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun _ p ->
-            List.iter
-              (fun v ->
-                if Hashtbl.mem seen v then ok := false
-                else Hashtbl.add seen v ())
-              p)
-          paths;
-        let cur = List.length (Session.live_calls s) in
-        if cur > !my_max then my_max := cur
-      done;
-      let st = Session.stats s in
-      !ok
-      && st.Session.offered = st.Session.served + st.Session.blocked
-      && st.Session.released <= st.Session.served
-      && st.Session.served - st.Session.released = Hashtbl.length paths
-      && st.Session.max_concurrent = !my_max)
-
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_greedy_paths_valid; prop_session_conservation;
-      prop_session_invariants ]
+    [ prop_greedy_paths_valid ]
 
 let () =
   Alcotest.run "ftcsn_routing"
@@ -493,6 +378,7 @@ let () =
           Alcotest.test_case "clos nonblocking" `Quick
             test_greedy_clos_nonblocking_sequence;
           Alcotest.test_case "clear" `Quick test_greedy_clear;
+          Alcotest.test_case "blocking funnel" `Quick test_greedy_blocking_funnel;
         ] );
       ( "backtrack",
         [
@@ -510,14 +396,6 @@ let () =
           Alcotest.test_case "forbidden" `Quick test_flow_route_forbidden_blocks;
           Alcotest.test_case "arity" `Quick test_flow_route_arity;
         ] );
-      ( "session",
-        [
-          Alcotest.test_case "lifecycle" `Quick test_session_lifecycle;
-          Alcotest.test_case "validation" `Quick test_session_busy_validation;
-          Alcotest.test_case "random traffic" `Quick
-            test_session_random_traffic_crossbar;
-          Alcotest.test_case "blocking funnel" `Quick test_session_blocking_on_funnel;
-        ] );
       ( "properties",
         [
           Alcotest.test_case "crossbar nonblocking" `Quick test_crossbar_nonblocking;
@@ -531,7 +409,6 @@ let () =
           Alcotest.test_case "banyan" `Quick test_butterfly_banyan;
           Alcotest.test_case "superconcentrator" `Quick test_superconcentrator_checks;
           Alcotest.test_case "sc sampled" `Quick test_superconcentrator_sampled_agrees;
-          Alcotest.test_case "stress crossbar" `Quick test_nonblocking_stress_crossbar;
           Alcotest.test_case "rearrangeable sampled" `Quick test_rearrangeable_sampled;
         ] );
       ( "wide-sense",
