@@ -91,8 +91,8 @@ let test_check_crossbar () =
   Alcotest.(check int) "exit code" 0 code;
   check_contains "check crossbar" out "strictly nonblocking: yes (exhaustive)"
 
-(* the stress episode offers 200 calls; a crossbar never blocks a request
-   between idle terminals, a Benes network always does within 200 *)
+(* the stress episode offers 200 calls: a crossbar never blocks a request
+   between idle terminals, and at this seed every benes:8 episode does *)
 let test_check_stress () =
   List.iter
     (fun (net, p) ->
