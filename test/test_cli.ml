@@ -152,6 +152,36 @@ let test_degrade_golden () =
            jobs))
     [ 1; 2 ]
 
+(* single-run goldens of the strip and the post-fault route: the stripped
+   set and its percentage, shorted terminals, isolated inputs (all of
+   benes:16's at eps 0.2) and every routed path *)
+let test_faults_route_golden () =
+  check_output "faults --net cantor:8 --eps 0.03 --seed 3"
+    "switches: 288, open failures: 12, closed failures: 15\n\
+     stripped vertices: 49 (30.63%)\n\
+     terminals shorted: none\n\
+     isolated inputs: 5\n";
+  check_output "faults --net cantor:8 --eps 0.03 --seed 3 --radius 1"
+    "switches: 288, open failures: 12, closed failures: 15\n\
+     stripped vertices: 120 (75.00%)\n\
+     terminals shorted: none\n\
+     isolated inputs: 2, 3, 4, 5, 6, 7\n";
+  check_output "faults --net benes:16 --eps 0.2 --seed 3"
+    "switches: 224, open failures: 55, closed failures: 41\n\
+     stripped vertices: 109 (85.16%)\n\
+     terminals shorted: none\n\
+     isolated inputs: 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15\n";
+  check_output "route --net ft:8 --eps 0.05 -v --seed 2"
+    "requests: 8, routed: 8, blocked: 0\n\
+    \  0 -> 4: 0 16 32 48 424 540 665 874 1005 1115 1307 1323 12\n\
+    \  1 -> 0: 1 68 85 101 427 535 745 824 931 1044 1172 1188 8\n\
+    \  2 -> 7: 2 116 133 150 437 536 728 887 1036 1162 1403 1420 15\n\
+    \  3 -> 1: 3 160 177 193 456 567 683 830 920 1066 1211 1227 9\n\
+    \  4 -> 5: 4 210 227 243 466 594 753 848 986 1124 1332 1348 13\n\
+    \  5 -> 3: 5 257 273 289 477 617 742 845 953 1098 1274 1290 11\n\
+    \  6 -> 6: 6 304 321 337 523 611 703 867 1026 1143 1367 1383 14\n\
+    \  7 -> 2: 7 356 373 390 500 593 718 837 958 1076 1236 1252 10\n"
+
 let test_traffic () =
   let code, out =
     run
@@ -974,6 +1004,8 @@ let () =
           Alcotest.test_case "degrade" `Quick test_degrade;
           Alcotest.test_case "degrade arrival" `Quick test_degrade_arrival;
           Alcotest.test_case "degrade golden" `Quick test_degrade_golden;
+          Alcotest.test_case "faults/route golden" `Quick
+            test_faults_route_golden;
           Alcotest.test_case "traffic" `Quick test_traffic;
           Alcotest.test_case "traffic json" `Quick test_traffic_json;
           Alcotest.test_case "traffic effective n" `Quick
