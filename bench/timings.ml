@@ -37,27 +37,25 @@ let sc_probe =
 let fault_strip =
   let rng = Rng.create ~seed:4 in
   let ft = Ftcsn.Ft_network.make ~rng (Ftcsn.Ft_params.scaled ~u:3 ()) in
-  let net = ft.Ftcsn.Ft_network.net in
-  let m = Network.size net in
+  let ws = Ftcsn.Fault_strip.create_ws ft.Ftcsn.Ft_network.net in
+  let pattern = Ftcsn.Fault_strip.ws_pattern ws in
   Test.make ~name:"e6/e7: fault sample + strip (ft u=3)"
     (Staged.stage (fun () ->
-         let pattern =
-           Ftcsn_reliability.Fault.sample rng ~eps_open:0.01 ~eps_close:0.01 ~m
-         in
-         ignore (Ftcsn.Fault_strip.strip net pattern)))
+         Ftcsn_reliability.Fault.sample_into rng ~eps_open:0.01
+           ~eps_close:0.01 pattern;
+         Ftcsn.Fault_strip.strip_into ws pattern))
 
 let hammock_trial =
   let h = Ftcsn_reliability.Hammock.make ~rows:8 ~width:8 in
   let rng = Rng.create ~seed:5 in
+  let sc = Ftcsn_reliability.Scratch.create h.Ftcsn_reliability.Hammock.graph in
+  let pattern = Ftcsn_reliability.Scratch.pattern sc in
   Test.make ~name:"e1: hammock Monte-Carlo trial (8x8)"
     (Staged.stage (fun () ->
-         let pattern =
-           Ftcsn_reliability.Fault.sample rng ~eps_open:0.05 ~eps_close:0.05
-             ~m:(Digraph.edge_count h.Ftcsn_reliability.Hammock.graph)
-         in
+         Ftcsn_reliability.Fault.sample_into rng ~eps_open:0.05
+           ~eps_close:0.05 pattern;
          ignore
-           (Ftcsn_reliability.Survivor.connected_ignoring_opens
-              h.Ftcsn_reliability.Hammock.graph pattern
+           (Ftcsn_reliability.Survivor.connected_ignoring_opens_into sc pattern
               ~a:h.Ftcsn_reliability.Hammock.input
               ~b:h.Ftcsn_reliability.Hammock.output)))
 
@@ -483,15 +481,14 @@ let engine_samples ?(quick = false) ~jobs_list () =
   (* Single-request routing micro-rows on the same million-switch Benes:
      route one random input->output request through a lightly faulted
      mask (~0.1% of switches down) and tear it down, repeatedly.  The
-     baseline is the pre-arena masked-CSR BFS — an O(V) parent refill
-     plus a near-full graph scan per call; the stamped row is the same
-     BFS on the epoch-stamped arena (identical paths, no refill); the
-     staged row is the level-bounded bidirectional search; the headline
-     row is the Benes looping router.  trials = routes, so trials/s is
-     routes/s and minor_words_per_trial is words per route. *)
-  let route_g = scale_net.Network.graph in
-  let route_nv = Digraph.vertex_count route_g in
-  let route_m = Digraph.edge_count route_g in
+     stamped row is the masked-CSR BFS on the epoch-stamped arena — a
+     near-full graph scan per call, and the reference the other rows'
+     [speedup_vs_ref] divides by; the staged row is the level-bounded
+     bidirectional search; the headline row is the Benes looping router.
+     trials = routes, so trials/s is routes/s and minor_words_per_trial
+     is words per route. *)
+  let route_nv = Digraph.vertex_count scale_net.Network.graph in
+  let route_m = Digraph.edge_count scale_net.Network.graph in
   let route_bad = Array.make route_m false in
   let () =
     let rng = Rng.create ~seed:51 in
@@ -535,48 +532,17 @@ let engine_samples ?(quick = false) ~jobs_list () =
         ];
     }
   in
-  let route_baseline =
-    (* the frozen pre-arena search, driven directly: same mask, same
-       request stream, its own parent/queue scratch with the historical
-       per-call refill *)
-    let parent = Array.make route_nv (-1) and queue = Array.make route_nv 0 in
-    let sweep ~jobs:_ ~trials ~trace:_ =
-      for k = 0 to trials - 1 do
-        let i, o = route_pairs.(k land 255) in
-        ignore
-          (Ftcsn_graph.Traverse.shortest_path_into_buf ~edge_ok:route_edge_ok
-             route_g ~src:i ~dst:o ~parent ~queue ~buf:route_buf)
-      done
-    in
-    let t =
-      timed ~reps:1 ~bench:"route-benes-1M-baseline" ~jobs:1
-        ~trials:(if quick then 500 else 100)
-        sweep
-    in
-    let open Ftcsn_obs.Json in
-    {
-      t with
-      extras =
-        [
-          ("switches", Int scale_switches);
-          ("n", Int scale_n);
-          ("routes_per_sec", Float t.rate);
-          ("router", String "refbfs");
-        ];
-    }
+  let route_stamped =
+    route_row ~bench:"route-benes-1M-stamped"
+      ~trials:(if quick then 1_000 else 200)
+      ~engine:`Bfs
   in
   let with_speedup t =
     let open Ftcsn_obs.Json in
     {
       t with
-      extras = t.extras @ [ ("speedup_vs_ref", Float (t.rate /. route_baseline.rate)) ];
+      extras = t.extras @ [ ("speedup_vs_ref", Float (t.rate /. route_stamped.rate)) ];
     }
-  in
-  let route_stamped =
-    with_speedup
-      (route_row ~bench:"route-benes-1M-stamped"
-         ~trials:(if quick then 1_000 else 200)
-         ~engine:`Bfs)
   in
   let route_staged =
     with_speedup
@@ -694,7 +660,7 @@ let engine_samples ?(quick = false) ~jobs_list () =
     per_jobs
     @ [
         curve; independent; traffic; serve; scale;
-        route_baseline; route_stamped; route_staged; route_loop; mc_price;
+        route_stamped; route_staged; route_loop; mc_price;
         rare; tournament;
       ] )
 
@@ -814,7 +780,7 @@ let run_engine ?(quick = false) ?(json_path = "BENCH_timings.json") () =
         (f "minor_words_per_event") router (f "router_ns_per_call")
   | None -> ());
   (* single-request routing headline: the Benes looping router against
-     the pre-arena masked-CSR BFS on the same million-switch network *)
+     the stamped masked-CSR BFS on the same million-switch network *)
   (match
      ( List.find_opt (fun s -> s.bench = "route-benes-1M") samples,
        List.find_opt (fun s -> s.bench = "route-benes-1M-staged") samples )
@@ -826,8 +792,8 @@ let run_engine ?(quick = false) ?(json_path = "BENCH_timings.json") () =
         | _ -> nan
       in
       Printf.printf
-        "route-benes-1M: loop router %.0f routes/s (%.0fx the masked-CSR \
-         BFS baseline); staged bidirectional %.0f routes/s (%.1fx)\n"
+        "route-benes-1M: loop router %.0f routes/s (%.0fx the stamped \
+         masked-CSR BFS); staged bidirectional %.0f routes/s (%.1fx)\n"
         (f lp "routes_per_sec")
         (f lp "speedup_vs_ref")
         (f st "routes_per_sec")

@@ -498,6 +498,8 @@ let faults_cmd =
       die "--eps-grid cannot be combined with --target-ci (a single \
            half-width target is ill-defined across a curve)";
     let target_ci = parse_target_ci target_ci in
+    if radius < 0 then
+      die "invalid --radius value %d: must be an integer >= 0" radius;
     with_obs obsargs @@ fun obs ->
     let net = phase obs "build-network" (fun () -> build_net family ~n ~seed) in
     let rng = Seeds.faults seed in
@@ -507,18 +509,22 @@ let faults_cmd =
     let closes = Fault.count pattern Fault.Closed_failure in
     Format.printf "switches: %d, open failures: %d, closed failures: %d@." m
       opens closes;
-    let strip = Ftcsn.Fault_strip.strip ~radius net pattern in
-    Format.printf "stripped vertices: %d (%.2f%%)@."
-      (Ftcsn_util.Bitset.cardinal strip.Ftcsn.Fault_strip.stripped)
-      (100.0 *. Ftcsn.Fault_strip.stripped_fraction net strip);
+    let ws = Ftcsn.Fault_strip.create_ws net in
+    Ftcsn.Fault_strip.strip_into ~radius ws pattern;
+    let stripped =
+      Ftcsn_util.Bitset.cardinal (Ftcsn.Fault_strip.ws_stripped ws)
+    in
+    let vertices = Ftcsn_graph.Digraph.vertex_count net.Network.graph in
+    Format.printf "stripped vertices: %d (%.2f%%)@." stripped
+      (100.0 *. (float_of_int stripped /. float_of_int vertices));
     Format.printf "terminals shorted: %s@."
-      (match strip.Ftcsn.Fault_strip.shorted_terminals with
+      (match Ftcsn.Fault_strip.ws_shorted_terminals ws with
       | [] -> "none"
       | ps ->
           String.concat ", "
             (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) ps));
     Format.printf "isolated inputs: %s@."
-      (match Ftcsn.Fault_strip.isolated_inputs net strip with
+      (match Ftcsn.Fault_strip.ws_isolated_inputs ws with
       | [] -> "none"
       | is -> String.concat ", " (List.map string_of_int is));
     (match eps_grid with
@@ -658,18 +664,19 @@ let route_cmd =
     | None ->
     if trials <= 1 then begin
       let pi = Rng.permutation rng n' in
-      let allowed, routing_net =
+      let router =
         if eps > 0.0 then begin
-          let pattern =
-            Fault.sample rng ~eps_open:eps ~eps_close:eps ~m:(Network.size net)
-          in
-          let strip = Ftcsn.Fault_strip.strip net pattern in
-          ( strip.Ftcsn.Fault_strip.allowed,
-            Ftcsn.Fault_strip.surviving_network net strip )
+          let fs = Ftcsn.Fault_strip.create_ws net in
+          let pattern = Ftcsn.Fault_strip.ws_pattern fs in
+          Fault.sample_into rng ~eps_open:eps ~eps_close:eps pattern;
+          Ftcsn.Fault_strip.strip_into fs pattern;
+          Ftcsn_routing.Greedy.create
+            ~allowed:(Ftcsn.Fault_strip.ws_allowed fs)
+            ~edge_ok:(Ftcsn.Fault_strip.ws_edge_ok fs)
+            net
         end
-        else ((fun _ -> true), net)
+        else Ftcsn_routing.Greedy.create net
       in
-      let router = Ftcsn_routing.Greedy.create ~allowed routing_net in
       let success = ref 0 in
       let paths = Ftcsn_routing.Greedy.route_permutation router pi ~success in
       Format.printf "requests: %d, routed: %d, blocked: %d@." n' !success

@@ -6,6 +6,7 @@
 module Rng = Ftcsn_prng.Rng
 module Network = Ftcsn_networks.Network
 module Fault = Ftcsn_reliability.Fault
+module Fault_strip = Ftcsn.Fault_strip
 
 let () =
   (* 1. Build network N of the paper's section 6 at test scale:
@@ -28,16 +29,20 @@ let () =
 
   (* 3. Strip: discard faulty components (the paper's section 4 remark —
         no clever computation needed). *)
-  let strip = Ftcsn.Fault_strip.strip net pattern in
+  let ws = Fault_strip.create_ws net in
+  Fault_strip.strip_into ws pattern;
+  let stripped = Ftcsn_util.Bitset.cardinal (Fault_strip.ws_stripped ws)
+  and vertices = Ftcsn_graph.Digraph.vertex_count net.Network.graph in
   Format.printf "stripped %.1f%% of vertices; terminals shorted: %b@."
-    (100.0 *. Ftcsn.Fault_strip.stripped_fraction net strip)
-    (not (Ftcsn.Fault_strip.healthy strip));
+    (100.0 *. (float_of_int stripped /. float_of_int vertices))
+    (not (Fault_strip.ws_healthy ws));
 
   (* 4. Route: greedy path-finding through the survivor serves a full
-        permutation. *)
-  let surviving = Ftcsn.Fault_strip.surviving_network net strip in
+        permutation; the strip's masks keep it off stripped vertices and
+        failed switches. *)
   let router =
-    Ftcsn_routing.Greedy.create ~allowed:strip.Ftcsn.Fault_strip.allowed surviving
+    Ftcsn_routing.Greedy.create ~allowed:(Fault_strip.ws_allowed ws)
+      ~edge_ok:(Fault_strip.ws_edge_ok ws) net
   in
   let pi = Rng.permutation rng 8 in
   let success = ref 0 in

@@ -17,6 +17,7 @@ module Rng = Ftcsn_prng.Rng
 module Sp = Ftcsn_reliability.Sp_network
 module Fault = Ftcsn_reliability.Fault
 module Survivor = Ftcsn_reliability.Survivor
+module Scratch = Ftcsn_reliability.Scratch
 module Monte_carlo = Ftcsn_reliability.Monte_carlo
 module Trials = Ftcsn_sim.Trials
 module Network = Ftcsn_networks.Network
@@ -45,27 +46,27 @@ let () =
 
   (* 2. Validate one design by Monte-Carlo on the built graph: one fault
         pattern per trial, counting opens and shorts together on the
-        Trials engine (preallocated pattern buffer per worker). *)
+        Trials engine (one preallocated workspace per worker). *)
   let target = 1e-2 in
   let spec = Sp.design ~eps:component_eps ~eps':target in
   let built = Sp.build spec in
   let rng = Rng.create ~seed:5 in
   let trials = 50_000 in
-  let m = Digraph.edge_count built.Sp.graph in
   let counts =
     Trials.map_reduce ~jobs ~trials ~rng
-      ~init:(fun () -> Array.make m Fault.Normal)
+      ~init:(fun () -> Scratch.create built.Sp.graph)
       ~create_acc:(fun () -> [| 0; 0 |])
-      ~trial:(fun pattern acc sub ->
+      ~trial:(fun sc acc sub ->
+        let pattern = Scratch.pattern sc in
         Fault.sample_into sub ~eps_open:component_eps ~eps_close:component_eps
           pattern;
         if
           not
-            (Survivor.connected_ignoring_opens built.Sp.graph pattern
+            (Survivor.connected_ignoring_opens_into sc pattern
                ~a:built.Sp.input ~b:built.Sp.output)
         then acc.(0) <- acc.(0) + 1;
         if
-          Survivor.shorted_by_closure built.Sp.graph pattern ~a:built.Sp.input
+          Survivor.shorted_by_closure_into sc pattern ~a:built.Sp.input
             ~b:built.Sp.output
         then acc.(1) <- acc.(1) + 1)
       ~combine:(fun acc chunk ->

@@ -23,11 +23,11 @@ let rounds = 200
 let run_scheme ~rng ~eps name net =
   let forbidden =
     if eps > 0.0 then begin
-      let pattern =
-        Fault.sample rng ~eps_open:eps ~eps_close:eps ~m:(Network.size net)
-      in
-      let strip = Ftcsn.Fault_strip.strip net pattern in
-      fun v -> not (strip.Ftcsn.Fault_strip.allowed v)
+      let ws = Ftcsn.Fault_strip.create_ws net in
+      let pattern = Ftcsn.Fault_strip.ws_pattern ws in
+      Fault.sample_into rng ~eps_open:eps ~eps_close:eps pattern;
+      Ftcsn.Fault_strip.strip_into ws pattern;
+      fun v -> not (Ftcsn.Fault_strip.ws_allowed ws v)
     end
     else fun _ -> false
   in

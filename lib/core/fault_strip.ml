@@ -5,79 +5,11 @@ module Survivor = Ftcsn_reliability.Survivor
 module Scratch = Ftcsn_reliability.Scratch
 module Bitset = Ftcsn_util.Bitset
 
-type t = {
-  allowed : int -> bool;
-  faulty : Bitset.t;
-  stripped : Bitset.t;
-  shorted_terminals : (int * int) list;
-  normal_graph : Digraph.t;
-}
-
-let strip ?(radius = 0) net pattern =
-  let g = net.Network.graph in
-  let faulty = Fault.faulty_vertices g pattern in
-  let stripped = Bitset.copy faulty in
-  if radius > 0 then begin
-    let frontier = ref (Bitset.to_list faulty) in
-    for _ = 1 to radius do
-      let next = ref [] in
-      List.iter
-        (fun v ->
-          Digraph.iter_out g v (fun ~dst ~eid:_ ->
-              if not (Bitset.mem stripped dst) then begin
-                Bitset.add stripped dst;
-                next := dst :: !next
-              end);
-          Digraph.iter_in g v (fun ~src ~eid:_ ->
-              if not (Bitset.mem stripped src) then begin
-                Bitset.add stripped src;
-                next := src :: !next
-              end))
-        !frontier;
-      frontier := !next
-    done
-  end;
-  (* terminals always stay routable endpoints *)
-  let terminal = Bitset.create (Digraph.vertex_count g) in
-  List.iter (Bitset.add terminal) (Network.terminals net);
-  let allowed v = Bitset.mem terminal v || not (Bitset.mem stripped v) in
-  let survivor = Survivor.apply g pattern in
-  let shorted_terminals = Survivor.merged_pairs survivor (Network.terminals net) in
-  let normal_graph =
-    Digraph.subgraph_by_edges g ~keep:(fun e ->
-        Fault.state_equal pattern.(e) Fault.Normal)
-  in
-  { allowed; faulty; stripped; shorted_terminals; normal_graph }
-
-let healthy t = t.shorted_terminals = []
-
-let stripped_fraction net t =
-  let n = Digraph.vertex_count net.Network.graph in
-  if n = 0 then 0.0 else float_of_int (Bitset.cardinal t.stripped) /. float_of_int n
-
-let surviving_network net t =
-  { net with Network.graph = t.normal_graph }
-
-let isolated_inputs net t =
-  let reach_out =
-    Ftcsn_graph.Traverse.bfs_directed ~allowed:t.allowed
-      (Digraph.reverse t.normal_graph)
-      ~sources:(Array.to_list net.Network.outputs)
-  in
-  let isolated = ref [] in
-  Array.iteri
-    (fun idx v -> if reach_out.(v) < 0 then isolated := idx :: !isolated)
-    net.Network.inputs;
-  List.rev !isolated
-
-(* ---------- workspace path ----------
-
-   Same semantics as [strip]/[healthy]/[isolated_inputs], but every
-   per-trial structure (fault bitsets, union-find, BFS arrays) lives in a
-   workspace created once per worker domain.  No survivor quotient or
-   normal-edge subgraph is materialised: consumers route over the
-   original graph with [ws_edge_ok] masking failed switches, which visits
-   vertices in exactly the order the rebuilt subgraph would (CSR
+(* Every per-trial structure (fault bitsets, union-find, BFS arrays)
+   lives in a workspace created once per worker domain.  No survivor
+   quotient or normal-edge subgraph is materialised: consumers route over
+   the original graph with [ws_edge_ok] masking failed switches, which
+   visits vertices in exactly the order a rebuilt subgraph would (CSR
    adjacency keeps ascending edge-id order). *)
 
 type ws = {
@@ -141,6 +73,7 @@ let strip_into ?(radius = 0) ws pattern =
   let g = ws.ws_net.Network.graph in
   if Array.length pattern <> Digraph.edge_count g then
     invalid_arg "Fault_strip.strip_into: pattern arity";
+  if radius < 0 then invalid_arg "Fault_strip.strip_into: negative radius";
   ws.current := pattern;
   Fault.faulty_vertices_into g pattern ws.faulty_set;
   Bitset.clear ws.stripped_set;

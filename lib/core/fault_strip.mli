@@ -8,49 +8,16 @@
     vertices (and, at radius 1, their neighbours); terminals are kept —
     any surviving path through allowed internal vertices automatically
     uses only normal-state switches, because a failed switch marks both
-    its endpoints faulty. *)
+    its endpoints faulty.
 
-type t = {
-  allowed : int -> bool;  (** internal vertices that may carry traffic *)
-  faulty : Ftcsn_util.Bitset.t;
-  stripped : Ftcsn_util.Bitset.t;  (** faulty plus radius-neighbourhood *)
-  shorted_terminals : (int * int) list;
-      (** terminal pairs contracted by closed failures (Lemma 7 event) *)
-  normal_graph : Ftcsn_graph.Digraph.t;
-      (** the network graph restricted to normal-state switches (same
-          vertex ids, edge ids renumbered); all post-fault routing runs on
-          this graph so that a failed switch between two always-allowed
-          terminals can never carry traffic *)
-}
-
-val strip :
-  ?radius:int -> Ftcsn_networks.Network.t -> Ftcsn_reliability.Fault.pattern -> t
-(** [radius] 0 (default) forbids faulty vertices; 1 also forbids their
-    graph neighbours (the paper's conservative variant). *)
-
-val healthy : t -> bool
-(** No terminals were shorted together. *)
-
-val stripped_fraction : Ftcsn_networks.Network.t -> t -> float
-
-val surviving_network : Ftcsn_networks.Network.t -> t -> Ftcsn_networks.Network.t
-(** The network with only normal-state switches (terminals unchanged). *)
-
-val isolated_inputs : Ftcsn_networks.Network.t -> t -> int list
-(** Input indices with no remaining path to any output through allowed
-    vertices and normal switches — the open-failure disconnection event of
-    Lemma 3. *)
-
-(** {2 Workspace path}
-
-    Allocation-free equivalents for Monte-Carlo inner loops.  A [ws]
-    bundles everything a stripping trial mutates — the fault bitsets, a
-    {!Ftcsn_reliability.Scratch.t} (union-find, BFS arrays, fault-pattern
-    buffer) and the precomputed reverse graph — so one workspace per
-    worker domain serves any number of trials.  Consumers route over the
-    original graph with {!ws_edge_ok} masking failed switches instead of
-    rebuilding a survivor subgraph; results are bit-identical to the
-    allocating path (pinned by the qcheck suite).  Workspaces are
+    A [ws] bundles everything a stripping trial mutates — the fault
+    bitsets, a {!Ftcsn_reliability.Scratch.t} (union-find, BFS arrays,
+    fault-pattern buffer) and the precomputed reverse graph — so one
+    workspace per worker domain serves any number of trials without
+    allocating.  Consumers route over the original graph with
+    {!ws_edge_ok} masking failed switches instead of rebuilding a
+    survivor subgraph; the qcheck suite pins the results against the
+    subgraph-rebuilding oracle in [test/strip_ref.ml].  Workspaces are
     single-domain state. *)
 
 type ws
@@ -67,11 +34,14 @@ val ws_pattern : ws -> Ftcsn_reliability.Fault.pattern
     {!strip_into}). *)
 
 val strip_into : ?radius:int -> ws -> Ftcsn_reliability.Fault.pattern -> unit
-(** {!strip} into the workspace: recomputes the faulty/stripped sets, the
-    contraction classes and the shorted-terminal list for [pattern]
-    (usually {!ws_pattern}, but any pattern of the right arity works —
-    criticality scans pass perturbed copies).  Masks and queries below
-    refer to the most recent [strip_into]. *)
+(** Strip [pattern] into the workspace: recomputes the faulty/stripped
+    sets, the contraction classes and the shorted-terminal list
+    (usually for {!ws_pattern}, but any pattern of the right arity works
+    — criticality scans pass perturbed copies).  [radius] 0 (default)
+    forbids faulty vertices; 1 also forbids their graph neighbours (the
+    paper's conservative variant), and so on.  Masks and queries below
+    refer to the most recent [strip_into].
+    @raise Invalid_argument on a negative [radius]. *)
 
 val ws_allowed : ws -> int -> bool
 (** Vertex mask of the current strip — terminals plus unstripped
@@ -86,11 +56,16 @@ val ws_rev : ws -> Ftcsn_graph.Digraph.t
     so {!ws_edge_ok} applies to it unchanged). *)
 
 val ws_shorted_terminals : ws -> (int * int) list
+(** Terminal pairs contracted by closed failures (the Lemma 7 event). *)
 
 val ws_healthy : ws -> bool
+(** No terminals were shorted together. *)
 
 val ws_stripped : ws -> Ftcsn_util.Bitset.t
+(** Faulty vertices plus their radius-neighbourhood. *)
 
 val ws_isolated_inputs : ws -> int list
-(** {!isolated_inputs} for the current strip, via a masked BFS over
-    {!ws_rev} (allocates only the returned list). *)
+(** Input indices with no remaining path to any output through allowed
+    vertices and normal switches — the open-failure disconnection event
+    of Lemma 3 — via a masked BFS over {!ws_rev} (allocates only the
+    returned list). *)

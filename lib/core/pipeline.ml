@@ -1,7 +1,6 @@
 module Network = Ftcsn_networks.Network
 module Digraph = Ftcsn_graph.Digraph
 module Fault = Ftcsn_reliability.Fault
-module Monte_carlo = Ftcsn_reliability.Monte_carlo
 module Rng = Ftcsn_prng.Rng
 module Greedy = Ftcsn_routing.Greedy
 module Flow_route = Ftcsn_routing.Flow_route
@@ -56,82 +55,17 @@ let lemma6_probe =
     majority_probes = 2;
   }
 
-let route_probe ~rng ~probe ~allowed net =
-  let n = min (Network.n_inputs net) (Network.n_outputs net) in
-  let failures = ref 0 in
-  for _ = 1 to probe.greedy_permutations do
-    let pi = Rng.permutation rng n in
-    let router = Greedy.create ~allowed net in
-    let success = ref 0 in
-    let _paths = Greedy.route_permutation router pi ~success in
-    failures := !failures + (n - !success)
-  done;
-  for _ = 1 to probe.exact_permutations do
-    let pi = Rng.permutation rng n in
-    let requests =
-      Array.to_list
-        (Array.mapi
-           (fun i o -> (net.Network.inputs.(i), net.Network.outputs.(o)))
-           pi)
-    in
-    match
-      Ftcsn_routing.Backtrack.route_all ~budget:probe.exact_budget ~allowed net
-        requests
-    with
-    | Ftcsn_routing.Backtrack.Routed _ -> ()
-    | Ftcsn_routing.Backtrack.Unroutable
-    | Ftcsn_routing.Backtrack.Budget_exceeded ->
-        incr failures
-  done;
-  for _ = 1 to probe.sc_probes do
-    let r = 1 + Rng.int rng n in
-    let s = Rng.sample_without_replacement rng ~n ~k:r in
-    let t = Rng.sample_without_replacement rng ~n ~k:r in
-    let forbidden v = not (allowed v) in
-    let achieved =
-      Flow_route.max_throughput ~forbidden net ~input_indices:s ~output_indices:t
-    in
-    if achieved < r then failures := !failures + (r - achieved)
-  done;
-  if probe.majority_probes > 0 then begin
-    if
-      not
-        (Majority_access.sampled_busy_majority ~trials:probe.majority_probes
-           ~rng ~allowed net)
-    then incr failures
-  end;
-  !failures
+(* ---------- trial workspace ----------
 
-let trial ~rng ~eps ?(strip_radius = 0) ?(probe = default_probe) net =
-  let m = Digraph.edge_count net.Network.graph in
-  let pattern = Fault.sample rng ~eps_open:eps ~eps_close:eps ~m in
-  let strip = Fault_strip.strip ~radius:strip_radius net pattern in
-  if strip.Fault_strip.shorted_terminals <> [] then
-    Shorted strip.Fault_strip.shorted_terminals
-  else begin
-    match Fault_strip.isolated_inputs net strip with
-    | _ :: _ as isolated -> Isolated isolated
-    | [] ->
-        (* route on the normal-switch subgraph so that failed switches can
-           never carry probe traffic, even between terminals *)
-        let surviving = Fault_strip.surviving_network net strip in
-        let failures =
-          route_probe ~rng ~probe ~allowed:strip.Fault_strip.allowed surviving
-        in
-        if failures = 0 then Survived else Unroutable failures
-  end
-
-(* ---------- workspace path ----------
-
-   [trial_ws] is [trial] with every per-trial structure hoisted into a
-   workspace: the strip state, a greedy router with its BFS scratch, and
-   a prebuilt Menger flow arena.  Probes run over the ORIGINAL graph with
-   the strip's vertex/edge masks, never over a rebuilt survivor subgraph.
-   PRNG draws are issued in exactly the order of the legacy path, and
-   every probe decision is order-for-order identical (CSR adjacency
-   preserves edge-id order under subgraphing, BFS distances and max-flow
-   values are tie-break independent), so verdicts — and therefore
-   estimates — are bit-identical.  The qcheck suite pins this. *)
+   Every per-trial structure lives in a workspace: the strip state, a
+   greedy router with its BFS scratch, and a prebuilt Menger flow arena.
+   Probes run over the ORIGINAL graph with the strip's vertex/edge masks,
+   never over a rebuilt survivor subgraph.  Every probe decision is
+   order-for-order identical to one on the rebuilt subgraph (CSR
+   adjacency preserves edge-id order under subgraphing, BFS distances and
+   max-flow values are tie-break independent), so verdicts are
+   bit-identical to the rebuilding oracle in [test/strip_ref.ml]; the
+   qcheck suite pins this. *)
 
 type ws = {
   ws_net : Network.t;

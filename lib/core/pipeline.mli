@@ -51,17 +51,6 @@ val rearrangeable_probe : probe
 val lemma6_probe : probe
 (** majority-access samples only — the §6 certificate route *)
 
-val trial :
-  rng:Ftcsn_prng.Rng.t ->
-  eps:float ->
-  ?strip_radius:int ->
-  ?probe:probe ->
-  Ftcsn_networks.Network.t ->
-  verdict
-(** One fault sample at ε₁ = ε₂ = [eps], stripped and probed.  This is
-    the legacy allocating path, kept as the reference oracle; hot loops
-    use {!trial_ws}. *)
-
 type ws
 (** Per-domain trial workspace: strip state
     ({!Ftcsn_networks.Network.t}-sized bitsets, union-find, BFS arrays),
@@ -84,10 +73,11 @@ val trial_ws :
   rng:Ftcsn_prng.Rng.t ->
   eps:float ->
   verdict
-(** {!trial} on the workspace: identical PRNG draw order and identical
-    verdicts (the qcheck suite pins agreement with {!trial}), with the
-    steady-state allocating only probe permutations/index sets and
-    returned paths. *)
+(** One fault sample at ε₁ = ε₂ = [eps], stripped at [strip_radius]
+    (default 0) and probed, on the workspace: the steady state allocates
+    only probe permutations/index sets and returned paths.  The qcheck
+    suite pins the verdicts against the subgraph-rebuilding oracle in
+    [test/strip_ref.ml]. *)
 
 val survival :
   ?jobs:int ->
@@ -106,9 +96,8 @@ val survival :
     is identical at every [jobs]; [target_ci] stops early once the Wilson
     95% half-width is small enough.  [trace] streams the engine's
     structured JSONL events (chunk timings, stopping decisions) without
-    perturbing the estimate.  Trials run on the {!ws} workspace path (one
-    workspace per worker domain); estimates are bit-identical to the
-    legacy {!trial} loop. *)
+    perturbing the estimate.  Trials run {!trial_ws} on one {!ws}
+    workspace per worker domain. *)
 
 val survival_curve :
   ?jobs:int ->

@@ -111,118 +111,6 @@ let shortest_path ?allowed ?edge_ok g ~src ~dst =
 let shortest_path_undirected ?allowed ?edge_ok g ~src ~dst =
   shortest_path_core ~undirected:true ?allowed ?edge_ok g ~src ~dst
 
-(* Scratch-buffer shortest path, directed only: mirrors
-   [shortest_path_core ~undirected:false] exactly — same FIFO order, same
-   visit condition — with caller-provided parent/queue arrays instead of
-   fresh ones.  "Seen" is encoded as [v = src || parent.(v) >= 0], so only
-   the parent array needs refilling per call.  The returned path list is
-   the one remaining allocation. *)
-let shortest_path_into ?(allowed = always) ?(edge_ok = always) g ~src ~dst
-    ~parent ~queue =
-  let n = Digraph.vertex_count g in
-  if Array.length parent < n || Array.length queue < n then
-    invalid_arg "Traverse.shortest_path_into: scratch arrays too small";
-  if src = dst then Some [ src ]
-  else begin
-    Array.fill parent 0 n (-1);
-    let head = ref 0 and tail = ref 0 in
-    queue.(!tail) <- src;
-    incr tail;
-    let found = ref false in
-    (* the expansion callback is hoisted out of the dequeue loop and
-       reads the current vertex through [cur]: a closure capturing [u]
-       directly would be freshly allocated for every dequeued vertex,
-       and that O(V)-words-per-call cost dominates the DES call path on
-       large networks *)
-    let cur = ref src in
-    let visit ~dst:v ~eid =
-      if
-        edge_ok eid
-        && (not (v = src || parent.(v) >= 0))
-        && (v = dst || allowed v)
-      then begin
-        parent.(v) <- !cur;
-        if v = dst then found := true
-        else begin
-          queue.(!tail) <- v;
-          incr tail
-        end
-      end
-    in
-    while (not !found) && !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      cur := u;
-      Digraph.iter_out g u visit
-    done;
-    if !found then Some (path_of_parents parent ~src ~dst) else None
-  end
-
-(* [shortest_path_into] with the path written into a caller buffer
-   instead of a fresh list — the zero-allocation route of the DES call
-   path.  The BFS loop is kept textually in sync with the list variant
-   above; only the extraction differs (reverse parent walk into [buf],
-   then an in-place reversal). *)
-let shortest_path_into_buf ?(allowed = always) ?(edge_ok = always) g ~src ~dst
-    ~parent ~queue ~buf =
-  let n = Digraph.vertex_count g in
-  if Array.length parent < n || Array.length queue < n || Array.length buf < n
-  then invalid_arg "Traverse.shortest_path_into_buf: scratch arrays too small";
-  if src = dst then begin
-    buf.(0) <- src;
-    1
-  end
-  else begin
-    Array.fill parent 0 n (-1);
-    let head = ref 0 and tail = ref 0 in
-    queue.(!tail) <- src;
-    incr tail;
-    let found = ref false in
-    (* hoisted expansion callback; see the note in [shortest_path_into] *)
-    let cur = ref src in
-    let visit ~dst:v ~eid =
-      if
-        edge_ok eid
-        && (not (v = src || parent.(v) >= 0))
-        && (v = dst || allowed v)
-      then begin
-        parent.(v) <- !cur;
-        if v = dst then found := true
-        else begin
-          queue.(!tail) <- v;
-          incr tail
-        end
-      end
-    in
-    while (not !found) && !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      cur := u;
-      Digraph.iter_out g u visit
-    done;
-    if not !found then -1
-    else begin
-      let len = ref 0 in
-      let v = ref dst in
-      while !v <> src do
-        buf.(!len) <- !v;
-        incr len;
-        v := parent.(!v)
-      done;
-      buf.(!len) <- src;
-      incr len;
-      let i = ref 0 and j = ref (!len - 1) in
-      while !i < !j do
-        let tmp = buf.(!i) in
-        buf.(!i) <- buf.(!j);
-        buf.(!j) <- tmp;
-        incr i;
-        decr j
-      done;
-      !len
-    end
-  end
-
 (* Kahn's algorithm over the raw CSR.  [order] doubles as the FIFO:
    vertices are appended when their in-degree drops to zero and popped
    from [head], so the output is the order a queue would produce. *)
@@ -287,15 +175,15 @@ let depth g ~inputs ~outputs =
   List.fold_left (fun acc o -> max acc dist.(o)) (-1) outputs
 
 (* Arena-based shortest path: the same visit discipline as
-   [shortest_path_into_buf] — FIFO over out-edges in CSR order, same
-   seen/allowed condition — but "seen" is an epoch stamp instead of a
-   refilled parent array, so a call touches only the vertices it visits
-   (no O(V) [Array.fill]), and the loop state lives in the arena's
+   [shortest_path_core ~undirected:false] — FIFO over out-edges in CSR
+   order, same seen/allowed condition — but "seen" is an epoch stamp
+   instead of a freshly filled array, so a call touches only the vertices
+   it visits (no O(V) fill), and the loop state lives in the arena's
    mutable int fields, so a call allocates zero minor words.  Because the
-   parent assignments mirror [shortest_path_into_buf] exactly (a vertex
-   is stamped iff the into-variant would have set its parent), the
-   extracted path is identical — the routers built on this are
-   bit-compatible with the fill-based ones. *)
+   parent assignments mirror [shortest_path] exactly (a vertex is stamped
+   iff [shortest_path] would have marked it seen), the extracted path is
+   identical — the routers built on this are bit-compatible with
+   [shortest_path]. *)
 let shortest_path_arena_buf ~allowed ~edge_ok g ~(arena : Arena.t) ~src ~dst
     ~buf =
   let n = Digraph.vertex_count g in
@@ -318,7 +206,7 @@ let shortest_path_arena_buf ~allowed ~edge_ok g ~(arena : Arena.t) ~src ~dst
     queue.(0) <- src;
     a.Arena.head <- 0;
     a.Arena.tail <- 1;
-    (* like the into-variant, the scan of the current vertex's out-edges
+    (* like [shortest_path], the scan of the current vertex's out-edges
        completes even once [dst] is found (the extra parent assignments
        are identical there and here); the outer loop then stops *)
     while stamp.(dst) <> gen && a.Arena.head < a.Arena.tail do

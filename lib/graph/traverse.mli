@@ -10,9 +10,10 @@
     adjacency lists keep edges in ascending edge-id order, traversing the
     original graph under a mask visits vertices in exactly the order a
     rebuilt {!Digraph.subgraph_by_edges} would — masked traversals are
-    bit-identical to their rebuild-based equivalents.  The [_into]
-    variants additionally take caller-owned scratch arrays so the
-    Monte-Carlo hot path performs no per-trial allocation. *)
+    bit-identical to their rebuild-based equivalents.
+    {!bfs_directed_into} and {!shortest_path_arena_buf} additionally take
+    caller-owned scratch so the Monte-Carlo and call-routing hot paths
+    perform no per-search allocation. *)
 
 val bfs_directed :
   ?allowed:(int -> bool) ->
@@ -69,36 +70,6 @@ val shortest_path_undirected :
   dst:int ->
   int list option
 
-val shortest_path_into :
-  ?allowed:(int -> bool) ->
-  ?edge_ok:(int -> bool) ->
-  Digraph.t ->
-  src:int ->
-  dst:int ->
-  parent:int array ->
-  queue:int array ->
-  int list option
-(** Allocation-free {!shortest_path} (directed): [parent] and [queue] are
-    caller-owned scratch of length at least [vertex_count g]; the returned
-    path list is the only allocation.  Same FIFO discipline as
-    {!shortest_path}, hence the same path. *)
-
-val shortest_path_into_buf :
-  ?allowed:(int -> bool) ->
-  ?edge_ok:(int -> bool) ->
-  Digraph.t ->
-  src:int ->
-  dst:int ->
-  parent:int array ->
-  queue:int array ->
-  buf:int array ->
-  int
-(** Fully allocation-free {!shortest_path_into}: the path is written into
-    [buf.(0 .. len-1)] (caller-owned, length at least [vertex_count g])
-    and its length returned, or [-1] when no path exists.  Identical BFS
-    discipline, so [buf] holds exactly the vertices
-    {!shortest_path_into} would have returned as a list. *)
-
 val topological_order : ?edge_ok:(int -> bool) -> Digraph.t -> int array option
 (** Kahn's algorithm; [None] when the graph (restricted to [edge_ok]
     edges) has a directed cycle. *)
@@ -125,9 +96,9 @@ val shortest_path_arena_buf :
   dst:int ->
   buf:int array ->
   int
-(** {!shortest_path_into_buf} on an epoch-stamped {!Arena}: same FIFO
-    discipline and hence the same path, but starting a search is a
-    generation bump instead of an O(vertex-count) parent refill, and the
+(** Allocation-free {!shortest_path} on an epoch-stamped {!Arena}: same
+    FIFO discipline and hence the same path, but starting a search is a
+    generation bump instead of an O(vertex-count) array fill, and the
     call allocates zero minor words ([allowed]/[edge_ok] are required
     rather than optional precisely so the call site builds no [Some]
     wrappers).  The path is written into [buf.(0 .. len-1)] and its

@@ -3,10 +3,10 @@
     The DES traffic engine needs two queries after every switch event:
     "are these vertices contracted together by closed failures?" and the
     Lemma-7 catastrophe check "do any two terminals share a closed
-    contraction class?".  The batch answer ({!Survivor.shorted_by_closure}
-    and the [terminals_shorted] scan it implied) rebuilds a union-find
-    over the whole edge array — O(n + m) per event, which is exactly what
-    caps the engine at small n.
+    contraction class?".  The batch answer
+    ({!Survivor.shorted_by_closure_into} and the [terminals_shorted] scan
+    it implied) rebuilds a union-find over the whole edge array —
+    O(n + m) per event, which is exactly what caps the engine at small n.
 
     This structure makes fault state an overlay over the static topology.
     Its union-find trees are exactly the closed-contraction classes; each
@@ -50,7 +50,7 @@ val reopen : t -> int -> unit
 
 val connected : t -> int -> int -> bool
 (** [connected t a b]: are [a] and [b] in one closed-contraction class?
-    Same verdict as {!Survivor.shorted_by_closure} on the equivalent
+    Same verdict as {!Survivor.shorted_by_closure_into} on the equivalent
     fault pattern. *)
 
 val terminals_shorted : t -> bool

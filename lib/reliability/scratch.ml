@@ -18,7 +18,6 @@ type t = {
   suf : Union_find.Stamped.t;
   queue : int array;
   dist : int array;
-  parent : int array;
   mark : int array;
   mark_value : int array;
   mutable generation : int;
@@ -36,7 +35,6 @@ let create graph =
     suf = Union_find.Stamped.create n;
     queue = Array.make n 0;
     dist = Array.make n (-1);
-    parent = Array.make n (-1);
     mark = Array.make n 0;
     mark_value = Array.make n 0;
     generation = 0;

@@ -5,8 +5,8 @@
     reachability probes) are pure array computations over a fixed graph;
     the only reason they ever touched the allocator was that each trial
     built its scratch state afresh.  A [Scratch.t] hoists all of it — a
-    fault pattern, a resettable union-find, BFS queue/distance/parent
-    arrays and a generation-stamped marking array — into one bundle that
+    fault pattern, a resettable union-find, BFS queue/distance arrays and
+    a generation-stamped marking array — into one bundle that
     {!Ftcsn_sim.Trials.run_scratch} creates once per worker domain via its
     [~init] hook.  Workspaces are single-domain state: never share one
     between domains.
@@ -40,8 +40,6 @@ type t = {
           is O(1) instead of O(n) *)
   queue : int array;  (** BFS ring buffer, length [vertex_count graph] *)
   dist : int array;  (** BFS distances, length [vertex_count graph] *)
-  parent : int array;
-      (** BFS parents for path extraction, length [vertex_count graph] *)
   mark : int array;
       (** generation stamps: [mark.(v) = generation] means marked *)
   mark_value : int array;  (** payload accompanying a mark *)

@@ -68,18 +68,17 @@ let logical_rates ?jobs ?trace ~trials ~rng ~eps_open ~eps_close t =
 
 let logical_pattern t pattern =
   let gg = t.gadget.Sp_network.graph in
+  let gin = t.gadget.Sp_network.input and gout = t.gadget.Sp_network.output in
   let gm = Digraph.edge_count gg in
   if Array.length pattern <> t.original_edges * gm then
     invalid_arg "Substitution.logical_pattern: pattern arity";
+  let sc = Scratch.create gg in
+  let slice = Scratch.pattern sc in
   Array.init t.original_edges (fun k ->
-      let slice = Array.sub pattern (k * gm) gm in
-      if
-        Survivor.shorted_by_closure gg slice ~a:t.gadget.Sp_network.input
-          ~b:t.gadget.Sp_network.output
-      then Fault.Closed_failure
+      Array.blit pattern (k * gm) slice 0 gm;
+      if Survivor.shorted_by_closure_into sc slice ~a:gin ~b:gout then
+        Fault.Closed_failure
       else if
-        not
-          (Survivor.connected_ignoring_opens gg slice
-             ~a:t.gadget.Sp_network.input ~b:t.gadget.Sp_network.output)
+        not (Survivor.connected_ignoring_opens_into sc slice ~a:gin ~b:gout)
       then Fault.Open_failure
       else Fault.Normal)

@@ -13,106 +13,11 @@ let c_shorted = Metrics.counter Metrics.default "survivor.shorted_by_closure"
 let c_connected =
   Metrics.counter Metrics.default "survivor.connected_ignoring_opens"
 
-type t = {
-  graph : Digraph.t;
-  vertex_image : int array;
-  edge_image : int array;
-  contracted_classes : int;
-}
-
-let contraction_classes g pattern =
-  let uf = Union_find.create (Digraph.vertex_count g) in
-  Array.iteri
-    (fun e s ->
-      if Fault.state_equal s Fault.Closed_failure then begin
-        let src, dst = Digraph.edge_endpoints g e in
-        Union_find.union uf src dst
-      end)
-    pattern;
-  Union_find.compress_labels uf
-
-let apply g pattern =
-  Ftcsn_obs.Counter.incr c_apply;
-  if Array.length pattern <> Digraph.edge_count g then
-    invalid_arg "Survivor.apply: pattern arity";
-  let label, classes = contraction_classes g pattern in
-  (* Keep only normal edges, then quotient; drop loops created by
-     contraction (a switch both of whose links merged is useless). *)
-  let normal, new_to_old =
-    Digraph.subgraph_by_edges_map g ~keep:(fun e ->
-        Fault.state_equal pattern.(e) Fault.Normal)
-  in
-  let quotient, qmap =
-    Digraph.quotient normal ~label ~classes ~drop_self_loops:true
-  in
-  let edge_image = Array.make (Digraph.edge_count g) (-1) in
-  Array.iteri
-    (fun new_id old_id -> edge_image.(old_id) <- qmap.(new_id))
-    new_to_old;
-  { graph = quotient; vertex_image = label; edge_image; contracted_classes = classes }
-
-(* Terminal lists are tiny (the network's inputs and outputs), so the
-   duplicate-class checks use pairwise list scans instead of per-call hash
-   tables; the Monte-Carlo hot path uses the [_into] variants below, which
-   mark union-find roots in a workspace array. *)
-let terminals_distinct t terminals =
-  let rec distinct_from c = function
-    | [] -> true
-    | w :: rest -> t.vertex_image.(w) <> c && distinct_from c rest
-  in
-  let rec go = function
-    | [] -> true
-    | v :: rest -> distinct_from t.vertex_image.(v) rest && go rest
-  in
-  go terminals
-
-let merged_pairs t terminals =
-  (* a terminal pairs with the *most recent* earlier terminal of its
-     class, and pairs are reported in terminal order *)
-  let pairs = ref [] in
-  let rec go rev_prefix = function
-    | [] -> ()
-    | v :: rest ->
-        let c = t.vertex_image.(v) in
-        (match List.find_opt (fun w -> t.vertex_image.(w) = c) rev_prefix with
-        | Some w -> pairs := (w, v) :: !pairs
-        | None -> ());
-        go (v :: rev_prefix) rest
-  in
-  go [] terminals;
-  List.rev !pairs
-
-let shorted_by_closure g pattern ~a ~b =
-  Ftcsn_obs.Counter.incr c_shorted;
-  let uf = Union_find.create (Digraph.vertex_count g) in
-  Array.iteri
-    (fun e s ->
-      if Fault.state_equal s Fault.Closed_failure then begin
-        let src, dst = Digraph.edge_endpoints g e in
-        Union_find.union uf src dst
-      end)
-    pattern;
-  Union_find.equiv uf a b
-
-let connected_ignoring_opens g pattern ~a ~b =
-  Ftcsn_obs.Counter.incr c_connected;
-  (* Conducting edges are those that still exist: normal or closed. *)
-  let exists_edge e = not (Fault.state_equal pattern.(e) Fault.Open_failure) in
-  let sub = Digraph.subgraph_by_edges g ~keep:exists_edge in
-  let dist = Ftcsn_graph.Traverse.bfs_directed sub ~sources:[ a ] in
-  dist.(b) >= 0
-
-(* Workspace variants: same semantics and the same [survivor.*] counters
-   as the functions above, but all per-trial state lives in a {!Scratch.t}
-   owned by the calling worker domain, so the Monte-Carlo inner loop does
-   not allocate.  Equivalence is pinned by the qcheck suite. *)
-
-let apply_into sc pattern =
-  Ftcsn_obs.Counter.incr c_apply;
-  let g = sc.Scratch.graph in
-  if Array.length pattern <> Digraph.edge_count g then
-    invalid_arg "Survivor.apply_into: pattern arity";
-  let uf = sc.Scratch.suf in
+(* Reload the workspace union-find with the pattern's closed-failure
+   contraction classes.  The quotient-rebuilding oracle every operation
+   here is pinned against lives in [test/strip_ref.ml]. *)
+let contract sc pattern =
+  let g = sc.Scratch.graph and uf = sc.Scratch.suf in
   Union_find.Stamped.reset uf;
   Array.iteri
     (fun e s ->
@@ -121,6 +26,12 @@ let apply_into sc pattern =
         Union_find.Stamped.union uf src dst
       end)
     pattern
+
+let apply_into sc pattern =
+  Ftcsn_obs.Counter.incr c_apply;
+  if Array.length pattern <> Digraph.edge_count sc.Scratch.graph then
+    invalid_arg "Survivor.apply_into: pattern arity";
+  contract sc pattern
 
 let terminals_distinct_into sc terminals =
   let gen = Scratch.next_generation sc in
@@ -154,23 +65,14 @@ let merged_pairs_into sc terminals =
 
 let shorted_by_closure_into sc pattern ~a ~b =
   Ftcsn_obs.Counter.incr c_shorted;
-  let g = sc.Scratch.graph in
-  let uf = sc.Scratch.suf in
-  Union_find.Stamped.reset uf;
-  Array.iteri
-    (fun e s ->
-      if Fault.state_equal s Fault.Closed_failure then begin
-        let src, dst = Digraph.edge_endpoints g e in
-        Union_find.Stamped.union uf src dst
-      end)
-    pattern;
-  Union_find.Stamped.equiv uf a b
+  contract sc pattern;
+  Union_find.Stamped.equiv sc.Scratch.suf a b
 
 let connected_ignoring_opens_into sc pattern ~a ~b =
   Ftcsn_obs.Counter.incr c_connected;
   (* BFS over the original CSR with open edges masked: subgraphs keep all
      vertices and preserve adjacency order, so reachability is identical
-     to the rebuild in [connected_ignoring_opens]. *)
+     to a BFS over the rebuilt non-open subgraph. *)
   Ftcsn_graph.Traverse.bfs_directed_into sc.Scratch.graph
     ~edge_ok:(fun e -> not (Fault.state_equal pattern.(e) Fault.Open_failure))
     ~sources:[ a ] ~queue:sc.Scratch.queue ~dist:sc.Scratch.dist;

@@ -3,74 +3,46 @@
     Applying a pattern to a graph G yields the random instance: closed
     failures contract their endpoints, open failures delete their edges,
     and the question of §3 is whether the {e normal-state} edges of the
-    instance still contain the desired network.  This module computes that
-    instance as a quotient graph plus the vertex/edge correspondences.
+    instance still contain the desired network.  No quotient graph is
+    materialised: the contraction classes live in a {!Scratch.t}
+    union-find, and routing runs over the original CSR with failed edges
+    masked.  All per-trial state lives in the caller's workspace, so
+    repeated trials allocate nothing; the workspace must have been
+    created on the same graph the pattern describes.
 
-    Calls to {!apply}, {!shorted_by_closure} and
-    {!connected_ignoring_opens} — the inner loops of every stochastic
-    reliability estimate — are counted in the process-wide
-    [Ftcsn_obs.Metrics.default] registry (names [survivor.*]), which is
-    what [ftnet --metrics] reports.  The counters are atomic and
-    write-only, so instrumentation never perturbs results. *)
-
-type t = {
-  graph : Ftcsn_graph.Digraph.t;
-      (** quotient graph containing only surviving normal edges *)
-  vertex_image : int array;
-      (** original vertex → quotient vertex *)
-  edge_image : int array;
-      (** original edge id → surviving edge id, [-1] if the edge failed or
-          became a self-loop under contraction *)
-  contracted_classes : int;
-      (** number of quotient vertices *)
-}
-
-val apply : Ftcsn_graph.Digraph.t -> Fault.pattern -> t
-
-val terminals_distinct : t -> int list -> bool
-(** True iff no two of the given original vertices were contracted
-    together — the event bounded by the paper's Lemma 7. *)
-
-val merged_pairs : t -> int list -> (int * int) list
-(** The pairs of given terminals that did contract together. *)
-
-val shorted_by_closure : Ftcsn_graph.Digraph.t -> Fault.pattern -> a:int -> b:int -> bool
-(** True iff vertices [a] and [b] are connected using closed-failure edges
-    only (ignoring direction) — the two-terminal "short" event of
-    Proposition 1. *)
-
-val connected_ignoring_opens :
-  Ftcsn_graph.Digraph.t -> Fault.pattern -> a:int -> b:int -> bool
-(** True iff a directed path of non-open edges leads from [a] to [b] — the
-    complement of the two-terminal "open" event. *)
-
-(** {2 Workspace variants}
-
-    Same semantics (and the same [survivor.*] counters) as the functions
-    above, but all per-trial state lives in the caller's {!Scratch.t}, so
-    repeated trials allocate nothing.  The workspace must have been
-    created on the same graph the pattern describes. *)
+    Calls to {!apply_into}, {!shorted_by_closure_into} and
+    {!connected_ignoring_opens_into} — the inner loops of every
+    stochastic reliability estimate — are counted in the process-wide
+    [Ftcsn_obs.Metrics.default] registry (names [survivor.apply],
+    [survivor.shorted_by_closure] and
+    [survivor.connected_ignoring_opens]), which is what
+    [ftnet --metrics] reports.  The counters are atomic and write-only,
+    so instrumentation never perturbs results. *)
 
 val apply_into : Scratch.t -> Fault.pattern -> unit
 (** Contract the pattern's closed-failure edges into the workspace's
-    union-find (after a {!Ftcsn_util.Union_find.reset}).  Afterwards the
-    workspace answers the contraction queries below; unlike {!apply} no
-    quotient graph is materialised — routing runs over the original CSR
-    with failed edges masked instead. *)
+    union-find (after a reset).  Afterwards the workspace answers the
+    contraction queries below. *)
 
 val terminals_distinct_into : Scratch.t -> int list -> bool
-(** {!terminals_distinct} against the contraction classes loaded by the
-    last {!apply_into}. *)
+(** True iff no two of the given original vertices were contracted
+    together by the last {!apply_into} — the event bounded by the
+    paper's Lemma 7. *)
 
 val merged_pairs_into : Scratch.t -> int list -> (int * int) list
-(** {!merged_pairs} against the contraction classes loaded by the last
-    {!apply_into}; the result list is the only allocation. *)
+(** The pairs of given terminals that the last {!apply_into} contracted
+    together: a terminal pairs with the most recent earlier terminal of
+    its class, in terminal order.  The result list is the only
+    allocation. *)
 
 val shorted_by_closure_into :
   Scratch.t -> Fault.pattern -> a:int -> b:int -> bool
-(** {!shorted_by_closure} using the workspace union-find. *)
+(** True iff vertices [a] and [b] are connected using closed-failure
+    edges only (ignoring direction) — the two-terminal "short" event of
+    Proposition 1.  Reloads the workspace union-find. *)
 
 val connected_ignoring_opens_into :
   Scratch.t -> Fault.pattern -> a:int -> b:int -> bool
-(** {!connected_ignoring_opens} as a BFS over the workspace graph with
-    open edges masked (no subgraph rebuild). *)
+(** True iff a directed path of non-open edges leads from [a] to [b] —
+    the complement of the two-terminal "open" event — as a BFS over the
+    workspace graph with open edges masked. *)

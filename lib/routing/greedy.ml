@@ -75,7 +75,7 @@ let engine_name t =
 let busy t v = Bitset.mem t.busy_set v
 
 (* the deterministic search behind [route]/[route_into]: plain CSR-order
-   BFS on the arena (path-identical to [Traverse.shortest_path_into]), or
+   BFS on the arena (path-identical to [Traverse.shortest_path]), or
    the structure-aware engine when one engaged at [create] *)
 let search t ~src ~dst ~buf =
   Counter.incr c_search;
@@ -114,7 +114,7 @@ let occupy t path = List.iter (Bitset.add t.busy_set) path
    caller-owned arrays so a steady-state simulation makes no per-call
    allocations — the test suite asserts a zero [Gc.minor_words] delta
    over a routing loop.  The default deterministic BFS shares its visit
-   discipline with [Traverse.shortest_path_into], so [route_into] yields
+   discipline with [Traverse.shortest_path], so [route_into] yields
    exactly the path [route] would have returned as a list. *)
 let route_into t ~input ~output ~buf =
   if busy t input || busy t output then

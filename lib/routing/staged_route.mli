@@ -47,6 +47,6 @@ val route_into :
     [buf.(0 .. len-1)] with its length returned; [-1] when blocked —
     exactly when a full BFS over the same masks would block.  [allowed]
     gates interior vertices ([src]/[dst] are exempt, matching
-    {!Ftcsn_graph.Traverse.shortest_path_into_buf}); [edge_ok] gates
+    {!Ftcsn_graph.Traverse.shortest_path_arena_buf}); [edge_ok] gates
     edges.  Allocates nothing.
     @raise Invalid_argument on out-of-range vertices or a short buffer. *)

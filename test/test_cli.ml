@@ -963,6 +963,11 @@ let test_error_eps_range () =
       ("route", "--eps=-0.5");
     ]
 
+(* a negative strip radius used to run silently as radius 0 *)
+let test_error_faults_radius () =
+  check_usage_error "radius -1" "faults --net benes:8 --radius=-1"
+    "invalid --radius value -1"
+
 let test_help () =
   let code, out = run "--help=plain" in
   Alcotest.(check int) "exit code" 0 code;
@@ -1095,5 +1100,6 @@ let () =
           Alcotest.test_case "degrade hazard range" `Quick
             test_error_degrade_hazard;
           Alcotest.test_case "eps range" `Quick test_error_eps_range;
+          Alcotest.test_case "faults radius" `Quick test_error_faults_radius;
         ] );
     ]

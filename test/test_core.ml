@@ -213,48 +213,51 @@ let test_strip_no_faults () =
   let ft = build_small () in
   let net = ft.Ft_network.net in
   let pattern = Fault.all_normal (Network.size net) in
-  let s = Fault_strip.strip net pattern in
-  checkb "healthy" true (Fault_strip.healthy s);
+  let s = Strip_ref.strip net pattern in
+  checkb "healthy" true (Strip_ref.healthy s);
   Alcotest.(check (float 1e-9)) "nothing stripped" 0.0
-    (Fault_strip.stripped_fraction net s);
-  Alcotest.(check (list int)) "no isolation" [] (Fault_strip.isolated_inputs net s)
+    (Strip_ref.stripped_fraction net s);
+  Alcotest.(check (list int)) "no isolation" [] (Strip_ref.isolated_inputs net s)
 
 let test_strip_marks_faulty_endpoints () =
   let g = Digraph.of_edges ~n:4 [| (0, 1); (1, 2); (2, 3) |] in
   let net = Network.make ~name:"chain" ~graph:g ~inputs:[| 0 |] ~outputs:[| 3 |] in
   let pattern = [| Fault.Normal; Fault.Open_failure; Fault.Normal |] in
-  let s = Fault_strip.strip net pattern in
-  checkb "vertex 1 stripped" false (s.Fault_strip.allowed 1);
-  checkb "vertex 2 stripped" false (s.Fault_strip.allowed 2);
+  let s = Strip_ref.strip net pattern in
+  checkb "vertex 1 stripped" false (s.Strip_ref.allowed 1);
+  checkb "vertex 2 stripped" false (s.Strip_ref.allowed 2);
   (* input becomes isolated: its only route used vertex 1 *)
-  Alcotest.(check (list int)) "isolated" [ 0 ] (Fault_strip.isolated_inputs net s)
+  Alcotest.(check (list int)) "isolated" [ 0 ] (Strip_ref.isolated_inputs net s)
 
 let test_strip_radius_one () =
   let g = Digraph.of_edges ~n:5 [| (0, 1); (1, 2); (2, 3); (3, 4) |] in
   let net = Network.make ~name:"chain" ~graph:g ~inputs:[| 0 |] ~outputs:[| 4 |] in
   let pattern = [| Fault.Normal; Fault.Open_failure; Fault.Normal; Fault.Normal |] in
-  let s0 = Fault_strip.strip ~radius:0 net pattern in
-  let s1 = Fault_strip.strip ~radius:1 net pattern in
-  checkb "radius 0 keeps 3" true (s0.Fault_strip.allowed 3);
-  checkb "radius 1 strips 3" false (s1.Fault_strip.allowed 3);
+  let s0 = Strip_ref.strip ~radius:0 net pattern in
+  let s1 = Strip_ref.strip ~radius:1 net pattern in
+  checkb "radius 0 keeps 3" true (s0.Strip_ref.allowed 3);
+  checkb "radius 1 strips 3" false (s1.Strip_ref.allowed 3);
   checkb "radius 1 strips 0's neighbourhood correctly" true
-    (Ftcsn_util.Bitset.cardinal s1.Fault_strip.stripped
-    > Ftcsn_util.Bitset.cardinal s0.Fault_strip.stripped)
+    (Ftcsn_util.Bitset.cardinal s1.Strip_ref.stripped
+    > Ftcsn_util.Bitset.cardinal s0.Strip_ref.stripped);
+  Alcotest.check_raises "negative radius"
+    (Invalid_argument "Fault_strip.strip_into: negative radius") (fun () ->
+      Fault_strip.strip_into ~radius:(-1) (Fault_strip.create_ws net) pattern)
 
 let test_strip_terminals_stay_allowed () =
   let g = Digraph.of_edges ~n:3 [| (0, 1); (1, 2) |] in
   let net = Network.make ~name:"chain" ~graph:g ~inputs:[| 0 |] ~outputs:[| 2 |] in
   let pattern = [| Fault.Open_failure; Fault.Normal |] in
-  let s = Fault_strip.strip net pattern in
-  checkb "faulty input still allowed (terminal)" true (s.Fault_strip.allowed 0)
+  let s = Strip_ref.strip net pattern in
+  checkb "faulty input still allowed (terminal)" true (s.Strip_ref.allowed 0)
 
 let test_strip_detects_short () =
   let g = Digraph.of_edges ~n:2 [| (0, 1) |] in
   let net = Network.make ~name:"pair" ~graph:g ~inputs:[| 0 |] ~outputs:[| 1 |] in
-  let s = Fault_strip.strip net [| Fault.Closed_failure |] in
-  checkb "short detected" false (Fault_strip.healthy s);
+  let s = Strip_ref.strip net [| Fault.Closed_failure |] in
+  checkb "short detected" false (Strip_ref.healthy s);
   Alcotest.(check (list (pair int int))) "pair" [ (0, 1) ]
-    s.Fault_strip.shorted_terminals
+    s.Strip_ref.shorted_terminals
 
 (* ---------- Majority_access ---------- *)
 
@@ -481,14 +484,14 @@ let test_lemma2_certificate_benes () =
 let test_pipeline_no_faults_survive () =
   let ft = build_small () in
   let rng = Rng.create ~seed:9 in
-  let v = Pipeline.trial ~rng ~eps:0.0 ft.Ft_network.net in
+  let v = Strip_ref.trial ~rng ~eps:0.0 ft.Ft_network.net in
   Alcotest.(check string) "survives" "survived" (Pipeline.verdict_label v)
 
 let test_pipeline_total_failure () =
   let ft = build_small () in
   let rng = Rng.create ~seed:10 in
   (* eps = 0.5/0.5: every switch fails; terminals short or isolate *)
-  let v = Pipeline.trial ~rng ~eps:0.5 ft.Ft_network.net in
+  let v = Strip_ref.trial ~rng ~eps:0.5 ft.Ft_network.net in
   checkb "fails" true (v <> Pipeline.Survived)
 
 let test_pipeline_survival_monotone () =
@@ -819,14 +822,14 @@ let test_ft_route_under_faults_matches_bfs () =
     let pattern =
       Fault.sample rng ~eps_open:0.01 ~eps_close:0.01 ~m:(Network.size net)
     in
-    let strip = Fault_strip.strip net pattern in
+    let strip = Strip_ref.strip net pattern in
     let pi = Rng.permutation rng 8 in
     let _, structured =
       Ftcsn.Ft_route.route_permutation plan
-        ~allowed:strip.Fault_strip.allowed pi
+        ~allowed:strip.Strip_ref.allowed pi
     in
     let bfs_router =
-      Ftcsn_routing.Greedy.create ~allowed:strip.Fault_strip.allowed net
+      Ftcsn_routing.Greedy.create ~allowed:strip.Strip_ref.allowed net
     in
     let bfs = ref 0 in
     ignore (Ftcsn_routing.Greedy.route_permutation bfs_router pi ~success:bfs);
@@ -866,17 +869,17 @@ let prop_fault_strip_soundness =
       let pattern =
         Fault.sample rng ~eps_open:eps ~eps_close:eps ~m:(Network.size net)
       in
-      let strip = Fault_strip.strip net pattern in
+      let strip = Strip_ref.strip net pattern in
       let terminals = Network.terminals net in
       let ok = ref true in
       Ftcsn_util.Bitset.iter
         (fun v ->
-          if (not (List.mem v terminals)) && strip.Fault_strip.allowed v then
+          if (not (List.mem v terminals)) && strip.Strip_ref.allowed v then
             ok := false)
-        strip.Fault_strip.stripped;
+        strip.Strip_ref.stripped;
       (* and the surviving graph carries exactly the normal switches *)
       !ok
-      && Digraph.edge_count strip.Fault_strip.normal_graph
+      && Digraph.edge_count strip.Strip_ref.normal_graph
          = Fault.count pattern Fault.Normal)
 
 let prop_grid_degrees =
@@ -949,7 +952,7 @@ let prop_pipeline_ws_matches_trial =
       (* the workspace is reused across trials, the legacy path allocates
          afresh; identical substreams must give identical verdicts *)
       for i = 0 to 9 do
-        let legacy = Pipeline.trial ~rng:(Rng.substream root i) ~eps net in
+        let legacy = Strip_ref.trial ~rng:(Rng.substream root i) ~eps net in
         let ws_v = Pipeline.trial_ws ws ~rng:(Rng.substream root i) ~eps in
         if legacy <> ws_v then ok := false
       done;
@@ -973,10 +976,76 @@ let prop_pipeline_survival_jobs_identical =
       let legacy =
         let rng = Rng.create ~seed in
         Ftcsn_reliability.Monte_carlo.estimate ~trials ~rng (fun sub ->
-            Pipeline.trial ~rng:sub ~eps net = Pipeline.Survived)
+            Strip_ref.trial ~rng:sub ~eps net = Pipeline.Survived)
       in
       let e1 = run 1 in
       run 2 = e1 && run 4 = e1 && legacy = e1)
+
+(* the workspace strip against the subgraph-rebuilding oracle, one
+   workspace reused across radii out of order: vertex masks, stripped
+   set, shorted pairs, isolated inputs, and an edge mask passing exactly
+   the normal switches *)
+let prop_strip_into_matches_oracle =
+  let benes = Ftcsn_networks.Benes.network (Ftcsn_networks.Benes.make 8) in
+  let ft = (build_small ()).Ft_network.net in
+  QCheck2.Test.make
+    ~name:"Fault_strip.strip_into = Strip_ref.strip at radius 0, 1 and 2"
+    ~count:60
+    QCheck2.Gen.(triple (int_range 0 100000) (int_range 1 30) bool)
+    (fun (seed, pct, on_ft) ->
+      let net = if on_ft then ft else benes in
+      let g = net.Network.graph in
+      let eps = float_of_int pct /. 100.0 /. 2.0 in
+      let rng = Rng.create ~seed in
+      let pattern =
+        Fault.sample rng ~eps_open:eps ~eps_close:eps ~m:(Network.size net)
+      in
+      let ws = Fault_strip.create_ws net in
+      List.for_all
+        (fun radius ->
+          let reference = Strip_ref.strip ~radius net pattern in
+          Fault_strip.strip_into ~radius ws pattern;
+          let allowed = Fault_strip.ws_allowed ws in
+          let same_mask = ref true in
+          for v = 0 to Digraph.vertex_count g - 1 do
+            if allowed v <> reference.Strip_ref.allowed v then
+              same_mask := false
+          done;
+          let passed = ref 0 in
+          for e = 0 to Digraph.edge_count g - 1 do
+            if Fault_strip.ws_edge_ok ws e then incr passed
+          done;
+          !same_mask
+          && Ftcsn_util.Bitset.to_list (Fault_strip.ws_stripped ws)
+             = Ftcsn_util.Bitset.to_list reference.Strip_ref.stripped
+          && Fault_strip.ws_shorted_terminals ws
+             = reference.Strip_ref.shorted_terminals
+          && Fault_strip.ws_isolated_inputs ws
+             = Strip_ref.isolated_inputs net reference
+          && !passed = Fault.count pattern Fault.Normal
+          && !passed = Digraph.edge_count reference.Strip_ref.normal_graph)
+        [ 2; 0; 1 ])
+
+let prop_pipeline_ws_matches_trial_radius1 =
+  QCheck2.Test.make
+    ~name:"Pipeline.trial_ws = Strip_ref.trial at strip radius 1" ~count:15
+    QCheck2.Gen.(pair (int_range 0 100000) (int_range 1 20))
+    (fun (seed, permille) ->
+      let net = (build_small ()).Ft_network.net in
+      let eps = float_of_int permille /. 1000.0 in
+      let ws = Pipeline.create_ws net in
+      let root = Rng.create ~seed in
+      let ok = ref true in
+      for i = 0 to 9 do
+        let reference =
+          Strip_ref.trial ~rng:(Rng.substream root i) ~eps ~strip_radius:1 net
+        in
+        let ws_v =
+          Pipeline.trial_ws ~strip_radius:1 ws ~rng:(Rng.substream root i) ~eps
+        in
+        if reference <> ws_v then ok := false
+      done;
+      !ok)
 
 let core_props =
   List.map QCheck_alcotest.to_alcotest
@@ -988,6 +1057,8 @@ let core_props =
       prop_transfer_size_accounting;
       prop_pipeline_ws_matches_trial;
       prop_pipeline_survival_jobs_identical;
+      prop_strip_into_matches_oracle;
+      prop_pipeline_ws_matches_trial_radius1;
     ]
 
 let () =

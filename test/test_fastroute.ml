@@ -68,7 +68,6 @@ let test_arena_bit_identity () =
       let g = net.Network.graph in
       let n = Digraph.vertex_count g in
       let arena = Arena.create n in
-      let parent = Array.make n (-1) and queue = Array.make n 0 in
       let buf = Array.make n 0 in
       List.iter
         (fun seed ->
@@ -84,8 +83,7 @@ let test_arena_bit_identity () =
               Array.iter
                 (fun dst ->
                   let reference =
-                    Traverse.shortest_path_into ~allowed ~edge_ok g ~src ~dst
-                      ~parent ~queue
+                    Traverse.shortest_path ~allowed ~edge_ok g ~src ~dst
                   in
                   let len =
                     Traverse.shortest_path_arena_buf ~allowed ~edge_ok g
@@ -173,7 +171,6 @@ let busy_sequence engine () =
   let nv = Digraph.vertex_count g in
   let edge_ok = fault_mask ~seed:21 ~per_mille:15 g in
   let r = Greedy.create ~edge_ok ~engine net in
-  let parent = Array.make nv (-1) and queue = Array.make nv 0 in
   let buf = Array.make nv 0 in
   let rng = Rng.create ~seed:22 in
   let live = ref [] in
@@ -193,8 +190,7 @@ let busy_sequence engine () =
       if not (Greedy.busy r input || Greedy.busy r output) then begin
         let allowed v = not (Greedy.busy r v) in
         let oracle =
-          Traverse.shortest_path_into ~allowed ~edge_ok g ~src:input
-            ~dst:output ~parent ~queue
+          Traverse.shortest_path ~allowed ~edge_ok g ~src:input ~dst:output
         in
         let len = Greedy.route_into r ~input ~output ~buf in
         checkb

@@ -78,10 +78,10 @@ let test_survivor_routing_consistency () =
     let pattern =
       Fault.sample rng ~eps_open:0.02 ~eps_close:0.02 ~m:(Digraph.edge_count g)
     in
-    let strip = Fault_strip.strip benes pattern in
+    let strip = Strip_ref.strip benes pattern in
     (* any greedy route found through allowed vertices must avoid every
        faulty internal vertex *)
-    let router = Ftcsn_routing.Greedy.create ~allowed:strip.Fault_strip.allowed benes in
+    let router = Ftcsn_routing.Greedy.create ~allowed:strip.Strip_ref.allowed benes in
     match
       Ftcsn_routing.Greedy.route router ~input:benes.Network.inputs.(0)
         ~output:benes.Network.outputs.(7)
@@ -91,7 +91,7 @@ let test_survivor_routing_consistency () =
         List.iter
           (fun v ->
             if
-              Ftcsn_util.Bitset.mem strip.Fault_strip.stripped v
+              Ftcsn_util.Bitset.mem strip.Strip_ref.stripped v
               && not (List.mem v (Network.terminals benes))
             then Alcotest.fail "route through stripped vertex")
           path
@@ -135,9 +135,9 @@ let test_ft_survivor_superconcentrates () =
     let pattern =
       Fault.sample rng ~eps_open:0.005 ~eps_close:0.005 ~m:(Digraph.edge_count g)
     in
-    let strip = Fault_strip.strip net pattern in
-    if Fault_strip.healthy strip then begin
-      let forbidden v = not (strip.Fault_strip.allowed v) in
+    let strip = Strip_ref.strip net pattern in
+    if Strip_ref.healthy strip then begin
+      let forbidden v = not (strip.Strip_ref.allowed v) in
       let all = Array.init (Network.n_inputs net) Fun.id in
       match
         Ftcsn_routing.Flow_route.connect ~forbidden net ~input_indices:all
@@ -177,7 +177,7 @@ let test_short_rate_vs_exact () =
   let eps = 0.25 in
   let exact =
     Ftcsn_reliability.Exact.probability g ~eps_open:eps ~eps_close:eps
-      (fun pattern -> Survivor.shorted_by_closure g pattern ~a:0 ~b:2)
+      (fun pattern -> Strip_ref.shorted_by_closure g pattern ~a:0 ~b:2)
   in
   Alcotest.(check (float 1e-9)) "eps^2" (eps *. eps) exact;
   let rng = Rng.create ~seed:46 in
@@ -185,8 +185,8 @@ let test_short_rate_vs_exact () =
   let trials = 20_000 in
   for _ = 1 to trials do
     let pattern = Fault.sample rng ~eps_open:eps ~eps_close:eps ~m:2 in
-    let strip = Fault_strip.strip net pattern in
-    if not (Ftcsn.Fault_strip.healthy strip) then incr hits
+    let strip = Strip_ref.strip net pattern in
+    if not (Strip_ref.healthy strip) then incr hits
   done;
   let rate = float_of_int !hits /. float_of_int trials in
   checkb "measured matches" true (Float.abs (rate -. exact) < 0.01)

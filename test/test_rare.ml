@@ -34,7 +34,7 @@ let build_net spec ~n =
    Sp_network.open_prob *)
 let sp_open_event (built : Sp_network.built) _ws _rng pattern =
   not
-    (Survivor.connected_ignoring_opens built.Sp_network.graph pattern
+    (Strip_ref.connected_ignoring_opens built.Sp_network.graph pattern
        ~a:built.Sp_network.input ~b:built.Sp_network.output)
 
 let test_tilted_matches_rectangle () =

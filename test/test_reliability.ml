@@ -58,53 +58,53 @@ let test_faulty_vertices () =
 
 let test_survivor_all_normal () =
   let g = Digraph.of_edges ~n:3 [| (0, 1); (1, 2) |] in
-  let s = Survivor.apply g (Fault.all_normal 2) in
-  check "classes" 3 s.Survivor.contracted_classes;
-  check "edges survive" 2 (Digraph.edge_count s.Survivor.graph);
-  checkb "terminals distinct" true (Survivor.terminals_distinct s [ 0; 2 ])
+  let s = Strip_ref.apply g (Fault.all_normal 2) in
+  check "classes" 3 s.Strip_ref.contracted_classes;
+  check "edges survive" 2 (Digraph.edge_count s.Strip_ref.graph);
+  checkb "terminals distinct" true (Strip_ref.terminals_distinct s [ 0; 2 ])
 
 let test_survivor_open_removes () =
   let g = Digraph.of_edges ~n:3 [| (0, 1); (1, 2) |] in
-  let s = Survivor.apply g [| Fault.Open_failure; Fault.Normal |] in
-  check "one edge left" 1 (Digraph.edge_count s.Survivor.graph);
-  check "edge 0 gone" (-1) s.Survivor.edge_image.(0);
-  checkb "edge 1 kept" true (s.Survivor.edge_image.(1) >= 0)
+  let s = Strip_ref.apply g [| Fault.Open_failure; Fault.Normal |] in
+  check "one edge left" 1 (Digraph.edge_count s.Strip_ref.graph);
+  check "edge 0 gone" (-1) s.Strip_ref.edge_image.(0);
+  checkb "edge 1 kept" true (s.Strip_ref.edge_image.(1) >= 0)
 
 let test_survivor_closed_contracts () =
   let g = Digraph.of_edges ~n:3 [| (0, 1); (1, 2) |] in
-  let s = Survivor.apply g [| Fault.Closed_failure; Fault.Normal |] in
-  check "two classes" 2 s.Survivor.contracted_classes;
-  check "vertex image merged" s.Survivor.vertex_image.(0) s.Survivor.vertex_image.(1);
-  checkb "terminals 0,1 merged" false (Survivor.terminals_distinct s [ 0; 1 ]);
+  let s = Strip_ref.apply g [| Fault.Closed_failure; Fault.Normal |] in
+  check "two classes" 2 s.Strip_ref.contracted_classes;
+  check "vertex image merged" s.Strip_ref.vertex_image.(0) s.Strip_ref.vertex_image.(1);
+  checkb "terminals 0,1 merged" false (Strip_ref.terminals_distinct s [ 0; 1 ]);
   Alcotest.(check (list (pair int int))) "merged pair" [ (0, 1) ]
-    (Survivor.merged_pairs s [ 0; 1; 2 ])
+    (Strip_ref.merged_pairs s [ 0; 1; 2 ])
 
 let test_survivor_contraction_makes_loop () =
   (* closing edge 0 merges 0 and 1; the parallel normal edge 0->1 becomes a
      self-loop and is dropped *)
   let g = Digraph.of_edges ~n:2 [| (0, 1); (0, 1) |] in
-  let s = Survivor.apply g [| Fault.Closed_failure; Fault.Normal |] in
-  check "loop dropped" 0 (Digraph.edge_count s.Survivor.graph);
-  check "edge 1 dropped" (-1) s.Survivor.edge_image.(1)
+  let s = Strip_ref.apply g [| Fault.Closed_failure; Fault.Normal |] in
+  check "loop dropped" 0 (Digraph.edge_count s.Strip_ref.graph);
+  check "edge 1 dropped" (-1) s.Strip_ref.edge_image.(1)
 
 let test_shorted_by_closure () =
   let g = Digraph.of_edges ~n:4 [| (0, 1); (1, 2); (2, 3) |] in
   checkb "full chain shorts" true
-    (Survivor.shorted_by_closure g
+    (Strip_ref.shorted_by_closure g
        [| Fault.Closed_failure; Fault.Closed_failure; Fault.Closed_failure |]
        ~a:0 ~b:3);
   checkb "broken chain does not" false
-    (Survivor.shorted_by_closure g
+    (Strip_ref.shorted_by_closure g
        [| Fault.Closed_failure; Fault.Normal; Fault.Closed_failure |]
        ~a:0 ~b:3)
 
 let test_connected_ignoring_opens () =
   let g = Digraph.of_edges ~n:3 [| (0, 1); (1, 2) |] in
   checkb "normal+closed conduct" true
-    (Survivor.connected_ignoring_opens g
+    (Strip_ref.connected_ignoring_opens g
        [| Fault.Normal; Fault.Closed_failure |] ~a:0 ~b:2);
   checkb "open breaks" false
-    (Survivor.connected_ignoring_opens g
+    (Strip_ref.connected_ignoring_opens g
        [| Fault.Open_failure; Fault.Normal |] ~a:0 ~b:2)
 
 (* ---------- Exact vs Monte-Carlo ---------- *)
@@ -127,7 +127,7 @@ let test_exact_two_edge_series () =
   let eps = 0.15 in
   let p =
     Exact.probability g ~eps_open:eps ~eps_close:eps (fun pattern ->
-        not (Survivor.connected_ignoring_opens g pattern ~a:0 ~b:2))
+        not (Strip_ref.connected_ignoring_opens g pattern ~a:0 ~b:2))
   in
   (checkf 1e-12) "series open" (1.0 -. ((1.0 -. eps) ** 2.0)) p
 
@@ -141,7 +141,7 @@ let test_monte_carlo_matches_exact () =
   (* parallel pair: P[both open] = eps^2 with eps=0.3 -> 0.09 *)
   let g = Digraph.of_edges ~n:2 [| (0, 1); (0, 1) |] in
   let eps = 0.3 in
-  let event pattern = not (Survivor.connected_ignoring_opens g pattern ~a:0 ~b:1) in
+  let event pattern = not (Strip_ref.connected_ignoring_opens g pattern ~a:0 ~b:1) in
   let exact = Exact.probability g ~eps_open:eps ~eps_close:eps event in
   let rng = Rng.create ~seed:2024 in
   let est =
@@ -185,12 +185,12 @@ let test_sp_recurrence_vs_exact () =
   let exact_open =
     Exact.probability g ~eps_open:eps ~eps_close:eps (fun pattern ->
         not
-          (Survivor.connected_ignoring_opens g pattern ~a:built.Sp_network.input
+          (Strip_ref.connected_ignoring_opens g pattern ~a:built.Sp_network.input
              ~b:built.Sp_network.output))
   in
   let exact_short =
     Exact.probability g ~eps_open:eps ~eps_close:eps (fun pattern ->
-        Survivor.shorted_by_closure g pattern ~a:built.Sp_network.input
+        Strip_ref.shorted_by_closure g pattern ~a:built.Sp_network.input
           ~b:built.Sp_network.output)
   in
   (checkf 1e-9) "open matches"
@@ -431,7 +431,7 @@ let test_importance_single_wire () =
      event, forcing it normal prevents it -> open importance 1 *)
   let g = Digraph.of_edges ~n:2 [| (0, 1) |] in
   let event pattern =
-    not (Survivor.connected_ignoring_opens g pattern ~a:0 ~b:1)
+    not (Strip_ref.connected_ignoring_opens g pattern ~a:0 ~b:1)
   in
   let rng = Rng.create ~seed:88 in
   let est =
@@ -446,7 +446,7 @@ let test_importance_redundant_pair () =
   (* parallel pair: opening one switch only matters when the other failed *)
   let g = Digraph.of_edges ~n:2 [| (0, 1); (0, 1) |] in
   let event pattern =
-    not (Survivor.connected_ignoring_opens g pattern ~a:0 ~b:1)
+    not (Strip_ref.connected_ignoring_opens g pattern ~a:0 ~b:1)
   in
   let rng = Rng.create ~seed:89 in
   let eps = 0.2 in
@@ -465,7 +465,7 @@ let test_importance_short_event () =
   (* chain of 2, event = terminals short: closing one switch matters iff
      the other is closed: I1 = eps *)
   let g = Digraph.of_edges ~n:3 [| (0, 1); (1, 2) |] in
-  let event pattern = Survivor.shorted_by_closure g pattern ~a:0 ~b:2 in
+  let event pattern = Strip_ref.shorted_by_closure g pattern ~a:0 ~b:2 in
   let rng = Rng.create ~seed:90 in
   let eps = 0.25 in
   let est =
@@ -484,7 +484,7 @@ let test_importance_rank () =
   (* series chain followed by a parallel pair: the series switch dominates *)
   let g = Digraph.of_edges ~n:3 [| (0, 1); (1, 2); (1, 2) |] in
   let event pattern =
-    not (Survivor.connected_ignoring_opens g pattern ~a:0 ~b:2)
+    not (Strip_ref.connected_ignoring_opens g pattern ~a:0 ~b:2)
   in
   let rng = Rng.create ~seed:91 in
   let ranked =
@@ -520,7 +520,7 @@ let test_poly_matches_exact () =
      direct exact enumeration at every eps *)
   let g = Digraph.of_edges ~n:4 [| (0, 1); (1, 2); (2, 3) |] in
   let event pattern =
-    not (Survivor.connected_ignoring_opens g pattern ~a:0 ~b:3)
+    not (Strip_ref.connected_ignoring_opens g pattern ~a:0 ~b:3)
   in
   let poly = Poly.failure_polynomial g event in
   List.iter
@@ -533,7 +533,7 @@ let test_poly_delta_rescaling () =
   (* the section-3 delta-invariance inequality on a concrete instance *)
   let g = Digraph.of_edges ~n:3 [| (0, 1); (1, 2); (0, 2) |] in
   let event pattern =
-    Survivor.shorted_by_closure g pattern ~a:0 ~b:2
+    Strip_ref.shorted_by_closure g pattern ~a:0 ~b:2
   in
   let poly = Poly.failure_polynomial g event in
   checkb "constant vanishes" true (Poly.constant_term_vanishes poly);
@@ -759,7 +759,7 @@ let prop_survivor_class_count =
       let edges = Array.init m (fun _ -> (Rng.int rng n, Rng.int rng n)) in
       let g = Digraph.of_edges ~n edges in
       let pattern = Fault.sample rng ~eps_open:0.2 ~eps_close:0.3 ~m in
-      let s = Survivor.apply g pattern in
+      let s = Strip_ref.apply g pattern in
       (* classes computed independently via union-find over closed edges *)
       let uf = Ftcsn_util.Union_find.create n in
       Array.iteri
@@ -768,7 +768,7 @@ let prop_survivor_class_count =
             Ftcsn_util.Union_find.union uf (Digraph.edge_src g e)
               (Digraph.edge_dst g e))
         pattern;
-      s.Survivor.contracted_classes = Ftcsn_util.Union_find.class_count uf)
+      s.Strip_ref.contracted_classes = Ftcsn_util.Union_find.class_count uf)
 
 let prop_survivor_edges_are_normal =
   QCheck2.Test.make ~name:"surviving edges come from normal switches" ~count:100
@@ -780,13 +780,13 @@ let prop_survivor_edges_are_normal =
       let edges = Array.init m (fun _ -> (Rng.int rng n, Rng.int rng n)) in
       let g = Digraph.of_edges ~n edges in
       let pattern = Fault.sample rng ~eps_open:0.3 ~eps_close:0.3 ~m in
-      let s = Survivor.apply g pattern in
+      let s = Strip_ref.apply g pattern in
       let ok = ref true in
       Array.iteri
         (fun e image ->
           if image >= 0 && not (Fault.state_equal pattern.(e) Fault.Normal) then
             ok := false)
-        s.Survivor.edge_image;
+        s.Strip_ref.edge_image;
       !ok)
 
 let prop_sp_probs_in_range =
@@ -833,23 +833,23 @@ let prop_workspace_survivor_matches_legacy =
       (* two rounds on one workspace: reuse must behave like fresh state *)
       for _round = 0 to 1 do
         let pattern = Fault.sample rng ~eps_open:0.2 ~eps_close:0.3 ~m in
-        let s = Survivor.apply g pattern in
+        let s = Strip_ref.apply g pattern in
         Survivor.apply_into sc pattern;
         if
-          Survivor.terminals_distinct s terminals
+          Strip_ref.terminals_distinct s terminals
           <> Survivor.terminals_distinct_into sc terminals
         then ok := false;
         if
-          Survivor.merged_pairs s terminals
+          Strip_ref.merged_pairs s terminals
           <> Survivor.merged_pairs_into sc terminals
         then ok := false;
         let a = Rng.int rng n and b = Rng.int rng n in
         if
-          Survivor.shorted_by_closure g pattern ~a ~b
+          Strip_ref.shorted_by_closure g pattern ~a ~b
           <> Survivor.shorted_by_closure_into sc pattern ~a ~b
         then ok := false;
         if
-          Survivor.connected_ignoring_opens g pattern ~a ~b
+          Strip_ref.connected_ignoring_opens g pattern ~a ~b
           <> Survivor.connected_ignoring_opens_into sc pattern ~a ~b
         then ok := false
       done;
@@ -874,11 +874,44 @@ let prop_hammock_ws_matches_legacy =
         Monte_carlo.estimate_event ~trials ~rng ~graph:h.Hammock.graph
           ~eps_open:eps ~eps_close:eps (fun pattern ->
             not
-              (Survivor.connected_ignoring_opens h.Hammock.graph pattern
+              (Strip_ref.connected_ignoring_opens h.Hammock.graph pattern
                  ~a:h.Hammock.input ~b:h.Hammock.output))
       in
       let e1 = run 1 in
       run 2 = e1 && run 4 = e1 && legacy = e1)
+
+(* the scratch-based collapse against the slice-by-slice rebuild: one
+   [Array.sub] per gadget copy, classified on its own quotient *)
+let prop_logical_pattern_matches_slices =
+  QCheck2.Test.make
+    ~name:"logical_pattern = per-slice oracle on random physical patterns"
+    ~count:100
+    QCheck2.Gen.(triple (int_range 0 100000) (int_range 1 2) (int_range 1 40))
+    (fun (seed, k, pct) ->
+      let g =
+        Digraph.of_edges ~n:4 [| (0, 1); (1, 2); (2, 3); (0, 2); (1, 3) |]
+      in
+      let gadget = Sp_network.build (Sp_network.iterate_quad k) in
+      let sub = Substitution.substitute g ~gadget in
+      let gg = gadget.Sp_network.graph in
+      let gm = Digraph.edge_count gg in
+      let eps = float_of_int pct /. 100.0 in
+      let rng = Rng.create ~seed in
+      let pattern =
+        Fault.sample rng ~eps_open:eps ~eps_close:eps
+          ~m:(Digraph.edge_count sub.Substitution.graph)
+      in
+      let expected =
+        Array.init (Digraph.edge_count g) (fun e ->
+            let slice = Array.sub pattern (e * gm) gm in
+            let a = gadget.Sp_network.input and b = gadget.Sp_network.output in
+            if Strip_ref.shorted_by_closure gg slice ~a ~b then
+              Fault.Closed_failure
+            else if not (Strip_ref.connected_ignoring_opens gg slice ~a ~b)
+            then Fault.Open_failure
+            else Fault.Normal)
+      in
+      Substitution.logical_pattern sub pattern = expected)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -889,6 +922,7 @@ let props =
       prop_sample_into_matches_sample;
       prop_workspace_survivor_matches_legacy;
       prop_hammock_ws_matches_legacy;
+      prop_logical_pattern_matches_slices;
     ]
 
 let () =
