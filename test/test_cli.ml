@@ -182,6 +182,137 @@ let test_faults_route_golden () =
     \  6 -> 6: 6 304 321 337 523 611 703 867 1026 1143 1367 1383 14\n\
     \  7 -> 2: 7 356 373 390 500 593 718 837 958 1076 1236 1252 10\n"
 
+let test_build_topologies_golden () =
+  check_output "build --net benes:8 --seed 1"
+    "benes-8: n=8x8 size=80 depth=5\n\
+     family: benes\n\
+     effective n: 8\n\
+     acyclic: true\n\
+     vertices: 48\n\
+     degrees: in 0..2, out 0..2, mean 1.67\n\
+     directed diameter (sampled lower bound): 5\n";
+  check_output "build --net clos:8:rearr --seed 1"
+    "ftnet: warning: family clos snapped n=8 to its natural grid (effective \
+     n=9)\n\
+     clos-m3-k3-r3: n=9x9 size=81 depth=3\n\
+     family: clos\n\
+     effective n: 9 (requested 8)\n\
+     acyclic: true\n\
+     vertices: 36\n\
+     degrees: in 0..3, out 0..3, mean 2.25\n\
+     directed diameter (sampled lower bound): 3\n";
+  check_output "topologies"
+    "registered network families (use --net FAMILY[:ARG]...):\n\
+    \  banyan           SW-banyan (baseline wiring): recursive inverse \
+     shuffles, unique paths\n\
+    \  benes            Benes rearrangeable network (n rounded up to a power \
+     of two)\n\
+    \  butterfly        plain butterfly: unique paths, no fault tolerance\n\
+    \  butterfly-pair   Bradley superconcentrator: a butterfly concatenated \
+     with its mirror  (aliases: bradley)\n\
+    \  cantor           Cantor network: log n parallel Benes copies, strictly \
+     nonblocking  (params: copies=INT)\n\
+    \  clos             three-stage Clos, strictly nonblocking (m = 2k-1)  \
+     (params: rearr)\n\
+    \  clos-rearr       three-stage Clos, rearrangeable sizing (preset for \
+     clos:rearr)\n\
+    \  crossbar         n x m crossbar: one switch per terminal pair  \
+     (params: m=INT)\n\
+    \  delta            delta network: butterfly wiring with reversed bit \
+     order, unique paths\n\
+    \  ft               the paper's fault-tolerant nonblocking network \
+     (scaled constants)  (aliases: paper; params: gamma=INT, degree=INT, \
+     grid-stages=INT)\n\
+    \  multibutterfly   Leighton-Maggs multibutterfly with seeded-random \
+     splitters  (params: degree=INT)\n\
+    \  multistage       recursive Clos of limited depth (Pippenger-Yao \
+     regime)  (params: levels=INT, k=INT)\n\
+    \  omega            omega network: log n perfect-shuffle/exchange \
+     stages, unique paths\n\
+    \  recursive-nb     Pippenger [P82] recursive strictly-nonblocking \
+     construction (scaled)  (aliases: recursive; params: levels=INT)\n\
+    \  valiant-sc       linear-size superconcentrator (Valiant/Gabber-Galil \
+     recursion)  (aliases: valiant; params: degree=INT, cutoff=INT)\n"
+
+(* the estimators' full reports at small sizes and --jobs 1; survive's
+   throughput line is wall-clock, so it is dropped before comparing *)
+let test_estimator_golden () =
+  let args = "survive --net benes:8 --eps 0.01 --trials 200 --seed 3 --jobs 1" in
+  let code, out = run args in
+  Alcotest.(check int) ("exit of " ^ args) 0 code;
+  Alcotest.(check string) args
+    "benes-8: n=8x8 size=80 depth=5\n\
+     P[survives eps=0.01, superconcentrator probes] = 0.260  (95% CI [0.204, \
+     0.325], 200 trials)\n"
+    (String.concat "\n"
+       (List.filter
+          (fun l -> not (contains l "throughput:"))
+          (String.split_on_char '\n' out)));
+  check_output "curve --net benes:8 --trials 60 --seed 4 --jobs 1"
+    "benes-8: n=8x8 size=80 depth=5\n\
+     survival curve (superconcentrator probes, 60 coupled trials, jobs=1):\n\
+    \  eps          mean     ci_low     ci_high    successes/trials\n\
+    \  0.001        0.9500   0.8630     0.9829     57/60\n\
+    \  0.0019307    0.8500   0.7389     0.9190     51/60\n\
+    \  0.00372759   0.7500   0.6277     0.8422     45/60\n\
+    \  0.00719686   0.5667   0.4410     0.6843     34/60\n\
+    \  0.013895     0.2667   0.1713     0.3901     16/60\n\
+    \  0.026827     0.1000   0.0466     0.2015     6/60\n\
+    \  0.0517947    0.0167   0.0029     0.0886     1/60\n\
+    \  0.1          0.0000   0.0000     0.0602     0/60\n";
+  check_output
+    "curve --net benes:8 --trials 40 --eps-grid 0.01:0.1:3 --seed 4 --jobs 1 \
+     --json"
+    "{\"inputs\":8,\"outputs\":8,\"switches\":80,\"trials\":40,\"probe\":\"sc_probe_only\",\"curve\":[{\"eps\":0.01,\"mean\":0.375,\"ci_low\":0.2422277353579172,\"ci_high\":0.529678399454681,\"successes\":15,\"trials\":40},{\"eps\":0.055000000000000007,\"mean\":0,\"ci_low\":0,\"ci_high\":0.087624539250392319,\"successes\":0,\"trials\":40},{\"eps\":0.1,\"mean\":0,\"ci_low\":0,\"ci_high\":0.087624539250392319,\"successes\":0,\"trials\":40}]}\n";
+  let rare =
+    "rare --net benes:8 --eps 1e-3 --trials 300 --pilot-trials 200 \
+     --tilt-iters 2 --seed 3 --jobs 1"
+  in
+  check_output rare
+    "benes-8: n=8x8 size=80 depth=5\n\
+     rare-event failure estimate at eps=0.001 (superconcentrator probes, \
+     jobs=1):\n\
+    \  method mean         rel_err   95% CI                   trials   \
+     var_ratio    evals\n\
+    \  tilt   1.0697e-01   0.1023    [8.553e-02, 1.284e-01]  300      \
+     2.661        300\n";
+  check_output (rare ^ " --json")
+    "{\"inputs\":8,\"outputs\":8,\"switches\":80,\"eps\":0.001,\"method\":\"tilt\",\"tilt\":{\"mean\":0.1069692136480533,\"rel_err\":0.10226759507458655,\"ci_low\":0.085527824563513433,\"ci_high\":0.12841060273259317,\"trials\":300,\"variance_ratio\":2.6607880823285832,\"evals\":300}}\n";
+  check_output
+    "critical --net benes:4 --eps 0.05 --sample 6 --trials 50 --seed 2 \
+     --jobs 1"
+    "benes-4: n=4x4 size=24 depth=3\n\
+     most critical sampled switches (Birnbaum, 50 trials):\n\
+    \  switch     1 (0 -> 6): open +0.3400  close +0.3600\n\
+    \  switch     6 (3 -> 5): open +0.2600  close +0.3400\n\
+    \  switch    14 (7 -> 10): open +0.2800  close +0.2800\n\
+    \  switch    11 (5 -> 9): open +0.2400  close +0.2400\n\
+    \  switch     4 (2 -> 5): open +0.2200  close +0.2600\n\
+    \  switch    17 (8 -> 13): open +0.0200  close +0.0600\n";
+  check_output "check --net crossbar:3 --seed 1 --jobs 1"
+    "crossbar-3x3: n=3x3 size=9 depth=1\n\
+     superconcentrator: yes (exhaustive)\n\
+     rearrangeable: yes (exhaustive)\n\
+     strictly nonblocking: yes (exhaustive)\n"
+
+(* traffic's JSON with failures on, and the tournament's 11 kB JSON by
+   MD5 of its stdout *)
+let test_traffic_tournament_golden () =
+  check_output
+    "traffic --net benes:8 --load 2 --mtbf 200 --mttr 1 --warmup 50 --calls \
+     300 --trials 2 --seed 3 --jobs 1 --json"
+    "{\"inputs\":8,\"outputs\":8,\"switches\":80,\"n_requested\":8,\"n_effective\":8,\"router\":\"bfs\",\"load\":2,\"holding\":\"exp\",\"replications\":2,\"blocking\":0.049999999999999996,\"blocking_ci_low\":0.03072674026181163,\"blocking_ci_high\":0.069273259738188361,\"batches\":20,\"measured_calls\":600,\"occupancy\":1.9192224749266198,\"carried\":1.9302277866166204,\"offered\":700,\"served\":665,\"blocked\":35,\"blocked_full\":0,\"dropped\":11,\"rerouted\":8,\"failures\":143,\"repairs\":141,\"events\":1647,\"sim_time\":350.54045578008288,\"catastrophes\":0}\n";
+  let args =
+    "tournament -n 4 --trials 10 --traffic-trials 1 --calls 60 --warmup 20 \
+     --seed 2 --jobs 1 --json"
+  in
+  let code, out, err = run_split args in
+  Alcotest.(check int) ("exit of " ^ args) 0 code;
+  Alcotest.(check string) "tournament stderr" "" err;
+  Alcotest.(check string) "tournament JSON MD5"
+    "09bd9fe77a60a19eec3a017c48ef8c60"
+    (Digest.to_hex (Digest.string out))
+
 let test_traffic () =
   let code, out =
     run
@@ -1011,6 +1142,11 @@ let () =
           Alcotest.test_case "degrade golden" `Quick test_degrade_golden;
           Alcotest.test_case "faults/route golden" `Quick
             test_faults_route_golden;
+          Alcotest.test_case "build/topologies golden" `Quick
+            test_build_topologies_golden;
+          Alcotest.test_case "estimator golden" `Quick test_estimator_golden;
+          Alcotest.test_case "traffic/tournament json golden" `Quick
+            test_traffic_tournament_golden;
           Alcotest.test_case "traffic" `Quick test_traffic;
           Alcotest.test_case "traffic json" `Quick test_traffic_json;
           Alcotest.test_case "traffic effective n" `Quick
