@@ -5,9 +5,7 @@
 open Bechamel
 open Toolkit
 module Rng = Ftcsn_prng.Rng
-module Network = Ftcsn_networks.Network
 module Benes = Ftcsn_networks.Benes
-module Digraph = Ftcsn_graph.Digraph
 
 let ft_build =
   Test.make ~name:"e2/e3: build FT network (u=3 scaled)"
@@ -136,7 +134,8 @@ type engine_sample = {
   pool_reused : bool;  (** [jobs > 1] with no spawn: the pool was warm *)
   extras : (string * Ftcsn_obs.Json.t) list;
       (** bench-specific extra metrics appended to the JSON record
-          (e.g. the traffic engine's events/s and blocking CI width) *)
+          (e.g. the rare-event row's relative error and its
+          improvement over plain Monte Carlo) *)
   minor_words_per_trial : float;
       (** minor-heap words allocated per trial on the scheduling domain.
           At [jobs=1] every chunk runs on the calling domain, so this is
@@ -288,274 +287,6 @@ let engine_samples ?(quick = false) ~jobs_list () =
     timed ~reps ~bench:"survival-benes-16-8runs" ~jobs:1
       ~trials:(8 * survival_trials) independent_runs
   in
-  (* Continuous-time traffic engine (Ftcsn_des.Traffic): replications of
-     a steady-state blocking estimate on benes-16 under offered load with
-     mild failure/repair clocks.  Headline rates are events/s and
-     offered calls/s rather than trials/s, plus the width of the pooled
-     blocking CI the run buys. *)
-  let traffic_last = ref None in
-  let traffic_config =
-    Ftcsn_des.Traffic.config ~load:8.0 ~mtbf:2000.0 ~mttr:5.0
-      ~stop:(Ftcsn_des.Traffic.Calls { warmup = 200; measured = 2000 })
-      ()
-  in
-  let traffic_sweep ~jobs ~trials ~trace =
-    let rng = Rng.create ~seed:45 in
-    traffic_last :=
-      Some
-        (Ftcsn_des.Traffic.estimate ~jobs ~trace ~trials ~rng
-           ~config:traffic_config benes)
-  in
-  let traffic_trials = if quick then 4 else 16 in
-  (* wall-clock upper bound on the deterministic router's share of a
-     traffic sweep: total seconds over the number of route searches the
-     run issued (arrivals that reached the router = offered minus
-     system-full losses, plus one reroute attempt per severed call).
-     An upper bound because the numerator also pays for event handling,
-     fault clocks and statistics. *)
-  let router_ns_extra t s =
-    let calls =
-      s.Ftcsn_des.Traffic.t_served
-      + (s.Ftcsn_des.Traffic.t_blocked - s.Ftcsn_des.Traffic.t_blocked_full)
-      + s.Ftcsn_des.Traffic.t_dropped
-    in
-    ( "router_ns_per_call",
-      Ftcsn_obs.Json.Float
-        (if calls = 0 then nan else t.seconds *. 1e9 /. float_of_int calls) )
-  in
-  let traffic =
-    let t =
-      timed ~reps ~bench:"traffic-benes-16" ~jobs:1 ~trials:traffic_trials
-        traffic_sweep
-    in
-    match !traffic_last with
-    | None -> t
-    | Some s ->
-        let open Ftcsn_obs.Json in
-        let b = s.Ftcsn_des.Traffic.blocking in
-        {
-          t with
-          extras =
-            [
-              ( "events_per_sec",
-                Float (float_of_int s.Ftcsn_des.Traffic.t_events /. t.seconds)
-              );
-              ( "calls_per_sec",
-                Float (float_of_int s.Ftcsn_des.Traffic.t_offered /. t.seconds)
-              );
-              ("blocking_mean", Float b.Ftcsn_des.Batch_means.mean);
-              ( "blocking_ci_width",
-                Float
-                  (b.Ftcsn_des.Batch_means.ci_high
-                  -. b.Ftcsn_des.Batch_means.ci_low) );
-              ( "minor_words_per_event",
-                Float
-                  (t.minor_words_per_trial *. float_of_int t.trials
-                  /. float_of_int s.Ftcsn_des.Traffic.t_events) );
-              router_ns_extra t s;
-            ];
-        }
-  in
-  (* Live daemon (lib/serve): the full decision path a request pays in
-     `ftnet serve --replay` — line-JSON parse, admission, one routing
-     decision, response serialization — with failure/repair churn on.
-     trials = call decisions, so trials/s is the daemon's decisions/s;
-     the engine's own latency histogram supplies the per-decision p99. *)
-  let serve_lines =
-    let calls = if quick then 10_000 else 60_000 in
-    Array.init calls (fun i ->
-        if i mod 6 = 5 then
-          Printf.sprintf {|{"req":"hangup","id":"c%d"}|} (i - 2)
-        else
-          Printf.sprintf {|{"req":"call","id":"c%d","at":%d.%02d}|} i (i / 20)
-            (5 * (i mod 20)))
-  in
-  let serve_last = ref None in
-  let serve_sweep ~jobs:_ ~trials ~trace:_ =
-    let rng = Rng.create ~seed:49 in
-    let eng =
-      Ftcsn_serve.Engine.create ~engine:`Loop ~mtbf:50.0 ~mttr:2.0
-        ~emit:(fun r -> ignore (Ftcsn_serve.Proto.response_to_string r))
-        ~rng benes
-    in
-    let n_lines = Array.length serve_lines in
-    let k = ref 0 in
-    while Ftcsn_serve.Engine.decisions eng < trials do
-      (match Ftcsn_serve.Proto.parse_request serve_lines.(!k mod n_lines) with
-      | Ok req -> Ftcsn_serve.Engine.handle eng req
-      | Error _ -> ());
-      incr k
-    done;
-    serve_last := Some eng
-  in
-  let serve =
-    let t =
-      timed ~reps ~bench:"serve-benes-16" ~jobs:1
-        ~trials:(if quick then 8_000 else 50_000)
-        serve_sweep
-    in
-    match !serve_last with
-    | None -> t
-    | Some eng ->
-        let open Ftcsn_obs.Json in
-        let p99 =
-          match
-            Option.bind
-              (member "decision_latency_ns"
-                 (Ftcsn_serve.Engine.metrics_json eng))
-              (member "p99")
-          with
-          | Some (Int v) -> v
-          | _ -> 0
-        in
-        {
-          t with
-          extras =
-            [
-              ("decisions_per_sec", Float t.rate);
-              ("p99_decision_ns", Int p99);
-              ("live_calls", Int (Ftcsn_serve.Engine.live_calls eng));
-            ];
-        }
-  in
-  (* Million-switch scale row (the scale-layer headline): incremental
-     Dyn_conn catastrophe checks and the Benes looping router (the
-     realistic operating point at this size) on the largest Benes that
-     fits the run budget.  Quick mode shrinks the network but keeps the
-     row name: CI greps for it, and the [switches] extra records the
-     honest size. *)
-  let scale_n = if quick then 1_024 else 32_768 in
-  let scale_net = Benes.create scale_n in
-  let scale_switches = Network.size scale_net in
-  let scale_horizon = if quick then 20.0 else 50.0 in
-  let scale_config =
-    Ftcsn_des.Traffic.config ~load:50.0 ~mtbf:1000.0 ~mttr:1.0
-      ~policy:Ftcsn_des.Traffic.Route_loop
-      ~stop:(Ftcsn_des.Traffic.Horizon scale_horizon) ()
-  in
-  let scale_last = ref None in
-  let scale_sweep ~jobs ~trials ~trace =
-    let rng = Rng.create ~seed:49 in
-    scale_last :=
-      Some
-        (Ftcsn_des.Traffic.estimate ~jobs ~trace ~trials ~rng
-           ~config:scale_config scale_net)
-  in
-  let scale =
-    let t =
-      timed ~reps:1 ~bench:"traffic-benes-1M" ~jobs:1 ~trials:1 scale_sweep
-    in
-    let open Ftcsn_obs.Json in
-    let events =
-      match !scale_last with
-      | Some s -> s.Ftcsn_des.Traffic.t_events
-      | None -> 0
-    in
-    {
-      t with
-      extras =
-        [
-          ("switches", Int scale_switches);
-          ("n", Int scale_n);
-          ("horizon", Float scale_horizon);
-          ("events", Int events);
-          ("events_per_sec", Float (float_of_int events /. t.seconds));
-          ( "minor_words_per_event",
-            Float
-              (if events = 0 then nan
-               else t.minor_words_per_trial /. float_of_int events) );
-          ( "router",
-            String (Ftcsn_des.Traffic.router_name scale_config scale_net) );
-        ]
-        @ (match !scale_last with
-          | None -> []
-          | Some s ->
-              [
-                ( "blocking_mean",
-                  Float s.Ftcsn_des.Traffic.blocking.Ftcsn_des.Batch_means.mean
-                );
-                router_ns_extra t s;
-              ]);
-    }
-  in
-  (* Single-request routing micro-rows on the same million-switch Benes:
-     route one random input->output request through a lightly faulted
-     mask (~0.1% of switches down) and tear it down, repeatedly.  The
-     stamped row is the masked-CSR BFS on the epoch-stamped arena — a
-     near-full graph scan per call, and the reference the other rows'
-     [speedup_vs_ref] divides by; the staged row is the level-bounded
-     bidirectional search; the headline row is the Benes looping router.
-     trials = routes, so trials/s is routes/s and minor_words_per_trial
-     is words per route. *)
-  let route_nv = Digraph.vertex_count scale_net.Network.graph in
-  let route_m = Digraph.edge_count scale_net.Network.graph in
-  let route_bad = Array.make route_m false in
-  let () =
-    let rng = Rng.create ~seed:51 in
-    for _ = 1 to route_m / 1000 do
-      route_bad.(Rng.int rng route_m) <- true
-    done
-  in
-  let route_edge_ok e = not route_bad.(e) in
-  let route_pairs =
-    let rng = Rng.create ~seed:52 in
-    Array.init 256 (fun _ ->
-        ( scale_net.Network.inputs.(Rng.int rng scale_n),
-          scale_net.Network.outputs.(Rng.int rng scale_n) ))
-  in
-  let route_buf = Array.make route_nv 0 in
-  let route_row ~bench ~trials ~engine =
-    let router =
-      Ftcsn_routing.Greedy.create ~edge_ok:route_edge_ok ~engine scale_net
-    in
-    let sweep ~jobs:_ ~trials ~trace:_ =
-      for k = 0 to trials - 1 do
-        let i, o = route_pairs.(k land 255) in
-        let len =
-          Ftcsn_routing.Greedy.route_into router ~input:i ~output:o
-            ~buf:route_buf
-        in
-        if len >= 0 then
-          Ftcsn_routing.Greedy.release_buf router ~len route_buf
-      done
-    in
-    let t = timed ~reps:1 ~bench ~jobs:1 ~trials sweep in
-    let open Ftcsn_obs.Json in
-    {
-      t with
-      extras =
-        [
-          ("switches", Int scale_switches);
-          ("n", Int scale_n);
-          ("routes_per_sec", Float t.rate);
-          ("router", String (Ftcsn_routing.Greedy.engine_name router));
-        ];
-    }
-  in
-  let route_stamped =
-    route_row ~bench:"route-benes-1M-stamped"
-      ~trials:(if quick then 1_000 else 200)
-      ~engine:`Bfs
-  in
-  let with_speedup t =
-    let open Ftcsn_obs.Json in
-    {
-      t with
-      extras = t.extras @ [ ("speedup_vs_ref", Float (t.rate /. route_stamped.rate)) ];
-    }
-  in
-  let route_staged =
-    with_speedup
-      (route_row ~bench:"route-benes-1M-staged"
-         ~trials:(if quick then 5_000 else 2_000)
-         ~engine:`Staged)
-  in
-  let route_loop =
-    with_speedup
-      (route_row ~bench:"route-benes-1M"
-         ~trials:(if quick then 20_000 else 100_000)
-         ~engine:`Loop)
-  in
   (* Rare-event pair: the cross-entropy-tilted estimator at the paper's
      eps = 1e-6 on benes-16, against a plain-MC sweep at the same eps
      whose only job is to price a Monte-Carlo trial.  Plain MC at 1e-6
@@ -658,11 +389,7 @@ let engine_samples ?(quick = false) ~jobs_list () =
   in
   ( tournament_last,
     per_jobs
-    @ [
-        curve; independent; traffic; serve; scale;
-        route_stamped; route_staged; route_loop; mc_price;
-        rare; tournament;
-      ] )
+    @ [ curve; independent; mc_price; rare; tournament ] )
 
 let write_json path samples =
   let open Ftcsn_obs.Json in
@@ -725,79 +452,6 @@ let run_engine ?(quick = false) ?(json_path = "BENCH_timings.json") () =
       Printf.printf "hammock sweep speedup at jobs=4: %.2fx (%d cores available)\n"
         (s4.rate /. s1.rate)
         (Domain.recommended_domain_count ())
-  | _ -> ());
-  (* traffic engine headline: events/s and calls/s, and how tight a
-     blocking interval the run bought *)
-  (match List.find_opt (fun s -> s.bench = "traffic-benes-16") samples with
-  | Some t ->
-      let f key =
-        match List.assoc_opt key t.extras with
-        | Some (Ftcsn_obs.Json.Float v) -> v
-        | _ -> nan
-      in
-      Printf.printf
-        "traffic-benes-16: %.0f events/s, %.0f calls/s, blocking %.4f (CI \
-         width %.4f) over %d replications\n"
-        (f "events_per_sec") (f "calls_per_sec") (f "blocking_mean")
-        (f "blocking_ci_width") t.trials
-  | None -> ());
-  (* live-daemon headline: full parse->admit->route->serialize decisions/s *)
-  (match List.find_opt (fun s -> s.bench = "serve-benes-16") samples with
-  | Some t ->
-      let p99 =
-        match List.assoc_opt "p99_decision_ns" t.extras with
-        | Some (Ftcsn_obs.Json.Int v) -> v
-        | _ -> 0
-      in
-      Printf.printf
-        "serve-benes-16: %.0f decisions/s end to end (p99 decision latency \
-         %d ns)\n"
-        t.rate p99
-  | None -> ());
-  (* scale-layer headline: the engine's event rate on the
-     million-switch network *)
-  (match List.find_opt (fun s -> s.bench = "traffic-benes-1M") samples with
-  | Some t ->
-      let f key =
-        match List.assoc_opt key t.extras with
-        | Some (Ftcsn_obs.Json.Float v) -> v
-        | _ -> nan
-      in
-      let i key =
-        match List.assoc_opt key t.extras with
-        | Some (Ftcsn_obs.Json.Int v) -> v
-        | _ -> 0
-      in
-      let router =
-        match List.assoc_opt "router" t.extras with
-        | Some (Ftcsn_obs.Json.String s) -> s
-        | _ -> "?"
-      in
-      Printf.printf
-        "traffic-benes-1M: %d switches, %d events in %.2fs = %.0f events/s \
-         (%.1f minor w/event, router %s at <= %.0f ns/call)\n"
-        (i "switches") (i "events") t.seconds (f "events_per_sec")
-        (f "minor_words_per_event") router (f "router_ns_per_call")
-  | None -> ());
-  (* single-request routing headline: the Benes looping router against
-     the stamped masked-CSR BFS on the same million-switch network *)
-  (match
-     ( List.find_opt (fun s -> s.bench = "route-benes-1M") samples,
-       List.find_opt (fun s -> s.bench = "route-benes-1M-staged") samples )
-   with
-  | Some lp, Some st ->
-      let f t key =
-        match List.assoc_opt key t.extras with
-        | Some (Ftcsn_obs.Json.Float v) -> v
-        | _ -> nan
-      in
-      Printf.printf
-        "route-benes-1M: loop router %.0f routes/s (%.0fx the stamped \
-         masked-CSR BFS); staged bidirectional %.0f routes/s (%.1fx)\n"
-        (f lp "routes_per_sec")
-        (f lp "speedup_vs_ref")
-        (f st "routes_per_sec")
-        (f st "speedup_vs_ref")
   | _ -> ());
   (* rare-event headline: the tilted estimator's precision priced
      against plain MC in the same wall-clock budget *)

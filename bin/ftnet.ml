@@ -22,9 +22,10 @@
      render     DOT or ASCII renderings (grids, stage census)
 
    Networks come from the Ftcsn_networks.Topology registry: every
-   subcommand takes --net SPEC (e.g. benes:16, clos:n=64:rearr,
-   multibutterfly:degree=4); --family FAMILY is kept as an alias for
-   --net FAMILY.  `ftnet topologies' lists the registered families.
+   subcommand but tournament takes --net SPEC (default ft; e.g.
+   benes:16, clos:n=64:rearr, multibutterfly:degree=4), -n and --seed.
+   `ftnet topologies' lists the registered families.  Seed offsets live
+   in Ftcsn.Seeds.
 
    Every Monte-Carlo workload runs on the Ftcsn_sim.Trials engine, so
    --jobs only changes wall-clock time: estimates, witnesses and ranks are
@@ -33,6 +34,11 @@
    --trace FILE (JSONL span/chunk/stop events) and --progress (live
    stderr); tracing is strictly observational, so results are also
    bit-identical with it on or off.
+
+   Flags: a flag that means the same thing in several subcommands is one
+   shared term, and every flag's value is checked while cmdliner
+   evaluates its term, in the order the subcommand lists its terms.  Run
+   bodies check only combinations of flags.
 
    Error convention: invalid flag values and unopenable metric/trace
    paths print "ftnet: error: ..." on stderr and exit with code 2. *)
@@ -55,6 +61,8 @@ module Obs_metrics = Ftcsn_obs.Metrics
 module Obs_timer = Ftcsn_obs.Timer
 module Counter = Ftcsn_obs.Counter
 module Trace = Ftcsn_obs.Trace
+module Strip = Ftcsn.Fault_strip
+module Seeds = Ftcsn.Seeds
 open Cmdliner
 
 (* ---------- error convention ---------- *)
@@ -66,9 +74,14 @@ let die fmt =
       exit 2)
     fmt
 
-let check_pos flag v =
-  if v < 1 then die "invalid %s value %d: must be an integer >= 1" flag v
+let check_int ~min flag v =
+  if v < min then die "invalid %s value %d: must be an integer >= %d" flag v min
   else v
+
+let check_pos = check_int ~min:1
+
+let check_float flag ok need v =
+  if ok v then v else die "invalid %s value %g: %s" flag v need
 
 (* Oversubscribing domains beyond the core count only adds scheduling
    overhead; warn (don't clamp) so deterministic runs pinned to an
@@ -84,69 +97,58 @@ let check_jobs v =
       (if cores = 1 then "" else "s");
   v
 
-let parse_target_ci = function
-  | None -> None
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some w when w > 0.0 && w < 1.0 -> Some w
-      | _ ->
-          die "invalid --target-ci value %S: expected a half-width in (0, 1)"
-            s)
-
 (* --eps-grid LO:HI:STEPS[:log|:lin] — an inclusive ε grid, linearly
    spaced by default or log-spaced on request.  HI is capped at 0.5
    because every sweep runs at ε₁ = ε₂ = ε. *)
-let parse_eps_grid = function
-  | None -> None
-  | Some s ->
-      let fail why = die "invalid --eps-grid value %S: %s" s why in
-      let lo_s, hi_s, steps_s, scale =
-        match String.split_on_char ':' s with
-        | [ lo; hi; steps ] | [ lo; hi; steps; "lin" ] -> (lo, hi, steps, `Lin)
-        | [ lo; hi; steps; "log" ] -> (lo, hi, steps, `Log)
-        | [ _; _; _; sc ] ->
-            fail (Printf.sprintf "unknown spacing %S (expected log or lin)" sc)
-        | _ -> fail "expected LO:HI:STEPS[:log|:lin]"
-      in
-      let flt name v =
-        match float_of_string_opt v with
-        | Some x -> x
-        | None -> fail (Printf.sprintf "%s %S is not a number" name v)
-      in
-      let lo = flt "LO" lo_s and hi = flt "HI" hi_s in
-      let steps =
-        match int_of_string_opt steps_s with
-        | Some k when k >= 1 -> k
-        | _ -> fail (Printf.sprintf "STEPS %S must be an integer >= 1" steps_s)
-      in
-      if not (lo >= 0.0 && lo <= hi) then fail "need 0 <= LO <= HI";
-      if hi > 0.5 then fail "need HI <= 0.5 (sweeps run at eps_open = eps_close = eps)";
-      (match scale with
-      | `Log when lo <= 0.0 -> fail "log spacing needs LO > 0"
-      | _ -> ());
-      let grid =
-        Array.init steps (fun k ->
-            if steps = 1 then lo
-            else
-              let t = float_of_int k /. float_of_int (steps - 1) in
-              match scale with
-              | `Lin -> lo +. (t *. (hi -. lo))
-              | `Log -> lo *. exp (t *. log (hi /. lo)))
-      in
-      (* extreme LO/HI (e.g. a denormal LO with :log) can overflow the
-         spacing arithmetic into inf/nan points that would crash the
-         fault sampler mid-sweep; reject the grid up front instead *)
-      Array.iteri
-        (fun k x ->
-          if not (Float.is_finite x && x >= 0.0 && x <= 0.5) then
-            fail
-              (Printf.sprintf
-                 "grid point %d computes to %g (degenerate spacing; LO/HI \
-                  too extreme for %s scale)"
-                 k x
-                 (match scale with `Log -> "log" | `Lin -> "lin")))
-        grid;
-      Some grid
+let parse_eps_grid s =
+  let fail why = die "invalid --eps-grid value %S: %s" s why in
+  let lo_s, hi_s, steps_s, scale =
+    match String.split_on_char ':' s with
+    | [ lo; hi; steps ] | [ lo; hi; steps; "lin" ] -> (lo, hi, steps, `Lin)
+    | [ lo; hi; steps; "log" ] -> (lo, hi, steps, `Log)
+    | [ _; _; _; sc ] ->
+        fail (Printf.sprintf "unknown spacing %S (expected log or lin)" sc)
+    | _ -> fail "expected LO:HI:STEPS[:log|:lin]"
+  in
+  let flt name v =
+    match float_of_string_opt v with
+    | Some x -> x
+    | None -> fail (Printf.sprintf "%s %S is not a number" name v)
+  in
+  let lo = flt "LO" lo_s and hi = flt "HI" hi_s in
+  let steps =
+    match int_of_string_opt steps_s with
+    | Some k when k >= 1 -> k
+    | _ -> fail (Printf.sprintf "STEPS %S must be an integer >= 1" steps_s)
+  in
+  if not (lo >= 0.0 && lo <= hi) then fail "need 0 <= LO <= HI";
+  if hi > 0.5 then fail "need HI <= 0.5 (sweeps run at eps_open = eps_close = eps)";
+  (match scale with
+  | `Log when lo <= 0.0 -> fail "log spacing needs LO > 0"
+  | _ -> ());
+  let grid =
+    Array.init steps (fun k ->
+        if steps = 1 then lo
+        else
+          let t = float_of_int k /. float_of_int (steps - 1) in
+          match scale with
+          | `Lin -> lo +. (t *. (hi -. lo))
+          | `Log -> lo *. exp (t *. log (hi /. lo)))
+  in
+  (* extreme LO/HI (e.g. a denormal LO with :log) can overflow the
+     spacing arithmetic into inf/nan points that would crash the
+     fault sampler mid-sweep; reject the grid up front instead *)
+  Array.iteri
+    (fun k x ->
+      if not (Float.is_finite x && x >= 0.0 && x <= 0.5) then
+        fail
+          (Printf.sprintf
+             "grid point %d computes to %g (degenerate spacing; LO/HI \
+              too extreme for %s scale)"
+             k x
+             (match scale with `Log -> "log" | `Lin -> "lin")))
+    grid;
+  grid
 
 (* ---------- observability ---------- *)
 
@@ -252,43 +254,19 @@ let print_curve_table grid (ests : Trials.estimate array) =
         est.Trials.successes est.Trials.trials)
     ests
 
-(* ---------- seed derivation ---------- *)
+(* the network's terminal and switch counts, leading every JSON report *)
+let net_fields net =
+  [
+    ("inputs", Obs_json.Int (Network.n_inputs net));
+    ("outputs", Obs_json.Int (Network.n_outputs net));
+    ("switches", Obs_json.Int (Network.size net));
+  ]
 
-(* Every stream ftnet ever draws from derives from the user's --seed by a
-   fixed offset, documented here in one place.  Network construction uses
-   the seed itself (offset 0) in every subcommand, so `--family ft -n 8
-   --seed 1` denotes the same network everywhere; each subcommand's own
-   randomness (fault sampling, probe workloads, ...) lives at its own
-   offset so no two subcommands share a stream. *)
-module Seeds = struct
-  let network seed = Rng.create ~seed (* offset 0: network construction *)
+(* ---------- shared flags ---------- *)
 
-  let faults seed = Rng.create ~seed:(seed + 1)
-
-  let route seed = Rng.create ~seed:(seed + 2)
-
-  let check seed = Rng.create ~seed:(seed + 3)
-
-  let survive seed = Rng.create ~seed:(seed + 4)
-
-  let degrade seed = Rng.create ~seed:(seed + 5)
-
-  let critical seed = Rng.create ~seed:(seed + 6)
-
-  let traffic seed = Rng.create ~seed:(seed + 7)
-
-  let rare seed = Rng.create ~seed:(seed + 8)
-
-  let serve seed = Rng.create ~seed:(seed + 9)
-
-  (* curve shares survive's stream: a curve point at ε then reproduces
-     `survive --eps ε` with the same --seed bit-for-bit *)
-  let curve seed = Rng.create ~seed:(seed + 4)
-
-  let build seed = Rng.create ~seed:(seed + 10) (* diameter sampling *)
-end
-
-(* ---------- shared argument parsing ---------- *)
+(* Each term below checks its value through [die] while cmdliner
+   evaluates it.  An Arg.conv would fail with cmdliner's own text and
+   exit 124 instead of the "ftnet: error:" + exit 2 convention. *)
 
 let seed_arg =
   let doc =
@@ -297,22 +275,46 @@ let seed_arg =
   in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+let n_arg =
+  let doc = "Number of terminals (rounded to the family's natural grid)." in
+  Term.(
+    const (check_pos "-n")
+    $ Arg.(value & opt int 8 & info [ "n" ] ~docv:"N" ~doc))
+
+(* which network a subcommand builds: the registry spec, -n and the seed
+   of its construction stream *)
+type net_args = { spec : string; n : int; seed : int }
+
+let net_args =
+  let doc =
+    "Network spec $(docv) = FAMILY[:ARG]... where each ARG is a bare \
+     integer (the terminal count), KEY=VALUE, or a flag name — e.g. \
+     benes:16, clos:n=64:rearr, multibutterfly:degree=4.  See `ftnet \
+     topologies' for the registered families."
+  in
+  Term.(
+    const (fun spec n seed -> { spec; n; seed })
+    $ Arg.(value & opt string "ft" & info [ "net" ] ~docv:"SPEC" ~doc)
+    $ n_arg $ seed_arg)
+
+(* a plain int or float flag --NAME and the check of its value *)
+let int_flag ?(min = 1) key ~default ~docv ~doc =
+  Term.(
+    const (check_int ~min ("--" ^ key))
+    $ Arg.(value & opt int default & info [ key ] ~docv ~doc))
+
+let float_flag key ~default ~ok ~need ~docv ~doc =
+  Term.(
+    const (check_float ("--" ^ key) ok need)
+    $ Arg.(value & opt float default & info [ key ] ~docv ~doc))
+
 (* open = closed = EPS, so no EPS above 0.5 is a distribution; NaN fails
    both comparisons *)
 let eps_arg =
-  let doc = "Per-switch failure probability (open = closed = EPS)." in
-  let check eps =
-    if not (eps >= 0.0 && eps <= 0.5) then
-      die "invalid --eps value %g: need 0 <= EPS <= 0.5 (open = closed = EPS)"
-        eps;
-    eps
-  in
-  Term.(
-    const check $ Arg.(value & opt float 0.01 & info [ "eps" ] ~docv:"EPS" ~doc))
-
-let n_arg =
-  let doc = "Number of terminals (rounded to the family's natural grid)." in
-  Arg.(value & opt int 8 & info [ "n" ] ~docv:"N" ~doc)
+  float_flag "eps" ~default:0.01
+    ~ok:(fun e -> e >= 0.0 && e <= 0.5)
+    ~need:"need 0 <= EPS <= 0.5 (open = closed = EPS)" ~docv:"EPS"
+    ~doc:"Per-switch failure probability (open = closed = EPS)."
 
 let jobs_arg =
   let doc =
@@ -320,30 +322,118 @@ let jobs_arg =
      recommended domain count).  Results are bit-identical at every J; \
      only wall-clock time changes."
   in
-  Arg.(
-    value
-    & opt int (Domain.recommended_domain_count ())
-    & info [ "jobs"; "j" ] ~docv:"J" ~doc)
+  Term.(
+    const check_jobs
+    $ Arg.(
+        value
+        & opt int (Domain.recommended_domain_count ())
+        & info [ "jobs"; "j" ] ~docv:"J" ~doc))
 
 let target_ci_arg =
   let doc =
     "Adaptive stopping: keep running trials until the Wilson 95% interval \
      half-width drops to W or below (the --trials cap still applies)."
   in
-  Arg.(value & opt (some string) None & info [ "target-ci" ] ~docv:"W" ~doc)
-
-let trials_arg ~default ~doc =
-  Arg.(value & opt int default & info [ "trials" ] ~docv:"T" ~doc)
-
-let eps_grid_arg =
-  let doc =
-    "Sweep a coupled ε-curve over $(docv) = LO:HI:STEPS[:log|:lin] instead \
-     of the single --eps point: every trial draws one uniform per switch \
-     and thresholds that same draw vector at each grid ε (common random \
-     numbers), so the whole curve costs about one run and the points are \
-     positively correlated.  Incompatible with --target-ci."
+  let parse s =
+    match float_of_string_opt s with
+    | Some w when w > 0.0 && w < 1.0 -> w
+    | _ ->
+        die "invalid --target-ci value %S: expected a half-width in (0, 1)" s
   in
-  Arg.(value & opt (some string) None & info [ "eps-grid" ] ~docv:"GRID" ~doc)
+  Term.(
+    const (Option.map parse)
+    $ Arg.(
+        value & opt (some string) None & info [ "target-ci" ] ~docv:"W" ~doc))
+
+let trials_arg ~default ~doc = int_flag "trials" ~default ~docv:"T" ~doc
+
+let eps_grid_arg ?default ~doc () =
+  Term.(
+    const (Option.map parse_eps_grid)
+    $ Arg.(
+        value
+        & opt (some string) default
+        & info [ "eps-grid" ] ~docv:"GRID" ~doc))
+
+(* faults and route: the surveys' optional coupled curve *)
+let survey_grid_arg =
+  eps_grid_arg
+    ~doc:
+      "Sweep a coupled ε-curve over $(docv) = LO:HI:STEPS[:log|:lin] instead \
+       of the single --eps point: every trial draws one uniform per switch \
+       and thresholds that same draw vector at each grid ε (common random \
+       numbers), so the whole curve costs about one run and the points are \
+       positively correlated.  Incompatible with --target-ci."
+    ()
+
+(* a coupled curve has no single half-width to aim for *)
+let no_target_ci_on_curve eps_grid target_ci =
+  if eps_grid <> None && target_ci <> None then
+    die "--eps-grid cannot be combined with --target-ci (a single \
+         half-width target is ill-defined across a curve)"
+
+let json_flag =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:"Emit the result as one JSON object instead of a table.")
+
+let holding_arg =
+  let doc =
+    "Holding-time distribution (of every call in traffic, of calls without \
+     an explicit \"hold\" field in serve): exp (memoryless, mean 1) or \
+     pareto:ALPHA (heavy-tailed, ALPHA > 1, rescaled to mean 1)."
+  in
+  let parse s =
+    match Dist.holding_of_string s with
+    | Ok h -> h
+    | Error msg -> die "invalid --holding value %S: %s" s msg
+  in
+  Term.(
+    const parse
+    $ Arg.(value & opt string "exp" & info [ "holding" ] ~docv:"DIST" ~doc))
+
+let mtbf_arg ?default () =
+  let doc =
+    "Per-switch mean time between failures (exponential clock, open/closed \
+     with equal probability)."
+  in
+  Term.(
+    const (Option.map (check_float "--mtbf" (fun x -> x > 0.0) "must be > 0"))
+    $ Arg.(
+        value
+        & opt (some ~none:"no failures" float) default
+        & info [ "mtbf" ] ~docv:"T" ~doc))
+
+let mttr_arg =
+  Term.(
+    const
+      (check_float "--mttr"
+         (fun x -> x > 0.0)
+         "must be > 0 (use a huge value for permanent failures)")
+    $ Arg.(
+        value & opt float 10.0
+        & info [ "mttr" ] ~docv:"T"
+            ~doc:"Per-switch mean time to repair (exponential clock)."))
+
+let warmup_arg ~default =
+  Term.(
+    const (check_int ~min:0 "--warmup")
+    $ Arg.(
+        value & opt int default
+        & info [ "warmup" ] ~docv:"CALLS"
+            ~doc:
+              "Offered calls discarded before the measured window opens \
+               (warm-up truncation)."))
+
+let calls_arg ~default =
+  int_flag "calls" ~default ~docv:"CALLS"
+    ~doc:"Offered calls measured per traffic replication."
+
+let check_load =
+  check_float "--load"
+    (fun l -> l > 0.0 && Float.is_finite l)
+    "must be a finite offered load > 0"
 
 let metrics_arg =
   let doc =
@@ -369,37 +459,10 @@ let obs_args =
   Term.(
     const (fun m t p -> (m, t, p)) $ metrics_arg $ trace_arg $ progress_flag)
 
-(* --net SPEC selects from the Topology registry; --family FAMILY is the
-   historical spelling, kept as a plain alias for --net FAMILY. *)
-let net_arg =
-  let doc =
-    "Network spec $(docv) = FAMILY[:ARG]... where each ARG is a bare \
-     integer (the terminal count), KEY=VALUE, or a flag name — e.g. \
-     benes:16, clos:n=64:rearr, multibutterfly:degree=4.  See `ftnet \
-     topologies' for the registered families."
-  in
-  Arg.(value & opt (some string) None & info [ "net" ] ~docv:"SPEC" ~doc)
-
-let family_alias_arg =
-  let doc = "Network family name (alias for --net $(docv))." in
-  Arg.(value & opt (some string) None & info [ "family" ] ~docv:"FAMILY" ~doc)
-
-let spec_args =
-  Term.(const (fun net family -> (net, family)) $ net_arg $ family_alias_arg)
-
-(* Resolve --net/--family, build through the registry, and warn when the
-   family snapped n to its natural grid (the old build_network rounded
-   silently).  Exits 2 with the registry's normalized message on an
+(* Build through the registry and warn when the family snapped n to its
+   natural grid.  Exits 2 with the registry's normalized message on an
    unknown family/parameter. *)
-let build_network (net, family) ~n ~seed =
-  let spec =
-    match (net, family) with
-    | Some _, Some _ -> die "--net and --family cannot both be given"
-    | Some s, None -> s
-    | None, Some f -> f
-    | None, None -> "ft"
-  in
-  let n = check_pos "-n" n in
+let build_network { spec; n; seed } =
   match Topology.build_string ~n ~rng:(Seeds.network seed) spec with
   | Error msg -> die "%s" msg
   | Ok built ->
@@ -411,13 +474,16 @@ let build_network (net, family) ~n ~seed =
           built.Topology.n_effective;
       built
 
-let build_net netspec ~n ~seed = (build_network netspec ~n ~seed).Topology.net
+(* open the sinks, then build the network under the build-network phase *)
+let with_net obsargs net_args f =
+  with_obs obsargs @@ fun obs ->
+  f obs (phase obs "build-network" (fun () -> build_network net_args))
 
 (* ---------- build ---------- *)
 
 let build_cmd =
-  let run family n seed =
-    let built = build_network family ~n ~seed in
+  let run net_args =
+    let built = build_network net_args in
     let net = built.Topology.net in
     let g = net.Network.graph in
     Format.printf "%a@." Network.pp net;
@@ -433,12 +499,12 @@ let build_cmd =
       p.Ftcsn_graph.Metrics.min_in p.Ftcsn_graph.Metrics.max_in
       p.Ftcsn_graph.Metrics.min_out p.Ftcsn_graph.Metrics.max_out
       p.Ftcsn_graph.Metrics.mean_out;
-    let rng = Seeds.build seed in
+    let rng = Seeds.build net_args.seed in
     Format.printf "directed diameter (sampled lower bound): %d@."
       (Ftcsn_graph.Metrics.diameter_lower_bound g ~samples:8 ~rng)
   in
   let doc = "Construct a network and print size, depth and degree stats." in
-  Cmd.v (Cmd.info "build" ~doc) Term.(const run $ spec_args $ n_arg $ seed_arg)
+  Cmd.v (Cmd.info "build" ~doc) Term.(const run $ net_args)
 
 (* ---------- topologies ---------- *)
 
@@ -490,44 +556,42 @@ let topologies_cmd =
 (* ---------- faults ---------- *)
 
 let faults_cmd =
-  let run family n seed eps eps_grid radius trials jobs target_ci obsargs =
-    let trials = check_pos "--trials" trials in
-    let jobs = check_jobs jobs in
-    let eps_grid = parse_eps_grid eps_grid in
-    if eps_grid <> None && target_ci <> None then
-      die "--eps-grid cannot be combined with --target-ci (a single \
-           half-width target is ill-defined across a curve)";
-    let target_ci = parse_target_ci target_ci in
-    if radius < 0 then
-      die "invalid --radius value %d: must be an integer >= 0" radius;
-    with_obs obsargs @@ fun obs ->
-    let net = phase obs "build-network" (fun () -> build_net family ~n ~seed) in
-    let rng = Seeds.faults seed in
+  let run net_args eps trials jobs eps_grid target_ci radius obsargs =
+    no_target_ci_on_curve eps_grid target_ci;
+    with_net obsargs net_args @@ fun obs { Topology.net; _ } ->
+    let rng = Seeds.faults net_args.seed in
     let m = Network.size net in
     let pattern = Fault.sample rng ~eps_open:eps ~eps_close:eps ~m in
     let opens = Fault.count pattern Fault.Open_failure in
     let closes = Fault.count pattern Fault.Closed_failure in
     Format.printf "switches: %d, open failures: %d, closed failures: %d@." m
       opens closes;
-    let ws = Ftcsn.Fault_strip.create_ws net in
-    Ftcsn.Fault_strip.strip_into ~radius ws pattern;
-    let stripped =
-      Ftcsn_util.Bitset.cardinal (Ftcsn.Fault_strip.ws_stripped ws)
-    in
+    let ws = Strip.create_ws net in
+    Strip.strip_into ~radius ws pattern;
+    let stripped = Ftcsn_util.Bitset.cardinal (Strip.ws_stripped ws) in
     let vertices = Ftcsn_graph.Digraph.vertex_count net.Network.graph in
     Format.printf "stripped vertices: %d (%.2f%%)@." stripped
       (100.0 *. (float_of_int stripped /. float_of_int vertices));
     Format.printf "terminals shorted: %s@."
-      (match Ftcsn.Fault_strip.ws_shorted_terminals ws with
+      (match Strip.ws_shorted_terminals ws with
       | [] -> "none"
       | ps ->
           String.concat ", "
             (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) ps));
     Format.printf "isolated inputs: %s@."
-      (match Ftcsn.Fault_strip.ws_isolated_inputs ws with
+      (match Strip.ws_isolated_inputs ws with
       | [] -> "none"
       | is -> String.concat ", " (List.map string_of_int is));
-    (match eps_grid with
+    (* the surveys' event: a fresh pattern leaves a clean survivor (no
+       shorted terminals, no isolated inputs); one Fault_strip workspace
+       per worker, so trials allocate nothing but the isolated-input
+       lists *)
+    let init () = Strip.create_ws net in
+    let clean ws pattern =
+      Strip.strip_into ~radius ws pattern;
+      Strip.ws_healthy ws && Strip.ws_isolated_inputs ws = []
+    in
+    match eps_grid with
     | Some grid ->
         (* coupled curve survey: one uniform per switch per trial,
            thresholded at every grid ε (common random numbers); the
@@ -537,24 +601,18 @@ let faults_cmd =
           phase obs "estimate" (fun () ->
               Trials.sweep ~jobs ?progress:obs.progress ?trace:obs.trace
                 ~label:"faults.survey_curve" ~trials ~rng
-                ~points:(Array.length grid)
-                ~init:(fun () -> Ftcsn.Fault_strip.create_ws net)
+                ~points:(Array.length grid) ~init
                 (fun ws sub outcomes ->
                   let uniforms =
-                    Ftcsn_reliability.Scratch.uniforms
-                      (Ftcsn.Fault_strip.ws_scratch ws)
+                    Ftcsn_reliability.Scratch.uniforms (Strip.ws_scratch ws)
                   in
-                  let pattern = Ftcsn.Fault_strip.ws_pattern ws in
+                  let pattern = Strip.ws_pattern ws in
                   Fault.sample_uniforms_into sub uniforms;
                   Array.iteri
                     (fun k e ->
                       Fault.classify_into ~uniforms ~eps_open:e ~eps_close:e
                         pattern;
-                      Ftcsn.Fault_strip.strip_into ~radius ws pattern;
-                      if
-                        Ftcsn.Fault_strip.ws_healthy ws
-                        && Ftcsn.Fault_strip.ws_isolated_inputs ws = []
-                      then Bytes.set outcomes k '\001')
+                      if clean ws pattern then Bytes.set outcomes k '\001')
                     grid))
         in
         Format.printf
@@ -563,30 +621,23 @@ let faults_cmd =
         print_curve_table grid ests
     | None ->
         if trials > 1 then begin
-          (* survey mode: estimate how often a fresh pattern leaves a clean
-             survivor (no shorted terminals, no isolated inputs); runs on the
-             Fault_strip workspace, so trials allocate nothing but the
-             isolated-input lists *)
           let est =
             phase obs "estimate" (fun () ->
                 Trials.run_scratch ~jobs ?target_ci ?progress:obs.progress
-                  ?trace:obs.trace ~label:"faults.survey" ~trials ~rng
-                  ~init:(fun () -> Ftcsn.Fault_strip.create_ws net)
+                  ?trace:obs.trace ~label:"faults.survey" ~trials ~rng ~init
                   (fun ws sub ->
-                    let pattern = Ftcsn.Fault_strip.ws_pattern ws in
+                    let pattern = Strip.ws_pattern ws in
                     Fault.sample_into sub ~eps_open:eps ~eps_close:eps pattern;
-                    Ftcsn.Fault_strip.strip_into ~radius ws pattern;
-                    Ftcsn.Fault_strip.ws_healthy ws
-                    && Ftcsn.Fault_strip.ws_isolated_inputs ws = []))
+                    clean ws pattern))
           in
           note_estimate obs "faults.clean" est;
           Format.printf "P[survivor clean] = %a  (%d trials, jobs=%d)@."
             Monte_carlo.pp est est.Monte_carlo.trials jobs
-        end)
+        end
   in
   let radius =
-    Arg.(value & opt int 0 & info [ "radius" ] ~docv:"R"
-           ~doc:"Strip radius: 0 = faulty vertices, 1 = plus neighbours.")
+    int_flag ~min:0 "radius" ~default:0 ~docv:"R"
+      ~doc:"Strip radius: 0 = faulty vertices, 1 = plus neighbours."
   in
   let trials =
     trials_arg ~default:1
@@ -597,24 +648,31 @@ let faults_cmd =
   let doc = "Sample a fault pattern and report the stripped survivor." in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
-      const run $ spec_args $ n_arg $ seed_arg $ eps_arg $ eps_grid_arg
-      $ radius $ trials $ jobs_arg $ target_ci_arg $ obs_args)
+      const run $ net_args $ eps_arg $ trials $ jobs_arg $ survey_grid_arg
+      $ target_ci_arg $ radius $ obs_args)
 
 (* ---------- route ---------- *)
 
 let route_cmd =
-  let run family n seed eps eps_grid verbose trials jobs target_ci obsargs =
-    let trials = check_pos "--trials" trials in
-    let jobs = check_jobs jobs in
-    let eps_grid = parse_eps_grid eps_grid in
-    if eps_grid <> None && target_ci <> None then
-      die "--eps-grid cannot be combined with --target-ci (a single \
-           half-width target is ill-defined across a curve)";
-    let target_ci = parse_target_ci target_ci in
-    with_obs obsargs @@ fun obs ->
-    let net = phase obs "build-network" (fun () -> build_net family ~n ~seed) in
-    let rng = Seeds.route seed in
+  let run net_args eps trials jobs eps_grid target_ci verbose obsargs =
+    no_target_ci_on_curve eps_grid target_ci;
+    with_net obsargs net_args @@ fun obs { Topology.net; _ } ->
+    let rng = Seeds.route net_args.seed in
     let n' = min (Network.n_inputs net) (Network.n_outputs net) in
+    (* one Fault_strip workspace and the greedy router it masks: the
+       router runs on the original graph and sees each re-strip *)
+    let init () =
+      let fs = Strip.create_ws net in
+      ( fs,
+        Ftcsn_routing.Greedy.create ~allowed:(Strip.ws_allowed fs)
+          ~edge_ok:(Strip.ws_edge_ok fs) net )
+    in
+    let full_route router pi =
+      Ftcsn_routing.Greedy.clear router;
+      let success = ref 0 in
+      ignore (Ftcsn_routing.Greedy.route_permutation router pi ~success);
+      !success = n'
+    in
     match eps_grid with
     | Some grid ->
         (* coupled curve survey: shared per-switch draws across the grid;
@@ -625,35 +683,20 @@ let route_cmd =
           phase obs "estimate" (fun () ->
               Trials.sweep ~jobs ?progress:obs.progress ?trace:obs.trace
                 ~label:"route.survey_curve" ~trials ~rng
-                ~points:(Array.length grid)
-                ~init:(fun () ->
-                  let fs = Ftcsn.Fault_strip.create_ws net in
-                  let router =
-                    Ftcsn_routing.Greedy.create
-                      ~allowed:(Ftcsn.Fault_strip.ws_allowed fs)
-                      ~edge_ok:(Ftcsn.Fault_strip.ws_edge_ok fs)
-                      net
-                  in
-                  (fs, router))
+                ~points:(Array.length grid) ~init
                 (fun (fs, router) sub outcomes ->
                   let uniforms =
-                    Ftcsn_reliability.Scratch.uniforms
-                      (Ftcsn.Fault_strip.ws_scratch fs)
+                    Ftcsn_reliability.Scratch.uniforms (Strip.ws_scratch fs)
                   in
-                  let pattern = Ftcsn.Fault_strip.ws_pattern fs in
+                  let pattern = Strip.ws_pattern fs in
                   Fault.sample_uniforms_into sub uniforms;
                   let pi = Rng.permutation (Rng.copy sub) n' in
                   Array.iteri
                     (fun k e ->
                       Fault.classify_into ~uniforms ~eps_open:e ~eps_close:e
                         pattern;
-                      Ftcsn.Fault_strip.strip_into fs pattern;
-                      Ftcsn_routing.Greedy.clear router;
-                      let success = ref 0 in
-                      ignore
-                        (Ftcsn_routing.Greedy.route_permutation router pi
-                           ~success);
-                      if !success = n' then Bytes.set outcomes k '\001')
+                      Strip.strip_into fs pattern;
+                      if full_route router pi then Bytes.set outcomes k '\001')
                     grid))
         in
         Format.printf
@@ -661,73 +704,46 @@ let route_cmd =
            jobs=%d):@."
           trials jobs;
         print_curve_table grid ests
-    | None ->
-    if trials <= 1 then begin
-      let pi = Rng.permutation rng n' in
-      let router =
+    | None when trials <= 1 ->
+        let pi = Rng.permutation rng n' in
+        let fs, router = init () in
         if eps > 0.0 then begin
-          let fs = Ftcsn.Fault_strip.create_ws net in
-          let pattern = Ftcsn.Fault_strip.ws_pattern fs in
+          let pattern = Strip.ws_pattern fs in
           Fault.sample_into rng ~eps_open:eps ~eps_close:eps pattern;
-          Ftcsn.Fault_strip.strip_into fs pattern;
-          Ftcsn_routing.Greedy.create
-            ~allowed:(Ftcsn.Fault_strip.ws_allowed fs)
-            ~edge_ok:(Ftcsn.Fault_strip.ws_edge_ok fs)
-            net
-        end
-        else Ftcsn_routing.Greedy.create net
-      in
-      let success = ref 0 in
-      let paths = Ftcsn_routing.Greedy.route_permutation router pi ~success in
-      Format.printf "requests: %d, routed: %d, blocked: %d@." n' !success
-        (n' - !success);
-      if verbose then
-        Array.iteri
-          (fun i path ->
-            match path with
-            | Some p ->
-                Format.printf "  %d -> %d: %s@." i pi.(i)
-                  (String.concat " " (List.map string_of_int p))
-            | None -> Format.printf "  %d -> %d: BLOCKED@." i pi.(i))
-          paths
-    end
-    else begin
-      (* survey mode: each trial draws its own fault pattern and its own
-         permutation; success = every request routed greedily.  One
-         Fault_strip workspace and one masked router per worker: trials
-         re-strip in place and route over the original graph, instead of
-         rebuilding a surviving subgraph and a fresh router every time. *)
-      let est =
-        phase obs "estimate" (fun () ->
-            Trials.run_scratch ~jobs ?target_ci ?progress:obs.progress
-              ?trace:obs.trace ~label:"route.survey" ~trials ~rng
-              ~init:(fun () ->
-                let fs = Ftcsn.Fault_strip.create_ws net in
-                let router =
-                  Ftcsn_routing.Greedy.create
-                    ~allowed:(Ftcsn.Fault_strip.ws_allowed fs)
-                    ~edge_ok:(Ftcsn.Fault_strip.ws_edge_ok fs)
-                    net
-                in
-                (fs, router))
-              (fun (fs, router) sub ->
-                let pattern = Ftcsn.Fault_strip.ws_pattern fs in
-                if eps > 0.0 then
-                  Fault.sample_into sub ~eps_open:eps ~eps_close:eps pattern
-                else Array.fill pattern 0 (Array.length pattern) Fault.Normal;
-                Ftcsn.Fault_strip.strip_into fs pattern;
-                let pi = Rng.permutation sub n' in
-                Ftcsn_routing.Greedy.clear router;
-                let success = ref 0 in
-                ignore
-                  (Ftcsn_routing.Greedy.route_permutation router pi ~success);
-                !success = n'))
-      in
-      note_estimate obs "route.full" est;
-      Format.printf
-        "P[random permutation fully routes, eps=%g] = %a  (%d trials, jobs=%d)@."
-        eps Monte_carlo.pp est est.Monte_carlo.trials jobs
-    end
+          Strip.strip_into fs pattern
+        end;
+        let success = ref 0 in
+        let paths = Ftcsn_routing.Greedy.route_permutation router pi ~success in
+        Format.printf "requests: %d, routed: %d, blocked: %d@." n' !success
+          (n' - !success);
+        if verbose then
+          Array.iteri
+            (fun i path ->
+              match path with
+              | Some p ->
+                  Format.printf "  %d -> %d: %s@." i pi.(i)
+                    (String.concat " " (List.map string_of_int p))
+              | None -> Format.printf "  %d -> %d: BLOCKED@." i pi.(i))
+            paths
+    | None ->
+        (* survey mode: each trial draws its own fault pattern and its own
+           permutation; success = every request routed greedily *)
+        let est =
+          phase obs "estimate" (fun () ->
+              Trials.run_scratch ~jobs ?target_ci ?progress:obs.progress
+                ?trace:obs.trace ~label:"route.survey" ~trials ~rng ~init
+                (fun (fs, router) sub ->
+                  let pattern = Strip.ws_pattern fs in
+                  if eps > 0.0 then
+                    Fault.sample_into sub ~eps_open:eps ~eps_close:eps pattern
+                  else Array.fill pattern 0 (Array.length pattern) Fault.Normal;
+                  Strip.strip_into fs pattern;
+                  full_route router (Rng.permutation sub n')))
+        in
+        note_estimate obs "route.full" est;
+        Format.printf
+          "P[random permutation fully routes, eps=%g] = %a  (%d trials, jobs=%d)@."
+          eps Monte_carlo.pp est est.Monte_carlo.trials jobs
   in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every path.")
@@ -741,19 +757,15 @@ let route_cmd =
   let doc = "Greedily route a random permutation, optionally under faults." in
   Cmd.v (Cmd.info "route" ~doc)
     Term.(
-      const run $ spec_args $ n_arg $ seed_arg $ eps_arg $ eps_grid_arg
-      $ verbose $ trials $ jobs_arg $ target_ci_arg $ obs_args)
+      const run $ net_args $ eps_arg $ trials $ jobs_arg $ survey_grid_arg
+      $ target_ci_arg $ verbose $ obs_args)
 
 (* ---------- check ---------- *)
 
 let check_cmd =
-  let run family n seed trials jobs target_ci obsargs =
-    let trials = check_pos "--trials" trials in
-    let jobs = check_jobs jobs in
-    let target_ci = parse_target_ci target_ci in
-    with_obs obsargs @@ fun obs ->
-    let net = phase obs "build-network" (fun () -> build_net family ~n ~seed) in
-    let rng = Seeds.check seed in
+  let run net_args trials jobs target_ci obsargs =
+    with_net obsargs net_args @@ fun obs { Topology.net; _ } ->
+    let rng = Seeds.check net_args.seed in
     Format.printf "%a@." Network.pp net;
     phase obs "superconcentrator" (fun () ->
         match
@@ -841,20 +853,14 @@ let check_cmd =
   in
   let doc = "Decide/estimate the three §2 properties for a network." in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(
-      const run $ spec_args $ n_arg $ seed_arg $ trials $ jobs_arg
-      $ target_ci_arg $ obs_args)
+    Term.(const run $ net_args $ trials $ jobs_arg $ target_ci_arg $ obs_args)
 
 (* ---------- survive ---------- *)
 
 let survive_cmd =
-  let run family n seed eps trials jobs target_ci obsargs =
-    let trials = check_pos "--trials" trials in
-    let jobs = check_jobs jobs in
-    let target_ci = parse_target_ci target_ci in
-    with_obs obsargs @@ fun obs ->
-    let net = phase obs "build-network" (fun () -> build_net family ~n ~seed) in
-    let rng = Seeds.survive seed in
+  let run net_args eps trials jobs target_ci obsargs =
+    with_net obsargs net_args @@ fun obs { Topology.net; _ } ->
+    let rng = Seeds.survive net_args.seed in
     let last_rate = ref 0.0 in
     let progress p =
       last_rate := p.Trials.rate;
@@ -869,35 +875,23 @@ let survive_cmd =
     Format.printf "%a@." Network.pp net;
     Format.printf
       "P[survives eps=%g, superconcentrator probes] = %.3f  (95%% CI [%.3f, %.3f], %d trials)@."
-      eps est.Ftcsn_reliability.Monte_carlo.mean
-      est.Ftcsn_reliability.Monte_carlo.ci_low
-      est.Ftcsn_reliability.Monte_carlo.ci_high
-      est.Ftcsn_reliability.Monte_carlo.trials;
+      eps est.Monte_carlo.mean est.Monte_carlo.ci_low est.Monte_carlo.ci_high
+      est.Monte_carlo.trials;
     Format.printf "throughput: %.0f trials/s (jobs=%d)@." !last_rate jobs
   in
-  let trials =
-    trials_arg ~default:100 ~doc:"Monte-Carlo trial cap."
-  in
+  let trials = trials_arg ~default:100 ~doc:"Monte-Carlo trial cap." in
   let doc = "Monte-Carlo (eps, delta) survival estimation." in
   Cmd.v (Cmd.info "survive" ~doc)
     Term.(
-      const run $ spec_args $ n_arg $ seed_arg $ eps_arg $ trials $ jobs_arg
-      $ target_ci_arg $ obs_args)
+      const run $ net_args $ eps_arg $ trials $ jobs_arg $ target_ci_arg
+      $ obs_args)
 
 (* ---------- curve ---------- *)
 
 let curve_cmd =
-  let run family n seed eps_grid trials jobs json obsargs =
-    let trials = check_pos "--trials" trials in
-    let jobs = check_jobs jobs in
-    let grid =
-      match parse_eps_grid (Some eps_grid) with
-      | Some g -> g
-      | None -> assert false
-    in
-    with_obs obsargs @@ fun obs ->
-    let net = phase obs "build-network" (fun () -> build_net family ~n ~seed) in
-    let rng = Seeds.curve seed in
+  let run net_args trials jobs grid json obsargs =
+    with_net obsargs net_args @@ fun obs { Topology.net; _ } ->
+    let rng = Seeds.curve net_args.seed in
     let ests =
       phase obs "estimate" (fun () ->
           Ftcsn.Pipeline.survival_curve ~jobs ?progress:obs.progress
@@ -919,15 +913,13 @@ let curve_cmd =
       print_endline
         (Obs_json.to_string
            (Obs_json.Obj
-              [
-                ("inputs", Obs_json.Int (Network.n_inputs net));
-                ("outputs", Obs_json.Int (Network.n_outputs net));
-                ("switches", Obs_json.Int (Network.size net));
-                ("trials", Obs_json.Int trials);
-                ("probe", Obs_json.String "sc_probe_only");
-                ( "curve",
-                  Obs_json.List (Array.to_list (Array.mapi point ests)) );
-              ]))
+              (net_fields net
+              @ [
+                  ("trials", Obs_json.Int trials);
+                  ("probe", Obs_json.String "sc_probe_only");
+                  ( "curve",
+                    Obs_json.List (Array.to_list (Array.mapi point ests)) );
+                ])))
     end
     else begin
       Format.printf "%a@." Network.pp net;
@@ -938,21 +930,14 @@ let curve_cmd =
       print_curve_table grid ests
     end
   in
-  let eps_grid =
-    let doc =
-      "ε grid LO:HI:STEPS[:log|:lin] for the sweep (inclusive; lin-spaced \
-       by default, log-spaced with :log)."
-    in
-    Arg.(
-      value
-      & opt string "0.001:0.1:8:log"
-      & info [ "eps-grid" ] ~docv:"GRID" ~doc)
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the curve as one JSON object instead of a table.")
+  let grid =
+    Term.(
+      const Option.get
+      $ eps_grid_arg ~default:"0.001:0.1:8:log"
+          ~doc:
+            "ε grid LO:HI:STEPS[:log|:lin] for the sweep (inclusive; \
+             lin-spaced by default, log-spaced with :log)."
+          ())
   in
   let trials =
     trials_arg ~default:200 ~doc:"Coupled Monte-Carlo trials (shared by every grid point)."
@@ -965,8 +950,7 @@ let curve_cmd =
   in
   Cmd.v (Cmd.info "curve" ~doc)
     Term.(
-      const run $ spec_args $ n_arg $ seed_arg $ eps_grid $ trials
-      $ jobs_arg $ json $ obs_args)
+      const run $ net_args $ trials $ jobs_arg $ grid $ json_flag $ obs_args)
 
 (* ---------- rare ---------- *)
 
@@ -997,10 +981,6 @@ let note_rare_estimate obs name (e : Splitting.estimate) =
   gauge "rel_err" e.Splitting.rel_err;
   gauge "variance_ratio" e.Splitting.variance_ratio
 
-let print_rare_header () =
-  Format.printf "  %-6s %-12s %-9s %-24s %-8s %-12s %s@." "method" "mean"
-    "rel_err" "95% CI" "trials" "var_ratio" "evals"
-
 let print_rare_row name (e : Splitting.estimate) =
   Format.printf "  %-6s %-12.4e %-9.4f [%.3e, %.3e]  %-8d %-12.4g %d@." name
     e.Splitting.mean e.Splitting.rel_err e.Splitting.ci_low
@@ -1008,27 +988,8 @@ let print_rare_row name (e : Splitting.estimate) =
     e.Splitting.evals
 
 let rare_cmd =
-  let run family n seed eps eps_grid method_ trials pilot_trials tilt_iters
-      per_edge particles level_p0 mutate jobs json obsargs =
-    let trials = check_pos "--trials" trials in
-    let jobs = check_jobs jobs in
-    let pilot_trials = check_pos "--pilot-trials" pilot_trials in
-    let tilt_iters = check_pos "--tilt-iters" tilt_iters in
-    let particles = check_pos "--particles" particles in
-    if not (eps > 0.0 && eps <= 0.5) then
-      die "invalid --eps value %g: need 0 < EPS <= 0.5" eps;
-    if not (level_p0 > 0.0 && level_p0 < 1.0) then
-      die "invalid --level-p0 value %g: must lie in (0, 1)" level_p0;
-    if not (mutate > 0.0 && mutate <= 1.0) then
-      die "invalid --mutate value %g: must lie in (0, 1]" mutate;
-    let method_ =
-      match method_ with
-      | "tilt" -> `Tilt
-      | "split" -> `Split
-      | "both" -> `Both
-      | s -> die "invalid --method value %S: expected tilt, split or both" s
-    in
-    let grid = parse_eps_grid eps_grid in
+  let run net_args trials jobs pilot_trials tilt_iters particles eps level_p0
+      mutate (method_name, method_) grid per_edge json obsargs =
     (match (grid, method_) with
     | Some _, (`Split | `Both) ->
         die
@@ -1044,55 +1005,25 @@ let rare_cmd =
                 x)
           g
     | None, _ -> ());
-    with_obs obsargs @@ fun obs ->
-    let net = phase obs "build-network" (fun () -> build_net family ~n ~seed) in
-    let rng = Seeds.rare seed in
+    with_net obsargs net_args @@ fun obs { Topology.net; _ } ->
+    let rng = Seeds.rare net_args.seed in
     (* pilots can reject a degenerate configuration (population collapse,
        zero-mass tilt) only once they see the event; normalize to exit 2 *)
     let checked name f =
       try f () with Invalid_argument msg -> die "%s phase failed: %s" name msg
     in
-    let run_tilt () =
-      let tilt =
-        checked "tilt-tuning" @@ fun () ->
-        phase obs "tune-tilt" (fun () ->
-            Ftcsn.Rare.tune_tilt ~iters:tilt_iters ~trials:pilot_trials
-              ~per_edge ?trace:obs.trace ~rng ~eps net)
-      in
-      let est =
-        phase obs "estimate-tilt" (fun () ->
-            Ftcsn.Rare.failure_tilted ~jobs ?trace:obs.trace ~trials ~rng ~eps
-              ~tilt net)
-      in
-      note_rare_estimate obs "rare.tilt" est;
-      est
-    in
-    let run_split () =
-      let schedule =
-        checked "level-pilot" @@ fun () ->
-        phase obs "pilot-levels" (fun () ->
-            Ftcsn.Rare.pilot_schedule ~particles ~p0:level_p0 ~mutate
-              ?trace:obs.trace ~rng ~eps net)
-      in
-      let est =
-        phase obs "estimate-split" (fun () ->
-            Ftcsn.Rare.failure_split ~jobs ?trace:obs.trace ~mutate ~trials
-              ~rng ~schedule net)
-      in
-      note_rare_estimate obs "rare.split" est;
-      (schedule, est)
+    let tune eps =
+      checked "tilt-tuning" @@ fun () ->
+      phase obs "tune-tilt" (fun () ->
+          Ftcsn.Rare.tune_tilt ~iters:tilt_iters ~trials:pilot_trials ~per_edge
+            ?trace:obs.trace ~rng ~eps net)
     in
     match grid with
     | Some grid ->
         (* tune at the rarest (smallest) grid point so the tilt reaches
            every point; larger points just carry milder weights *)
         let eps_min = Array.fold_left min grid.(0) grid in
-        let tilt =
-          checked "tilt-tuning" @@ fun () ->
-          phase obs "tune-tilt" (fun () ->
-              Ftcsn.Rare.tune_tilt ~iters:tilt_iters ~trials:pilot_trials
-                ~per_edge ?trace:obs.trace ~rng ~eps:eps_min net)
-        in
+        let tilt = tune eps_min in
         let ests =
           phase obs "estimate-tilt-curve" (fun () ->
               Ftcsn.Rare.failure_tilted_curve ~jobs ?trace:obs.trace ~trials
@@ -1107,15 +1038,14 @@ let rare_cmd =
           print_endline
             (Obs_json.to_string
                (Obs_json.Obj
-                  [
-                    ("inputs", Obs_json.Int (Network.n_inputs net));
-                    ("outputs", Obs_json.Int (Network.n_outputs net));
-                    ("switches", Obs_json.Int (Network.size net));
-                    ("method", Obs_json.String "tilt");
-                    ("trials", Obs_json.Int trials);
-                    ( "curve",
-                      Obs_json.List (Array.to_list (Array.mapi point ests)) );
-                  ]))
+                  (net_fields net
+                  @ [
+                      ("method", Obs_json.String "tilt");
+                      ("trials", Obs_json.Int trials);
+                      ( "curve",
+                        Obs_json.List (Array.to_list (Array.mapi point ests))
+                      );
+                    ])))
         else begin
           Format.printf "%a@." Network.pp net;
           Format.printf
@@ -1134,68 +1064,78 @@ let rare_cmd =
         end
     | None -> (
         let tilt_est =
-          match method_ with `Tilt | `Both -> Some (run_tilt ()) | `Split -> None
+          match method_ with
+          | `Tilt | `Both ->
+              let tilt = tune eps in
+              let est =
+                phase obs "estimate-tilt" (fun () ->
+                    Ftcsn.Rare.failure_tilted ~jobs ?trace:obs.trace ~trials
+                      ~rng ~eps ~tilt net)
+              in
+              note_rare_estimate obs "rare.tilt" est;
+              Some est
+          | `Split -> None
         in
         let split_res =
           match method_ with
-          | `Split | `Both -> Some (run_split ())
+          | `Split | `Both ->
+              let schedule =
+                checked "level-pilot" @@ fun () ->
+                phase obs "pilot-levels" (fun () ->
+                    Ftcsn.Rare.pilot_schedule ~particles ~p0:level_p0 ~mutate
+                      ?trace:obs.trace ~rng ~eps net)
+              in
+              let est =
+                phase obs "estimate-split" (fun () ->
+                    Ftcsn.Rare.failure_split ~jobs ?trace:obs.trace ~mutate
+                      ~trials ~rng ~schedule net)
+              in
+              note_rare_estimate obs "rare.split" est;
+              Some (schedule, est)
           | `Tilt -> None
         in
         if json then
-          let fields =
-            [
-              ("inputs", Obs_json.Int (Network.n_inputs net));
-              ("outputs", Obs_json.Int (Network.n_outputs net));
-              ("switches", Obs_json.Int (Network.size net));
-              ("eps", Obs_json.Float eps);
-              ( "method",
-                Obs_json.String
-                  (match method_ with
-                  | `Tilt -> "tilt"
-                  | `Split -> "split"
-                  | `Both -> "both") );
-            ]
-          in
-          let fields =
-            match tilt_est with
-            | Some e -> fields @ [ ("tilt", Obs_json.Obj (rare_est_json e)) ]
-            | None -> fields
-          in
-          let fields =
-            match split_res with
-            | Some (sched, e) ->
-                fields
-                @ [
-                    ( "split",
-                      Obs_json.Obj
-                        (rare_est_json e
-                        @ [
-                            ( "levels",
-                              Obs_json.List
-                                (Array.to_list
-                                   (Array.map
-                                      (fun l -> Obs_json.Float l)
-                                      sched.Splitting.levels)) );
-                            ( "splits",
-                              Obs_json.List
-                                (Array.to_list
-                                   (Array.map
-                                      (fun s -> Obs_json.Int s)
-                                      sched.Splitting.splits)) );
-                            ( "entry_rate",
-                              Obs_json.Float sched.Splitting.entry_rate );
-                          ]) );
-                  ]
-            | None -> fields
-          in
-          print_endline (Obs_json.to_string (Obs_json.Obj fields))
+          let list f a = Obs_json.List (Array.to_list (Array.map f a)) in
+          print_endline
+            (Obs_json.to_string
+               (Obs_json.Obj
+                  (net_fields net
+                  @ [
+                      ("eps", Obs_json.Float eps);
+                      ("method", Obs_json.String method_name);
+                    ]
+                  @ (match tilt_est with
+                    | Some e -> [ ("tilt", Obs_json.Obj (rare_est_json e)) ]
+                    | None -> [])
+                  @
+                  match split_res with
+                  | Some (sched, e) ->
+                      [
+                        ( "split",
+                          Obs_json.Obj
+                            (rare_est_json e
+                            @ [
+                                ( "levels",
+                                  list
+                                    (fun l -> Obs_json.Float l)
+                                    sched.Splitting.levels );
+                                ( "splits",
+                                  list
+                                    (fun s -> Obs_json.Int s)
+                                    sched.Splitting.splits );
+                                ( "entry_rate",
+                                  Obs_json.Float sched.Splitting.entry_rate );
+                              ]) );
+                      ]
+                  | None -> [])))
         else begin
           Format.printf "%a@." Network.pp net;
           Format.printf
             "rare-event failure estimate at eps=%g (superconcentrator \
              probes, jobs=%d):@."
             eps jobs;
-          print_rare_header ();
+          Format.printf "  %-6s %-12s %-9s %-24s %-8s %-12s %s@." "method"
+            "mean" "rel_err" "95% CI" "trials" "var_ratio" "evals";
           Option.iter (print_rare_row "tilt") tilt_est;
           (match split_res with
           | Some (sched, e) ->
@@ -1222,19 +1162,20 @@ let rare_cmd =
         end)
   in
   let eps =
-    let doc =
-      "Target per-switch failure probability (open = closed = EPS); the \
-       subcommand exists for the paper's EPS = 1e-6 regime."
-    in
-    Arg.(value & opt float 1e-6 & info [ "eps" ] ~docv:"EPS" ~doc)
+    float_flag "eps" ~default:1e-6
+      ~ok:(fun e -> e > 0.0 && e <= 0.5)
+      ~need:"need 0 < EPS <= 0.5" ~docv:"EPS"
+      ~doc:
+        "Target per-switch failure probability (open = closed = EPS); the \
+         subcommand exists for the paper's EPS = 1e-6 regime."
   in
-  let eps_grid =
-    let doc =
-      "Tilted-IS curve over $(docv) = LO:HI:STEPS[:log|:lin]: one tilted \
-       sample per trial serves every grid point (only the likelihood \
-       weights differ).  Only --method tilt supports it."
-    in
-    Arg.(value & opt (some string) None & info [ "eps-grid" ] ~docv:"GRID" ~doc)
+  let grid =
+    eps_grid_arg
+      ~doc:
+        "Tilted-IS curve over $(docv) = LO:HI:STEPS[:log|:lin]: one tilted \
+         sample per trial serves every grid point (only the likelihood \
+         weights differ).  Only --method tilt supports it."
+      ()
   in
   let method_ =
     let doc =
@@ -1242,23 +1183,28 @@ let rare_cmd =
        full failure event), $(b,split) (multilevel splitting/RESTART on \
        the monotone sub-event), or $(b,both)."
     in
-    Arg.(value & opt string "tilt" & info [ "method" ] ~docv:"METHOD" ~doc)
+    let parse s =
+      match s with
+      | "tilt" -> (s, `Tilt)
+      | "split" -> (s, `Split)
+      | "both" -> (s, `Both)
+      | s -> die "invalid --method value %S: expected tilt, split or both" s
+    in
+    Term.(
+      const parse
+      $ Arg.(value & opt string "tilt" & info [ "method" ] ~docv:"METHOD" ~doc))
   in
   let trials =
     trials_arg ~default:10_000
       ~doc:"Independent root trials for the main estimation phase."
   in
   let pilot_trials =
-    Arg.(
-      value & opt int 1000
-      & info [ "pilot-trials" ] ~docv:"T"
-          ~doc:"Trials per cross-entropy tuning iteration.")
+    int_flag "pilot-trials" ~default:1000 ~docv:"T"
+      ~doc:"Trials per cross-entropy tuning iteration."
   in
   let tilt_iters =
-    Arg.(
-      value & opt int 4
-      & info [ "tilt-iters" ] ~docv:"K"
-          ~doc:"Cross-entropy tuning iterations.")
+    int_flag "tilt-iters" ~default:4 ~docv:"K"
+      ~doc:"Cross-entropy tuning iterations."
   in
   let per_edge =
     Arg.(
@@ -1269,32 +1215,24 @@ let rare_cmd =
              parameters; needs more pilot trials to stabilize).")
   in
   let particles =
-    Arg.(
-      value & opt int 256
-      & info [ "particles" ] ~docv:"P"
-          ~doc:"Pilot population size for the splitting level schedule.")
+    int_flag "particles" ~default:256 ~docv:"P"
+      ~doc:"Pilot population size for the splitting level schedule."
   in
   let level_p0 =
-    Arg.(
-      value & opt float 0.2
-      & info [ "level-p0" ] ~docv:"Q"
-          ~doc:
-            "Target conditional success fraction per splitting level (the \
-             pilot places each level at this quantile).")
+    float_flag "level-p0" ~default:0.2
+      ~ok:(fun q -> q > 0.0 && q < 1.0)
+      ~need:"must lie in (0, 1)" ~docv:"Q"
+      ~doc:
+        "Target conditional success fraction per splitting level (the \
+         pilot places each level at this quantile)."
   in
   let mutate =
-    Arg.(
-      value & opt float 0.2
-      & info [ "mutate" ] ~docv:"R"
-          ~doc:
-            "Per-coordinate resampling probability of the splitting \
-             Metropolis move.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the result as one JSON object instead of a table.")
+    float_flag "mutate" ~default:0.2
+      ~ok:(fun r -> r > 0.0 && r <= 1.0)
+      ~need:"must lie in (0, 1]" ~docv:"R"
+      ~doc:
+        "Per-coordinate resampling probability of the splitting \
+         Metropolis move."
   in
   let doc =
     "Rare-event failure estimation for the paper's eps = 1e-6 regime: \
@@ -1304,16 +1242,11 @@ let rare_cmd =
   in
   Cmd.v (Cmd.info "rare" ~doc)
     Term.(
-      const run $ spec_args $ n_arg $ seed_arg $ eps $ eps_grid $ method_
-      $ trials $ pilot_trials $ tilt_iters $ per_edge $ particles $ level_p0
-      $ mutate $ jobs_arg $ json $ obs_args)
+      const run $ net_args $ trials $ jobs_arg $ pilot_trials $ tilt_iters
+      $ particles $ eps $ level_p0 $ mutate $ method_ $ grid $ per_edge
+      $ json_flag $ obs_args)
 
 (* ---------- traffic ---------- *)
-
-let parse_holding s =
-  match Dist.holding_of_string s with
-  | Ok h -> h
-  | Error msg -> die "invalid --holding value %S: %s" s msg
 
 (* greedy | rearrange[:BUDGET] | staged | loop — BUDGET caps the
    backtracking search per re-lay attempt (default 10000 states) *)
@@ -1334,41 +1267,25 @@ let parse_policy s =
          staged or loop"
         s
 
+(* Traffic.config's own checks span several flags (measured calls >=
+   batches, ...); traffic and tournament both run them before any work *)
+let traffic_config ?load ?holding ?mtbf ~mttr ~warmup ~calls ?batches ?policy
+    () =
+  try
+    Traffic.config ?load ?holding ?mtbf ~mttr
+      ~stop:(Traffic.Calls { warmup; measured = calls })
+      ?batches ?policy ()
+  with Invalid_argument msg -> die "%s" msg
+
 let traffic_cmd =
-  let run family n seed load holding mtbf mttr warmup calls batches policy
-      trials jobs json obsargs =
-    let trials = check_pos "--trials" trials in
-    let jobs = check_jobs jobs in
-    let calls = check_pos "--calls" calls in
-    let batches = check_pos "--batches" batches in
-    if warmup < 0 then
-      die "invalid --warmup value %d: must be an integer >= 0" warmup;
-    if not (load > 0.0 && Float.is_finite load) then
-      die "invalid --load value %g: must be a finite offered load > 0" load;
-    (match mtbf with
-    | Some x when not (x > 0.0) ->
-        die "invalid --mtbf value %g: must be > 0 (omit the flag for no failures)" x
-    | _ -> ());
-    if not (mttr > 0.0) then
-      die "invalid --mttr value %g: must be > 0 (use a huge value for \
-           permanent failures)" mttr;
-    let holding = parse_holding holding in
-    let policy = parse_policy policy in
+  let run net_args trials jobs calls batches warmup load mtbf mttr holding
+      policy json obsargs =
     let config =
-      try
-        Traffic.config ~load ~holding
-          ~mtbf:(Option.value mtbf ~default:infinity)
-          ~mttr
-          ~stop:(Traffic.Calls { warmup; measured = calls })
-          ~batches ~policy ()
-      with Invalid_argument msg -> die "%s" msg
+      traffic_config ~load ~holding ?mtbf ~mttr ~warmup ~calls ~batches
+        ~policy ()
     in
-    with_obs obsargs @@ fun obs ->
-    let built =
-      phase obs "build-network" (fun () -> build_network family ~n ~seed)
-    in
-    let net = built.Topology.net in
-    let rng = Seeds.traffic seed in
+    with_net obsargs net_args @@ fun obs ({ Topology.net; _ } as built) ->
+    let rng = Seeds.traffic net_args.seed in
     (* which router engaged after fallback resolution (e.g. --policy loop
        on a non-Benes family reports staged or bfs) *)
     let router = Traffic.router_name config net in
@@ -1388,35 +1305,35 @@ let traffic_cmd =
       print_endline
         (Obs_json.to_string
            (Obs_json.Obj
-              [
-                ("inputs", Obs_json.Int (Network.n_inputs net));
-                ("outputs", Obs_json.Int (Network.n_outputs net));
-                ("switches", Obs_json.Int (Network.size net));
-                ("n_requested", Obs_json.Int built.Topology.n_requested);
-                ("n_effective", Obs_json.Int built.Topology.n_effective);
-                ("router", Obs_json.String router);
-                ("load", Obs_json.Float load);
-                ("holding", Obs_json.String (Format.asprintf "%a" Dist.pp_holding holding));
-                ("replications", Obs_json.Int s.Traffic.replications);
-                ("blocking", Obs_json.Float b.Batch_means.mean);
-                ("blocking_ci_low", Obs_json.Float b.Batch_means.ci_low);
-                ("blocking_ci_high", Obs_json.Float b.Batch_means.ci_high);
-                ("batches", Obs_json.Int b.Batch_means.batches);
-                ("measured_calls", Obs_json.Int b.Batch_means.count);
-                ("occupancy", Obs_json.Float s.Traffic.occupancy);
-                ("carried", Obs_json.Float s.Traffic.carried);
-                ("offered", Obs_json.Int s.Traffic.t_offered);
-                ("served", Obs_json.Int s.Traffic.t_served);
-                ("blocked", Obs_json.Int s.Traffic.t_blocked);
-                ("blocked_full", Obs_json.Int s.Traffic.t_blocked_full);
-                ("dropped", Obs_json.Int s.Traffic.t_dropped);
-                ("rerouted", Obs_json.Int s.Traffic.t_rerouted);
-                ("failures", Obs_json.Int s.Traffic.t_failures);
-                ("repairs", Obs_json.Int s.Traffic.t_repairs);
-                ("events", Obs_json.Int s.Traffic.t_events);
-                ("sim_time", Obs_json.Float s.Traffic.t_sim_time);
-                ("catastrophes", Obs_json.Int s.Traffic.catastrophes);
-              ]))
+              (net_fields net
+              @ [
+                  ("n_requested", Obs_json.Int built.Topology.n_requested);
+                  ("n_effective", Obs_json.Int built.Topology.n_effective);
+                  ("router", Obs_json.String router);
+                  ("load", Obs_json.Float load);
+                  ( "holding",
+                    Obs_json.String (Format.asprintf "%a" Dist.pp_holding holding)
+                  );
+                  ("replications", Obs_json.Int s.Traffic.replications);
+                  ("blocking", Obs_json.Float b.Batch_means.mean);
+                  ("blocking_ci_low", Obs_json.Float b.Batch_means.ci_low);
+                  ("blocking_ci_high", Obs_json.Float b.Batch_means.ci_high);
+                  ("batches", Obs_json.Int b.Batch_means.batches);
+                  ("measured_calls", Obs_json.Int b.Batch_means.count);
+                  ("occupancy", Obs_json.Float s.Traffic.occupancy);
+                  ("carried", Obs_json.Float s.Traffic.carried);
+                  ("offered", Obs_json.Int s.Traffic.t_offered);
+                  ("served", Obs_json.Int s.Traffic.t_served);
+                  ("blocked", Obs_json.Int s.Traffic.t_blocked);
+                  ("blocked_full", Obs_json.Int s.Traffic.t_blocked_full);
+                  ("dropped", Obs_json.Int s.Traffic.t_dropped);
+                  ("rerouted", Obs_json.Int s.Traffic.t_rerouted);
+                  ("failures", Obs_json.Int s.Traffic.t_failures);
+                  ("repairs", Obs_json.Int s.Traffic.t_repairs);
+                  ("events", Obs_json.Int s.Traffic.t_events);
+                  ("sim_time", Obs_json.Float s.Traffic.t_sim_time);
+                  ("catastrophes", Obs_json.Int s.Traffic.catastrophes);
+                ])))
     else begin
       Format.printf "%a@." Network.pp net;
       if built.Topology.n_effective <> built.Topology.n_requested then
@@ -1452,71 +1369,40 @@ let traffic_cmd =
     end
   in
   let load =
-    Arg.(value & opt float 1.0
-         & info [ "load" ] ~docv:"ERLANGS"
-             ~doc:
-               "Offered load in Erlangs (arrival rate; holding times have \
-                unit mean).")
-  in
-  let holding =
-    Arg.(value & opt string "exp"
-         & info [ "holding" ] ~docv:"DIST"
-             ~doc:
-               "Holding-time distribution: exp (memoryless, mean 1) or \
-                pareto:ALPHA (heavy-tailed, ALPHA > 1, rescaled to mean 1).")
-  in
-  let mtbf =
-    Arg.(value & opt (some float) None
-         & info [ "mtbf" ] ~docv:"T"
-             ~doc:
-               "Per-switch mean time between failures (exponential clock, \
-                open/closed with equal probability).  Omit for a fault-free \
-                run.")
-  in
-  let mttr =
-    Arg.(value & opt float 10.0
-         & info [ "mttr" ] ~docv:"T"
-             ~doc:"Per-switch mean time to repair (exponential clock).")
-  in
-  let warmup =
-    Arg.(value & opt int 500
-         & info [ "warmup" ] ~docv:"CALLS"
-             ~doc:
-               "Offered calls discarded before the measured window opens \
-                (warm-up truncation).")
-  in
-  let calls =
-    Arg.(value & opt int 5000
-         & info [ "calls" ] ~docv:"CALLS"
-             ~doc:"Offered calls measured per replication.")
+    Term.(
+      const check_load
+      $ Arg.(
+          value & opt float 1.0
+          & info [ "load" ] ~docv:"ERLANGS"
+              ~doc:
+                "Offered load in Erlangs (arrival rate; holding times have \
+                 unit mean)."))
   in
   let batches =
-    Arg.(value & opt int 10
-         & info [ "batches" ] ~docv:"B"
-             ~doc:
-               "Batch-means batches per replication (Student-t interval over \
-                the pooled batch means).")
+    int_flag "batches" ~default:10 ~docv:"B"
+      ~doc:
+        "Batch-means batches per replication (Student-t interval over the \
+         pooled batch means)."
   in
   let policy =
-    Arg.(value & opt string "greedy"
-         & info [ "policy" ] ~docv:"P"
-             ~doc:
-               "Routing policy: greedy (strictly-nonblocking operation), \
-                rearrange[:BUDGET] (re-lay all live calls with backtracking \
-                when the greedy probe blocks; default budget 10000), staged \
-                (level-bounded bidirectional BFS on staged families) or \
-                loop (Benes block-tree descent with staged fallback).  \
-                staged/loop keep greedy's accept/block decisions but route \
-                each call in O(depth) instead of O(switches); the table and \
-                JSON report which router actually engaged.")
+    Term.(
+      const parse_policy
+      $ Arg.(
+          value & opt string "greedy"
+          & info [ "policy" ] ~docv:"P"
+              ~doc:
+                "Routing policy: greedy (strictly-nonblocking operation), \
+                 rearrange[:BUDGET] (re-lay all live calls with \
+                 backtracking when the greedy probe blocks; default budget \
+                 10000), staged (level-bounded bidirectional BFS on staged \
+                 families) or loop (Benes block-tree descent with staged \
+                 fallback).  staged/loop keep greedy's accept/block \
+                 decisions but route each call in O(depth) instead of \
+                 O(switches); the table and JSON report which router \
+                 actually engaged."))
   in
   let trials =
     trials_arg ~default:5 ~doc:"Independent replications (one substream each)."
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the summary as one JSON object instead of a table.")
   in
   let doc =
     "Continuous-time call traffic through the network: Poisson arrivals, \
@@ -1526,9 +1412,9 @@ let traffic_cmd =
   in
   Cmd.v (Cmd.info "traffic" ~doc)
     Term.(
-      const run $ spec_args $ n_arg $ seed_arg $ load $ holding $ mtbf
-      $ mttr $ warmup $ calls $ batches $ policy $ trials $ jobs_arg
-      $ json $ obs_args)
+      const run $ net_args $ trials $ jobs_arg $ calls_arg ~default:5000
+      $ batches $ warmup_arg ~default:500 $ load $ mtbf_arg () $ mttr_arg
+      $ holding_arg $ policy $ json_flag $ obs_args)
 
 (* ---------- serve ---------- *)
 
@@ -1536,47 +1422,15 @@ let traffic_cmd =
    then converts the stop reason into a process exit code, so `exit`
    never bypasses the cleanup. *)
 let serve_cmd =
-  let run family n seed policy holding mtbf mttr max_load queue replay calls
-      socket speed obsargs =
-    if calls < 0 then
-      die "invalid --calls value %d: must be >= 0 (0 = unbounded)" calls;
-    (match mtbf with
-    | Some x when not (x > 0.0) ->
-        die "invalid --mtbf value %g: must be > 0 (omit the flag for no \
-             failures)" x
-    | _ -> ());
-    if not (mttr > 0.0) then
-      die "invalid --mttr value %g: must be > 0" mttr;
-    if not (speed > 0.0 && Float.is_finite speed) then
-      die "invalid --speed value %g: must be a finite factor > 0" speed;
-    (match max_load with
-    | Some l when not (l > 0.0 && l <= 1.0) ->
-        die "invalid --max-load value %g: must be an occupancy in (0, 1]" l
-    | _ -> ());
-    let queue = check_pos "--queue" queue in
-    let holding = parse_holding holding in
-    let engine_kind =
-      match parse_policy policy with
-      | Traffic.Route_greedy -> `Bfs
-      | Traffic.Route_staged -> `Staged
-      | Traffic.Route_loop -> `Loop
-      | Traffic.Route_rearrange _ ->
-          die
-            "invalid --policy value %S: serve routes one request at a time \
-             (greedy, staged or loop)"
-            policy
-    in
+  let run net_args calls mtbf mttr speed max_load queue holding engine_kind
+      replay socket obsargs =
     (match (replay, socket) with
     | Some _, Some _ -> die "--replay and --socket cannot both be given"
     | _ -> ());
     let max_calls = if calls = 0 then max_int else calls in
     let code =
-      with_obs obsargs @@ fun obs ->
-      let built =
-        phase obs "build-network" (fun () -> build_network family ~n ~seed)
-      in
-      let net = built.Topology.net in
-      let rng = Seeds.serve seed in
+      with_net obsargs net_args @@ fun obs { Topology.net; _ } ->
+      let rng = Seeds.serve net_args.seed in
       (* responses go to the current sink: stdout, or the connected
          client in --socket mode *)
       let sink = ref stdout in
@@ -1713,57 +1567,74 @@ let serve_cmd =
     in
     if code <> 0 then exit code
   in
-  let policy =
-    Arg.(
-      value & opt string "greedy"
-      & info [ "policy" ] ~docv:"P"
-          ~doc:
-            "Routing engine for live decisions: greedy (CSR-order BFS), \
-             staged (level-bounded bidirectional BFS) or loop (Benes \
-             block-tree descent).  All three agree on accept vs block; \
-             rearrange is not available because the daemon decides one \
-             request at a time.")
+  let calls =
+    Term.(
+      const (fun c ->
+          if c < 0 then
+            die "invalid --calls value %d: must be >= 0 (0 = unbounded)" c
+          else c)
+      $ Arg.(
+          value & opt int 0
+          & info [ "calls" ] ~docv:"N"
+              ~doc:
+                "Stop after $(docv) call decisions (accept + block + \
+                 overload).  0 = unbounded."))
   in
-  let holding =
-    Arg.(
-      value & opt string "exp"
-      & info [ "holding" ] ~docv:"DIST"
-          ~doc:
-            "Holding-time distribution for calls that do not carry an \
-             explicit \"hold\" field: exp or pareto:ALPHA (unit mean).")
-  in
-  let mtbf =
-    Arg.(
-      value & opt (some float) None
-      & info [ "mtbf" ] ~docv:"T"
-          ~doc:
-            "Per-switch mean time between failures in virtual time \
-             (exponential clock, open/closed with equal probability).  \
-             Omit for a fault-free fabric.")
-  in
-  let mttr =
-    Arg.(
-      value & opt float 10.0
-      & info [ "mttr" ] ~docv:"T"
-          ~doc:"Per-switch mean time to repair (exponential clock).")
+  let speed =
+    float_flag "speed" ~default:1.0
+      ~ok:(fun x -> x > 0.0 && Float.is_finite x)
+      ~need:"must be a finite factor > 0" ~docv:"X"
+      ~doc:
+        "Wall-clock coupling for live mode: $(docv) virtual time units \
+         elapse per wall second (ignored under --replay)."
   in
   let max_load =
-    Arg.(
-      value & opt (some float) None
-      & info [ "max-load" ] ~docv:"L"
-          ~doc:
-            "Admission control: shed call requests with an overload reply \
-             once fabric occupancy (live calls / capacity) reaches $(docv) \
-             in (0, 1].  Omit to admit up to the routing layer's verdict.")
+    Term.(
+      const
+        (Option.map
+           (check_float "--max-load"
+              (fun l -> l > 0.0 && l <= 1.0)
+              "must be an occupancy in (0, 1]"))
+      $ Arg.(
+          value
+          & opt (some float) None
+          & info [ "max-load" ] ~docv:"L"
+              ~doc:
+                "Admission control: shed call requests with an overload \
+                 reply once fabric occupancy (live calls / capacity) \
+                 reaches $(docv) in (0, 1].  Omit to admit up to the \
+                 routing layer's verdict."))
   in
   let queue =
-    Arg.(
-      value & opt int 1024
-      & info [ "queue" ] ~docv:"K"
-          ~doc:
-            "Backpressure bound: at most $(docv) requests pending in the \
-             reactor before new call requests are shed with an overload \
-             reply instead of buffered.")
+    int_flag "queue" ~default:1024 ~docv:"K"
+      ~doc:
+        "Backpressure bound: at most $(docv) requests pending in the \
+         reactor before new call requests are shed with an overload reply \
+         instead of buffered."
+  in
+  let engine_kind =
+    let parse policy =
+      match parse_policy policy with
+      | Traffic.Route_greedy -> `Bfs
+      | Traffic.Route_staged -> `Staged
+      | Traffic.Route_loop -> `Loop
+      | Traffic.Route_rearrange _ ->
+          die
+            "invalid --policy value %S: serve routes one request at a time \
+             (greedy, staged or loop)"
+            policy
+    in
+    Term.(
+      const parse
+      $ Arg.(
+          value & opt string "greedy"
+          & info [ "policy" ] ~docv:"P"
+              ~doc:
+                "Routing engine for live decisions: greedy (CSR-order BFS), \
+                 staged (level-bounded bidirectional BFS) or loop (Benes \
+                 block-tree descent).  All three agree on accept vs block; \
+                 rearrange is not available because the daemon decides one \
+                 request at a time."))
   in
   let replay =
     Arg.(
@@ -1776,14 +1647,6 @@ let serve_cmd =
              same file, seed and options produce a byte-identical response \
              stream.")
   in
-  let calls =
-    Arg.(
-      value & opt int 0
-      & info [ "calls" ] ~docv:"N"
-          ~doc:
-            "Stop after $(docv) call decisions (accept + block + \
-             overload).  0 = unbounded.")
-  in
   let socket =
     Arg.(
       value & opt (some string) None
@@ -1791,14 +1654,6 @@ let serve_cmd =
           ~doc:
             "Listen on a Unix-domain socket instead of stdin; clients are \
              served one at a time against the same persistent fabric.")
-  in
-  let speed =
-    Arg.(
-      value & opt float 1.0
-      & info [ "speed" ] ~docv:"X"
-          ~doc:
-            "Wall-clock coupling for live mode: $(docv) virtual time units \
-             elapse per wall second (ignored under --replay).")
   in
   let doc =
     "Live switch-controller daemon over the DES fabric: line-JSON \
@@ -1811,24 +1666,15 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ spec_args $ n_arg $ seed_arg $ policy $ holding $ mtbf
-      $ mttr $ max_load $ queue $ replay $ calls $ socket $ speed
-      $ obs_args)
+      const run $ net_args $ calls $ mtbf_arg () $ mttr_arg $ speed $ max_load
+      $ queue $ holding_arg $ engine_kind $ replay $ socket $ obs_args)
 
 (* ---------- degrade ---------- *)
 
 let degrade_cmd =
-  let run family n seed hazard arrival ticks trials jobs obsargs =
-    let trials = check_pos "--trials" trials in
-    let jobs = check_jobs jobs in
-    let ticks = check_pos "--ticks" ticks in
-    if not (hazard >= 0.0 && hazard <= 1.0) then
-      die "invalid --hazard value %g: must be a probability in [0, 1]" hazard;
-    if not (arrival >= 0.0 && arrival <= 1.0) then
-      die "invalid --arrival value %g: must be a probability in [0, 1]" arrival;
-    with_obs obsargs @@ fun obs ->
-    let net = phase obs "build-network" (fun () -> build_net family ~n ~seed) in
-    let rng = Seeds.degrade seed in
+  let run net_args trials jobs ticks hazard arrival obsargs =
+    with_net obsargs net_args @@ fun obs { Topology.net; _ } ->
+    let rng = Seeds.degrade net_args.seed in
     (* a per-tick hazard is an exponential failure clock of mean 1/hazard
        (the same expected failures per unit time), repairs stay off, and
        the ticks are the time horizon *)
@@ -1876,19 +1722,23 @@ let degrade_cmd =
         mttd trials ticks jobs
     end
   in
+  let probability =
+    float_flag
+      ~ok:(fun p -> p >= 0.0 && p <= 1.0)
+      ~need:"must be a probability in [0, 1]"
+  in
   let hazard =
-    Arg.(value & opt float 1e-5
-         & info [ "hazard" ] ~docv:"H" ~doc:"Per-switch failure probability per tick.")
+    probability "hazard" ~default:1e-5 ~docv:"H"
+      ~doc:"Per-switch failure probability per tick."
   in
   let arrival =
-    Arg.(value & opt float 0.6
-         & info [ "arrival" ] ~docv:"A"
-             ~doc:
-               "Per-tick call arrival probability in [0, 1] (single-run \
-                mode; the multi-trial estimator always saturates).")
+    probability "arrival" ~default:0.6 ~docv:"A"
+      ~doc:
+        "Per-tick call arrival probability in [0, 1] (single-run mode; the \
+         multi-trial estimator always saturates)."
   in
   let ticks =
-    Arg.(value & opt int 2000 & info [ "ticks" ] ~docv:"T" ~doc:"Simulation horizon.")
+    int_flag "ticks" ~default:2000 ~docv:"T" ~doc:"Simulation horizon."
   in
   let trials =
     trials_arg ~default:1
@@ -1899,28 +1749,23 @@ let degrade_cmd =
   let doc = "Age the network under live traffic and report degradation." in
   Cmd.v (Cmd.info "degrade" ~doc)
     Term.(
-      const run $ spec_args $ n_arg $ seed_arg $ hazard $ arrival $ ticks
-      $ trials $ jobs_arg $ obs_args)
+      const run $ net_args $ trials $ jobs_arg $ ticks $ hazard $ arrival
+      $ obs_args)
 
 (* ---------- critical ---------- *)
 
 let critical_cmd =
-  let run family n seed eps sample trials jobs obsargs =
-    let trials = check_pos "--trials" trials in
-    let jobs = check_jobs jobs in
-    let sample = check_pos "--sample" sample in
-    with_obs obsargs @@ fun obs ->
-    let net = phase obs "build-network" (fun () -> build_net family ~n ~seed) in
-    let rng = Seeds.critical seed in
+  let run net_args eps trials jobs sample obsargs =
+    with_net obsargs net_args @@ fun obs { Topology.net; _ } ->
+    let rng = Seeds.critical net_args.seed in
     let g = net.Network.graph in
     (* event: the stripped survivor fails the class-fair probes; runs on
        a per-worker Fault_strip workspace so the 3·sample evaluations per
        trial stay allocation-free *)
-    let init () = Ftcsn.Fault_strip.create_ws net in
+    let init () = Strip.create_ws net in
     let event ws pattern =
-      Ftcsn.Fault_strip.strip_into ws pattern;
-      (not (Ftcsn.Fault_strip.ws_healthy ws))
-      || Ftcsn.Fault_strip.ws_isolated_inputs ws <> []
+      Strip.strip_into ws pattern;
+      (not (Strip.ws_healthy ws)) || Strip.ws_isolated_inputs ws <> []
     in
     let ranked =
       phase obs "estimate" (fun () ->
@@ -1943,31 +1788,30 @@ let critical_cmd =
       ranked
   in
   let sample =
-    Arg.(value & opt int 24 & info [ "sample" ] ~docv:"S"
-           ~doc:"Number of switches to sample for ranking.")
+    int_flag "sample" ~default:24 ~docv:"S"
+      ~doc:"Number of switches to sample for ranking."
   in
   let trials = trials_arg ~default:300 ~doc:"Trials per switch." in
   let doc = "Rank switches by Birnbaum criticality for the survival event." in
   Cmd.v (Cmd.info "critical" ~doc)
     Term.(
-      const run $ spec_args $ n_arg $ seed_arg $ eps_arg $ sample $ trials
-      $ jobs_arg $ obs_args)
+      const run $ net_args $ eps_arg $ trials $ jobs_arg $ sample $ obs_args)
 
 (* ---------- render ---------- *)
 
 let render_cmd =
-  let run family n seed kind =
+  let run net_args kind =
     match kind with
     | `Grid ->
-        let s = Ftcsn.Directed_grid.make ~rows:(max 1 n) ~stages:8 in
+        let s = Ftcsn.Directed_grid.make ~rows:net_args.n ~stages:8 in
         print_string (Ftcsn.Directed_grid.render s)
     | `Census ->
-        let net = build_net family ~n ~seed in
+        let net = (build_network net_args).Topology.net in
         print_string
           (Ftcsn_graph.Render.ascii_stages net.Network.graph
              ~inputs:(Array.to_list net.Network.inputs))
     | `Dot ->
-        let net = build_net family ~n ~seed in
+        let net = (build_network net_args).Topology.net in
         print_string (Ftcsn_graph.Render.to_dot net.Network.graph)
   in
   let kind =
@@ -1977,35 +1821,14 @@ let render_cmd =
       & info [ "kind" ] ~docv:"KIND" ~doc:"grid | census | dot.")
   in
   let doc = "ASCII/DOT renderings." in
-  Cmd.v (Cmd.info "render" ~doc)
-    Term.(const run $ spec_args $ n_arg $ seed_arg $ kind)
+  Cmd.v (Cmd.info "render" ~doc) Term.(const run $ net_args $ kind)
 
 (* ---------- tournament ---------- *)
 
 let tournament_cmd =
-  let run n seed eps_grid trials traffic_trials calls warmup load mtbf mttr
-      jobs json obsargs =
-    let n = check_pos "-n" n in
-    let trials = check_pos "--trials" trials in
-    let traffic_trials = check_pos "--traffic-trials" traffic_trials in
-    let calls = check_pos "--calls" calls in
-    if warmup < 0 then
-      die "invalid --warmup value %d: must be an integer >= 0" warmup;
-    let jobs = check_jobs jobs in
-    let grid =
-      match parse_eps_grid (Some eps_grid) with
-      | Some g -> g
-      | None -> assert false
-    in
-    (match load with
-    | Some l when not (l > 0.0 && Float.is_finite l) ->
-        die "invalid --load value %g: must be a finite offered load > 0" l
-    | _ -> ());
-    if not (mtbf > 0.0) then
-      die "invalid --mtbf value %g: must be > 0 (use a huge value for a \
-           fault-free race)" mtbf;
-    if not (mttr > 0.0) then
-      die "invalid --mttr value %g: must be > 0" mttr;
+  let run n seed trials traffic_trials calls warmup jobs grid load mtbf mttr
+      json obsargs =
+    ignore (traffic_config ?load ?mtbf ~mttr ~warmup ~calls ());
     with_obs obsargs @@ fun obs ->
     let note fam =
       if Option.is_some obs.progress then
@@ -2014,7 +1837,7 @@ let tournament_cmd =
     let outcome =
       phase obs "tournament" (fun () ->
           Ftcsn.Tournament.run ~jobs ?trace:obs.trace ?progress:obs.progress
-            ~note ?load ~mtbf ~mttr ~trials ~eps:grid ~traffic_trials ~calls
+            ~note ?load ?mtbf ~mttr ~trials ~eps:grid ~traffic_trials ~calls
             ~warmup ~n ~seed ())
     in
     if json then
@@ -2026,70 +1849,39 @@ let tournament_cmd =
          eps=%g); traffic: load %s Erlangs, mtbf %g, mttr %g@."
         grid.(Array.length grid - 1)
         (match load with Some l -> Printf.sprintf "%g" l | None -> "n/4")
-        mtbf mttr;
+        (Option.get mtbf) mttr;
       List.iter
         (fun (fam, why) -> Format.printf "skipped %s: %s@." fam why)
         outcome.Ftcsn.Tournament.skipped
     end
   in
-  let eps_grid =
-    let doc =
-      "ε grid LO:HI:STEPS[:log|:lin] for the coupled survival sweep; the \
-       Pareto front is computed at the harshest (last) grid point."
-    in
-    Arg.(
-      value
-      & opt string "0.001:0.05:4:log"
-      & info [ "eps-grid" ] ~docv:"GRID" ~doc)
+  let grid =
+    Term.(
+      const Option.get
+      $ eps_grid_arg ~default:"0.001:0.05:4:log"
+          ~doc:
+            "ε grid LO:HI:STEPS[:log|:lin] for the coupled survival sweep; \
+             the Pareto front is computed at the harshest (last) grid point."
+          ())
   in
   let trials =
     trials_arg ~default:150
       ~doc:"Coupled survival trials per family (shared by every grid point)."
   in
   let traffic_trials =
-    Arg.(
-      value & opt int 3
-      & info [ "traffic-trials" ] ~docv:"T"
-          ~doc:"Traffic replications per family (one substream each).")
-  in
-  let calls =
-    Arg.(
-      value & opt int 1000
-      & info [ "calls" ] ~docv:"CALLS"
-          ~doc:"Offered calls measured per traffic replication.")
-  in
-  let warmup =
-    Arg.(
-      value & opt int 100
-      & info [ "warmup" ] ~docv:"CALLS"
-          ~doc:"Offered calls discarded before the measured window opens.")
+    int_flag "traffic-trials" ~default:3 ~docv:"T"
+      ~doc:"Traffic replications per family (one substream each)."
   in
   let load =
-    Arg.(
-      value & opt (some float) None
-      & info [ "load" ] ~docv:"ERLANGS"
-          ~doc:
-            "Offered load in Erlangs (default: effective n / 4, scaling \
-             the workload with each family's terminal count).")
-  in
-  let mtbf =
-    Arg.(
-      value & opt float 500.0
-      & info [ "mtbf" ] ~docv:"T"
-          ~doc:
-            "Per-switch mean time between failures during the traffic \
-             phase (the tournament races networks under fire by default).")
-  in
-  let mttr =
-    Arg.(
-      value & opt float 10.0
-      & info [ "mttr" ] ~docv:"T" ~doc:"Per-switch mean time to repair.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the full result (per-family curves) as one JSON object.")
+    Term.(
+      const (Option.map check_load)
+      $ Arg.(
+          value
+          & opt (some float) None
+          & info [ "load" ] ~docv:"ERLANGS"
+              ~doc:
+                "Offered load in Erlangs (default: effective n / 4, scaling \
+                 the workload with each family's terminal count)."))
   in
   let doc =
     "Race every registered topology family through the coupled survival \
@@ -2098,8 +1890,9 @@ let tournament_cmd =
   in
   Cmd.v (Cmd.info "tournament" ~doc)
     Term.(
-      const run $ n_arg $ seed_arg $ eps_grid $ trials $ traffic_trials
-      $ calls $ warmup $ load $ mtbf $ mttr $ jobs_arg $ json $ obs_args)
+      const run $ n_arg $ seed_arg $ trials $ traffic_trials
+      $ calls_arg ~default:1000 $ warmup_arg ~default:100 $ jobs_arg $ grid
+      $ load $ mtbf_arg ~default:500.0 () $ mttr_arg $ json_flag $ obs_args)
 
 let () =
   (* the paper's family lives in lib/core, which the networks registry

@@ -16,5 +16,5 @@ val install : unit -> unit
     Spec parameters: [gamma] (oversizing levels), [degree] (expander
     degree) and [grid-stages] override the corresponding
     {!Ft_params.scaled} defaults; [n] rounds up to a power of two
-    (u = ⌈log₂ n⌉, matching the historical [ftnet --family ft]
-    behaviour). *)
+    (u = ⌈log₂ n⌉, so [ftnet --net ft -n 8] builds the u = 3
+    network). *)

@@ -1,6 +1,5 @@
 module Topology = Ftcsn_networks.Topology
 module Network = Ftcsn_networks.Network
-module Rng = Ftcsn_prng.Rng
 module Monte_carlo = Ftcsn_reliability.Monte_carlo
 module Trials = Ftcsn_sim.Trials
 module Traffic = Ftcsn_des.Traffic
@@ -60,18 +59,17 @@ let run ?jobs ?trace ?progress ?note ?load ?(mtbf = 500.0) ?(mttr = 10.0)
     (fun (gen : Topology.gen) ->
       (match note with Some f -> f gen.Topology.name | None -> ());
       let spec = { Topology.family = gen.Topology.name; args = [] } in
-      (* seed offsets mirror ftnet's Seeds module: the same --seed
-         denotes the same network (0), the same survival stream (4) and
-         the same traffic stream (7) as the standalone subcommands *)
-      match Topology.build ~n ~rng:(Rng.create ~seed) spec with
+      (* the same --seed denotes the same network, the same survival
+         stream and the same traffic stream as the standalone
+         subcommands *)
+      match Topology.build ~n ~rng:(Seeds.network seed) spec with
       | Error msg -> skipped := (gen.Topology.name, msg) :: !skipped
       | Ok b ->
           let net = b.Topology.net in
           let n_eff = b.Topology.n_effective in
           let survival =
             Pipeline.survival_curve ?jobs ?progress ?trace ~trials
-              ~rng:(Rng.create ~seed:(seed + 4))
-              ~eps ~probe:Pipeline.sc_probe_only net
+              ~rng:(Seeds.curve seed) ~eps ~probe:Pipeline.sc_probe_only net
           in
           let load =
             match load with Some l -> l | None -> float_of_int n_eff /. 4.0
@@ -84,9 +82,7 @@ let run ?jobs ?trace ?progress ?note ?load ?(mtbf = 500.0) ?(mttr = 10.0)
           let s =
             Traffic.estimate ?jobs ?trace
               ~label:("tournament." ^ gen.Topology.name)
-              ~trials:traffic_trials
-              ~rng:(Rng.create ~seed:(seed + 7))
-              ~config net
+              ~trials:traffic_trials ~rng:(Seeds.traffic seed) ~config net
           in
           let blocking = s.Traffic.blocking in
           entries :=

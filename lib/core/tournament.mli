@@ -16,8 +16,8 @@
     cost {e and} at least its survival probability at the harshest
     grid ε (one strictly better).
 
-    Seed discipline matches [ftnet] (offsets 0 / 4 / 7 for network /
-    survival / traffic), so a tournament row is reproducible with
+    Seeds come from {!Seeds} ([network], [curve] and [traffic]), as in
+    [ftnet], so a tournament row is reproducible with
     [ftnet curve --net F] and [ftnet traffic --net F] at the same
     seed, n and trial counts. *)
 

@@ -49,7 +49,7 @@ let check_contains name out needle =
     Alcotest.failf "%s: expected %S in output:\n%s" name needle out
 
 let test_build () =
-  let code, out = run "build --family benes -n 8 --seed 1" in
+  let code, out = run "build --net benes -n 8 --seed 1" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "build" out "benes-8";
   check_contains "build" out "size=80";
@@ -57,37 +57,37 @@ let test_build () =
   check_contains "build" out "degrees:"
 
 let test_build_ft () =
-  let code, out = run "build --family ft -n 8 --seed 1" in
+  let code, out = run "build --net ft -n 8 --seed 1" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "build ft" out "n=8x8";
   check_contains "build ft" out "size=4352"
 
 let test_faults () =
-  let code, out = run "faults --family benes -n 16 --eps 0.02 --seed 3" in
+  let code, out = run "faults --net benes -n 16 --eps 0.02 --seed 3" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "faults" out "switches: 224";
   check_contains "faults" out "stripped vertices:";
   check_contains "faults" out "terminals shorted:"
 
 let test_route () =
-  let code, out = run "route --family ft -n 4 --eps 0.0 --seed 2" in
+  let code, out = run "route --net ft -n 4 --eps 0.0 --seed 2" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "route" out "requests: 4, routed: 4, blocked: 0"
 
 let test_route_verbose () =
-  let code, out = run "route --family crossbar -n 3 --eps 0.0 -v --seed 2" in
+  let code, out = run "route --net crossbar -n 3 --eps 0.0 -v --seed 2" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "route -v" out "0 ->"
 
 let test_check () =
-  let code, out = run "check --family benes -n 4 --seed 1" in
+  let code, out = run "check --net benes -n 4 --seed 1" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "check" out "superconcentrator: yes (exhaustive)";
   check_contains "check" out "rearrangeable: yes (exhaustive)";
   check_contains "check" out "strictly nonblocking: NO"
 
 let test_check_crossbar () =
-  let code, out = run "check --family crossbar -n 3 --seed 1" in
+  let code, out = run "check --net crossbar -n 3 --seed 1" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "check crossbar" out "strictly nonblocking: yes (exhaustive)"
 
@@ -103,20 +103,20 @@ let test_check_stress () =
     [ ("crossbar:8", "1.0000"); ("benes:8", "0.0000") ]
 
 let test_survive () =
-  let code, out = run "survive --family butterfly -n 8 --eps 0.01 --trials 40 --seed 5" in
+  let code, out = run "survive --net butterfly -n 8 --eps 0.01 --trials 40 --seed 5" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "survive" out "P[survives eps=0.01";
   check_contains "survive" out "40 trials"
 
 let test_degrade () =
-  let code, out = run "degrade --family ft -n 8 --hazard 1e-5 --ticks 200 --seed 4" in
+  let code, out = run "degrade --net ft -n 8 --hazard 1e-5 --ticks 200 --seed 4" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "degrade" out "ticks=200";
   check_contains "degrade" out "placed="
 
 let test_degrade_arrival () =
   let code, out =
-    run "degrade --family ft -n 8 --hazard 1e-5 --arrival 0.3 --ticks 150 --seed 4"
+    run "degrade --net ft -n 8 --hazard 1e-5 --arrival 0.3 --ticks 150 --seed 4"
   in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "degrade arrival" out "ticks=150";
@@ -316,7 +316,7 @@ let test_traffic_tournament_golden () =
 let test_traffic () =
   let code, out =
     run
-      "traffic --family crossbar -n 4 --load 2 --warmup 100 --calls 500 \
+      "traffic --net crossbar -n 4 --load 2 --warmup 100 --calls 500 \
        --trials 2 --seed 3"
   in
   Alcotest.(check int) "exit code" 0 code;
@@ -328,7 +328,7 @@ let test_traffic () =
 let test_traffic_json () =
   let code, out =
     run
-      "traffic --family benes -n 8 --load 1 --warmup 50 --calls 300 \
+      "traffic --net benes -n 8 --load 1 --warmup 50 --calls 300 \
        --trials 2 --seed 3 --json"
   in
   Alcotest.(check int) "exit code" 0 code;
@@ -392,7 +392,7 @@ let test_traffic_json_effective_n () =
 let test_traffic_pareto_rearrange () =
   let code, out =
     run
-      "traffic --family benes -n 8 --load 2 --holding pareto:2.5 --policy \
+      "traffic --net benes -n 8 --load 2 --holding pareto:2.5 --policy \
        rearrange:2000 --warmup 50 --calls 300 --trials 2 --seed 5"
   in
   Alcotest.(check int) "exit code" 0 code;
@@ -401,7 +401,7 @@ let test_traffic_pareto_rearrange () =
 
 let test_critical () =
   let code, out =
-    run "critical --family benes -n 4 --eps 0.05 --sample 6 --trials 50 --seed 2"
+    run "critical --net benes -n 4 --eps 0.05 --sample 6 --trials 50 --seed 2"
   in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "critical" out "most critical sampled switches";
@@ -413,18 +413,18 @@ let test_render_grid () =
   check_contains "render grid" out "o---o"
 
 let test_render_census () =
-  let code, out = run "render --kind census --family benes -n 8" in
+  let code, out = run "render --kind census --net benes -n 8" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "render census" out "stage | vertices | out-edges"
 
 let test_render_dot () =
-  let code, out = run "render --kind dot --family crossbar -n 2" in
+  let code, out = run "render --kind dot --net crossbar -n 2" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "render dot" out "digraph";
   check_contains "render dot" out "v0 -> v2"
 
 let test_unknown_family_fails () =
-  let code, out = run "build --family nosuch -n 4" in
+  let code, out = run "build --net nosuch -n 4" in
   Alcotest.(check int) "exit code" 2 code;
   check_contains "unknown family" out "ftnet: error:";
   check_contains "unknown family" out "unknown network family \"nosuch\""
@@ -448,27 +448,6 @@ let test_net_spec_params () =
   let code, out = run "build --net crossbar:n=3:m=5" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "net crossbar m" out "n=3x5"
-
-let test_net_matches_family_alias () =
-  (* --family FAM is an alias for --net FAM: identical network, identical
-     estimate *)
-  let go flag =
-    let code, out = run ("survive " ^ flag ^ " -n 8 --trials 50 --seed 7") in
-    Alcotest.(check int) "exit code" 0 code;
-    (* drop the throughput line, which varies run to run *)
-    String.concat "\n"
-      (List.filter
-         (fun l -> not (contains l "trials/s"))
-         (String.split_on_char '\n' out))
-  in
-  Alcotest.(check string) "--net equals --family" (go "--family benes")
-    (go "--net benes")
-
-let test_net_and_family_conflict () =
-  let code, out = run "build --net benes --family ft -n 4" in
-  Alcotest.(check int) "exit code" 2 code;
-  check_contains "conflict" out "ftnet: error:";
-  check_contains "conflict" out "--net and --family cannot both be given"
 
 let test_net_unknown_param () =
   let code, out = run "build --net benes:wings=3 -n 4" in
@@ -560,7 +539,7 @@ let test_trace_jsonl () =
   let code, _ =
     run
       (Printf.sprintf
-         "faults --family benes -n 8 --trials 1500 --target-ci 0.5 --seed 3 \
+         "faults --net benes -n 8 --trials 1500 --target-ci 0.5 --seed 3 \
           --trace %s"
          trace)
   in
@@ -595,7 +574,7 @@ let test_metrics_report () =
   let code, _ =
     run
       (Printf.sprintf
-         "survive --family benes -n 8 --trials 50 --seed 5 --metrics %s" metrics)
+         "survive --net benes -n 8 --trials 50 --seed 5 --metrics %s" metrics)
   in
   Alcotest.(check int) "exit code" 0 code;
   match Ftcsn_obs.Json.parse (read_file metrics) with
@@ -635,7 +614,7 @@ let estimate_line args =
   | None -> Alcotest.failf "no estimate line in output of %s:\n%s" args out
 
 let test_cli_determinism () =
-  let base = "survive --family benes -n 8 --trials 200 --seed 7" in
+  let base = "survive --net benes -n 8 --trials 200 --seed 7" in
   let reference = estimate_line (base ^ " --jobs 1") in
   with_tmp ".jsonl" @@ fun trace ->
   List.iter
@@ -662,7 +641,7 @@ let traffic_blocking_line args =
 
 let test_traffic_determinism () =
   let base =
-    "traffic --family crossbar -n 4 --load 2 --warmup 100 --calls 400 \
+    "traffic --net crossbar -n 4 --load 2 --warmup 100 --calls 400 \
      --trials 4 --seed 7"
   in
   let reference = traffic_blocking_line (base ^ " --jobs 1") in
@@ -686,36 +665,36 @@ let check_usage_error name args fragment =
   check_contains name out fragment
 
 let test_error_trials_zero () =
-  check_usage_error "trials 0" "faults --family benes -n 8 --trials 0"
+  check_usage_error "trials 0" "faults --net benes -n 8 --trials 0"
     "invalid --trials value 0"
 
 let test_error_trials_negative () =
   (* =-3 so cmdliner parses the negative number as the option's value *)
-  check_usage_error "trials -3" "survive --family benes -n 8 --trials=-3"
+  check_usage_error "trials -3" "survive --net benes -n 8 --trials=-3"
     "invalid --trials value -3"
 
 let test_error_jobs_zero () =
-  check_usage_error "jobs 0" "survive --family benes -n 8 --jobs 0"
+  check_usage_error "jobs 0" "survive --net benes -n 8 --jobs 0"
     "invalid --jobs value 0"
 
 let test_error_target_ci_malformed () =
   check_usage_error "target-ci abc"
-    "survive --family benes -n 8 --target-ci abc" "invalid --target-ci value"
+    "survive --net benes -n 8 --target-ci abc" "invalid --target-ci value"
 
 let test_error_target_ci_range () =
   check_usage_error "target-ci 1.5"
-    "survive --family benes -n 8 --target-ci 1.5" "invalid --target-ci value";
+    "survive --net benes -n 8 --target-ci 1.5" "invalid --target-ci value";
   check_usage_error "target-ci 0"
-    "survive --family benes -n 8 --target-ci 0" "invalid --target-ci value"
+    "survive --net benes -n 8 --target-ci 0" "invalid --target-ci value"
 
 let test_error_unwritable_metrics () =
   check_usage_error "unwritable metrics"
-    "survive --family benes -n 8 --trials 10 --metrics /nonexistent/m.json"
+    "survive --net benes -n 8 --trials 10 --metrics /nonexistent/m.json"
     "cannot open --metrics"
 
 let test_error_unwritable_trace () =
   check_usage_error "unwritable trace"
-    "faults --family benes -n 8 --trace /nonexistent/t.jsonl"
+    "faults --net benes -n 8 --trace /nonexistent/t.jsonl"
     "cannot open --trace"
 
 (* --progress chatter must go to stderr on every subcommand so that
@@ -723,7 +702,7 @@ let test_error_unwritable_trace () =
 let test_progress_on_stderr_stdout_clean_json () =
   let code, out, err =
     run_split
-      "curve --family benes -n 8 --trials 40 --eps-grid 0.01:0.1:3 --seed 4 \
+      "curve --net benes -n 8 --trials 40 --eps-grid 0.01:0.1:3 --seed 4 \
        --json --progress"
   in
   Alcotest.(check int) "exit code" 0 code;
@@ -735,7 +714,7 @@ let test_progress_on_stderr_stdout_clean_json () =
   (* same invariant for traffic --json *)
   let code, out, err =
     run_split
-      "traffic --family benes -n 8 --load 1 --warmup 50 --calls 200 --trials \
+      "traffic --net benes -n 8 --load 1 --warmup 50 --calls 200 --trials \
        1 --seed 3 --json --progress"
   in
   Alcotest.(check int) "exit code" 0 code;
@@ -880,7 +859,7 @@ let test_serve_errors () =
 (* ---------- ε-grid curves ---------- *)
 
 let test_curve () =
-  let code, out = run "curve --family benes -n 8 --seed 4 --trials 60" in
+  let code, out = run "curve --net benes -n 8 --seed 4 --trials 60" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "curve" out "survival curve (superconcentrator probes";
   check_contains "curve" out "60 coupled trials";
@@ -892,7 +871,7 @@ let test_curve () =
 
 let test_curve_json () =
   let code, out =
-    run "curve --family benes -n 8 --seed 4 --trials 40 --eps-grid \
+    run "curve --net benes -n 8 --seed 4 --trials 40 --eps-grid \
          0.01:0.1:3 --json"
   in
   Alcotest.(check int) "exit code" 0 code;
@@ -907,7 +886,7 @@ let test_curve_jobs_deterministic () =
     let code, out =
       run
         (Printf.sprintf
-           "curve --family benes -n 8 --seed 4 --trials 80 --jobs %d" jobs)
+           "curve --net benes -n 8 --seed 4 --trials 80 --jobs %d" jobs)
     in
     Alcotest.(check int) "exit code" 0 code;
     String.concat "\n"
@@ -986,6 +965,27 @@ let test_rare_jobs_deterministic () =
   Alcotest.(check bool) "has rows" true (contains one "tilt");
   Alcotest.(check string) "rare identical at jobs 1 vs 4" one (go 4)
 
+(* each tuning flag reaches its estimator: the report differs from the
+   defaults' at the same seed *)
+let test_rare_tuning_flags () =
+  let out args =
+    let code, out = run args in
+    Alcotest.(check int) ("exit of " ^ args) 0 code;
+    out
+  in
+  List.iter
+    (fun (base, flag) ->
+      if out base = out (base ^ " " ^ flag) then
+        Alcotest.failf "%s leaves the output of %s unchanged" flag base)
+    (let common = "rare --net benes:8 --eps 1e-3 --seed 3 --jobs 1" in
+     let tilt = common ^ " --trials 300 --pilot-trials 200 --tilt-iters 2" in
+     let split = common ^ " --method split --trials 200 --particles 128" in
+     [
+       (tilt, "--per-edge-tilt");
+       (split, "--level-p0 0.4");
+       (split, "--mutate 0.6");
+     ])
+
 let test_error_rare_method () =
   check_usage_error "rare bad method" "rare --net benes -n 8 --method nope"
     "invalid --method value \"nope\""
@@ -1001,16 +1001,33 @@ let test_error_rare_eps () =
   check_usage_error "rare eps big" "rare --net benes -n 8 --eps 0.7"
     "invalid --eps value"
 
+let test_error_rare_split_params () =
+  check_usage_error "rare level-p0 1.5"
+    "rare --net benes:8 --method split --level-p0 1.5"
+    "invalid --level-p0 value 1.5";
+  check_usage_error "rare mutate 0" "rare --net benes:8 --method split --mutate 0"
+    "invalid --mutate value 0"
+
+(* fewer measured calls than batch-means batches is refused before the
+   survival sweep starts, as traffic refuses it *)
+let test_error_tournament_calls () =
+  check_usage_error "tournament calls 5"
+    "tournament -n 4 --trials 5 --traffic-trials 1 --calls 5"
+    "Traffic.config: need measured >= batches"
+
+let test_error_render_n () =
+  check_usage_error "render -n 0" "render --kind grid -n 0" "invalid -n value 0"
+
 let test_error_eps_grid_degenerate () =
   (* a denormal LO with log spacing overflows the spacing arithmetic;
      must die with the normalized diagnostic, not crash mid-sweep *)
   check_usage_error "eps-grid denormal log"
-    "curve --family benes -n 4 --trials 10 --eps-grid 4.9e-324:0.5:4:log"
+    "curve --net benes -n 4 --trials 10 --eps-grid 4.9e-324:0.5:4:log"
     "degenerate spacing"
 
 let test_faults_eps_grid () =
   let code, out =
-    run "faults --family benes -n 8 --eps-grid 0.01:0.1:3 --trials 50 --seed 2"
+    run "faults --net benes -n 8 --eps-grid 0.01:0.1:3 --trials 50 --seed 2"
   in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "faults grid" out "P[survivor clean] curve (50 coupled trials";
@@ -1018,63 +1035,63 @@ let test_faults_eps_grid () =
 
 let test_route_eps_grid () =
   let code, out =
-    run "route --family benes -n 8 --eps-grid 0.01:0.1:3 --trials 30 --seed 2"
+    run "route --net benes -n 8 --eps-grid 0.01:0.1:3 --trials 30 --seed 2"
   in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "route grid" out
     "P[random permutation fully routes] curve (30 coupled trials"
 
 let test_error_eps_grid_malformed () =
-  check_usage_error "eps-grid bad" "curve --family benes -n 8 --eps-grid bad"
+  check_usage_error "eps-grid bad" "curve --net benes -n 8 --eps-grid bad"
     "expected LO:HI:STEPS[:log|:lin]";
   check_usage_error "eps-grid spacing"
-    "curve --family benes -n 8 --eps-grid 0.01:0.1:3:cubic" "unknown spacing"
+    "curve --net benes -n 8 --eps-grid 0.01:0.1:3:cubic" "unknown spacing"
 
 let test_error_eps_grid_range () =
   check_usage_error "eps-grid hi too large"
-    "faults --family benes -n 8 --eps-grid 0.2:0.6:3" "need HI <= 0.5";
+    "faults --net benes -n 8 --eps-grid 0.2:0.6:3" "need HI <= 0.5";
   check_usage_error "eps-grid log zero"
-    "curve --family benes -n 8 --eps-grid 0:0.1:3:log" "log spacing needs LO > 0"
+    "curve --net benes -n 8 --eps-grid 0:0.1:3:log" "log spacing needs LO > 0"
 
 let test_error_eps_grid_with_target_ci () =
   check_usage_error "eps-grid + target-ci"
-    "faults --family benes -n 8 --eps-grid 0.01:0.1:3 --target-ci 0.05"
+    "faults --net benes -n 8 --eps-grid 0.01:0.1:3 --target-ci 0.05"
     "--eps-grid cannot be combined with --target-ci"
 
 let test_error_traffic_load () =
-  check_usage_error "traffic load" "traffic --family benes -n 8 --load=-1"
+  check_usage_error "traffic load" "traffic --net benes -n 8 --load=-1"
     "invalid --load value"
 
 let test_error_traffic_holding () =
   check_usage_error "traffic holding pareto:0.5"
-    "traffic --family benes -n 8 --holding pareto:0.5" "invalid --holding value";
+    "traffic --net benes -n 8 --holding pareto:0.5" "invalid --holding value";
   check_usage_error "traffic holding gibberish"
-    "traffic --family benes -n 8 --holding gibberish" "invalid --holding value"
+    "traffic --net benes -n 8 --holding gibberish" "invalid --holding value"
 
 let test_error_traffic_policy () =
-  check_usage_error "traffic policy" "traffic --family benes -n 8 --policy bogus"
+  check_usage_error "traffic policy" "traffic --net benes -n 8 --policy bogus"
     "invalid --policy value";
   check_usage_error "traffic policy budget"
-    "traffic --family benes -n 8 --policy rearrange:0" "must be an integer >= 1";
+    "traffic --net benes -n 8 --policy rearrange:0" "must be an integer >= 1";
   check_usage_error "traffic policy list"
-    "traffic --family benes -n 8 --policy bogus"
+    "traffic --net benes -n 8 --policy bogus"
     "expected greedy, rearrange[:BUDGET], staged or loop"
 
 let test_error_traffic_mtbf () =
-  check_usage_error "traffic mtbf" "traffic --family benes -n 8 --mtbf 0"
+  check_usage_error "traffic mtbf" "traffic --net benes -n 8 --mtbf 0"
     "invalid --mtbf value"
 
 let test_error_degrade_arrival () =
   check_usage_error "degrade arrival 1.5"
-    "degrade --family ft -n 8 --arrival 1.5" "invalid --arrival value";
+    "degrade --net ft -n 8 --arrival 1.5" "invalid --arrival value";
   check_usage_error "degrade arrival negative"
-    "degrade --family ft -n 8 --arrival=-0.1" "invalid --arrival value"
+    "degrade --net ft -n 8 --arrival=-0.1" "invalid --arrival value"
 
 let test_error_degrade_hazard () =
   List.iter
     (fun args ->
       check_usage_error ("degrade " ^ args)
-        ("degrade --family ft -n 8 " ^ args)
+        ("degrade --net ft -n 8 " ^ args)
         "invalid --hazard value")
     [ "--hazard 2"; "--hazard inf"; "--hazard=-1 --trials 3"; "--hazard nan" ]
 
@@ -1085,7 +1102,7 @@ let test_error_eps_range () =
     (fun (cmd, eps) ->
       check_usage_error
         (cmd ^ " " ^ eps)
-        (Printf.sprintf "%s --family benes -n 8 %s" cmd eps)
+        (Printf.sprintf "%s --net benes -n 8 %s" cmd eps)
         "invalid --eps value")
     [
       ("survive", "--eps 2");
@@ -1099,16 +1116,29 @@ let test_error_faults_radius () =
   check_usage_error "radius -1" "faults --net benes:8 --radius=-1"
     "invalid --radius value -1"
 
+let subcommand_names =
+  [
+    "build"; "topologies"; "faults"; "route"; "check"; "survive"; "curve";
+    "rare"; "traffic"; "serve"; "tournament"; "degrade"; "critical"; "render";
+  ]
+
 let test_help () =
   let code, out = run "--help=plain" in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "help" out "ftnet";
   List.iter
     (fun sub -> check_contains "help lists subcommand" out sub)
-    [
-      "build"; "topologies"; "faults"; "route"; "check"; "survive"; "curve";
-      "rare"; "traffic"; "tournament"; "degrade"; "critical"; "render";
-    ]
+    subcommand_names
+
+(* cmdliner rejects an option name declared twice in one command only
+   when that command runs, so every subcommand's own help must render *)
+let test_subcommand_help () =
+  List.iter
+    (fun sub ->
+      let code, out = run (sub ^ " --help=plain") in
+      Alcotest.(check int) (sub ^ " --help exit code") 0 code;
+      check_contains (sub ^ " --help") out ("ftnet-" ^ sub))
+    subcommand_names
 
 let () =
   (* run only when the binary exists (dune dependency guarantees it) *)
@@ -1135,6 +1165,7 @@ let () =
           Alcotest.test_case "rare curve" `Quick test_rare_curve;
           Alcotest.test_case "rare deterministic across jobs" `Quick
             test_rare_jobs_deterministic;
+          Alcotest.test_case "rare tuning flags" `Quick test_rare_tuning_flags;
           Alcotest.test_case "faults eps-grid" `Quick test_faults_eps_grid;
           Alcotest.test_case "route eps-grid" `Quick test_route_eps_grid;
           Alcotest.test_case "degrade" `Quick test_degrade;
@@ -1165,16 +1196,14 @@ let () =
           Alcotest.test_case "render dot" `Quick test_render_dot;
           Alcotest.test_case "unknown family" `Quick test_unknown_family_fails;
           Alcotest.test_case "help" `Quick test_help;
+          Alcotest.test_case "help of every subcommand" `Quick
+            test_subcommand_help;
         ] );
       ( "topology registry",
         [
           Alcotest.test_case "--net spec with rounding warning" `Quick
             test_net_spec_build;
           Alcotest.test_case "--net spec parameters" `Quick test_net_spec_params;
-          Alcotest.test_case "--net equals --family" `Quick
-            test_net_matches_family_alias;
-          Alcotest.test_case "--net conflicts with --family" `Quick
-            test_net_and_family_conflict;
           Alcotest.test_case "unknown parameter" `Quick test_net_unknown_param;
           Alcotest.test_case "power-of-two refusal" `Quick test_net_pow2_refused;
           Alcotest.test_case "topologies" `Quick test_topologies;
@@ -1229,6 +1258,11 @@ let () =
           Alcotest.test_case "rare grid with split" `Quick
             test_error_rare_grid_with_split;
           Alcotest.test_case "rare eps range" `Quick test_error_rare_eps;
+          Alcotest.test_case "rare split parameters" `Quick
+            test_error_rare_split_params;
+          Alcotest.test_case "tournament calls below batches" `Quick
+            test_error_tournament_calls;
+          Alcotest.test_case "render -n" `Quick test_error_render_n;
           Alcotest.test_case "eps-grid degenerate" `Quick
             test_error_eps_grid_degenerate;
           Alcotest.test_case "degrade arrival range" `Quick
