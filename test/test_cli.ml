@@ -234,6 +234,35 @@ let test_build_topologies_golden () =
     \  valiant-sc       linear-size superconcentrator (Valiant/Gabber-Galil \
      recursion)  (aliases: valiant; params: degree=INT, cutoff=INT)\n"
 
+(* check's full report on four families: the exhaustive superconcentrator
+   decider holding (benes:8) and failing (multibutterfly:8), a sampled
+   superconcentrator witness (butterfly:16) and the exhaustive
+   nonblocking game (clos:4) *)
+let test_check_golden () =
+  check_output "check --net benes:8 --seed 1 --jobs 1"
+    "benes-8: n=8x8 size=80 depth=5\n\
+     superconcentrator: yes (exhaustive)\n\
+     rearrangeable: probably (20 samples)\n\
+     nonblocking stress: P[0 blocked in 200-call episode] = 0.0000 [0.0000, \
+     0.1611] (0/20)  (20 episodes, jobs=1)\n";
+  check_output "check --net multibutterfly:8 --seed 1 --jobs 1"
+    "multibutterfly-8-d2: n=8x8 size=80 depth=3\n\
+     superconcentrator: NO (r=3 achieved=2)\n\
+     rearrangeable: NO (sampled witness)\n\
+     nonblocking stress: P[0 blocked in 200-call episode] = 0.0000 [0.0000, \
+     0.1611] (0/20)  (20 episodes, jobs=1)\n";
+  check_output "check --net butterfly:16 --seed 1 --jobs 1"
+    "butterfly-16: n=16x16 size=128 depth=4\n\
+     superconcentrator: NO (sampled r=8)\n\
+     rearrangeable: NO (sampled witness)\n\
+     nonblocking stress: P[0 blocked in 200-call episode] = 0.0000 [0.0000, \
+     0.1611] (0/20)  (20 episodes, jobs=1)\n";
+  check_output "check --net clos:4 --seed 1 --jobs 1"
+    "clos-m3-k2-r2: n=4x4 size=36 depth=3\n\
+     superconcentrator: yes (exhaustive)\n\
+     rearrangeable: yes (exhaustive)\n\
+     strictly nonblocking: yes (exhaustive)\n"
+
 (* the estimators' full reports at small sizes and --jobs 1; survive's
    throughput line is wall-clock, so it is dropped before comparing *)
 let test_estimator_golden () =
@@ -1176,6 +1205,7 @@ let () =
           Alcotest.test_case "build/topologies golden" `Quick
             test_build_topologies_golden;
           Alcotest.test_case "estimator golden" `Quick test_estimator_golden;
+          Alcotest.test_case "check golden" `Quick test_check_golden;
           Alcotest.test_case "traffic/tournament json golden" `Quick
             test_traffic_tournament_golden;
           Alcotest.test_case "traffic" `Quick test_traffic;
