@@ -1008,11 +1008,11 @@ let a3_multibutterfly () =
   List.iter
     (fun degree ->
       let rng = rng_for (Printf.sprintf "a3-%d" degree) in
-      let mb = Multibutterfly.make_structured ~rng ~degree n in
+      let mb = Multibutterfly.make ~rng ~degree n in
       (* re-strip in place on a Fault_strip workspace instead of
          allocating a pattern and strip record per rep; sample_into
          consumes the stream exactly as sample did, so numbers match *)
-      let fs = Fault_strip.create_ws mb.Multibutterfly.net in
+      let fs = Fault_strip.create_ws mb in
       let cell eps =
         let reps = max 5 (trials 30) in
         let acc = ref 0 in
@@ -1027,8 +1027,8 @@ let a3_multibutterfly () =
             end
           in
           let pi = Rng.permutation rng n in
-          let _, s = Multibutterfly.route_permutation mb ~allowed pi in
-          acc := !acc + s
+          let router = Ftcsn_routing.Greedy.create ~allowed mb in
+          ignore (Ftcsn_routing.Greedy.route_permutation router pi ~success:acc)
         done;
         Table.ff ~decimals:2
           (float_of_int !acc /. float_of_int (reps * n))

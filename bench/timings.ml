@@ -21,7 +21,7 @@ let benes_looping =
     (Staged.stage (fun () -> ignore (Benes.route benes pi)))
 
 let sc_probe =
-  let benes = Benes.create 64 in
+  let ws = Ftcsn_routing.Flow_route.create_ws (Benes.create 64) in
   let rng = Rng.create ~seed:3 in
   Test.make ~name:"e7: superconcentrator flow probe (benes-64)"
     (Staged.stage (fun () ->
@@ -29,7 +29,7 @@ let sc_probe =
          let s = Rng.sample_without_replacement rng ~n:64 ~k:r in
          let t = Rng.sample_without_replacement rng ~n:64 ~k:r in
          ignore
-           (Ftcsn_routing.Flow_route.max_throughput benes ~input_indices:s
+           (Ftcsn_routing.Flow_route.max_throughput_ws ws ~input_indices:s
               ~output_indices:t)))
 
 let fault_strip =
@@ -72,31 +72,9 @@ let zone_analysis =
            (Ftcsn.Lower_bound.analyse ~threshold:3 ~radius:1 ~max_inputs:8
               ft.Ftcsn.Ft_network.net)))
 
-let structured_route =
-  let rng = Rng.create ~seed:8 in
-  let ft = Ftcsn.Ft_network.make ~rng (Ftcsn.Ft_params.scaled ~u:4 ()) in
-  let plan = Ftcsn.Ft_route.plan ft in
-  let pi = Rng.permutation rng 16 in
-  Test.make ~name:"ft-route: structured permutation route (u=4)"
-    (Staged.stage (fun () ->
-         ignore
-           (Ftcsn.Ft_route.route_permutation plan ~allowed:(fun _ -> true) pi)))
-
-let bfs_route =
-  let rng = Rng.create ~seed:9 in
-  let ft = Ftcsn.Ft_network.make ~rng (Ftcsn.Ft_params.scaled ~u:4 ()) in
-  let pi = Rng.permutation rng 16 in
-  Test.make ~name:"ft-route: generic BFS permutation route (u=4)"
-    (Staged.stage (fun () ->
-         let r = Ftcsn_routing.Greedy.create ft.Ftcsn.Ft_network.net in
-         let s = ref 0 in
-         ignore (Ftcsn_routing.Greedy.route_permutation r pi ~success:s)))
-
 let tests =
   [
     ft_build;
-    structured_route;
-    bfs_route;
     benes_looping;
     sc_probe;
     fault_strip;

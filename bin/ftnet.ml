@@ -177,7 +177,10 @@ let progress_printer () =
    own flag-setting handlers so they can also print a final summary. *)
 exception Interrupted of int (* the signal number *)
 
+(* OCaml's Sys.sig* numbers are its own negative codes, not the OS's, so
+   only these two armed signals are named and mapped to an exit code *)
 let signal_exit_code signo = if signo = Sys.sigterm then 143 else 130
+let signal_name signo = if signo = Sys.sigterm then "SIGTERM" else "SIGINT"
 
 let install_raising_handlers () =
   let arm s =
@@ -223,7 +226,8 @@ let with_obs (metrics_path, trace_path, progress) f =
   with
   | v -> v
   | exception Interrupted signo ->
-      Printf.eprintf "ftnet: interrupted (signal %d); sinks flushed\n%!" signo;
+      Printf.eprintf "ftnet: interrupted (%s); sinks flushed\n%!"
+        (signal_name signo);
       exit (signal_exit_code signo)
 
 (* time a coarse phase: a span in the trace and a phase.* timer in the

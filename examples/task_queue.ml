@@ -32,6 +32,7 @@ let run_scheme ~rng ~eps name net =
     else fun _ -> false
   in
   let n' = min (Network.n_inputs net) (Network.n_outputs net) in
+  let flow = Flow_route.create_ws net in
   let ok = ref 0 and total_tasks = ref 0 and served_tasks = ref 0 in
   for _ = 1 to rounds do
     let r = 1 + Rng.int rng n' in
@@ -39,7 +40,7 @@ let run_scheme ~rng ~eps name net =
     let slots = Rng.sample_without_replacement rng ~n:n' ~k:r in
     total_tasks := !total_tasks + r;
     let got =
-      Flow_route.max_throughput ~forbidden net ~input_indices:processors
+      Flow_route.max_throughput_ws ~forbidden flow ~input_indices:processors
         ~output_indices:slots
     in
     served_tasks := !served_tasks + got;

@@ -5,44 +5,15 @@
     theorem they are decided by unit-vertex-capacity max-flow, which this
     module implements by the standard node-splitting reduction. *)
 
-val max_vertex_disjoint :
-  ?forbidden:(int -> bool) ->
-  Ftcsn_graph.Digraph.t ->
-  sources:int array ->
-  sinks:int array ->
-  int
-(** Maximum number of directed paths from [sources] to [sinks] that are
-    pairwise vertex-disjoint (endpoints included).  [forbidden] vertices
-    cannot be used at all. *)
-
-val vertex_disjoint_paths :
-  ?forbidden:(int -> bool) ->
-  Ftcsn_graph.Digraph.t ->
-  sources:int array ->
-  sinks:int array ->
-  int list list
-(** A maximum family of vertex-disjoint paths, each a vertex list from a
-    source to a sink. *)
-
-val min_vertex_cut_size :
-  ?forbidden:(int -> bool) ->
-  Ftcsn_graph.Digraph.t ->
-  sources:int array ->
-  sinks:int array ->
-  int
-(** Size of a minimum vertex cut (counting cut vertices; equals
-    {!max_vertex_disjoint} by Menger).  Lemma 3 of the paper applies this
-    duality to faulty-vertex cut sets in directed grids. *)
-
 (** Reusable node-split flow arena for repeated disjoint-path counting on
-    one graph — the allocation-free backend of Monte-Carlo
-    superconcentrator probes.  The arena is built once over the full
-    graph plus a fixed universe of candidate sources and sinks; each
+    one graph — the backend of the superconcentrator deciders and the
+    allocation-free Monte-Carlo probes.  The arena is built once over the
+    full graph plus a fixed universe of candidate sources and sinks; each
     query re-arms arc capacities in place (masked vertices, edges and
     unselected terminals get capacity 0) and reruns Dinic.  A
-    zero-capacity arc carries no flow, so the returned value equals
-    {!max_vertex_disjoint} on the correspondingly pruned graph.
-    Workspaces are single-domain state. *)
+    zero-capacity arc carries no flow, so the returned value is the
+    maximum on the correspondingly pruned graph.  Workspaces are
+    single-domain state. *)
 module Workspace : sig
   type t
 
@@ -58,10 +29,11 @@ module Workspace : sig
     source_slots:int array ->
     sink_slots:int array ->
     int
-  (** Maximum vertex-disjoint path count from the sources at
-      [source_slots] (positions in the creation-time [sources]) to the
-      sinks at [sink_slots], avoiding [forbidden] vertices and edges with
-      [edge_ok eid = false].  Allocation-free. *)
+  (** Maximum number of pairwise vertex-disjoint directed paths
+      (endpoints included) from the sources at [source_slots] (positions
+      in the creation-time [sources]) to the sinks at [sink_slots],
+      avoiding [forbidden] vertices and edges with [edge_ok eid = false].
+      Allocation-free. *)
 
   val max_vertex_disjoint_cert :
     ?forbidden:(int -> bool) ->

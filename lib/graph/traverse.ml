@@ -74,43 +74,6 @@ let reachable ?allowed g ~sources =
   Array.iteri (fun v d -> if d >= 0 then Bitset.add set v) dist;
   set
 
-let path_of_parents parents ~src ~dst =
-  let rec walk v acc = if v = src then v :: acc else walk parents.(v) (v :: acc) in
-  walk dst []
-
-let shortest_path_core ~undirected ?(allowed = always) ?(edge_ok = always) g
-    ~src ~dst =
-  let n = Digraph.vertex_count g in
-  if src = dst then Some [ src ]
-  else begin
-    let parent = Array.make n (-1) in
-    let seen = Array.make n false in
-    seen.(src) <- true;
-    let queue = Queue.create () in
-    Queue.add src queue;
-    let found = ref false in
-    let visit u v =
-      if (not seen.(v)) && (v = dst || allowed v) then begin
-        seen.(v) <- true;
-        parent.(v) <- u;
-        if v = dst then found := true else Queue.add v queue
-      end
-    in
-    while (not !found) && not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      Digraph.iter_out g u (fun ~dst:v ~eid -> if edge_ok eid then visit u v);
-      if undirected then
-        Digraph.iter_in g u (fun ~src:v ~eid -> if edge_ok eid then visit u v)
-    done;
-    if !found then Some (path_of_parents parent ~src ~dst) else None
-  end
-
-let shortest_path ?allowed ?edge_ok g ~src ~dst =
-  shortest_path_core ~undirected:false ?allowed ?edge_ok g ~src ~dst
-
-let shortest_path_undirected ?allowed ?edge_ok g ~src ~dst =
-  shortest_path_core ~undirected:true ?allowed ?edge_ok g ~src ~dst
-
 (* Kahn's algorithm over the raw CSR.  [order] doubles as the FIFO:
    vertices are appended when their in-degree drops to zero and popped
    from [head], so the output is the order a queue would produce. *)
@@ -174,16 +137,13 @@ let depth g ~inputs ~outputs =
   let dist = longest_path_dag g ~sources:inputs in
   List.fold_left (fun acc o -> max acc dist.(o)) (-1) outputs
 
-(* Arena-based shortest path: the same visit discipline as
-   [shortest_path_core ~undirected:false] — FIFO over out-edges in CSR
-   order, same seen/allowed condition — but "seen" is an epoch stamp
-   instead of a freshly filled array, so a call touches only the vertices
-   it visits (no O(V) fill), and the loop state lives in the arena's
-   mutable int fields, so a call allocates zero minor words.  Because the
-   parent assignments mirror [shortest_path] exactly (a vertex is stamped
-   iff [shortest_path] would have marked it seen), the extracted path is
-   identical — the routers built on this are bit-compatible with
-   [shortest_path]. *)
+(* Arena-based shortest path: FIFO over out-edges in CSR order, a vertex
+   entered at most once, [dst] entered regardless of [allowed].  "Seen" is
+   an epoch stamp instead of a freshly filled array, so a call touches
+   only the vertices it visits (no O(V) fill), and the loop state lives
+   in the arena's mutable int fields, so a call allocates zero minor
+   words.  The test suite pins the paths against the allocating
+   textbook BFS this replaced. *)
 let shortest_path_arena_buf ~allowed ~edge_ok g ~(arena : Arena.t) ~src ~dst
     ~buf =
   let n = Digraph.vertex_count g in
@@ -206,9 +166,8 @@ let shortest_path_arena_buf ~allowed ~edge_ok g ~(arena : Arena.t) ~src ~dst
     queue.(0) <- src;
     a.Arena.head <- 0;
     a.Arena.tail <- 1;
-    (* like [shortest_path], the scan of the current vertex's out-edges
-       completes even once [dst] is found (the extra parent assignments
-       are identical there and here); the outer loop then stops *)
+    (* the scan of the current vertex's out-edges completes even once
+       [dst] is found; the outer loop then stops *)
     while stamp.(dst) <> gen && a.Arena.head < a.Arena.tail do
       let u = queue.(a.Arena.head) in
       a.Arena.head <- a.Arena.head + 1;
@@ -247,3 +206,12 @@ let shortest_path_arena_buf ~allowed ~edge_ok g ~(arena : Arena.t) ~src ~dst
       len
     end
   end
+
+let shortest_path ?(allowed = always) ?(edge_ok = always) g ~src ~dst =
+  let n = Digraph.vertex_count g in
+  let buf = Array.make n 0 in
+  let len =
+    shortest_path_arena_buf ~allowed ~edge_ok g ~arena:(Arena.create n) ~src
+      ~dst ~buf
+  in
+  if len < 0 then None else Some (Array.to_list (Array.sub buf 0 len))

@@ -53,23 +53,6 @@ val bfs_directed_max_dist : Digraph.t -> sources:int list -> int
 val reachable : ?allowed:(int -> bool) -> Digraph.t -> sources:int list -> Ftcsn_util.Bitset.t
 (** Directed reachability set. *)
 
-val shortest_path :
-  ?allowed:(int -> bool) ->
-  ?edge_ok:(int -> bool) ->
-  Digraph.t ->
-  src:int ->
-  dst:int ->
-  int list option
-(** Vertices of one shortest directed path [src ... dst], or [None]. *)
-
-val shortest_path_undirected :
-  ?allowed:(int -> bool) ->
-  ?edge_ok:(int -> bool) ->
-  Digraph.t ->
-  src:int ->
-  dst:int ->
-  int list option
-
 val topological_order : ?edge_ok:(int -> bool) -> Digraph.t -> int array option
 (** Kahn's algorithm; [None] when the graph (restricted to [edge_ok]
     edges) has a directed cycle. *)
@@ -96,10 +79,22 @@ val shortest_path_arena_buf :
   dst:int ->
   buf:int array ->
   int
-(** Allocation-free {!shortest_path} on an epoch-stamped {!Arena}: same
-    FIFO discipline and hence the same path, but starting a search is a
-    generation bump instead of an O(vertex-count) array fill, and the
-    call allocates zero minor words ([allowed]/[edge_ok] are required
+(** One shortest directed path [src ... dst] by BFS in CSR edge order,
+    through [allowed] interior vertices (the endpoints need not be
+    allowed) and [edge_ok] edges, on an epoch-stamped {!Arena}.
+    Starting a search is a generation bump instead of an O(vertex-count)
+    array fill, and the call allocates zero minor words ([allowed]/[edge_ok] are required
     rather than optional precisely so the call site builds no [Some]
     wrappers).  The path is written into [buf.(0 .. len-1)] and its
-    length returned, or [-1] when no path exists. *)
+    length returned, or [-1] when no path exists.  [arena] and [buf]
+    must cover the vertex count. *)
+
+val shortest_path :
+  ?allowed:(int -> bool) ->
+  ?edge_ok:(int -> bool) ->
+  Digraph.t ->
+  src:int ->
+  dst:int ->
+  int list option
+(** {!shortest_path_arena_buf} on a fresh arena, as a list: the same
+    path, or [None].  For cold callers; a router keeps its own arena. *)

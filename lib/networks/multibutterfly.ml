@@ -1,14 +1,7 @@
 module Digraph = Ftcsn_graph.Digraph
 module Rng = Ftcsn_prng.Rng
 
-type t = {
-  net : Network.t;
-  n : int;
-  levels : int;
-  degree : int;
-}
-
-let make_raw ~rng ~degree n =
+let make ~rng ~degree n =
   if n < 2 || n land (n - 1) <> 0 then
     invalid_arg "Multibutterfly.make: n must be a power of two >= 2";
   if degree < 1 then invalid_arg "Multibutterfly.make: degree";
@@ -40,63 +33,8 @@ let make_raw ~rng ~degree n =
       connect_half (base + half)
     done
   done;
-  let net =
-    Network.make
-      ~name:(Printf.sprintf "multibutterfly-%d-d%d" n degree)
-      ~graph:(Digraph.Builder.freeze b)
-      ~inputs:(Array.init n (fun row -> id 0 row))
-      ~outputs:(Array.init n (fun row -> id k row))
-  in
-  { net; n; levels = k; degree }
-
-let make_structured ~rng ~degree n = make_raw ~rng ~degree n
-
-let make ~rng ~degree n = (make_raw ~rng ~degree n).net
-
-exception Found of int list
-
-(* vertex ids are level * n + row by construction *)
-let route ?(budget = 2000) t ~allowed ~busy ~input ~output =
-  let g = t.net.Network.graph in
-  let n = t.n and k = t.levels in
-  let ok v = allowed v && not (busy v) in
-  let steps = ref 0 in
-  let tick () =
-    incr steps;
-    !steps <= budget
-  in
-  (* invariant: at level l the current row already agrees with [output] on
-     its top l bits; the next hop must fix bit (k - l - 1) *)
-  let rec walk v level acc =
-    if level = k then raise (Found (List.rev (v :: acc)))
-    else begin
-      let bit = 1 lsl (k - level - 1) in
-      let want = output land bit in
-      Digraph.iter_out g v (fun ~dst ~eid:_ ->
-          let row' = dst mod n in
-          if row' land bit = want && tick () && ok dst then
-            walk dst (level + 1) (v :: acc))
-    end
-  in
-  let src = t.net.Network.inputs.(input) in
-  if not (ok src && ok t.net.Network.outputs.(output)) then None
-  else begin
-    match walk src 0 [] with
-    | () -> None
-    | exception Found path -> Some path
-  end
-
-let route_permutation ?budget t ~allowed pi =
-  let busy_arr = Array.make (Digraph.vertex_count t.net.Network.graph) false in
-  let busy v = busy_arr.(v) in
-  let success = ref 0 in
-  let paths =
-    Array.init (Array.length pi) (fun i ->
-        match route ?budget t ~allowed ~busy ~input:i ~output:pi.(i) with
-        | Some path ->
-            List.iter (fun v -> busy_arr.(v) <- true) path;
-            incr success;
-            Some path
-        | None -> None)
-  in
-  (paths, !success)
+  Network.make
+    ~name:(Printf.sprintf "multibutterfly-%d-d%d" n degree)
+    ~graph:(Digraph.Builder.freeze b)
+    ~inputs:(Array.init n (fun row -> id 0 row))
+    ~outputs:(Array.init n (fun row -> id k row))

@@ -10,39 +10,8 @@
     middle baseline between the fragile butterfly and the paper's
     construction. *)
 
-type t = {
-  net : Network.t;
-  n : int;
-  levels : int;  (** log₂ n *)
-  degree : int;
-}
-
-val make_structured : rng:Ftcsn_prng.Rng.t -> degree:int -> int -> t
-
 val make : rng:Ftcsn_prng.Rng.t -> degree:int -> int -> Network.t
 (** [make ~rng ~degree n] for n a power of two ≥ 2; degree ≥ 1 edges into
-    each half-block. *)
-
-val route :
-  ?budget:int ->
-  t ->
-  allowed:(int -> bool) ->
-  busy:(int -> bool) ->
-  input:int ->
-  output:int ->
-  int list option
-(** Levelled routing in the Leighton–Maggs style [LM]: at level ℓ the
-    correct half of the current block is forced by bit (levels−ℓ−1) of
-    the output row, but {e which} of the [degree] edges into that half is
-    free — the redundancy that routes around faults (the plain butterfly
-    is the degenerate d = 1 case with no choice).  Depth-first with
-    backtracking over idle allowed vertices; [budget] (default 2000) caps
-    vertex expansions. *)
-
-val route_permutation :
-  ?budget:int ->
-  t ->
-  allowed:(int -> bool) ->
-  Ftcsn_util.Perm.t ->
-  int list option array * int
-(** Sequential greedy routing with internal busy tracking. *)
+    each half-block.  Vertex [level * n + row] sits at [level] 0 … log₂ n
+    (inputs at level 0, outputs at level log₂ n) and every edge climbs one
+    level, so each input→output path has log₂ n + 1 vertices. *)

@@ -1,4 +1,3 @@
-module Digraph = Ftcsn_graph.Digraph
 module Trials = Ftcsn_sim.Trials
 
 type estimate = Trials.estimate = {
@@ -13,15 +12,6 @@ let of_counts = Trials.of_counts
 
 let estimate ?jobs ?target_ci ?progress ?trace ?label ~trials ~rng f =
   Trials.run ?jobs ?target_ci ?progress ?trace ?label ~trials ~rng f
-
-let estimate_event ?jobs ?target_ci ?progress ?trace ?label ~trials ~rng
-    ~graph ~eps_open ~eps_close f =
-  let m = Digraph.edge_count graph in
-  Trials.run_scratch ?jobs ?target_ci ?progress ?trace ?label ~trials ~rng
-    ~init:(fun () -> Fault.all_normal m)
-    (fun pattern sub ->
-      Fault.sample_into sub ~eps_open ~eps_close pattern;
-      f pattern)
 
 let estimate_event_scratch ?jobs ?target_ci ?progress ?trace ?label ~trials
     ~rng ~graph ~eps_open ~eps_close f =

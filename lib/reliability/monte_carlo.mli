@@ -38,24 +38,6 @@ val estimate :
 (** Run the Bernoulli experiment up to [trials] times on independent
     substreams of [rng]; the estimate is of P[true]. *)
 
-val estimate_event :
-  ?jobs:int ->
-  ?target_ci:float ->
-  ?progress:(Ftcsn_sim.Trials.progress -> unit) ->
-  ?trace:Ftcsn_obs.Trace.sink ->
-  ?label:string ->
-  trials:int ->
-  rng:Ftcsn_prng.Rng.t ->
-  graph:Ftcsn_graph.Digraph.t ->
-  eps_open:float ->
-  eps_close:float ->
-  (Fault.pattern -> bool) ->
-  estimate
-(** Specialisation: refill a per-worker preallocated fault pattern on
-    [graph] each trial ({!Fault.sample_into} — no per-trial allocation)
-    and test the event.  The pattern is scratch: the callback must not
-    retain it across trials. *)
-
 val estimate_event_scratch :
   ?jobs:int ->
   ?target_ci:float ->
@@ -69,11 +51,12 @@ val estimate_event_scratch :
   eps_close:float ->
   (Scratch.t -> bool) ->
   estimate
-(** As {!estimate_event}, but the per-worker state is a full {!Scratch}
-    workspace whose pattern buffer is refilled each trial, so the event
-    can use the allocation-free [Survivor.*_into] operations
-    ({!Scratch.pattern} is the freshly sampled pattern).  Draw order and
-    estimates are identical to {!estimate_event}. *)
+(** Specialisation of {!estimate}: each trial refills the pattern
+    buffer of a per-worker {!Scratch} workspace on [graph]
+    ({!Fault.sample_into}, no per-trial allocation) and tests the event,
+    which can use the allocation-free [Survivor.*_into] operations
+    ({!Scratch.pattern} is the freshly sampled pattern).  The workspace
+    is scratch: the callback must not retain it across trials. *)
 
 val estimate_curve :
   ?jobs:int ->

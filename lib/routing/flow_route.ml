@@ -1,27 +1,10 @@
 module Network = Ftcsn_networks.Network
 module Menger = Ftcsn_flow.Menger
 
-let resolve net ~input_indices ~output_indices =
-  ( Array.map (fun i -> net.Network.inputs.(i)) input_indices,
-    Array.map (fun o -> net.Network.outputs.(o)) output_indices )
-
-let connect ?forbidden net ~input_indices ~output_indices =
-  if Array.length input_indices <> Array.length output_indices then
-    invalid_arg "Flow_route.connect: arity";
-  let sources, sinks = resolve net ~input_indices ~output_indices in
-  let paths =
-    Menger.vertex_disjoint_paths ?forbidden net.Network.graph ~sources ~sinks
-  in
-  if List.length paths = Array.length input_indices then Some paths else None
-
-let max_throughput ?forbidden net ~input_indices ~output_indices =
-  let sources, sinks = resolve net ~input_indices ~output_indices in
-  Menger.max_vertex_disjoint ?forbidden net.Network.graph ~sources ~sinks
-
-(* Workspace path: one Menger arena per network, re-armed per query.
-   Input/output indices address the network's terminal arrays directly,
-   which are exactly the arena's source/sink universes, so no vertex
-   resolution (and no allocation) happens per call. *)
+(* One Menger arena per network, re-armed per query.  Input/output
+   indices address the network's terminal arrays directly, which are
+   exactly the arena's source/sink universes, so no vertex resolution
+   (and no allocation) happens per call. *)
 type ws = Menger.Workspace.t
 
 let create_ws net =

@@ -3,25 +3,8 @@
     A superconcentrator request (paper, §2) names a set of r inputs and a
     set of r outputs but leaves the pairing free, so — unlike specified
     pairings — it is exactly solvable by max-flow (Menger).  Used by the
-    task-queue example [Co] and by the property deciders. *)
-
-val connect :
-  ?forbidden:(int -> bool) ->
-  Ftcsn_networks.Network.t ->
-  input_indices:int array ->
-  output_indices:int array ->
-  int list list option
-(** Vertex-disjoint paths joining the chosen r inputs (by index) to the
-    chosen r outputs in some order; [None] if fewer than r disjoint paths
-    exist.  @raise Invalid_argument when the index sets differ in size. *)
-
-val max_throughput :
-  ?forbidden:(int -> bool) ->
-  Ftcsn_networks.Network.t ->
-  input_indices:int array ->
-  output_indices:int array ->
-  int
-(** Largest number of vertex-disjoint paths between the chosen sets. *)
+    task-queue example [Co], the property deciders and the Monte-Carlo
+    probes. *)
 
 type ws
 (** A prebuilt {!Ftcsn_flow.Menger.Workspace} flow arena over one
@@ -36,9 +19,10 @@ val max_throughput_ws :
   input_indices:int array ->
   output_indices:int array ->
   int
-(** {!max_throughput} without per-call construction: same value as the
-    allocating variant on the graph restricted to [edge_ok] edges and
-    non-[forbidden] vertices. *)
+(** Largest number of vertex-disjoint paths between the inputs at
+    [input_indices] and the outputs at [output_indices] (positions in the
+    network's terminal arrays), on the graph restricted to [edge_ok]
+    edges and non-[forbidden] vertices.  Allocation-free. *)
 
 val max_throughput_cert_ws :
   ?forbidden:(int -> bool) ->

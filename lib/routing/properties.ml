@@ -1,6 +1,5 @@
 module Network = Ftcsn_networks.Network
 module Digraph = Ftcsn_graph.Digraph
-module Menger = Ftcsn_flow.Menger
 module Perm = Ftcsn_util.Perm
 module Combinat = Ftcsn_util.Combinat
 module Rng = Ftcsn_prng.Rng
@@ -12,11 +11,6 @@ type sc_violation = {
   output_indices : int array;
   achieved : int;
 }
-
-let sc_probe net ~input_indices ~output_indices =
-  let sources = Array.map (fun i -> net.Network.inputs.(i)) input_indices in
-  let sinks = Array.map (fun o -> net.Network.outputs.(o)) output_indices in
-  Menger.max_vertex_disjoint net.Network.graph ~sources ~sinks
 
 let superconcentrator_exhaustive ?(max_work = 200_000) net =
   let n = min (Network.n_inputs net) (Network.n_outputs net) in
@@ -32,13 +26,17 @@ let superconcentrator_exhaustive ?(max_work = 200_000) net =
   in
   if total_work > float_of_int max_work then `Too_large
   else begin
+    let ws = Flow_route.create_ws net in
     let violation = ref None in
     (try
        for r = 1 to n do
          Combinat.iter_subsets ~n:(Network.n_inputs net) ~k:r (fun s ->
              let s = Array.copy s in
              Combinat.iter_subsets ~n:(Network.n_outputs net) ~k:r (fun t ->
-                 let achieved = sc_probe net ~input_indices:s ~output_indices:t in
+                 let achieved =
+                   Flow_route.max_throughput_ws ws ~input_indices:s
+                     ~output_indices:t
+                 in
                  if achieved < r then begin
                    violation :=
                      Some
@@ -59,11 +57,15 @@ let superconcentrator_sampled ?jobs ?trace ~trials ~rng net =
   let n_in = Network.n_inputs net and n_out = Network.n_outputs net in
   let n = min n_in n_out in
   Ftcsn_sim.Trials.search ?jobs ?trace ~label:"properties.sc_sampled"
-    ~trials ~rng (fun sub ->
+    ~trials ~rng
+    ~init:(fun () -> Flow_route.create_ws net)
+    (fun ws sub ->
       let r = 1 + Rng.int sub n in
       let s = Rng.sample_without_replacement sub ~n:n_in ~k:r in
       let t_set = Rng.sample_without_replacement sub ~n:n_out ~k:r in
-      let achieved = sc_probe net ~input_indices:s ~output_indices:t_set in
+      let achieved =
+        Flow_route.max_throughput_ws ws ~input_indices:s ~output_indices:t_set
+      in
       if achieved < r then
         Some { r; input_indices = s; output_indices = t_set; achieved }
       else None)
@@ -92,7 +94,7 @@ let rearrangeable_exhaustive ?(budget = 500_000) net =
 let rearrangeable_sampled ?jobs ?trace ~trials ~rng ?(budget = 500_000) net =
   let n = Network.n_inputs net in
   Ftcsn_sim.Trials.search ?jobs ?trace ~label:"properties.rearr_sampled"
-    ~trials ~rng (fun sub ->
+    ~trials ~rng ~init:ignore (fun () sub ->
       let pi = Rng.permutation sub n in
       match Backtrack.route_all ~budget net (requests_of_perm net pi) with
       | Backtrack.Routed _ -> None

@@ -9,7 +9,8 @@
       paths are already established, every idle input/output pair can be
       joined by a path vertex-disjoint from them.
 
-    Superconcentration is decided per request by max-flow (Menger);
+    Superconcentration is decided per request by max-flow (Menger), on
+    one {!Flow_route.ws} re-armed for every (S, T) pair;
     rearrangeability by exact backtracking (exhaustive over permutations
     for small n, sampled for large); strict nonblocking by an exhaustive
     game over reachable busy-sets for tiny networks (online stress on

@@ -412,17 +412,18 @@ let map_reduce ?(jobs = 1) ?(chunk = default_chunk) ?trace
   global
 
 let search ?(jobs = 1) ?(chunk = default_chunk) ?trace
-    ?(label = "trials.search") ~trials:cap ~rng f =
+    ?(label = "trials.search") ~trials:cap ~rng ~init f =
   let root = Rng.copy rng in
   let found = ref None in
   let tr =
     tracer_start trace ~label ~cap ~chunk ~jobs ~target_ci:None ~min_trials:0
   in
   let run_chunk ~lo ~hi =
+    let scratch = init () in
     let rec go i =
       if i >= hi then None
       else
-        match f (Rng.substream root i) with
+        match f scratch (Rng.substream root i) with
         | Some _ as w -> w
         | None -> go (i + 1)
     in

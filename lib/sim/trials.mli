@@ -195,9 +195,11 @@ val search :
   ?label:string ->
   trials:int ->
   rng:Ftcsn_prng.Rng.t ->
-  (Ftcsn_prng.Rng.t -> 'witness option) ->
+  init:(unit -> 'scratch) ->
+  ('scratch -> Ftcsn_prng.Rng.t -> 'witness option) ->
   'witness option
 (** Witness hunt with early exit: runs up to [trials] probes and returns
     the witness of the {e lowest-indexed} probe that produces one (so the
     result is independent of [jobs]), or [None].  Rounds dispatched after
-    a hit are skipped. *)
+    a hit are skipped.  As in {!run_scratch}, [init] builds one scratch
+    per chunk, shared by that chunk's probes. *)

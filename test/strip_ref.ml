@@ -15,7 +15,6 @@ module Union_find = Ftcsn_util.Union_find
 module Bitset = Ftcsn_util.Bitset
 module Rng = Ftcsn_prng.Rng
 module Greedy = Ftcsn_routing.Greedy
-module Flow_route = Ftcsn_routing.Flow_route
 module Pipeline = Ftcsn.Pipeline
 
 (* ---------- survivor quotient ---------- *)
@@ -207,7 +206,7 @@ let route_probe ~rng ~(probe : Pipeline.probe) ~allowed net =
     let t = Rng.sample_without_replacement rng ~n ~k:r in
     let forbidden v = not (allowed v) in
     let achieved =
-      Flow_route.max_throughput ~forbidden net ~input_indices:s ~output_indices:t
+      Flow_ref.max_throughput ~forbidden net ~input_indices:s ~output_indices:t
     in
     if achieved < r then failures := !failures + (r - achieved)
   done;

@@ -726,6 +726,55 @@ let test_error_unwritable_trace () =
     "faults --net benes -n 8 --trace /nonexistent/t.jsonl"
     "cannot open --trace"
 
+(* SIGINT and SIGTERM unwind through the sinks: start a survive run that
+   would take days, wait for its first progress line on stderr, signal
+   it, and expect the exit code, the named signal and a complete
+   --metrics report *)
+let interrupt_run signal =
+  let metrics = Filename.temp_file "ftnet" ".metrics.json" in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process exe
+      [|
+        exe; "survive"; "--trials"; "1000000000"; "--jobs"; "1"; "--metrics";
+        metrics; "--progress";
+      |]
+      Unix.stdin null err_w
+  in
+  Unix.close err_w;
+  Unix.close null;
+  let ic = Unix.in_channel_of_descr err_r in
+  let rec await_progress () =
+    if not (String.starts_with ~prefix:"progress:" (input_line ic)) then
+      await_progress ()
+  in
+  await_progress ();
+  Unix.kill pid signal;
+  let err = In_channel.input_all ic in
+  close_in ic;
+  let code =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED c -> c
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+  in
+  let report = read_file metrics in
+  Sys.remove metrics;
+  (code, err, report)
+
+let test_interrupt_flushes_sinks () =
+  let code, err, report = interrupt_run Sys.sigint in
+  Alcotest.(check int) "SIGINT exit code" 130 code;
+  check_contains "SIGINT stderr" err
+    "ftnet: interrupted (SIGINT); sinks flushed\n";
+  (match Ftcsn_obs.Json.parse (String.trim report) with
+  | Ok (Ftcsn_obs.Json.Obj _) -> ()
+  | _ -> Alcotest.failf "--metrics after SIGINT is not JSON:\n%s" report);
+  let code, err, _ = interrupt_run Sys.sigterm in
+  Alcotest.(check int) "SIGTERM exit code" 143 code;
+  check_contains "SIGTERM stderr" err
+    "ftnet: interrupted (SIGTERM); sinks flushed\n"
+
 (* --progress chatter must go to stderr on every subcommand so that
    piped stdout stays machine-readable *)
 let test_progress_on_stderr_stdout_clean_json () =
@@ -1250,6 +1299,8 @@ let () =
             test_cli_determinism;
           Alcotest.test_case "--progress on stderr, stdout clean JSON" `Quick
             test_progress_on_stderr_stdout_clean_json;
+          Alcotest.test_case "SIGINT/SIGTERM flush sinks, exit 130/143" `Quick
+            test_interrupt_flushes_sinks;
         ] );
       ( "serve",
         [

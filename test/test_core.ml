@@ -83,7 +83,7 @@ let test_grid_column_cut () =
   let sources = Array.to_list grid.Directed_grid.columns.(0) in
   let sinks = Array.to_list grid.Directed_grid.columns.(5) in
   let cut =
-    Ftcsn_flow.Menger.max_vertex_disjoint s.Directed_grid.graph
+    Flow_ref.min_vertex_cut_size s.Directed_grid.graph
       ~sources:(Array.of_list sources) ~sinks:(Array.of_list sinks)
   in
   check "min cut = rows" 5 cut
@@ -756,29 +756,34 @@ let test_degrade_mttd_monotone_in_hazard () =
   let slow = mttd 5e-5 and fast = mttd 2e-3 in
   checkb (Printf.sprintf "slow %.0f >= fast %.0f" slow fast) true (slow >= fast)
 
-(* ---------- Ft_route (structured router) ---------- *)
+(* ---------- routing on 𝒩 (Greedy) ---------- *)
 
 let test_ft_route_fault_free_all_perms () =
   let ft = build_small () in
-  let plan = Ftcsn.Ft_route.plan ft in
-  Ftcsn_util.Perm.iter_all 4 (fun pi ->
-      let _, success =
-        Ftcsn.Ft_route.route_permutation plan ~allowed:(fun _ -> true)
-          (Array.copy pi)
-      in
-      check "all 4 routed" 4 success)
+  List.iter
+    (fun engine ->
+      let r = Ftcsn_routing.Greedy.create ~engine ft.Ft_network.net in
+      Ftcsn_util.Perm.iter_all 4 (fun pi ->
+          let success = ref 0 in
+          ignore (Ftcsn_routing.Greedy.route_permutation r pi ~success);
+          check
+            (Ftcsn_routing.Greedy.engine_name r ^ ": all 4 routed")
+            4 !success;
+          Ftcsn_routing.Greedy.clear r))
+    [ `Bfs; `Staged ]
 
 let test_ft_route_paths_valid () =
   let rng = Rng.create ~seed:90 in
   let ft = Ft_network.make ~rng (Ft_params.scaled ~u:3 ()) in
-  let plan = Ftcsn.Ft_route.plan ft in
-  let g = ft.Ft_network.net.Network.graph in
+  let net = ft.Ft_network.net in
+  let g = net.Network.graph in
+  let r = Ftcsn_routing.Greedy.create net in
   for _ = 1 to 10 do
     let pi = Rng.permutation rng 8 in
-    let paths, success =
-      Ftcsn.Ft_route.route_permutation plan ~allowed:(fun _ -> true) pi
-    in
-    check "all routed" 8 success;
+    let success = ref 0 in
+    let paths = Ftcsn_routing.Greedy.route_permutation r pi ~success in
+    Ftcsn_routing.Greedy.clear r;
+    check "all routed" 8 !success;
     let all = Array.to_list paths |> List.filter_map Fun.id |> List.concat in
     check "disjoint" (List.length all) (List.length (List.sort_uniq compare all));
     Array.iteri
@@ -786,9 +791,8 @@ let test_ft_route_paths_valid () =
         match p with
         | None -> ()
         | Some p ->
-            check "starts at input" ft.Ft_network.net.Network.inputs.(i)
-              (List.hd p);
-            check "ends at output" ft.Ft_network.net.Network.outputs.(pi.(i))
+            check "starts at input" net.Network.inputs.(i) (List.hd p);
+            check "ends at output" net.Network.outputs.(pi.(i))
               (List.hd (List.rev p));
             let rec edges = function
               | a :: (b :: _ as rest) ->
@@ -804,41 +808,15 @@ let test_ft_route_paths_valid () =
 
 let test_ft_route_respects_allowed () =
   let ft = build_small () in
-  let plan = Ftcsn.Ft_route.plan ft in
-  (* forbid everything internal: no route can exist *)
-  let terminals = Network.terminals ft.Ft_network.net in
-  let allowed v = List.mem v terminals in
-  checkb "no route through forbidden interior" true
-    (Ftcsn.Ft_route.route plan ~allowed ~busy:(fun _ -> false) ~input:0
-       ~output:0
-    = None)
-
-let test_ft_route_under_faults_matches_bfs () =
-  let rng = Rng.create ~seed:91 in
-  let ft = Ft_network.make ~rng (Ft_params.scaled ~u:3 ()) in
-  let plan = Ftcsn.Ft_route.plan ft in
   let net = ft.Ft_network.net in
-  for _ = 1 to 10 do
-    let pattern =
-      Fault.sample rng ~eps_open:0.01 ~eps_close:0.01 ~m:(Network.size net)
-    in
-    let strip = Strip_ref.strip net pattern in
-    let pi = Rng.permutation rng 8 in
-    let _, structured =
-      Ftcsn.Ft_route.route_permutation plan
-        ~allowed:strip.Strip_ref.allowed pi
-    in
-    let bfs_router =
-      Ftcsn_routing.Greedy.create ~allowed:strip.Strip_ref.allowed net
-    in
-    let bfs = ref 0 in
-    ignore (Ftcsn_routing.Greedy.route_permutation bfs_router pi ~success:bfs);
-    (* the structured router must not be materially worse than BFS *)
-    checkb
-      (Printf.sprintf "structured %d vs bfs %d" structured !bfs)
-      true
-      (structured >= !bfs - 1)
-  done
+  (* forbid everything internal: no route can exist *)
+  let terminals = Network.terminals net in
+  let allowed v = List.mem v terminals in
+  let r = Ftcsn_routing.Greedy.create ~allowed net in
+  checkb "no route through forbidden interior" true
+    (Ftcsn_routing.Greedy.route r ~input:net.Network.inputs.(0)
+       ~output:net.Network.outputs.(0)
+    = None)
 
 (* ---------- qcheck properties ---------- *)
 
@@ -1169,8 +1147,6 @@ let () =
           Alcotest.test_case "all perms" `Quick test_ft_route_fault_free_all_perms;
           Alcotest.test_case "paths valid" `Quick test_ft_route_paths_valid;
           Alcotest.test_case "respects allowed" `Quick test_ft_route_respects_allowed;
-          Alcotest.test_case "matches bfs under faults" `Quick
-            test_ft_route_under_faults_matches_bfs;
         ] );
       ("properties", core_props);
     ]

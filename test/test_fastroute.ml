@@ -1,10 +1,10 @@
 (* Tests for the fast routing layer: the epoch-stamped arena BFS's
-   bit-identity with the fill-based search, Staged_route / Loop_route
-   agreement with the BFS oracle on every registry family under random
-   fault masks, busy-state accept/block agreement over call sequences,
-   engine fallback resolution, zero-allocation of the DES call path
-   (router and fabric), and fault-free policy-independence of the
-   traffic statistics. *)
+   bit-identity with the fill-based oracle [Bfs_ref], Staged_route /
+   Loop_route agreement with the BFS engine on every registry family
+   under random fault masks, busy-state accept/block agreement over call
+   sequences, engine fallback resolution, zero-allocation of the DES
+   call path (router and fabric), and fault-free policy-independence of
+   the traffic statistics. *)
 
 module Network = Ftcsn_networks.Network
 module Topology = Ftcsn_networks.Topology
@@ -83,7 +83,7 @@ let test_arena_bit_identity () =
               Array.iter
                 (fun dst ->
                   let reference =
-                    Traverse.shortest_path ~allowed ~edge_ok g ~src ~dst
+                    Bfs_ref.shortest_path ~allowed ~edge_ok g ~src ~dst
                   in
                   let len =
                     Traverse.shortest_path_arena_buf ~allowed ~edge_ok g
@@ -190,7 +190,7 @@ let busy_sequence engine () =
       if not (Greedy.busy r input || Greedy.busy r output) then begin
         let allowed v = not (Greedy.busy r v) in
         let oracle =
-          Traverse.shortest_path ~allowed ~edge_ok g ~src:input ~dst:output
+          Bfs_ref.shortest_path ~allowed ~edge_ok g ~src:input ~dst:output
         in
         let len = Greedy.route_into r ~input ~output ~buf in
         checkb
@@ -368,6 +368,8 @@ let test_router_name () =
 
 (* ---------- qcheck: random masks keep the engines agreeing ---------- *)
 
+(* failed edges and forbidden interior vertices; every engine's verdict
+   and path length must equal the allocating oracle BFS's *)
 let qcheck_mask_agreement =
   QCheck2.Test.make ~count:30
     ~name:"staged/loop verdicts match bfs under random masks"
@@ -378,7 +380,10 @@ let qcheck_mask_agreement =
       let nv = Digraph.vertex_count g in
       let buf = Array.make nv 0 in
       let edge_ok = fault_mask ~seed ~per_mille g in
-      let mk engine = Greedy.create ~edge_ok ~engine net in
+      let vrng = Rng.create ~seed:(seed + 1) in
+      let bad_v = Array.init nv (fun _ -> Rng.int vrng 1000 < per_mille) in
+      let allowed v = not bad_v.(v) in
+      let mk engine = Greedy.create ~allowed ~edge_ok ~engine net in
       let r_bfs = mk `Bfs and r_st = mk `Staged and r_lp = mk `Loop in
       let ok = ref true in
       Array.iter
@@ -391,7 +396,14 @@ let qcheck_mask_agreement =
                 len
               in
               let l0 = probe r_bfs and l1 = probe r_st and l2 = probe r_lp in
-              if l0 <> l1 || l0 <> l2 then ok := false)
+              let oracle =
+                if allowed src && allowed dst then
+                  match Bfs_ref.shortest_path ~allowed ~edge_ok g ~src ~dst with
+                  | Some p -> List.length p
+                  | None -> -1
+                else -1
+              in
+              if l0 <> oracle || l1 <> oracle || l2 <> oracle then ok := false)
             net.Network.outputs)
         net.Network.inputs;
       !ok)

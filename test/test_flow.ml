@@ -1,4 +1,7 @@
-(* Tests for max-flow, Menger certificates, and bipartite matching. *)
+(* Tests for max-flow, Menger certificates, and bipartite matching.  The
+   library's only flow network is [Menger.Workspace]; every disjoint-path
+   count here is also computed by the allocating node-split oracle
+   [Flow_ref], and the two must agree. *)
 
 module Digraph = Ftcsn_graph.Digraph
 module Maxflow = Ftcsn_flow.Maxflow
@@ -8,6 +11,21 @@ module Rng = Ftcsn_prng.Rng
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
+
+(* the workspace's count over every source and sink slot *)
+let ws_value ?forbidden g ~sources ~sinks =
+  let ws = Menger.Workspace.create g ~sources ~sinks in
+  Menger.Workspace.max_vertex_disjoint ?forbidden ws
+    ~source_slots:(Array.mapi (fun i _ -> i) sources)
+    ~sink_slots:(Array.mapi (fun i _ -> i) sinks)
+
+(* workspace and oracle must agree; the common value is returned *)
+let disjoint ?forbidden g ~sources ~sinks =
+  let v = ws_value ?forbidden g ~sources ~sinks in
+  check "workspace = oracle"
+    (Flow_ref.max_vertex_disjoint ?forbidden g ~sources ~sinks)
+    v;
+  v
 
 let test_maxflow_single_edge () =
   let net = Maxflow.create ~n:2 in
@@ -56,17 +74,19 @@ let test_menger_diamond () =
   (* endpoints count toward disjointness: a single source yields one path
      even though two edge-disjoint routes exist *)
   check "single pair" 1
-    (Menger.max_vertex_disjoint g ~sources:[| 0 |] ~sinks:[| 3 |]);
+    (disjoint g ~sources:[| 0 |] ~sinks:[| 3 |]);
   (* the two middles each reach the sink, but they share it *)
   check "shared sink" 1
-    (Menger.max_vertex_disjoint g ~sources:[| 1; 2 |] ~sinks:[| 3 |])
+    (disjoint g ~sources:[| 1; 2 |] ~sinks:[| 3 |])
 
 let test_menger_parallel_rails () =
   (* two independent rails 0->2->4 and 1->3->5 *)
   let g = Digraph.of_edges ~n:6 [| (0, 2); (2, 4); (1, 3); (3, 5) |] in
   check "two rails" 2
-    (Menger.max_vertex_disjoint g ~sources:[| 0; 1 |] ~sinks:[| 4; 5 |]);
-  let paths = Menger.vertex_disjoint_paths g ~sources:[| 0; 1 |] ~sinks:[| 4; 5 |] in
+    (disjoint g ~sources:[| 0; 1 |] ~sinks:[| 4; 5 |]);
+  let paths =
+    Flow_ref.vertex_disjoint_paths g ~sources:[| 0; 1 |] ~sinks:[| 4; 5 |]
+  in
   check "two paths" 2 (List.length paths);
   let all = List.concat paths in
   check "disjoint vertices" (List.length all)
@@ -78,12 +98,12 @@ let test_menger_shared_midpoint () =
     Digraph.of_edges ~n:7 [| (0, 6); (1, 6); (6, 4); (6, 5) |]
   in
   check "cut vertex" 1
-    (Menger.max_vertex_disjoint g ~sources:[| 0; 1 |] ~sinks:[| 4; 5 |])
+    (disjoint g ~sources:[| 0; 1 |] ~sinks:[| 4; 5 |])
 
 let test_menger_forbidden () =
   let g = Digraph.of_edges ~n:6 [| (0, 2); (2, 4); (1, 3); (3, 5) |] in
   check "forbid one rail" 1
-    (Menger.max_vertex_disjoint
+    (disjoint
        ~forbidden:(fun v -> v = 2)
        g ~sources:[| 0; 1 |] ~sinks:[| 4; 5 |])
 
@@ -100,7 +120,7 @@ let test_menger_paths_valid_edges () =
     let edges = Array.map (fun (a, b) -> (a, min b (n - 1))) edges in
     let g = Digraph.of_edges ~n edges in
     let sources = [| 0; 1 |] and sinks = [| n - 2; n - 1 |] in
-    let paths = Menger.vertex_disjoint_paths g ~sources ~sinks in
+    let paths = Flow_ref.vertex_disjoint_paths g ~sources ~sinks in
     List.iter
       (fun path ->
         let rec pairs = function
@@ -170,7 +190,7 @@ let prop_matching_equals_menger =
         adj;
       let g = Digraph.Builder.freeze b in
       let flow =
-        Menger.max_vertex_disjoint g
+        ws_value g
           ~sources:(Array.init nl Fun.id)
           ~sinks:(Array.init nr (fun r -> nl + r))
       in
@@ -186,8 +206,8 @@ let prop_paths_count_matches_value =
       let edges = Array.init m (fun _ -> (Rng.int rng n, Rng.int rng n)) in
       let g = Digraph.of_edges ~n edges in
       let sources = [| 0; 1; 2 |] and sinks = [| n - 3; n - 2; n - 1 |] in
-      let value = Menger.max_vertex_disjoint g ~sources ~sinks in
-      let paths = Menger.vertex_disjoint_paths g ~sources ~sinks in
+      let value = ws_value g ~sources ~sinks in
+      let paths = Flow_ref.vertex_disjoint_paths g ~sources ~sinks in
       List.length paths = value)
 
 let prop_paths_are_disjoint =
@@ -200,9 +220,50 @@ let prop_paths_are_disjoint =
       let edges = Array.init m (fun _ -> (Rng.int rng n, Rng.int rng n)) in
       let g = Digraph.of_edges ~n edges in
       let sources = [| 0; 1 |] and sinks = [| n - 2; n - 1 |] in
-      let paths = Menger.vertex_disjoint_paths g ~sources ~sinks in
+      let paths = Flow_ref.vertex_disjoint_paths g ~sources ~sinks in
       let all = List.concat paths in
       List.length all = List.length (List.sort_uniq compare all))
+
+(* One workspace answers every query on its graph: random slot subsets
+   (a terminal vertex may fill several slots), forbidden vertices and
+   failed edges, each against the oracle run on the pruned graph it
+   stands for. *)
+let prop_workspace_matches_oracle =
+  QCheck2.Test.make ~name:"workspace = node-split oracle under masks" ~count:60
+    QCheck2.Gen.(int_range 0 100000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let n = 6 + Rng.int rng 12 in
+      let edges =
+        Array.init (3 * n) (fun _ -> (Rng.int rng n, Rng.int rng n))
+      in
+      let g = Digraph.of_edges ~n edges in
+      let pick k = Array.init k (fun _ -> Rng.int rng n) in
+      let sources = pick 4 and sinks = pick 4 in
+      let ws = Menger.Workspace.create g ~sources ~sinks in
+      let ok = ref true in
+      for _ = 1 to 8 do
+        let bad_v = Array.init n (fun _ -> Rng.int rng 6 = 0) in
+        let bad_e = Array.init (3 * n) (fun _ -> Rng.int rng 5 = 0) in
+        let forbidden v = bad_v.(v) and edge_ok e = not bad_e.(e) in
+        let slots () =
+          Rng.sample_without_replacement rng ~n:4 ~k:(1 + Rng.int rng 4)
+        in
+        let source_slots = slots () in
+        let sink_slots = slots () in
+        let value =
+          Menger.Workspace.max_vertex_disjoint ~forbidden ~edge_ok ws
+            ~source_slots ~sink_slots
+        in
+        let oracle =
+          Flow_ref.max_vertex_disjoint ~forbidden
+            (Digraph.subgraph_by_edges g ~keep:edge_ok)
+            ~sources:(Array.map (fun i -> sources.(i)) source_slots)
+            ~sinks:(Array.map (fun i -> sinks.(i)) sink_slots)
+        in
+        if value <> oracle then ok := false
+      done;
+      !ok)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -210,6 +271,7 @@ let props =
       prop_matching_equals_menger;
       prop_paths_count_matches_value;
       prop_paths_are_disjoint;
+      prop_workspace_matches_oracle;
     ]
 
 let () =

@@ -129,7 +129,7 @@ let test_shortest_path () =
 
 let test_shortest_path_undirected () =
   let g = path_plus () in
-  match Traverse.shortest_path_undirected g ~src:3 ~dst:0 with
+  match Bfs_ref.shortest_path_undirected g ~src:3 ~dst:0 with
   | Some p -> Alcotest.(check (list int)) "against edges" [ 3; 2; 1; 0 ] p
   | None -> Alcotest.fail "no undirected path"
 
@@ -302,12 +302,40 @@ let prop_bfs_triangle_inequality =
             ok := false);
       !ok)
 
+(* [Traverse.shortest_path] (the arena search) returns exactly the
+   allocating oracle's path on random multigraphs with self-loops and
+   cycles, under random forbidden vertices and failed edges *)
+let prop_shortest_path_matches_oracle =
+  QCheck2.Test.make ~name:"shortest_path = allocating BFS oracle under masks"
+    ~count:100
+    QCheck2.Gen.(int_range 0 100000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let n = 2 + Rng.int rng 20 in
+      let m = Rng.int rng 60 in
+      let edges = Array.init m (fun _ -> (Rng.int rng n, Rng.int rng n)) in
+      let g = Digraph.of_edges ~n edges in
+      let bad_v = Array.init n (fun _ -> Rng.int rng 5 = 0) in
+      let bad_e = Array.init m (fun _ -> Rng.int rng 5 = 0) in
+      let allowed v = not bad_v.(v) and edge_ok e = not bad_e.(e) in
+      let ok = ref true in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          if
+            Traverse.shortest_path ~allowed ~edge_ok g ~src ~dst
+            <> Bfs_ref.shortest_path ~allowed ~edge_ok g ~src ~dst
+          then ok := false
+        done
+      done;
+      !ok)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_quotient_preserves_edge_count;
       prop_reverse_involution;
       prop_bfs_triangle_inequality;
+      prop_shortest_path_matches_oracle;
     ]
 
 let () =

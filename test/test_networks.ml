@@ -16,6 +16,7 @@ module Butterfly_pair = Ftcsn_networks.Butterfly_pair
 module Digraph = Ftcsn_graph.Digraph
 module Perm = Ftcsn_util.Perm
 module Rng = Ftcsn_prng.Rng
+module Greedy = Ftcsn_routing.Greedy
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -273,20 +274,23 @@ let test_multibutterfly_degree_bound () =
     checkb "degree bound" true (Digraph.out_degree g v <= 6)
   done
 
+(* Greedy on a multibutterfly: vertex [level * n + row], every edge climbs
+   one level, so each routed path has levels + 1 = 5 vertices at n = 16 *)
 let test_multibutterfly_structured_routing () =
   let rng = Rng.create ~seed:31 in
-  let mb = Multibutterfly.make_structured ~rng ~degree:2 16 in
-  let g = mb.Multibutterfly.net.Network.graph in
+  let net = Multibutterfly.make ~rng ~degree:2 16 in
+  let g = net.Network.graph in
+  let r = Greedy.create net in
   for _ = 1 to 10 do
     let pi = Rng.permutation rng 16 in
-    let paths, success =
-      Multibutterfly.route_permutation mb ~allowed:(fun _ -> true) pi
-    in
+    let success = ref 0 in
+    let paths = Greedy.route_permutation r pi ~success in
+    Greedy.clear r;
     (* greedy circuit-switching cannot serve full permutations on a
        multibutterfly (that is what [ALM]'s heavier machinery is for), but
        a degree-2 splitter carries well over half; every returned path
        must be valid and level-monotone *)
-    checkb "majority routed" true (success >= 9);
+    checkb "majority routed" true (!success >= 9);
     let all = Array.to_list paths |> List.filter_map Fun.id |> List.concat in
     check "disjoint" (List.length all) (List.length (List.sort_uniq compare all));
     Array.iteri
@@ -294,11 +298,10 @@ let test_multibutterfly_structured_routing () =
         match p with
         | None -> ()
         | Some p ->
-            check "length = levels + 1" (mb.Multibutterfly.levels + 1)
-              (List.length p);
-            check "start" mb.Multibutterfly.net.Network.inputs.(i) (List.hd p);
-            check "end" mb.Multibutterfly.net.Network.outputs.(pi.(i))
-              (List.hd (List.rev p));
+            check "length = levels + 1" 5 (List.length p);
+            List.iteri (fun level v -> check "level" level (v / 16)) p;
+            check "start" net.Network.inputs.(i) (List.hd p);
+            check "end" net.Network.outputs.(pi.(i)) (List.hd (List.rev p));
             let rec edges = function
               | a :: (b :: _ as rest) ->
                   checkb "edge" true
@@ -316,12 +319,12 @@ let test_multibutterfly_degree_helps () =
      permutation served *)
   let rng = Rng.create ~seed:33 in
   let mean_success degree =
-    let mb = Multibutterfly.make_structured ~rng ~degree 16 in
+    let r = Greedy.create (Multibutterfly.make ~rng ~degree 16) in
     let acc = ref 0 in
     for _ = 1 to 25 do
       let pi = Rng.permutation rng 16 in
-      let _, s = Multibutterfly.route_permutation mb ~allowed:(fun _ -> true) pi in
-      acc := !acc + s
+      ignore (Greedy.route_permutation r pi ~success:acc);
+      Greedy.clear r
     done;
     !acc
   in
@@ -333,31 +336,25 @@ let test_multibutterfly_routes_around_faults () =
   (* the [LM] point: redundancy (d >= 2) routes single requests around
      faulty vertices that kill the unique-path butterfly *)
   let rng = Rng.create ~seed:32 in
-  let mb = Multibutterfly.make_structured ~rng ~degree:3 16 in
-  let g = mb.Multibutterfly.net.Network.graph in
+  let net = Multibutterfly.make ~rng ~degree:3 16 in
+  let route ~allowed ~input ~output =
+    Greedy.route (Greedy.create ~allowed net) ~input:net.Network.inputs.(input)
+      ~output:net.Network.outputs.(output)
+  in
   let ok_count = ref 0 in
   let trials = 40 in
   for _ = 1 to trials do
     (* disable a random internal vertex on the request's natural path *)
     let input = Rng.int rng 16 and output = Rng.int rng 16 in
-    match
-      Multibutterfly.route mb ~allowed:(fun _ -> true) ~busy:(fun _ -> false)
-        ~input ~output
-    with
+    match route ~allowed:(fun _ -> true) ~input ~output with
     | None -> ()
-    | Some path ->
-        let interior = List.filteri (fun i _ -> i = 2) path in
-        let blocked = List.hd interior in
-        (match
-           Multibutterfly.route mb
-             ~allowed:(fun v -> v <> blocked)
-             ~busy:(fun _ -> false) ~input ~output
-         with
+    | Some path -> (
+        let blocked = List.nth path 2 in
+        match route ~allowed:(fun v -> v <> blocked) ~input ~output with
         | Some path' ->
             checkb "avoids blocked" true (not (List.mem blocked path'));
             incr ok_count
-        | None -> ());
-        ignore g
+        | None -> ())
   done;
   checkb
     (Printf.sprintf "rerouted %d/%d" !ok_count trials)

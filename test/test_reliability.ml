@@ -145,8 +145,8 @@ let test_monte_carlo_matches_exact () =
   let exact = Exact.probability g ~eps_open:eps ~eps_close:eps event in
   let rng = Rng.create ~seed:2024 in
   let est =
-    Monte_carlo.estimate_event ~trials:20_000 ~rng ~graph:g ~eps_open:eps
-      ~eps_close:eps event
+    Monte_carlo.estimate_event_scratch ~trials:20_000 ~rng ~graph:g
+      ~eps_open:eps ~eps_close:eps (fun sc -> event (Scratch.pattern sc))
   in
   checkb "exact within CI" true (est.ci_low <= exact && exact <= est.ci_high)
 
@@ -594,20 +594,20 @@ let test_trials_adaptive_deterministic () =
     (e1.Trials.trials < 2000);
   checkb "respects min_trials floor" true (e1.Trials.trials >= 1000)
 
-let test_estimate_event_jobs_deterministic () =
+let test_estimate_event_scratch_jobs_deterministic () =
   let g = Digraph.of_edges ~n:4 [| (0, 1); (1, 2); (2, 3); (0, 3) |] in
   let run jobs =
     let rng = Rng.create ~seed:77 in
-    Monte_carlo.estimate_event ~jobs ~trials:1500 ~rng ~graph:g ~eps_open:0.1
-      ~eps_close:0.1 (fun pattern ->
-        Fault.count pattern Fault.Normal > 2)
+    Monte_carlo.estimate_event_scratch ~jobs ~trials:1500 ~rng ~graph:g
+      ~eps_open:0.1 ~eps_close:0.1 (fun sc ->
+        Fault.count (Scratch.pattern sc) Fault.Normal > 2)
   in
-  check_estimate "estimate_event jobs 1 vs 4" (run 1) (run 4)
+  check_estimate "estimate_event_scratch jobs 1 vs 4" (run 1) (run 4)
 
 let test_search_jobs_deterministic () =
   let find jobs =
     let rng = Rng.create ~seed:9 in
-    Trials.search ~jobs ~chunk:16 ~trials:400 ~rng (fun sub ->
+    Trials.search ~jobs ~chunk:16 ~trials:400 ~rng ~init:ignore (fun () sub ->
         let v = Rng.int sub 50 in
         if v = 0 then Some v else None)
   in
@@ -868,14 +868,15 @@ let prop_hammock_ws_matches_legacy =
         let rng = Rng.create ~seed in
         Hammock.open_failure_prob ~jobs ~trials ~rng ~eps h
       in
-      (* reference: the allocating per-trial pattern + legacy BFS *)
+      (* reference: the same draws, each pattern judged by the
+         rebuilding oracle's BFS *)
       let legacy =
         let rng = Rng.create ~seed in
-        Monte_carlo.estimate_event ~trials ~rng ~graph:h.Hammock.graph
-          ~eps_open:eps ~eps_close:eps (fun pattern ->
+        Monte_carlo.estimate_event_scratch ~trials ~rng ~graph:h.Hammock.graph
+          ~eps_open:eps ~eps_close:eps (fun sc ->
             not
-              (Strip_ref.connected_ignoring_opens h.Hammock.graph pattern
-                 ~a:h.Hammock.input ~b:h.Hammock.output))
+              (Strip_ref.connected_ignoring_opens h.Hammock.graph
+                 (Scratch.pattern sc) ~a:h.Hammock.input ~b:h.Hammock.output))
       in
       let e1 = run 1 in
       run 2 = e1 && run 4 = e1 && legacy = e1)
@@ -1014,8 +1015,8 @@ let () =
             test_trials_jobs_deterministic;
           Alcotest.test_case "adaptive stopping identical at every jobs" `Quick
             test_trials_adaptive_deterministic;
-          Alcotest.test_case "estimate_event identical at every jobs" `Quick
-            test_estimate_event_jobs_deterministic;
+          Alcotest.test_case "estimate_event_scratch identical at every jobs"
+            `Quick test_estimate_event_scratch_jobs_deterministic;
           Alcotest.test_case "search witness identical at every jobs" `Quick
             test_search_jobs_deterministic;
         ] );

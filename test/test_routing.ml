@@ -164,11 +164,21 @@ let test_count_paths () =
 
 (* ---------- Flow_route ---------- *)
 
+(* the workspace's value and certificate, with the oracle's explicit
+   paths: three vertex-disjoint circuits of depth + 1 = 6 vertices *)
 let test_flow_route_connect () =
   let net = Benes.create 8 in
-  match
-    Flow_route.connect net ~input_indices:[| 0; 3; 5 |] ~output_indices:[| 1; 2; 7 |]
-  with
+  let nv = Ftcsn_graph.Digraph.vertex_count net.Network.graph in
+  let input_indices = [| 0; 3; 5 |] and output_indices = [| 1; 2; 7 |] in
+  let value, used_v, used_e =
+    Flow_route.max_throughput_cert_ws (Flow_route.create_ws net) ~input_indices
+      ~output_indices ~used_vertices:(Array.make nv 0)
+      ~used_edges:(Array.make nv 0)
+  in
+  check "three units" 3 value;
+  check "certificate vertices" 18 used_v;
+  check "certificate edges" 15 used_e;
+  match Flow_ref.connect net ~input_indices ~output_indices with
   | Some paths ->
       check "three paths" 3 (List.length paths);
       let all = List.concat paths in
@@ -178,18 +188,25 @@ let test_flow_route_connect () =
 let test_flow_route_forbidden_blocks () =
   let g = Ftcsn_graph.Digraph.of_edges ~n:3 [| (0, 1); (1, 2) |] in
   let net = Network.make ~name:"chain" ~graph:g ~inputs:[| 0 |] ~outputs:[| 2 |] in
+  let ws = Flow_route.create_ws net in
   check "throughput" 1
-    (Flow_route.max_throughput net ~input_indices:[| 0 |] ~output_indices:[| 0 |]);
+    (Flow_route.max_throughput_ws ws ~input_indices:[| 0 |]
+       ~output_indices:[| 0 |]);
   check "forbidden" 0
-    (Flow_route.max_throughput
+    (Flow_route.max_throughput_ws
        ~forbidden:(fun v -> v = 1)
-       net ~input_indices:[| 0 |] ~output_indices:[| 0 |])
+       ws ~input_indices:[| 0 |] ~output_indices:[| 0 |]);
+  check "failed edge" 0
+    (Flow_route.max_throughput_ws
+       ~edge_ok:(fun e -> e <> 1)
+       ws ~input_indices:[| 0 |] ~output_indices:[| 0 |])
 
+(* the oracle's connect needs a pairing-sized request *)
 let test_flow_route_arity () =
   let net = Crossbar.square 2 in
-  Alcotest.check_raises "arity" (Invalid_argument "Flow_route.connect: arity")
+  Alcotest.check_raises "arity" (Invalid_argument "Flow_ref.connect: arity")
     (fun () ->
-      ignore (Flow_route.connect net ~input_indices:[| 0 |] ~output_indices:[||]))
+      ignore (Flow_ref.connect net ~input_indices:[| 0 |] ~output_indices:[||]))
 
 (* ---------- Properties ---------- *)
 
