@@ -1398,8 +1398,8 @@ let traffic_cmd =
                 "Routing policy: greedy (strictly-nonblocking operation), \
                  rearrange[:BUDGET] (re-lay all live calls with \
                  backtracking when the greedy probe blocks; default budget \
-                 10000), staged (level-bounded bidirectional BFS on staged \
-                 families) or loop (Benes block-tree descent with staged \
+                 10000), staged (level-bounded dive on staged families) \
+                 or loop (Benes block-tree descent with staged \
                  fallback).  staged/loop keep greedy's accept/block \
                  decisions but route each call in O(depth) instead of \
                  O(switches); the table and JSON report which router \
@@ -1635,7 +1635,7 @@ let serve_cmd =
           & info [ "policy" ] ~docv:"P"
               ~doc:
                 "Routing engine for live decisions: greedy (CSR-order BFS), \
-                 staged (level-bounded bidirectional BFS) or loop (Benes \
+                 staged (level-bounded dive) or loop (Benes \
                  block-tree descent).  All three agree on accept vs block; \
                  rearrange is not available because the daemon decides one \
                  request at a time."))

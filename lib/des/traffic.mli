@@ -74,16 +74,18 @@ type policy =
           {!Ftcsn_routing.Backtrack.route_all} under the given search
           budget, migrating every call on success *)
   | Route_staged
-      (** greedy operation on {!Ftcsn_routing.Staged_route}'s
-          level-bounded bidirectional BFS — O(depth × frontier) per
-          request on strictly staged families, plain BFS elsewhere.
-          Accept/block decisions (hence blocking estimates) match
-          [Route_greedy]; the chosen equal-length paths may differ, so
-          fault-time sever selection — and with it individual sample
-          paths — is not bit-identical to the greedy run *)
+      (** greedy operation on {!Ftcsn_routing.Staged_route}'s dive on
+          strictly staged families — a backward BFS to the first wide
+          level, then a depth-first search from the input that stops at
+          the first vertex it reached, with a bidirectional sweep past a
+          visit cap — and plain BFS elsewhere.  Accept/block decisions
+          (hence blocking estimates) match [Route_greedy]; the chosen
+          equal-length paths may differ, so fault-time sever selection —
+          and with it individual sample paths — is not bit-identical to
+          the greedy run *)
   | Route_loop
       (** greedy operation on {!Ftcsn_routing.Loop_route}'s Beneš
-          block-tree descent, falling back to [Route_staged] search
+          block-tree descent, falling back to [Route_staged]'s dive
           off the Beneš family or inside heavily faulted blocks; same
           accept/block equivalence as [Route_staged] *)
 

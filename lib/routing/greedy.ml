@@ -12,8 +12,10 @@ let c_search = Metrics.counter Metrics.default "greedy.search"
 
 type engine = [ `Bfs | `Staged | `Loop ]
 
+(* each engine owns its scratch: the BFS arena's parent, stamp and
+   queue arrays (3 words per vertex) exist only where BFS runs *)
 type fast =
-  | No_fast
+  | Fast_bfs of Arena.t
   | Fast_staged of Staged_route.t
   | Fast_loop of Loop_route.t
 
@@ -22,9 +24,6 @@ type t = {
   allowed : int -> bool;
   edge_ok : int -> bool;
   busy_set : Bitset.t;
-  (* epoch-stamped BFS scratch: starting a search is a generation bump,
-     not an O(V) refill *)
-  arena : Arena.t;
   (* [route]'s list result is built from this internal buffer *)
   path_buf : int array;
   (* prebuilt idle-vertex predicate; per-call [let ok v = ...] closures
@@ -38,27 +37,29 @@ let create ?(allowed = fun _ -> true) ?(edge_ok = fun _ -> true)
   let n = Digraph.vertex_count net.Network.graph in
   let busy_set = Bitset.create n in
   let ok v = allowed v && not (Bitset.mem busy_set v) in
+  (* epoch-stamped BFS scratch: starting a search is a generation bump,
+     not an O(V) refill *)
+  let bfs () = Fast_bfs (Arena.create n) in
   let fast =
     match engine with
-    | `Bfs -> No_fast
+    | `Bfs -> bfs ()
     | `Staged -> (
         match Staged_route.create net with
         | Some s -> Fast_staged s
-        | None -> No_fast)
+        | None -> bfs ())
     | `Loop -> (
         match Loop_route.create net with
         | Some l -> Fast_loop l
         | None -> (
             match Staged_route.create net with
             | Some s -> Fast_staged s
-            | None -> No_fast))
+            | None -> bfs ()))
   in
   {
     net;
     allowed;
     edge_ok;
     busy_set;
-    arena = Arena.create n;
     path_buf = Array.make n 0;
     ok;
     fast;
@@ -68,7 +69,7 @@ let network t = t.net
 
 let engine_name t =
   match t.fast with
-  | No_fast -> "bfs"
+  | Fast_bfs _ -> "bfs"
   | Fast_staged _ -> "staged"
   | Fast_loop _ -> "loop"
 
@@ -80,9 +81,9 @@ let busy t v = Bitset.mem t.busy_set v
 let search t ~src ~dst ~buf =
   Counter.incr c_search;
   match t.fast with
-  | No_fast ->
+  | Fast_bfs arena ->
       Traverse.shortest_path_arena_buf ~allowed:t.ok ~edge_ok:t.edge_ok
-        t.net.Network.graph ~arena:t.arena ~src ~dst ~buf
+        t.net.Network.graph ~arena ~src ~dst ~buf
   | Fast_staged s ->
       Staged_route.route_into s ~allowed:t.ok ~edge_ok:t.edge_ok ~src ~dst
         ~buf

@@ -14,9 +14,13 @@ type engine = [ `Bfs | `Staged | `Loop ]
       {!Ftcsn_graph.Arena}; works on any graph and returns exactly the
       paths the historical implementation did (the DES's bit-identity
       anchor).
-    - [`Staged] — {!Staged_route}'s level-bounded bidirectional BFS,
-      O(depth × frontier) on strictly staged families; falls back to
-      [`Bfs] when the network is not strictly staged.
+    - [`Staged] — {!Staged_route}'s dive on strictly staged families: a
+      backward BFS from the output to the first level [2⌊√width⌋]
+      wide, then a depth-first search from the input that stops at the
+      first vertex the backward pass reached, finished by a
+      bidirectional sweep past a visit cap.  On the paper's expanders
+      a route costs time in proportion to the path, not the fabric.
+      Falls back to [`Bfs] when the network is not strictly staged.
     - [`Loop] — {!Loop_route}'s Beneš block-tree descent, O(depth) on the
       fault-free fast path; falls back to [`Staged] (then [`Bfs]) off the
       Beneš family.
@@ -35,9 +39,10 @@ val create :
     fault-stripped set), [edge_ok] excludes edges (e.g. failed switches),
     so routing a surviving network needs no subgraph rebuild.  Paths come
     from the deterministic [engine].  The router's searches run on
-    internal epoch-stamped scratch: after creation, {!route_into}
-    allocates nothing at all, and {!route} allocates only the returned
-    path. *)
+    internal epoch-stamped scratch, which only the BFS engine sizes
+    with an {!Ftcsn_graph.Arena} (3 words per vertex): after creation,
+    {!route_into} allocates nothing at all, and {!route} allocates only
+    the returned path. *)
 
 val network : t -> Ftcsn_networks.Network.t
 

@@ -123,7 +123,8 @@ let route_into t ~allowed ~edge_ok ~src ~dst ~buf =
   let nv = Array.length t.in_idx in
   if src < 0 || src >= nv || dst < 0 || dst >= nv then
     invalid_arg "Loop_route.route_into: vertex out of range";
-  if Array.length buf < max t.plen 1 then
+  (* the staged fallback's bound, so both routers refuse one buffer *)
+  if Array.length buf < Staged_route.stages t.staged then
     invalid_arg "Loop_route.route_into: buffer too small";
   if src = dst then begin
     buf.(0) <- src;

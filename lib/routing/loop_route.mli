@@ -13,7 +13,10 @@
     decisions always match the full-BFS oracle.
 
     Like {!Staged_route}, a route call allocates zero minor words; it is
-    the [Route_loop] DES policy and the [--policy loop] CLI spelling. *)
+    the [Route_loop] DES policy and the [--policy loop] CLI spelling.
+    Past the budget, and for requests that are not an input/output pair,
+    {!Staged_route.route_into} answers: its dive, or its sweep past the
+    dive's own cap. *)
 
 type t
 
@@ -38,5 +41,8 @@ val route_into :
 (** Same contract as {!Staged_route.route_into}: path into
     [buf.(0 .. len-1)], length returned, [-1] iff a full BFS over the
     same masks would block.  Requests whose endpoints are not an
-    input/output pair are answered by the staged fallback.
-    @raise Invalid_argument on out-of-range vertices or a short buffer. *)
+    input/output pair are answered by the staged fallback.  [buf] needs
+    {!Staged_route.stages} slots ([2 log2 n], {!path_length}), whichever
+    search answers, and a blocked search may still overwrite them.
+    @raise Invalid_argument on out-of-range vertices, or before any
+    search on a buffer shorter than that. *)

@@ -1,13 +1,30 @@
 module Network = Ftcsn_networks.Network
 module Digraph = Ftcsn_graph.Digraph
 module Staged = Ftcsn_graph.Staged
+module Metrics = Ftcsn_obs.Metrics
+module Counter = Ftcsn_obs.Counter
+
+(* requests that ran the forward dive, and those of them that hit the
+   visit cap and were finished by the sweep *)
+let c_dives = Metrics.counter Metrics.default "staged.dives"
+let c_fallbacks = Metrics.counter Metrics.default "staged.sweep_fallbacks"
 
 type t = {
-  g : Digraph.t;
   level : int array;
   stages : int;
+  out_off : int array;
+  out_dst : int array;
+  out_eid : int array;
+  in_off : int array;
+  in_src : int array;
+  in_eid : int array;
+  (* B: the backward pass stops at the first level this wide *)
+  meet_width : int;
+  (* vertices a dive may enter before the sweep takes the request over *)
+  dive_cap : int;
   (* forward search state (epoch-stamped; cursors are mutable fields so a
-     route call allocates zero minor words) *)
+     route call allocates zero minor words).  The dive marks the vertices
+     it entered in [fstamp]. *)
   fpar : int array;
   fstamp : int array;
   fqueue : int array;
@@ -22,6 +39,7 @@ type t = {
   mutable btail : int;
   mutable meet : int;
   mutable scan : int;
+  mutable dive_left : int;
 }
 
 let create net =
@@ -33,11 +51,20 @@ let create net =
   | st when not (Staged.is_strictly_staged g st) -> None
   | st ->
       let n = Digraph.vertex_count g in
+      let widest = Array.fold_left max 1 (Staged.stage_sizes st) in
+      let meet_width = 2 * truncate (sqrt (float_of_int widest)) in
       Some
         {
-          g;
           level = st.Staged.stage;
           stages = st.Staged.stages;
+          out_off = Digraph.Csr.out_off g;
+          out_dst = Digraph.Csr.out_dst g;
+          out_eid = Digraph.Csr.out_eid g;
+          in_off = Digraph.Csr.in_off g;
+          in_src = Digraph.Csr.in_src g;
+          in_eid = Digraph.Csr.in_eid g;
+          meet_width;
+          dive_cap = 16 * meet_width;
           fpar = Array.make n 0;
           fstamp = Array.make n 0;
           fqueue = Array.make n 0;
@@ -51,11 +78,60 @@ let create net =
           btail = 0;
           meet = -1;
           scan = 0;
+          dive_left = 0;
         }
 
 let stages t = t.stages
 
 let level t v = t.level.(v)
+
+(* [buf.(k)] holds a vertex the backward pass stamped; follow its
+   backward parents up-level to [buf.(d)] (= dst) *)
+let walk_back t buf k d =
+  t.scan <- k;
+  while t.scan < d do
+    buf.(t.scan + 1) <- t.bpar.(buf.(t.scan));
+    t.scan <- t.scan + 1
+  done
+
+(* Backward BFS over in-edges, one whole level per round, from the
+   frontier [bqueue.(bhead .. btail-1)] at level [l]: returns the first
+   level whose frontier holds at least [width] vertices, or [lo] if none
+   does before it, or -1 once a frontier is empty.  The returned level's
+   frontier is then complete: it holds every vertex of that level with a
+   path to dst over the masks. *)
+let rec back_levels t ~allowed ~edge_ok ~src ~lo ~width l =
+  if t.bhead = t.btail then -1
+  else if l = lo || t.btail - t.bhead >= width then l
+  else begin
+    let stop = t.btail in
+    while t.bhead < stop do
+      let w = t.bqueue.(t.bhead) in
+      t.bhead <- t.bhead + 1;
+      for i = t.in_off.(w) to t.in_off.(w + 1) - 1 do
+        let v = t.in_src.(i) in
+        if
+          t.bstamp.(v) <> t.gen
+          && edge_ok t.in_eid.(i)
+          && (v = src || allowed v)
+        then begin
+          t.bstamp.(v) <- t.gen;
+          t.bpar.(v) <- w;
+          t.bqueue.(t.btail) <- v;
+          t.btail <- t.btail + 1
+        end
+      done
+    done;
+    back_levels t ~allowed ~edge_ok ~src ~lo ~width (l - 1)
+  end
+
+(* the backward BFS from [dst], in the current generation *)
+let back_from t ~allowed ~edge_ok ~src ~dst ~lo ~width =
+  t.bstamp.(dst) <- t.gen;
+  t.bqueue.(0) <- dst;
+  t.bhead <- 0;
+  t.btail <- 1;
+  back_levels t ~allowed ~edge_ok ~src ~lo ~width t.level.(dst)
 
 (* In a strictly staged graph every edge climbs exactly one level, so any
    src→dst path has length [level dst - level src] and crosses the meet
@@ -63,14 +139,105 @@ let level t v = t.level.(v)
    levels [level src .. lm] and the backward frontier (over in-edges)
    only [lm .. level dst]; a path exists iff some level-[lm] vertex is
    reached by both — completeness of both bounded searches makes the
-   block/accept decision exact, not heuristic.  On a depth-d Beneš each
-   side touches O(2^(d/2)) vertices instead of the O(E) a full BFS
-   scans. *)
+   block/accept decision exact, not heuristic.  This full sweep of both
+   cones finishes the requests a dive gave up on. *)
+let sweep_into t ~allowed ~edge_ok ~src ~dst ~ls ~ld ~buf =
+  let d = ld - ls in
+  let lm = ls + (d / 2) in
+  t.gen <- t.gen + 1;
+  let gen = t.gen in
+  let level = t.level in
+  let out_off = t.out_off and out_dst = t.out_dst and out_eid = t.out_eid in
+  (* forward sweep over levels [ls, lm]; the FIFO dequeues in level
+     order because every expansion climbs exactly one level *)
+  t.fstamp.(src) <- gen;
+  t.fqueue.(0) <- src;
+  t.fhead <- 0;
+  t.ftail <- 1;
+  while t.fhead < t.ftail do
+    let u = t.fqueue.(t.fhead) in
+    t.fhead <- t.fhead + 1;
+    if level.(u) < lm then
+      for i = out_off.(u) to out_off.(u + 1) - 1 do
+        let v = out_dst.(i) in
+        if edge_ok out_eid.(i) && t.fstamp.(v) <> gen && allowed v then begin
+          t.fstamp.(v) <- gen;
+          t.fpar.(v) <- u;
+          t.fqueue.(t.ftail) <- v;
+          t.ftail <- t.ftail + 1
+        end
+      done
+  done;
+  (* backward sweep over levels [lm, ld] (a frontier that empties leaves
+     level lm unstamped); then the meet: the first forward-discovered
+     level-lm vertex the backward sweep also reached *)
+  ignore (back_from t ~allowed ~edge_ok ~src ~dst ~lo:lm ~width:max_int);
+  t.meet <- -1;
+  t.scan <- 0;
+  while t.meet < 0 && t.scan < t.ftail do
+    let v = t.fqueue.(t.scan) in
+    t.scan <- t.scan + 1;
+    if level.(v) = lm && t.bstamp.(v) = gen then t.meet <- v
+  done;
+  if t.meet < 0 then -1
+  else begin
+    (* [buf] doubles as the walk state: parents go down-level from the
+       meet to position 0 (= src), backward-parents go up-level to
+       position d (= dst) *)
+    let d1 = lm - ls in
+    buf.(d1) <- t.meet;
+    t.scan <- d1;
+    while t.scan > 0 do
+      buf.(t.scan - 1) <- t.fpar.(buf.(t.scan));
+      t.scan <- t.scan - 1
+    done;
+    walk_back t buf d1 d;
+    d + 1
+  end
+
+(* raised when a dive has entered [dive_cap] vertices; constant, so the
+   raise itself allocates nothing *)
+exception Dive_cap
+
+(* Depth-first dive: [buf.(k)] is the vertex [k] levels above src, and
+   its out-edges [i .. stop-1] are still to try.  True once [buf.(0 ..
+   kt)] is a path ending at a vertex the backward pass stamped.  Every
+   vertex entered is fstamped and never entered again: the masks hold
+   still during a search, so a vertex the dive has left is a dead end.
+   Stamped meet-level vertices already passed [allowed] going backward. *)
+let rec dive t ~allowed ~edge_ok ~kt buf k i stop =
+  i < stop
+  && (let v = t.out_dst.(i) in
+      (if k + 1 = kt then
+         t.bstamp.(v) = t.gen
+         && edge_ok t.out_eid.(i)
+         &&
+         (buf.(kt) <- v;
+          true)
+       else
+         t.fstamp.(v) <> t.gen
+         && edge_ok t.out_eid.(i)
+         && allowed v
+         &&
+         (t.fstamp.(v) <- t.gen;
+          t.dive_left <- t.dive_left - 1;
+          if t.dive_left < 0 then raise Dive_cap;
+          buf.(k + 1) <- v;
+          dive t ~allowed ~edge_ok ~kt buf (k + 1) t.out_off.(v)
+            t.out_off.(v + 1)))
+      || dive t ~allowed ~edge_ok ~kt buf k (i + 1) stop)
+
+(* Every src→dst path crosses level [lt], where the backward pass
+   stopped with that level's co-reachable set complete, and the dive is
+   exhaustive over levels [ls .. lt], so the verdict is exact.  A block
+   costs the dive the whole forward cone; past [dive_cap] entered
+   vertices the sweep finishes the request, so a block costs at most
+   the cap plus the sweep. *)
 let route_into t ~allowed ~edge_ok ~src ~dst ~buf =
   let n = Array.length t.level in
   if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg "Staged_route.route_into: vertex out of range";
-  if Array.length buf < n then
+  if Array.length buf < max 1 t.stages then
     invalid_arg "Staged_route.route_into: buffer too small";
   if src = dst then begin
     buf.(0) <- src;
@@ -82,90 +249,34 @@ let route_into t ~allowed ~edge_ok ~src ~dst ~buf =
        edge endpoint), and a non-increasing level pair admits no path *)
     if ls < 0 || ld <= ls then -1
     else begin
-      let d = ld - ls in
-      let lm = ls + (d / 2) in
       t.gen <- t.gen + 1;
-      let gen = t.gen in
-      let level = t.level in
-      let out_off = Digraph.Csr.out_off t.g
-      and out_dst = Digraph.Csr.out_dst t.g
-      and out_eid = Digraph.Csr.out_eid t.g in
-      (* forward sweep over levels [ls, lm]; the FIFO dequeues in level
-         order because every expansion climbs exactly one level *)
-      t.fstamp.(src) <- gen;
-      t.fqueue.(0) <- src;
-      t.fhead <- 0;
-      t.ftail <- 1;
-      while t.fhead < t.ftail do
-        let u = t.fqueue.(t.fhead) in
-        t.fhead <- t.fhead + 1;
-        if level.(u) < lm then
-          for i = out_off.(u) to out_off.(u + 1) - 1 do
-            let v = out_dst.(i) in
-            if edge_ok out_eid.(i) && t.fstamp.(v) <> gen && allowed v
-            then begin
-              t.fstamp.(v) <- gen;
-              t.fpar.(v) <- u;
-              t.fqueue.(t.ftail) <- v;
-              t.ftail <- t.ftail + 1
-            end
-          done
-      done;
-      (* backward sweep over levels [lm, ld], expanding in-edges *)
-      let in_off = Digraph.Csr.in_off t.g
-      and in_src = Digraph.Csr.in_src t.g
-      and in_eid = Digraph.Csr.in_eid t.g in
-      t.bstamp.(dst) <- gen;
-      t.bqueue.(0) <- dst;
-      t.bhead <- 0;
-      t.btail <- 1;
-      while t.bhead < t.btail do
-        let w = t.bqueue.(t.bhead) in
-        t.bhead <- t.bhead + 1;
-        if level.(w) > lm then
-          for i = in_off.(w) to in_off.(w + 1) - 1 do
-            let v = in_src.(i) in
-            if
-              edge_ok in_eid.(i)
-              && t.bstamp.(v) <> gen
-              && (v = src || allowed v)
-            then begin
-              t.bstamp.(v) <- gen;
-              t.bpar.(v) <- w;
-              t.bqueue.(t.btail) <- v;
-              t.btail <- t.btail + 1
-            end
-          done
-      done;
-      (* meet: first forward-discovered level-lm vertex the backward
-         sweep also reached (deterministic, but a different tie-break
-         than plain BFS — which is why the DES default policy keeps the
-         CSR-order BFS and this router is opt-in) *)
-      t.meet <- -1;
-      t.scan <- 0;
-      while t.meet < 0 && t.scan < t.ftail do
-        let v = t.fqueue.(t.scan) in
-        t.scan <- t.scan + 1;
-        if level.(v) = lm && t.bstamp.(v) = gen then t.meet <- v
-      done;
-      if t.meet < 0 then -1
+      let lt =
+        back_from t ~allowed ~edge_ok ~src ~dst ~lo:ls ~width:t.meet_width
+      in
+      let d = ld - ls in
+      if lt < 0 then -1
+      else if lt = ls then
+        if t.bstamp.(src) = t.gen then begin
+          buf.(0) <- src;
+          walk_back t buf 0 d;
+          d + 1
+        end
+        else -1
       else begin
-        (* [buf] doubles as the walk state: parents go down-level from
-           the meet to position 0 (= src), backward-parents go up-level
-           to position d (= dst) *)
-        let d1 = lm - ls in
-        buf.(d1) <- t.meet;
-        t.scan <- d1;
-        while t.scan > 0 do
-          buf.(t.scan - 1) <- t.fpar.(buf.(t.scan));
-          t.scan <- t.scan - 1
-        done;
-        t.scan <- d1;
-        while t.scan < d do
-          buf.(t.scan + 1) <- t.bpar.(buf.(t.scan));
-          t.scan <- t.scan + 1
-        done;
-        d + 1
+        Counter.incr c_dives;
+        t.dive_left <- t.dive_cap;
+        buf.(0) <- src;
+        match
+          dive t ~allowed ~edge_ok ~kt:(lt - ls) buf 0 t.out_off.(src)
+            t.out_off.(src + 1)
+        with
+        | true ->
+            walk_back t buf (lt - ls) d;
+            d + 1
+        | false -> -1
+        | exception Dive_cap ->
+            Counter.incr c_fallbacks;
+            sweep_into t ~allowed ~edge_ok ~src ~dst ~ls ~ld ~buf
       end
     end
   end

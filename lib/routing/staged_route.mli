@@ -1,27 +1,44 @@
-(** Level-bounded bidirectional BFS for strictly staged networks.
+(** Level-bounded search for strictly staged networks: a dive.
 
     The paper's constructions are leveled multistage graphs: every edge
     joins consecutive stages, so every input→output path has the same
-    length and crosses each level exactly once.  Routing a single request
-    therefore does not need to scan the whole masked CSR (the O(E)
-    per-call cost of {!Greedy}'s plain BFS at million-switch sizes): a
-    forward frontier from the source expanding only into the next stage
-    and a backward frontier from the destination expanding only into the
-    previous stage meet in the middle after O(depth × frontier) work —
-    on a depth-d Beneš each side touches O(2^(d/2)) vertices where the
-    flat BFS visits a constant fraction of the graph plus an O(V) scratch
-    refill.
+    length and crosses each level exactly once.  The paper routes by "a
+    greedy application of a standard path-finding algorithm" (§4), and
+    its majority-access argument (Lemmas 3–6) says that most vertices of
+    a middle level are reachable from an idle input and co-reachable
+    from an idle output.  This router uses that argument as an algorithm,
+    so a route costs time in proportion to the path, not to the fabric:
+    - a backward BFS from [dst], one whole level at a time, stops after
+      the first level [L] that holds at least [B] vertices; that level's
+      co-reachable set is then complete;
+    - a forward depth-first search from [src] over levels
+      [level src .. L], with epoch-stamped dead-end marks, stops at the
+      first vertex the backward pass stamped.  On an expander it meets
+      the stamped set after a few probes.
 
-    Both bounded sweeps are exhaustive within their level ranges, so the
-    accept/block decision is exactly that of a full BFS over the same
-    masks, and the returned path has minimum length (all paths do, in a
-    strictly staged graph).  The {e tie-break} among equal-length paths
-    differs from CSR-order BFS, which is why the DES keeps plain BFS for
-    its bit-identity-pinned default policy and engages this router behind
-    the opt-in [Route_staged]/[Route_loop] policies.
+    [B = 2⌊√w⌋], where [w] is the widest level, and the forward search
+    may enter at most [16 B] vertices.  Both come from the level widths
+    at {!create}; nothing is tuned per call.  If the backward frontier
+    empties, the request is blocked with no forward work.  If it reaches
+    [src]'s level before [B], the verdict is whether it reached [src].
+    Past the visit cap, a bidirectional sweep of both cones to the middle
+    level finishes the request, so a block costs at most the cap plus the
+    sweep.  The [staged.dives] and [staged.sweep_fallbacks] counters of
+    {!Ftcsn_obs.Metrics.default} count the requests that ran the forward
+    search and those that hit the cap.
 
-    Scratch is epoch-stamped ({!Ftcsn_graph.Arena} style): a route call
-    touches only visited vertices and allocates zero minor words. *)
+    Every path crosses level [L], and each pass is exhaustive within its
+    level range, so the accept/block decision is exactly that of a full
+    BFS over the same masks, and the returned path has minimum length
+    (all paths do, in a strictly staged graph).  The {e tie-break} among
+    equal-length paths differs from CSR-order BFS, which is why the DES
+    keeps plain BFS for its bit-identity-pinned default policy and
+    engages this router behind the opt-in [Route_staged]/[Route_loop]
+    policies.
+
+    Scratch is epoch-stamped ({!Ftcsn_graph.Arena} style) and the forward
+    search keeps one stack frame per level: a route call touches only
+    visited vertices and allocates zero minor words. *)
 
 type t
 
@@ -31,6 +48,8 @@ val create : Ftcsn_networks.Network.t -> t option
     back to plain BFS — the graceful-degradation contract). *)
 
 val stages : t -> int
+(** Number of levels: the vertex count of the longest path a search can
+    return, and the buffer length {!route_into} requires. *)
 
 val level : t -> int -> int
 (** Stage of a vertex; [-1] for (isolated) unleveled vertices. *)
@@ -48,5 +67,7 @@ val route_into :
     exactly when a full BFS over the same masks would block.  [allowed]
     gates interior vertices ([src]/[dst] are exempt, matching
     {!Ftcsn_graph.Traverse.shortest_path_arena_buf}); [edge_ok] gates
-    edges.  Allocates nothing.
-    @raise Invalid_argument on out-of-range vertices or a short buffer. *)
+    edges.  [buf] needs {!stages} slots, and a blocked search may still
+    overwrite them.  Allocates nothing.
+    @raise Invalid_argument on out-of-range vertices, or before any
+    search on a buffer shorter than {!stages}. *)

@@ -2,9 +2,10 @@
    bit-identity with the fill-based oracle [Bfs_ref], Staged_route /
    Loop_route agreement with the BFS engine on every registry family
    under random fault masks, busy-state accept/block agreement over call
-   sequences, engine fallback resolution, zero-allocation of the DES
-   call path (router and fabric), and fault-free policy-independence of
-   the traffic statistics. *)
+   sequences, the staged dive's visit cap and the routers' shared buffer
+   bound, engine fallback resolution, zero-allocation of the DES call
+   path (router and fabric), and fault-free policy-independence of the
+   traffic statistics. *)
 
 module Network = Ftcsn_networks.Network
 module Topology = Ftcsn_networks.Topology
@@ -25,6 +26,18 @@ module Counter = Ftcsn_obs.Counter
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
+
+(* the paper's network joins the registry as family "ft" *)
+let () = Ftcsn.Ft_topology.install ()
+
+let net_of spec =
+  match Topology.build_string ~rng:(Rng.create ~seed:3) spec with
+  | Ok b -> b.Topology.net
+  | Error e -> failwith e
+
+(* requests that ran the staged dive, and those that hit its visit cap *)
+let c_dives = Metrics.counter Metrics.default "staged.dives"
+let c_fallbacks = Metrics.counter Metrics.default "staged.sweep_fallbacks"
 
 let registry_nets ~n =
   List.filter_map
@@ -47,7 +60,8 @@ let fault_mask ~seed ~per_mille g =
   done;
   fun e -> not bad.(e)
 
-let is_legal_path ~name g ~edge_ok ~src ~dst buf len =
+(* [idle] gates the interior vertices *)
+let is_legal_path ~name ?(idle = fun _ -> true) g ~edge_ok ~src ~dst buf len =
   checkb (name ^ ": starts at src") true (buf.(0) = src);
   checkb (name ^ ": ends at dst") true (buf.(len - 1) = dst);
   for k = 0 to len - 2 do
@@ -57,7 +71,9 @@ let is_legal_path ~name g ~edge_ok ~src ~dst buf len =
     checkb
       (Printf.sprintf "%s: hop %d->%d is a live switch" name buf.(k)
          buf.(k + 1))
-      true !found
+      true !found;
+    if k > 0 then
+      checkb (Printf.sprintf "%s: %d is idle" name buf.(k)) true (idle buf.(k))
   done
 
 (* ---------- arena BFS is bit-identical to the fill-based search ---------- *)
@@ -164,9 +180,13 @@ let test_engine_agreement_n16 () = engine_agreement ~n:16 ~seeds:[ 8 ] ()
    every verdict with the oracle BFS over the same busy set: the fast
    routers may pick different paths (which then shape the busy set), but
    at each decision point their accept/block answer must equal the plain
-   search's on the state they created. *)
-let busy_sequence engine () =
-  let net = Benes.create 16 in
+   search's on the state they created.  On ft:32 and recursive-nb:64 the
+   staged engine's paths differ from BFS's on most idle pairs (see the
+   policy-identity test below); on Beneš they never do. *)
+let sequence_nets =
+  lazy [ Benes.create 16; net_of "ft:32"; net_of "recursive-nb:64" ]
+
+let busy_sequence_on engine net =
   let g = net.Network.graph in
   let nv = Digraph.vertex_count g in
   let edge_ok = fault_mask ~seed:21 ~per_mille:15 g in
@@ -194,14 +214,15 @@ let busy_sequence engine () =
         in
         let len = Greedy.route_into r ~input ~output ~buf in
         checkb
-          (Printf.sprintf "step %d: %s verdict matches oracle" step
-             (Greedy.engine_name r))
+          (Printf.sprintf "%s step %d: %s verdict matches oracle"
+             net.Network.name step (Greedy.engine_name r))
           (oracle <> None) (len >= 0);
         if len >= 0 then begin
           (match oracle with
           | Some p ->
               check
-                (Printf.sprintf "step %d: same path length" step)
+                (Printf.sprintf "%s step %d: same path length"
+                   net.Network.name step)
                 (List.length p) len
           | None -> ());
           live := (Array.sub buf 0 len, len) :: !live
@@ -209,10 +230,97 @@ let busy_sequence engine () =
       end
     end
   done;
-  checkb "sequence exercised placements" true (!live <> [])
+  checkb
+    (Printf.sprintf "%s: sequence exercised placements" net.Network.name)
+    true (!live <> [])
+
+let busy_sequence engine () =
+  List.iter (busy_sequence_on engine) (Lazy.force sequence_nets)
 
 let test_busy_sequence_staged () = busy_sequence `Staged ()
 let test_busy_sequence_loop () = busy_sequence `Loop ()
+
+(* ---------- the dive's visit cap ---------- *)
+
+(* Every vertex of level 12 of ft:64 forbidden: every request blocks.
+   The backward pass stops at a wide level above 12, so each dive
+   explores the forward cone below level 12, runs past its visit cap,
+   and the sweep must deliver the verdict. *)
+let level_forbidden net lvl =
+  match Staged_route.create net with
+  | Some s -> fun v -> Staged_route.level s v <> lvl
+  | None -> Alcotest.fail "not strictly staged"
+
+let test_forced_cap () =
+  let net = net_of "ft:64" in
+  let g = net.Network.graph in
+  let allowed = level_forbidden net 12 in
+  let r = Greedy.create ~allowed ~engine:`Staged net in
+  let buf = Array.make (Digraph.vertex_count g) 0 in
+  let rng = Rng.create ~seed:41 in
+  let n_in = Network.n_inputs net and n_out = Network.n_outputs net in
+  let d0 = Counter.get c_dives and f0 = Counter.get c_fallbacks in
+  for k = 1 to 400 do
+    let src = net.Network.inputs.(Rng.int rng n_in)
+    and dst = net.Network.outputs.(Rng.int rng n_out) in
+    checkb
+      (Printf.sprintf "pair %d: the oracle blocks" k)
+      true
+      (Bfs_ref.shortest_path ~allowed g ~src ~dst = None);
+    check
+      (Printf.sprintf "pair %d: staged blocks" k)
+      (-1)
+      (Greedy.route_into r ~input:src ~output:dst ~buf)
+  done;
+  check "every request dove" 400 (Counter.get c_dives - d0);
+  check "every request hit the cap" 400 (Counter.get c_fallbacks - f0)
+
+(* ---------- one buffer bound for both fast routers ---------- *)
+
+(* Both routers need [Staged_route.stages] slots, whichever search
+   answers: Loop_route's block tree for input->output, its staged
+   fallback for input->interior.  One slot fewer is refused before any
+   search writes into the buffer. *)
+let test_buffer_bound () =
+  let net = Benes.create 16 in
+  let s = Option.get (Staged_route.create net)
+  and l = Option.get (Loop_route.create net) in
+  let stages = Staged_route.stages s in
+  check "stages = loop path length" (Loop_route.path_length l) stages;
+  let all _ = true in
+  let loop ~dst buf =
+    Loop_route.route_into l ~allowed:all ~edge_ok:all
+      ~src:net.Network.inputs.(0) ~dst ~buf
+  and staged ~dst buf =
+    Staged_route.route_into s ~allowed:all ~edge_ok:all
+      ~src:net.Network.inputs.(0) ~dst ~buf
+  in
+  let buf = Array.make stages 0 in
+  let output = net.Network.outputs.(5) in
+  check "loop: input -> output" stages (loop ~dst:output buf);
+  let interior = buf.(3) in
+  check "loop: input -> interior" 4 (loop ~dst:interior buf);
+  checkb "loop: the path ends at the interior vertex" true
+    (buf.(0) = net.Network.inputs.(0) && buf.(3) = interior);
+  check "staged: input -> interior" 4 (staged ~dst:interior buf);
+  let short = Array.make (stages - 1) (-7) in
+  List.iter
+    (fun (name, route, msg) ->
+      Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+          ignore (route short));
+      checkb (name ^ ": buffer untouched") true
+        (Array.for_all (( = ) (-7)) short))
+    [
+      ( "loop: input -> output, short buffer",
+        loop ~dst:output,
+        "Loop_route.route_into: buffer too small" );
+      ( "loop: input -> interior, short buffer",
+        loop ~dst:interior,
+        "Loop_route.route_into: buffer too small" );
+      ( "staged: short buffer",
+        staged ~dst:output,
+        "Staged_route.route_into: buffer too small" );
+    ]
 
 (* ---------- engine fallback resolution ---------- *)
 
@@ -264,12 +372,13 @@ let test_engine_fallbacks () =
 
 let c_search = Metrics.counter Metrics.default "greedy.search"
 
-let alloc_free engine () =
-  let net = Benes.create 64 in
+(* 64 routes after a warm-up pass; returns how many of them dove and
+   how many of those hit the cap *)
+let alloc_free ?allowed net engine =
   let g = net.Network.graph in
   let nv = Digraph.vertex_count g in
   let edge_ok = fault_mask ~seed:31 ~per_mille:10 g in
-  let r = Greedy.create ~edge_ok ~engine net in
+  let r = Greedy.create ?allowed ~edge_ok ~engine net in
   let buf = Array.make nv 0 in
   let n_in = Network.n_inputs net in
   let rng = Rng.create ~seed:32 in
@@ -281,6 +390,7 @@ let alloc_free engine () =
     if len >= 0 then Greedy.release_buf r buf ~len
   done;
   let s0 = Counter.get c_search in
+  let d0 = Counter.get c_dives and f0 = Counter.get c_fallbacks in
   let w0 = Gc.minor_words () in
   for k = 0 to 63 do
     let len = Greedy.route_into r ~input:srcs.(k) ~output:dsts.(k) ~buf in
@@ -290,13 +400,29 @@ let alloc_free engine () =
   let searches = Counter.get c_search - s0 in
   check "the searches actually ran" 64 searches;
   Alcotest.(check (float 0.0))
-    (Printf.sprintf "minor words allocated by 64 %s routes"
-       (Greedy.engine_name r))
-    0.0 (w1 -. w0)
+    (Printf.sprintf "minor words allocated by 64 %s routes on %s"
+       (Greedy.engine_name r) net.Network.name)
+    0.0 (w1 -. w0);
+  (Counter.get c_dives - d0, Counter.get c_fallbacks - f0)
 
-let test_alloc_free_bfs () = alloc_free `Bfs ()
-let test_alloc_free_staged () = alloc_free `Staged ()
-let test_alloc_free_loop () = alloc_free `Loop ()
+let test_alloc_free_bfs () = ignore (alloc_free (Benes.create 64) `Bfs)
+let test_alloc_free_staged () = ignore (alloc_free (Benes.create 64) `Staged)
+let test_alloc_free_loop () = ignore (alloc_free (Benes.create 64) `Loop)
+
+(* on ft:64 the staged engine dives; with level 12 forbidden every dive
+   also runs past its cap into the sweep *)
+let test_alloc_free_dive () =
+  let dives, fallbacks = alloc_free (net_of "ft:64") `Staged in
+  check "every route dove" 64 dives;
+  check "no route hit the cap" 0 fallbacks
+
+let test_alloc_free_capped () =
+  let net = net_of "ft:64" in
+  let dives, fallbacks =
+    alloc_free ~allowed:(level_forbidden net 12) net `Staged
+  in
+  check "every route dove" 64 dives;
+  check "every route hit the cap" 64 fallbacks
 
 (* The fabric's call path, without the router's share measured above:
    place a call, fail a switch in the middle of its path, sever and
@@ -330,12 +456,38 @@ let test_fabric_alloc_free () =
 
 (* ---------- fault-free traffic statistics are policy-independent ---------- *)
 
+(* idle input/output pairs on which the staged engine's path differs
+   from BFS's *)
+let differing_pairs net =
+  let buf = Array.make (Digraph.vertex_count net.Network.graph) 0 in
+  let r_bfs = Greedy.create net and r_st = Greedy.create ~engine:`Staged net in
+  let path r ~input ~output =
+    let len = Greedy.route_into r ~input ~output ~buf in
+    let p = Array.sub buf 0 (max len 0) in
+    Greedy.release_buf r buf ~len;
+    p
+  in
+  let count = ref 0 in
+  Array.iter
+    (fun input ->
+      Array.iter
+        (fun output ->
+          if path r_bfs ~input ~output <> path r_st ~input ~output then
+            incr count)
+        net.Network.outputs)
+    net.Network.inputs;
+  !count
+
 (* Without failures no call is ever severed, so path choice cannot feed
    back into the event stream: accept/block is pure reachability and the
    RNG draw sequence is identical under every deterministic policy.  The
-   whole stats record must therefore be bit-identical. *)
-let test_fault_free_policy_identity () =
-  let net = Benes.create 16 in
+   whole stats record must therefore be bit-identical — also on ft:32
+   and recursive-nb:64, where the staged engine picks other paths than
+   BFS does ([differs]; on Beneš it picks the same ones). *)
+let policy_identity_on ~differs net =
+  let name = net.Network.name in
+  checkb (name ^ ": staged paths differ from bfs paths") differs
+    (differing_pairs net > 0);
   let run policy =
     let config =
       Traffic.config ~load:6.0 ~policy
@@ -347,9 +499,14 @@ let test_fault_free_policy_identity () =
   let s_greedy = run Traffic.Route_greedy in
   let s_staged = run Traffic.Route_staged in
   let s_loop = run Traffic.Route_loop in
-  checkb "served > 0" true (s_greedy.Traffic.served > 0);
-  checkb "staged stats = greedy stats" true (s_staged = s_greedy);
-  checkb "loop stats = greedy stats" true (s_loop = s_greedy)
+  checkb (name ^ ": served > 0") true (s_greedy.Traffic.served > 0);
+  checkb (name ^ ": staged stats = greedy stats") true (s_staged = s_greedy);
+  checkb (name ^ ": loop stats = greedy stats") true (s_loop = s_greedy)
+
+let test_fault_free_policy_identity () =
+  List.iter2
+    (fun net differs -> policy_identity_on ~differs net)
+    (Lazy.force sequence_nets) [ false; true; true ]
 
 (* ---------- router_name resolver ---------- *)
 
@@ -368,45 +525,80 @@ let test_router_name () =
 
 (* ---------- qcheck: random masks keep the engines agreeing ---------- *)
 
-(* failed edges and forbidden interior vertices; every engine's verdict
-   and path length must equal the allocating oracle BFS's *)
+(* Failed edges, forbidden interior vertices and a busy set of placed
+   calls on every strictly staged registry family at n = 64, where the
+   backward pass mostly stops at a wide level and the dive runs (at n = 8
+   and 16 it mostly reaches the input's level first).  Every engine's
+   verdict and path length must equal the allocating oracle BFS's, and
+   every accepted path must be legal. *)
+let staged_nets_64 =
+  lazy
+    (List.filter
+       (fun (_, net) -> Staged_route.create net <> None)
+       (registry_nets ~n:64))
+
+let masked_agreement ~seed ~per_mille net =
+  let g = net.Network.graph in
+  let nv = Digraph.vertex_count g in
+  let buf = Array.make nv 0 in
+  let edge_ok = fault_mask ~seed ~per_mille g in
+  let vrng = Rng.create ~seed:(seed + 1) in
+  let bad_v = Array.init nv (fun _ -> Rng.int vrng 1000 < per_mille) in
+  let allowed v = not bad_v.(v) in
+  let mk engine = Greedy.create ~allowed ~edge_ok ~engine net in
+  let r_bfs = mk `Bfs and r_st = mk `Staged and r_lp = mk `Loop in
+  let n_in = Network.n_inputs net and n_out = Network.n_outputs net in
+  let rng = Rng.create ~seed:(seed + 2) in
+  let pick () =
+    ( net.Network.inputs.(Rng.int rng n_in),
+      net.Network.outputs.(Rng.int rng n_out) )
+  in
+  (* the busy set: calls placed by the bfs router, adopted by the others *)
+  for _ = 1 to n_in / 4 do
+    let src, dst = pick () in
+    if not (Greedy.busy r_bfs src || Greedy.busy r_bfs dst) then
+      match Greedy.route r_bfs ~input:src ~output:dst with
+      | Some p ->
+          Greedy.occupy r_st p;
+          Greedy.occupy r_lp p
+      | None -> ()
+  done;
+  let busy = Array.init nv (Greedy.busy r_bfs) in
+  let idle v = allowed v && not busy.(v) in
+  let ok = ref true in
+  for _ = 1 to 80 do
+    let src, dst = pick () in
+    if not (busy.(src) || busy.(dst)) then begin
+      let oracle =
+        if allowed src && allowed dst then
+          match Bfs_ref.shortest_path ~allowed:idle ~edge_ok g ~src ~dst with
+          | Some p -> List.length p
+          | None -> -1
+        else -1
+      in
+      List.iter
+        (fun r ->
+          let len = Greedy.route_into r ~input:src ~output:dst ~buf in
+          if len <> oracle then ok := false;
+          if len >= 0 then
+            is_legal_path ~name:net.Network.name ~idle g ~edge_ok ~src ~dst
+              buf len;
+          Greedy.release_buf r buf ~len)
+        [ r_bfs; r_st; r_lp ]
+    end
+  done;
+  !ok
+
 let qcheck_mask_agreement =
   QCheck2.Test.make ~count:30
     ~name:"staged/loop verdicts match bfs under random masks"
     QCheck2.Gen.(pair (int_range 0 100000) (int_range 1 60))
     (fun (seed, per_mille) ->
-      let net = Benes.create 8 in
-      let g = net.Network.graph in
-      let nv = Digraph.vertex_count g in
-      let buf = Array.make nv 0 in
-      let edge_ok = fault_mask ~seed ~per_mille g in
-      let vrng = Rng.create ~seed:(seed + 1) in
-      let bad_v = Array.init nv (fun _ -> Rng.int vrng 1000 < per_mille) in
-      let allowed v = not bad_v.(v) in
-      let mk engine = Greedy.create ~allowed ~edge_ok ~engine net in
-      let r_bfs = mk `Bfs and r_st = mk `Staged and r_lp = mk `Loop in
-      let ok = ref true in
-      Array.iter
-        (fun src ->
-          Array.iter
-            (fun dst ->
-              let probe r =
-                let len = Greedy.route_into r ~input:src ~output:dst ~buf in
-                if len >= 0 then Greedy.release_buf r buf ~len;
-                len
-              in
-              let l0 = probe r_bfs and l1 = probe r_st and l2 = probe r_lp in
-              let oracle =
-                if allowed src && allowed dst then
-                  match Bfs_ref.shortest_path ~allowed ~edge_ok g ~src ~dst with
-                  | Some p -> List.length p
-                  | None -> -1
-                else -1
-              in
-              if l0 <> oracle || l1 <> oracle || l2 <> oracle then ok := false)
-            net.Network.outputs)
-        net.Network.inputs;
-      !ok)
+      let d0 = Counter.get c_dives in
+      List.for_all
+        (fun (_, net) -> masked_agreement ~seed ~per_mille net)
+        (Lazy.force staged_nets_64)
+      && Counter.get c_dives > d0)
 
 let () =
   Alcotest.run "ftcsn_fastroute"
@@ -427,6 +619,10 @@ let () =
           Alcotest.test_case "loop agrees along busy sequences" `Quick
             test_busy_sequence_loop;
           Alcotest.test_case "fallback resolution" `Quick test_engine_fallbacks;
+          Alcotest.test_case "dives past the visit cap end in the sweep" `Quick
+            test_forced_cap;
+          Alcotest.test_case "one buffer bound for staged and loop" `Quick
+            test_buffer_bound;
         ] );
       ( "allocation",
         [
@@ -436,6 +632,10 @@ let () =
             test_alloc_free_staged;
           Alcotest.test_case "loop call path is allocation-free" `Quick
             test_alloc_free_loop;
+          Alcotest.test_case "staged dive on ft:64 is allocation-free" `Quick
+            test_alloc_free_dive;
+          Alcotest.test_case "capped dive on ft:64 is allocation-free" `Quick
+            test_alloc_free_capped;
           Alcotest.test_case "fabric place/sever/release is allocation-free"
             `Quick test_fabric_alloc_free;
         ] );
