@@ -77,8 +77,8 @@ type policy =
       (** greedy operation on {!Ftcsn_routing.Staged_route}'s dive on
           strictly staged families — a backward BFS to the first wide
           level, then a depth-first search from the input that stops at
-          the first vertex it reached, with a bidirectional sweep past a
-          visit cap — and plain BFS elsewhere.  Accept/block decisions
+          the first vertex it reached, with the backward pass finishing
+          past a visit cap — and plain BFS elsewhere.  Accept/block decisions
           (hence blocking estimates) match [Route_greedy]; the chosen
           equal-length paths may differ, so fault-time sever selection —
           and with it individual sample paths — is not bit-identical to

@@ -24,7 +24,8 @@ type t = {
   allowed : int -> bool;
   edge_ok : int -> bool;
   busy_set : Bitset.t;
-  (* [route]'s list result is built from this internal buffer *)
+  (* [route]'s list result is built from this internal buffer, as long
+     as the longest path the engine returns *)
   path_buf : int array;
   (* prebuilt idle-vertex predicate; per-call [let ok v = ...] closures
      would allocate on every route *)
@@ -60,7 +61,13 @@ let create ?(allowed = fun _ -> true) ?(edge_ok = fun _ -> true)
     allowed;
     edge_ok;
     busy_set;
-    path_buf = Array.make n 0;
+    path_buf =
+      Array.make
+        (match fast with
+        | Fast_bfs _ -> n
+        | Fast_staged s -> max 1 (Staged_route.stages s)
+        | Fast_loop l -> Loop_route.path_length l)
+        0;
     ok;
     fast;
   }

@@ -17,8 +17,8 @@ type engine = [ `Bfs | `Staged | `Loop ]
     - [`Staged] — {!Staged_route}'s dive on strictly staged families: a
       backward BFS from the output to the first level [2⌊√width⌋]
       wide, then a depth-first search from the input that stops at the
-      first vertex the backward pass reached, finished by a
-      bidirectional sweep past a visit cap.  On the paper's expanders
+      first vertex the backward pass reached; past a visit cap the
+      backward pass finishes the request.  On the paper's expanders
       a route costs time in proportion to the path, not the fabric.
       Falls back to [`Bfs] when the network is not strictly staged.
     - [`Loop] — {!Loop_route}'s Beneš block-tree descent, O(depth) on the

@@ -15,8 +15,8 @@
     Like {!Staged_route}, a route call allocates zero minor words; it is
     the [Route_loop] DES policy and the [--policy loop] CLI spelling.
     Past the budget, and for requests that are not an input/output pair,
-    {!Staged_route.route_into} answers: its dive, or its sweep past the
-    dive's own cap. *)
+    {!Staged_route.route_into} answers: its dive, or its backward pass
+    past the dive's own cap. *)
 
 type t
 

@@ -5,7 +5,7 @@ module Metrics = Ftcsn_obs.Metrics
 module Counter = Ftcsn_obs.Counter
 
 (* requests that ran the forward dive, and those of them that hit the
-   visit cap and were finished by the sweep *)
+   visit cap and were finished by the backward sweep *)
 let c_dives = Metrics.counter Metrics.default "staged.dives"
 let c_fallbacks = Metrics.counter Metrics.default "staged.sweep_fallbacks"
 
@@ -20,25 +20,19 @@ type t = {
   in_eid : int array;
   (* B: the backward pass stops at the first level this wide *)
   meet_width : int;
-  (* vertices a dive may enter before the sweep takes the request over *)
+  (* vertices a dive may enter before the backward pass takes the
+     request over *)
   dive_cap : int;
-  (* forward search state (epoch-stamped; cursors are mutable fields so a
-     route call allocates zero minor words).  The dive marks the vertices
-     it entered in [fstamp]. *)
-  fpar : int array;
+  (* search state, epoch-stamped; cursors are mutable fields so a route
+     call allocates zero minor words.  The dive marks the vertices it
+     entered in [fstamp]. *)
   fstamp : int array;
-  fqueue : int array;
-  (* backward search state *)
   bpar : int array;
   bstamp : int array;
   bqueue : int array;
   mutable gen : int;
-  mutable fhead : int;
-  mutable ftail : int;
   mutable bhead : int;
   mutable btail : int;
-  mutable meet : int;
-  mutable scan : int;
   mutable dive_left : int;
 }
 
@@ -65,19 +59,13 @@ let create net =
           in_eid = Digraph.Csr.in_eid g;
           meet_width;
           dive_cap = 16 * meet_width;
-          fpar = Array.make n 0;
           fstamp = Array.make n 0;
-          fqueue = Array.make n 0;
           bpar = Array.make n 0;
           bstamp = Array.make n 0;
           bqueue = Array.make n 0;
           gen = 0;
-          fhead = 0;
-          ftail = 0;
           bhead = 0;
           btail = 0;
-          meet = -1;
-          scan = 0;
           dive_left = 0;
         }
 
@@ -88,10 +76,8 @@ let level t v = t.level.(v)
 (* [buf.(k)] holds a vertex the backward pass stamped; follow its
    backward parents up-level to [buf.(d)] (= dst) *)
 let walk_back t buf k d =
-  t.scan <- k;
-  while t.scan < d do
-    buf.(t.scan + 1) <- t.bpar.(buf.(t.scan));
-    t.scan <- t.scan + 1
+  for j = k to d - 1 do
+    buf.(j + 1) <- t.bpar.(buf.(j))
   done
 
 (* Backward BFS over in-edges, one whole level per round, from the
@@ -99,7 +85,7 @@ let walk_back t buf k d =
    level whose frontier holds at least [width] vertices, or [lo] if none
    does before it, or -1 once a frontier is empty.  The returned level's
    frontier is then complete: it holds every vertex of that level with a
-   path to dst over the masks. *)
+   path to dst over the masks.  A later call resumes from that frontier. *)
 let rec back_levels t ~allowed ~edge_ok ~src ~lo ~width l =
   if t.bhead = t.btail then -1
   else if l = lo || t.btail - t.bhead >= width then l
@@ -123,76 +109,6 @@ let rec back_levels t ~allowed ~edge_ok ~src ~lo ~width l =
       done
     done;
     back_levels t ~allowed ~edge_ok ~src ~lo ~width (l - 1)
-  end
-
-(* the backward BFS from [dst], in the current generation *)
-let back_from t ~allowed ~edge_ok ~src ~dst ~lo ~width =
-  t.bstamp.(dst) <- t.gen;
-  t.bqueue.(0) <- dst;
-  t.bhead <- 0;
-  t.btail <- 1;
-  back_levels t ~allowed ~edge_ok ~src ~lo ~width t.level.(dst)
-
-(* In a strictly staged graph every edge climbs exactly one level, so any
-   src→dst path has length [level dst - level src] and crosses the meet
-   level [lm] exactly once.  The forward frontier therefore only needs
-   levels [level src .. lm] and the backward frontier (over in-edges)
-   only [lm .. level dst]; a path exists iff some level-[lm] vertex is
-   reached by both — completeness of both bounded searches makes the
-   block/accept decision exact, not heuristic.  This full sweep of both
-   cones finishes the requests a dive gave up on. *)
-let sweep_into t ~allowed ~edge_ok ~src ~dst ~ls ~ld ~buf =
-  let d = ld - ls in
-  let lm = ls + (d / 2) in
-  t.gen <- t.gen + 1;
-  let gen = t.gen in
-  let level = t.level in
-  let out_off = t.out_off and out_dst = t.out_dst and out_eid = t.out_eid in
-  (* forward sweep over levels [ls, lm]; the FIFO dequeues in level
-     order because every expansion climbs exactly one level *)
-  t.fstamp.(src) <- gen;
-  t.fqueue.(0) <- src;
-  t.fhead <- 0;
-  t.ftail <- 1;
-  while t.fhead < t.ftail do
-    let u = t.fqueue.(t.fhead) in
-    t.fhead <- t.fhead + 1;
-    if level.(u) < lm then
-      for i = out_off.(u) to out_off.(u + 1) - 1 do
-        let v = out_dst.(i) in
-        if edge_ok out_eid.(i) && t.fstamp.(v) <> gen && allowed v then begin
-          t.fstamp.(v) <- gen;
-          t.fpar.(v) <- u;
-          t.fqueue.(t.ftail) <- v;
-          t.ftail <- t.ftail + 1
-        end
-      done
-  done;
-  (* backward sweep over levels [lm, ld] (a frontier that empties leaves
-     level lm unstamped); then the meet: the first forward-discovered
-     level-lm vertex the backward sweep also reached *)
-  ignore (back_from t ~allowed ~edge_ok ~src ~dst ~lo:lm ~width:max_int);
-  t.meet <- -1;
-  t.scan <- 0;
-  while t.meet < 0 && t.scan < t.ftail do
-    let v = t.fqueue.(t.scan) in
-    t.scan <- t.scan + 1;
-    if level.(v) = lm && t.bstamp.(v) = gen then t.meet <- v
-  done;
-  if t.meet < 0 then -1
-  else begin
-    (* [buf] doubles as the walk state: parents go down-level from the
-       meet to position 0 (= src), backward-parents go up-level to
-       position d (= dst) *)
-    let d1 = lm - ls in
-    buf.(d1) <- t.meet;
-    t.scan <- d1;
-    while t.scan > 0 do
-      buf.(t.scan - 1) <- t.fpar.(buf.(t.scan));
-      t.scan <- t.scan - 1
-    done;
-    walk_back t buf d1 d;
-    d + 1
   end
 
 (* raised when a dive has entered [dive_cap] vertices; constant, so the
@@ -227,12 +143,24 @@ let rec dive t ~allowed ~edge_ok ~kt buf k i stop =
             t.out_off.(v + 1)))
       || dive t ~allowed ~edge_ok ~kt buf k (i + 1) stop)
 
-(* Every src→dst path crosses level [lt], where the backward pass
-   stopped with that level's co-reachable set complete, and the dive is
-   exhaustive over levels [ls .. lt], so the verdict is exact.  A block
-   costs the dive the whole forward cone; past [dive_cap] entered
-   vertices the sweep finishes the request, so a block costs at most
-   the cap plus the sweep. *)
+(* the verdict once the backward pass has reached [src]'s level: the
+   path is [src]'s chain of backward parents *)
+let from_src t ~src ~buf d =
+  if t.bstamp.(src) = t.gen then begin
+    buf.(0) <- src;
+    walk_back t buf 0 d;
+    d + 1
+  end
+  else -1
+
+(* In a strictly staged graph every edge climbs exactly one level, so
+   every src→dst path has length [level dst - level src] and crosses
+   level [lt], where the backward pass stopped with that level's
+   co-reachable set complete.  The dive is exhaustive over levels
+   [ls .. lt], so the verdict is exact.  A block costs the dive the
+   whole forward cone; past [dive_cap] entered vertices the backward
+   pass resumes from level [lt] down to [src]'s level and decides, so
+   a block costs at most the cap plus the backward cone. *)
 let route_into t ~allowed ~edge_ok ~src ~dst ~buf =
   let n = Array.length t.level in
   if src < 0 || src >= n || dst < 0 || dst >= n then
@@ -250,18 +178,16 @@ let route_into t ~allowed ~edge_ok ~src ~dst ~buf =
     if ls < 0 || ld <= ls then -1
     else begin
       t.gen <- t.gen + 1;
+      t.bstamp.(dst) <- t.gen;
+      t.bqueue.(0) <- dst;
+      t.bhead <- 0;
+      t.btail <- 1;
       let lt =
-        back_from t ~allowed ~edge_ok ~src ~dst ~lo:ls ~width:t.meet_width
+        back_levels t ~allowed ~edge_ok ~src ~lo:ls ~width:t.meet_width ld
       in
       let d = ld - ls in
       if lt < 0 then -1
-      else if lt = ls then
-        if t.bstamp.(src) = t.gen then begin
-          buf.(0) <- src;
-          walk_back t buf 0 d;
-          d + 1
-        end
-        else -1
+      else if lt = ls then from_src t ~src ~buf d
       else begin
         Counter.incr c_dives;
         t.dive_left <- t.dive_cap;
@@ -276,7 +202,11 @@ let route_into t ~allowed ~edge_ok ~src ~dst ~buf =
         | false -> -1
         | exception Dive_cap ->
             Counter.incr c_fallbacks;
-            sweep_into t ~allowed ~edge_ok ~src ~dst ~ls ~ld ~buf
+            if
+              back_levels t ~allowed ~edge_ok ~src ~lo:ls ~width:max_int lt
+              = ls
+            then from_src t ~src ~buf d
+            else -1
       end
     end
   end

@@ -21,14 +21,15 @@
     at {!create}; nothing is tuned per call.  If the backward frontier
     empties, the request is blocked with no forward work.  If it reaches
     [src]'s level before [B], the verdict is whether it reached [src].
-    Past the visit cap, a bidirectional sweep of both cones to the middle
-    level finishes the request, so a block costs at most the cap plus the
-    sweep.  The [staged.dives] and [staged.sweep_fallbacks] counters of
-    {!Ftcsn_obs.Metrics.default} count the requests that ran the forward
-    search and those that hit the cap.
+    Past the visit cap, the backward pass resumes from [L] and sweeps
+    the rest of [dst]'s cone down to [src]'s level, and the verdict is
+    again whether it reached [src], so a block costs at most the cap
+    plus one cone.  The [staged.dives] and [staged.sweep_fallbacks]
+    counters of {!Ftcsn_obs.Metrics.default} count the requests that ran
+    the forward search and those that hit the cap.
 
-    Every path crosses level [L], and each pass is exhaustive within its
-    level range, so the accept/block decision is exactly that of a full
+    Every path crosses level [L], and each search is exhaustive within
+    its level range, so the accept/block decision is exactly that of a full
     BFS over the same masks, and the returned path has minimum length
     (all paths do, in a strictly staged graph).  The {e tie-break} among
     equal-length paths differs from CSR-order BFS, which is why the DES

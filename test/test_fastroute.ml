@@ -182,7 +182,7 @@ let test_engine_agreement_n16 () = engine_agreement ~n:16 ~seeds:[ 8 ] ()
    at each decision point their accept/block answer must equal the plain
    search's on the state they created.  On ft:32 and recursive-nb:64 the
    staged engine's paths differ from BFS's on most idle pairs (see the
-   policy-identity test below); on Beneš they never do. *)
+   policy-identity test below). *)
 let sequence_nets =
   lazy [ Benes.create 16; net_of "ft:32"; net_of "recursive-nb:64" ]
 
@@ -244,8 +244,9 @@ let test_busy_sequence_loop () = busy_sequence `Loop ()
 
 (* Every vertex of level 12 of ft:64 forbidden: every request blocks.
    The backward pass stops at a wide level above 12, so each dive
-   explores the forward cone below level 12, runs past its visit cap,
-   and the sweep must deliver the verdict. *)
+   explores the forward cone below level 12 and runs past its visit
+   cap; the backward pass, resumed down to the input's level, must
+   deliver the verdict. *)
 let level_forbidden net lvl =
   match Staged_route.create net with
   | Some s -> fun v -> Staged_route.level s v <> lvl
@@ -274,6 +275,60 @@ let test_forced_cap () =
   done;
   check "every request dove" 400 (Counter.get c_dives - d0);
   check "every request hit the cap" 400 (Counter.get c_fallbacks - f0)
+
+(* A hand-built strictly staged net on which the dive runs past its cap
+   and the resumed backward pass accepts.  The input's first out-edge
+   leads to vertex 1, which fans out into 64 dead-end chains over levels
+   2 to 6 (widest level 65, so B = 16 and the cap is 256 entered
+   vertices); its second leads to vertex 2, the head of a chain to the
+   16 in-neighbours of the output.  The backward pass stops at those 16,
+   the dive enters vertex 1 and its 320 dead ends first, and the
+   backward pass resumed from the 16 must find the chain. *)
+let fan k i = 3 + ((k - 2) * 64) + i
+let chain k = 323 + (k - 2)
+
+let capped_accept_net () =
+  let mid j = 328 + j and dst = 344 in
+  let edges =
+    [ (0, 1); (0, 2) ]
+    @ List.init 64 (fun i -> (1, fan 2 i))
+    @ List.concat_map
+        (fun k -> List.init 64 (fun i -> (fan k i, fan (k + 1) i)))
+        [ 2; 3; 4; 5 ]
+    @ (2, chain 2)
+      :: List.map (fun k -> (chain k, chain (k + 1))) [ 2; 3; 4; 5 ]
+    @ List.concat_map
+        (fun j -> [ (chain 6, mid j); (mid j, dst) ])
+        (List.init 16 Fun.id)
+  in
+  Network.make ~name:"capped-accept"
+    ~graph:(Digraph.of_edges ~n:345 (Array.of_list edges))
+    ~inputs:[| 0 |] ~outputs:[| dst |]
+
+let test_capped_accept () =
+  let net = capped_accept_net () in
+  let g = net.Network.graph in
+  let s = Option.get (Staged_route.create net) in
+  let src = net.Network.inputs.(0) and dst = net.Network.outputs.(0) in
+  let all _ = true in
+  let buf = Array.make (Staged_route.stages s) 0 in
+  let route ~name ~allowed =
+    let d0 = Counter.get c_dives and f0 = Counter.get c_fallbacks in
+    let len = Staged_route.route_into s ~allowed ~edge_ok:all ~src ~dst ~buf in
+    check (name ^ ": the request dove") 1 (Counter.get c_dives - d0);
+    check (name ^ ": the dive hit the cap") 1 (Counter.get c_fallbacks - f0);
+    len
+  in
+  let len = route ~name:"open chain" ~allowed:all in
+  check "open chain: the oracle's length"
+    (List.length (Option.get (Bfs_ref.shortest_path g ~src ~dst)))
+    len;
+  is_legal_path ~name:"open chain" g ~edge_ok:all ~src ~dst buf len;
+  (* with the chain cut, the resumed backward frontier empties *)
+  let allowed v = v <> chain 4 in
+  checkb "cut chain: the oracle blocks" true
+    (Bfs_ref.shortest_path ~allowed g ~src ~dst = None);
+  check "cut chain: staged blocks" (-1) (route ~name:"cut chain" ~allowed)
 
 (* ---------- one buffer bound for both fast routers ---------- *)
 
@@ -410,7 +465,7 @@ let test_alloc_free_staged () = ignore (alloc_free (Benes.create 64) `Staged)
 let test_alloc_free_loop () = ignore (alloc_free (Benes.create 64) `Loop)
 
 (* on ft:64 the staged engine dives; with level 12 forbidden every dive
-   also runs past its cap into the sweep *)
+   also runs past its cap and the backward pass resumes *)
 let test_alloc_free_dive () =
   let dives, fallbacks = alloc_free (net_of "ft:64") `Staged in
   check "every route dove" 64 dives;
@@ -481,13 +536,9 @@ let differing_pairs net =
 (* Without failures no call is ever severed, so path choice cannot feed
    back into the event stream: accept/block is pure reachability and the
    RNG draw sequence is identical under every deterministic policy.  The
-   whole stats record must therefore be bit-identical — also on ft:32
-   and recursive-nb:64, where the staged engine picks other paths than
-   BFS does ([differs]; on Beneš it picks the same ones). *)
-let policy_identity_on ~differs net =
+   whole stats record must therefore be bit-identical. *)
+let policy_identity_on net =
   let name = net.Network.name in
-  checkb (name ^ ": staged paths differ from bfs paths") differs
-    (differing_pairs net > 0);
   let run policy =
     let config =
       Traffic.config ~load:6.0 ~policy
@@ -503,10 +554,18 @@ let policy_identity_on ~differs net =
   checkb (name ^ ": staged stats = greedy stats") true (s_staged = s_greedy);
   checkb (name ^ ": loop stats = greedy stats") true (s_loop = s_greedy)
 
+(* The identity has its meaning on ft:32 and recursive-nb:64, where the
+   staged engine picks other paths than BFS does. *)
 let test_fault_free_policy_identity () =
-  List.iter2
-    (fun net differs -> policy_identity_on ~differs net)
-    (Lazy.force sequence_nets) [ false; true; true ]
+  let nets = Lazy.force sequence_nets in
+  List.iter
+    (fun net ->
+      checkb
+        (net.Network.name ^ ": staged paths differ from bfs paths")
+        true
+        (differing_pairs net > 0))
+    (List.tl nets);
+  List.iter policy_identity_on nets
 
 (* ---------- router_name resolver ---------- *)
 
@@ -619,8 +678,10 @@ let () =
           Alcotest.test_case "loop agrees along busy sequences" `Quick
             test_busy_sequence_loop;
           Alcotest.test_case "fallback resolution" `Quick test_engine_fallbacks;
-          Alcotest.test_case "dives past the visit cap end in the sweep" `Quick
+          Alcotest.test_case "dives past the visit cap end in the backward pass" `Quick
             test_forced_cap;
+          Alcotest.test_case "a capped dive accepts through the backward pass"
+            `Quick test_capped_accept;
           Alcotest.test_case "one buffer bound for staged and loop" `Quick
             test_buffer_bound;
         ] );
