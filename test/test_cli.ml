@@ -263,6 +263,30 @@ let test_check_golden () =
      rearrangeable: yes (exhaustive)\n\
      strictly nonblocking: yes (exhaustive)\n"
 
+(* the paper's network, where every superconcentrator probe of check
+   (the exhaustive decider) and of curve decides the verdict *)
+let test_paper_net_probe_golden () =
+  check_output "check --net ft -n 8 --seed 1 --jobs 1"
+    "ftnet(u=3, gamma=2, beta=2, wf=4, degree=4, grid=16x3, n=8): n=8x8 \
+     size=4352 depth=12\n\
+     superconcentrator: yes (exhaustive)\n\
+     rearrangeable: probably (20 samples)\n\
+     nonblocking stress: P[0 blocked in 200-call episode] = 1.0000 [0.8389, \
+     1.0000] (20/20)  (20 episodes, jobs=1)\n";
+  check_output "curve --net ft:16 --trials 40 --seed 1 --jobs 1"
+    "ftnet(u=4, gamma=2, beta=2, wf=4, degree=4, grid=16x4, n=16): n=16x16 \
+     size=11776 depth=16\n\
+     survival curve (superconcentrator probes, 40 coupled trials, jobs=1):\n\
+    \  eps          mean     ci_low     ci_high    successes/trials\n\
+    \  0.001        1.0000   0.9124     1.0000     40/40\n\
+    \  0.0019307    1.0000   0.9124     1.0000     40/40\n\
+    \  0.00372759   1.0000   0.9124     1.0000     40/40\n\
+    \  0.00719686   1.0000   0.9124     1.0000     40/40\n\
+    \  0.013895     1.0000   0.9124     1.0000     40/40\n\
+    \  0.026827     1.0000   0.9124     1.0000     40/40\n\
+    \  0.0517947    0.9500   0.8350     0.9862     38/40\n\
+    \  0.1          0.0000   0.0000     0.0876     0/40\n"
+
 (* the estimators' full reports at small sizes and --jobs 1; survive's
    throughput line is wall-clock, so it is dropped before comparing *)
 let test_estimator_golden () =
@@ -1255,6 +1279,8 @@ let () =
             test_build_topologies_golden;
           Alcotest.test_case "estimator golden" `Quick test_estimator_golden;
           Alcotest.test_case "check golden" `Quick test_check_golden;
+          Alcotest.test_case "paper-net probe golden" `Quick
+            test_paper_net_probe_golden;
           Alcotest.test_case "traffic/tournament json golden" `Quick
             test_traffic_tournament_golden;
           Alcotest.test_case "traffic" `Quick test_traffic;
