@@ -195,15 +195,16 @@ let survival ?jobs ?target_ci ?progress ?trace ~trials ~rng ~eps ?strip_radius
    Certificate reuse (flow-only probes): every point probes from a fresh
    [Rng.copy] of the same substream state, so the probe PLAN — the
    (r, S, T) triple of each superconcentrator probe — is identical at
-   every point of one trial.  A full-success Menger run yields r
-   vertex-disjoint paths; as long as every vertex and edge on those
-   paths is still unmasked at a later point, the same paths witness
-   max-flow = r there (the arming caps it at r), so the probe's answer
-   is known without running Dinic.  The check is against the CURRENT
-   masks, so it needs no grid ordering and survives intervening skipped
-   or shorted points.  Only a probe whose certificate was touched by the
-   re-threshold cascade pays for a new flow (which refreshes its
-   certificate). *)
+   every point of one trial.  A full-success probe yields r
+   vertex-disjoint paths: the greedy paths of [Flow_route]'s
+   certificate when they all route, else the paths of Dinic's unit
+   flow.  As long as every vertex and edge on those paths is still
+   unmasked at a later point, the same paths witness max-flow = r there
+   (no flow exceeds r), so the probe's answer is known without routing
+   anything.  The check is against the CURRENT masks, so it needs no
+   grid ordering and survives intervening skipped or shorted points.
+   Only a probe whose certificate was touched by the re-threshold
+   cascade pays for a new probe (which refreshes its certificate). *)
 
 type curve_cache = {
   mutable plan_ready : bool;
@@ -226,8 +227,9 @@ let create_curve_cache net ~sc_probes =
     plan_s = Array.make k [||];
     plan_t = Array.make k [||];
     cert_full = Array.make k false;
-    (* a unit flow uses at most one out-edge per used vertex, so both
-       certificate buffers fit in vertex_count slots *)
+    (* the certificate's paths are vertex-disjoint and leave each of
+       their vertices by at most one edge, so both buffers fit in
+       vertex_count slots *)
     used_v = Array.init k (fun _ -> Array.make nv 0);
     used_v_len = Array.make k 0;
     used_e = Array.init k (fun _ -> Array.make nv 0);
@@ -236,8 +238,8 @@ let create_curve_cache net ~sc_probes =
 
 (* Flow-only probe evaluation with the per-trial certificate cache.
    Draw-for-draw the plan equals what [route_probe_ws] would draw from
-   the same [rng], and every skipped flow returns the value Dinic would
-   have computed, so the failure count is bit-identical. *)
+   the same [rng], and every skipped probe returns the max-flow value it
+   would have computed, so the failure count is bit-identical. *)
 let sc_probes_cached ws cc ~rng ~sc_probes =
   let net = ws.ws_net in
   let n = min (Network.n_inputs net) (Network.n_outputs net) in

@@ -54,7 +54,9 @@ val lemma6_probe : probe
 type ws
 (** Per-domain trial workspace: strip state
     ({!Ftcsn_networks.Network.t}-sized bitsets, union-find, BFS arrays),
-    a greedy router with its scratch, and a prebuilt Menger flow arena.
+    a greedy router with its scratch, and a {!Ftcsn_routing.Flow_route}
+    workspace (a greedy path certificate, then a prebuilt Menger flow
+    arena on a shortfall).
     Probes run over the original graph under the strip's vertex/edge
     masks, so no per-trial subgraph is ever rebuilt.  Single-domain
     state: create one per worker via the {!Ftcsn_sim.Trials.run_scratch}
@@ -127,6 +129,11 @@ val survival_curve :
     short-circuit their remaining points once such a verdict occurs —
     identical results, a fraction of the probe work.  [Shorted] and
     non-flow probes are re-evaluated at every point (not monotone).
+
+    Flow-only probes also keep a per-trial certificate: the r
+    vertex-disjoint paths of the probe's last full success, greedy paths
+    or Dinic's.  While all of them stay unmasked at a later point, they
+    answer the probe there without routing anything.
 
     Estimates across the curve are positively correlated — ideal for
     reading off threshold locations and curve differences (Raginsky-

@@ -7,8 +7,11 @@ type t = {
   head : int Vec.t array; (* arc indices leaving each vertex *)
   dst : int Vec.t;
   cap : int Vec.t;
+  (* Dinic's scratch, kept across calls: BFS levels, per-vertex arc
+     cursors and the BFS queue *)
   mutable level : int array;
   mutable iter : int array;
+  mutable queue : int array;
 }
 
 let create ~n =
@@ -19,6 +22,7 @@ let create ~n =
     cap = Vec.create ();
     level = [||];
     iter = [||];
+    queue = [||];
   }
 
 let vertex_count t = t.n
@@ -36,21 +40,27 @@ let add_edge t ~src ~dst ~cap =
   Vec.push t.head.(dst) (a + 1);
   a
 
+(* Level graph by BFS over arcs with residual capacity.  The queue is
+   an array (each vertex enters once) scanned with index loops, so a
+   phase allocates nothing. *)
 let bfs t ~source ~sink =
   Array.fill t.level 0 t.n (-1);
   t.level.(source) <- 0;
-  let queue = Queue.create () in
-  Queue.add source queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    Vec.iter
-      (fun a ->
-        let w = Vec.get t.dst a in
-        if Vec.get t.cap a > 0 && t.level.(w) = -1 then begin
-          t.level.(w) <- t.level.(v) + 1;
-          Queue.add w queue
-        end)
-      t.head.(v)
+  t.queue.(0) <- source;
+  let front = ref 0 and back = ref 1 in
+  while !front < !back do
+    let v = t.queue.(!front) in
+    incr front;
+    let arcs = t.head.(v) in
+    for k = 0 to Vec.length arcs - 1 do
+      let a = Vec.get arcs k in
+      let w = Vec.get t.dst a in
+      if Vec.get t.cap a > 0 && t.level.(w) = -1 then begin
+        t.level.(w) <- t.level.(v) + 1;
+        t.queue.(!back) <- w;
+        incr back
+      end
+    done
   done;
   t.level.(sink) >= 0
 
@@ -85,11 +95,12 @@ let set_cap t a cap =
 
 let max_flow t ~source ~sink =
   if source = sink then invalid_arg "Maxflow.max_flow: source = sink";
-  (* level/iter are kept across calls (arena reuse); both are fully
+  (* level/iter/queue are kept across calls (arena reuse); each is
      re-initialised below before being read *)
   if Array.length t.level <> t.n then begin
     t.level <- Array.make t.n (-1);
-    t.iter <- Array.make t.n 0
+    t.iter <- Array.make t.n 0;
+    t.queue <- Array.make t.n 0
   end;
   let flow = ref 0 in
   while bfs t ~source ~sink do

@@ -45,21 +45,27 @@ module Workspace = struct
     in
     { net; n; super_source; super_sink; split_arcs; edge_arcs; source_arcs; sink_arcs }
 
+  (* index loops throughout: closures over [t] or the masks would
+     allocate on every query *)
   let arm ~forbidden ~edge_ok t ~source_slots ~sink_slots =
     for v = 0 to t.n - 1 do
       Maxflow.set_cap t.net t.split_arcs.(v) (if forbidden v then 0 else 1)
     done;
-    Array.iteri
-      (fun e a -> Maxflow.set_cap t.net a (if edge_ok e then 1 else 0))
-      t.edge_arcs;
-    Array.iter (fun a -> Maxflow.set_cap t.net a 0) t.source_arcs;
-    Array.iter (fun a -> Maxflow.set_cap t.net a 0) t.sink_arcs;
-    Array.iter
-      (fun slot -> Maxflow.set_cap t.net t.source_arcs.(slot) 1)
-      source_slots;
-    Array.iter
-      (fun slot -> Maxflow.set_cap t.net t.sink_arcs.(slot) 1)
-      sink_slots
+    for e = 0 to Array.length t.edge_arcs - 1 do
+      Maxflow.set_cap t.net t.edge_arcs.(e) (if edge_ok e then 1 else 0)
+    done;
+    for i = 0 to Array.length t.source_arcs - 1 do
+      Maxflow.set_cap t.net t.source_arcs.(i) 0
+    done;
+    for i = 0 to Array.length t.sink_arcs - 1 do
+      Maxflow.set_cap t.net t.sink_arcs.(i) 0
+    done;
+    for i = 0 to Array.length source_slots - 1 do
+      Maxflow.set_cap t.net t.source_arcs.(source_slots.(i)) 1
+    done;
+    for i = 0 to Array.length sink_slots - 1 do
+      Maxflow.set_cap t.net t.sink_arcs.(sink_slots.(i)) 1
+    done
 
   let max_vertex_disjoint ?(forbidden = fun _ -> false)
       ?(edge_ok = fun _ -> true) t ~source_slots ~sink_slots =
@@ -83,12 +89,11 @@ module Workspace = struct
       end
     done;
     let ne = ref 0 in
-    Array.iteri
-      (fun e a ->
-        if Maxflow.flow_on t.net a > 0 then begin
-          used_edges.(!ne) <- e;
-          incr ne
-        end)
-      t.edge_arcs;
+    for e = 0 to Array.length t.edge_arcs - 1 do
+      if Maxflow.flow_on t.net t.edge_arcs.(e) > 0 then begin
+        used_edges.(!ne) <- e;
+        incr ne
+      end
+    done;
     (value, !nv, !ne)
 end

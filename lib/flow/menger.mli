@@ -13,7 +13,10 @@
     unselected terminals get capacity 0) and reruns Dinic.  A
     zero-capacity arc carries no flow, so the returned value is the
     maximum on the correspondingly pruned graph.  Workspaces are
-    single-domain state. *)
+    single-domain state.
+
+    [Ftcsn_routing.Flow_route] calls this arena only when its greedy
+    path certificate falls short; the arena itself always runs Dinic. *)
 module Workspace : sig
   type t
 
@@ -33,7 +36,8 @@ module Workspace : sig
       (endpoints included) from the sources at [source_slots] (positions
       in the creation-time [sources]) to the sinks at [sink_slots],
       avoiding [forbidden] vertices and edges with [edge_ok eid = false].
-      Allocation-free. *)
+      Allocation-free: arming runs index loops, and Dinic keeps its BFS
+      queue next to its level and arc-cursor arrays. *)
 
   val max_vertex_disjoint_cert :
     ?forbidden:(int -> bool) ->

@@ -20,7 +20,9 @@ type engine = [ `Bfs | `Staged | `Loop ]
       first vertex the backward pass reached; past a visit cap the
       backward pass finishes the request.  On the paper's expanders
       a route costs time in proportion to the path, not the fabric.
-      Falls back to [`Bfs] when the network is not strictly staged.
+      Falls back to [`Bfs] when the network is not strictly staged
+      (see {!Staged_route.create}: only the part the inputs reach
+      counts).
     - [`Loop] — {!Loop_route}'s Beneš block-tree descent, O(depth) on the
       fault-free fast path; falls back to [`Staged] (then [`Bfs]) off the
       Beneš family.

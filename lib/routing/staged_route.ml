@@ -36,13 +36,24 @@ type t = {
   mutable dive_left : int;
 }
 
+(* Every edge out of a vertex some input reaches climbs exactly one
+   stage.  Edges out of the vertices no input reaches are left out: no
+   input -> output path crosses them, and the searches never enter them
+   (their stage is -1). *)
+let staged_from_inputs g st =
+  let stage = st.Staged.stage in
+  let ok = ref true in
+  Digraph.iter_edges g (fun ~eid:_ ~src ~dst ->
+      if stage.(src) >= 0 && stage.(dst) <> stage.(src) + 1 then ok := false);
+  !ok
+
 let create net =
   let g = net.Network.graph in
   let sources = Array.to_list net.Network.inputs in
   (* staging sorts the graph once and refuses a cyclic one *)
   match Staged.of_sources g ~sources with
   | exception Invalid_argument _ -> None
-  | st when not (Staged.is_strictly_staged g st) -> None
+  | st when not (staged_from_inputs g st) -> None
   | st ->
       let n = Digraph.vertex_count g in
       let widest = Array.fold_left max 1 (Staged.stage_sizes st) in
@@ -85,7 +96,9 @@ let walk_back t buf k d =
    level whose frontier holds at least [width] vertices, or [lo] if none
    does before it, or -1 once a frontier is empty.  The returned level's
    frontier is then complete: it holds every vertex of that level with a
-   path to dst over the masks.  A later call resumes from that frontier. *)
+   path to dst over the masks.  A later call resumes from that frontier.
+   In-neighbours no input reaches are skipped: they sit on no path from
+   a leveled [src]. *)
 let rec back_levels t ~allowed ~edge_ok ~src ~lo ~width l =
   if t.bhead = t.btail then -1
   else if l = lo || t.btail - t.bhead >= width then l
@@ -98,6 +111,7 @@ let rec back_levels t ~allowed ~edge_ok ~src ~lo ~width l =
         let v = t.in_src.(i) in
         if
           t.bstamp.(v) <> t.gen
+          && t.level.(v) >= 0
           && edge_ok t.in_eid.(i)
           && (v = src || allowed v)
         then begin
@@ -173,8 +187,10 @@ let route_into t ~allowed ~edge_ok ~src ~dst ~buf =
   end
   else begin
     let ls = t.level.(src) and ld = t.level.(dst) in
-    (* an unleveled vertex is isolated (strict stagedness levels every
-       edge endpoint), and a non-increasing level pair admits no path *)
+    if ls < 0 && t.out_off.(src) < t.out_off.(src + 1) then
+      invalid_arg "Staged_route.route_into: src is reached by no input";
+    (* an unleveled src is isolated, an unleveled dst is reached from no
+       leveled src, and a non-increasing level pair admits no path *)
     if ls < 0 || ld <= ls then -1
     else begin
       t.gen <- t.gen + 1;

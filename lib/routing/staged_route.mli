@@ -2,7 +2,11 @@
 
     The paper's constructions are leveled multistage graphs: every edge
     joins consecutive stages, so every input→output path has the same
-    length and crosses each level exactly once.  The paper routes by "a
+    length and crosses each level exactly once.  Only the part of the
+    graph the inputs reach has to be staged so.  A vertex no input
+    reaches (a random multibutterfly splitter leaves a few) lies on no
+    input→output path; it gets level [-1], its edges may skip stages,
+    and neither search enters it.  The paper routes by "a
     greedy application of a standard path-finding algorithm" (§4), and
     its majority-access argument (Lemmas 3–6) says that most vertices of
     a middle level are reachable from an idle input and co-reachable
@@ -45,15 +49,16 @@ type t
 
 val create : Ftcsn_networks.Network.t -> t option
 (** Stage the network from its inputs and build the router, or [None]
-    when the graph is cyclic or not strictly staged (callers then fall
-    back to plain BFS — the graceful-degradation contract). *)
+    when the graph is cyclic or some edge out of a vertex an input
+    reaches does not climb exactly one stage (callers then fall back to
+    plain BFS — the graceful-degradation contract). *)
 
 val stages : t -> int
 (** Number of levels: the vertex count of the longest path a search can
     return, and the buffer length {!route_into} requires. *)
 
 val level : t -> int -> int
-(** Stage of a vertex; [-1] for (isolated) unleveled vertices. *)
+(** Stage of a vertex; [-1] for a vertex no input reaches. *)
 
 val route_into :
   t ->
@@ -70,5 +75,6 @@ val route_into :
     {!Ftcsn_graph.Traverse.shortest_path_arena_buf}); [edge_ok] gates
     edges.  [buf] needs {!stages} slots, and a blocked search may still
     overwrite them.  Allocates nothing.
-    @raise Invalid_argument on out-of-range vertices, or before any
-    search on a buffer shorter than {!stages}. *)
+    @raise Invalid_argument on out-of-range vertices, on a [src] that no
+    input reaches but that has out-edges (its paths have no levels to go
+    by), or before any search on a buffer shorter than {!stages}. *)

@@ -4,8 +4,9 @@
    under random fault masks, busy-state accept/block agreement over call
    sequences, the staged dive's visit cap and the routers' shared buffer
    bound, engine fallback resolution, zero-allocation of the DES call
-   path (router and fabric), and fault-free policy-independence of the
-   traffic statistics. *)
+   path (router and fabric) and of flow probes, Flow_route's greedy
+   certificate against the flow oracle [Flow_ref], and fault-free
+   policy-independence of the traffic statistics. *)
 
 module Network = Ftcsn_networks.Network
 module Topology = Ftcsn_networks.Topology
@@ -17,6 +18,7 @@ module Arena = Ftcsn_graph.Arena
 module Greedy = Ftcsn_routing.Greedy
 module Staged_route = Ftcsn_routing.Staged_route
 module Loop_route = Ftcsn_routing.Loop_route
+module Flow_route = Ftcsn_routing.Flow_route
 module Traffic = Ftcsn_des.Traffic
 module Fabric = Ftcsn_des.Fabric
 module Rng = Ftcsn_prng.Rng
@@ -391,6 +393,39 @@ let test_engine_fallbacks () =
   let xbar = Crossbar.square 4 in
   checks "loop on crossbar" "staged"
     (Greedy.engine_name (Greedy.create ~engine:`Loop xbar));
+  (* multibutterfly:64: the random splitters leave 7 vertices that no
+     input reaches, and their edges skip stages; no input -> output path
+     crosses them, so the net still stages *)
+  let mbf = net_of "multibutterfly:64" in
+  let st =
+    Ftcsn_graph.Staged.of_sources mbf.Network.graph
+      ~sources:(Array.to_list mbf.Network.inputs)
+  in
+  checkb "multibutterfly:64 has vertices no input reaches" true
+    (Array.exists (fun l -> l < 0) st.Ftcsn_graph.Staged.stage);
+  checkb "so it is not strictly staged" false
+    (Ftcsn_graph.Staged.is_strictly_staged mbf.Network.graph st);
+  checks "staged on multibutterfly:64" "staged"
+    (Greedy.engine_name (Greedy.create ~engine:`Staged mbf));
+  (* a search from such a vertex has no levels to go by *)
+  (match Staged_route.create mbf with
+  | None -> Alcotest.fail "multibutterfly:64 stages"
+  | Some sr ->
+      let unreached = ref (-1) in
+      Array.iteri
+        (fun v l ->
+          if l < 0 && Digraph.out_degree mbf.Network.graph v > 0 then
+            unreached := v)
+        st.Ftcsn_graph.Staged.stage;
+      Alcotest.check_raises "src reached by no input"
+        (Invalid_argument "Staged_route.route_into: src is reached by no input")
+        (fun () ->
+          ignore
+            (Staged_route.route_into sr
+               ~allowed:(fun _ -> true)
+               ~edge_ok:(fun _ -> true)
+               ~src:!unreached ~dst:mbf.Network.outputs.(0)
+               ~buf:(Array.make (Staged_route.stages sr) 0))));
   (* a skip-level edge breaks strict stagedness: everything falls back
      to plain BFS *)
   let b = Digraph.Builder.create () in
@@ -478,6 +513,55 @@ let test_alloc_free_capped () =
   in
   check "every route dove" 64 dives;
   check "every route hit the cap" 64 fallbacks
+
+(* every superconcentrator probe, and those the greedy certificate
+   answered without Dinic *)
+let c_probes = Metrics.counter Metrics.default "flow_route.probes"
+let c_certified = Metrics.counter Metrics.default "flow_route.certified"
+
+(* 16 flow probes of r = n/2 under a fault mask, after a warm-up pass;
+   returns how many of them the certificate answered.  The masks are
+   wrapped in their options once, here: a [~forbidden:f] argument boxes
+   [Some f] at the call site, which is the caller's allocation. *)
+let flow_alloc_free net =
+  let g = net.Network.graph in
+  let edge_ok = Some (fault_mask ~seed:31 ~per_mille:2 g) in
+  let forbidden = Some (fun v -> v mod 211 = 100) in
+  let ws = Flow_route.create_ws net in
+  let n = min (Network.n_inputs net) (Network.n_outputs net) in
+  let rng = Rng.create ~seed:33 in
+  let draw () = Rng.sample_without_replacement rng ~n ~k:(n / 2) in
+  let ss = Array.init 16 (fun _ -> draw ()) in
+  let ts = Array.init 16 (fun _ -> draw ()) in
+  let total = ref 0 in
+  let pass () =
+    for k = 0 to 15 do
+      total :=
+        !total
+        + Flow_route.max_throughput_ws ?forbidden ?edge_ok ws
+            ~input_indices:ss.(k) ~output_indices:ts.(k)
+    done
+  in
+  pass ();
+  let p0 = Counter.get c_probes and c0 = Counter.get c_certified in
+  let w0 = Gc.minor_words () in
+  pass ();
+  let w1 = Gc.minor_words () in
+  check "every probe counted" 16 (Counter.get c_probes - p0);
+  checkb "the probes found paths" true (!total > 0);
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "minor words allocated by 16 flow probes on %s"
+       net.Network.name)
+    0.0 (w1 -. w0);
+  Counter.get c_certified - c0
+
+(* butterfly's unique paths collide, so greedy pairing falls short and
+   Dinic decides; on the paper's network the certificate answers *)
+let test_flow_alloc_free_dinic () =
+  check "no probe certified" 0 (flow_alloc_free (net_of "butterfly:64"))
+
+let test_flow_alloc_free_cert () =
+  check "every probe certified" 16 (flow_alloc_free (net_of "ft:16"))
 
 (* The fabric's call path, without the router's share measured above:
    place a call, fail a switch in the middle of its path, sever and
@@ -659,6 +743,163 @@ let qcheck_mask_agreement =
         (Lazy.force staged_nets_64)
       && Counter.get c_dives > d0)
 
+(* ---------- flow probes: the greedy certificate, then Dinic ---------- *)
+
+(* On benes:4 input 0's switch has two exits, 4 and 6; with edge 1
+   (0 -> 6) failed, 4 is input 0's only one.  The certificate routes
+   input 1 first, through 4, so input 0 is left without an exit; the
+   flow is still 2 (input 1 through 6).  Dinic must decide it. *)
+let test_cert_shortfall_benes () =
+  let net = Benes.create 4 in
+  let g = net.Network.graph in
+  Digraph.iter_edges g (fun ~eid ~src ~dst ->
+      if eid = 1 then checkb "edge 1 is 0 -> 6" true (src = 0 && dst = 6));
+  let edge_ok e = e <> 1 in
+  let ws = Flow_route.create_ws net in
+  let nv = Digraph.vertex_count g in
+  let input_indices = [| 1; 0 |] and output_indices = [| 0; 1 |] in
+  let p0 = Counter.get c_probes and c0 = Counter.get c_certified in
+  check "Dinic finds both paths" 2
+    (Flow_route.max_throughput_ws ~edge_ok ws ~input_indices ~output_indices);
+  let value, _, _ =
+    Flow_route.max_throughput_cert_ws ~edge_ok ws ~input_indices
+      ~output_indices ~used_vertices:(Array.make nv 0)
+      ~used_edges:(Array.make nv 0)
+  in
+  check "and so does the certificate variant" 2 value;
+  check "both probes counted" 2 (Counter.get c_probes - p0);
+  check "neither certified" 0 (Counter.get c_certified - c0)
+
+(* the oracle sees a failed edge as a missing one *)
+let without_failed net ~edge_ok =
+  let g = net.Network.graph in
+  let live = ref [] in
+  Digraph.iter_edges g (fun ~eid ~src ~dst ->
+      if edge_ok eid then live := (src, dst) :: !live);
+  Network.make ~name:net.Network.name
+    ~graph:
+      (Digraph.of_edges ~n:(Digraph.vertex_count g)
+         (Array.of_list (List.rev !live)))
+    ~inputs:net.Network.inputs ~outputs:net.Network.outputs
+
+(* [used_v.(0 .. nv-1)] and [used_e.(0 .. ne-1)] are [value] paths from
+   [sources] to [sinks]: no vertex twice, none forbidden, every edge
+   live, one edge out of and one into each vertex at most, and every
+   vertex on the walk from a path's first vertex *)
+let is_certificate g ~forbidden ~edge_ok ~sources ~sinks ~value used_v nv
+    used_e ne =
+  let n = Digraph.vertex_count g in
+  let on = Array.make n false
+  and succ = Array.make n (-1)
+  and has_pred = Array.make n false in
+  let ok = ref true in
+  for k = 0 to nv - 1 do
+    let v = used_v.(k) in
+    if on.(v) || forbidden v then ok := false;
+    on.(v) <- true
+  done;
+  for k = 0 to ne - 1 do
+    let e = used_e.(k) in
+    let u, v = Digraph.edge_endpoints g e in
+    if (not (edge_ok e && on.(u) && on.(v))) || succ.(u) >= 0 || has_pred.(v)
+    then ok := false
+    else begin
+      succ.(u) <- v;
+      has_pred.(v) <- true
+    end
+  done;
+  let paths = ref 0 and covered = ref 0 in
+  for k = 0 to nv - 1 do
+    let v = used_v.(k) in
+    if not has_pred.(v) then begin
+      incr paths;
+      if not (Array.mem v sources) then ok := false;
+      let rec walk v =
+        incr covered;
+        if succ.(v) >= 0 then walk succ.(v)
+        else if not (Array.mem v sinks) then ok := false
+      in
+      walk v
+    end
+  done;
+  !ok && !paths = value && !covered = nv
+
+(* every registry family at n = 16 and 64, staged or not, each with
+   the one workspace every probe reuses *)
+let flow_nets =
+  lazy
+    (List.map
+       (fun (_, net) -> (net, Flow_route.create_ws net))
+       (registry_nets ~n:16 @ registry_nets ~n:64))
+
+(* one probe: both variants must give the oracle's value, and the
+   certificate variant a certificate of it *)
+let probe_agrees net ws ~forbidden ~edge_ok ~input_indices ~output_indices =
+  let g = net.Network.graph in
+  let nv = Digraph.vertex_count g in
+  let oracle =
+    Flow_ref.max_throughput ~forbidden (without_failed net ~edge_ok)
+      ~input_indices ~output_indices
+  in
+  let plain =
+    Flow_route.max_throughput_ws ~forbidden ~edge_ok ws ~input_indices
+      ~output_indices
+  in
+  let used_v = Array.make nv 0 and used_e = Array.make nv 0 in
+  let value, n_v, n_e =
+    Flow_route.max_throughput_cert_ws ~forbidden ~edge_ok ws ~input_indices
+      ~output_indices ~used_vertices:used_v ~used_edges:used_e
+  in
+  plain = oracle && value = oracle
+  && is_certificate g ~forbidden ~edge_ok
+       ~sources:(Array.map (fun i -> net.Network.inputs.(i)) input_indices)
+       ~sinks:(Array.map (fun o -> net.Network.outputs.(o)) output_indices)
+       ~value used_v n_v used_e n_e
+
+(* Per net, an unmasked probe and one under failed edges and forbidden
+   vertices (terminals included), each on a random (r, S, T) with
+   |S| <> |T| now and then.  Unmasked crossbar:16 always certifies and
+   valiant-sc never stages, so every case runs both branches. *)
+let qcheck_flow_certificate =
+  QCheck2.Test.make ~count:12
+    ~name:"certificate-then-Dinic equals the flow oracle"
+    QCheck2.Gen.(pair (int_range 0 100000) (int_range 1 30))
+    (fun (seed, per_mille) ->
+      let rng = Rng.create ~seed in
+      let p0 = Counter.get c_probes and c0 = Counter.get c_certified in
+      let all_agree =
+        List.for_all
+          (fun (net, ws) ->
+            let g = net.Network.graph in
+            let n_in = Network.n_inputs net and n_out = Network.n_outputs net in
+            let n = min n_in n_out in
+            let request () =
+              let k = 1 + Rng.int rng n in
+              let k' = if Rng.int rng 4 = 0 then 1 + Rng.int rng n else k in
+              ( Rng.sample_without_replacement rng ~n:n_in ~k,
+                Rng.sample_without_replacement rng ~n:n_out ~k:k' )
+            in
+            let s, t = request () in
+            let unmasked =
+              probe_agrees net ws ~forbidden:(fun _ -> false)
+                ~edge_ok:(fun _ -> true) ~input_indices:s ~output_indices:t
+            in
+            let edge_ok = fault_mask ~seed:(Rng.int rng 100000) ~per_mille g in
+            let bad =
+              Array.init (Digraph.vertex_count g) (fun _ ->
+                  Rng.int rng 1000 < per_mille)
+            in
+            let s, t = request () in
+            unmasked
+            && probe_agrees net ws
+                 ~forbidden:(fun v -> bad.(v))
+                 ~edge_ok ~input_indices:s ~output_indices:t)
+          (Lazy.force flow_nets)
+      in
+      let probes = Counter.get c_probes - p0
+      and certified = Counter.get c_certified - c0 in
+      all_agree && certified > 0 && probes - certified > 0)
+
 let () =
   Alcotest.run "ftcsn_fastroute"
     [
@@ -699,6 +940,15 @@ let () =
             test_alloc_free_capped;
           Alcotest.test_case "fabric place/sever/release is allocation-free"
             `Quick test_fabric_alloc_free;
+          Alcotest.test_case "flow probes through Dinic are allocation-free"
+            `Quick test_flow_alloc_free_dinic;
+          Alcotest.test_case "certified flow probes are allocation-free"
+            `Quick test_flow_alloc_free_cert;
+        ] );
+      ( "flow",
+        [
+          Alcotest.test_case "a greedy shortfall on benes goes to Dinic" `Quick
+            test_cert_shortfall_benes;
         ] );
       ( "traffic",
         [
@@ -708,5 +958,6 @@ let () =
             test_router_name;
         ] );
       ( "qcheck",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_mask_agreement ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_mask_agreement; qcheck_flow_certificate ] );
     ]
