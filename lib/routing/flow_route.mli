@@ -17,8 +17,9 @@
     answers the query exactly, without the flow arena.  At the first pair
     that blocks, Dinic runs on the re-armed arena as if the greedy pass
     had not happened.  The value is exact either way; only the work
-    changes.  A network that does not stage goes straight to Dinic: there
-    a BFS certificate would cost about as much as Dinic itself.
+    changes.  A network that does not stage goes straight to Dinic: a
+    certificate there would need plain BFS routes, which cost about as
+    much as Dinic itself.
 
     The [flow_route.probes] and [flow_route.certified] counters of
     {!Ftcsn_obs.Metrics.default} count every query and those the
