@@ -745,16 +745,27 @@ let qcheck_mask_agreement =
 
 (* ---------- flow probes: the greedy certificate, then Dinic ---------- *)
 
-(* On benes:4 input 0's switch has two exits, 4 and 6; with edge 1
-   (0 -> 6) failed, 4 is input 0's only one.  The certificate routes
-   input 1 first, through 4, so input 0 is left without an exit; the
-   flow is still 2 (input 1 through 6).  Dinic must decide it. *)
+(* On benes:4 inputs 0 and 1 share a switch with exits 4 and 6, and
+   output 12 is reached through 8 (from 4) or 10 (from 6).  With the
+   edges 0 -> 6 and 10 -> 12 failed, input 1 reaches output 12 only
+   through 4, input 0's only exit, so whichever path the certificate
+   takes for its first pair, the second (input 0 -> output 13) blocks.
+   The flow is still 2: 0 -> 4 -> 8 -> 12 and 1 -> 6 -> 10 -> 13.
+   Dinic must decide it. *)
 let test_cert_shortfall_benes () =
   let net = Benes.create 4 in
   let g = net.Network.graph in
-  Digraph.iter_edges g (fun ~eid ~src ~dst ->
-      if eid = 1 then checkb "edge 1 is 0 -> 6" true (src = 0 && dst = 6));
-  let edge_ok e = e <> 1 in
+  let failed = [ (0, 6); (10, 12) ] in
+  let edges = ref [] in
+  Digraph.iter_edges g (fun ~eid:_ ~src ~dst -> edges := (src, dst) :: !edges);
+  checkb "0 -> 6 and 10 -> 12 are switches" true
+    (List.for_all (fun e -> List.mem e !edges) failed);
+  checkb "inputs 0, 1 and outputs 12, 13" true
+    (net.Network.inputs.(0) = 0
+    && net.Network.inputs.(1) = 1
+    && net.Network.outputs.(0) = 12
+    && net.Network.outputs.(1) = 13);
+  let edge_ok e = not (List.mem (Digraph.edge_endpoints g e) failed) in
   let ws = Flow_route.create_ws net in
   let nv = Digraph.vertex_count g in
   let input_indices = [| 1; 0 |] and output_indices = [| 0; 1 |] in
