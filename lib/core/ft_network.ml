@@ -94,7 +94,3 @@ let stage_census t =
        (fun s size ->
          (label s, size, if s < Array.length edges then edges.(s) else 0))
        sizes)
-
-let grid_of_input t i = t.input_grids.(i)
-
-let grid_of_output t j = t.output_grids.(j)

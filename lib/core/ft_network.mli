@@ -31,8 +31,3 @@ val make : rng:Ftcsn_prng.Rng.t -> Ft_params.t -> t
 val stage_census : t -> (string * int * int) list
 (** (stage label, vertex count, outgoing switch count) rows — the Fig. 5
     composition audit of experiment F5. *)
-
-val grid_of_input : t -> int -> Directed_grid.t
-(** Φᵢ for input index i. *)
-
-val grid_of_output : t -> int -> Directed_grid.t

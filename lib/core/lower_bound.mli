@@ -36,24 +36,15 @@ type report = {
           hence a size lower bound on the analysed region *)
 }
 
-val default_threshold : n:int -> int
-(** ⌊(1/12) log₂ n⌋, at least 1. *)
-
-val default_radius : threshold:int -> int
-(** ⌊(threshold − 1) / 2⌋, at least 1 — keeps neighbourhoods disjoint. *)
-
-val good_inputs : ?threshold:int -> Ftcsn_networks.Network.t -> int array
-(** A maximal greedy set of inputs with pairwise undirected distance
-    ≥ threshold. *)
-
-val zones_of_input :
-  Ftcsn_networks.Network.t -> radius:int -> input_vertex:int -> zone_report
-
 val analyse :
   ?threshold:int -> ?radius:int -> ?max_inputs:int ->
   Ftcsn_networks.Network.t -> report
-(** Full §5 audit; [max_inputs] (default 64) caps the number of good
-    inputs whose zones are expanded. *)
+(** Full §5 audit: a maximal greedy set of good inputs with pairwise
+    undirected distance ≥ [threshold] (default ⌊(1/12) log₂ n⌋, at least
+    1), and the zones of each up to [radius] (default
+    ⌊(threshold − 1) / 2⌋, at least 1, which keeps neighbourhoods
+    disjoint).  [max_inputs] (default 64) caps the number of good inputs
+    whose zones are expanded. *)
 
 type lemma2_certificate = {
   threshold_used : int;  (** the j of the construction *)
@@ -68,8 +59,8 @@ type lemma2_certificate = {
 
 val lemma2_certificate : ?threshold:int -> Ftcsn_networks.Network.t -> lemma2_certificate
 (** The constructive machinery of Lemma 2: for each input take its
-    shortest undirected path (≤ threshold, default
-    {!default_threshold}) to another input; greedily keep the longest
+    shortest undirected path (≤ threshold, default ⌊(1/12) log₂ n⌋, at
+    least 1) to another input; greedily keep the longest
     initial segment edge-disjoint from the forest built so far; contract
     degree-2 stretches; extract a maximal family of edge-disjoint
     length-≤3 leaf-to-leaf paths (Corollary 1) and keep those joining two

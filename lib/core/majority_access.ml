@@ -1,29 +1,6 @@
 module Network = Ftcsn_networks.Network
 module Traverse = Ftcsn_graph.Traverse
 
-let accessible net ~allowed ~busy ~from ~targets =
-  let ok v = allowed v && not (busy v) in
-  if not (ok from) then 0
-  else begin
-    let dist = Traverse.bfs_directed ~allowed:ok net.Network.graph ~sources:[ from ] in
-    Array.fold_left
-      (fun acc t -> if dist.(t) >= 0 && ok t then acc + 1 else acc)
-      0 targets
-  end
-
-let input_access_counts net ~allowed ~busy =
-  Array.map
-    (fun i ->
-      if busy i then -1
-      else accessible net ~allowed ~busy ~from:i ~targets:net.Network.outputs)
-    net.Network.inputs
-
-let is_majority_access net ~allowed ~busy =
-  let half = Network.n_outputs net / 2 in
-  Array.for_all
-    (fun c -> c = -1 || c > half)
-    (input_access_counts net ~allowed ~busy)
-
 let middle_stage ?edge_ok net =
   let staged =
     Ftcsn_graph.Staged.of_sources ?edge_ok net.Network.graph
@@ -88,16 +65,3 @@ let sampled_busy_majority ~trials ~rng ?(load = 0.5) ~allowed ?edge_ok ?rev net 
     then ok := false
   done;
   !ok
-
-let grid_last_column_access (s : Directed_grid.standalone) ~faulty ~source_row =
-  let grid = s.Directed_grid.grid in
-  let src = Directed_grid.vertex_at grid ~row:source_row ~col:0 in
-  if faulty src then 0
-  else begin
-    let ok v = not (faulty v) in
-    let dist = Traverse.bfs_directed ~allowed:ok s.Directed_grid.graph ~sources:[ src ] in
-    Array.fold_left
-      (fun acc v -> if dist.(v) >= 0 && ok v then acc + 1 else acc)
-      0
-      grid.Directed_grid.columns.(grid.Directed_grid.stages - 1)
-  end

@@ -6,43 +6,8 @@
     {e majority-access network} when every idle input has access to a
     strict majority of the outputs; if both 𝒩 and its mirror are
     majority-access and no terminals are shorted, 𝒩 contains a nonblocking
-    network (§6).  This module counts access sets, decides the property
-    for concrete fault/busy configurations, and runs Lemma 3's grid
-    version. *)
-
-val accessible :
-  Ftcsn_networks.Network.t ->
-  allowed:(int -> bool) ->
-  busy:(int -> bool) ->
-  from:int ->
-  targets:int array ->
-  int
-(** Number of [targets] reachable from vertex [from] through vertices that
-    are allowed and idle (endpoints included in the idleness requirement). *)
-
-val input_access_counts :
-  Ftcsn_networks.Network.t ->
-  allowed:(int -> bool) ->
-  busy:(int -> bool) ->
-  int array
-(** For each idle input, the number of outputs it has access to ([-1] for
-    busy inputs). *)
-
-val is_majority_access :
-  Ftcsn_networks.Network.t -> allowed:(int -> bool) -> busy:(int -> bool) -> bool
-(** Every idle input reaches strictly more than half of the outputs. *)
-
-val grid_last_column_access :
-  Directed_grid.standalone -> faulty:(int -> bool) -> source_row:int -> int
-(** Lemma 3's quantity: from row [source_row] of column 0, the number of
-    last-column vertices reachable through non-faulty grid vertices. *)
-
-val middle_stage : ?edge_ok:(int -> bool) -> Ftcsn_networks.Network.t -> int array
-(** The vertices of the central stage (longest-path staging from the
-    inputs) — the wide waist over which §6's majority-access argument
-    runs: an idle input reaching a strict majority of the waist and an
-    idle output reaching (backwards) a strict majority must share a waist
-    vertex, which yields the connecting path. *)
+    network (§6).  This module samples busy configurations and checks
+    access across the network's waist. *)
 
 val sampled_busy_majority :
   trials:int ->
@@ -57,9 +22,12 @@ val sampled_busy_majority :
     sets; this probe samples them: per trial, greedily route a random
     partial permutation covering [load] (default 0.5) of the terminals
     through allowed vertices, then require every idle input to keep
-    access to a strict majority of the {!middle_stage} waist and every
-    idle output to keep backward access to a strict majority — the §6
-    certificate for nonblocking containment.  [false] is a definite
+    access to a strict majority of the waist (the central stage of the
+    longest-path staging from the inputs) and every idle output to keep
+    backward access to a strict majority — the §6 certificate for
+    nonblocking containment: an idle input and an idle output that each
+    reach a strict majority of the waist share a waist vertex, which
+    yields the connecting path.  [false] is a definite
     counterexample configuration; [true] is statistical evidence.
     [edge_ok] masks failed switches without rebuilding the graph, and
     [rev] supplies a precomputed {!Ftcsn_graph.Digraph.reverse} of the

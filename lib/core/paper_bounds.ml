@@ -1,32 +1,7 @@
 let paper_epsilon = 1e-6
 
-let lemma2_shorting_bound ~n ~eps =
-  let nf = float_of_int n in
-  let j = log nf /. log 2.0 /. 12.0 in
-  let p_path = eps ** (3.0 *. j) in
-  (1.0 -. p_path) ** (nf /. 84.0)
-
-let c1 ~eps = 1.0 /. Float.max 1e-9 (1.0 -. (72.0 *. eps))
-
-let lemma3_access_bound ~v ~eps =
-  let vf = float_of_int v in
-  c1 ~eps *. vf *. ((144.0 *. eps) ** vf)
-
-let lemma4_outlet_bound ~mu =
-  exp (-0.06 *. (4.0 ** float_of_int mu))
-
-let lemma5_union_bound ~u =
-  let uf = float_of_int u in
-  uf *. ((2.0 /. Float.exp 1.0) ** (2.0 *. uf))
-
-let lemma6_majority_failure ~u ~eps =
-  2.0 *. (lemma3_access_bound ~v:u ~eps +. lemma5_union_bound ~u)
-
 let c2 ~eps = (4.0 ** 15.0) /. Float.max 1e-9 (1.0 -. (40.0 *. eps))
 
 let lemma7_shorting_bound ~u ~eps =
   let uf = float_of_int u in
   c2 ~eps *. uf *. uf *. ((160.0 *. eps) ** (2.0 *. uf))
-
-let theorem2_failure_bound ~u ~eps =
-  lemma6_majority_failure ~u ~eps +. lemma7_shorting_bound ~u ~eps

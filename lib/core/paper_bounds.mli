@@ -1,38 +1,12 @@
-(** The paper's explicit probability bounds, as executable formulas.
+(** The paper's Lemma 7 bound, as an executable formula.
 
-    Each lemma of §5–§6 bounds a bad event by an explicit expression in
-    (ε, u, γ, v); experiments print these alongside measurements.  All
-    formulas are transcribed with the paper's own constants; where an
-    expression only binds in an asymptotic regime (e.g. 144ε < 1) the
-    function returns the formula value regardless and the caller decides
-    relevance. *)
-
-val lemma2_shorting_bound : n:int -> eps:float -> float
-(** (1 − ε³ʲ)^(n/84) with j = (1/12)·log₂ n — the probability that {e no}
-    short-path family member is fully closed, whose smallness forces the
-    depth bound (Lemma 2 uses ε = 1/4). *)
-
-val lemma3_access_bound : v:int -> eps:float -> float
-(** c₁·v·(144ε)^v with c₁ = 1/(1 − 72ε): the paper's bound on an input
-    {e losing} majority access to its grid. *)
-
-val lemma4_outlet_bound : mu:int -> float
-(** e^(−0.06·4^μ): tail bound for one expanding graph's faulty outlets at
-    ε = 10⁻⁶. *)
-
-val lemma5_union_bound : u:int -> float
-(** u·(2/e)²ᵘ: union over all expanding graphs of 𝒩ₗ. *)
-
-val lemma6_majority_failure : u:int -> eps:float -> float
-(** 2·(c₁u(144ε)^u + u(2/e)²ᵘ): both halves of the majority-access
-    certificate failing. *)
+    Experiment E6 prints it beside the measured shorting probability.
+    The formula is transcribed with the paper's own constants; it only
+    binds while 160ε < 1, but the function returns the formula value
+    regardless and the caller decides relevance. *)
 
 val lemma7_shorting_bound : u:int -> eps:float -> float
 (** c₂·u²·(160ε)²ᵘ with c₂ = 4¹⁵/(1 − 40ε): terminals contracting. *)
-
-val theorem2_failure_bound : u:int -> eps:float -> float
-(** The total failure probability of Theorem 2's proof:
-    2(c₁u(144ε)^u + u(2/e)²ᵘ) + c₂u²(160ε)²ᵘ. *)
 
 val paper_epsilon : float
 (** 10⁻⁶, the ε Theorem 2 is stated for. *)

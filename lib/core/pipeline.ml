@@ -37,24 +37,6 @@ let sc_probe_only =
     majority_probes = 0;
   }
 
-let rearrangeable_probe =
-  {
-    greedy_permutations = 0;
-    exact_permutations = 1;
-    exact_budget = 400_000;
-    sc_probes = 2;
-    majority_probes = 0;
-  }
-
-let lemma6_probe =
-  {
-    greedy_permutations = 0;
-    exact_permutations = 0;
-    exact_budget = 0;
-    sc_probes = 0;
-    majority_probes = 2;
-  }
-
 (* ---------- trial workspace ----------
 
    Every per-trial structure lives in a workspace: the strip state, a
@@ -86,8 +68,6 @@ let create_ws net =
     flow = Flow_route.create_ws net;
     forbidden = (fun v -> not (allowed v));
   }
-
-let ws_fault_strip ws = ws.fs
 
 let route_probe_ws ws ~rng ~probe =
   let net = ws.ws_net in
@@ -351,9 +331,3 @@ let survival_curve ?jobs ?progress ?trace ~trials ~rng ~eps
           if !prev_ok then Bytes.set outcomes k '\001'
         end
       done)
-
-let verdict_label = function
-  | Survived -> "survived"
-  | Shorted _ -> "shorted"
-  | Isolated _ -> "isolated"
-  | Unroutable k -> Printf.sprintf "unroutable(%d)" k

@@ -45,12 +45,6 @@ val sc_probe_only : probe
 (** flow probes only — the class-fair workload for comparing networks that
     are not nonblocking *)
 
-val rearrangeable_probe : probe
-(** exact permutations + flow probes *)
-
-val lemma6_probe : probe
-(** majority-access samples only — the §6 certificate route *)
-
 type ws
 (** Per-domain trial workspace: strip state
     ({!Ftcsn_networks.Network.t}-sized bitsets, union-find, BFS arrays),
@@ -63,10 +57,6 @@ type ws
     [~init] hook (as {!survival} does). *)
 
 val create_ws : Ftcsn_networks.Network.t -> ws
-
-val ws_fault_strip : ws -> Fault_strip.ws
-(** The workspace's strip state — valid after a {!trial_ws} for
-    inspecting the last trial's masks and shorted/stripped sets. *)
 
 val trial_ws :
   ?strip_radius:int ->
@@ -139,5 +129,3 @@ val survival_curve :
     reading off threshold locations and curve differences (Raginsky-
     style phase-transition plots) at far lower variance than pointwise
     independent runs. *)
-
-val verdict_label : verdict -> string

@@ -29,43 +29,6 @@ let leaves t =
   done;
   !acc
 
-let edge_total t = Array.fold_left (fun acc row -> acc + Array.length row) 0 t.adj / 2
-
-let is_forest t =
-  (* acyclic iff every component has edges = vertices - 1; equivalently a
-     DFS never meets a visited vertex other than its parent *)
-  let visited = Array.make t.n false in
-  let ok = ref true in
-  for root = 0 to t.n - 1 do
-    if not visited.(root) then begin
-      let stack = Stack.create () in
-      Stack.push (root, -1) stack;
-      visited.(root) <- true;
-      while not (Stack.is_empty stack) do
-        let v, parent = Stack.pop stack in
-        let parent_seen = ref false in
-        Array.iter
-          (fun w ->
-            if w = parent && not !parent_seen then parent_seen := true
-            else if visited.(w) then ok := false
-            else begin
-              visited.(w) <- true;
-              Stack.push (w, v) stack
-            end)
-          t.adj.(v)
-      done
-    end
-  done;
-  !ok && edge_total t <= t.n
-
-let internal_degrees_ok t =
-  let ok = ref true in
-  for v = 0 to t.n - 1 do
-    let d = degree t v in
-    if d = 2 then ok := false
-  done;
-  !ok
-
 let contract_stretches t =
   (* Keep vertices of degree <> 2.  In a forest, every maximal chain of
      degree-2 vertices joins two distinct kept vertices; following each

@@ -20,12 +20,6 @@ val degree : t -> int -> int
 val leaves : t -> int list
 (** Vertices of degree 1. *)
 
-val is_forest : t -> bool
-
-val internal_degrees_ok : t -> bool
-(** Every non-leaf, non-isolated vertex has degree ≥ 3 (Lemma 1's
-    hypothesis). *)
-
 val contract_stretches : t -> t
 (** Replace every maximal chain of degree-2 vertices by a single edge
     (the Lemma 2 reduction); vertex count unchanged, chain interiors

@@ -25,9 +25,6 @@ val add : t -> float -> unit
 val count : t -> int
 (** Observations seen so far. *)
 
-val batch_mean : t -> int -> float
-(** Mean of a completed batch.  @raise Invalid_argument out of range. *)
-
 val means : t -> float array
 (** Means of the batches completed so far (a fresh array). *)
 
@@ -49,11 +46,6 @@ val of_means : ?count:int -> float array -> summary
     contributes its batch means to one pooled sample).  [count] reports
     the underlying observation count in the summary (defaults to the
     array length).  @raise Invalid_argument on fewer than two values. *)
-
-val t_quantile : df:int -> float
-(** Two-sided 95% Student-t critical value (the 0.975 quantile) for the
-    given degrees of freedom; tabulated through df = 30, then stepped at
-    40/60/120, then the normal limit 1.96. *)
 
 val pp : Format.formatter -> summary -> unit
 (** Render as ["mean [lo, hi] (b batches / n obs)"]. *)

@@ -122,15 +122,13 @@ val create :
 
     Heap payloads are unboxed ints [(arg lsl 2) lor tag].  Tag 0 holds
     the two argument-free events, {!ev_arrival} and {!ev_tick}; tag 1
-    is {!ev_hangup} and tag 3 {!ev_repair}. *)
+    is a hangup keyed by slot and stamp ({!hang_up_after}), and tag 3 a
+    repair of the switch in [arg] ({!repair}). *)
 
 val ev_arrival : int
 
 val ev_tick : int
 (** The failure clock's tick. *)
-
-val ev_hangup : int -> int
-val ev_repair : int -> int
 
 val advance : t -> float -> unit
 (** Move [now] forward to [t] (never back), integrating [live·dt]. *)
@@ -169,12 +167,10 @@ val relay : t -> int -> int list -> unit
 
 (** {2 Faults} *)
 
-val open_failure : int
-val closed_failure : int
 val shorted : int
-(** The outcome codes of {!tick} and {!mark_failed}: an open failure, a
-    closed one, or a closed one that put two terminals in one
-    contraction class (the Lemma 7 catastrophe). *)
+(** The outcome codes of {!tick} and {!mark_failed} are 0 for an open
+    failure, 1 for a closed one, and [shorted] for a closed one that put
+    two terminals in one contraction class (the Lemma 7 catastrophe). *)
 
 val mark_failed : t -> int -> closed:bool -> int
 (** The state update of a switch failure, with no draw: fault state,

@@ -34,11 +34,6 @@ let max_degree t = Array.fold_left (fun acc row -> max acc (Array.length row)) 0
 
 let edge_count t = Array.fold_left (fun acc row -> acc + Array.length row) 0 t.adj
 
-let in_degrees t =
-  let deg = Array.make t.outlets 0 in
-  Array.iter (Array.iter (fun o -> deg.(o) <- deg.(o) + 1)) t.adj;
-  deg
-
 let neighbourhood_size t s =
   let seen = Ftcsn_util.Bitset.create t.outlets in
   Array.iter (fun i -> Array.iter (Ftcsn_util.Bitset.add seen) t.adj.(i)) s;

@@ -20,9 +20,6 @@ val max_degree : t -> int
 
 val edge_count : t -> int
 
-val in_degrees : t -> int array
-(** Edges arriving at each outlet. *)
-
 val neighbourhood_size : t -> int array -> int
 (** |Γ(S)| for a set of inlets S. *)
 

@@ -1,19 +1,4 @@
 module Rng = Ftcsn_prng.Rng
-module Combinat = Ftcsn_util.Combinat
-module Bitset = Ftcsn_util.Bitset
-
-let exhaustive_budget = 5_000_000.0
-
-let min_neighbourhood_exhaustive b ~c =
-  if c < 1 || c > b.Bipartite.inlets then
-    invalid_arg "Check.min_neighbourhood_exhaustive: bad c";
-  if Combinat.binomial b.Bipartite.inlets c > exhaustive_budget then
-    invalid_arg "Check.min_neighbourhood_exhaustive: too many subsets";
-  let best = ref max_int in
-  Combinat.iter_subsets ~n:b.Bipartite.inlets ~k:c (fun s ->
-      let size = Bipartite.neighbourhood_size b s in
-      if size < !best then best := size);
-  !best
 
 let min_neighbourhood_sampled b ~c ~samples ~rng =
   if c < 1 || c > b.Bipartite.inlets then
@@ -25,81 +10,3 @@ let min_neighbourhood_sampled b ~c ~samples ~rng =
     if size < !best then best := size
   done;
   !best
-
-(* Greedy descent: membership bitset + outlet reference counts let us
-   evaluate a swap in O(degree) instead of O(c * degree). *)
-let min_neighbourhood_greedy b ~c ~restarts ~rng =
-  if c < 1 || c > b.Bipartite.inlets then
-    invalid_arg "Check.min_neighbourhood_greedy: bad c";
-  let inlets = b.Bipartite.inlets and outlets = b.Bipartite.outlets in
-  let best = ref max_int in
-  for _ = 1 to restarts do
-    let members = Rng.sample_without_replacement rng ~n:inlets ~k:c in
-    let in_set = Bitset.create inlets in
-    Array.iter (Bitset.add in_set) members;
-    let refcount = Array.make outlets 0 in
-    let nbhd = ref 0 in
-    let add_inlet i =
-      Array.iter
-        (fun o ->
-          if refcount.(o) = 0 then incr nbhd;
-          refcount.(o) <- refcount.(o) + 1)
-        b.Bipartite.adj.(i)
-    in
-    let remove_inlet i =
-      Array.iter
-        (fun o ->
-          refcount.(o) <- refcount.(o) - 1;
-          if refcount.(o) = 0 then decr nbhd)
-        b.Bipartite.adj.(i)
-    in
-    Array.iter add_inlet members;
-    let improved = ref true in
-    let rounds = ref 0 in
-    while !improved && !rounds < 50 do
-      improved := false;
-      incr rounds;
-      (* try swapping each member for a sampled candidate *)
-      for mi = 0 to c - 1 do
-        let i = members.(mi) in
-        remove_inlet i;
-        Bitset.remove in_set i;
-        (* candidate pool: a few random inlets outside the set *)
-        let best_cand = ref i and best_size = ref max_int in
-        let try_candidate j =
-          if not (Bitset.mem in_set j) then begin
-            add_inlet j;
-            if !nbhd < !best_size then begin
-              best_size := !nbhd;
-              best_cand := j
-            end;
-            remove_inlet j
-          end
-        in
-        try_candidate i;
-        for _ = 1 to 8 do
-          try_candidate (Rng.int rng inlets)
-        done;
-        add_inlet !best_cand;
-        Bitset.add in_set !best_cand;
-        if !best_cand <> i then improved := true;
-        members.(mi) <- !best_cand
-      done
-    done;
-    if !nbhd < !best then best := !nbhd
-  done;
-  !best
-
-let is_expanding_exhaustive b ~c ~c' = min_neighbourhood_exhaustive b ~c >= c'
-
-let certify b ~c ~c' ~rng =
-  if Combinat.binomial b.Bipartite.inlets c <= exhaustive_budget then begin
-    let m = min_neighbourhood_exhaustive b ~c in
-    if m >= c' then `Certified else `Refuted m
-  end
-  else begin
-    let m1 = min_neighbourhood_greedy b ~c ~restarts:8 ~rng in
-    let m2 = min_neighbourhood_sampled b ~c ~samples:2000 ~rng in
-    let m = min m1 m2 in
-    if m < c' then `Refuted m else `Probable
-  end

@@ -1,31 +1,10 @@
-(** Certification of the (c, c′)-expansion property.
+(** Sampled checks of the (c, c′)-expansion property.
 
     A bipartite graph is (c, c′, t)-expanding (paper, §6) when every set of
-    c inlets has at least c′ outlet neighbours.  Exhaustive checking costs
-    C(inlets, c) neighbourhood evaluations, so it is reserved for small
-    instances; larger ones are certified statistically, and a greedy local
-    search hunts for violating sets (a failure found by any method is a
-    definite counterexample). *)
-
-val min_neighbourhood_exhaustive : Bipartite.t -> c:int -> int
-(** min over all C(inlets, c) sets S with |S| = c of |Γ(S)|.
-    @raise Invalid_argument when the subset count exceeds 5·10⁶. *)
+    c inlets has at least c′ outlet neighbours.  Checking every c-set costs
+    C(inlets, c) neighbourhood evaluations, so the experiments sample
+    them; a violating set found this way is a definite counterexample. *)
 
 val min_neighbourhood_sampled :
   Bipartite.t -> c:int -> samples:int -> rng:Ftcsn_prng.Rng.t -> int
 (** Minimum |Γ(S)| over random c-subsets. *)
-
-val min_neighbourhood_greedy :
-  Bipartite.t -> c:int -> restarts:int -> rng:Ftcsn_prng.Rng.t -> int
-(** Local search: start from a random c-set, repeatedly swap an inlet to
-    shrink |Γ(S)|, over several restarts.  Returns the smallest
-    neighbourhood found — an upper bound on the true minimum, typically
-    much tighter than sampling. *)
-
-val is_expanding_exhaustive : Bipartite.t -> c:int -> c':int -> bool
-
-val certify :
-  Bipartite.t -> c:int -> c':int -> rng:Ftcsn_prng.Rng.t -> [ `Certified | `Refuted of int | `Probable ]
-(** Exhaustive when feasible ([`Certified]/[`Refuted min]); otherwise
-    greedy + sampled search for a violation ([`Refuted]), or [`Probable]
-    when none is found. *)

@@ -12,8 +12,6 @@ let is_valid_pair ~p ~q =
   is_prime p && is_prime q && p <> q && p mod 4 = 1 && q mod 4 = 1
   && float_of_int q > 2.0 *. sqrt (float_of_int p)
 
-let generator_count ~p = p + 1
-
 let group_order ~q = q * (q - 1) * (q + 1)
 
 (* ---- arithmetic mod q ---- *)

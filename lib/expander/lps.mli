@@ -19,11 +19,3 @@ val make : p:int -> q:int -> Bipartite.t
     classes); when (p|q) = +1 it lives on PSL₂(𝔽_q) (half as many
     vertices) and is connected and non-bipartite.  Degree p+1 either way.
     @raise Invalid_argument when the arithmetic preconditions fail. *)
-
-val generator_count : p:int -> int
-(** p + 1 (the number of norm-p quaternions up to unit equivalence). *)
-
-val group_order : q:int -> int
-(** |PGL₂(𝔽_q)| = q(q−1)(q+1). *)
-
-val is_valid_pair : p:int -> q:int -> bool

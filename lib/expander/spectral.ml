@@ -71,19 +71,3 @@ let second_singular_value ?(iterations = 80) b =
 let ramanujan_bound ~degree =
   if degree < 2 then 1.0
   else 2.0 *. sqrt (float_of_int (degree - 1)) /. float_of_int degree
-
-let mixing_discrepancy b ~s ~t =
-  let n = float_of_int b.Bipartite.inlets in
-  let d = float_of_int (max 1 (Bipartite.max_degree b)) in
-  let in_t = Array.make b.Bipartite.outlets false in
-  Array.iter (fun o -> in_t.(o) <- true) t;
-  let edges = ref 0 in
-  Array.iter
-    (fun i ->
-      Array.iter (fun o -> if in_t.(o) then incr edges) b.Bipartite.adj.(i))
-    s;
-  let fs = float_of_int (Array.length s) and ft = float_of_int (Array.length t) in
-  if fs = 0.0 || ft = 0.0 then 0.0
-  else
-    Float.abs (float_of_int !edges -. (d *. fs *. ft /. n))
-    /. (d *. sqrt (fs *. ft))

@@ -14,8 +14,3 @@ val second_singular_value : ?iterations:int -> Bipartite.t -> float
 
 val ramanujan_bound : degree:int -> float
 (** 2√(d−1)/d. *)
-
-val mixing_discrepancy :
-  Bipartite.t -> s:int array -> t:int array -> float
-(** |e(S,T) − d·|S||T|/n| / (d·√(|S||T|)) — the expander-mixing-lemma
-    ratio, ≤ σ₂ for genuinely expanding graphs. *)

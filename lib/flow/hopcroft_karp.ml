@@ -69,5 +69,3 @@ let matching ~n_left ~n_right ~adj =
     done
   done;
   { pair_left; pair_right; size = !size }
-
-let is_perfect_on_left t = Array.for_all (fun r -> r >= 0) t.pair_left

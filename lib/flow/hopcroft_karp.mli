@@ -13,5 +13,3 @@ type t = {
 val matching : n_left:int -> n_right:int -> adj:int array array -> t
 (** [matching ~n_left ~n_right ~adj] where [adj.(l)] lists the right
     neighbours of left vertex [l]. *)
-
-val is_perfect_on_left : t -> bool

@@ -1,5 +1,4 @@
 module Vec = Ftcsn_util.Vec
-module Bitset = Ftcsn_util.Bitset
 
 (* Arc-pair representation: arc 2k is forward, arc 2k+1 its residual twin. *)
 type t = {
@@ -114,21 +113,3 @@ let max_flow t ~source ~sink =
   !flow
 
 let flow_on t a = Vec.get t.cap (a lor 1)
-
-let min_cut_source_side t ~source =
-  let side = Bitset.create t.n in
-  Bitset.add side source;
-  let queue = Queue.create () in
-  Queue.add source queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    Vec.iter
-      (fun a ->
-        let w = Vec.get t.dst a in
-        if Vec.get t.cap a > 0 && not (Bitset.mem side w) then begin
-          Bitset.add side w;
-          Queue.add w queue
-        end)
-      t.head.(v)
-  done;
-  side

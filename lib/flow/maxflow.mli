@@ -27,7 +27,3 @@ val max_flow : t -> source:int -> sink:int -> int
 
 val flow_on : t -> int -> int
 (** Flow routed on the given arc handle (after {!max_flow}). *)
-
-val min_cut_source_side : t -> source:int -> Ftcsn_util.Bitset.t
-(** After {!max_flow}: vertices reachable from [source] in the residual
-    graph; the arcs leaving this set form a minimum cut. *)

@@ -127,12 +127,6 @@ let iter_edges g f =
     f ~eid:e ~src:g.esrc.(e) ~dst:g.edst.(e)
   done
 
-let out_neighbours g v =
-  Array.sub g.out_dst g.out_off.(v) (out_degree g v)
-
-let in_neighbours g v =
-  Array.sub g.in_src g.in_off.(v) (in_degree g v)
-
 let max_degree g =
   let best = ref 0 in
   for v = 0 to g.n - 1 do
@@ -143,20 +137,6 @@ let max_degree g =
 
 let reverse g =
   csr_of_endpoints g.n g.m (Array.copy g.edst) (Array.copy g.esrc)
-
-let subgraph_by_edges_map g ~keep =
-  let srcs = Vec.create () and dsts = Vec.create () and old_ids = Vec.create () in
-  for e = 0 to g.m - 1 do
-    if keep e then begin
-      Vec.push srcs g.esrc.(e);
-      Vec.push dsts g.edst.(e);
-      Vec.push old_ids e
-    end
-  done;
-  let esrc = Vec.to_array srcs and edst = Vec.to_array dsts in
-  (csr_of_endpoints g.n (Array.length esrc) esrc edst, Vec.to_array old_ids)
-
-let subgraph_by_edges g ~keep = fst (subgraph_by_edges_map g ~keep)
 
 let quotient g ~label ~classes ~drop_self_loops =
   if Array.length label <> g.n then invalid_arg "Digraph.quotient";
@@ -172,10 +152,6 @@ let quotient g ~label ~classes ~drop_self_loops =
   done;
   let esrc = Vec.to_array srcs and edst = Vec.to_array dsts in
   (csr_of_endpoints classes (Array.length esrc) esrc edst, edge_image)
-
-let pp_summary ppf g =
-  Format.fprintf ppf "digraph: %d vertices, %d edges, max degree %d" g.n g.m
-    (max_degree g)
 
 (* Raw CSR access for the allocation-free routers: closure-free loops
    over the adjacency need the arrays themselves, not an iterator. *)

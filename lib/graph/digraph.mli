@@ -65,10 +65,6 @@ val fold_in : t -> int -> init:'a -> f:('a -> src:int -> eid:int -> 'a) -> 'a
 
 val iter_edges : t -> (eid:int -> src:int -> dst:int -> unit) -> unit
 
-val out_neighbours : t -> int -> int array
-
-val in_neighbours : t -> int -> int array
-
 val max_degree : t -> int
 (** Maximum of in+out degree over all vertices — the "adjacent to at most
     twelve edges" quantity in the paper's Lemma 3. *)
@@ -79,20 +75,10 @@ val reverse : t -> t
 (** Mirror image in the paper's sense: edge directions flipped.  Edge ids
     are preserved. *)
 
-val subgraph_by_edges : t -> keep:(int -> bool) -> t
-(** Same vertex set, only edges whose id satisfies [keep]; edge ids are
-    renumbered densely, with the mapping returned by
-    {!subgraph_by_edges_map}. *)
-
-val subgraph_by_edges_map : t -> keep:(int -> bool) -> t * int array
-(** As {!subgraph_by_edges}; the array maps new edge ids to old ones. *)
-
 val quotient : t -> label:int array -> classes:int -> drop_self_loops:bool -> t * int array
 (** [quotient g ~label ~classes ~drop_self_loops] contracts each label class
     to a single vertex (closed-failure semantics).  Returns the quotient and
     an array mapping old edge ids to new ones ([-1] for dropped loops). *)
-
-val pp_summary : Format.formatter -> t -> unit
 
 (** {1 Raw CSR access}
 

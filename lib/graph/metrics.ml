@@ -32,16 +32,6 @@ let degree_profile g =
     }
   end
 
-let degree_histogram g side =
-  let tbl = Hashtbl.create 16 in
-  for v = 0 to Digraph.vertex_count g - 1 do
-    let d =
-      match side with `In -> Digraph.in_degree g v | `Out -> Digraph.out_degree g v
-    in
-    Hashtbl.replace tbl d (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d))
-  done;
-  Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl [] |> List.sort compare
-
 let directed_eccentricity g v =
   Array.fold_left max 0 (Traverse.bfs_directed g ~sources:[ v ])
 
@@ -56,17 +46,3 @@ let diameter_lower_bound g ~samples ~rng =
     done;
     !best
   end
-
-let is_regular g ~degree ~interior_only =
-  let ok = ref true in
-  for v = 0 to Digraph.vertex_count g - 1 do
-    if
-      interior_only v
-      && (Digraph.in_degree g v <> degree || Digraph.out_degree g v <> degree)
-    then ok := false
-  done;
-  !ok
-
-let edge_vertex_ratio g =
-  let n = Digraph.vertex_count g in
-  if n = 0 then 0.0 else float_of_int (Digraph.edge_count g) /. float_of_int n

@@ -13,19 +13,7 @@ type degree_profile = {
 
 val degree_profile : Digraph.t -> degree_profile
 
-val degree_histogram : Digraph.t -> [ `In | `Out ] -> (int * int) list
-(** (degree, vertex count) pairs, ascending by degree. *)
-
-val directed_eccentricity : Digraph.t -> int -> int
-(** Largest finite directed distance from the vertex. *)
-
 val diameter_lower_bound :
   Digraph.t -> samples:int -> rng:Ftcsn_prng.Rng.t -> int
 (** Max eccentricity over sampled sources (a lower bound on the directed
     diameter over reachable pairs). *)
-
-val is_regular : Digraph.t -> degree:int -> interior_only:(int -> bool) -> bool
-(** All vertices selected by [interior_only] have both degrees equal to
-    [degree]. *)
-
-val edge_vertex_ratio : Digraph.t -> float

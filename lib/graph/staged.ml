@@ -8,12 +8,6 @@ let of_sources ?edge_ok g ~sources =
   let stages = 1 + Array.fold_left max (-1) stage in
   { stage; stages }
 
-let is_strictly_staged g t =
-  let ok = ref true in
-  Digraph.iter_edges g (fun ~eid:_ ~src ~dst ->
-      if t.stage.(src) < 0 || t.stage.(dst) <> t.stage.(src) + 1 then ok := false);
-  !ok
-
 let vertices_at t s =
   let acc = ref [] in
   for v = Array.length t.stage - 1 downto 0 do

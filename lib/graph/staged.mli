@@ -16,9 +16,6 @@ val of_sources : ?edge_ok:(int -> bool) -> Digraph.t -> sources:int list -> t
     [edge_ok] masks edges out before staging, so a surviving subnetwork
     can be staged without rebuilding it. *)
 
-val is_strictly_staged : Digraph.t -> t -> bool
-(** True iff every edge joins consecutive stages. *)
-
 val vertices_at : t -> int -> int list
 (** Vertices on the given stage, ascending. *)
 

@@ -2,7 +2,7 @@ module Bitset = Ftcsn_util.Bitset
 
 let always _ = true
 
-let bfs_core ~undirected ?(allowed = always) ?(edge_ok = always) g ~sources =
+let bfs_directed ?(allowed = always) ?(edge_ok = always) g ~sources =
   let n = Digraph.vertex_count g in
   let dist = Array.make n (-1) in
   let queue = Queue.create () in
@@ -21,19 +21,11 @@ let bfs_core ~undirected ?(allowed = always) ?(edge_ok = always) g ~sources =
   while not (Queue.is_empty queue) do
     let v = Queue.pop queue in
     let d = dist.(v) + 1 in
-    Digraph.iter_out g v (fun ~dst ~eid -> if edge_ok eid then visit d dst);
-    if undirected then
-      Digraph.iter_in g v (fun ~src ~eid -> if edge_ok eid then visit d src)
+    Digraph.iter_out g v (fun ~dst ~eid -> if edge_ok eid then visit d dst)
   done;
   dist
 
-let bfs_directed ?allowed ?edge_ok g ~sources =
-  bfs_core ~undirected:false ?allowed ?edge_ok g ~sources
-
-let bfs_undirected ?allowed ?edge_ok g ~sources =
-  bfs_core ~undirected:true ?allowed ?edge_ok g ~sources
-
-(* Scratch-buffer BFS: same visit discipline as [bfs_core ~undirected:false]
+(* Scratch-buffer BFS: same visit discipline as [bfs_directed]
    (FIFO over out-edges in CSR order), but the queue and distance arrays are
    caller-provided so the steady state of a Monte-Carlo sweep performs no
    allocation.  BFS distances are independent of tie-breaking, so this is
@@ -64,9 +56,6 @@ let bfs_directed_into ?(allowed = always) ?(edge_ok = always) g ~sources ~queue
           incr tail
         end)
   done
-
-let bfs_directed_max_dist g ~sources =
-  Array.fold_left max 0 (bfs_directed g ~sources)
 
 let reachable ?allowed g ~sources =
   let dist = bfs_directed ?allowed g ~sources in

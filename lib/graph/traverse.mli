@@ -1,15 +1,11 @@
-(** Graph traversals: BFS distances (directed and undirected), DFS,
-    topological order, reachability.
-
-    The paper's lower bound (§5) measures distances "ignoring the direction
-    of each edge"; {!bfs_undirected} implements exactly that metric, while
-    {!bfs_directed} serves routing and depth computation.
+(** Graph traversals: directed BFS distances, DFS, topological order,
+    reachability.
 
     Every traversal takes an optional [edge_ok : eid -> bool] mask that
     hides edges from the walk without rebuilding the graph.  Because CSR
     adjacency lists keep edges in ascending edge-id order, traversing the
     original graph under a mask visits vertices in exactly the order a
-    rebuilt {!Digraph.subgraph_by_edges} would — masked traversals are
+    subgraph rebuilt from the kept edges would — masked traversals are
     bit-identical to their rebuild-based equivalents.
     {!bfs_directed_into} and {!shortest_path_arena_buf} additionally take
     caller-owned scratch so the Monte-Carlo and call-routing hot paths
@@ -26,15 +22,6 @@ val bfs_directed :
     traversal to permitted vertices (sources are visited regardless);
     [edge_ok] restricts it to permitted edges. *)
 
-val bfs_undirected :
-  ?allowed:(int -> bool) ->
-  ?edge_ok:(int -> bool) ->
-  Digraph.t ->
-  sources:int list ->
-  int array
-(** As {!bfs_directed} but edges are traversed in both directions — the
-    paper's [dist] metric of §5. *)
-
 val bfs_directed_into :
   ?allowed:(int -> bool) ->
   ?edge_ok:(int -> bool) ->
@@ -46,9 +33,6 @@ val bfs_directed_into :
 (** Allocation-free {!bfs_directed}: distances are written into [dist]
     (fully re-initialised to [-1] first) using [queue] as the BFS ring
     buffer.  Both arrays must have length at least [vertex_count g]. *)
-
-val bfs_directed_max_dist : Digraph.t -> sources:int list -> int
-(** Largest finite directed distance from the source set. *)
 
 val reachable : ?allowed:(int -> bool) -> Digraph.t -> sources:int list -> Ftcsn_util.Bitset.t
 (** Directed reachability set. *)

@@ -133,9 +133,4 @@ let route t pi =
   if not (Perm.is_valid pi) then invalid_arg "Benes.route: not a permutation";
   route_node t.root pi
 
-let switch_columns t =
-  let n = Network.n_inputs t.net in
-  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
-  (2 * log2 n) - 1
-
 let root t = t.root

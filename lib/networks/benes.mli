@@ -47,6 +47,3 @@ val route : t -> Ftcsn_util.Perm.t -> int list array
 (** [route t pi] = vertex-disjoint paths, one per input [i], from input
     vertex [i] to output vertex [pi.(i)].  Paths include both endpoints.
     @raise Invalid_argument when the permutation arity differs from n. *)
-
-val switch_columns : t -> int
-(** 2 log₂ n − 1. *)

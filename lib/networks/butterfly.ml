@@ -24,17 +24,3 @@ let make n =
     ~graph:(Digraph.Builder.freeze b)
     ~inputs:(Array.init n (fun row -> id 0 row))
     ~outputs:(Array.init n (fun row -> id k row))
-
-let unique_path ~n ~input ~output =
-  let k = log2_exact n in
-  let id level row = (level * n) + row in
-  let rec go level row acc =
-    if level = k then List.rev (id level row :: acc)
-    else begin
-      (* fix bit [level] of the row to match the output *)
-      let bit = 1 lsl level in
-      let row' = row land lnot bit lor (output land bit) in
-      go (level + 1) row' (id level row :: acc)
-    end
-  in
-  go 0 input []

@@ -9,7 +9,3 @@
 
 val make : int -> Network.t
 (** [make n] for n ≥ 2 a power of two. *)
-
-val unique_path : n:int -> input:int -> output:int -> int list
-(** The unique input→output path, as (level, row) vertex ids matching
-    {!make}'s layout (level-major: id = level·n + row). *)

@@ -61,10 +61,6 @@ let make_built ({ m; k; r } as params) =
 
 let make params = (make_built params).net
 
-let strictly_nonblocking_params { m; k; _ } = m >= (2 * k) - 1
-
-let rearrangeable_params { m; k; _ } = m >= k
-
 let square_split n =
   let k = int_of_float (ceil (sqrt (float_of_int n))) in
   let r = (n + k - 1) / k in

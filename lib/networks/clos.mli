@@ -14,12 +14,6 @@ type params = {
 val make : params -> Network.t
 (** n = r·k inputs and outputs; size = 2rkm + mr². *)
 
-val strictly_nonblocking_params : params -> bool
-(** m ≥ 2k − 1. *)
-
-val rearrangeable_params : params -> bool
-(** m ≥ k. *)
-
 val nonblocking : n:int -> Network.t
 (** A strictly nonblocking Clos on [n] terminals with r = k ≈ √n
     (padding n up to a perfect square) and m = 2k − 1. *)

@@ -32,16 +32,6 @@ let depth t =
 
 let is_acyclic t = Traverse.is_acyclic t.graph
 
-let find_index a v =
-  let rec go i =
-    if i >= Array.length a then None else if a.(i) = v then Some i else go (i + 1)
-  in
-  go 0
-
-let input_index t v = find_index t.inputs v
-
-let output_index t v = find_index t.outputs v
-
 let terminals t = Array.to_list t.inputs @ Array.to_list t.outputs
 
 let reverse t =

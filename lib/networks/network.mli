@@ -27,11 +27,6 @@ val depth : t -> int
 
 val is_acyclic : t -> bool
 
-val input_index : t -> int -> int option
-(** Position of a vertex in the input array, if it is an input. *)
-
-val output_index : t -> int -> int option
-
 val terminals : t -> int list
 (** All inputs then all outputs. *)
 

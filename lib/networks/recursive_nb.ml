@@ -156,18 +156,6 @@ let build ~builder ~rng ~params ~levels ~trim ?first_stage ?last_stage () =
   done;
   { stages; levels; trim; params }
 
-let blocks_of_stage t idx =
-  let s = idx + t.trim in
-  let l = t.levels in
-  let stage = t.stages.(idx) in
-  if s = 0 || s = 2 * l then Array.map (fun v -> [| v |]) stage
-  else begin
-    let level = if s <= l then s else (2 * l) - s in
-    let bw = block_width t.params ~level in
-    let count = Array.length stage / bw in
-    Array.init count (fun b -> Array.sub stage (b * bw) bw)
-  end
-
 let make ~rng ~params ~levels =
   let builder = Digraph.Builder.create () in
   let t = build ~builder ~rng ~params ~levels ~trim:0 () in

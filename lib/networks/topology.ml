@@ -71,16 +71,6 @@ type gen = {
   build : args:(string * string) list -> n:int -> rng:Ftcsn_prng.Rng.t -> Network.t;
 }
 
-let int_arg ~family args key ~default =
-  match List.assoc_opt key args with
-  | None -> default
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> i
-      | None ->
-          spec_error "parameter %S of family %s: %S is not an integer" key
-            family v)
-
 let int_arg_opt ~family args key =
   match List.assoc_opt key args with
   | None -> None
@@ -90,6 +80,9 @@ let int_arg_opt ~family args key =
       | None ->
           spec_error "parameter %S of family %s: %S is not an integer" key
             family v)
+
+let int_arg ~family args key ~default =
+  Option.value ~default (int_arg_opt ~family args key)
 
 let flag_arg args key = List.mem_assoc key args
 

@@ -69,16 +69,12 @@ type gen = {
 }
 
 exception Spec_error of string
-(** Raised by the argument helpers below (and allowed from [build]
-    bodies); {!build} converts it to [Error]. *)
-
-val int_arg : family:string -> (string * string) list -> string -> default:int -> int
-(** Look up an integer argument, falling back to [default].
-    @raise Spec_error when the value is not an integer. *)
+(** Raised by {!int_arg_opt} (and allowed from [build] bodies);
+    {!build} converts it to [Error]. *)
 
 val int_arg_opt : family:string -> (string * string) list -> string -> int option
-
-val flag_arg : (string * string) list -> string -> bool
+(** Look up an integer argument, if given.
+    @raise Spec_error when the value is not an integer. *)
 
 (** {2 Registry} *)
 
@@ -116,7 +112,3 @@ val build : ?n:int -> rng:Ftcsn_prng.Rng.t -> spec -> (built, string) result
 
 val build_string : ?n:int -> rng:Ftcsn_prng.Rng.t -> string -> (built, string) result
 (** [parse] then [build]. *)
-
-val pow2_ceil : int -> int
-(** Smallest power of two ≥ [max 2 n] — the rounding most families
-    apply to [n]. *)

@@ -68,21 +68,6 @@ let max_value t = t.max_v
 
 let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 
-let merge ~into src =
-  if src.count > 0 then begin
-    Array.iteri (fun i c -> into.buckets.(i) <- into.buckets.(i) + c) src.buckets;
-    if into.count = 0 then begin
-      into.min_v <- src.min_v;
-      into.max_v <- src.max_v
-    end
-    else begin
-      if src.min_v < into.min_v then into.min_v <- src.min_v;
-      if src.max_v > into.max_v then into.max_v <- src.max_v
-    end;
-    into.count <- into.count + src.count;
-    into.sum <- into.sum + src.sum
-  end
-
 let quantile t q =
   if t.count = 0 then 0
   else begin

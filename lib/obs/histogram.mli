@@ -13,11 +13,8 @@
     most 6.25% — while the whole 62-bit range fits in 960 buckets
     (about 8 KiB), so a histogram is cheap enough to keep per worker.
 
-    Histograms are deliberately {e not} thread-safe: the intended
-    pattern (matching the trial engine's scratch discipline) is one
-    histogram per worker domain, {!merge}d on the scheduling domain.
-    [merge] is associative and commutative, so the merged result is
-    independent of worker scheduling. *)
+    Histograms are deliberately {e not} thread-safe: keep one per
+    domain. *)
 
 type t
 
@@ -41,10 +38,6 @@ val max_value : t -> int
 
 val mean : t -> float
 (** [sum / count]; 0 if empty. *)
-
-val merge : into:t -> t -> unit
-(** [merge ~into src] adds every observation of [src] into [into];
-    [src] is unchanged. *)
 
 val quantile : t -> float -> int
 (** [quantile t q] for [q] in [0, 1]: the upper bound of the first

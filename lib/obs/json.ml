@@ -272,6 +272,4 @@ let to_float = function
   | Int n -> Some (float_of_int n)
   | _ -> None
 
-let to_bool = function Bool b -> Some b | _ -> None
-
 let to_str = function String s -> Some s | _ -> None

@@ -47,7 +47,5 @@ val to_int : t -> int option
 val to_float : t -> float option
 (** [Float x] gives [x]; [Int n] gives [float_of_int n]. *)
 
-val to_bool : t -> bool option
-
 val to_str : t -> string option
 (** The payload of a [String]; [None] otherwise. *)

@@ -51,11 +51,3 @@ let to_json t =
           ( "gauges",
             Json.Obj (sorted_bindings t.gauges (fun g -> Json.Float g)) );
         ])
-
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json t));
-      output_char oc '\n')

@@ -39,7 +39,3 @@ val to_json : t -> Json.t
 (** An object [{"counters": {...}, "timers": {...}, "gauges": {...}}]
     with names sorted, so reports are stable under registration
     order. *)
-
-val write_file : t -> string -> unit
-(** Write [to_json] (plus a trailing newline) to a file, truncating
-    it.  Raises [Sys_error] if the path is unwritable. *)

@@ -10,10 +10,8 @@
       the phase.
 
     An accumulator inherits {!Histogram}'s threading discipline: it
-    must be owned by one domain at a time (per-worker accumulators can
-    be folded together with {!Histogram.merge} on the underlying
-    histograms).  Stopwatches are immutable captures and safe
-    anywhere. *)
+    must be owned by one domain at a time.  Stopwatches are immutable
+    captures and safe anywhere. *)
 
 type stopwatch
 
@@ -28,9 +26,6 @@ type t
 
 val create : unit -> t
 
-val record_ns : t -> int -> unit
-(** Fold one externally-measured duration into the accumulator. *)
-
 val time : t -> (unit -> 'a) -> 'a
 (** Run the thunk and record its wall-clock duration — also on
     exceptional exit, so a failing phase still shows up in the
@@ -42,13 +37,8 @@ val count : t -> int
 val total_ns : t -> int
 (** Summed duration of all recorded sections. *)
 
-val mean_ns : t -> float
-
-val max_ns : t -> int
-
 val histogram : t -> Histogram.t
-(** The underlying histogram (shared, not a copy) — for merging
-    per-worker accumulators. *)
+(** The underlying histogram (shared, not a copy). *)
 
 val to_json : t -> Json.t
 (** Summary object: [count], [total_ns], [mean_ns], [max_ns],

@@ -67,20 +67,12 @@ type event =
 
 (** {2 Serialization} *)
 
-val event_to_json : ts_ns:int -> event -> Json.t
-(** The JSON object for one trace line: a [ts_ns] field plus an [ev]
-    tag ([span_begin], [span_end], [run_begin], [chunk], [stop_check],
-    [run_end]) and the event's own fields. *)
-
-val event_of_json : Json.t -> (int * event, string) result
-(** Inverse of {!event_to_json}: recover [(ts_ns, event)].  Total on
-    everything {!event_to_json} produces (the round-trip is exact,
-    including float fields); descriptive [Error] otherwise. *)
-
 val event_to_string : ts_ns:int -> event -> string
-(** One JSONL line, without the trailing newline. *)
-
-val event_of_string : string -> (int * event, string) result
+(** One JSONL line, without the trailing newline: a JSON object with a
+    [ts_ns] field plus an [ev] tag ([span_begin], [span_end],
+    [run_begin], [chunk], [stop_check], [run_end]) and the event's own
+    fields ([null] for an absent option); float fields round-trip
+    exactly through {!Json.parse}. *)
 
 (** {2 Sinks} *)
 

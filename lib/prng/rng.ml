@@ -2,8 +2,6 @@ type t = Splitmix64.t
 
 let create ~seed = Splitmix64.create (Int64.of_int seed)
 
-let of_int64 = Splitmix64.create
-
 let split = Splitmix64.split
 
 let substream = Splitmix64.substream

@@ -11,8 +11,6 @@ type t
 
 val create : seed:int -> t
 
-val of_int64 : int64 -> t
-
 val split : t -> t
 (** Independent substream; the parent advances. *)
 

@@ -53,8 +53,6 @@ let create ~terminals graph =
     shorted = 0;
   }
 
-let closed_count t = t.csize
-
 let is_closed t e = Bytes.get t.closed e <> '\000'
 
 let short c = if c >= 2 then 1 else 0

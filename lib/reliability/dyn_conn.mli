@@ -55,6 +55,3 @@ val connected : t -> int -> int -> bool
 
 val terminals_shorted : t -> bool
 (** Lemma-7 catastrophe: do two terminals share a closed class?  O(1). *)
-
-val closed_count : t -> int
-(** Number of currently-closed edges. *)

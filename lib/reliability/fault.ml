@@ -13,11 +13,6 @@ let state_equal a b =
       true
   | (Normal | Open_failure | Closed_failure), _ -> false
 
-let pp_state ppf = function
-  | Normal -> Format.pp_print_string ppf "normal"
-  | Open_failure -> Format.pp_print_string ppf "open"
-  | Closed_failure -> Format.pp_print_string ppf "closed"
-
 (* written as the negation of the valid range so that NaN is rejected *)
 let check_probabilities ~eps_open ~eps_close =
   if not (eps_open >= 0.0 && eps_close >= 0.0 && eps_open +. eps_close <= 1.0)
@@ -98,25 +93,6 @@ let all_normal m = Array.make m Normal
 let count pattern s =
   Array.fold_left (fun acc x -> if state_equal x s then acc + 1 else acc) 0 pattern
 
-let failed_edges pattern =
-  let acc = ref [] in
-  for e = Array.length pattern - 1 downto 0 do
-    if not (state_equal pattern.(e) Normal) then acc := e :: !acc
-  done;
-  !acc
-
-let pattern_probability pattern ~eps_open ~eps_close =
-  let p_normal = 1.0 -. eps_open -. eps_close in
-  Array.fold_left
-    (fun acc s ->
-      acc
-      *.
-      match s with
-      | Normal -> p_normal
-      | Open_failure -> eps_open
-      | Closed_failure -> eps_close)
-    1.0 pattern
-
 let faulty_vertices_into g pattern faulty =
   Bitset.clear faulty;
   Array.iteri
@@ -127,8 +103,3 @@ let faulty_vertices_into g pattern faulty =
         Bitset.add faulty dst
       end)
     pattern
-
-let faulty_vertices g pattern =
-  let faulty = Bitset.create (Digraph.vertex_count g) in
-  faulty_vertices_into g pattern faulty;
-  faulty

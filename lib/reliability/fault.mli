@@ -16,8 +16,6 @@ type pattern = state array
 
 val state_equal : state -> state -> bool
 
-val pp_state : Format.formatter -> state -> unit
-
 val sample : Ftcsn_prng.Rng.t -> eps_open:float -> eps_close:float -> m:int -> pattern
 (** Independent per-edge sample.  Requires [eps_open + eps_close <= 1]. *)
 
@@ -73,19 +71,9 @@ val all_normal : int -> pattern
 
 val count : pattern -> state -> int
 
-val failed_edges : pattern -> int list
-(** Ids of edges in either failure state, ascending. *)
-
-val pattern_probability : pattern -> eps_open:float -> eps_close:float -> float
-(** Product of per-edge state probabilities — the measure assigned to one
-    point of the event space Ω in §3. *)
-
-val faulty_vertices : Ftcsn_graph.Digraph.t -> pattern -> Ftcsn_util.Bitset.t
-(** Vertices incident to at least one failed edge — the paper's §6 notion
-    "say a vertex η of 𝒩 is faulty if an edge (ζ, η) or (η, ζ) is in open
-    or closed failure state". *)
-
 val faulty_vertices_into :
   Ftcsn_graph.Digraph.t -> pattern -> Ftcsn_util.Bitset.t -> unit
-(** As {!faulty_vertices}, clearing and refilling a caller-owned bitset
-    (capacity [vertex_count g]) instead of allocating one. *)
+(** Clear a caller-owned bitset (capacity [vertex_count g]) and fill it
+    with the vertices incident to at least one failed edge — the paper's
+    §6 notion "say a vertex η of 𝒩 is faulty if an edge (ζ, η) or (η, ζ)
+    is in open or closed failure state". *)

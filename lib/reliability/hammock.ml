@@ -48,37 +48,6 @@ let short_failure_prob ?jobs ?target_ci ?progress ?trace ~trials ~rng ~eps t =
       Survivor.shorted_by_closure_into sc (Scratch.pattern sc) ~a:t.input
         ~b:t.output)
 
-let sorted_ascending eps =
-  let ok = ref true in
-  for k = 1 to Array.length eps - 1 do
-    if eps.(k) < eps.(k - 1) then ok := false
-  done;
-  !ok
-
-let open_failure_prob_curve ?jobs ?progress ?trace ~trials ~rng ~eps t =
-  (* Open failure only reads the open-edge set {u < ε}, which is nested
-     as ε grows — on an ascending grid the per-trial indicator is
-     monotone and later points can short-circuit. *)
-  let monotone_event = sorted_ascending eps in
-  Monte_carlo.estimate_curve ?jobs ?progress ?trace
-    ~label:"hammock.open_failure_prob_curve" ~monotone_event ~trials ~rng
-    ~graph:t.graph
-    ~grid:(Array.map (fun e -> (e, e)) eps)
-    (fun sc ->
-      not
-        (Survivor.connected_ignoring_opens_into sc (Scratch.pattern sc)
-           ~a:t.input ~b:t.output))
-
-let short_failure_prob_curve ?jobs ?progress ?trace ~trials ~rng ~eps t =
-  (* The closed-edge set {ε ≤ u < 2ε} is NOT nested in ε, so shorting is
-     not monotone along the grid — every point is evaluated. *)
-  Monte_carlo.estimate_curve ?jobs ?progress ?trace
-    ~label:"hammock.short_failure_prob_curve" ~trials ~rng ~graph:t.graph
-    ~grid:(Array.map (fun e -> (e, e)) eps)
-    (fun sc ->
-      Survivor.shorted_by_closure_into sc (Scratch.pattern sc) ~a:t.input
-        ~b:t.output)
-
 let size t = Digraph.edge_count t.graph
 
 let depth t =

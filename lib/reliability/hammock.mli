@@ -5,8 +5,8 @@
     w stages, edges from (i, j) to (i, j+1) and to (i+1 mod l, j+1) — with a
     single input feeding every stage-0 vertex and every last-stage vertex
     draining to a single output.  Unlike {!Sp_network} these are not
-    series-parallel, so their reliability is measured (Monte-Carlo, or
-    {!Exact} when tiny) rather than computed by recurrence; experiment E1
+    series-parallel, so their reliability is measured by Monte-Carlo
+    rather than computed by recurrence; experiment E1
     compares both families. *)
 
 type t = {
@@ -45,39 +45,6 @@ val short_failure_prob :
   t ->
   Monte_carlo.estimate
 (** Monte-Carlo estimate of P[input and output contract]. *)
-
-val open_failure_prob_curve :
-  ?jobs:int ->
-  ?progress:(Ftcsn_sim.Trials.progress -> unit) ->
-  ?trace:Ftcsn_obs.Trace.sink ->
-  trials:int ->
-  rng:Ftcsn_prng.Rng.t ->
-  eps:float array ->
-  t ->
-  Monte_carlo.estimate array
-(** CRN-coupled curve of {!open_failure_prob} over an ε grid: one
-    estimate per grid point from a single fan-out of [trials] coupled
-    trials ({!Monte_carlo.estimate_curve}).  Open failure only depends
-    on the open-edge set [{u < ε}], which is nested as ε grows, so on an
-    ascending grid the per-trial indicator is monotone and the sweep
-    short-circuits already-failed trials at later points — same results,
-    less work.  Each point of the curve is bit-identical to an
-    independent {!open_failure_prob} run at that ε with the same [rng]
-    state and [trials]. *)
-
-val short_failure_prob_curve :
-  ?jobs:int ->
-  ?progress:(Ftcsn_sim.Trials.progress -> unit) ->
-  ?trace:Ftcsn_obs.Trace.sink ->
-  trials:int ->
-  rng:Ftcsn_prng.Rng.t ->
-  eps:float array ->
-  t ->
-  Monte_carlo.estimate array
-(** CRN-coupled curve of {!short_failure_prob} over an ε grid.  Shorting
-    reads the closed-edge set [{ε ≤ u < 2ε}], which is not nested in ε,
-    so no monotone short-circuit applies — every grid point is
-    evaluated on every trial. *)
 
 val size : t -> int
 

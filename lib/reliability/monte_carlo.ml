@@ -11,7 +11,9 @@ type estimate = Trials.estimate = {
 let of_counts = Trials.of_counts
 
 let estimate ?jobs ?target_ci ?progress ?trace ?label ~trials ~rng f =
-  Trials.run ?jobs ?target_ci ?progress ?trace ?label ~trials ~rng f
+  Trials.run_scratch ?jobs ?target_ci ?progress ?trace ?label ~trials ~rng
+    ~init:ignore
+    (fun () sub -> f sub)
 
 let estimate_event_scratch ?jobs ?target_ci ?progress ?trace ?label ~trials
     ~rng ~graph ~eps_open ~eps_close f =

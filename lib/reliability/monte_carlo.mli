@@ -2,7 +2,7 @@
     intervals.
 
     The (ε, δ) properties of §3 are expectations over fault patterns; above
-    ~13 edges exact enumeration (see {!Exact}) is infeasible, so experiments
+    ~13 edges exact enumeration of all 3^m patterns is infeasible, so experiments
     estimate them from seeded samples and report Wilson 95% intervals.
 
     These are thin façades over the {!Ftcsn_sim.Trials} engine: trial [i]

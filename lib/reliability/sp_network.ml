@@ -63,34 +63,6 @@ let design ~eps ~eps' =
   in
   go 0
 
-let rectangle ~j ~k =
-  if j < 1 || k < 1 then invalid_arg "Sp_network.rectangle";
-  Parallel (List.init k (fun _ -> Series (List.init j (fun _ -> Edge))))
-
-let design_rectangle ~eps ~target_open ~target_short =
-  if eps <= 0.0 || eps >= 0.5 then invalid_arg "Sp_network.design_rectangle";
-  (* closed-form per-rectangle probabilities avoid re-walking the spec *)
-  let open_prob_rect j k =
-    let branch_opens = 1.0 -. ((1.0 -. eps) ** float_of_int j) in
-    branch_opens ** float_of_int k
-  in
-  let short_prob_rect j k =
-    let branch_shorts = eps ** float_of_int j in
-    1.0 -. ((1.0 -. branch_shorts) ** float_of_int k)
-  in
-  let best = ref None in
-  for j = 1 to 64 do
-    for k = 1 to 64 do
-      if open_prob_rect j k < target_open && short_prob_rect j k < target_short
-      then begin
-        match !best with
-        | Some (bj, bk) when bj * bk <= j * k -> ()
-        | _ -> best := Some (j, k)
-      end
-    done
-  done;
-  Option.map (fun (j, k) -> rectangle ~j ~k) !best
-
 type built = {
   graph : Digraph.t;
   input : int;

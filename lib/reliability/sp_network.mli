@@ -13,8 +13,8 @@
     For series-parallel graphs both failure probabilities obey exact
     product recurrences (disjoint subnetworks fail independently and
     connectivity decomposes along the composition), so designs carry exact
-    analytical bounds that the tests cross-check against {!Exact} and
-    {!Monte_carlo}. *)
+    analytical bounds that the tests cross-check against exact
+    enumeration and {!Monte_carlo}. *)
 
 type spec =
   | Edge  (** a single switch *)
@@ -24,9 +24,6 @@ type spec =
 val quad : spec -> spec
 (** [quad s] = series of two parallels of two copies of [s] — one
     Moore–Shannon amplification round. *)
-
-val iterate_quad : int -> spec
-(** [iterate_quad k] = [quad]^k applied to a single edge. *)
 
 val size : spec -> int
 (** Number of switches. *)
@@ -47,26 +44,6 @@ val design : eps:float -> eps':float -> spec
     @raise Invalid_argument when ε ≥ 1/4 (amplification needs 2ε(2-ε) < 1,
     guaranteed below 1/4, mirroring the paper's 0 < ε < 1/2 with a safety
     margin for the quad gadget). *)
-
-(** {1 Moore–Shannon rectangles}
-
-    The original [MS] designs are j×k {e rectangles}: k parallel branches
-    of j switches in series.  A rectangle drives the short probability
-    like k·(ε(2−ε)…)ᵏ— precisely: shorts iff some branch is all-closed
-    (probability 1−(1−ε^j)^k), opens iff every branch has an open switch
-    (probability (1−(1−ε)^j)^k).  Deeper j fights shorts, wider k fights
-    opens; {!design_rectangle} scans (j, k) for the smallest j·k meeting
-    both targets, which often beats quad iteration on asymmetric
-    targets. *)
-
-val rectangle : j:int -> k:int -> spec
-(** Parallel of k series-chains of j switches. *)
-
-val design_rectangle :
-  eps:float -> target_open:float -> target_short:float -> spec option
-(** Smallest-area rectangle whose exact failure probabilities at
-    ε₁ = ε₂ = [eps] are below the two targets; [None] if no rectangle
-    with j, k ≤ 64 suffices. *)
 
 type built = {
   graph : Ftcsn_graph.Digraph.t;

@@ -35,13 +35,6 @@ let substitute g ~gadget =
     original_edges = Digraph.edge_count g;
   }
 
-let size_factor g ~gadget =
-  let m = Digraph.edge_count g in
-  if m = 0 then 0.0
-  else
-    let substituted = substitute g ~gadget in
-    float_of_int (Digraph.edge_count substituted.graph) /. float_of_int m
-
 let logical_rates ?jobs ?trace ~trials ~rng ~eps_open ~eps_close t =
   let gg = t.gadget.Sp_network.graph in
   let gin = t.gadget.Sp_network.input and gout = t.gadget.Sp_network.output in

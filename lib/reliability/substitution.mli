@@ -21,9 +21,6 @@ val substitute : Ftcsn_graph.Digraph.t -> gadget:Sp_network.built -> t
     [k·g + j] is edge [j] of the gadget copy standing in for original
     edge [k] (g = gadget size). *)
 
-val size_factor : Ftcsn_graph.Digraph.t -> gadget:Sp_network.built -> float
-(** Resulting size / original size (= gadget size). *)
-
 val logical_rates :
   ?jobs:int ->
   ?trace:Ftcsn_obs.Trace.sink ->

@@ -33,21 +33,6 @@ let apply_into sc pattern =
     invalid_arg "Survivor.apply_into: pattern arity";
   contract sc pattern
 
-let terminals_distinct_into sc terminals =
-  let gen = Scratch.next_generation sc in
-  let mark = sc.Scratch.mark and uf = sc.Scratch.suf in
-  let rec go = function
-    | [] -> true
-    | v :: rest ->
-        let r = Union_find.Stamped.find uf v in
-        if mark.(r) = gen then false
-        else begin
-          mark.(r) <- gen;
-          go rest
-        end
-  in
-  go terminals
-
 let merged_pairs_into sc terminals =
   let gen = Scratch.next_generation sc in
   let mark = sc.Scratch.mark

@@ -24,11 +24,6 @@ val apply_into : Scratch.t -> Fault.pattern -> unit
     union-find (after a reset).  Afterwards the workspace answers the
     contraction queries below. *)
 
-val terminals_distinct_into : Scratch.t -> int list -> bool
-(** True iff no two of the given original vertices were contracted
-    together by the last {!apply_into} — the event bounded by the
-    paper's Lemma 7. *)
-
 val merged_pairs_into : Scratch.t -> int list -> (int * int) list
 (** The pairs of given terminals that the last {!apply_into} contracted
     together: a terminal pairs with the most recent earlier terminal of

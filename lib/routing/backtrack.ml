@@ -1,6 +1,5 @@
 module Network = Ftcsn_networks.Network
 module Digraph = Ftcsn_graph.Digraph
-module Traverse = Ftcsn_graph.Traverse
 
 type outcome =
   | Routed of int list list
@@ -77,18 +76,3 @@ let route_all ?(budget = 200_000) ?(allowed = fun _ -> true)
   | true -> Routed (Array.to_list acc)
   | false -> Unroutable
   | exception Out_of_budget -> Budget_exceeded
-
-let count_paths ?(allowed = fun _ -> true) net ~src ~dst =
-  let g = net.Network.graph in
-  match Traverse.topological_order g with
-  | None -> invalid_arg "Backtrack.count_paths: cyclic graph"
-  | Some order ->
-      let counts = Array.make (Digraph.vertex_count g) 0 in
-      if allowed src then counts.(src) <- 1;
-      Array.iter
-        (fun v ->
-          if counts.(v) > 0 && allowed v then
-            Digraph.iter_out g v (fun ~dst:w ~eid:_ ->
-                if allowed w then counts.(w) <- counts.(w) + counts.(v)))
-        order;
-      counts.(dst)

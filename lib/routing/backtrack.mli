@@ -28,7 +28,3 @@ val route_all :
     exhaustion) are identical.  Paths never pass {e through} a terminal
     vertex (in the paper's staged networks terminals have no
     through-edges anyway). *)
-
-val count_paths : ?allowed:(int -> bool) -> Ftcsn_networks.Network.t -> src:int -> dst:int -> int
-(** Number of directed simple paths src→dst (DAG assumed: counted by
-    dynamic programming over a topological order). *)

@@ -184,12 +184,3 @@ let nonblocking_exhaustive ?(max_states = 200_000) net =
   | () -> `Holds
   | exception Nb_violation v -> `Violated v
   | exception Nb_budget -> `Budget_exceeded
-
-let is_banyan net =
-  Array.for_all
-    (fun i ->
-      Array.for_all
-        (fun o ->
-          Backtrack.count_paths net ~src:i ~dst:o = 1)
-        net.Network.outputs)
-    net.Network.inputs

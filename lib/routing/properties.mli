@@ -72,6 +72,3 @@ val nonblocking_exhaustive :
 (** Exhaustive game over all reachable sets of established paths (memoised
     on busy sets).  Exponential: use for tiny networks only.
     [max_states] (default 200_000) bounds visited states. *)
-
-val is_banyan : Ftcsn_networks.Network.t -> bool
-(** Every input/output pair joined by exactly one path (e.g. butterfly). *)

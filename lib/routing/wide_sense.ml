@@ -95,66 +95,6 @@ let validate_path net busy ~input ~output path =
       in
       first = src && (not (Bitset.mem busy src)) && check path
 
-type game_result =
-  | Strategy_wins
-  | Adversary_wins of (int * int) list * (int * int)
-  | Budget_exceeded
-
-exception Lost of (int * int) list * (int * int)
-exception Out_of_budget
-
-let adversary_game ?(max_states = 100_000) strategy net =
-  let n_in = Network.n_inputs net and n_out = Network.n_outputs net in
-  let busy = Bitset.create (Digraph.vertex_count net.Network.graph) in
-  let seen = Hashtbl.create 1024 in
-  let visited = ref 0 in
-  let rec explore calls =
-    let key =
-      String.concat ";"
-        (List.map
-           (fun (i, o, _) -> Printf.sprintf "%d-%d" i o)
-           (List.sort compare calls))
-      ^ "|"
-      ^ String.concat "," (List.map string_of_int (Bitset.to_list busy))
-    in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      incr visited;
-      if !visited > max_states then raise Out_of_budget;
-      let live = List.map (fun (i, o, _) -> (i, o)) calls in
-      let input_live i = List.exists (fun (i', _) -> i' = i) live in
-      let output_live o = List.exists (fun (_, o') -> o' = o) live in
-      (* adversary move 1: any idle request *)
-      for i = 0 to n_in - 1 do
-        if not (input_live i) then
-          for o = 0 to n_out - 1 do
-            if not (output_live o) then begin
-              let state = { net; busy; calls } in
-              match strategy state ~input:i ~output:o with
-              | None -> raise (Lost (live, (i, o)))
-              | Some path ->
-                  if not (validate_path net busy ~input:i ~output:o path) then
-                    raise (Lost (live, (i, o)));
-                  List.iter (Bitset.add busy) path;
-                  explore ((i, o, path) :: calls);
-                  List.iter (Bitset.remove busy) path
-            end
-          done
-      done;
-      (* adversary move 2: hang up any live call *)
-      List.iter
-        (fun (i, o, path) ->
-          List.iter (Bitset.remove busy) path;
-          explore (List.filter (fun (i', o', _) -> (i', o') <> (i, o)) calls);
-          List.iter (Bitset.add busy) path)
-        calls
-    end
-  in
-  match explore [] with
-  | () -> Strategy_wins
-  | exception Lost (live, req) -> Adversary_wins (live, req)
-  | exception Out_of_budget -> Budget_exceeded
-
 let stress ~steps ~rng strategy net =
   let n_in = Network.n_inputs net and n_out = Network.n_outputs net in
   let busy = Bitset.create (Digraph.vertex_count net.Network.graph) in

@@ -6,13 +6,8 @@
     weaker than strict nonblocking (where {e every} routing works, so the
     greedy strategy suffices) but stronger than rearrangeable.
 
-    This module pits a pluggable strategy against (a) the exhaustive
-    adversary (game search over all request sequences, for tiny networks)
-    and (b) randomised adversaries (stress, for larger ones).  It
-    separates the three classes operationally: on a strictly nonblocking
-    network every strategy wins; on a wide-sense-only network the right
-    strategy wins where greedy loses; on a merely-rearrangeable network
-    every strategy loses some sequence. *)
+    This module pits a pluggable strategy against a randomised adversary
+    of calls and hang-ups and counts the calls it blocks. *)
 
 type state = {
   net : Ftcsn_networks.Network.t;
@@ -33,19 +28,6 @@ val packing_strategy : strategy
     alternatives ("pack" heavily-shared middles last).  Implemented as
     best-of-all-shortest via per-middle scoring on 3-stage networks and
     falling back to BFS elsewhere. *)
-
-type game_result =
-  | Strategy_wins  (** the strategy served every sequence explored *)
-  | Adversary_wins of (int * int) list * (int * int)
-      (** live calls and the request the strategy failed on *)
-  | Budget_exceeded
-
-val adversary_game :
-  ?max_states:int -> strategy -> Ftcsn_networks.Network.t -> game_result
-(** Exhaustive adversary: explores every reachable configuration under
-    the strategy's deterministic choices (requests and hang-ups in all
-    orders).  Memoised on (busy set, live call set); exponential — tiny
-    networks only. *)
 
 val stress :
   steps:int ->

@@ -19,9 +19,6 @@ val name : t -> string
 
 val decide : t -> occupancy:float -> queue_depth:int -> verdict
 
-val unlimited : t
-(** Admit everything (the replay default when no bound is asked for). *)
-
 val max_load : float -> t
 (** [max_load l] sheds when occupancy has reached [l].  Requires
     [0 < l]; [l >= 1] never sheds (a full fabric already blocks at the
@@ -33,4 +30,4 @@ val queue_limit : int -> t
     @raise Invalid_argument if [k < 1]. *)
 
 val combine : t list -> t
-(** Shed if any component sheds; [combine []] is {!unlimited}. *)
+(** Shed if any component sheds; [combine []] admits everything. *)

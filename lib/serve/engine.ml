@@ -74,7 +74,6 @@ let create ?(engine = `Bfs) ?(holding = Dist.Exponential) ?(mtbf = infinity)
   }
 
 let now st = st.fab.fs.(0)
-let live_calls st = st.fab.live_count
 let occupancy st = float_of_int st.fab.live_count /. float_of_int st.fab.cap
 let decisions st = st.offered
 let engine_label st = Greedy.engine_name st.fab.router

@@ -76,8 +76,6 @@ val now : t -> float
 val occupancy : t -> float
 (** Live calls over call capacity, in [0, 1] — the admission signal. *)
 
-val live_calls : t -> int
-
 val decisions : t -> int
 (** Call requests decided so far (accepted + blocked + shed). *)
 

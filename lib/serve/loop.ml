@@ -118,7 +118,14 @@ let live ~engine ~admission ~emit ?(max_calls = max_int)
        in
        if readable <> [] then begin
          match Unix.read fd chunk 0 (Bytes.length chunk) with
-         | 0 -> eof := true
+         | 0 ->
+             (* a last line without its newline is still a request, as
+                [In_channel.input_line] reads it in [replay] *)
+             if Buffer.length partial > 0 then begin
+               enqueue (Buffer.contents partial);
+               Buffer.clear partial
+             end;
+             eof := true
          | k -> feed k
          | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ()
        end

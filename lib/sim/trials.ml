@@ -326,13 +326,6 @@ let run_scratch ?(jobs = 1) ?(chunk = default_chunk) ?target_ci
   Rng.advance rng executed;
   of_counts ~successes:!successes ~trials:executed
 
-let run ?jobs ?chunk ?target_ci ?min_trials ?progress ?trace ?label ~trials
-    ~rng f =
-  run_scratch ?jobs ?chunk ?target_ci ?min_trials ?progress ?trace ?label
-    ~trials ~rng
-    ~init:(fun () -> ())
-    (fun () sub -> f sub)
-
 let sweep ?(jobs = 1) ?(chunk = default_chunk) ?progress ?trace
     ?(label = "trials.sweep") ~trials:cap ~rng ~points ~init f =
   if points < 1 then invalid_arg "Trials.sweep: points must be >= 1";

@@ -83,38 +83,9 @@ type progress = {
   jobs : int;  (** worker domains in use *)
 }
 
-val default_chunk : int
-(** Trials per work unit (256): small enough that adaptive stopping is
-    responsive, large enough that domain dispatch cost is amortised. *)
-
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — a sensible [~jobs] for "use
     the whole machine". *)
-
-val run :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?target_ci:float ->
-  ?min_trials:int ->
-  ?progress:(progress -> unit) ->
-  ?trace:Ftcsn_obs.Trace.sink ->
-  ?label:string ->
-  trials:int ->
-  rng:Ftcsn_prng.Rng.t ->
-  (Ftcsn_prng.Rng.t -> bool) ->
-  estimate
-(** [run ~trials ~rng f] estimates P[f = true] from up to [trials]
-    independent executions of [f], each on its own substream of [rng].
-
-    - [jobs] (default 1): worker domains.
-    - [chunk] (default {!default_chunk}): trials per work unit.
-    - [target_ci]: adaptive stopping — stop at the first chunk boundary
-      (after [min_trials], default 1000) where the Wilson 95% half-width
-      drops to [target_ci] or below; [trials] remains a hard cap.
-    - [progress]: called on the scheduling domain after every consumed
-      chunk with cumulative counts and throughput.
-    - [trace]/[label]: structured JSONL events, see {i Observability}
-      above. *)
 
 val run_scratch :
   ?jobs:int ->
@@ -129,11 +100,26 @@ val run_scratch :
   init:(unit -> 'scratch) ->
   ('scratch -> Ftcsn_prng.Rng.t -> bool) ->
   estimate
-(** {!run} with per-worker scratch state: [init] is called once per chunk
-    on the executing domain and its result is threaded through that
-    chunk's trials — the hook for zero-allocation inner loops (reusable
-    fault-pattern buffers, bitsets, …).  Trials must not retain the
-    scratch beyond their own call. *)
+(** [run_scratch ~trials ~rng ~init f] estimates P[f = true] from up to
+    [trials] independent executions of [f], each on its own substream of
+    [rng].
+
+    - [jobs] (default 1): worker domains.
+    - [chunk] (default 256): trials per work unit — small enough that
+      adaptive stopping is responsive, large enough that domain dispatch
+      cost is amortised.
+    - [target_ci]: adaptive stopping — stop at the first chunk boundary
+      (after [min_trials], default 1000) where the Wilson 95% half-width
+      drops to [target_ci] or below; [trials] remains a hard cap.
+    - [progress]: called on the scheduling domain after every consumed
+      chunk with cumulative counts and throughput.
+    - [trace]/[label]: structured JSONL events, see {i Observability}
+      above.
+    - [init]: per-worker scratch state, called once per chunk on the
+      executing domain; its result is threaded through that chunk's
+      trials — the hook for zero-allocation inner loops (reusable
+      fault-pattern buffers, bitsets, …).  Trials must not retain the
+      scratch beyond their own call. *)
 
 val sweep :
   ?jobs:int ->

@@ -34,11 +34,6 @@ let binomial n k =
   end
   else exp (log_binomial n k)
 
-let subset_count ~n ~k =
-  let f = binomial n k in
-  if f > 4.0e18 then invalid_arg "Combinat.subset_count: overflow";
-  int_of_float f
-
 let iter_subsets ~n ~k f =
   if k < 0 || k > n then invalid_arg "Combinat.iter_subsets";
   if k = 0 then f [||]
@@ -61,12 +56,6 @@ let iter_subsets ~n ~k f =
       end
     done
   end
-
-let iter_all_masks n f =
-  if n < 0 || n > 62 then invalid_arg "Combinat.iter_all_masks";
-  for m = 0 to (1 lsl n) - 1 do
-    f m
-  done
 
 let choose_indices ~rand_int ~n ~k =
   if k < 0 || k > n then invalid_arg "Combinat.choose_indices";

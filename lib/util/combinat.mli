@@ -11,18 +11,9 @@ val binomial : int -> int -> float
 val log_binomial : int -> int -> float
 (** Natural log of C(n, k), computed stably via [log_factorial]. *)
 
-val log_factorial : int -> float
-(** ln(n!), via a Stirling-series tail for large n, exact summation below. *)
-
 val iter_subsets : n:int -> k:int -> (int array -> unit) -> unit
 (** Enumerate all k-subsets of [0, n) in lexicographic order.  The callback
     receives a scratch array (sorted ascending) it must not retain. *)
-
-val subset_count : n:int -> k:int -> int
-(** C(n, k) as an int.  @raise Invalid_argument on overflow. *)
-
-val iter_all_masks : int -> (int -> unit) -> unit
-(** Enumerate all bitmasks of [n] items, [n <= 62]. *)
 
 val choose_indices : rand_int:(int -> int) -> n:int -> k:int -> int array
 (** Uniform k-subset of [0, n), sorted ascending, by partial Fisher–Yates. *)

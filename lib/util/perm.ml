@@ -12,10 +12,6 @@ let is_valid p =
     p;
   !ok
 
-let compose p q =
-  if Array.length p <> Array.length q then invalid_arg "Perm.compose";
-  Array.map (fun x -> p.(x)) q
-
 let inverse p =
   let inv = Array.make (Array.length p) 0 in
   Array.iteri (fun i x -> inv.(x) <- i) p;
@@ -55,11 +51,6 @@ let iter_all n f =
     end
   done
 
-let count_fixed_points p =
-  let acc = ref 0 in
-  Array.iteri (fun i x -> if i = x then incr acc) p;
-  !acc
-
 let cycles p =
   let n = Array.length p in
   let seen = Array.make n false in
@@ -78,13 +69,9 @@ let cycles p =
   done;
   List.rev !out
 
-let swap_distance p = Array.length p - List.length (cycles p)
-
 let rotation n k =
   let k = ((k mod n) + n) mod n in
   Array.init n (fun i -> (i + k) mod n)
-
-let reversal n = Array.init n (fun i -> n - 1 - i)
 
 let pp ppf p =
   Format.fprintf ppf "[%a]"

@@ -13,9 +13,6 @@ val identity : int -> t
 val is_valid : t -> bool
 (** True iff the array is a permutation of [0, n). *)
 
-val compose : t -> t -> t
-(** [compose p q] maps [i] to [p.(q.(i))]. *)
-
 val inverse : t -> t
 
 val apply : t -> int -> int
@@ -28,19 +25,10 @@ val iter_all : int -> (t -> unit) -> unit
 (** Enumerate all [n!] permutations (Heap's algorithm).  The callback
     receives a scratch array it must not retain. *)
 
-val count_fixed_points : t -> int
-
-val swap_distance : t -> int
-(** Minimum number of transpositions writing the permutation
-    ([n] minus number of cycles). *)
-
 val cycles : t -> int list list
 (** Cycle decomposition; each cycle lists its elements in traversal order. *)
 
 val rotation : int -> int -> t
 (** [rotation n k] maps [i] to [(i + k) mod n]. *)
-
-val reversal : int -> t
-(** [reversal n] maps [i] to [n - 1 - i]. *)
 
 val pp : Format.formatter -> t -> unit

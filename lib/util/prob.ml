@@ -6,38 +6,6 @@ let pow x k =
   in
   go x k 1.0
 
-(* log of the binomial pmf at k, stable for large n *)
-let log_pmf ~n ~p ~k =
-  if p <= 0.0 then (if k = 0 then 0.0 else neg_infinity)
-  else if p >= 1.0 then (if k = n then 0.0 else neg_infinity)
-  else
-    Combinat.log_binomial n k
-    +. (float_of_int k *. log p)
-    +. (float_of_int (n - k) *. log (1.0 -. p))
-
-let binomial_tail_ge ~n ~p ~k =
-  if k <= 0 then 1.0
-  else if k > n then 0.0
-  else begin
-    (* Sum pmf from k to n in log space, largest-first for stability. *)
-    let acc = ref 0.0 in
-    for i = k to n do
-      acc := !acc +. exp (log_pmf ~n ~p ~k:i)
-    done;
-    Float.min 1.0 !acc
-  end
-
-let binomial_tail_le ~n ~p ~k =
-  if k >= n then 1.0
-  else if k < 0 then 0.0
-  else begin
-    let acc = ref 0.0 in
-    for i = 0 to k do
-      acc := !acc +. exp (log_pmf ~n ~p ~k:i)
-    done;
-    Float.min 1.0 !acc
-  end
-
 let relative_entropy a p =
   let term x y =
     if x = 0.0 then 0.0 else x *. log (x /. y)
@@ -63,7 +31,3 @@ let wilson_interval ~successes ~trials ~z =
     in
     (Float.max 0.0 (centre -. half), Float.min 1.0 (centre +. half))
   end
-
-let moore_shannon_bound ~eps ~len ~count =
-  let p_path_all_closed = pow eps len in
-  1.0 -. pow (1.0 -. p_path_all_closed) count

@@ -4,12 +4,6 @@
     event is at most (an explicit exponential)".  These helpers compute those
     explicit bounds so experiments can print predicted-vs-measured columns. *)
 
-val binomial_tail_ge : n:int -> p:float -> k:int -> float
-(** P[Bin(n, p) >= k], computed in log space; exact summation. *)
-
-val binomial_tail_le : n:int -> p:float -> k:int -> float
-(** P[Bin(n, p) <= k]. *)
-
 val chernoff_upper : n:int -> p:float -> k:int -> float
 (** Chernoff bound on P[Bin(n,p) >= k] via relative entropy:
     exp(-n * D(k/n || p)) for k/n > p, 1.0 otherwise.  This is the style of
@@ -18,13 +12,6 @@ val chernoff_upper : n:int -> p:float -> k:int -> float
 val wilson_interval : successes:int -> trials:int -> z:float -> float * float
 (** Wilson score interval for a Bernoulli parameter; [z] is the normal
     quantile (1.96 for 95%). *)
-
-val moore_shannon_bound : eps:float -> len:int -> count:int -> float
-(** [moore_shannon_bound ~eps ~len ~count] = 1 - (1 - eps^len)^count, an
-    upper bound on the probability that at least one of [count] disjoint
-    length-[len] paths fails entirely — the form used in Lemma 2's
-    "(1 - (1/4)^{3j})^{n/84}" argument, returned as the complement for
-    direct comparison. *)
 
 val pow : float -> int -> float
 (** [pow x k] = x^k for k >= 0 by binary exponentiation, avoiding [**]'s

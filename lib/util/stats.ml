@@ -25,8 +25,6 @@ let mean t = if t.n = 0 then 0.0 else t.mean
 
 let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
-
 let min_value t = t.minv
 
 let max_value t = t.maxv
@@ -37,21 +35,3 @@ let of_array a =
   let t = create () in
   Array.iter (add t) a;
   t
-
-let median_of_sorted a =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Stats.median_of_sorted: empty";
-  if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-let percentile_of_sorted a q =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Stats.percentile_of_sorted: empty";
-  if q <= 0.0 then a.(0)
-  else if q >= 1.0 then a.(n - 1)
-  else begin
-    let pos = q *. float_of_int (n - 1) in
-    let lo = int_of_float (floor pos) in
-    let hi = min (n - 1) (lo + 1) in
-    let frac = pos -. float_of_int lo in
-    (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)
-  end

@@ -14,8 +14,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0.0 with fewer than two samples. *)
 
-val stddev : t -> float
-
 val min_value : t -> float
 (** [infinity] when empty. *)
 
@@ -25,9 +23,3 @@ val max_value : t -> float
 val sum : t -> float
 
 val of_array : float array -> t
-
-val median_of_sorted : float array -> float
-(** Median of an ascending-sorted array.  @raise Invalid_argument if empty. *)
-
-val percentile_of_sorted : float array -> float -> float
-(** [percentile_of_sorted a q] with q in [0,1], linear interpolation. *)

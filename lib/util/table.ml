@@ -1,12 +1,10 @@
 type align = Left | Right
 
-type row = Cells of string list | Rule
-
 type t = {
   title : string;
   headers : string list;
   aligns : align list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create ~title ~columns =
@@ -15,9 +13,7 @@ let create ~title ~columns =
 let add_row t cells =
   if List.length cells <> List.length t.headers then
     invalid_arg "Table.add_row: wrong arity";
-  t.rows <- Cells cells :: t.rows
-
-let add_rule t = t.rows <- Rule :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -30,10 +26,7 @@ let render t =
   let rows = List.rev t.rows in
   let widths =
     List.fold_left
-      (fun ws row ->
-        match row with
-        | Rule -> ws
-        | Cells cells -> List.map2 (fun w c -> max w (String.length c)) ws cells)
+      (fun ws cells -> List.map2 (fun w c -> max w (String.length c)) ws cells)
       (List.map String.length t.headers)
       rows
   in
@@ -55,7 +48,7 @@ let render t =
   line '-';
   emit t.headers;
   line '=';
-  List.iter (function Rule -> line '-' | Cells cells -> emit cells) rows;
+  List.iter emit rows;
   line '-';
   Buffer.contents buf
 
@@ -68,5 +61,3 @@ let fi = string_of_int
 let ff ?(decimals = 3) x = Printf.sprintf "%.*f" decimals x
 
 let fe x = Printf.sprintf "%.2e" x
-
-let fratio a b = if b = 0.0 then "-" else Printf.sprintf "%.3f" (a /. b)

@@ -13,9 +13,6 @@ val create : title:string -> columns:(string * align) list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row width differs from the header. *)
 
-val add_rule : t -> unit
-(** Insert a horizontal separator before the next row. *)
-
 val render : t -> string
 
 val print : t -> unit
@@ -29,6 +26,3 @@ val ff : ?decimals:int -> float -> string
 
 val fe : float -> string
 (** Scientific notation with two significant decimals, e.g. ["1.23e-04"]. *)
-
-val fratio : float -> float -> string
-(** ["a/b"] as a fixed-point ratio, ["-"] when the denominator is zero. *)

@@ -1,16 +1,12 @@
 type t = {
   parent : int array;
   rank : int array;
-  csize : int array;
-  mutable classes : int;
 }
 
 let create n =
   {
     parent = Array.init n (fun i -> i);
     rank = Array.make n 0;
-    csize = Array.make n 1;
-    classes = n;
   }
 
 let size t = Array.length t.parent
@@ -19,10 +15,8 @@ let reset t =
   let n = Array.length t.parent in
   for i = 0 to n - 1 do
     t.parent.(i) <- i;
-    t.rank.(i) <- 0;
-    t.csize.(i) <- 1
-  done;
-  t.classes <- n
+    t.rank.(i) <- 0
+  done
 
 let rec find t i =
   let p = t.parent.(i) in
@@ -36,45 +30,15 @@ let rec find t i =
 let union t a b =
   let ra = find t a and rb = find t b in
   if ra <> rb then begin
-    t.classes <- t.classes - 1;
-    if t.rank.(ra) < t.rank.(rb) then begin
-      t.parent.(ra) <- rb;
-      t.csize.(rb) <- t.csize.(rb) + t.csize.(ra)
-    end
-    else if t.rank.(rb) < t.rank.(ra) then begin
-      t.parent.(rb) <- ra;
-      t.csize.(ra) <- t.csize.(ra) + t.csize.(rb)
-    end
+    if t.rank.(ra) < t.rank.(rb) then t.parent.(ra) <- rb
+    else if t.rank.(rb) < t.rank.(ra) then t.parent.(rb) <- ra
     else begin
       t.parent.(rb) <- ra;
-      t.csize.(ra) <- t.csize.(ra) + t.csize.(rb);
       t.rank.(ra) <- t.rank.(ra) + 1
     end
   end
 
 let equiv t a b = find t a = find t b
-
-let class_count t = t.classes
-
-let class_size t i = t.csize.(find t i)
-
-let representatives t = Array.init (size t) (fun i -> find t i)
-
-let compress_labels t =
-  let n = size t in
-  let label = Array.make n (-1) in
-  let next = ref 0 in
-  for i = 0 to n - 1 do
-    let r = find t i in
-    if label.(r) = -1 then begin
-      label.(r) <- !next;
-      incr next
-    end
-  done;
-  for i = 0 to n - 1 do
-    label.(i) <- label.(find t i)
-  done;
-  (label, !next)
 
 (* Generation-stamped forest: an element whose stamp is stale is a
    singleton that has simply not been touched this generation, so [reset]

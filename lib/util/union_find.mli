@@ -22,19 +22,6 @@ val union : t -> int -> int -> unit
 
 val equiv : t -> int -> int -> bool
 
-val class_count : t -> int
-(** Number of distinct classes. *)
-
-val class_size : t -> int -> int
-(** Number of elements in the class of the argument. *)
-
-val representatives : t -> int array
-(** For each element, its canonical representative (a fresh array). *)
-
-val compress_labels : t -> int array * int
-(** [compress_labels t] is [(label, k)] where [label.(i)] is a dense id in
-    [0, k) shared exactly by equivalent elements. *)
-
 (** Generation-stamped forest with O(1) reset.
 
     Same union-by-rank/path-compression semantics as the plain structure,

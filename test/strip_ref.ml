@@ -26,6 +26,22 @@ type survivor = {
   contracted_classes : int;
 }
 
+let compress_labels uf =
+  let n = Union_find.size uf in
+  let label = Array.make n (-1) in
+  let next = ref 0 in
+  for i = 0 to n - 1 do
+    let r = Union_find.find uf i in
+    if label.(r) = -1 then begin
+      label.(r) <- !next;
+      incr next
+    end
+  done;
+  for i = 0 to n - 1 do
+    label.(i) <- label.(Union_find.find uf i)
+  done;
+  (label, !next)
+
 let contraction_classes g pattern =
   let uf = Union_find.create (Digraph.vertex_count g) in
   Array.iteri
@@ -35,7 +51,7 @@ let contraction_classes g pattern =
         Union_find.union uf src dst
       end)
     pattern;
-  Union_find.compress_labels uf
+  compress_labels uf
 
 let apply g pattern =
   if Array.length pattern <> Digraph.edge_count g then
@@ -44,7 +60,7 @@ let apply g pattern =
   (* Keep only normal edges, then quotient; drop loops created by
      contraction (a switch both of whose links merged is useless). *)
   let normal, new_to_old =
-    Digraph.subgraph_by_edges_map g ~keep:(fun e ->
+    Graph_ref.subgraph_by_edges_map g ~keep:(fun e ->
         Fault.state_equal pattern.(e) Fault.Normal)
   in
   let quotient, qmap =
@@ -100,7 +116,7 @@ let shorted_by_closure g pattern ~a ~b =
 let connected_ignoring_opens g pattern ~a ~b =
   (* Conducting edges are those that still exist: normal or closed. *)
   let exists_edge e = not (Fault.state_equal pattern.(e) Fault.Open_failure) in
-  let sub = Digraph.subgraph_by_edges g ~keep:exists_edge in
+  let sub = Graph_ref.subgraph_by_edges g ~keep:exists_edge in
   let dist = Ftcsn_graph.Traverse.bfs_directed sub ~sources:[ a ] in
   dist.(b) >= 0
 
@@ -116,7 +132,8 @@ type strip = {
 
 let strip ?(radius = 0) net pattern =
   let g = net.Network.graph in
-  let faulty = Fault.faulty_vertices g pattern in
+  let faulty = Bitset.create (Digraph.vertex_count g) in
+  Fault.faulty_vertices_into g pattern faulty;
   let stripped = Bitset.copy faulty in
   if radius > 0 then begin
     let frontier = ref (Bitset.to_list faulty) in
@@ -145,7 +162,7 @@ let strip ?(radius = 0) net pattern =
   let survivor = apply g pattern in
   let shorted_terminals = merged_pairs survivor (Network.terminals net) in
   let normal_graph =
-    Digraph.subgraph_by_edges g ~keep:(fun e ->
+    Graph_ref.subgraph_by_edges g ~keep:(fun e ->
         Fault.state_equal pattern.(e) Fault.Normal)
   in
   { allowed; faulty; stripped; shorted_terminals; normal_graph }

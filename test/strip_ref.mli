@@ -24,6 +24,11 @@ type survivor = {
   contracted_classes : int;  (** number of quotient vertices *)
 }
 
+val compress_labels : Ftcsn_util.Union_find.t -> int array * int
+(** [(label, k)] where [label.(i)] is a dense id in [0, k) shared exactly
+    by equivalent elements — the class labels the quotient is built
+    from. *)
+
 val apply : Ftcsn_graph.Digraph.t -> Ftcsn_reliability.Fault.pattern -> survivor
 
 val terminals_distinct : survivor -> int list -> bool

@@ -600,21 +600,20 @@ let test_trace_jsonl () =
   let lines = read_lines trace in
   Alcotest.(check bool) "trace non-empty" true (List.length lines > 0);
   let kinds = Hashtbl.create 8 in
+  (* every line is a JSON object with a timestamp and an event tag;
+     test_obs decodes each event kind in full *)
   List.iter
     (fun line ->
-      match Ftcsn_obs.Trace.event_of_string line with
+      let module Json = Ftcsn_obs.Json in
+      match Json.parse line with
       | Error e -> Alcotest.failf "invalid trace line (%s): %s" e line
-      | Ok (_, ev) ->
-          let kind =
-            match ev with
-            | Ftcsn_obs.Trace.Span_begin _ -> "span_begin"
-            | Ftcsn_obs.Trace.Span_end _ -> "span_end"
-            | Ftcsn_obs.Trace.Run_begin _ -> "run_begin"
-            | Ftcsn_obs.Trace.Chunk _ -> "chunk"
-            | Ftcsn_obs.Trace.Stop_check _ -> "stop_check"
-            | Ftcsn_obs.Trace.Run_end _ -> "run_end"
-          in
-          Hashtbl.replace kinds kind ())
+      | Ok j -> (
+          match
+            ( Option.bind (Json.member "ts_ns" j) Json.to_int,
+              Option.bind (Json.member "ev" j) Json.to_str )
+          with
+          | Some _, Some kind -> Hashtbl.replace kinds kind ()
+          | _ -> Alcotest.failf "trace line lacks ts_ns or ev: %s" line))
     lines;
   List.iter
     (fun kind ->
@@ -921,6 +920,37 @@ let test_serve_stdin_live () =
   check_contains "banner says stdin" err "live on stdin";
   check_contains "accepts" out "\"resp\":\"accept\"";
   check_contains "metrics snapshot" out "\"resp\":\"metrics\""
+
+let test_serve_unterminated_last_line () =
+  (* a request file whose last line has no newline: live mode must decide
+     that line too, as --replay does *)
+  let path = Filename.temp_file "ftnet_requests" ".jsonl" in
+  let oc = open_out path in
+  output_string oc
+    "{\"req\":\"call\",\"id\":\"a\",\"hold\":5.0}\n\
+     {\"req\":\"call\",\"id\":\"b\",\"hold\":5.0}";
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  (* the stderr summary line: "serve: N decisions (...)" *)
+  let decisions ?stdin_file args =
+    let code, _, err = run_split ?stdin_file args in
+    Alcotest.(check int) ("exit code: " ^ args) 0 code;
+    match
+      List.find_map
+        (fun line ->
+          try Scanf.sscanf line "serve: %d decisions" Option.some
+          with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+        (String.split_on_char '\n' err)
+    with
+    | Some n -> n
+    | None -> Alcotest.failf "no decision count in:\n%s" err
+  in
+  let replayed =
+    decisions (Printf.sprintf "serve --replay %s --net benes:16 --seed 1" path)
+  in
+  Alcotest.(check int) "replay decides both" 2 replayed;
+  Alcotest.(check int) "live decides as many" replayed
+    (decisions ~stdin_file:path "serve --net benes:16 --seed 1 --speed 1e6")
 
 let test_serve_overload () =
   (* tiny --max-load plus never-expiring holds forces admission sheds *)
@@ -1335,6 +1365,8 @@ let () =
             `Quick test_serve_replay_deterministic;
           Alcotest.test_case "--calls bound" `Quick test_serve_calls_bound;
           Alcotest.test_case "live stdin until EOF" `Quick test_serve_stdin_live;
+          Alcotest.test_case "live last line without newline" `Quick
+            test_serve_unterminated_last_line;
           Alcotest.test_case "admission overload" `Quick test_serve_overload;
           Alcotest.test_case "usage errors" `Quick test_serve_errors;
         ] );

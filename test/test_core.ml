@@ -37,7 +37,7 @@ let test_grid_structure_fig4 () =
     for row = 0 to 3 do
       let v = Directed_grid.vertex_at s.Directed_grid.grid ~row ~col in
       check "out degree" 2 (Digraph.out_degree g v);
-      let targets = Array.to_list (Digraph.out_neighbours g v) in
+      let targets = Digraph.fold_out g v ~init:[] ~f:(fun acc ~dst ~eid:_ -> dst :: acc) in
       checkb "straight" true
         (List.mem (Directed_grid.vertex_at s.Directed_grid.grid ~row ~col:(col + 1)) targets);
       checkb "diagonal wraps" true
@@ -259,13 +259,57 @@ let test_strip_detects_short () =
   Alcotest.(check (list (pair int int))) "pair" [ (0, 1) ]
     s.Strip_ref.shorted_terminals
 
-(* ---------- Majority_access ---------- *)
+(* ---------- majority access (§6) and Lemma 3's grid access ---------- *)
+
+(* §6's definition checked exhaustively, the validator of the FT
+   construction: for each input, the outputs it reaches through idle
+   allowed vertices ([-1] for a busy input) *)
+let input_access_counts net ~allowed ~busy =
+  let ok v = allowed v && not (busy v) in
+  Array.map
+    (fun i ->
+      if busy i then -1
+      else if not (ok i) then 0
+      else
+        let dist =
+          Ftcsn_graph.Traverse.bfs_directed ~allowed:ok net.Network.graph
+            ~sources:[ i ]
+        in
+        Array.fold_left
+          (fun acc o -> if dist.(o) >= 0 && ok o then acc + 1 else acc)
+          0 net.Network.outputs)
+    net.Network.inputs
+
+let is_majority_access net ~allowed ~busy =
+  let half = Network.n_outputs net / 2 in
+  Array.for_all
+    (fun c -> c = -1 || c > half)
+    (input_access_counts net ~allowed ~busy)
+
+(* Lemma 3's quantity on a directed grid: the last-column vertices
+   reachable from row [source_row] of column 0 through non-faulty
+   vertices *)
+let grid_last_column_access (s : Directed_grid.standalone) ~faulty ~source_row
+    =
+  let grid = s.Directed_grid.grid in
+  let src = Directed_grid.vertex_at grid ~row:source_row ~col:0 in
+  if faulty src then 0
+  else
+    let ok v = not (faulty v) in
+    let dist =
+      Ftcsn_graph.Traverse.bfs_directed ~allowed:ok s.Directed_grid.graph
+        ~sources:[ src ]
+    in
+    Array.fold_left
+      (fun acc v -> if dist.(v) >= 0 && ok v then acc + 1 else acc)
+      0
+      grid.Directed_grid.columns.(grid.Directed_grid.stages - 1)
 
 let test_majority_access_clean () =
   let ft = build_small () in
   let net = ft.Ft_network.net in
   checkb "fault-free majority access" true
-    (Majority_access.is_majority_access net
+    (is_majority_access net
        ~allowed:(fun _ -> true)
        ~busy:(fun _ -> false))
 
@@ -273,7 +317,7 @@ let test_majority_access_busy_input_skipped () =
   let net = Ftcsn_networks.Crossbar.square 3 in
   let busy v = v = net.Network.inputs.(0) in
   let counts =
-    Majority_access.input_access_counts net ~allowed:(fun _ -> true) ~busy
+    input_access_counts net ~allowed:(fun _ -> true) ~busy
   in
   check "busy marked" (-1) counts.(0);
   check "idle sees all" 3 counts.(1)
@@ -283,7 +327,7 @@ let test_majority_access_with_block () =
   let g = Digraph.of_edges ~n:4 [| (0, 2); (1, 2); (2, 3) |] in
   let net = Network.make ~name:"y" ~graph:g ~inputs:[| 0; 1 |] ~outputs:[| 3 |] in
   checkb "fails when junction forbidden" false
-    (Majority_access.is_majority_access net ~allowed:(fun v -> v <> 2)
+    (is_majority_access net ~allowed:(fun v -> v <> 2)
        ~busy:(fun _ -> false))
 
 let test_grid_access_lemma3 () =
@@ -291,7 +335,7 @@ let test_grid_access_lemma3 () =
   (* the row index can only grow by one per stage, so 4 transitions from
      one source row reach exactly 5 of the 6 last-column rows *)
   check "access when healthy" 5
-    (Majority_access.grid_last_column_access s ~faulty:(fun _ -> false)
+    (grid_last_column_access s ~faulty:(fun _ -> false)
        ~source_row:2);
   (* kill one full column except one vertex: access drops to <= rows but
      stays positive through the surviving vertex *)
@@ -300,23 +344,42 @@ let test_grid_access_lemma3 () =
   let survivor = col2.(0) in
   let faulty v = Array.exists (fun w -> w = v) col2 && v <> survivor in
   let access =
-    Majority_access.grid_last_column_access s ~faulty ~source_row:0
+    grid_last_column_access s ~faulty ~source_row:0
   in
   checkb "bottleneck narrows but keeps access" true (access >= 1 && access <= 6);
   (* kill the whole column: no access *)
   check "column cut isolates" 0
-    (Majority_access.grid_last_column_access s
+    (grid_last_column_access s
        ~faulty:(fun v -> Array.exists (fun w -> w = v) col2)
        ~source_row:0)
 
 (* ---------- Tree_paths (Lemma 1) ---------- *)
 
+(* Lemma 1's hypotheses, checked on the trees Tree_paths builds: no
+   edge closes a cycle, and no vertex has degree 2 *)
+let is_forest (t : Tree_paths.t) =
+  let module Uf = Ftcsn_util.Union_find in
+  let uf = Uf.create t.Tree_paths.n in
+  let ok = ref true in
+  Array.iteri
+    (fun v adj ->
+      Array.iter
+        (fun w ->
+          if v < w then
+            if Uf.equiv uf v w then ok := false else Uf.union uf v w)
+        adj)
+    t.Tree_paths.adj;
+  !ok
+
+let internal_degrees_ok (t : Tree_paths.t) =
+  Array.for_all (fun adj -> Array.length adj <> 2) t.Tree_paths.adj
+
 let test_tree_paths_star () =
   (* star with 3 leaves: all pairs within distance 2 *)
   let t = Tree_paths.of_edges ~n:4 [ (0, 1); (0, 2); (0, 3) ] in
   Alcotest.(check (list int)) "leaves" [ 1; 2; 3 ] (Tree_paths.leaves t);
-  checkb "forest" true (Tree_paths.is_forest t);
-  checkb "internal ok" true (Tree_paths.internal_degrees_ok t);
+  checkb "forest" true (is_forest t);
+  checkb "internal ok" true (internal_degrees_ok t);
   let paths = Tree_paths.short_leaf_paths t in
   check "one disjoint path" 1 (List.length paths)
 
@@ -344,8 +407,8 @@ let test_tree_paths_lemma1_bound_random () =
     (fun l ->
       let t = Tree_paths.random_internal3_tree ~rng ~leaves:l in
       check (Printf.sprintf "leaf count %d" l) l (List.length (Tree_paths.leaves t));
-      checkb "forest" true (Tree_paths.is_forest t);
-      checkb "degrees" true (Tree_paths.internal_degrees_ok t);
+      checkb "forest" true (is_forest t);
+      checkb "degrees" true (internal_degrees_ok t);
       let paths = Tree_paths.short_leaf_paths t in
       List.iter
         (fun p -> checkb "short" true (List.length p <= 4))
@@ -374,15 +437,15 @@ let test_contract_preserves_branching () =
   check "centre degree" 3 (Tree_paths.degree c 0);
   Alcotest.(check (list int)) "centre adj" [ 2; 4; 6 ]
     (List.sort compare (Array.to_list c.Tree_paths.adj.(0)));
-  checkb "no degree-2 left" true (Tree_paths.internal_degrees_ok c)
+  checkb "no degree-2 left" true (internal_degrees_ok c)
 
 let test_fig_gadgets () =
   let t1, bad = Tree_paths.fig1_bad_leaf () in
-  checkb "fig1 forest" true (Tree_paths.is_forest t1);
-  checkb "fig1 degrees" true (Tree_paths.internal_degrees_ok t1);
+  checkb "fig1 forest" true (is_forest t1);
+  checkb "fig1 degrees" true (internal_degrees_ok t1);
   check "bad leaf isolated at distance 4" 4 (Tree_paths.nearest_leaf_distance t1 bad);
   let t3, path = Tree_paths.fig3_path_with_unlucky () in
-  checkb "fig3 forest" true (Tree_paths.is_forest t3);
+  checkb "fig3 forest" true (is_forest t3);
   check "central path length 3" 4 (List.length path);
   (* the central path's ends are leaves at distance 3 *)
   (match path with
@@ -398,9 +461,24 @@ let test_of_edges_validation () =
 (* ---------- Lower_bound (Theorem 1) ---------- *)
 
 let test_lower_bound_defaults () =
-  check "threshold at n=4096" 1 (Lower_bound.default_threshold ~n:4096);
-  check "threshold large" 2 (Lower_bound.default_threshold ~n:(1 lsl 24));
-  check "radius" 1 (Lower_bound.default_radius ~threshold:3);
+  (* 4096 inputs fanning into one output: the default threshold is
+     ⌊log₂ 4096 / 12⌋ = 1, and thresholds 1 and 3 both give radius 1 *)
+  let n = 4096 in
+  let g = Digraph.of_edges ~n:(n + 1) (Array.init n (fun i -> (i, n))) in
+  let net =
+    Network.make ~name:"fan-in" ~graph:g ~inputs:(Array.init n Fun.id)
+      ~outputs:[| n |]
+  in
+  let radius report =
+    match report.Lower_bound.zones with
+    | z :: _ -> Array.length z.Lower_bound.zone_sizes
+    | [] -> Alcotest.fail "no zones"
+  in
+  let report = Lower_bound.analyse ~max_inputs:1 net in
+  check "threshold at n=4096" 1 report.Lower_bound.threshold;
+  check "radius at threshold 1" 1 (radius report);
+  check "radius at threshold 3" 1
+    (radius (Lower_bound.analyse ~threshold:3 ~max_inputs:1 net));
   checkb "theorem bounds positive" true
     (Lower_bound.theorem1_size_bound ~n:1024 > 0.0
     && Lower_bound.theorem1_depth_bound ~n:1024 > 0.0)
@@ -409,18 +487,23 @@ let test_good_inputs_spread () =
   (* in a crossbar all inputs are within distance 2 of each other, so a
      threshold of 3 keeps only one good input *)
   let net = Ftcsn_networks.Crossbar.square 4 in
-  check "one survivor" 1 (Array.length (Lower_bound.good_inputs ~threshold:3 net));
+  let good threshold =
+    Array.length (Lower_bound.analyse ~threshold net).Lower_bound.good_input_vertices
+  in
+  check "one survivor" 1 (good 3);
   (* threshold 1 keeps everything *)
-  check "all survive" 4 (Array.length (Lower_bound.good_inputs ~threshold:1 net))
+  check "all survive" 4 (good 1)
 
 let test_zones_on_chain () =
   (* chain 0-1-2-3-4: zones around 0 have exactly one edge each *)
   let g = Digraph.of_edges ~n:5 [| (0, 1); (1, 2); (2, 3); (3, 4) |] in
   let net = Network.make ~name:"chain" ~graph:g ~inputs:[| 0 |] ~outputs:[| 4 |] in
-  let z = Lower_bound.zones_of_input net ~radius:3 ~input_vertex:0 in
-  Alcotest.(check (array int)) "zone sizes" [| 1; 1; 1 |] z.Lower_bound.zone_sizes;
-  check "min" 1 z.Lower_bound.min_zone;
-  check "total" 3 z.Lower_bound.neighbourhood_edges
+  match (Lower_bound.analyse ~threshold:1 ~radius:3 net).Lower_bound.zones with
+  | [ z ] ->
+      Alcotest.(check (array int)) "zone sizes" [| 1; 1; 1 |] z.Lower_bound.zone_sizes;
+      check "min" 1 z.Lower_bound.min_zone;
+      check "total" 3 z.Lower_bound.neighbourhood_edges
+  | _ -> Alcotest.fail "one input, one zone"
 
 let test_zones_on_ft_network () =
   let ft = build_small () in
@@ -485,7 +568,7 @@ let test_pipeline_no_faults_survive () =
   let ft = build_small () in
   let rng = Rng.create ~seed:9 in
   let v = Strip_ref.trial ~rng ~eps:0.0 ft.Ft_network.net in
-  Alcotest.(check string) "survives" "survived" (Pipeline.verdict_label v)
+  checkb "survives" true (v = Pipeline.Survived)
 
 let test_pipeline_total_failure () =
   let ft = build_small () in
@@ -524,8 +607,7 @@ let test_pipeline_ft_beats_benes () =
 let test_pipeline_probe_presets () =
   check "default greedy" 1 Pipeline.default_probe.Pipeline.greedy_permutations;
   check "sc-only has no perms" 0 Pipeline.sc_probe_only.Pipeline.greedy_permutations;
-  check "rearrangeable uses exact" 1
-    Pipeline.rearrangeable_probe.Pipeline.exact_permutations
+  check "sc-only probes flows" 3 Pipeline.sc_probe_only.Pipeline.sc_probes
 
 let test_survival_curve_matches_independent () =
   (* the CRN curve with its memo and monotone short-circuits must be
@@ -572,24 +654,8 @@ let test_survival_curve_matches_independent () =
 
 let test_paper_bounds_regimes () =
   let eps = Ftcsn.Paper_bounds.paper_epsilon in
-  (* at the paper's eps = 1e-6 every bound is tiny for moderate u *)
-  checkb "lemma3 tiny" true (Ftcsn.Paper_bounds.lemma3_access_bound ~v:8 ~eps < 1e-20);
-  checkb "lemma7 tiny" true (Ftcsn.Paper_bounds.lemma7_shorting_bound ~u:8 ~eps < 1e-20);
-  checkb "lemma4 decays in mu" true
-    (Ftcsn.Paper_bounds.lemma4_outlet_bound ~mu:3
-    < Ftcsn.Paper_bounds.lemma4_outlet_bound ~mu:2);
-  checkb "lemma5 decays in u" true
-    (Ftcsn.Paper_bounds.lemma5_union_bound ~u:12
-    < Ftcsn.Paper_bounds.lemma5_union_bound ~u:6);
-  (* theorem 2 total failure bound goes to 0 as u grows *)
-  checkb "theorem2 vanishes" true
-    (Ftcsn.Paper_bounds.theorem2_failure_bound ~u:20 ~eps
-    < Ftcsn.Paper_bounds.theorem2_failure_bound ~u:10 ~eps);
-  (* lemma 2's complement: with eps = 1/4 the no-short probability is
-     small for large n, which is the contradiction the proof needs *)
-  checkb "lemma2 shrinks with n" true
-    (Ftcsn.Paper_bounds.lemma2_shorting_bound ~n:(1 lsl 16) ~eps:0.25
-    < Ftcsn.Paper_bounds.lemma2_shorting_bound ~n:(1 lsl 8) ~eps:0.25)
+  (* at the paper's eps = 1e-6 the bound is tiny for moderate u *)
+  checkb "lemma7 tiny" true (Ftcsn.Paper_bounds.lemma7_shorting_bound ~u:8 ~eps < 1e-20)
 
 (* ---------- Majority-access probe (Lemma 6) ---------- *)
 
@@ -621,31 +687,56 @@ let test_lemma6_probe_in_pipeline () =
   let rng = Rng.create ~seed:82 in
   let est =
     Pipeline.survival ~trials:20 ~rng ~eps:1e-3
-      ~probe:Pipeline.lemma6_probe ft.Ft_network.net
+      ~probe:
+        { Pipeline.sc_probe_only with sc_probes = 0; majority_probes = 2 }
+      ft.Ft_network.net
   in
   checkb "lemma-6 certified survival at 1e-3" true
     (est.Ftcsn_reliability.Monte_carlo.mean > 0.8)
 
-(* ---------- Transfer (§3) ---------- *)
+(* ---------- §3 transfer: gadget substitution ---------- *)
+
+module Sp_network = Ftcsn_reliability.Sp_network
+module Substitution = Ftcsn_reliability.Substitution
+
+(* ε-invariance made concrete: every switch of [net] becomes a
+   Proposition-1 gadget whose open and short probabilities at component
+   rate [eps] are both below [eps'] *)
+let harden ~eps ~eps' net =
+  let spec = Sp_network.design ~eps ~eps' in
+  let sub =
+    Substitution.substitute net.Network.graph ~gadget:(Sp_network.build spec)
+  in
+  let image v = sub.Substitution.vertex_image.(v) in
+  let hardened =
+    Network.make
+      ~name:(net.Network.name ^ "-hardened")
+      ~graph:sub.Substitution.graph
+      ~inputs:(Array.map image net.Network.inputs)
+      ~outputs:(Array.map image net.Network.outputs)
+  in
+  (spec, sub, hardened)
 
 let test_transfer_harden_accounting () =
   let benes = Ftcsn_networks.Benes.network (Ftcsn_networks.Benes.make 4) in
-  let h = Ftcsn.Transfer.harden ~eps:0.1 ~eps':0.01 benes in
+  let spec, _, h = harden ~eps:0.1 ~eps':0.01 benes in
   check "size multiplied"
-    (Network.size benes * h.Ftcsn.Transfer.size_factor)
-    (Network.size h.Ftcsn.Transfer.network);
+    (Network.size benes * Sp_network.size spec)
+    (Network.size h);
   check "depth multiplied"
-    (Network.depth benes * h.Ftcsn.Transfer.depth_factor)
-    (Network.depth h.Ftcsn.Transfer.network);
-  let po, ps = Ftcsn.Transfer.logical_failure_rates h ~eps:0.1 in
-  checkb "logical open under target" true (po < 0.01);
-  checkb "logical short under target" true (ps < 0.01)
+    (Network.depth benes * Sp_network.depth spec)
+    (Network.depth h);
+  checkb "logical open under target" true
+    (Sp_network.open_prob spec ~eps_open:0.1 ~eps_close:0.1 < 0.01);
+  checkb "logical short under target" true
+    (Sp_network.short_prob spec ~eps_open:0.1 ~eps_close:0.1 < 0.01)
 
 let test_transfer_logical_roundtrip () =
   let benes = Ftcsn_networks.Benes.network (Ftcsn_networks.Benes.make 4) in
-  let h = Ftcsn.Transfer.harden ~eps:0.1 ~eps':0.01 benes in
-  let m = Network.size h.Ftcsn.Transfer.network in
-  let logical = Ftcsn.Transfer.logical_pattern h (Fault.all_normal m) in
+  let _, sub, h = harden ~eps:0.1 ~eps':0.01 benes in
+  let logical =
+    Substitution.logical_pattern sub (Fault.all_normal (Network.size h))
+  in
   check "logical arity" (Network.size benes) (Array.length logical);
   Array.iter
     (fun s -> checkb "healthy" true (Fault.state_equal s Fault.Normal))
@@ -657,7 +748,7 @@ let test_transfer_improves_survival () =
   let rng = Rng.create ~seed:70 in
   let benes = Ftcsn_networks.Benes.network (Ftcsn_networks.Benes.make 4) in
   let eps = 0.05 in
-  let h = Ftcsn.Transfer.harden ~eps ~eps':1e-3 benes in
+  let _, sub, h = harden ~eps ~eps':1e-3 benes in
   let trials = 300 in
   let bare_fail = ref 0 and hard_fail = ref 0 in
   let logical_fails pattern =
@@ -667,18 +758,11 @@ let test_transfer_improves_survival () =
     let bare = Fault.sample rng ~eps_open:eps ~eps_close:eps ~m:(Network.size benes) in
     if logical_fails bare then incr bare_fail;
     let phys =
-      Fault.sample rng ~eps_open:eps ~eps_close:eps
-        ~m:(Network.size h.Ftcsn.Transfer.network)
+      Fault.sample rng ~eps_open:eps ~eps_close:eps ~m:(Network.size h)
     in
-    if logical_fails (Ftcsn.Transfer.logical_pattern h phys) then incr hard_fail
+    if logical_fails (Substitution.logical_pattern sub phys) then incr hard_fail
   done;
   checkb "hardening reduces logical failures" true (!hard_fail * 4 < !bare_fail)
-
-let test_transfer_delta_shift () =
-  Alcotest.(check (float 1e-12)) "halving delta halves eps" 0.005
-    (Ftcsn.Transfer.delta_shift ~eps:0.01 ~delta_from:0.5 ~delta_to:0.25);
-  Alcotest.(check (float 1e-12)) "growing delta caps at eps" 0.01
-    (Ftcsn.Transfer.delta_shift ~eps:0.01 ~delta_from:0.25 ~delta_to:0.5)
 
 (* ---------- degradation: Traffic with permanent failures ---------- *)
 
@@ -912,9 +996,8 @@ let prop_transfer_size_accounting =
     (fun log_n ->
       let n = 1 lsl log_n in
       let net = Ftcsn_networks.Benes.network (Ftcsn_networks.Benes.make n) in
-      let h = Ftcsn.Transfer.harden ~eps:0.1 ~eps':0.05 net in
-      Network.size h.Ftcsn.Transfer.network
-      = Network.size net * h.Ftcsn.Transfer.size_factor)
+      let spec, _, h = harden ~eps:0.1 ~eps':0.05 net in
+      Network.size h = Network.size net * Sp_network.size spec)
 
 let prop_pipeline_ws_matches_trial =
   QCheck2.Test.make
@@ -1119,7 +1202,6 @@ let () =
           Alcotest.test_case "accounting" `Quick test_transfer_harden_accounting;
           Alcotest.test_case "logical roundtrip" `Quick test_transfer_logical_roundtrip;
           Alcotest.test_case "improves survival" `Quick test_transfer_improves_survival;
-          Alcotest.test_case "delta shift" `Quick test_transfer_delta_shift;
         ] );
       ( "degradation",
         [

@@ -129,10 +129,16 @@ let test_of_means_and_quantile () =
   checkf "pooled mean" 2.5 s.Batch_means.mean;
   check "batches" 4 s.Batch_means.batches;
   check "count" 400 s.Batch_means.count;
+  (* the half-width is t(b - 1)·√(var / b): var = 5/3 at b = 4, and
+     1000 alternating 0/1 means give var = 250/999 *)
   checkb "t(3) = 3.182" true
-    (abs_float (Batch_means.t_quantile ~df:3 -. 3.182) < 1e-9);
-  checkb "t(1000) -> normal limit" true
-    (abs_float (Batch_means.t_quantile ~df:1000 -. 1.96) < 1e-9)
+    (abs_float (s.Batch_means.ci_high -. 2.5 -. (3.182 *. sqrt (5.0 /. 12.0)))
+    < 1e-9);
+  let s = Batch_means.of_means (Array.init 1000 (fun i -> float (i land 1))) in
+  checkb "t(999) -> normal limit" true
+    (abs_float
+       (s.Batch_means.ci_high -. 0.5 -. (1.96 *. sqrt (250.0 /. 999.0 /. 1000.0)))
+    < 1e-9)
 
 (* ---------- Fabric: the failure clock ---------- *)
 
@@ -174,7 +180,7 @@ let drive_clock ?(stop_on_short = false) ~horizon f rng =
       else begin
         incr failures;
         per_switch.(r lsr 2) <- per_switch.(r lsr 2) + 1;
-        if r land 3 <> Fabric.open_failure then incr closed;
+        if r land 3 <> 0 then incr closed;
         if r land 3 = Fabric.shorted && !shorted_at = None then
           shorted_at := Some t
       end

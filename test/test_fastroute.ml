@@ -404,7 +404,7 @@ let test_engine_fallbacks () =
   checkb "multibutterfly:64 has vertices no input reaches" true
     (Array.exists (fun l -> l < 0) st.Ftcsn_graph.Staged.stage);
   checkb "so it is not strictly staged" false
-    (Ftcsn_graph.Staged.is_strictly_staged mbf.Network.graph st);
+    (Graph_ref.is_strictly_staged mbf.Network.graph st);
   checks "staged on multibutterfly:64" "staged"
     (Greedy.engine_name (Greedy.create ~engine:`Staged mbf));
   (* a search from such a vertex has no levels to go by *)

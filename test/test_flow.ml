@@ -57,16 +57,6 @@ let test_maxflow_disconnected () =
   ignore (Maxflow.add_edge net ~src:0 ~dst:1 ~cap:1);
   check "no route" 0 (Maxflow.max_flow net ~source:0 ~sink:2)
 
-let test_min_cut_side () =
-  let net = Maxflow.create ~n:4 in
-  ignore (Maxflow.add_edge net ~src:0 ~dst:1 ~cap:1);
-  ignore (Maxflow.add_edge net ~src:1 ~dst:2 ~cap:10);
-  ignore (Maxflow.add_edge net ~src:2 ~dst:3 ~cap:10);
-  ignore (Maxflow.max_flow net ~source:0 ~sink:3);
-  let side = Maxflow.min_cut_source_side net ~source:0 in
-  Alcotest.(check (list int)) "source side is just 0" [ 0 ]
-    (Ftcsn_util.Bitset.to_list side)
-
 let diamond () = Digraph.of_edges ~n:4 [| (0, 1); (0, 2); (1, 3); (2, 3) |]
 
 let test_menger_diamond () =
@@ -142,7 +132,6 @@ let test_hopcroft_karp_perfect () =
   let adj = [| [| 1; 2 |]; [| 0; 2 |]; [| 0; 1 |] |] in
   let m = Hopcroft_karp.matching ~n_left:3 ~n_right:3 ~adj in
   check "size" 3 m.Hopcroft_karp.size;
-  checkb "perfect" true (Hopcroft_karp.is_perfect_on_left m);
   (* matching is consistent *)
   Array.iteri
     (fun l r -> check "pair consistency" l m.Hopcroft_karp.pair_right.(r))
@@ -152,8 +141,7 @@ let test_hopcroft_karp_deficient () =
   (* two lefts share a single right: Hall violation *)
   let adj = [| [| 0 |]; [| 0 |] |] in
   let m = Hopcroft_karp.matching ~n_left:2 ~n_right:1 ~adj in
-  check "size" 1 m.Hopcroft_karp.size;
-  checkb "not perfect" false (Hopcroft_karp.is_perfect_on_left m)
+  check "size" 1 m.Hopcroft_karp.size
 
 let test_hopcroft_karp_empty () =
   let m = Hopcroft_karp.matching ~n_left:3 ~n_right:3 ~adj:[| [||]; [||]; [||] |] in
@@ -257,7 +245,7 @@ let prop_workspace_matches_oracle =
         in
         let oracle =
           Flow_ref.max_vertex_disjoint ~forbidden
-            (Digraph.subgraph_by_edges g ~keep:edge_ok)
+            (Graph_ref.subgraph_by_edges g ~keep:edge_ok)
             ~sources:(Array.map (fun i -> sources.(i)) source_slots)
             ~sinks:(Array.map (fun i -> sinks.(i)) sink_slots)
         in
@@ -283,7 +271,6 @@ let () =
           Alcotest.test_case "bottleneck" `Quick test_maxflow_bottleneck;
           Alcotest.test_case "classic instance" `Quick test_maxflow_classic;
           Alcotest.test_case "disconnected" `Quick test_maxflow_disconnected;
-          Alcotest.test_case "min cut side" `Quick test_min_cut_side;
         ] );
       ( "menger",
         [

@@ -1,9 +1,8 @@
-(* Tests for the graph substrate: CSR digraphs, traversals, components,
-   staging, quotients, rendering. *)
+(* Tests for the graph substrate: CSR digraphs, traversals, staging,
+   quotients, rendering. *)
 
 module Digraph = Ftcsn_graph.Digraph
 module Traverse = Ftcsn_graph.Traverse
-module Components = Ftcsn_graph.Components
 module Staged = Ftcsn_graph.Staged
 module Render = Ftcsn_graph.Render
 module Rng = Ftcsn_prng.Rng
@@ -43,9 +42,8 @@ let test_adjacency () =
   check "in 3" 2 (Digraph.in_degree g 3);
   check "out 3" 0 (Digraph.out_degree g 3);
   Alcotest.(check (list int)) "out neighbours sorted" [ 1; 2 ]
-    (List.sort compare (Array.to_list (Digraph.out_neighbours g 0)));
-  Alcotest.(check (list int)) "in neighbours" [ 1; 2 ]
-    (List.sort compare (Array.to_list (Digraph.in_neighbours g 3)));
+    (List.sort compare
+       (Digraph.fold_out g 0 ~init:[] ~f:(fun acc ~dst ~eid:_ -> dst :: acc)));
   check "max degree" 2 (Digraph.max_degree g)
 
 let test_iter_edges_consistency () =
@@ -77,7 +75,7 @@ let test_reverse () =
 
 let test_subgraph_by_edges () =
   let g = diamond () in
-  let sub, mapping = Digraph.subgraph_by_edges_map g ~keep:(fun e -> e <> 1) in
+  let sub, mapping = Graph_ref.subgraph_by_edges_map g ~keep:(fun e -> e <> 1) in
   check "edges" 3 (Digraph.edge_count sub);
   check "vertices unchanged" 4 (Digraph.vertex_count sub);
   Alcotest.(check (array int)) "mapping" [| 0; 2; 3 |] mapping;
@@ -100,14 +98,7 @@ let test_quotient () =
 let test_bfs_directed () =
   let g = path_plus () in
   let d = Traverse.bfs_directed g ~sources:[ 0 ] in
-  Alcotest.(check (array int)) "distances" [| 0; 1; 2; 3; -1 |] d;
-  check "max dist" 3 (Traverse.bfs_directed_max_dist g ~sources:[ 0 ])
-
-let test_bfs_undirected () =
-  let g = path_plus () in
-  (* from vertex 3 the directed graph reaches nothing, undirected reaches all *)
-  let d = Traverse.bfs_undirected g ~sources:[ 3 ] in
-  Alcotest.(check (array int)) "undirected distances" [| 3; 2; 1; 0; -1 |] d
+  Alcotest.(check (array int)) "distances" [| 0; 1; 2; 3; -1 |] d
 
 let test_bfs_allowed () =
   let g = diamond () in
@@ -161,36 +152,11 @@ let test_reachable () =
   Alcotest.(check (list int)) "reach set" [ 1; 2; 3 ]
     (Ftcsn_util.Bitset.to_list set)
 
-let test_components () =
-  let g = path_plus () in
-  let label, count = Components.undirected_components g in
-  check "two components" 2 count;
-  check "same comp" label.(0) label.(3);
-  checkb "isolated different" true (label.(4) <> label.(0));
-  let sizes = Components.undirected_component_sizes g in
-  Alcotest.(check (list int)) "sizes" [ 1; 4 ]
-    (List.sort compare (Array.to_list sizes));
-  checkb "same_component" true (Components.same_component g 1 3)
-
-let test_scc () =
-  let g =
-    Digraph.of_edges ~n:5 [| (0, 1); (1, 2); (2, 0); (2, 3); (3, 4) |]
-  in
-  let label, count = Components.strongly_connected_components g in
-  check "three sccs" 3 count;
-  check "cycle together" label.(0) label.(2);
-  checkb "3 separate" true (label.(3) <> label.(0))
-
-let test_scc_dag_is_identity () =
-  let g = diamond () in
-  let _, count = Components.strongly_connected_components g in
-  check "all singleton" 4 count
-
 let test_staged () =
   let g = diamond () in
   let staged = Staged.of_sources g ~sources:[ 0 ] in
   check "stages" 3 staged.Staged.stages;
-  checkb "strict" true (Staged.is_strictly_staged g staged);
+  checkb "strict" true (Graph_ref.is_strictly_staged g staged);
   Alcotest.(check (list int)) "stage 1" [ 1; 2 ] (Staged.vertices_at staged 1);
   Alcotest.(check (array int)) "sizes" [| 1; 2; 1 |] (Staged.stage_sizes staged);
   Alcotest.(check (array int)) "edge counts" [| 2; 2; 0 |]
@@ -200,7 +166,7 @@ let test_staged_violation () =
   (* 0 -> 1 -> 2 plus skip edge 0 -> 2 breaks strict staging *)
   let g = Digraph.of_edges ~n:3 [| (0, 1); (1, 2); (0, 2) |] in
   let staged = Staged.of_sources g ~sources:[ 0 ] in
-  checkb "not strict" false (Staged.is_strictly_staged g staged)
+  checkb "not strict" false (Graph_ref.is_strictly_staged g staged)
 
 let test_dot_render () =
   let g = diamond () in
@@ -229,30 +195,11 @@ let test_metrics_profile () =
   check "max out" 2 p.Metrics.max_out;
   Alcotest.(check (float 1e-9)) "mean" 1.0 p.Metrics.mean_out
 
-let test_metrics_histogram () =
-  let g = diamond () in
-  Alcotest.(check (list (pair int int))) "out histogram"
-    [ (0, 1); (1, 2); (2, 1) ]
-    (Metrics.degree_histogram g `Out);
-  Alcotest.(check (list (pair int int))) "in histogram"
-    [ (0, 1); (1, 2); (2, 1) ]
-    (Metrics.degree_histogram g `In)
-
 let test_metrics_eccentricity_and_diameter () =
   let g = path_plus () in
-  check "ecc of 0" 3 (Metrics.directed_eccentricity g 0);
-  check "ecc of 3" 0 (Metrics.directed_eccentricity g 3);
   let rng = Rng.create ~seed:9 in
   let d = Metrics.diameter_lower_bound g ~samples:20 ~rng in
   checkb "diameter bound sane" true (d >= 0 && d <= 3)
-
-let test_metrics_regularity () =
-  let g = diamond () in
-  checkb "interior is 1-in-1-out... no" false
-    (Metrics.is_regular g ~degree:2 ~interior_only:(fun v -> v = 1 || v = 2));
-  checkb "interior 1-regular" true
-    (Metrics.is_regular g ~degree:1 ~interior_only:(fun v -> v = 1 || v = 2));
-  Alcotest.(check (float 1e-9)) "ratio" 1.0 (Metrics.edge_vertex_ratio g)
 
 let prop_quotient_preserves_edge_count =
   QCheck2.Test.make ~name:"quotient without loop-drop preserves edges" ~count:100
@@ -356,7 +303,6 @@ let () =
       ( "traverse",
         [
           Alcotest.test_case "bfs directed" `Quick test_bfs_directed;
-          Alcotest.test_case "bfs undirected" `Quick test_bfs_undirected;
           Alcotest.test_case "bfs allowed" `Quick test_bfs_allowed;
           Alcotest.test_case "shortest path" `Quick test_shortest_path;
           Alcotest.test_case "shortest undirected" `Quick
@@ -364,12 +310,6 @@ let () =
           Alcotest.test_case "topological" `Quick test_topological;
           Alcotest.test_case "longest/depth" `Quick test_longest_path_and_depth;
           Alcotest.test_case "reachable" `Quick test_reachable;
-        ] );
-      ( "components",
-        [
-          Alcotest.test_case "undirected" `Quick test_components;
-          Alcotest.test_case "scc" `Quick test_scc;
-          Alcotest.test_case "scc on dag" `Quick test_scc_dag_is_identity;
         ] );
       ( "staged",
         [
@@ -379,9 +319,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "profile" `Quick test_metrics_profile;
-          Alcotest.test_case "histogram" `Quick test_metrics_histogram;
           Alcotest.test_case "eccentricity" `Quick test_metrics_eccentricity_and_diameter;
-          Alcotest.test_case "regularity" `Quick test_metrics_regularity;
         ] );
       ( "render",
         [

@@ -55,7 +55,7 @@ let test_class_separation_examples () =
    Benes network keeps it routable and multiplies size by gadget size *)
 let test_substitution_transfer_routability () =
   let benes = Benes.create 4 in
-  let gadget = Sp_network.build (Sp_network.iterate_quad 1) in
+  let gadget = Sp_network.build (Sp_network.quad Sp_network.Edge) in
   let sub = Substitution.substitute benes.Network.graph ~gadget in
   let net' =
     Network.make ~name:"benes-substituted" ~graph:sub.Substitution.graph
@@ -176,7 +176,7 @@ let test_short_rate_vs_exact () =
   let net = Network.make ~name:"chain" ~graph:g ~inputs:[| 0 |] ~outputs:[| 2 |] in
   let eps = 0.25 in
   let exact =
-    Ftcsn_reliability.Exact.probability g ~eps_open:eps ~eps_close:eps
+    Exact_ref.probability g ~eps_open:eps ~eps_close:eps
       (fun pattern -> Strip_ref.shorted_by_closure g pattern ~a:0 ~b:2)
   in
   Alcotest.(check (float 1e-9)) "eps^2" (eps *. eps) exact;

@@ -62,11 +62,7 @@ let test_clos_counts () =
   check "terminals" 4 (Network.n_inputs net);
   (* 2rkm + mr^2 = 2*2*2*3 + 3*4 = 36 *)
   check "size" 36 (Network.size net);
-  check "depth" 3 (Network.depth net);
-  checkb "snb params" true (Clos.strictly_nonblocking_params p);
-  checkb "rearr params" true (Clos.rearrangeable_params p);
-  checkb "m=1 not rearr for k=2" false
-    (Clos.rearrangeable_params { Clos.m = 1; k = 2; r = 2 })
+  check "depth" 3 (Network.depth net)
 
 let test_clos_presets () =
   let nb = Clos.nonblocking ~n:9 in
@@ -124,7 +120,7 @@ let test_clos_route_random_larger () =
 let test_clos_route_structured () =
   let built = Clos.make_built { Clos.m = 4; k = 4; r = 4 } in
   check_clos_routing built (Perm.identity 16);
-  check_clos_routing built (Perm.reversal 16);
+  check_clos_routing built (Array.init 16 (fun i -> 15 - i));
   check_clos_routing built (Perm.rotation 16 7);
   (* the "all traffic between one ingress and one egress" worst case *)
   check_clos_routing built
@@ -160,8 +156,7 @@ let test_benes_size_depth () =
         (Printf.sprintf "size n=%d" n)
         (4 * (n / 2) * ((2 * k) - 1))
         (Network.size net);
-      check (Printf.sprintf "depth n=%d" n) ((2 * k) - 1) (Network.depth net);
-      check "columns" ((2 * k) - 1) (Benes.switch_columns b))
+      check (Printf.sprintf "depth n=%d" n) ((2 * k) - 1) (Network.depth net))
     [ 2; 4; 8; 16; 32 ]
 
 let test_benes_rejects_bad_n () =
@@ -218,7 +213,7 @@ let test_benes_routes_structured_perms () =
   let b = Benes.make 16 in
   let net = Benes.network b in
   check_routing b net (Perm.identity 16);
-  check_routing b net (Perm.reversal 16);
+  check_routing b net (Array.init 16 (fun i -> 15 - i));
   check_routing b net (Perm.rotation 16 5)
 
 let test_benes_route_arity () =
@@ -234,21 +229,28 @@ let test_butterfly_counts () =
   check "depth" 3 (Network.depth net);
   check "vertices" (4 * 8) (Digraph.vertex_count net.Network.graph)
 
+(* paths from [src] to every vertex, by DP in vertex-id order: these
+   constructions are leveled with ids increasing stage by stage, so every
+   predecessor of a vertex has a smaller id *)
+let path_counts net src =
+  let g = net.Network.graph in
+  let counts = Array.make (Digraph.vertex_count g) 0 in
+  counts.(src) <- 1;
+  for v = 0 to Digraph.vertex_count g - 1 do
+    if counts.(v) > 0 then
+      Digraph.iter_out g v (fun ~dst ~eid:_ ->
+          counts.(dst) <- counts.(dst) + counts.(v))
+  done;
+  counts
+
 let test_butterfly_unique_path () =
-  let n = 8 in
-  let net = Butterfly.make n in
-  for input = 0 to n - 1 do
-    for output = 0 to n - 1 do
-      let p = Butterfly.unique_path ~n ~input ~output in
-      check "length" (log2_exact n + 1) (List.length p);
-      (match p with
-      | first :: _ -> check "start" net.Network.inputs.(input) first
-      | [] -> Alcotest.fail "empty");
-      match List.rev p with
-      | last :: _ -> check "end" net.Network.outputs.(output) last
-      | [] -> ()
-    done
-  done
+  (* exactly one path joins each input to each output *)
+  let net = Butterfly.make 8 in
+  Array.iter
+    (fun input ->
+      let counts = path_counts net input in
+      Array.iter (fun o -> check "one path" 1 counts.(o)) net.Network.outputs)
+    net.Network.inputs
 
 (* ---------- Multibutterfly ---------- *)
 
@@ -440,19 +442,6 @@ let test_recursive_nb_degrees () =
     (fun v -> check "mirror in-degree" 4 (Digraph.in_degree g v))
     t.Recursive_nb.stages.(5)
 
-let test_recursive_nb_blocks () =
-  let rng = Rng.create ~seed:28 in
-  let params = Recursive_nb.scaled_params ~branching:2 ~width_factor:4 ~degree:4 () in
-  let _, t = Recursive_nb.make ~rng ~params ~levels:3 in
-  let blocks1 = Recursive_nb.blocks_of_stage t 1 in
-  check "level-1 blocks" 4 (Array.length blocks1);
-  check "level-1 block width" 8 (Array.length blocks1.(0));
-  let blocks3 = Recursive_nb.blocks_of_stage t 3 in
-  check "level-3 single block" 1 (Array.length blocks3);
-  check "level-3 width" 32 (Array.length blocks3.(0));
-  let blocks5 = Recursive_nb.blocks_of_stage t 5 in
-  check "mirror level-1 blocks" 4 (Array.length blocks5)
-
 let test_recursive_nb_trim () =
   let rng = Rng.create ~seed:29 in
   let params = Recursive_nb.scaled_params ~branching:2 ~width_factor:4 ~degree:4 () in
@@ -497,59 +486,7 @@ let test_recursive_nb_reaches_everything () =
 let test_recursive_nb_paper_params () =
   check "paper branching" 4 Recursive_nb.paper_params.Recursive_nb.branching;
   check "paper width" 64 Recursive_nb.paper_params.Recursive_nb.width_factor;
-  check "paper degree" 10 Recursive_nb.paper_params.Recursive_nb.degree;
-  check "block width" (64 * 16)
-    (Recursive_nb.block_width Recursive_nb.paper_params ~level:2)
-
-(* ---------- Concentrator ([M]/[GG] subject matter) ---------- *)
-
-module Concentrator = Ftcsn_networks.Concentrator
-
-let test_concentrator_complete_bipartite_certified () =
-  (* K(6,3) concentrates any <= 3 inputs *)
-  let adj = Array.make 6 [| 0; 1; 2 |] in
-  let b = Ftcsn_expander.Bipartite.make ~inlets:6 ~outlets:3 ~adj in
-  let c = Concentrator.of_expander b ~capacity:3 in
-  (match Concentrator.verify_exhaustive c with
-  | `Certified -> ()
-  | `Refuted _ -> Alcotest.fail "complete bipartite concentrates");
-  check "max concentration" 3 (Concentrator.max_concentration c ~k:5)
-
-let test_concentrator_refutes_star () =
-  (* all inputs share one output: any 2-subset is deficient *)
-  let adj = Array.make 4 [| 0 |] in
-  let b = Ftcsn_expander.Bipartite.make ~inlets:4 ~outlets:2 ~adj in
-  let c = Concentrator.of_expander b ~capacity:2 in
-  (match Concentrator.verify_exhaustive c with
-  | `Refuted s -> check "deficient pair" 2 (Array.length s)
-  | `Certified -> Alcotest.fail "star cannot concentrate");
-  let rng = Rng.create ~seed:66 in
-  checkb "sampled also refutes" true
-    (Concentrator.verify_sampled c ~trials:200 ~rng <> None)
-
-let test_concentrator_random_certifies () =
-  let rng = Rng.create ~seed:67 in
-  let c = Concentrator.random ~rng ~inputs:12 ~outputs:8 ~degree:5 in
-  match Concentrator.verify_exhaustive c with
-  | `Certified -> ()
-  | `Refuted s -> Alcotest.failf "refuted with |S|=%d" (Array.length s)
-
-let test_concentrator_gabber_galil () =
-  (* the GG expander viewed as a concentrator of small capacity *)
-  let b = Ftcsn_expander.Gabber_galil.make ~m:3 in
-  let c = Concentrator.of_expander b ~capacity:4 in
-  let rng = Rng.create ~seed:68 in
-  checkb "no sampled violation" true
-    (Concentrator.verify_sampled c ~trials:400 ~rng = None)
-
-let test_concentrator_validation () =
-  Alcotest.check_raises "capacity range"
-    (Invalid_argument "Concentrator.of_expander: capacity exceeds outputs")
-    (fun () ->
-      let b =
-        Ftcsn_expander.Bipartite.make ~inlets:2 ~outlets:1 ~adj:[| [| 0 |]; [| 0 |] |]
-      in
-      ignore (Concentrator.of_expander b ~capacity:5))
+  check "paper degree" 10 Recursive_nb.paper_params.Recursive_nb.degree
 
 (* ---------- Multistage (recursive Clos, [PY]) ---------- *)
 
@@ -640,20 +577,6 @@ let prop_multistage_routes_random =
 
 let delta_zoo =
   [ ("delta", Delta.delta); ("omega", Delta.omega); ("banyan", Delta.banyan) ]
-
-(* paths from [src] to every vertex, by DP in vertex-id order: these
-   constructions are leveled with ids increasing stage by stage, so every
-   predecessor of a vertex has a smaller id *)
-let path_counts net src =
-  let g = net.Network.graph in
-  let counts = Array.make (Digraph.vertex_count g) 0 in
-  counts.(src) <- 1;
-  for v = 0 to Digraph.vertex_count g - 1 do
-    if counts.(v) > 0 then
-      Digraph.iter_out g v (fun ~dst ~eid:_ ->
-          counts.(dst) <- counts.(dst) + counts.(v))
-  done;
-  counts
 
 let test_delta_zoo_counts () =
   List.iter
@@ -824,23 +747,12 @@ let () =
         [
           Alcotest.test_case "stage shapes" `Quick test_recursive_nb_stage_shapes;
           Alcotest.test_case "degrees" `Quick test_recursive_nb_degrees;
-          Alcotest.test_case "blocks" `Quick test_recursive_nb_blocks;
           Alcotest.test_case "trim" `Quick test_recursive_nb_trim;
           Alcotest.test_case "first-stage hook" `Quick
             test_recursive_nb_first_stage_hook;
           Alcotest.test_case "reachability" `Quick
             test_recursive_nb_reaches_everything;
           Alcotest.test_case "paper params" `Quick test_recursive_nb_paper_params;
-        ] );
-      ( "concentrator",
-        [
-          Alcotest.test_case "complete bipartite" `Quick
-            test_concentrator_complete_bipartite_certified;
-          Alcotest.test_case "refutes star" `Quick test_concentrator_refutes_star;
-          Alcotest.test_case "random certifies" `Quick
-            test_concentrator_random_certifies;
-          Alcotest.test_case "gabber-galil" `Quick test_concentrator_gabber_galil;
-          Alcotest.test_case "validation" `Quick test_concentrator_validation;
         ] );
       ( "multistage",
         [

@@ -4,22 +4,26 @@
 
    Validation strategy: the estimators are checked against closed forms
    where they exist (Sp_network's series-parallel recurrences,
-   Proposition 1) and against 3^m enumeration (Exact) on a crossbar small
+   Proposition 1) and against 3^m enumeration (Exact_ref) on a crossbar small
    enough to enumerate, and pinned bit-identical across --jobs. *)
 
 module Digraph = Ftcsn_graph.Digraph
 module Fault = Ftcsn_reliability.Fault
 module Survivor = Ftcsn_reliability.Survivor
-module Exact = Ftcsn_reliability.Exact
 module Sp_network = Ftcsn_reliability.Sp_network
 module Splitting = Ftcsn_reliability.Splitting
 module Rng = Ftcsn_prng.Rng
 module Network = Ftcsn_networks.Network
 module Topology = Ftcsn_networks.Topology
 module Rare = Ftcsn.Rare
+module Monte_carlo = Ftcsn_reliability.Monte_carlo
 
 let checkb = Alcotest.(check bool)
 let checkf eps = Alcotest.(check (float eps))
+
+(* the constant tilt sampling every edge at (eps_open, eps_close) *)
+let uniform_tilt ~m ~eps_open ~eps_close =
+  { Splitting.t_open = Array.make m eps_open; t_close = Array.make m eps_close }
 
 let build_net spec ~n =
   Ftcsn.Ft_topology.install ();
@@ -38,12 +42,12 @@ let sp_open_event (built : Sp_network.built) _ws _rng pattern =
        ~a:built.Sp_network.input ~b:built.Sp_network.output)
 
 let test_tilted_matches_rectangle () =
-  let spec = Sp_network.rectangle ~j:2 ~k:3 in
+  let spec = Exact_ref.rectangle ~j:2 ~k:3 in
   let built = Sp_network.build spec in
   let m = Digraph.edge_count built.Sp_network.graph in
   let eps = 0.02 in
   let exact = Sp_network.open_prob spec ~eps_open:eps ~eps_close:eps in
-  let tilt = Splitting.uniform_tilt ~m ~eps_open:0.25 ~eps_close:eps in
+  let tilt = uniform_tilt ~m ~eps_open:0.25 ~eps_close:eps in
   let est =
     Splitting.tilted ~trials:20_000 ~rng:(Rng.create ~seed:7) ~m
       ~eps_open:eps ~eps_close:eps ~tilt
@@ -64,12 +68,12 @@ let qcheck_tilted_rectangles =
     ~count:25
     QCheck2.Gen.(triple (int_range 1 3) (int_range 1 3) (int_range 0 1000))
     (fun (j, k, seed_off) ->
-      let spec = Sp_network.rectangle ~j ~k in
+      let spec = Exact_ref.rectangle ~j ~k in
       let built = Sp_network.build spec in
       let m = Digraph.edge_count built.Sp_network.graph in
       let eps = 0.02 +. (0.08 *. (float_of_int (seed_off mod 7) /. 7.0)) in
       let exact = Sp_network.open_prob spec ~eps_open:eps ~eps_close:eps in
-      let tilt = Splitting.uniform_tilt ~m ~eps_open:0.3 ~eps_close:eps in
+      let tilt = uniform_tilt ~m ~eps_open:0.3 ~eps_close:eps in
       let est =
         Splitting.tilted ~trials:4_000
           ~rng:(Rng.create ~seed:(1000 + seed_off))
@@ -116,7 +120,7 @@ let sp_threshold built ws u =
   end
 
 let test_splitting_matches_rectangle () =
-  let spec = Sp_network.rectangle ~j:2 ~k:3 in
+  let spec = Exact_ref.rectangle ~j:2 ~k:3 in
   let built = Sp_network.build spec in
   let m = Digraph.edge_count built.Sp_network.graph in
   let eps = 0.02 in
@@ -145,7 +149,7 @@ let test_splitting_matches_rectangle () =
 (* a 1-level schedule is plain Monte-Carlo: the estimator must agree
    count-for-count with directly thresholding the root draws *)
 let test_singleton_schedule_is_mc () =
-  let spec = Sp_network.rectangle ~j:1 ~k:2 in
+  let spec = Exact_ref.rectangle ~j:1 ~k:2 in
   let built = Sp_network.build spec in
   let m = Digraph.edge_count built.Sp_network.graph in
   let eps = 0.3 in
@@ -184,14 +188,14 @@ let test_tilted_unbiased_vs_exact () =
      Exact can enumerate; a fresh seeded stream per call pins the plan *)
   let oracle = Rare.create_ws net in
   let exact =
-    Exact.probability net.Network.graph ~eps_open:eps ~eps_close:eps
+    Exact_ref.probability net.Network.graph ~eps_open:eps ~eps_close:eps
       (fun pattern -> Rare.fails oracle (Rng.create ~seed:99) pattern)
   in
   checkb "exact failure prob is nonzero" true (exact > 0.0);
   let runs = 24 in
   let means =
     Array.init runs (fun r ->
-        let tilt = Splitting.uniform_tilt ~m ~eps_open:0.2 ~eps_close:0.2 in
+        let tilt = uniform_tilt ~m ~eps_open:0.2 ~eps_close:0.2 in
         let est =
           Splitting.tilted ~trials:2_000
             ~rng:(Rng.create ~seed:(500 + r))
@@ -212,6 +216,41 @@ let test_tilted_unbiased_vs_exact () =
   checkb "grand mean within 4 se of exact" true
     (Float.abs (grand -. exact) <= (4.0 *. se_grand) +. 1e-9)
 
+(* the two plain estimators of the same event: independent Monte-Carlo
+   runs at each ε and one CRN curve over the grid; each point must fall
+   within 4 binomial standard errors of the enumeration *)
+let test_mc_and_curve_vs_exact () =
+  let net = build_net "crossbar" ~n:3 in
+  let g = net.Network.graph in
+  let grid = [| 0.02; 0.05; 0.1 |] in
+  let trials = 20_000 in
+  let oracle = Rare.create_ws net in
+  let event pattern = Rare.fails oracle (Rng.create ~seed:99) pattern in
+  let on_scratch sc = event (Ftcsn_reliability.Scratch.pattern sc) in
+  let curve =
+    Monte_carlo.estimate_curve ~trials ~rng:(Rng.create ~seed:31) ~graph:g
+      ~grid:(Array.map (fun e -> (e, e)) grid)
+      on_scratch
+  in
+  Array.iteri
+    (fun k eps ->
+      let exact = Exact_ref.probability g ~eps_open:eps ~eps_close:eps event in
+      let se = sqrt (exact *. (1.0 -. exact) /. float_of_int trials) in
+      let within name (e : Monte_carlo.estimate) =
+        checkb
+          (Printf.sprintf "%s at eps=%g: %g within 4 se of %g" name eps
+             e.Monte_carlo.mean exact)
+          true
+          (Float.abs (e.Monte_carlo.mean -. exact) <= (4.0 *. se) +. 1e-12)
+      in
+      checkb "exact failure prob is nonzero" true (exact > 0.0);
+      within "plain MC"
+        (Monte_carlo.estimate_event_scratch ~trials
+           ~rng:(Rng.create ~seed:(30 + k)) ~graph:g ~eps_open:eps
+           ~eps_close:eps on_scratch);
+      within "CRN curve" curve.(k))
+    grid
+
 let test_splitting_unbiased_vs_exact () =
   let net = build_net "crossbar" ~n:3 in
   let m = Digraph.edge_count net.Network.graph in
@@ -224,7 +263,7 @@ let test_splitting_unbiased_vs_exact () =
   in
   let oracle = fixed_plan_ws () in
   let exact =
-    Exact.probability net.Network.graph ~eps_open:eps ~eps_close:eps
+    Exact_ref.probability net.Network.graph ~eps_open:eps ~eps_close:eps
       (fun pattern -> Rare.monotone_fails oracle pattern)
   in
   checkb "monotone exact prob is nonzero" true (exact > 0.0);
@@ -272,7 +311,7 @@ let test_jobs_bit_identity () =
 let test_curve_point_matches_tilted () =
   let net = build_net "benes" ~n:8 in
   let m = Digraph.edge_count net.Network.graph in
-  let tilt = Splitting.uniform_tilt ~m ~eps_open:0.02 ~eps_close:0.02 in
+  let tilt = uniform_tilt ~m ~eps_open:0.02 ~eps_close:0.02 in
   let grid = [| 1e-3; 3e-3; 1e-2 |] in
   let curve =
     Rare.failure_tilted_curve ~trials:500 ~rng:(Rng.create ~seed:9) ~grid
@@ -337,14 +376,14 @@ let test_validation () =
   expect_invalid "tilt zero mass at positive target" (fun () ->
       Splitting.tilted ~trials:1 ~rng:(Rng.create ~seed:1) ~m ~eps_open:0.1
         ~eps_close:0.1
-        ~tilt:(Splitting.uniform_tilt ~m ~eps_open:0.2 ~eps_close:0.0)
+        ~tilt:(uniform_tilt ~m ~eps_open:0.2 ~eps_close:0.0)
         ~init
         ~event:(fun _ _ _ -> true)
         ());
   expect_invalid "bad target" (fun () ->
       Splitting.tilted ~trials:1 ~rng:(Rng.create ~seed:1) ~m ~eps_open:0.0
         ~eps_close:0.0
-        ~tilt:(Splitting.uniform_tilt ~m ~eps_open:0.2 ~eps_close:0.2)
+        ~tilt:(uniform_tilt ~m ~eps_open:0.2 ~eps_close:0.2)
         ~init
         ~event:(fun _ _ _ -> true)
         ());
@@ -387,6 +426,11 @@ let () =
             test_singleton_schedule_is_mc;
           Alcotest.test_case "unbiased vs Exact (crossbar)" `Slow
             test_splitting_unbiased_vs_exact;
+        ] );
+      ( "plain",
+        [
+          Alcotest.test_case "MC and CRN curve vs Exact (crossbar)" `Slow
+            test_mc_and_curve_vs_exact;
         ] );
       ( "engine",
         [

@@ -16,6 +16,31 @@ module Rng = Ftcsn_prng.Rng
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
+(* ---------- oracles for the constructions and the strategies ---------- *)
+
+(* directed src -> dst paths of a DAG, by DP over a topological order *)
+let count_paths net ~src ~dst =
+  let g = net.Network.graph in
+  match Ftcsn_graph.Traverse.topological_order g with
+  | None -> Alcotest.fail "count_paths: cyclic graph"
+  | Some order ->
+      let counts = Array.make (Ftcsn_graph.Digraph.vertex_count g) 0 in
+      counts.(src) <- 1;
+      Array.iter
+        (fun v ->
+          if counts.(v) > 0 then
+            Ftcsn_graph.Digraph.iter_out g v (fun ~dst:w ~eid:_ ->
+                counts.(w) <- counts.(w) + counts.(v)))
+        order;
+      counts.(dst)
+
+(* every input/output pair joined by exactly one path *)
+let is_banyan net =
+  Array.for_all
+    (fun i ->
+      Array.for_all (fun o -> count_paths net ~src:i ~dst:o = 1) net.Network.outputs)
+    net.Network.inputs
+
 (* ---------- Greedy ---------- *)
 
 let test_greedy_route_and_release () =
@@ -155,11 +180,11 @@ let test_count_paths () =
   let net = Benes.create 4 in
   (* Benes(4): each input-output pair has exactly 2 paths (one per half) *)
   check "two paths" 2
-    (Backtrack.count_paths net ~src:net.Network.inputs.(0)
+    (count_paths net ~src:net.Network.inputs.(0)
        ~dst:net.Network.outputs.(3));
   let bf = Butterfly.make 8 in
   check "butterfly unique" 1
-    (Backtrack.count_paths bf ~src:bf.Network.inputs.(2)
+    (count_paths bf ~src:bf.Network.inputs.(2)
        ~dst:bf.Network.outputs.(5))
 
 (* ---------- Flow_route ---------- *)
@@ -251,8 +276,8 @@ let test_butterfly_not_rearrangeable () =
   | `Budget_exceeded -> Alcotest.fail "budget"
 
 let test_butterfly_banyan () =
-  checkb "butterfly is banyan" true (Properties.is_banyan (Butterfly.make 8));
-  checkb "benes is not" false (Properties.is_banyan (Benes.create 4))
+  checkb "butterfly is banyan" true (is_banyan (Butterfly.make 8));
+  checkb "benes is not" false (is_banyan (Benes.create 4))
 
 let test_superconcentrator_checks () =
   let benes = Benes.create 4 in
@@ -290,21 +315,103 @@ let test_rearrangeable_sampled () =
 
 module Wide_sense = Ftcsn_routing.Wide_sense
 
+(* The exhaustive adversary, the oracle for the strategies: explore every
+   configuration reachable under the strategy's deterministic choices
+   (requests and hang-ups in all orders), memoised on (busy set, live
+   calls); exponential, tiny networks only.  A strategy loses on a request
+   it cannot serve with a valid idle path. *)
+type game_result =
+  | Strategy_wins
+  | Adversary_wins of (int * int) list * (int * int)
+  | Budget_exceeded
+
+exception Lost of (int * int) list * (int * int)
+exception Out_of_budget
+
+let valid_path net busy ~input ~output path =
+  let g = net.Network.graph in
+  let src = net.Network.inputs.(input) and dst = net.Network.outputs.(output) in
+  let rec ok = function
+    | [ last ] -> last = dst
+    | a :: (b :: _ as rest) ->
+        Ftcsn_graph.Digraph.fold_out g a ~init:false ~f:(fun acc ~dst:w ~eid:_ ->
+            acc || w = b)
+        && (not (Ftcsn_util.Bitset.mem busy b))
+        && ok rest
+    | [] -> false
+  in
+  match path with
+  | first :: _ -> first = src && (not (Ftcsn_util.Bitset.mem busy src)) && ok path
+  | [] -> false
+
+let adversary_game ?(max_states = 100_000) strategy net =
+  let module Bitset = Ftcsn_util.Bitset in
+  let n_in = Network.n_inputs net and n_out = Network.n_outputs net in
+  let busy = Bitset.create (Ftcsn_graph.Digraph.vertex_count net.Network.graph) in
+  let seen = Hashtbl.create 1024 in
+  let visited = ref 0 in
+  let rec explore calls =
+    let key =
+      String.concat ";"
+        (List.map
+           (fun (i, o, _) -> Printf.sprintf "%d-%d" i o)
+           (List.sort compare calls))
+      ^ "|"
+      ^ String.concat "," (List.map string_of_int (Bitset.to_list busy))
+    in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      incr visited;
+      if !visited > max_states then raise Out_of_budget;
+      let live = List.map (fun (i, o, _) -> (i, o)) calls in
+      let input_live i = List.exists (fun (i', _) -> i' = i) live in
+      let output_live o = List.exists (fun (_, o') -> o' = o) live in
+      (* adversary move 1: any idle request *)
+      for i = 0 to n_in - 1 do
+        if not (input_live i) then
+          for o = 0 to n_out - 1 do
+            if not (output_live o) then begin
+              let state = { Wide_sense.net; busy; calls } in
+              match strategy state ~input:i ~output:o with
+              | None -> raise (Lost (live, (i, o)))
+              | Some path ->
+                  if not (valid_path net busy ~input:i ~output:o path) then
+                    raise (Lost (live, (i, o)));
+                  List.iter (Bitset.add busy) path;
+                  explore ((i, o, path) :: calls);
+                  List.iter (Bitset.remove busy) path
+            end
+          done
+      done;
+      (* adversary move 2: hang up any live call *)
+      List.iter
+        (fun (i, o, path) ->
+          List.iter (Bitset.remove busy) path;
+          explore (List.filter (fun (i', o', _) -> (i', o') <> (i, o)) calls);
+          List.iter (Bitset.add busy) path)
+        calls
+    end
+  in
+  match explore [] with
+  | () -> Strategy_wins
+  | exception Lost (live, req) -> Adversary_wins (live, req)
+  | exception Out_of_budget -> Budget_exceeded
+
 let test_wsnb_greedy_wins_on_crossbar () =
   (* strictly nonblocking => every strategy wins the adversary game *)
-  match Wide_sense.adversary_game Wide_sense.greedy_strategy (Crossbar.square 3) with
-  | Wide_sense.Strategy_wins -> ()
-  | Wide_sense.Adversary_wins _ -> Alcotest.fail "crossbar is strictly nonblocking"
-  | Wide_sense.Budget_exceeded -> Alcotest.fail "budget"
+  match adversary_game Wide_sense.greedy_strategy (Crossbar.square 3) with
+  | Strategy_wins -> ()
+  | Adversary_wins _ -> Alcotest.fail "crossbar is strictly nonblocking"
+  | Budget_exceeded -> Alcotest.fail "budget"
 
 let test_wsnb_greedy_wins_on_snb_clos () =
   match
-    Wide_sense.adversary_game ~max_states:200_000 Wide_sense.greedy_strategy
+    adversary_game ~max_states:200_000 Wide_sense.greedy_strategy
       (Clos.make { Clos.m = 3; k = 2; r = 2 })
   with
-  | Wide_sense.Strategy_wins -> ()
-  | Wide_sense.Adversary_wins _ -> Alcotest.fail "Clos(3,2,2) is strictly nonblocking"
-  | Wide_sense.Budget_exceeded -> Alcotest.fail "budget"
+  | Strategy_wins -> ()
+  | Adversary_wins _ -> Alcotest.fail "Clos(3,2,2) is strictly nonblocking"
+  | Budget_exceeded -> Alcotest.fail "budget"
 
 let test_wsnb_adversary_beats_rearrangeable () =
   (* on a merely-rearrangeable Clos NO memoryless strategy survives the
@@ -312,12 +419,12 @@ let test_wsnb_adversary_beats_rearrangeable () =
   let net = Clos.make { Clos.m = 2; k = 2; r = 2 } in
   List.iter
     (fun strategy ->
-      match Wide_sense.adversary_game ~max_states:200_000 strategy net with
-      | Wide_sense.Adversary_wins (live, _) ->
+      match adversary_game ~max_states:200_000 strategy net with
+      | Adversary_wins (live, _) ->
           checkb "loss needs established calls" true (live <> [])
-      | Wide_sense.Strategy_wins ->
+      | Strategy_wins ->
           Alcotest.fail "Clos(2,2,2) cannot be nonblocking under any strategy"
-      | Wide_sense.Budget_exceeded -> Alcotest.fail "budget")
+      | Budget_exceeded -> Alcotest.fail "budget")
     [ Wide_sense.greedy_strategy; Wide_sense.packing_strategy ]
 
 let test_wsnb_packing_valid_paths () =

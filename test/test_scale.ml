@@ -112,8 +112,7 @@ let dyn_conn_agrees (name, net) seed ops =
     if Dyn_conn.connected dc a b <> oracle_connected g closed a b then
       Alcotest.failf "%s: connected %d %d diverged at step %d (seed %d)"
         name a b step seed
-  done;
-  check (name ^ ": closed_count") !nclosed (Dyn_conn.closed_count dc)
+  done
 
 let test_dyn_conn_oracle () =
   let nets = registry_nets ~n:8 in
@@ -166,8 +165,7 @@ let test_reopen_parallel () =
       [ (true, 0); (true, 1); (true, 2); (false, 0) ]
   in
   checkb "the twin edge still joins the class" true (Dyn_conn.connected dc 0 2);
-  checkb "still shorted" true (Dyn_conn.terminals_shorted dc);
-  check "closed_count" 2 (Dyn_conn.closed_count dc)
+  checkb "still shorted" true (Dyn_conn.terminals_shorted dc)
 
 let test_reopen_self_loop () =
   let dc =

@@ -150,7 +150,7 @@ let test_malformed_lines () =
 let test_admission () =
   let d p ~occupancy ~queue_depth = Admission.decide p ~occupancy ~queue_depth in
   checkb "unlimited admits" true
-    (d Admission.unlimited ~occupancy:1.0 ~queue_depth:max_int = Admission.Admit);
+    (d (Admission.combine []) ~occupancy:1.0 ~queue_depth:max_int = Admission.Admit);
   let ml = Admission.max_load 0.5 in
   checkb "below bound admits" true (d ml ~occupancy:0.49 ~queue_depth:0 = Admission.Admit);
   checkb "at bound sheds" true (d ml ~occupancy:0.5 ~queue_depth:0 = Admission.Shed);
@@ -222,7 +222,7 @@ let run_replay ?(engine = `Bfs) ?(seed = 11) ?admission
     Engine.create ~engine ~mtbf ~mttr:2.0 ~emit
       ~rng:(Rng.create ~seed) net
   in
-  let admission = Option.value admission ~default:Admission.unlimited in
+  let admission = Option.value admission ~default:(Admission.combine []) in
   let reason =
     with_script (script ~calls) (fun ic ->
         Loop.replay ~engine:eng ~admission ~emit ic)
@@ -369,7 +369,8 @@ let test_explicit_endpoints_and_hangups () =
       ()
   | _ ->
       Alcotest.failf "unexpected response sequence:\n%s" (Buffer.contents out));
-  checki "two live placements happened, one released" 1 (Engine.live_calls eng)
+  Alcotest.(check (option int)) "two live placements happened, one released" (Some 1)
+    (Option.bind (Json.member "live" (Engine.metrics_json eng)) Json.to_int)
 
 (* ---------- soak guard ---------- *)
 
@@ -384,7 +385,7 @@ let test_soak_allocation_flat () =
     Engine.create ~engine:`Loop ~mtbf:20.0 ~mttr:1.0 ~emit
       ~rng:(Rng.create ~seed:9) net
   in
-  let admission = Admission.unlimited in
+  let admission = (Admission.combine []) in
   let window = 10_000 in
   let total = 40_000 in
   with_script (script ~calls:(total * 7 / 4)) (fun ic ->

@@ -80,7 +80,6 @@ let test_bitset_set_ops () =
   let a = Bitset.create 50 and b = Bitset.create 50 in
   List.iter (Bitset.add a) [ 1; 2; 3 ];
   List.iter (Bitset.add b) [ 3; 4 ];
-  check "inter" 1 (Bitset.inter_cardinal a b);
   checkb "not disjoint" false (Bitset.disjoint a b);
   Bitset.union_into a b;
   check "union card" 4 (Bitset.cardinal a);
@@ -93,20 +92,22 @@ let test_bitset_set_ops () =
 
 let test_union_find_classes () =
   let uf = Union_find.create 10 in
-  check "initial classes" 10 (Union_find.class_count uf);
+  let classes () =
+    List.length (List.sort_uniq compare (List.init 10 (Union_find.find uf)))
+  in
+  check "initial classes" 10 (classes ());
   Union_find.union uf 0 1;
   Union_find.union uf 1 2;
   Union_find.union uf 5 6;
-  check "classes" 7 (Union_find.class_count uf);
+  check "classes" 7 (classes ());
   checkb "equiv" true (Union_find.equiv uf 0 2);
-  checkb "not equiv" false (Union_find.equiv uf 0 5);
-  check "class size" 3 (Union_find.class_size uf 1)
+  checkb "not equiv" false (Union_find.equiv uf 0 5)
 
 let test_union_find_labels () =
   let uf = Union_find.create 6 in
   Union_find.union uf 0 5;
   Union_find.union uf 2 3;
-  let label, k = Union_find.compress_labels uf in
+  let label, k = Strip_ref.compress_labels uf in
   check "class count" 4 k;
   check "same label" label.(0) label.(5);
   check "same label2" label.(2) label.(3);
@@ -117,7 +118,7 @@ let test_union_find_idempotent () =
   Union_find.union uf 0 1;
   Union_find.union uf 0 1;
   Union_find.union uf 1 0;
-  check "classes" 3 (Union_find.class_count uf)
+  check "classes" 3 (snd (Strip_ref.compress_labels uf))
 
 (* ---------- Perm ---------- *)
 
@@ -125,8 +126,9 @@ let test_perm_compose_inverse () =
   let p = [| 2; 0; 1; 3 |] in
   checkb "valid" true (Perm.is_valid p);
   let inv = Perm.inverse p in
-  Alcotest.(check (array int)) "p . p^-1 = id" (Perm.identity 4) (Perm.compose p inv);
-  Alcotest.(check (array int)) "p^-1 . p = id" (Perm.identity 4) (Perm.compose inv p)
+  let compose p q = Array.map (Perm.apply p) q in
+  Alcotest.(check (array int)) "p . p^-1 = id" (Perm.identity 4) (compose p inv);
+  Alcotest.(check (array int)) "p^-1 . p = id" (Perm.identity 4) (compose inv p)
 
 let test_perm_iter_all_count () =
   let count = ref 0 in
@@ -143,13 +145,12 @@ let test_perm_iter_all_distinct () =
 let test_perm_cycles () =
   let p = [| 1; 0; 2; 4; 3 |] in
   check "cycles" 3 (List.length (Perm.cycles p));
-  check "fixed points" 1 (Perm.count_fixed_points p);
-  check "swap distance" 2 (Perm.swap_distance p)
+  Alcotest.(check (list (list int))) "cycle order" [ [ 0; 1 ]; [ 2 ]; [ 3; 4 ] ]
+    (List.sort compare (List.map (List.sort compare) (Perm.cycles p)))
 
 let test_perm_rotation_reversal () =
   Alcotest.(check (array int)) "rot" [| 2; 3; 0; 1 |] (Perm.rotation 4 2);
   Alcotest.(check (array int)) "rot neg" (Perm.rotation 4 3) (Perm.rotation 4 (-1));
-  Alcotest.(check (array int)) "rev" [| 3; 2; 1; 0 |] (Perm.reversal 4);
   checkb "invalid" false (Perm.is_valid [| 0; 0; 1 |])
 
 (* ---------- Combinat ---------- *)
@@ -158,8 +159,7 @@ let test_binomial_values () =
   checkf "C(5,2)" 10.0 (Combinat.binomial 5 2);
   checkf "C(10,0)" 1.0 (Combinat.binomial 10 0);
   checkf "C(10,10)" 1.0 (Combinat.binomial 10 10);
-  checkf "C(4,7)" 0.0 (Combinat.binomial 4 7);
-  check "count" 252 (Combinat.subset_count ~n:10 ~k:5)
+  checkf "C(4,7)" 0.0 (Combinat.binomial 4 7)
 
 let test_log_binomial_consistency () =
   (* log-space formula must agree with the exact product for mid sizes *)
@@ -207,25 +207,54 @@ let test_pow () =
   checkf "x^0" 1.0 (Prob.pow 0.3 0);
   checkf "0.5^3" 0.125 (Prob.pow 0.5 3)
 
+(* exact binomial tails, summed in log space: the reference the
+   Chernoff bound must dominate *)
+let log_pmf ~n ~p ~k =
+  Combinat.log_binomial n k
+  +. (float_of_int k *. log p)
+  +. (float_of_int (n - k) *. log (1.0 -. p))
+
+let binomial_tail_ge ~n ~p ~k =
+  if k <= 0 then 1.0
+  else if k > n then 0.0
+  else begin
+    let acc = ref 0.0 in
+    for i = k to n do
+      acc := !acc +. exp (log_pmf ~n ~p ~k:i)
+    done;
+    Float.min 1.0 !acc
+  end
+
+let binomial_tail_le ~n ~p ~k =
+  if k >= n then 1.0
+  else if k < 0 then 0.0
+  else begin
+    let acc = ref 0.0 in
+    for i = 0 to k do
+      acc := !acc +. exp (log_pmf ~n ~p ~k:i)
+    done;
+    Float.min 1.0 !acc
+  end
+
 let test_binomial_tails_complement () =
   (* P[X >= k] + P[X <= k-1] = 1 *)
   let n = 30 and p = 0.3 in
   List.iter
     (fun k ->
-      let s = Prob.binomial_tail_ge ~n ~p ~k +. Prob.binomial_tail_le ~n ~p ~k:(k - 1) in
+      let s = binomial_tail_ge ~n ~p ~k +. binomial_tail_le ~n ~p ~k:(k - 1) in
       Alcotest.(check (float 1e-9)) "complement" 1.0 s)
     [ 1; 5; 15; 29 ]
 
 let test_binomial_tail_known () =
   (* P[Bin(4, 1/2) >= 2] = 11/16 *)
   Alcotest.(check (float 1e-12)) "bin(4,.5)>=2" (11.0 /. 16.0)
-    (Prob.binomial_tail_ge ~n:4 ~p:0.5 ~k:2)
+    (binomial_tail_ge ~n:4 ~p:0.5 ~k:2)
 
 let test_chernoff_dominates () =
   let n = 200 and p = 0.1 in
   List.iter
     (fun k ->
-      let exact = Prob.binomial_tail_ge ~n ~p ~k in
+      let exact = binomial_tail_ge ~n ~p ~k in
       let bound = Prob.chernoff_upper ~n ~p ~k in
       checkb
         (Printf.sprintf "chernoff >= exact at k=%d" k)
@@ -240,12 +269,6 @@ let test_wilson_interval () =
   let lo0, hi0 = Prob.wilson_interval ~successes:0 ~trials:100 ~z:1.96 in
   checkf "zero successes lo" 0.0 lo0;
   checkb "zero successes hi > 0" true (hi0 > 0.0)
-
-let test_moore_shannon_bound () =
-  (* one path of length 1 failing with prob eps *)
-  checkf "single" 0.25 (Prob.moore_shannon_bound ~eps:0.25 ~len:1 ~count:1);
-  let v = Prob.moore_shannon_bound ~eps:0.25 ~len:3 ~count:10 in
-  checkb "monotone" true (v > 0.0 && v < 1.0)
 
 (* ---------- Stats ---------- *)
 
@@ -265,14 +288,6 @@ let test_stats_empty_and_single () =
   checkf "single mean" 3.0 (Stats.mean s);
   checkf "single var" 0.0 (Stats.variance s)
 
-let test_percentiles () =
-  let a = [| 1.0; 2.0; 3.0; 4.0 |] in
-  checkf "median even" 2.5 (Stats.median_of_sorted a);
-  checkf "median odd" 2.0 (Stats.median_of_sorted [| 1.0; 2.0; 3.0 |]);
-  checkf "p0" 1.0 (Stats.percentile_of_sorted a 0.0);
-  checkf "p100" 4.0 (Stats.percentile_of_sorted a 1.0);
-  checkf "p50" 2.5 (Stats.percentile_of_sorted a 0.5)
-
 (* ---------- Table ---------- *)
 
 let contains_substring haystack needle =
@@ -285,7 +300,6 @@ let test_table_render () =
     Table.create ~title:"t" ~columns:[ ("a", Table.Left); ("bb", Table.Right) ]
   in
   Table.add_row t [ "x"; "1" ];
-  Table.add_rule t;
   Table.add_row t [ "yy"; "22" ];
   let s = Table.render t in
   checkb "has title" true (contains_substring s "== t ==");
@@ -300,8 +314,7 @@ let test_table_arity () =
 let test_table_formats () =
   Alcotest.(check string) "fi" "42" (Table.fi 42);
   Alcotest.(check string) "ff" "3.142" (Table.ff 3.14159);
-  Alcotest.(check string) "fe" "1.23e-04" (Table.fe 1.23e-4);
-  Alcotest.(check string) "fratio zero" "-" (Table.fratio 1.0 0.0)
+  Alcotest.(check string) "fe" "1.23e-04" (Table.fe 1.23e-4)
 
 (* ---------- qcheck properties ---------- *)
 
@@ -411,13 +424,11 @@ let () =
           Alcotest.test_case "tail known value" `Quick test_binomial_tail_known;
           Alcotest.test_case "chernoff dominates" `Quick test_chernoff_dominates;
           Alcotest.test_case "wilson" `Quick test_wilson_interval;
-          Alcotest.test_case "moore-shannon bound" `Quick test_moore_shannon_bound;
         ] );
       ( "stats",
         [
           Alcotest.test_case "moments" `Quick test_stats_moments;
           Alcotest.test_case "empty/single" `Quick test_stats_empty_and_single;
-          Alcotest.test_case "percentiles" `Quick test_percentiles;
         ] );
       ( "table",
         [
