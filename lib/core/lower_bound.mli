@@ -36,15 +36,20 @@ type report = {
           hence a size lower bound on the analysed region *)
 }
 
+val default_threshold : n:int -> int
+(** ⌊(1/12) log₂ n⌋, at least 1. *)
+
+val default_radius : threshold:int -> int
+(** ⌊(threshold − 1) / 2⌋, at least 1 — keeps neighbourhoods disjoint. *)
+
 val analyse :
   ?threshold:int -> ?radius:int -> ?max_inputs:int ->
   Ftcsn_networks.Network.t -> report
 (** Full §5 audit: a maximal greedy set of good inputs with pairwise
-    undirected distance ≥ [threshold] (default ⌊(1/12) log₂ n⌋, at least
-    1), and the zones of each up to [radius] (default
-    ⌊(threshold − 1) / 2⌋, at least 1, which keeps neighbourhoods
-    disjoint).  [max_inputs] (default 64) caps the number of good inputs
-    whose zones are expanded. *)
+    undirected distance ≥ [threshold] (default {!default_threshold}),
+    and the zones of each up to [radius] (default {!default_radius}).
+    [max_inputs] (default 64) caps the number of good inputs whose zones
+    are expanded. *)
 
 type lemma2_certificate = {
   threshold_used : int;  (** the j of the construction *)
@@ -59,8 +64,8 @@ type lemma2_certificate = {
 
 val lemma2_certificate : ?threshold:int -> Ftcsn_networks.Network.t -> lemma2_certificate
 (** The constructive machinery of Lemma 2: for each input take its
-    shortest undirected path (≤ threshold, default ⌊(1/12) log₂ n⌋, at
-    least 1) to another input; greedily keep the longest
+    shortest undirected path (≤ threshold, default
+    {!default_threshold}) to another input; greedily keep the longest
     initial segment edge-disjoint from the forest built so far; contract
     degree-2 stretches; extract a maximal family of edge-disjoint
     length-≤3 leaf-to-leaf paths (Corollary 1) and keep those joining two

@@ -13,6 +13,9 @@ type degree_profile = {
 
 val degree_profile : Digraph.t -> degree_profile
 
+val directed_eccentricity : Digraph.t -> int -> int
+(** Largest finite directed distance from the vertex. *)
+
 val diameter_lower_bound :
   Digraph.t -> samples:int -> rng:Ftcsn_prng.Rng.t -> int
 (** Max eccentricity over sampled sources (a lower bound on the directed

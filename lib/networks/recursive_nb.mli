@@ -54,5 +54,8 @@ val build :
     first (last) retained stage — they must number W when trim ≥ 1, or
     β^levels when trim = 0.  Fresh vertices are allocated otherwise. *)
 
+val block_width : params -> level:int -> int
+(** wf·β^level. *)
+
 val make : rng:Ftcsn_prng.Rng.t -> params:params -> levels:int -> Network.t * t
 (** Standalone untruncated network (trim = 0) with β^levels terminals. *)

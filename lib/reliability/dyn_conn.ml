@@ -30,7 +30,6 @@ type t = {
   queue : int array;
   mutable epoch : int;
   mutable tail : int;
-  mutable csize : int;
   mutable shorted : int;  (* classes holding two or more terminals *)
 }
 
@@ -49,7 +48,6 @@ let create ~terminals graph =
     queue = Array.make n 0;
     epoch = 0;
     tail = 0;
-    csize = 0;
     shorted = 0;
   }
 
@@ -77,7 +75,6 @@ let link t ~root ~child =
 let close t e =
   if not (is_closed t e) then begin
     Bytes.set t.closed e '\001';
-    t.csize <- t.csize + 1;
     let ru = find t.parent (Digraph.edge_src t.graph e)
     and rv = find t.parent (Digraph.edge_dst t.graph e) in
     if ru <> rv then
@@ -128,7 +125,6 @@ let relabel t lo hi =
 let reopen t e =
   if is_closed t e then begin
     Bytes.set t.closed e '\000';
-    t.csize <- t.csize - 1;
     Ftcsn_obs.Counter.incr c_rebuild;
     let u = Digraph.edge_src t.graph e and v = Digraph.edge_dst t.graph e in
     if u <> v then begin

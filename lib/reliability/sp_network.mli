@@ -25,6 +25,9 @@ val quad : spec -> spec
 (** [quad s] = series of two parallels of two copies of [s] — one
     Moore–Shannon amplification round. *)
 
+val iterate_quad : int -> spec
+(** [iterate_quad k] = [quad]^k applied to a single edge. *)
+
 val size : spec -> int
 (** Number of switches. *)
 

@@ -136,6 +136,9 @@ type tilt = {
   t_close : float array;
 }
 
+val uniform_tilt : m:int -> eps_open:float -> eps_close:float -> tilt
+(** The constant tilt sampling every edge at (eps_open, eps_close). *)
+
 val cross_entropy :
   ?iters:int ->
   ?trials:int ->

@@ -29,6 +29,13 @@ val packing_strategy : strategy
     best-of-all-shortest via per-middle scoring on 3-stage networks and
     falling back to BFS elsewhere. *)
 
+val validate_path :
+  Ftcsn_networks.Network.t -> Ftcsn_util.Bitset.t -> input:int -> output:int ->
+  int list -> bool
+(** [validate_path net busy ~input ~output path]: [path] runs along edges
+    from the input's vertex to the output's and touches no vertex of
+    [busy] — the check {!stress} applies to each strategy answer. *)
+
 val stress :
   steps:int ->
   rng:Ftcsn_prng.Rng.t ->

@@ -33,4 +33,7 @@ val to_list : t -> int list
 val union_into : t -> t -> unit
 (** [union_into dst src] sets [dst := dst ∪ src]; capacities must match. *)
 
+val inter_cardinal : t -> t -> int
+(** Size of the intersection; capacities must match. *)
+
 val disjoint : t -> t -> bool

@@ -16,3 +16,17 @@ let is_strictly_staged g (t : Ftcsn_graph.Staged.t) =
   Digraph.iter_edges g (fun ~eid:_ ~src ~dst ->
       if stage.(src) < 0 || stage.(dst) <> stage.(src) + 1 then ok := false);
   !ok
+
+let path_counts g src =
+  match Ftcsn_graph.Traverse.topological_order g with
+  | None -> invalid_arg "Graph_ref.path_counts: cyclic graph"
+  | Some order ->
+      let counts = Array.make (Digraph.vertex_count g) 0 in
+      counts.(src) <- 1;
+      Array.iter
+        (fun v ->
+          if counts.(v) > 0 then
+            Digraph.iter_out g v (fun ~dst ~eid:_ ->
+                counts.(dst) <- counts.(dst) + counts.(v)))
+        order;
+      counts

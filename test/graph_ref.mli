@@ -2,8 +2,8 @@
 
     The library masks edges instead of rebuilding subgraphs; the
     rebuild-based oracles ({!Strip_ref}, the flow oracle on a stripped
-    graph) still need the rebuilt graph, and the staging tests check
-    strictness edge by edge. *)
+    graph) still need the rebuilt graph, the staging tests check
+    strictness edge by edge, and the banyan-class tests count paths. *)
 
 val subgraph_by_edges_map :
   Ftcsn_graph.Digraph.t -> keep:(int -> bool) -> Ftcsn_graph.Digraph.t * int array
@@ -17,3 +17,8 @@ val subgraph_by_edges :
 
 val is_strictly_staged : Ftcsn_graph.Digraph.t -> Ftcsn_graph.Staged.t -> bool
 (** True iff every edge joins a staged vertex to the next stage. *)
+
+val path_counts : Ftcsn_graph.Digraph.t -> int -> int array
+(** [path_counts g src]: the number of directed paths from [src] to each
+    vertex, by DP over a topological order.  Raises [Invalid_argument] on
+    a cyclic graph. *)

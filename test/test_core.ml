@@ -461,24 +461,9 @@ let test_of_edges_validation () =
 (* ---------- Lower_bound (Theorem 1) ---------- *)
 
 let test_lower_bound_defaults () =
-  (* 4096 inputs fanning into one output: the default threshold is
-     ⌊log₂ 4096 / 12⌋ = 1, and thresholds 1 and 3 both give radius 1 *)
-  let n = 4096 in
-  let g = Digraph.of_edges ~n:(n + 1) (Array.init n (fun i -> (i, n))) in
-  let net =
-    Network.make ~name:"fan-in" ~graph:g ~inputs:(Array.init n Fun.id)
-      ~outputs:[| n |]
-  in
-  let radius report =
-    match report.Lower_bound.zones with
-    | z :: _ -> Array.length z.Lower_bound.zone_sizes
-    | [] -> Alcotest.fail "no zones"
-  in
-  let report = Lower_bound.analyse ~max_inputs:1 net in
-  check "threshold at n=4096" 1 report.Lower_bound.threshold;
-  check "radius at threshold 1" 1 (radius report);
-  check "radius at threshold 3" 1
-    (radius (Lower_bound.analyse ~threshold:3 ~max_inputs:1 net));
+  check "threshold at n=4096" 1 (Lower_bound.default_threshold ~n:4096);
+  check "threshold large" 2 (Lower_bound.default_threshold ~n:(1 lsl 24));
+  check "radius" 1 (Lower_bound.default_radius ~threshold:3);
   checkb "theorem bounds positive" true
     (Lower_bound.theorem1_size_bound ~n:1024 > 0.0
     && Lower_bound.theorem1_depth_bound ~n:1024 > 0.0)

@@ -197,6 +197,8 @@ let test_metrics_profile () =
 
 let test_metrics_eccentricity_and_diameter () =
   let g = path_plus () in
+  check "ecc of 0" 3 (Metrics.directed_eccentricity g 0);
+  check "ecc of 3" 0 (Metrics.directed_eccentricity g 3);
   let rng = Rng.create ~seed:9 in
   let d = Metrics.diameter_lower_bound g ~samples:20 ~rng in
   checkb "diameter bound sane" true (d >= 0 && d <= 3)

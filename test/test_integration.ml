@@ -55,7 +55,7 @@ let test_class_separation_examples () =
    Benes network keeps it routable and multiplies size by gadget size *)
 let test_substitution_transfer_routability () =
   let benes = Benes.create 4 in
-  let gadget = Sp_network.build (Sp_network.quad Sp_network.Edge) in
+  let gadget = Sp_network.build (Sp_network.iterate_quad 1) in
   let sub = Substitution.substitute benes.Network.graph ~gadget in
   let net' =
     Network.make ~name:"benes-substituted" ~graph:sub.Substitution.graph

@@ -229,19 +229,8 @@ let test_butterfly_counts () =
   check "depth" 3 (Network.depth net);
   check "vertices" (4 * 8) (Digraph.vertex_count net.Network.graph)
 
-(* paths from [src] to every vertex, by DP in vertex-id order: these
-   constructions are leveled with ids increasing stage by stage, so every
-   predecessor of a vertex has a smaller id *)
-let path_counts net src =
-  let g = net.Network.graph in
-  let counts = Array.make (Digraph.vertex_count g) 0 in
-  counts.(src) <- 1;
-  for v = 0 to Digraph.vertex_count g - 1 do
-    if counts.(v) > 0 then
-      Digraph.iter_out g v (fun ~dst ~eid:_ ->
-          counts.(dst) <- counts.(dst) + counts.(v))
-  done;
-  counts
+(* paths from a terminal to every vertex *)
+let path_counts net src = Graph_ref.path_counts net.Network.graph src
 
 let test_butterfly_unique_path () =
   (* exactly one path joins each input to each output *)
@@ -486,7 +475,9 @@ let test_recursive_nb_reaches_everything () =
 let test_recursive_nb_paper_params () =
   check "paper branching" 4 Recursive_nb.paper_params.Recursive_nb.branching;
   check "paper width" 64 Recursive_nb.paper_params.Recursive_nb.width_factor;
-  check "paper degree" 10 Recursive_nb.paper_params.Recursive_nb.degree
+  check "paper degree" 10 Recursive_nb.paper_params.Recursive_nb.degree;
+  check "block width" (64 * 16)
+    (Recursive_nb.block_width Recursive_nb.paper_params ~level:2)
 
 (* ---------- Multistage (recursive Clos, [PY]) ---------- *)
 

@@ -21,10 +21,6 @@ module Monte_carlo = Ftcsn_reliability.Monte_carlo
 let checkb = Alcotest.(check bool)
 let checkf eps = Alcotest.(check (float eps))
 
-(* the constant tilt sampling every edge at (eps_open, eps_close) *)
-let uniform_tilt ~m ~eps_open ~eps_close =
-  { Splitting.t_open = Array.make m eps_open; t_close = Array.make m eps_close }
-
 let build_net spec ~n =
   Ftcsn.Ft_topology.install ();
   match Topology.build_string ~n ~rng:(Rng.create ~seed:1) spec with
@@ -47,7 +43,7 @@ let test_tilted_matches_rectangle () =
   let m = Digraph.edge_count built.Sp_network.graph in
   let eps = 0.02 in
   let exact = Sp_network.open_prob spec ~eps_open:eps ~eps_close:eps in
-  let tilt = uniform_tilt ~m ~eps_open:0.25 ~eps_close:eps in
+  let tilt = Splitting.uniform_tilt ~m ~eps_open:0.25 ~eps_close:eps in
   let est =
     Splitting.tilted ~trials:20_000 ~rng:(Rng.create ~seed:7) ~m
       ~eps_open:eps ~eps_close:eps ~tilt
@@ -73,7 +69,7 @@ let qcheck_tilted_rectangles =
       let m = Digraph.edge_count built.Sp_network.graph in
       let eps = 0.02 +. (0.08 *. (float_of_int (seed_off mod 7) /. 7.0)) in
       let exact = Sp_network.open_prob spec ~eps_open:eps ~eps_close:eps in
-      let tilt = uniform_tilt ~m ~eps_open:0.3 ~eps_close:eps in
+      let tilt = Splitting.uniform_tilt ~m ~eps_open:0.3 ~eps_close:eps in
       let est =
         Splitting.tilted ~trials:4_000
           ~rng:(Rng.create ~seed:(1000 + seed_off))
@@ -195,7 +191,7 @@ let test_tilted_unbiased_vs_exact () =
   let runs = 24 in
   let means =
     Array.init runs (fun r ->
-        let tilt = uniform_tilt ~m ~eps_open:0.2 ~eps_close:0.2 in
+        let tilt = Splitting.uniform_tilt ~m ~eps_open:0.2 ~eps_close:0.2 in
         let est =
           Splitting.tilted ~trials:2_000
             ~rng:(Rng.create ~seed:(500 + r))
@@ -311,7 +307,7 @@ let test_jobs_bit_identity () =
 let test_curve_point_matches_tilted () =
   let net = build_net "benes" ~n:8 in
   let m = Digraph.edge_count net.Network.graph in
-  let tilt = uniform_tilt ~m ~eps_open:0.02 ~eps_close:0.02 in
+  let tilt = Splitting.uniform_tilt ~m ~eps_open:0.02 ~eps_close:0.02 in
   let grid = [| 1e-3; 3e-3; 1e-2 |] in
   let curve =
     Rare.failure_tilted_curve ~trials:500 ~rng:(Rng.create ~seed:9) ~grid
@@ -376,14 +372,14 @@ let test_validation () =
   expect_invalid "tilt zero mass at positive target" (fun () ->
       Splitting.tilted ~trials:1 ~rng:(Rng.create ~seed:1) ~m ~eps_open:0.1
         ~eps_close:0.1
-        ~tilt:(uniform_tilt ~m ~eps_open:0.2 ~eps_close:0.0)
+        ~tilt:(Splitting.uniform_tilt ~m ~eps_open:0.2 ~eps_close:0.0)
         ~init
         ~event:(fun _ _ _ -> true)
         ());
   expect_invalid "bad target" (fun () ->
       Splitting.tilted ~trials:1 ~rng:(Rng.create ~seed:1) ~m ~eps_open:0.0
         ~eps_close:0.0
-        ~tilt:(uniform_tilt ~m ~eps_open:0.2 ~eps_close:0.2)
+        ~tilt:(Splitting.uniform_tilt ~m ~eps_open:0.2 ~eps_close:0.2)
         ~init
         ~event:(fun _ _ _ -> true)
         ());

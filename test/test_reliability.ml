@@ -160,17 +160,13 @@ let test_monte_carlo_extremes () =
 
 (* ---------- Sp_network (Proposition 1) ---------- *)
 
-(* [quad]^k applied to a single switch *)
-let rec iterate_quad k =
-  if k = 0 then Sp_network.Edge else Sp_network.quad (iterate_quad (k - 1))
-
 let test_sp_size_depth () =
   check "edge size" 1 (Sp_network.size Sp_network.Edge);
   check "edge depth" 1 (Sp_network.depth Sp_network.Edge);
-  let q1 = iterate_quad 1 in
+  let q1 = Sp_network.iterate_quad 1 in
   check "quad size" 4 (Sp_network.size q1);
   check "quad depth" 2 (Sp_network.depth q1);
-  let q3 = iterate_quad 3 in
+  let q3 = Sp_network.iterate_quad 3 in
   check "quad^3 size" 64 (Sp_network.size q3);
   check "quad^3 depth" 8 (Sp_network.depth q3)
 
@@ -208,7 +204,7 @@ let test_sp_amplification_monotone () =
   let eps = 0.1 in
   let prev_open = ref 1.0 and prev_short = ref 1.0 in
   for k = 0 to 4 do
-    let spec = iterate_quad k in
+    let spec = Sp_network.iterate_quad k in
     let po = Sp_network.open_prob spec ~eps_open:eps ~eps_close:eps in
     let ps = Sp_network.short_prob spec ~eps_open:eps ~eps_close:eps in
     checkb (Printf.sprintf "open shrinks at k=%d" k) true (po < !prev_open);
@@ -249,7 +245,7 @@ let test_sp_proposition1_scaling () =
   checkb "depth ratio bounded" true (d2 /. d1 < 4.0 && d1 /. d2 < 4.0)
 
 let test_sp_build_structure () =
-  let spec = iterate_quad 2 in
+  let spec = Sp_network.iterate_quad 2 in
   let built = Sp_network.build spec in
   check "edges" (Sp_network.size spec) (Digraph.edge_count built.Sp_network.graph);
   check "depth" (Sp_network.depth spec)
@@ -346,13 +342,13 @@ let test_hammock_short_grows_with_rows () =
 
 let test_substitution_counts () =
   let g = Digraph.of_edges ~n:3 [| (0, 1); (1, 2) |] in
-  let gadget = Sp_network.build (iterate_quad 1) in
+  let gadget = Sp_network.build (Sp_network.iterate_quad 1) in
   let sub = Substitution.substitute g ~gadget in
   check "edges multiplied" (2 * 4) (Digraph.edge_count sub.Substitution.graph)
 
 let test_substitution_preserves_connectivity () =
   let g = Digraph.of_edges ~n:4 [| (0, 1); (1, 2); (2, 3) |] in
-  let gadget = Sp_network.build (iterate_quad 1) in
+  let gadget = Sp_network.build (Sp_network.iterate_quad 1) in
   let sub = Substitution.substitute g ~gadget in
   let src = sub.Substitution.vertex_image.(0) in
   let dst = sub.Substitution.vertex_image.(3) in
@@ -363,7 +359,7 @@ let test_substitution_preserves_connectivity () =
 let test_logical_pattern_identity () =
   (* all-normal physical pattern -> all-normal logical pattern *)
   let g = Digraph.of_edges ~n:3 [| (0, 1); (1, 2) |] in
-  let gadget = Sp_network.build (iterate_quad 1) in
+  let gadget = Sp_network.build (Sp_network.iterate_quad 1) in
   let sub = Substitution.substitute g ~gadget in
   let m = Digraph.edge_count sub.Substitution.graph in
   let logical = Substitution.logical_pattern sub (Fault.all_normal m) in
@@ -376,7 +372,7 @@ let test_logical_pattern_open () =
   (* kill every physical switch of gadget copy 0 by open failure: logical
      edge 0 opens, logical edge 1 stays normal *)
   let g = Digraph.of_edges ~n:3 [| (0, 1); (1, 2) |] in
-  let gadget = Sp_network.build (iterate_quad 1) in
+  let gadget = Sp_network.build (Sp_network.iterate_quad 1) in
   let sub = Substitution.substitute g ~gadget in
   let gm = Digraph.edge_count gadget.Sp_network.graph in
   let pattern = Fault.all_normal (2 * gm) in
@@ -389,7 +385,7 @@ let test_logical_pattern_open () =
 
 let test_logical_pattern_short () =
   let g = Digraph.of_edges ~n:2 [| (0, 1) |] in
-  let gadget = Sp_network.build (iterate_quad 1) in
+  let gadget = Sp_network.build (Sp_network.iterate_quad 1) in
   let sub = Substitution.substitute g ~gadget in
   let gm = Digraph.edge_count gadget.Sp_network.graph in
   let pattern = Array.make gm Fault.Closed_failure in
@@ -400,7 +396,7 @@ let test_logical_pattern_rates () =
   (* the measured logical failure rates must match the gadget's exact
      open/short probabilities *)
   let g = Digraph.of_edges ~n:2 [| (0, 1) |] in
-  let spec = iterate_quad 1 in
+  let spec = Sp_network.iterate_quad 1 in
   let gadget = Sp_network.build spec in
   let sub = Substitution.substitute g ~gadget in
   let gm = Digraph.edge_count gadget.Sp_network.graph in
@@ -813,7 +809,7 @@ let prop_sp_probs_in_range =
     QCheck2.Gen.(pair (int_range 0 4) (int_range 1 20))
     (fun (k, e) ->
       let eps = float_of_int e /. 50.0 in
-      let spec = iterate_quad k in
+      let spec = Sp_network.iterate_quad k in
       let po = Sp_network.open_prob spec ~eps_open:eps ~eps_close:eps in
       let ps = Sp_network.short_prob spec ~eps_open:eps ~eps_close:eps in
       po >= 0.0 && po <= 1.0 && ps >= 0.0 && ps <= 1.0)
@@ -907,7 +903,7 @@ let prop_logical_pattern_matches_slices =
       let g =
         Digraph.of_edges ~n:4 [| (0, 1); (1, 2); (2, 3); (0, 2); (1, 3) |]
       in
-      let gadget = Sp_network.build (iterate_quad k) in
+      let gadget = Sp_network.build (Sp_network.iterate_quad k) in
       let sub = Substitution.substitute g ~gadget in
       let gg = gadget.Sp_network.graph in
       let gm = Digraph.edge_count gg in

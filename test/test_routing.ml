@@ -18,21 +18,8 @@ let checkb = Alcotest.(check bool)
 
 (* ---------- oracles for the constructions and the strategies ---------- *)
 
-(* directed src -> dst paths of a DAG, by DP over a topological order *)
-let count_paths net ~src ~dst =
-  let g = net.Network.graph in
-  match Ftcsn_graph.Traverse.topological_order g with
-  | None -> Alcotest.fail "count_paths: cyclic graph"
-  | Some order ->
-      let counts = Array.make (Ftcsn_graph.Digraph.vertex_count g) 0 in
-      counts.(src) <- 1;
-      Array.iter
-        (fun v ->
-          if counts.(v) > 0 then
-            Ftcsn_graph.Digraph.iter_out g v (fun ~dst:w ~eid:_ ->
-                counts.(w) <- counts.(w) + counts.(v)))
-        order;
-      counts.(dst)
+(* directed src -> dst paths of a DAG *)
+let count_paths net ~src ~dst = (Graph_ref.path_counts net.Network.graph src).(dst)
 
 (* every input/output pair joined by exactly one path *)
 let is_banyan net =
@@ -328,22 +315,6 @@ type game_result =
 exception Lost of (int * int) list * (int * int)
 exception Out_of_budget
 
-let valid_path net busy ~input ~output path =
-  let g = net.Network.graph in
-  let src = net.Network.inputs.(input) and dst = net.Network.outputs.(output) in
-  let rec ok = function
-    | [ last ] -> last = dst
-    | a :: (b :: _ as rest) ->
-        Ftcsn_graph.Digraph.fold_out g a ~init:false ~f:(fun acc ~dst:w ~eid:_ ->
-            acc || w = b)
-        && (not (Ftcsn_util.Bitset.mem busy b))
-        && ok rest
-    | [] -> false
-  in
-  match path with
-  | first :: _ -> first = src && (not (Ftcsn_util.Bitset.mem busy src)) && ok path
-  | [] -> false
-
 let adversary_game ?(max_states = 100_000) strategy net =
   let module Bitset = Ftcsn_util.Bitset in
   let n_in = Network.n_inputs net and n_out = Network.n_outputs net in
@@ -375,7 +346,7 @@ let adversary_game ?(max_states = 100_000) strategy net =
               match strategy state ~input:i ~output:o with
               | None -> raise (Lost (live, (i, o)))
               | Some path ->
-                  if not (valid_path net busy ~input:i ~output:o path) then
+                  if not (Wide_sense.validate_path net busy ~input:i ~output:o path) then
                     raise (Lost (live, (i, o)));
                   List.iter (Bitset.add busy) path;
                   explore ((i, o, path) :: calls);

@@ -385,7 +385,7 @@ let test_soak_allocation_flat () =
     Engine.create ~engine:`Loop ~mtbf:20.0 ~mttr:1.0 ~emit
       ~rng:(Rng.create ~seed:9) net
   in
-  let admission = (Admission.combine []) in
+  let admission = Admission.combine [] in
   let window = 10_000 in
   let total = 40_000 in
   with_script (script ~calls:(total * 7 / 4)) (fun ic ->

@@ -80,6 +80,7 @@ let test_bitset_set_ops () =
   let a = Bitset.create 50 and b = Bitset.create 50 in
   List.iter (Bitset.add a) [ 1; 2; 3 ];
   List.iter (Bitset.add b) [ 3; 4 ];
+  check "inter" 1 (Bitset.inter_cardinal a b);
   checkb "not disjoint" false (Bitset.disjoint a b);
   Bitset.union_into a b;
   check "union card" 4 (Bitset.cardinal a);
