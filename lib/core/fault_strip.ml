@@ -61,8 +61,6 @@ let ws_allowed ws = ws.allowed_fn
 
 let ws_edge_ok ws = ws.edge_ok_fn
 
-let ws_rev ws = ws.rev
-
 let ws_shorted_terminals ws = ws.shorted
 
 let ws_healthy ws = ws.shorted = []

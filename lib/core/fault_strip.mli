@@ -51,10 +51,6 @@ val ws_allowed : ws -> int -> bool
 val ws_edge_ok : ws -> int -> bool
 (** Edge mask of the current strip: true on normal-state switches. *)
 
-val ws_rev : ws -> Ftcsn_graph.Digraph.t
-(** Reverse of the full network graph (precomputed; edge ids preserved,
-    so {!ws_edge_ok} applies to it unchanged). *)
-
 val ws_shorted_terminals : ws -> (int * int) list
 (** Terminal pairs contracted by closed failures (the Lemma 7 event). *)
 
@@ -67,5 +63,5 @@ val ws_stripped : ws -> Ftcsn_util.Bitset.t
 val ws_isolated_inputs : ws -> int list
 (** Input indices with no remaining path to any output through allowed
     vertices and normal switches — the open-failure disconnection event
-    of Lemma 3 — via a masked BFS over {!ws_rev} (allocates only the
-    returned list). *)
+    of Lemma 3 — via a masked BFS over the precomputed reverse graph
+    (allocates only the returned list). *)

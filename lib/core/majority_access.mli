@@ -14,8 +14,6 @@ val sampled_busy_majority :
   rng:Ftcsn_prng.Rng.t ->
   ?load:float ->
   allowed:(int -> bool) ->
-  ?edge_ok:(int -> bool) ->
-  ?rev:Ftcsn_graph.Digraph.t ->
   Ftcsn_networks.Network.t ->
   bool
 (** Lemma 6's property is universally quantified over established path
@@ -28,7 +26,4 @@ val sampled_busy_majority :
     nonblocking containment: an idle input and an idle output that each
     reach a strict majority of the waist share a waist vertex, which
     yields the connecting path.  [false] is a definite
-    counterexample configuration; [true] is statistical evidence.
-    [edge_ok] masks failed switches without rebuilding the graph, and
-    [rev] supplies a precomputed {!Ftcsn_graph.Digraph.reverse} of the
-    network graph (edge ids preserved, so the same mask applies). *)
+    counterexample configuration; [true] is statistical evidence. *)

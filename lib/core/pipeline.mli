@@ -25,21 +25,13 @@ type probe = {
           operation (the paper's §4 claim is that greedy routing works on
           𝒩; it does {e not} work on merely-rearrangeable networks such as
           Beneš even fault-free) *)
-  exact_permutations : int;
-      (** permutations routed by exact backtracking — probes the
-          {e rearrangeable} property *)
-  exact_budget : int;  (** backtracking budget per permutation *)
   sc_probes : int;
       (** random (r, S, T) flow probes — the {e superconcentrator}
           property, exactly decidable per probe by Menger *)
-  majority_probes : int;
-      (** sampled busy configurations checked for Lemma 6's
-          majority-access property — the paper's own sufficient condition
-          for nonblocking containment (§6) *)
 }
 
 val default_probe : probe
-(** one greedy permutation, no exact permutations, two flow probes *)
+(** one greedy permutation, two flow probes *)
 
 val sc_probe_only : probe
 (** flow probes only — the class-fair workload for comparing networks that
@@ -48,9 +40,10 @@ val sc_probe_only : probe
 type ws
 (** Per-domain trial workspace: strip state
     ({!Ftcsn_networks.Network.t}-sized bitsets, union-find, BFS arrays),
-    a greedy router with its scratch, and a {!Ftcsn_routing.Flow_route}
+    a greedy router with its scratch, a {!Ftcsn_routing.Flow_route}
     workspace (a greedy path certificate, then a prebuilt Menger flow
-    arena on a shortfall).
+    arena on a shortfall), and the trial's probe plan with one
+    disjoint-path certificate per probe.
     Probes run over the original graph under the strip's vertex/edge
     masks, so no per-trial subgraph is ever rebuilt.  Single-domain
     state: create one per worker via the {!Ftcsn_sim.Trials.run_scratch}
@@ -70,6 +63,33 @@ val trial_ws :
     only probe permutations/index sets and returned paths.  The qcheck
     suite pins the verdicts against the subgraph-rebuilding oracle in
     [test/strip_ref.ml]. *)
+
+(** {2 The probe plan}
+
+    The superconcentrator half of the failure event, shared with
+    {!Rare}: a trial's plan is the (r, S, T) of each probe, and a probe
+    {e fails} by its deficit, r minus the Menger max-flow between S and
+    T on the current strip. *)
+
+val ws_fault_strip : ws -> Fault_strip.ws
+(** The strip state the verdicts read: strip a pattern into it with
+    {!Fault_strip.strip_into} before {!plan_deficit}. *)
+
+val draw_plan : ws -> Ftcsn_prng.Rng.t -> probes:int -> unit
+(** Draw the trial's plan of [probes] probes from the stream, probe by
+    probe: r uniform in [1, n] (n = min(inputs, outputs)), then S, then
+    T, each r distinct terminal indices — the draws {!trial_ws} makes
+    after its greedy permutations.  Forgets every certificate. *)
+
+val plan_deficit : ws -> record:bool -> first:bool -> int
+(** The plan's summed deficit on the current strip, or with [first] the
+    first nonzero deficit alone (0 when every probe routes).  A probe
+    whose recorded certificate — the r vertex-disjoint paths of its last
+    full success — is still unmasked is answered by it without routing.
+    [record] keeps a certificate of each full success, for a plan
+    evaluated on further strips ({!survival_curve}'s grid points,
+    {!Rare.threshold}'s prefixes); a plan evaluated once passes
+    [false] and skips the extraction. *)
 
 val survival :
   ?jobs:int ->
@@ -115,15 +135,15 @@ val survival_curve :
 
     On a nondecreasing grid the nested-fault-set structure makes
     [Isolated] (always) and flow-probe [Unroutable] (when [probe] has
-    only [sc_probes]) persist at every later point, so trials
+    no greedy permutations) persist at every later point, so trials
     short-circuit their remaining points once such a verdict occurs —
     identical results, a fraction of the probe work.  [Shorted] and
-    non-flow probes are re-evaluated at every point (not monotone).
+    greedy probes are re-evaluated at every point (not monotone).
 
-    Flow-only probes also keep a per-trial certificate: the r
-    vertex-disjoint paths of the probe's last full success, greedy paths
-    or Dinic's.  While all of them stay unmasked at a later point, they
-    answer the probe there without routing anything.
+    Every point draws the same probe plan, so a trial draws it once and
+    records its certificates ({!plan_deficit}): while a probe's paths
+    stay unmasked at a later point, they answer it there without
+    routing anything.
 
     Estimates across the curve are positively correlated — ideal for
     reading off threshold locations and curve differences (Raginsky-

@@ -1,127 +1,75 @@
 module Network = Ftcsn_networks.Network
-module Digraph = Ftcsn_graph.Digraph
 module Fault = Ftcsn_reliability.Fault
 module Splitting = Ftcsn_reliability.Splitting
-module Rng = Ftcsn_prng.Rng
-module Flow_route = Ftcsn_routing.Flow_route
 
 type ws = {
-  net : Network.t;
-  fs : Fault_strip.ws;
-  flow : Flow_route.ws;
-  forbidden : int -> bool;
-  probes : int;
-  n_pairs : int;  (* min(inputs, outputs): probe demands live in [1, n] *)
-  m : int;
+  pipe : Pipeline.ws;
   order : int array;  (* edge ids, sorted by the current uniform vector *)
-  plan_r : int array;
-  plan_s : int array array;
-  plan_t : int array array;
 }
 
-let create_ws ?(probes = 3) net =
-  if probes < 1 then invalid_arg "Rare.create_ws: need >= 1 probe";
-  let fs = Fault_strip.create_ws net in
-  let allowed = Fault_strip.ws_allowed fs in
-  let m = Digraph.edge_count net.Network.graph in
+let create_ws net =
   {
-    net;
-    fs;
-    flow = Flow_route.create_ws net;
-    forbidden = (fun v -> not (allowed v));
-    probes;
-    n_pairs = min (Network.n_inputs net) (Network.n_outputs net);
-    m;
-    order = Array.init m (fun e -> e);
-    plan_r = Array.make probes 0;
-    plan_s = Array.make probes [||];
-    plan_t = Array.make probes [||];
+    pipe = Pipeline.create_ws net;
+    order = Array.init (Network.size net) Fun.id;
   }
 
-let size ws = ws.m
+let size ws = Array.length ws.order
+
+let prepare ws rng =
+  Pipeline.draw_plan ws.pipe rng ~probes:Pipeline.sc_probe_only.sc_probes
 
 (* monotone part of the verdict chain for the CURRENT strip state:
    isolated inputs, or a flow deficit on the stored probe plan.  Both
    depend on the faulty edge set only (stripping forbids a faulty
    switch's endpoints whatever its failure mode), so forcing the faulty
    prefix to Open_failure in [threshold] loses no generality. *)
-let monotone_of_strip ws =
-  match Fault_strip.ws_isolated_inputs ws.fs with
-  | _ :: _ -> true
-  | [] ->
-      let edge_ok = Fault_strip.ws_edge_ok ws.fs in
-      let rec probe i =
-        i < ws.probes
-        && (Flow_route.max_throughput_ws ~forbidden:ws.forbidden ~edge_ok
-              ws.flow ~input_indices:ws.plan_s.(i)
-              ~output_indices:ws.plan_t.(i)
-            < ws.plan_r.(i)
-           || probe (i + 1))
-      in
-      probe 0
+let monotone_of_strip ws ~record =
+  Fault_strip.ws_isolated_inputs (Pipeline.ws_fault_strip ws.pipe) <> []
+  || Pipeline.plan_deficit ws.pipe ~record ~first:true > 0
 
+(* the plan is drawn in full before the first deficit stops the flow
+   queries, so stream consumption stays fixed *)
 let fails ws rng pattern =
-  Fault_strip.strip_into ws.fs pattern;
-  match Fault_strip.ws_shorted_terminals ws.fs with
-  | _ :: _ -> true
-  | [] -> (
-      match Fault_strip.ws_isolated_inputs ws.fs with
-      | _ :: _ -> true
-      | [] ->
-          let edge_ok = Fault_strip.ws_edge_ok ws.fs in
-          let n = ws.n_pairs in
-          (* draw each probe like Pipeline.route_probe_ws, but stop the
-             flow computations at the first deficit (draws continue, so
-             stream consumption stays fixed) *)
-          let deficit = ref false in
-          for _ = 1 to ws.probes do
-            let r = 1 + Rng.int rng n in
-            let s = Rng.sample_without_replacement rng ~n ~k:r in
-            let t = Rng.sample_without_replacement rng ~n ~k:r in
-            if not !deficit then
-              deficit :=
-                Flow_route.max_throughput_ws ~forbidden:ws.forbidden ~edge_ok
-                  ws.flow ~input_indices:s ~output_indices:t
-                < r
-          done;
-          !deficit)
-
-let prepare ws rng =
-  let n = ws.n_pairs in
-  for i = 0 to ws.probes - 1 do
-    ws.plan_r.(i) <- 1 + Rng.int rng n;
-    ws.plan_s.(i) <- Rng.sample_without_replacement rng ~n ~k:ws.plan_r.(i);
-    ws.plan_t.(i) <- Rng.sample_without_replacement rng ~n ~k:ws.plan_r.(i)
-  done
+  let fs = Pipeline.ws_fault_strip ws.pipe in
+  Fault_strip.strip_into fs pattern;
+  Fault_strip.ws_shorted_terminals fs <> []
+  || Fault_strip.ws_isolated_inputs fs <> []
+  || begin
+       prepare ws rng;
+       Pipeline.plan_deficit ws.pipe ~record:false ~first:true > 0
+     end
 
 let monotone_fails ws pattern =
-  Fault_strip.strip_into ws.fs pattern;
-  monotone_of_strip ws
+  Fault_strip.strip_into (Pipeline.ws_fault_strip ws.pipe) pattern;
+  monotone_of_strip ws ~record:false
 
 (* does the monotone event hold when exactly the first [j] edges of the
-   sort order are faulty? *)
+   sort order are faulty?  The plan is evaluated on every prefix the
+   bisection visits, so it records its certificates. *)
 let prefix_fails ws j =
-  let pattern = Fault_strip.ws_pattern ws.fs in
-  Array.fill pattern 0 ws.m Fault.Normal;
+  let fs = Pipeline.ws_fault_strip ws.pipe in
+  let pattern = Fault_strip.ws_pattern fs in
+  Array.fill pattern 0 (size ws) Fault.Normal;
   for i = 0 to j - 1 do
     pattern.(ws.order.(i)) <- Fault.Open_failure
   done;
-  Fault_strip.strip_into ws.fs pattern;
-  monotone_of_strip ws
+  Fault_strip.strip_into fs pattern;
+  monotone_of_strip ws ~record:true
 
 let threshold ws u =
-  if Array.length u <> ws.m then
+  let m = size ws in
+  if Array.length u <> m then
     invalid_arg "Rare.threshold: uniform vector length mismatch";
   let order = ws.order in
-  for e = 0 to ws.m - 1 do
+  for e = 0 to m - 1 do
     order.(e) <- e
   done;
   Array.sort (fun a b -> Float.compare u.(a) u.(b)) order;
-  if not (prefix_fails ws ws.m) then infinity
+  if not (prefix_fails ws m) then infinity
   else if prefix_fails ws 0 then 0.0
   else begin
     (* minimal failing prefix by bisection: lo never fails, hi fails *)
-    let lo = ref 0 and hi = ref ws.m in
+    let lo = ref 0 and hi = ref m in
     while !hi - !lo > 1 do
       let mid = (!lo + !hi) / 2 in
       if prefix_fails ws mid then hi := mid else lo := mid
@@ -134,38 +82,33 @@ let threshold ws u =
 (* ---------- drivers ---------- *)
 
 let tune_tilt ?iters ?trials ?per_edge ?trace ~rng ~eps net =
-  let m = Digraph.edge_count net.Network.graph in
-  Splitting.cross_entropy ?iters ?trials ?per_edge ?trace ~rng ~m
-    ~eps_open:eps ~eps_close:eps
+  Splitting.cross_entropy ?iters ?trials ?per_edge ?trace ~rng
+    ~m:(Network.size net) ~eps_open:eps ~eps_close:eps
     ~init:(fun () -> create_ws net)
     ~event:fails ()
 
-let failure_tilted ?jobs ?chunk ?trace ~trials ~rng ~eps ~tilt net =
-  let m = Digraph.edge_count net.Network.graph in
-  Splitting.tilted ?jobs ?chunk ?trace ~label:"rare.tilt" ~trials ~rng ~m
-    ~eps_open:eps ~eps_close:eps ~tilt
+let failure_tilted ?jobs ?trace ~trials ~rng ~eps ~tilt net =
+  Splitting.tilted ?jobs ?trace ~label:"rare.tilt" ~trials ~rng
+    ~m:(Network.size net) ~eps_open:eps ~eps_close:eps ~tilt
     ~init:(fun () -> create_ws net)
     ~event:fails ()
 
-let failure_tilted_curve ?jobs ?chunk ?trace ~trials ~rng ~grid ~tilt net =
-  let m = Digraph.edge_count net.Network.graph in
-  Splitting.tilted_curve ?jobs ?chunk ?trace ~label:"rare.tilt_curve" ~trials
-    ~rng ~m
+let failure_tilted_curve ?jobs ?trace ~trials ~rng ~grid ~tilt net =
+  Splitting.tilted_curve ?jobs ?trace ~label:"rare.tilt_curve" ~trials ~rng
+    ~m:(Network.size net)
     ~grid:(Array.map (fun e -> (e, e)) grid)
     ~tilt
     ~init:(fun () -> create_ws net)
     ~event:fails ()
 
-let pilot_schedule ?particles ?p0 ?max_levels ?mutate ?trace ~rng ~eps net =
-  let m = Digraph.edge_count net.Network.graph in
-  Splitting.pilot ?particles ?p0 ?max_levels ?mutate ?trace ~rng ~m
+let pilot_schedule ?particles ?p0 ?mutate ?trace ~rng ~eps net =
+  Splitting.pilot ?particles ?p0 ?mutate ?trace ~rng ~m:(Network.size net)
     ~target:eps
     ~init:(fun () -> create_ws net)
     ~prepare ~threshold ()
 
-let failure_split ?jobs ?chunk ?trace ?mutate ~trials ~rng ~schedule net =
-  let m = Digraph.edge_count net.Network.graph in
-  Splitting.run ?jobs ?chunk ?trace ~label:"rare.split" ?mutate ~trials ~rng
-    ~m ~schedule
+let failure_split ?jobs ?trace ?mutate ~trials ~rng ~schedule net =
+  Splitting.run ?jobs ?trace ~label:"rare.split" ?mutate ~trials ~rng
+    ~m:(Network.size net) ~schedule
     ~init:(fun () -> create_ws net)
     ~prepare ~threshold ()

@@ -6,7 +6,9 @@
     isolated inputs → superconcentrator flow probes, the
     [Pipeline.sc_probe_only] workload) both as a plain event for tilted
     importance sampling and as a scalar importance function for
-    multilevel splitting.
+    multilevel splitting.  The probe plan and its evaluation are
+    {!Pipeline}'s own ({!Pipeline.draw_plan}, {!Pipeline.plan_deficit}),
+    so both estimate exactly the event {!Pipeline.survival} does.
 
     {2 The importance function}
 
@@ -30,11 +32,12 @@
     plan-averaged failure probability as [Pipeline.survival]. *)
 
 type ws
-(** Per-worker workspace: fault-strip state, a Menger flow arena, the
-    sort order and probe-plan buffers.  Single-domain state. *)
+(** Per-worker workspace: a {!Pipeline.ws} (strip state, routers, the
+    probe plan and its certificates) plus the sort order of the current
+    uniform vector.  Plans have [Pipeline.sc_probe_only]'s 3 probes.
+    Single-domain state. *)
 
-val create_ws : ?probes:int -> Ftcsn_networks.Network.t -> ws
-(** [probes] defaults to 3, matching [Pipeline.sc_probe_only]. *)
+val create_ws : Ftcsn_networks.Network.t -> ws
 
 val size : ws -> int
 (** Edge (switch) count m — the length of uniform vectors and fault
@@ -42,26 +45,30 @@ val size : ws -> int
 
 val fails : ws -> Ftcsn_prng.Rng.t -> Ftcsn_reliability.Fault.pattern -> bool
 (** The full failure event on a sampled pattern: terminals shorted, an
-    input isolated, or a superconcentrator probe deficit ([probes]
-    probes with r, S, T drawn from the given stream, like
-    [Pipeline.trial_ws]).  The event for {!Ftcsn_reliability.Splitting.tilted}. *)
+    input isolated, or a superconcentrator probe deficit (a plan drawn
+    from the given stream, like [Pipeline.trial_ws] under
+    [Pipeline.sc_probe_only]).  The event for
+    {!Ftcsn_reliability.Splitting.tilted}. *)
 
 val prepare : ws -> Ftcsn_prng.Rng.t -> unit
 (** Draw and store this trial's probe plan; {!threshold} evaluates
-    against it until the next [prepare]. *)
+    against it, reusing its certificates, until the next [prepare]. *)
 
 val monotone_fails : ws -> Ftcsn_reliability.Fault.pattern -> bool
 (** The monotone sub-event on an explicit pattern under the stored probe
     plan: strip, then isolated-input or flow-probe deficit (shorted
     terminals ignored — they are the non-monotone part).  Depends on the
     pattern only through its faulty edge set.  Requires a preceding
-    {!prepare}; the comparison oracle for the exactness tests. *)
+    {!prepare}.  It reuses no certificate, so the tests scan it over
+    prefixes as the reference for {!threshold} and enumerate it for the
+    splitting exactness check. *)
 
 val threshold : ws -> float array -> float
 (** φ(u): the critical ε of the monotone failure event under the stored
     probe plan (+∞ if even the all-faulty network passes — does not
     occur on the paper's families).  Cost: one sort of u plus O(log m)
-    strip-and-probe evaluations. *)
+    strips; a probe whose certificate from an earlier prefix or call is
+    still unmasked is not routed again. *)
 
 (** {2 Drivers}
 
@@ -84,7 +91,6 @@ val tune_tilt :
 
 val failure_tilted :
   ?jobs:int ->
-  ?chunk:int ->
   ?trace:Ftcsn_obs.Trace.sink ->
   trials:int ->
   rng:Ftcsn_prng.Rng.t ->
@@ -97,7 +103,6 @@ val failure_tilted :
 
 val failure_tilted_curve :
   ?jobs:int ->
-  ?chunk:int ->
   ?trace:Ftcsn_obs.Trace.sink ->
   trials:int ->
   rng:Ftcsn_prng.Rng.t ->
@@ -112,7 +117,6 @@ val failure_tilted_curve :
 val pilot_schedule :
   ?particles:int ->
   ?p0:float ->
-  ?max_levels:int ->
   ?mutate:float ->
   ?trace:Ftcsn_obs.Trace.sink ->
   rng:Ftcsn_prng.Rng.t ->
@@ -123,7 +127,6 @@ val pilot_schedule :
 
 val failure_split :
   ?jobs:int ->
-  ?chunk:int ->
   ?trace:Ftcsn_obs.Trace.sink ->
   ?mutate:float ->
   trials:int ->

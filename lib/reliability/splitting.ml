@@ -125,14 +125,18 @@ let metropolis_move ~mutate ~threshold ~ws ~level ~src ~src_phi ~dst rng =
     src_phi
   end
 
-let pilot ?(particles = 256) ?(p0 = 0.2) ?(max_levels = 40) ?(mutate = 0.2)
-    ?(moves = 6) ?trace ~rng ~m ~target ~init ~prepare ~threshold () =
+(* the pilot's level cap, and the constrained moves that decorrelate
+   each rebuilt population *)
+let max_levels = 40
+let moves = 6
+
+let pilot ?(particles = 256) ?(p0 = 0.2) ?(mutate = 0.2) ?trace ~rng ~m
+    ~target ~init ~prepare ~threshold () =
   if not (target > 0.0) then
     invalid_arg "Splitting.pilot: target must be > 0";
   if not (p0 > 0.0 && p0 < 1.0) then
     invalid_arg "Splitting.pilot: p0 must be in (0, 1)";
   if particles < 8 then invalid_arg "Splitting.pilot: need >= 8 particles";
-  if moves < 1 then invalid_arg "Splitting.pilot: need >= 1 move per level";
   check_mutate mutate;
   if m < 1 then invalid_arg "Splitting.pilot: need >= 1 edge";
   let n = particles in
@@ -170,7 +174,7 @@ let pilot ?(particles = 256) ?(p0 = 0.2) ?(max_levels = 40) ?(mutate = 0.2)
     if !c = 0 then
       invalid_arg
         "Splitting.pilot: population collapsed at a level (no particle \
-         strictly below it; raise particles, moves or mutate)";
+         strictly below it; raise particles or mutate)";
     let pref = Array.sub sorted 0 !c in
     Array.sort compare pref;
     let kq =
@@ -191,7 +195,7 @@ let pilot ?(particles = 256) ?(p0 = 0.2) ?(max_levels = 40) ?(mutate = 0.2)
       invalid_arg
         (Printf.sprintf
            "Splitting.pilot: target %g not reached after %d levels (event too \
-            rare for this pilot budget; raise max_levels or particles)"
+            rare for this ladder; lower p0, or raise particles or mutate)"
            target max_levels);
     Trace.span trace (Printf.sprintf "rare.pilot.level-%d" !depth) (fun () ->
         let l = quantile ~below:!ceiling in
@@ -264,7 +268,7 @@ type 'ws split_scratch = {
   phis : float array;
 }
 
-let run ?(jobs = 1) ?chunk ?trace ?(label = "rare.split") ?(mutate = 0.2)
+let run ?(jobs = 1) ?trace ?(label = "rare.split") ?(mutate = 0.2)
     ~trials ~rng ~m ~schedule ~init ~prepare ~threshold () =
   check_schedule schedule;
   check_mutate mutate;
@@ -273,7 +277,7 @@ let run ?(jobs = 1) ?chunk ?trace ?(label = "rare.split") ?(mutate = 0.2)
   let k = Array.length levels in
   let denom = Array.fold_left (fun a s -> a *. float_of_int s) 1.0 splits in
   let acc =
-    Trials.map_reduce ~jobs ?chunk ?trace ~label ~trials ~rng
+    Trials.map_reduce ~jobs ?trace ~label ~trials ~rng
       ~init:(fun () ->
         {
           ws = init ();
@@ -400,7 +404,7 @@ type curve_acc = {
   sumsqs : float array;
 }
 
-let tilted_curve ?(jobs = 1) ?chunk ?trace ?(label = "rare.tilt_curve")
+let tilted_curve ?(jobs = 1) ?trace ?(label = "rare.tilt_curve")
     ~trials ~rng ~m ~grid ~tilt ~init ~event () =
   let np = Array.length grid in
   if np = 0 then invalid_arg "Splitting.tilted_curve: empty grid";
@@ -424,7 +428,7 @@ let tilted_curve ?(jobs = 1) ?chunk ?trace ?(label = "rare.tilt_curve")
   in
   let base_q = Array.fold_left ( +. ) 0.0 lqn in
   let acc =
-    Trials.map_reduce ~jobs ?chunk ?trace ~label ~trials ~rng
+    Trials.map_reduce ~jobs ?trace ~label ~trials ~rng
       ~init:(fun () -> (init (), Array.make m Fault.Normal))
       ~create_acc:(fun () ->
         {
@@ -477,9 +481,9 @@ let tilted_curve ?(jobs = 1) ?chunk ?trace ?(label = "rare.tilt_curve")
   Array.init np (fun p ->
       finish ~n:acc.cn ~sum:acc.sums.(p) ~sumsq:acc.sumsqs.(p) ~evals:acc.cn)
 
-let tilted ?jobs ?chunk ?trace ?(label = "rare.tilt") ~trials ~rng ~m
-    ~eps_open ~eps_close ~tilt ~init ~event () =
-  (tilted_curve ?jobs ?chunk ?trace ~label ~trials ~rng ~m
+let tilted ?jobs ?trace ?(label = "rare.tilt") ~trials ~rng ~m ~eps_open
+    ~eps_close ~tilt ~init ~event () =
+  (tilted_curve ?jobs ?trace ~label ~trials ~rng ~m
      ~grid:[| (eps_open, eps_close) |]
      ~tilt ~init ~event ()).(0)
 
@@ -491,22 +495,17 @@ let default_init_tilt ~m ~eps_open ~eps_close =
   let ro = eps_open /. s in
   uniform_tilt ~m ~eps_open:(total *. ro) ~eps_close:(total *. (1.0 -. ro))
 
-let cross_entropy ?(iters = 4) ?(trials = 1000) ?(smoothing = 0.5)
-    ?(per_edge = false) ?init_tilt ?trace ~rng ~m ~eps_open ~eps_close ~init
-    ~event () =
+(* the step fraction of each CE update toward the weighted fault
+   frequencies *)
+let smoothing = 0.5
+
+let cross_entropy ?(iters = 4) ?(trials = 1000) ?(per_edge = false) ?trace
+    ~rng ~m ~eps_open ~eps_close ~init ~event () =
   check_target ~eps_open ~eps_close;
   if iters < 0 then invalid_arg "Splitting.cross_entropy: iters must be >= 0";
   if trials < 1 then
     invalid_arg "Splitting.cross_entropy: trials must be >= 1";
-  if not (smoothing > 0.0 && smoothing <= 1.0) then
-    invalid_arg "Splitting.cross_entropy: smoothing must be in (0, 1]";
-  let tilt =
-    match init_tilt with
-    | Some t ->
-        check_tilt ~m ~eps_open ~eps_close t;
-        { t_open = Array.copy t.t_open; t_close = Array.copy t.t_close }
-    | None -> default_init_tilt ~m ~eps_open ~eps_close
-  in
+  let tilt = default_init_tilt ~m ~eps_open ~eps_close in
   let ws = init () in
   let pattern = Array.make m Fault.Normal in
   let bo = Array.make m 0.0 and bc = Array.make m 0.0 in

@@ -75,9 +75,7 @@ type schedule = {
 val pilot :
   ?particles:int ->
   ?p0:float ->
-  ?max_levels:int ->
   ?mutate:float ->
-  ?moves:int ->
   ?trace:Ftcsn_obs.Trace.sink ->
   rng:Ftcsn_prng.Rng.t ->
   m:int ->
@@ -90,20 +88,20 @@ val pilot :
 (** Auto-tune a level schedule by an adaptive-quantile cascade: maintain
     a population of [particles] (default 256) uniform vectors, repeatedly
     set the next level to the [p0]-quantile (default 0.2) of their φ
-    values, then rebuild the population from the survivors by [moves]
-    (default 6) constrained Metropolis moves (each resampling a [mutate]
-    fraction of coordinates, default 0.2).  Stops when the quantile
+    values, then rebuild the population from the survivors by 6
+    constrained Metropolis moves (each resampling a [mutate] fraction of
+    coordinates, default 0.2).  Stops when the quantile
     reaches [target]; splitting factors are the rounded inverse of each
     observed conditional crossing rate.  Sequential and deterministic in
     [rng]; [prepare] is called once, so the whole pilot runs under one
     probe plan — the schedule is a tuning input only, any schedule keeps
     {!run} unbiased.  Each level is wrapped in a [rare.pilot.level-d]
     trace span.  @raise Invalid_argument if [target] is not reached
-    within [max_levels] (default 40) levels. *)
+    within 40 levels, or if no particle lies strictly below a level; the
+    message names the arguments to change. *)
 
 val run :
   ?jobs:int ->
-  ?chunk:int ->
   ?trace:Ftcsn_obs.Trace.sink ->
   ?label:string ->
   ?mutate:float ->
@@ -142,9 +140,7 @@ val uniform_tilt : m:int -> eps_open:float -> eps_close:float -> tilt
 val cross_entropy :
   ?iters:int ->
   ?trials:int ->
-  ?smoothing:float ->
   ?per_edge:bool ->
-  ?init_tilt:tilt ->
   ?trace:Ftcsn_obs.Trace.sink ->
   rng:Ftcsn_prng.Rng.t ->
   m:int ->
@@ -157,20 +153,19 @@ val cross_entropy :
 (** Tune a tilt for the target (eps_open, eps_close) by [iters] (default
     4) cross-entropy iterations of [trials] (default 1000) samples each:
     draw at the current tilt, weight failures by their likelihood ratio
-    against the target, and move the tilt toward the weighted fault
-    frequency among failures (pooled across edges by default; [per_edge]
-    keeps one rate per edge).  [smoothing] (default 0.5) is the step
-    fraction toward the update.  The returned tilt is floored at the
-    target probabilities — per-edge likelihood ratios on failed edges
-    never exceed 1, so weights cannot blow up — and capped away from 1.
+    against the target, and move the tilt half way toward the weighted
+    fault frequency among failures (pooled across edges by default;
+    [per_edge] keeps one rate per edge).  The returned tilt is floored
+    at the target probabilities — per-edge likelihood ratios on failed
+    edges never exceed 1, so weights cannot blow up — and capped away
+    from 1.
     An iteration that observes no failure doubles the tilt instead.
     Sequential and deterministic in [rng]; each iteration is wrapped in a
-    [rare.ce.iter-k] trace span.  The default [init_tilt] inflates the
-    target so a sample averages a handful of faulty switches. *)
+    [rare.ce.iter-k] trace span.  The starting tilt inflates the target
+    so a sample averages a handful of faulty switches. *)
 
 val tilted :
   ?jobs:int ->
-  ?chunk:int ->
   ?trace:Ftcsn_obs.Trace.sink ->
   ?label:string ->
   trials:int ->
@@ -194,7 +189,6 @@ val tilted :
 
 val tilted_curve :
   ?jobs:int ->
-  ?chunk:int ->
   ?trace:Ftcsn_obs.Trace.sink ->
   ?label:string ->
   trials:int ->

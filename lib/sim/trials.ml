@@ -276,9 +276,11 @@ let tracer_end tr ~executed ~successes =
         (Trace.Run_end
            { run; executed; successes; elapsed_ns = Clock.elapsed_ns ~since:t0 })
 
-let run_scratch ?(jobs = 1) ?(chunk = default_chunk) ?target_ci
-    ?(min_trials = 1000) ?progress ?trace ?(label = "trials.run") ~trials:cap
-    ~rng ~init f =
+(* adaptive stopping's floor: no half-width is trusted before it *)
+let min_trials = 1000
+
+let run_scratch ?(jobs = 1) ?(chunk = default_chunk) ?target_ci ?progress
+    ?trace ?(label = "trials.run") ~trials:cap ~rng ~init f =
   let root = Rng.copy rng in
   let successes = ref 0 in
   let t0 = Unix.gettimeofday () in

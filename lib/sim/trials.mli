@@ -91,7 +91,6 @@ val run_scratch :
   ?jobs:int ->
   ?chunk:int ->
   ?target_ci:float ->
-  ?min_trials:int ->
   ?progress:(progress -> unit) ->
   ?trace:Ftcsn_obs.Trace.sink ->
   ?label:string ->
@@ -109,7 +108,7 @@ val run_scratch :
       adaptive stopping is responsive, large enough that domain dispatch
       cost is amortised.
     - [target_ci]: adaptive stopping — stop at the first chunk boundary
-      (after [min_trials], default 1000) where the Wilson 95% half-width
+      (after the first 1000 trials) where the Wilson 95% half-width
       drops to [target_ci] or below; [trials] remains a hard cap.
     - [progress]: called on the scheduling domain after every consumed
       chunk with cumulative counts and throughput.

@@ -200,23 +200,6 @@ let route_probe ~rng ~(probe : Pipeline.probe) ~allowed net =
     let _paths = Greedy.route_permutation router pi ~success in
     failures := !failures + (n - !success)
   done;
-  for _ = 1 to probe.exact_permutations do
-    let pi = Rng.permutation rng n in
-    let requests =
-      Array.to_list
-        (Array.mapi
-           (fun i o -> (net.Network.inputs.(i), net.Network.outputs.(o)))
-           pi)
-    in
-    match
-      Ftcsn_routing.Backtrack.route_all ~budget:probe.exact_budget ~allowed net
-        requests
-    with
-    | Ftcsn_routing.Backtrack.Routed _ -> ()
-    | Ftcsn_routing.Backtrack.Unroutable
-    | Ftcsn_routing.Backtrack.Budget_exceeded ->
-        incr failures
-  done;
   for _ = 1 to probe.sc_probes do
     let r = 1 + Rng.int rng n in
     let s = Rng.sample_without_replacement rng ~n ~k:r in
@@ -227,13 +210,6 @@ let route_probe ~rng ~(probe : Pipeline.probe) ~allowed net =
     in
     if achieved < r then failures := !failures + (r - achieved)
   done;
-  if probe.majority_probes > 0 then begin
-    if
-      not
-        (Ftcsn.Majority_access.sampled_busy_majority
-           ~trials:probe.majority_probes ~rng ~allowed net)
-    then incr failures
-  end;
   !failures
 
 let trial ~rng ~eps ?(strip_radius = 0) ?(probe = Pipeline.default_probe) net =

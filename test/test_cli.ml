@@ -1078,13 +1078,12 @@ let test_rare_curve () =
 
 let test_rare_jobs_deterministic () =
   (* the output names no jobs count in the estimate rows; compare the
-     full table minus the header line that echoes --jobs *)
-  let go jobs =
+     full table minus the header line that echoes --jobs, for the tilt,
+     split and curve commands *)
+  let go args jobs =
     let code, out =
       run
-        (Printf.sprintf
-           "rare --net benes -n 8 --eps 1e-5 --trials 300 --pilot-trials \
-            200 --tilt-iters 2 --seed 3 --jobs %d"
+        (Printf.sprintf "rare --net benes -n 8 %s --seed 3 --jobs %d" args
            jobs)
     in
     Alcotest.(check int) "exit code" 0 code;
@@ -1093,9 +1092,19 @@ let test_rare_jobs_deterministic () =
          (fun l -> not (contains l "jobs"))
          (String.split_on_char '\n' out))
   in
-  let one = go 1 in
-  Alcotest.(check bool) "has rows" true (contains one "tilt");
-  Alcotest.(check string) "rare identical at jobs 1 vs 4" one (go 4)
+  List.iter
+    (fun (args, row) ->
+      let one = go args 1 in
+      Alcotest.(check bool) ("has rows: " ^ args) true (contains one row);
+      Alcotest.(check string) ("rare identical at jobs 1 vs 4: " ^ args) one
+        (go args 4))
+    [
+      ("--eps 1e-5 --trials 300 --pilot-trials 200 --tilt-iters 2", "tilt");
+      ("--eps 1e-3 --method split --trials 200 --particles 64", "split");
+      ( "--eps-grid 1e-5:1e-3:3:log --trials 300 --pilot-trials 200 \
+         --tilt-iters 2",
+        "0.001 " );
+    ]
 
 (* each tuning flag reaches its estimator: the report differs from the
    defaults' at the same seed *)

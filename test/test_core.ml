@@ -667,18 +667,6 @@ let test_majority_probe_detects_violation () =
        ~allowed:(fun _ -> true)
        net)
 
-let test_lemma6_probe_in_pipeline () =
-  let ft = build_small () in
-  let rng = Rng.create ~seed:82 in
-  let est =
-    Pipeline.survival ~trials:20 ~rng ~eps:1e-3
-      ~probe:
-        { Pipeline.sc_probe_only with sc_probes = 0; majority_probes = 2 }
-      ft.Ft_network.net
-  in
-  checkb "lemma-6 certified survival at 1e-3" true
-    (est.Ftcsn_reliability.Monte_carlo.mean > 0.8)
-
 (* ---------- §3 transfer: gadget substitution ---------- *)
 
 module Sp_network = Ftcsn_reliability.Sp_network
@@ -1180,7 +1168,6 @@ let () =
           Alcotest.test_case "ft clean" `Quick test_majority_probe_ft_clean;
           Alcotest.test_case "funnel violation" `Quick
             test_majority_probe_detects_violation;
-          Alcotest.test_case "lemma6 pipeline" `Quick test_lemma6_probe_in_pipeline;
         ] );
       ( "transfer",
         [

@@ -107,14 +107,7 @@ let test_exact_vs_pipeline_tiny () =
   let rng = Rng.create ~seed:43 in
   let est =
     Pipeline.survival ~trials:4000 ~rng ~eps
-      ~probe:
-        {
-          Pipeline.greedy_permutations = 1;
-          exact_permutations = 0;
-          exact_budget = 0;
-          sc_probes = 0;
-          majority_probes = 0;
-        }
+      ~probe:{ Pipeline.greedy_permutations = 1; sc_probes = 0 }
       net
   in
   let exact = 1.0 -. (2.0 *. eps) in

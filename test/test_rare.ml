@@ -16,6 +16,7 @@ module Rng = Ftcsn_prng.Rng
 module Network = Ftcsn_networks.Network
 module Topology = Ftcsn_networks.Topology
 module Rare = Ftcsn.Rare
+module Pipeline = Ftcsn.Pipeline
 module Monte_carlo = Ftcsn_reliability.Monte_carlo
 
 let checkb = Alcotest.(check bool)
@@ -278,6 +279,74 @@ let test_splitting_unbiased_vs_exact () =
   checkb "within 5 se of enumeration" true
     (Float.abs (est.Splitting.mean -. exact) <= (5.0 *. se) +. 1e-12)
 
+(* ---------- one failure event ---------- *)
+
+let event_nets =
+  lazy
+    (Array.map
+       (fun spec -> build_net spec ~n:8)
+       [| "benes"; "butterfly"; "valiant-sc"; "crossbar"; "ft" |])
+
+(* on the pattern trial_ws samples and the stream position it probes
+   from, Rare's full event holds exactly when the verdict under
+   sc_probe_only is not Survived; valiant-sc does not stage, so its
+   probes take the Dinic-only path *)
+let qcheck_fails_is_not_survived =
+  QCheck2.Test.make ~name:"Rare.fails = not Survived under sc_probe_only"
+    ~count:40
+    QCheck2.Gen.(triple (int_range 0 4) (int_range 0 100000) (int_range 1 150))
+    (fun (which, seed, permille) ->
+      let net = (Lazy.force event_nets).(which) in
+      let eps = float_of_int permille /. 1000.0 in
+      let pws = Pipeline.create_ws net and rws = Rare.create_ws net in
+      let pattern = Array.make (Network.size net) Fault.Normal in
+      let root = Rng.create ~seed in
+      List.for_all
+        (fun i ->
+          let verdict =
+            Pipeline.trial_ws ~probe:Pipeline.sc_probe_only pws
+              ~rng:(Rng.substream root i) ~eps
+          in
+          let sub = Rng.substream root i in
+          Fault.sample_into sub ~eps_open:eps ~eps_close:eps pattern;
+          Rare.fails rws sub pattern = (verdict <> Pipeline.Survived))
+        (List.init 10 Fun.id))
+
+(* threshold's bisection, which reuses certificates across prefixes and
+   calls, finds the first failing prefix of a linear scan of
+   monotone_fails, which records none, on a second workspace holding the
+   same plan *)
+let qcheck_threshold_is_first_failing_prefix =
+  QCheck2.Test.make ~name:"Rare.threshold = first failing prefix of a scan"
+    ~count:20
+    QCheck2.Gen.(pair (int_range 0 3) (int_range 0 100000))
+    (fun (which, seed) ->
+      let net = (Lazy.force event_nets).(which) in
+      let m = Network.size net in
+      let ws = Rare.create_ws net and scan = Rare.create_ws net in
+      Rare.prepare ws (Rng.create ~seed);
+      Rare.prepare scan (Rng.create ~seed);
+      let rng = Rng.create ~seed:(seed + 1) in
+      let pattern = Array.make m Fault.Normal in
+      let order = Array.make m 0 in
+      List.for_all
+        (fun _ ->
+          let u = Array.init m (fun _ -> Rng.float rng) in
+          Array.iteri (fun e _ -> order.(e) <- e) order;
+          Array.sort (fun a b -> Float.compare u.(a) u.(b)) order;
+          Array.fill pattern 0 m Fault.Normal;
+          let rec first j =
+            if Rare.monotone_fails scan pattern then
+              if j = 0 then 0.0 else u.(order.(j - 1)) /. 2.0
+            else if j = m then infinity
+            else begin
+              pattern.(order.(j)) <- Fault.Open_failure;
+              first (j + 1)
+            end
+          in
+          Rare.threshold ws u = first 0)
+        (List.init 5 Fun.id))
+
 (* ---------- determinism: bit-identical at every --jobs ---------- *)
 
 let test_jobs_bit_identity () =
@@ -386,7 +455,34 @@ let test_validation () =
   expect_invalid "pilot target 0" (fun () ->
       Splitting.pilot ~rng:(Rng.create ~seed:1) ~m ~target:0.0 ~init
         ~prepare:(fun _ _ -> ())
-        ~threshold ())
+        ~threshold ());
+  (* the pilot's two failures name what a caller can set *)
+  let pilot_error ~target threshold =
+    match
+      Splitting.pilot ~rng:(Rng.create ~seed:1) ~m ~target ~init
+        ~prepare:(fun _ _ -> ())
+        ~threshold ()
+    with
+    | _ -> Alcotest.failf "pilot to %g: expected Invalid_argument" target
+    | exception Invalid_argument msg -> msg
+  in
+  let mentions msg word =
+    let n = String.length word in
+    let rec at i =
+      i + n <= String.length msg && (String.sub msg i n = word || at (i + 1))
+    in
+    at 0
+  in
+  (* phi = u/2 needs about 57 levels of factor p0 = 0.2 to reach 1e-40 *)
+  let deep = pilot_error ~target:1e-40 (fun _ u -> u.(0) /. 2.0) in
+  checkb "deep target: not reached" true (mentions deep "not reached");
+  checkb "deep target: names p0" true (mentions deep "p0");
+  checkb "deep target: no max_levels" false (mentions deep "max_levels");
+  (* phi = u^0.01 puts the whole population near 1: nothing lies below
+     the first level's particles *)
+  let flat = pilot_error ~target:1e-3 (fun _ u -> u.(0) ** 0.01) in
+  checkb "flat phi: collapsed" true (mentions flat "collapsed");
+  checkb "flat phi: no moves" false (mentions flat "moves")
 
 (* ---------- the paper-regime smoke: benes:16 at eps = 1e-6 ---------- *)
 
@@ -428,6 +524,12 @@ let () =
           Alcotest.test_case "MC and CRN curve vs Exact (crossbar)" `Slow
             test_mc_and_curve_vs_exact;
         ] );
+      ( "event",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            qcheck_fails_is_not_survived;
+            qcheck_threshold_is_first_failing_prefix;
+          ] );
       ( "engine",
         [
           Alcotest.test_case "bit-identical at jobs 1/2/4" `Slow
