@@ -11,8 +11,8 @@
     its endpoints faulty.
 
     A [ws] bundles everything a stripping trial mutates — the fault
-    bitsets, a {!Ftcsn_reliability.Scratch.t} (union-find, BFS arrays,
-    fault-pattern buffer) and the precomputed reverse graph — so one
+    bitsets, a {!Ftcsn_reliability.Scratch.t} (union-find, fault-pattern
+    buffer) and the isolated-input search's stamps and stack — so one
     workspace per worker domain serves any number of trials without
     allocating.  Consumers route over the original graph with
     {!ws_edge_ok} masking failed switches instead of rebuilding a
@@ -40,8 +40,33 @@ val strip_into : ?radius:int -> ws -> Ftcsn_reliability.Fault.pattern -> unit
     — criticality scans pass perturbed copies).  [radius] 0 (default)
     forbids faulty vertices; 1 also forbids their graph neighbours (the
     paper's conservative variant), and so on.  Masks and queries below
-    refer to the most recent [strip_into].
+    refer to the most recent strip.  One scan of [pattern] lists its
+    non-normal edges into {!ws_listed}, then {!strip_listed} runs on
+    that list.
     @raise Invalid_argument on a negative [radius]. *)
+
+val strip_listed :
+  ?radius:int ->
+  ws ->
+  Ftcsn_reliability.Fault.pattern ->
+  edges:int array ->
+  count:int ->
+  unit
+(** {!strip_into} for a caller that already knows the non-normal edges:
+    [edges.(0 .. count-1)] must be exactly the edges [pattern] does not
+    hold [Normal], each once, in any order.  The strip then reads only
+    those edges, so at radius 0 it costs O([count] + n/63) instead of
+    O(m): the survival curve re-strips a trial's pattern at every grid
+    point this way, and {!Rare.threshold} each prefix it bisects.
+    @raise Invalid_argument on a negative [radius] or a [pattern] of the
+    wrong arity. *)
+
+val ws_listed : ws -> int array
+(** The workspace's edge-list buffer, one slot per edge: {!strip_into}
+    lists a pattern's non-normal edges there, and a caller may list them
+    there itself (as {!Ftcsn_reliability.Fault.classify_listed_into}
+    does for the survival curve) before {!strip_listed}, so one buffer
+    serves both. *)
 
 val ws_allowed : ws -> int -> bool
 (** Vertex mask of the current strip — terminals plus unstripped
@@ -63,5 +88,12 @@ val ws_stripped : ws -> Ftcsn_util.Bitset.t
 val ws_isolated_inputs : ws -> int list
 (** Input indices with no remaining path to any output through allowed
     vertices and normal switches — the open-failure disconnection event
-    of Lemma 3 — via a masked BFS over the precomputed reverse graph
-    (allocates only the returned list). *)
+    of Lemma 3.  For each input in index order, an iterative depth-first
+    search over the forward graph under the strip's masks stops at the
+    first output, or at a vertex an earlier search of the same call
+    proved reaches one.  Tarjan's lowlinks mark every vertex a search
+    enters as reaching an output or not, exactly on cyclic graphs too,
+    so no vertex is explored twice in a call: it costs O(n + m) at most,
+    and only what the searches enter in practice.  Marks are epoch
+    stamps, so a call needs no n-sized fill, and it allocates only the
+    returned list. *)

@@ -20,9 +20,11 @@ let sc_probe_only = { greedy_permutations = 0; sc_probes = 3 }
 (* ---------- trial workspace ----------
 
    Every per-trial structure lives in a workspace: the strip state, a
-   greedy router with its BFS scratch, a prebuilt Menger flow arena and
-   the trial's probe plan.  Probes run over the ORIGINAL graph with the
-   strip's vertex/edge masks, never over a rebuilt survivor subgraph.
+   greedy router with its BFS scratch, a Menger flow arena (built on the
+   first probe the certificate does not answer), the trial's probe plan
+   and the curve's candidate edges.  Probes run over the ORIGINAL graph
+   with the strip's vertex/edge masks, never over a rebuilt survivor
+   subgraph.
    Every probe decision is order-for-order identical to one on the
    rebuilt subgraph (CSR adjacency preserves edge-id order under
    subgraphing, BFS distances and max-flow values are tie-break
@@ -62,6 +64,10 @@ type ws = {
   n_pairs : int;  (* min(inputs, outputs): probe demands live in [1, n] *)
   mutable plan : slot array;  (* its first [planned] slots *)
   mutable planned : int;  (* -1 until the trial's plan is drawn *)
+  (* a curve trial's candidates, the edges that fail at some grid point:
+     the first [n_candidates], in a buffer the first curve allocates *)
+  mutable candidates : int array;
+  mutable n_candidates : int;
 }
 
 let create_ws net =
@@ -76,7 +82,26 @@ let create_ws net =
     n_pairs = min (Network.n_inputs net) (Network.n_outputs net);
     plan = [||];
     planned = -1;
+    candidates = [||];
+    n_candidates = 0;
   }
+
+(* The last workspace built on this domain.  [survival] and
+   [survival_curve] take theirs from here while the network is
+   physically the same, so repeated runs on one network (a benchmark's
+   windows, a tournament's curves) build it once per domain.  A trial
+   re-initialises the state it reads, and the curve resets the pattern
+   buffer when it takes the workspace, so a reused workspace behaves
+   like a fresh one. *)
+let slot : ws option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let domain_ws net =
+  match Domain.DLS.get slot with
+  | Some ws when Fault_strip.ws_net ws.fs == net -> ws
+  | Some _ | None ->
+      let ws = create_ws net in
+      Domain.DLS.set slot (Some ws);
+      ws
 
 let ws_fault_strip ws = ws.fs
 
@@ -190,7 +215,7 @@ let survival ?jobs ?target_ci ?progress ?trace ~trials ~rng ~eps ?strip_radius
     ?probe net =
   Ftcsn_sim.Trials.run_scratch ?jobs ?target_ci ?progress ?trace
     ~label:"pipeline.survival" ~trials ~rng
-    ~init:(fun () -> create_ws net)
+    ~init:(fun () -> domain_ws net)
     (fun ws sub ->
       match trial_ws ?strip_radius ?probe ws ~rng:sub ~eps with
       | Survived -> true
@@ -198,85 +223,141 @@ let survival ?jobs ?target_ci ?progress ?trace ~trials ~rng ~eps ?strip_radius
 
 (* ---------- CRN-coupled survival curve ----------
 
-   One draw vector per trial, thresholded at every ε grid point
-   ([Fault.classify_into]); the probe stream for each point is a fresh
-   [Rng.copy] of the trial substream taken after the edge draws —
-   exactly the stream state an independent [survival] run at that ε
-   would hand its probes — so every point of the curve is bit-identical
-   to an independent run at that ε (the test suite pins this).  The
-   same stream state also means the same probe plan at every point, so
-   the trial draws it once and evaluates it with certificates.
+   One draw vector per trial, thresholded at every ε grid point with
+   [Fault.classify_into]'s comparisons; the probe stream for each point
+   is a fresh [Rng.copy] of the trial substream taken after the edge
+   draws — exactly the stream state an independent [survival] run at
+   that ε would hand its probes — so every point of the curve is
+   bit-identical to an independent run at that ε (the test suite pins
+   this).  The same stream state also means the same probe plan at every
+   point, so the trial draws it once and evaluates it with certificates.
 
-   Short-circuiting: as ε₁ + ε₂ grows over one draw vector, the
-   non-normal edge set {u < ε₁ + ε₂} is nested, so the faulty-vertex
-   set, the stripped set, and the allowed/edge_ok masks are nested too.
-   Therefore [Isolated] persists at every later (larger) ε, and Menger
-   max-flow probe values are nonincreasing, so a flow-probe [Unroutable]
-   persists as well.  On a nondecreasing grid those verdicts let a trial
-   skip its remaining points and record them as failures — provably the
-   same outcomes, a fraction of the work.  [Shorted] never
-   short-circuits (the closed set {ε₁ ≤ u < ε₁ + ε₂} is not nested),
-   and greedy probes are not monotone under edge removal, so
-   [Unroutable] only short-circuits for flow-only probes.
+   Sparse re-strips: a trial lists once its candidates, the edges that
+   fail at the grid's largest ε and so include those failing at any
+   point ([Fault.failed_edges_into]).  Each point reclassifies only
+   those, listing the failed ones in the strip's own list buffer
+   ([Fault.classify_listed_into]), and strips from that list
+   ([Fault_strip.strip_listed]), so a point costs what its faults
+   touch.
+   Every other edge stays [Normal] in the pattern buffer: a trial resets
+   its predecessor's candidates, and the curve resets the whole buffer
+   when it takes the workspace.
 
-   Unchanged-pattern memo: if re-thresholding at the next grid point
-   flips no edge ([Fault.classify_into_changed] returns [false]) the
-   whole evaluation is a pure function of inputs it already saw —
-   same pattern, same strip, and the probe runs on a fresh [Rng.copy]
-   of the same substream state — so the previous point's outcome is
-   reused verbatim.  At small ε most trials draw no u below the moving
-   thresholds, which is precisely the regime where curves need many
-   grid points, so this removes most strip+probe work there without
-   changing a single outcome. *)
+   Monotonicity: as ε₁ + ε₂ grows over one draw vector, the failed edge
+   set is nested, so the faulty-vertex set, the stripped set and the
+   allowed/edge_ok masks are nested too.  Therefore [Isolated] persists
+   at every later (larger) ε, and Menger max-flow probe values are
+   nonincreasing, so a flow-probe deficit persists as well.  [Shorted]
+   does not (the closed set {ε₁ ≤ u < ε₁ + ε₂} is not nested), and
+   neither do greedy probes, which edge removal can help.
+
+   Bisection: on a nondecreasing grid with flow-only probes, "an input
+   is isolated or the plan has a deficit" is false and then true along
+   the grid, so its first failing point k* is found by bisection
+   ([first_failing]).  Every point from k* on fails; below k*, a point
+   survives iff its strip shorts no terminals.  Certificates are checked
+   against the current masks, so they allow the out-of-order visits.
+
+   Scan: other grids and presets evaluate the verdict point by point.
+   On a nondecreasing grid a trial skips its remaining points once
+   [Isolated] occurs — the same outcomes, since it persists.
+   Unchanged-pattern memo: if re-thresholding at the next point flips no
+   edge, the evaluation is a pure function of inputs it already saw
+   (same pattern, same strip, a fresh copy of the same stream), so the
+   previous point's outcome is reused verbatim. *)
+
+let first_failing ~points fails =
+  let lo = ref 0 and hi = ref points in
+  while !lo < !hi do
+    let mid = !lo + ((!hi - !lo) / 2) in
+    if fails mid then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* reset the previous trial's candidates to [Normal], draw this trial's
+   uniforms and list the edges failed at the grid's largest [emax] *)
+let draw_candidates ws sub ~emax =
+  let uniforms = Ftcsn_reliability.Scratch.uniforms (Fault_strip.ws_scratch ws.fs) in
+  let pattern = Fault_strip.ws_pattern ws.fs in
+  for i = 0 to ws.n_candidates - 1 do
+    pattern.(ws.candidates.(i)) <- Fault.Normal
+  done;
+  Fault.sample_uniforms_into sub uniforms;
+  ws.n_candidates <-
+    Fault.failed_edges_into ~uniforms ~eps_open:emax ~eps_close:emax
+      ws.candidates
+
+(* classify the candidates at ε₁ = ε₂ = [e], listing the failed ones;
+   strip when some state changed or [force], and say whether it did
+   (otherwise the strip before stands) *)
+let restrip ws ~radius ~force e =
+  let uniforms = Ftcsn_reliability.Scratch.uniforms (Fault_strip.ws_scratch ws.fs) in
+  let pattern = Fault_strip.ws_pattern ws.fs in
+  let failed = Fault_strip.ws_listed ws.fs in
+  let count, changed =
+    Fault.classify_listed_into ~uniforms ~eps_open:e ~eps_close:e
+      ~edges:ws.candidates ~count:ws.n_candidates ~failed pattern
+  in
+  let stripped = changed || force in
+  if stripped then
+    Fault_strip.strip_listed ~radius ws.fs pattern ~edges:failed ~count;
+  stripped
+
+let bisected_trial ws sub outcomes ~eps ~radius ~probe =
+  draw_plan ws (Rng.copy sub) ~probes:probe.sc_probes;
+  let k_star =
+    first_failing ~points:(Array.length eps) (fun k ->
+        ignore (restrip ws ~radius ~force:true eps.(k));
+        Fault_strip.ws_isolated_inputs ws.fs <> []
+        || plan_deficit ws ~record:true ~first:true > 0)
+  in
+  for k = 0 to k_star - 1 do
+    ignore (restrip ws ~radius ~force:true eps.(k));
+    if Fault_strip.ws_healthy ws.fs then Bytes.set outcomes k '\001'
+  done
+
+(* [fresh]: the first point evaluates even if it leaves the all-normal
+   buffer unchanged.  [prev_ok] is the outcome of the last evaluated
+   point, reused while the pattern stays identical. *)
+let scanned_trial ws sub outcomes ~eps ~sorted ~radius ~probe =
+  ws.planned <- -1;
+  let dead = ref false and fresh = ref true and prev_ok = ref false in
+  for k = 0 to Array.length eps - 1 do
+    if not !dead then begin
+      if restrip ws ~radius ~force:!fresh eps.(k) then begin
+        fresh := false;
+        match verdict ws ~rng:(Rng.copy sub) ~probe ~record:true with
+        | Survived -> prev_ok := true
+        | Shorted _ | Unroutable _ -> prev_ok := false
+        | Isolated _ ->
+            prev_ok := false;
+            dead := sorted
+      end;
+      if !prev_ok then Bytes.set outcomes k '\001'
+    end
+  done
 
 let survival_curve ?jobs ?progress ?trace ~trials ~rng ~eps
     ?(strip_radius = 0) ?(probe = default_probe) net =
-  let points = Array.length eps in
-  let sorted =
-    let ok = ref true in
-    for k = 1 to points - 1 do
-      if eps.(k) < eps.(k - 1) then ok := false
-    done;
-    !ok
-  in
-  let flow_only = probe.greedy_permutations = 0 in
+  let sorted = ref true in
+  Array.iteri
+    (fun k e ->
+      Fault.check_probabilities ~eps_open:e ~eps_close:e;
+      if k > 0 && e < eps.(k - 1) then sorted := false)
+    eps;
+  let emax = Array.fold_left Float.max 0.0 eps in
+  let radius = strip_radius in
+  let bisect = !sorted && probe.greedy_permutations = 0 in
   Ftcsn_sim.Trials.sweep ?jobs ?progress ?trace
-    ~label:"pipeline.survival_curve" ~trials ~rng ~points
-    ~init:(fun () -> create_ws net)
+    ~label:"pipeline.survival_curve" ~trials ~rng ~points:(Array.length eps)
+    ~init:(fun () ->
+      let ws = domain_ws net in
+      let m = Network.size net in
+      Array.fill (Fault_strip.ws_pattern ws.fs) 0 m Fault.Normal;
+      if Array.length ws.candidates < m then ws.candidates <- Array.make m 0;
+      ws.n_candidates <- 0;
+      ws)
     (fun ws sub outcomes ->
-      let sc = Fault_strip.ws_scratch ws.fs in
-      let uniforms = Ftcsn_reliability.Scratch.uniforms sc in
-      let pattern = Fault_strip.ws_pattern ws.fs in
-      Fault.sample_uniforms_into sub uniforms;
-      ws.planned <- -1;
-      let dead = ref false in
-      (* [fresh]: the pattern buffer still holds the previous trial's
-         residue, so the first live point must evaluate even if the
-         classification happens to leave it unchanged.  [prev_ok] is the
-         outcome of the last evaluated point, reused while the pattern
-         stays identical. *)
-      let fresh = ref true in
-      let prev_ok = ref false in
-      for k = 0 to points - 1 do
-        if not !dead then begin
-          let e = eps.(k) in
-          let changed =
-            Fault.classify_into_changed ~uniforms ~eps_open:e ~eps_close:e
-              pattern
-          in
-          if changed || !fresh then begin
-            fresh := false;
-            Fault_strip.strip_into ~radius:strip_radius ws.fs pattern;
-            match verdict ws ~rng:(Rng.copy sub) ~probe ~record:true with
-            | Survived -> prev_ok := true
-            | Shorted _ -> prev_ok := false
-            | Isolated _ ->
-                prev_ok := false;
-                if sorted then dead := true
-            | Unroutable _ ->
-                prev_ok := false;
-                if sorted && flow_only then dead := true
-          end;
-          if !prev_ok then Bytes.set outcomes k '\001'
-        end
-      done)
+      draw_candidates ws sub ~emax;
+      if bisect then bisected_trial ws sub outcomes ~eps ~radius ~probe
+      else scanned_trial ws sub outcomes ~eps ~sorted:!sorted ~radius ~probe)

@@ -39,15 +39,19 @@ val sc_probe_only : probe
 
 type ws
 (** Per-domain trial workspace: strip state
-    ({!Ftcsn_networks.Network.t}-sized bitsets, union-find, BFS arrays),
-    a greedy router with its scratch, a {!Ftcsn_routing.Flow_route}
-    workspace (a greedy path certificate, then a prebuilt Menger flow
-    arena on a shortfall), and the trial's probe plan with one
-    disjoint-path certificate per probe.
+    ({!Ftcsn_networks.Network.t}-sized bitsets, union-find, search
+    arrays), a greedy router with its scratch, a
+    {!Ftcsn_routing.Flow_route} workspace (a greedy path certificate,
+    then a Menger flow arena built on the first shortfall), the trial's
+    probe plan with one disjoint-path certificate per probe, and the
+    curve's candidate-edge list.
     Probes run over the original graph under the strip's vertex/edge
     masks, so no per-trial subgraph is ever rebuilt.  Single-domain
-    state: create one per worker via the {!Ftcsn_sim.Trials.run_scratch}
-    [~init] hook (as {!survival} does). *)
+    state.  {!survival} and {!survival_curve} keep the last workspace
+    built on each domain in a [Domain.DLS] slot and reuse it while the
+    network is physically the same ([==]), so repeated runs on one
+    network build one per domain; a reused workspace gives the same
+    results as a fresh one, also after a run that raised. *)
 
 val create_ws : Ftcsn_networks.Network.t -> ws
 
@@ -91,6 +95,14 @@ val plan_deficit : ws -> record:bool -> first:bool -> int
     {!Rare.threshold}'s prefixes); a plan evaluated once passes
     [false] and skips the extraction. *)
 
+val first_failing : points:int -> (int -> bool) -> int
+(** The least [k] in [[0, points)] with [fails k], or [points] when there
+    is none, for a [fails] that is false and then true along [[0,
+    points)] (a monotone event on nested fault sets).  Lower-bound
+    bisection: it calls [fails] at most ⌈log₂(points + 1)⌉ times.
+    {!survival_curve} finds a trial's first failing grid point with it,
+    and {!Rare.threshold} its minimal failing prefix. *)
+
 val survival :
   ?jobs:int ->
   ?target_ci:float ->
@@ -133,19 +145,31 @@ val survival_curve :
     whole curve costs roughly one run's sampling plus the un-skippable
     probing.
 
-    On a nondecreasing grid the nested-fault-set structure makes
-    [Isolated] (always) and flow-probe [Unroutable] (when [probe] has
-    no greedy permutations) persist at every later point, so trials
-    short-circuit their remaining points once such a verdict occurs —
-    identical results, a fraction of the probe work.  [Shorted] and
-    greedy probes are re-evaluated at every point (not monotone).
+    A trial lists once the edges that fail anywhere on the grid (a
+    uniform below the largest ε +. ε), and each point re-thresholds and
+    strips only those ({!Fault_strip.strip_listed}), so a point costs
+    what its faults touch rather than O(n + m).
+
+    On a nondecreasing grid the failed edge sets are nested, so
+    [Isolated] (always) and a flow-probe deficit persist at every later
+    point; [Shorted] and greedy probes are not monotone.  With
+    flow-only probes ([probe] has no greedy permutations), a trial
+    therefore finds the first grid point where an input is isolated or
+    the plan has a deficit by bisection ({!first_failing}): every point
+    from there on fails, and an earlier point survives iff its strip
+    shorts no terminals.  Other grids and presets evaluate point by
+    point: on a nondecreasing grid a trial skips its remaining points
+    once [Isolated] occurs, and a point whose re-thresholding flips no
+    edge reuses the previous point's outcome.  All of these give the
+    same outcomes as evaluating every point.
 
     Every point draws the same probe plan, so a trial draws it once and
     records its certificates ({!plan_deficit}): while a probe's paths
-    stay unmasked at a later point, they answer it there without
-    routing anything.
+    stay unmasked at another point, they answer it there without
+    routing anything, in whatever order the points are visited.
 
     Estimates across the curve are positively correlated — ideal for
     reading off threshold locations and curve differences (Raginsky-
     style phase-transition plots) at far lower variance than pointwise
-    independent runs. *)
+    independent runs.
+    @raise Invalid_argument when some grid ε is not in [[0, 1/2]]. *)

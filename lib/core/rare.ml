@@ -44,8 +44,9 @@ let monotone_fails ws pattern =
   monotone_of_strip ws ~record:false
 
 (* does the monotone event hold when exactly the first [j] edges of the
-   sort order are faulty?  The plan is evaluated on every prefix the
-   bisection visits, so it records its certificates. *)
+   sort order are faulty?  The strip reads only those [j] edges.  The
+   plan is evaluated on every prefix the bisection visits, so it
+   records its certificates. *)
 let prefix_fails ws j =
   let fs = Pipeline.ws_fault_strip ws.pipe in
   let pattern = Fault_strip.ws_pattern fs in
@@ -53,7 +54,7 @@ let prefix_fails ws j =
   for i = 0 to j - 1 do
     pattern.(ws.order.(i)) <- Fault.Open_failure
   done;
-  Fault_strip.strip_into fs pattern;
+  Fault_strip.strip_listed fs pattern ~edges:ws.order ~count:j;
   monotone_of_strip ws ~record:true
 
 let threshold ws u =
@@ -65,19 +66,14 @@ let threshold ws u =
     order.(e) <- e
   done;
   Array.sort (fun a b -> Float.compare u.(a) u.(b)) order;
-  if not (prefix_fails ws m) then infinity
-  else if prefix_fails ws 0 then 0.0
-  else begin
-    (* minimal failing prefix by bisection: lo never fails, hi fails *)
-    let lo = ref 0 and hi = ref m in
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if prefix_fails ws mid then hi := mid else lo := mid
-    done;
-    (* faulty at rate eps iff u < 2 eps, so the event needs
-       u_(j-1) < 2 eps: the critical eps is u_(j-1) / 2 *)
-    u.(order.(!hi - 1)) /. 2.0
-  end
+  (* the minimal failing prefix, m + 1 when even the full one passes *)
+  match Pipeline.first_failing ~points:(m + 1) (prefix_fails ws) with
+  | j when j > m -> infinity
+  | 0 -> 0.0
+  | j ->
+      (* faulty at rate eps iff u < 2 eps, so the event needs
+         u_(j-1) < 2 eps: the critical eps is u_(j-1) / 2 *)
+      u.(order.(j - 1)) /. 2.0
 
 (* ---------- drivers ---------- *)
 

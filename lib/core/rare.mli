@@ -66,9 +66,11 @@ val monotone_fails : ws -> Ftcsn_reliability.Fault.pattern -> bool
 val threshold : ws -> float array -> float
 (** φ(u): the critical ε of the monotone failure event under the stored
     probe plan (+∞ if even the all-faulty network passes — does not
-    occur on the paper's families).  Cost: one sort of u plus O(log m)
-    strips; a probe whose certificate from an earlier prefix or call is
-    still unmasked is not routed again. *)
+    occur on the paper's families).  Cost: one sort of u plus
+    ⌈log₂(m + 2)⌉ strips by {!Pipeline.first_failing}, each reading only
+    the edges of its prefix ({!Fault_strip.strip_listed}); a probe whose
+    certificate from an earlier prefix or call is still unmasked is not
+    routed again. *)
 
 (** {2 Drivers}
 

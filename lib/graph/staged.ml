@@ -3,8 +3,8 @@ type t = {
   stages : int;
 }
 
-let of_sources ?edge_ok g ~sources =
-  let stage = Traverse.longest_path_dag ?edge_ok g ~sources in
+let of_sources g ~sources =
+  let stage = Traverse.longest_path_dag g ~sources in
   let stages = 1 + Array.fold_left max (-1) stage in
   { stage; stages }
 

@@ -11,10 +11,8 @@ type t = {
   stages : int;  (** number of stages = max stage + 1 *)
 }
 
-val of_sources : ?edge_ok:(int -> bool) -> Digraph.t -> sources:int list -> t
-(** Stage = longest-path distance from the sources (DAG required).
-    [edge_ok] masks edges out before staging, so a surviving subnetwork
-    can be staged without rebuilding it. *)
+val of_sources : Digraph.t -> sources:int list -> t
+(** Stage = longest-path distance from the sources (DAG required). *)
 
 val vertices_at : t -> int -> int list
 (** Vertices on the given stage, ascending. *)

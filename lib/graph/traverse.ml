@@ -66,14 +66,12 @@ let reachable ?allowed g ~sources =
 (* Kahn's algorithm over the raw CSR.  [order] doubles as the FIFO:
    vertices are appended when their in-degree drops to zero and popped
    from [head], so the output is the order a queue would produce. *)
-let topological_order ?(edge_ok = always) g =
+let topological_order g =
   let n = Digraph.vertex_count g in
-  let out_off = Digraph.Csr.out_off g
-  and out_dst = Digraph.Csr.out_dst g
-  and out_eid = Digraph.Csr.out_eid g in
+  let out_off = Digraph.Csr.out_off g and out_dst = Digraph.Csr.out_dst g in
   let indeg = Array.make n 0 in
   for k = 0 to out_off.(n) - 1 do
-    if edge_ok out_eid.(k) then indeg.(out_dst.(k)) <- indeg.(out_dst.(k)) + 1
+    indeg.(out_dst.(k)) <- indeg.(out_dst.(k)) + 1
   done;
   let order = Array.make n (-1) in
   let tail = ref 0 in
@@ -88,13 +86,11 @@ let topological_order ?(edge_ok = always) g =
     let v = order.(!head) in
     incr head;
     for k = out_off.(v) to out_off.(v + 1) - 1 do
-      if edge_ok out_eid.(k) then begin
-        let w = out_dst.(k) in
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then begin
-          order.(!tail) <- w;
-          incr tail
-        end
+      let w = out_dst.(k) in
+      indeg.(w) <- indeg.(w) - 1;
+      if indeg.(w) = 0 then begin
+        order.(!tail) <- w;
+        incr tail
       end
     done
   done;
@@ -102,13 +98,11 @@ let topological_order ?(edge_ok = always) g =
 
 let is_acyclic g = topological_order g <> None
 
-let longest_path_dag ?(edge_ok = always) g ~sources =
-  match topological_order ~edge_ok g with
+let longest_path_dag g ~sources =
+  match topological_order g with
   | None -> invalid_arg "Traverse.longest_path_dag: cyclic graph"
   | Some order ->
-      let out_off = Digraph.Csr.out_off g
-      and out_dst = Digraph.Csr.out_dst g
-      and out_eid = Digraph.Csr.out_eid g in
+      let out_off = Digraph.Csr.out_off g and out_dst = Digraph.Csr.out_dst g in
       let dist = Array.make (Digraph.vertex_count g) (-1) in
       List.iter (fun s -> dist.(s) <- 0) sources;
       Array.iter
@@ -117,7 +111,7 @@ let longest_path_dag ?(edge_ok = always) g ~sources =
           if d >= 0 then
             for k = out_off.(v) to out_off.(v + 1) - 1 do
               let w = out_dst.(k) in
-              if edge_ok out_eid.(k) && d + 1 > dist.(w) then dist.(w) <- d + 1
+              if d + 1 > dist.(w) then dist.(w) <- d + 1
             done)
         order;
       dist

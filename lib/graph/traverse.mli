@@ -1,7 +1,7 @@
 (** Graph traversals: directed BFS distances, DFS, topological order,
     reachability.
 
-    Every traversal takes an optional [edge_ok : eid -> bool] mask that
+    The searches take an [edge_ok : eid -> bool] mask that
     hides edges from the walk without rebuilding the graph.  Because CSR
     adjacency lists keep edges in ascending edge-id order, traversing the
     original graph under a mask visits vertices in exactly the order a
@@ -37,17 +37,15 @@ val bfs_directed_into :
 val reachable : ?allowed:(int -> bool) -> Digraph.t -> sources:int list -> Ftcsn_util.Bitset.t
 (** Directed reachability set. *)
 
-val topological_order : ?edge_ok:(int -> bool) -> Digraph.t -> int array option
-(** Kahn's algorithm; [None] when the graph (restricted to [edge_ok]
-    edges) has a directed cycle. *)
+val topological_order : Digraph.t -> int array option
+(** Kahn's algorithm; [None] when the graph has a directed cycle. *)
 
 val is_acyclic : Digraph.t -> bool
 
-val longest_path_dag :
-  ?edge_ok:(int -> bool) -> Digraph.t -> sources:int list -> int array
+val longest_path_dag : Digraph.t -> sources:int list -> int array
 (** For a DAG: longest directed path length (in edges) from the source set
-    to each vertex, [-1] if unreachable.  [edge_ok] masks edges out of the
-    DAG first.  @raise Invalid_argument on cyclic input. *)
+    to each vertex, [-1] if unreachable.
+    @raise Invalid_argument on cyclic input. *)
 
 val depth : Digraph.t -> inputs:int list -> outputs:int list -> int
 (** The network-depth measure of the paper (§2): the largest number of

@@ -63,25 +63,49 @@ let classify_into ~uniforms ~eps_open ~eps_close pattern =
        else Normal)
   done
 
-let classify_into_changed ~uniforms ~eps_open ~eps_close pattern =
+let failed_edges_into ~uniforms ~eps_open ~eps_close edges =
+  check_probabilities ~eps_open ~eps_close;
+  if Array.length edges < Array.length uniforms then
+    invalid_arg "Fault.failed_edges_into: edge buffer too short";
+  let threshold = eps_open +. eps_close in
+  (* branch-free, as at ε = 0.1 a fifth of the edges fail and a branch
+     would mispredict often; [n <= e] keeps the unconditional write in
+     bounds *)
+  let n = ref 0 in
+  for e = 0 to Array.length uniforms - 1 do
+    Array.unsafe_set edges !n e;
+    n := !n + Bool.to_int (Array.unsafe_get uniforms e < threshold)
+  done;
+  !n
+
+let classify_listed_into ~uniforms ~eps_open ~eps_close ~edges ~count ~failed
+    pattern =
   check_probabilities ~eps_open ~eps_close;
   if Array.length uniforms <> Array.length pattern then
-    invalid_arg "Fault.classify_into_changed: uniforms/pattern length mismatch";
+    invalid_arg "Fault.classify_listed_into: uniforms/pattern length mismatch";
   let threshold = eps_open +. eps_close in
-  let changed = ref false in
-  for e = 0 to Array.length pattern - 1 do
-    let u = Array.unsafe_get uniforms e in
+  let n = ref 0 and changed = ref false in
+  for i = 0 to count - 1 do
+    let e = edges.(i) in
+    let u = uniforms.(e) in
     let s =
       if u < eps_open then Open_failure
       else if u < threshold then Closed_failure
       else Normal
     in
-    if not (state_equal (Array.unsafe_get pattern e) s) then begin
-      Array.unsafe_set pattern e s;
+    (match s with
+     | Normal -> ()
+     | Open_failure | Closed_failure ->
+         failed.(!n) <- e;
+         incr n);
+    (* states are constant constructors, so [!=] compares them exactly,
+       without [state_equal]'s call in this per-candidate loop *)
+    if pattern.(e) != s then begin
+      pattern.(e) <- s;
       changed := true
     end
   done;
-  !changed
+  (!n, !changed)
 
 let sample rng ~eps_open ~eps_close ~m =
   let pattern = Array.make m Normal in

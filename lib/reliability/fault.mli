@@ -58,14 +58,38 @@ val classify_into :
     non-normal edge sets are nested as ε₁ + ε₂ grows.  Requires
     [eps_open + eps_close <= 1] and equal lengths. *)
 
-val classify_into_changed :
-  uniforms:float array -> eps_open:float -> eps_close:float -> pattern -> bool
-(** As {!classify_into}, but additionally reports whether any entry of
-    [pattern] changed.  [false] means the buffer already held exactly
-    the classification of [uniforms] at these thresholds — on a CRN
-    ε-grid walk, every pattern-derived result (stripping, probes on a
-    fixed RNG state) is then necessarily identical to the previous
-    point's and can be reused without re-evaluation. *)
+val check_probabilities : eps_open:float -> eps_close:float -> unit
+(** The rates {!sample}, {!sample_into} and the classifiers accept.
+    @raise Invalid_argument unless [eps_open >= 0], [eps_close >= 0] and
+    [eps_open +. eps_close <= 1] (NaN is rejected). *)
+
+val failed_edges_into :
+  uniforms:float array -> eps_open:float -> eps_close:float -> int array -> int
+(** Write the edges that {!classify_into} makes non-normal at these
+    rates ([u < eps_open +. eps_close]) to the front of a caller buffer,
+    in ascending order, and return their number.  The buffer must have
+    room for every edge.  Over one draw vector, the edges failed at the
+    largest rates of an ε grid include every edge that fails at any of
+    its points, so a grid walk reclassifies only those
+    ({!classify_listed_into}). *)
+
+val classify_listed_into :
+  uniforms:float array ->
+  eps_open:float ->
+  eps_close:float ->
+  edges:int array ->
+  count:int ->
+  failed:int array ->
+  pattern ->
+  int * bool
+(** {!classify_into} for the edges [edges.(0 .. count-1)] only; the rest
+    of [pattern] is left as it is.  Writes the listed edges that fail to
+    the front of [failed], in list order, and returns their number and
+    whether any entry of [pattern] changed.  [false] means the buffer
+    already held this classification of the listed edges, so on a CRN
+    ε-grid walk every result derived from the pattern (stripping, probes
+    on a fixed RNG state) is the previous point's and can be reused
+    without re-evaluation. *)
 
 val all_normal : int -> pattern
 

@@ -27,11 +27,17 @@ let contract sc pattern =
       end)
     pattern
 
-let apply_into sc pattern =
+let apply_into sc pattern ~edges ~count =
   Ftcsn_obs.Counter.incr c_apply;
-  if Array.length pattern <> Digraph.edge_count sc.Scratch.graph then
+  let g = sc.Scratch.graph and uf = sc.Scratch.suf in
+  if Array.length pattern <> Digraph.edge_count g then
     invalid_arg "Survivor.apply_into: pattern arity";
-  contract sc pattern
+  Union_find.Stamped.reset uf;
+  for i = 0 to count - 1 do
+    let e = edges.(i) in
+    if Fault.state_equal pattern.(e) Fault.Closed_failure then
+      Union_find.Stamped.union uf (Digraph.edge_src g e) (Digraph.edge_dst g e)
+  done
 
 let merged_pairs_into sc terminals =
   let gen = Scratch.next_generation sc in

@@ -19,9 +19,13 @@
     [ftnet --metrics] reports.  The counters are atomic and write-only,
     so instrumentation never perturbs results. *)
 
-val apply_into : Scratch.t -> Fault.pattern -> unit
+val apply_into :
+  Scratch.t -> Fault.pattern -> edges:int array -> count:int -> unit
 (** Contract the pattern's closed-failure edges into the workspace's
-    union-find (after a reset).  Afterwards the workspace answers the
+    union-find (after an O(1) reset).  [edges.(0 .. count-1)] lists the
+    edges to read, which must include every closed-failure edge of the
+    pattern; listing only the failed ones makes the call cost
+    O([count]) instead of O(m).  Afterwards the workspace answers the
     contraction queries below. *)
 
 val merged_pairs_into : Scratch.t -> int list -> (int * int) list

@@ -28,13 +28,15 @@ type cert = {
   ok : int -> bool;
 }
 
-(* One Menger arena per network, re-armed per Dinic run.  Input/output
-   indices address the network's terminal arrays directly, which are
-   exactly the arena's source/sink universes, so no vertex resolution
-   (and no allocation) happens per call. *)
+(* One Menger arena per network, re-armed per Dinic run and built on
+   the first query the certificate does not answer: the paper's network
+   certifies nearly every probe, so most workspaces never need it.
+   Input/output indices address the network's terminal arrays directly,
+   which are exactly the arena's source/sink universes, so no vertex
+   resolution (and no allocation) happens per call. *)
 type ws = {
   net : Network.t;
-  arena : Menger.Workspace.t;
+  mutable arena : Menger.Workspace.t option;
   cert : cert option;
   (* vertices the last recorded certificate holds *)
   mutable nv : int;
@@ -61,14 +63,18 @@ let create_ws net =
         c)
       (Staged_route.create net)
   in
-  {
-    net;
-    arena =
-      Menger.Workspace.create g ~sources:net.Network.inputs
-        ~sinks:net.Network.outputs;
-    cert;
-    nv = 0;
-  }
+  { net; arena = None; cert; nv = 0 }
+
+let arena ws =
+  match ws.arena with
+  | Some a -> a
+  | None ->
+      let a =
+        Menger.Workspace.create ws.net.Network.graph
+          ~sources:ws.net.Network.inputs ~sinks:ws.net.Network.outputs
+      in
+      ws.arena <- Some a;
+      a
 
 (* an admitted edge [u -> v]; the dive crossed one *)
 let live_edge c ~edge_ok u v =
@@ -145,7 +151,7 @@ let max_throughput_ws ?forbidden ?edge_ok ws ~input_indices ~output_indices =
       ~record:false ~used_vertices:[||] ~used_edges:[||]
   then r
   else
-    Menger.Workspace.max_vertex_disjoint ?forbidden ?edge_ok ws.arena
+    Menger.Workspace.max_vertex_disjoint ?forbidden ?edge_ok (arena ws)
       ~source_slots:input_indices ~sink_slots:output_indices
 
 let max_throughput_cert_ws ?forbidden ?edge_ok ws ~input_indices
@@ -156,6 +162,6 @@ let max_throughput_cert_ws ?forbidden ?edge_ok ws ~input_indices
       ~record:true ~used_vertices ~used_edges
   then (r, ws.nv, ws.nv - r)
   else
-    Menger.Workspace.max_vertex_disjoint_cert ?forbidden ?edge_ok ws.arena
+    Menger.Workspace.max_vertex_disjoint_cert ?forbidden ?edge_ok (arena ws)
       ~source_slots:input_indices ~sink_slots:output_indices ~used_vertices
       ~used_edges

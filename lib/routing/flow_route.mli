@@ -26,10 +26,10 @@
     certificate answered; their difference is the number of Dinic runs. *)
 
 type ws
-(** A prebuilt {!Ftcsn_flow.Menger.Workspace} flow arena over one
-    network, plus the greedy certificate's router and scratch when the
-    network stages; reused across throughput queries (single-domain
-    state). *)
+(** A {!Ftcsn_flow.Menger.Workspace} flow arena over one network, built
+    on the first query the certificate does not answer, plus the greedy
+    certificate's router and scratch when the network stages; reused
+    across throughput queries (single-domain state). *)
 
 val create_ws : Ftcsn_networks.Network.t -> ws
 

@@ -594,6 +594,13 @@ let test_pipeline_probe_presets () =
   check "sc-only has no perms" 0 Pipeline.sc_probe_only.Pipeline.greedy_permutations;
   check "sc-only probes flows" 3 Pipeline.sc_probe_only.Pipeline.sc_probes
 
+let curve_estimates_equal a b =
+  Array.for_all2
+    (fun (x : Ftcsn_reliability.Monte_carlo.estimate)
+         (y : Ftcsn_reliability.Monte_carlo.estimate) ->
+      x.successes = y.successes && x.trials = y.trials)
+    a b
+
 let test_survival_curve_matches_independent () =
   (* the CRN curve with its memo and monotone short-circuits must be
      pointwise bit-identical to independent survival runs, for sorted
@@ -634,6 +641,54 @@ let test_survival_curve_matches_independent () =
       [| 1e-3; 1e-2; 0.05; 0.12 |] (* ascending: short-circuits live *);
       [| 0.05; 1e-3; 0.12 |] (* unsorted: every point evaluated *);
     ]
+
+(* [survival] and [survival_curve] reuse the last workspace built on a
+   domain while the network is the same.  A workspace reused after a
+   survival run (its pattern buffer full of sampled faults), after a
+   curve on another network, and after runs that raised must give what
+   a fresh one gave, at every jobs; 300 trials make two chunks, so
+   jobs = 2 puts one on a worker domain. *)
+let test_curve_workspace_slot () =
+  let net spec =
+    match
+      Ftcsn_networks.Topology.build_string ~rng:(Rng.create ~seed:3) spec
+    with
+    | Ok b -> b.Ftcsn_networks.Topology.net
+    | Error e -> failwith e
+  in
+  let a = net "benes:16" and b = net "butterfly:16" in
+  let grid = [| 1e-3; 4e-3; 1.6e-2; 6.4e-2; 0.25 |] in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun (pname, probe) ->
+          let curve ?strip_radius eps net =
+            Pipeline.survival_curve ~jobs ~trials:300 ~rng:(Rng.create ~seed:9)
+              ~eps ?strip_radius ~probe net
+          in
+          let label what = Printf.sprintf "%s jobs=%d: %s" pname jobs what in
+          let first = curve grid a in
+          ignore
+            (Pipeline.survival ~jobs ~trials:300 ~rng:(Rng.create ~seed:1)
+               ~eps:0.05 ~probe a);
+          checkb (label "after survival") true
+            (curve_estimates_equal first (curve grid a));
+          ignore (curve grid b);
+          List.iter
+            (fun (what, run) ->
+              match run () with
+              | _ -> Alcotest.failf "%s" (label (what ^ " did not raise"))
+              | exception Invalid_argument _ -> ())
+            [
+              ("eps 0.7", fun () -> curve [| 1e-3; 0.7 |] a);
+              ("radius -1", fun () -> curve ~strip_radius:(-1) grid a);
+            ];
+          checkb (label "after raising runs") true
+            (curve_estimates_equal first (curve grid a)))
+        [
+          ("sc", Pipeline.sc_probe_only); ("default", Pipeline.default_probe);
+        ])
+    [ 1; 2 ]
 
 (* ---------- Paper_bounds ---------- *)
 
@@ -1015,28 +1070,50 @@ let prop_pipeline_survival_jobs_identical =
       let e1 = run 1 in
       run 2 = e1 && run 4 = e1 && legacy = e1)
 
+(* Cycles the isolated-input search must not misread.  Edges in id
+   order: i0 -> a, a -> b, b -> a, a -> o, i1 -> b, then i2 -> c,
+   c -> d, d -> e, e -> c, c -> o', i3 -> e.  Input i0's search enters b,
+   finds only a (on its stack) beyond it, pops b and succeeds through
+   a -> o; a search that marked the popped b dead would call i1
+   isolated, though i1 -> b -> a -> o is open.  Input i2's search pops e
+   and then d, each reaching only c beyond it; one that did not carry
+   e's lowlink up to d would take d for the root of a component of its
+   own, mark d and e dead and call i3 isolated. *)
+let cyclic_net =
+  let i0 = 0 and i1 = 1 and a = 2 and b = 3 and o = 4 in
+  let i2 = 5 and i3 = 6 and c = 7 and d = 8 and e = 9 and o' = 10 in
+  Network.make ~name:"cycle"
+    ~graph:
+      (Digraph.of_edges ~n:11
+         [|
+           (i0, a); (a, b); (b, a); (a, o); (i1, b);
+           (i2, c); (c, d); (d, e); (e, c); (c, o'); (i3, e);
+         |])
+    ~inputs:[| i0; i1; i2; i3 |] ~outputs:[| o; o' |]
+
 (* the workspace strip against the subgraph-rebuilding oracle, one
-   workspace reused across radii out of order: vertex masks, stripped
-   set, shorted pairs, isolated inputs, and an edge mask passing exactly
-   the normal switches *)
+   workspace reused across radii out of order and across a sampled and
+   a fault-free pattern: vertex masks, stripped set, shorted pairs,
+   isolated inputs, and an edge mask passing exactly the normal
+   switches *)
 let prop_strip_into_matches_oracle =
   let benes = Ftcsn_networks.Benes.network (Ftcsn_networks.Benes.make 8) in
   let ft = (build_small ()).Ft_network.net in
   QCheck2.Test.make
     ~name:"Fault_strip.strip_into = Strip_ref.strip at radius 0, 1 and 2"
-    ~count:60
-    QCheck2.Gen.(triple (int_range 0 100000) (int_range 1 30) bool)
-    (fun (seed, pct, on_ft) ->
-      let net = if on_ft then ft else benes in
+    ~count:90
+    QCheck2.Gen.(triple (int_range 0 100000) (int_range 1 30) (int_range 0 2))
+    (fun (seed, pct, which) ->
+      let net = [| ft; benes; cyclic_net |].(which) in
       let g = net.Network.graph in
       let eps = float_of_int pct /. 100.0 /. 2.0 in
       let rng = Rng.create ~seed in
-      let pattern =
+      let sampled =
         Fault.sample rng ~eps_open:eps ~eps_close:eps ~m:(Network.size net)
       in
       let ws = Fault_strip.create_ws net in
       List.for_all
-        (fun radius ->
+        (fun (pattern, radius) ->
           let reference = Strip_ref.strip ~radius net pattern in
           Fault_strip.strip_into ~radius ws pattern;
           let allowed = Fault_strip.ws_allowed ws in
@@ -1058,7 +1135,66 @@ let prop_strip_into_matches_oracle =
              = Strip_ref.isolated_inputs net reference
           && !passed = Fault.count pattern Fault.Normal
           && !passed = Digraph.edge_count reference.Strip_ref.normal_graph)
-        [ 2; 0; 1 ])
+        (let clean = Fault.all_normal (Network.size net) in
+         [ (sampled, 2); (clean, 0); (sampled, 0); (clean, 1); (sampled, 1) ]))
+
+(* On a sorted grid with flow-only probes the curve bisects for each
+   trial's first failing point; on any other grid it evaluates every
+   point.  A sorted grid with repeated points must give, point for
+   point, what a shuffled copy of it gives, under both presets (the
+   default preset scans both copies, with and without its monotone
+   short-circuit). *)
+let prop_bisected_curve_matches_scan =
+  let nets =
+    lazy
+      (Ftcsn.Ft_topology.install ();
+       Array.of_list
+         (List.concat_map
+            (fun family ->
+              List.map
+                (fun n ->
+                  match
+                    Ftcsn_networks.Topology.build_string ~rng:(Rng.create ~seed:3)
+                      (Printf.sprintf "%s:%d" family n)
+                  with
+                  | Ok b -> b.Ftcsn_networks.Topology.net
+                  | Error e -> failwith e)
+                [ 8; 16 ])
+            [ "benes"; "butterfly"; "valiant-sc"; "ft"; "cantor" ]))
+  in
+  QCheck2.Test.make ~name:"survival curve: bisected sorted grid = shuffled scan"
+    ~count:30
+    QCheck2.Gen.(
+      quad (int_range 0 100000) (int_range 0 9) (int_range 2 8) bool)
+    (fun (seed, which, points, flow_only) ->
+      let net = (Lazy.force nets).(which) in
+      let rng = Rng.create ~seed in
+      (* log-uniform in [1e-3, 0.3], a point repeated now and then *)
+      let grid = Array.make points 0.0 in
+      for k = 0 to points - 1 do
+        grid.(k) <-
+          (if k > 0 && Rng.int rng 4 = 0 then grid.(k - 1)
+           else 1e-3 *. (300.0 ** Rng.float rng))
+      done;
+      Array.sort Float.compare grid;
+      let perm = Rng.permutation rng points in
+      let nondecreasing a =
+        Array.for_all Fun.id
+          (Array.init (points - 1) (fun k -> a.(k) <= a.(k + 1)))
+      in
+      (* a shuffle that stays sorted would bisect too *)
+      if nondecreasing (Array.map (fun k -> grid.(k)) perm) then
+        Array.iteri (fun k _ -> perm.(k) <- points - 1 - k) perm;
+      let shuffled = Array.map (fun k -> grid.(k)) perm in
+      let probe =
+        if flow_only then Pipeline.sc_probe_only else Pipeline.default_probe
+      in
+      let curve eps =
+        Pipeline.survival_curve ~trials:30 ~rng:(Rng.create ~seed) ~eps ~probe
+          net
+      in
+      let sorted = curve grid and scanned = curve shuffled in
+      curve_estimates_equal scanned (Array.map (fun k -> sorted.(k)) perm))
 
 let prop_pipeline_ws_matches_trial_radius1 =
   QCheck2.Test.make
@@ -1093,6 +1229,7 @@ let core_props =
       prop_pipeline_survival_jobs_identical;
       prop_strip_into_matches_oracle;
       prop_pipeline_ws_matches_trial_radius1;
+      prop_bisected_curve_matches_scan;
     ]
 
 let () =
@@ -1195,6 +1332,8 @@ let () =
           Alcotest.test_case "probe presets" `Quick test_pipeline_probe_presets;
           Alcotest.test_case "survival curve = independent runs" `Quick
             test_survival_curve_matches_independent;
+          Alcotest.test_case "one workspace per domain" `Quick
+            test_curve_workspace_slot;
         ] );
       ( "ft-route",
         [

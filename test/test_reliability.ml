@@ -849,7 +849,13 @@ let prop_workspace_survivor_matches_legacy =
       for _round = 0 to 1 do
         let pattern = Fault.sample rng ~eps_open:0.2 ~eps_close:0.3 ~m in
         let s = Strip_ref.apply g pattern in
-        Survivor.apply_into sc pattern;
+        let failed =
+          List.filter
+            (fun e -> not (Fault.state_equal pattern.(e) Fault.Normal))
+            (List.init m Fun.id)
+        in
+        Survivor.apply_into sc pattern ~edges:(Array.of_list failed)
+          ~count:(List.length failed);
         if
           Strip_ref.merged_pairs s terminals
           <> Survivor.merged_pairs_into sc terminals
