@@ -559,9 +559,9 @@ let e7_survival () =
   (* one coupled sweep per network instead of five independent runs; each
      point of the curve is bit-identical to the historical per-ε run (the
      old loop re-seeded the same rng at every ε, and survival_curve's
-     per-point probe streams match an independent run's), and the
-     ascending grid lets flow-only trials short-circuit after a monotone
-     failure *)
+     per-point probe streams match an independent run's), and each trial
+     bisects the grid for its first failing point instead of probing
+     every point *)
   List.iter
     (fun (name, net) ->
       let rng = rng_for ("e7" ^ name) in

@@ -214,12 +214,13 @@ let engine_samples ?(quick = false) ~jobs_list () =
   (* Curve pair: one coupled 8-point sweep vs eight independent runs at
      the same per-point trial budget.  Same seed per point on the
      independent side, so both paths compute bit-identical estimates —
-     the timing difference is purely the CRN sharing (one draw pass per
-     trial) plus the monotone short-circuit once a trial dies. *)
+     the timing difference is the CRN sharing (one draw pass per trial),
+     the bisection for each trial's first failing point, and the probe
+     certificates that answer a flow probe again at other points. *)
   (* log-spaced over the rare-failure regime, where curves need their
-     resolution: at small ε most trials flip no edge classification
-     between neighbouring points, so the coupled sweep skips most of
-     the per-point work that independent runs must repeat *)
+     resolution: at small ε a point fails few switches, so the coupled
+     sweep's re-strips touch little, while independent runs sample and
+     strip every switch at every point *)
   let curve_eps =
     Array.init 8 (fun k -> 1e-4 *. ((1e-1 /. 1e-4) ** (float_of_int k /. 7.)))
   in

@@ -57,7 +57,7 @@ val strip_listed :
     hold [Normal], each once, in any order.  The strip then reads only
     those edges, so at radius 0 it costs O([count] + n/63) instead of
     O(m): the survival curve re-strips a trial's pattern at every grid
-    point this way, and {!Rare.threshold} each prefix it bisects.
+    point this way, and {!Pipeline.critical_eps} each prefix it bisects.
     @raise Invalid_argument on a negative [radius] or a [pattern] of the
     wrong arity. *)
 

@@ -22,7 +22,7 @@ let sc_probe_only = { greedy_permutations = 0; sc_probes = 3 }
    Every per-trial structure lives in a workspace: the strip state, a
    greedy router with its BFS scratch, a Menger flow arena (built on the
    first probe the certificate does not answer), the trial's probe plan
-   and the curve's candidate edges.  Probes run over the ORIGINAL graph
+   and one edge buffer.  Probes run over the ORIGINAL graph
    with the strip's vertex/edge masks, never over a rebuilt survivor
    subgraph.
    Every probe decision is order-for-order identical to one on the
@@ -63,10 +63,11 @@ type ws = {
   forbidden : int -> bool;
   n_pairs : int;  (* min(inputs, outputs): probe demands live in [1, n] *)
   mutable plan : slot array;  (* its first [planned] slots *)
-  mutable planned : int;  (* -1 until the trial's plan is drawn *)
-  (* a curve trial's candidates, the edges that fail at some grid point:
-     the first [n_candidates], in a buffer the first curve allocates *)
-  mutable candidates : int array;
+  mutable planned : int;
+  (* the one edge buffer, allocated on first use ([edge_buffer]): a
+     curve trial's candidates, the edges that fail at some grid point
+     (the first [n_candidates]), or [critical_eps]'s sort order *)
+  mutable edges : int array;
   mutable n_candidates : int;
 }
 
@@ -81,15 +82,16 @@ let create_ws net =
     forbidden = (fun v -> not (allowed v));
     n_pairs = min (Network.n_inputs net) (Network.n_outputs net);
     plan = [||];
-    planned = -1;
-    candidates = [||];
+    planned = 0;
+    edges = [||];
     n_candidates = 0;
   }
 
-(* The last workspace built on this domain.  [survival] and
-   [survival_curve] take theirs from here while the network is
-   physically the same, so repeated runs on one network (a benchmark's
-   windows, a tournament's curves) build it once per domain.  A trial
+(* The last workspace built on this domain.  [survival],
+   [survival_curve] and [Rare]'s estimators take theirs from here while
+   the network is physically the same, so repeated runs on one network
+   (a benchmark's windows, a tournament's curves, the chunks of a
+   rare-event estimate) build it once per domain.  A trial
    re-initialises the state it reads, and the curve resets the pattern
    buffer when it takes the workspace, so a reused workspace behaves
    like a fresh one. *)
@@ -180,36 +182,41 @@ let plan_deficit ws ~record ~first =
   done;
   !deficit
 
+(* the requests [perms], greedy permutations, fail to route on the
+   current strip *)
+let greedy_failures ws perms =
+  let failures = ref 0 in
+  for i = 0 to Array.length perms - 1 do
+    Greedy.clear ws.greedy;
+    let success = ref 0 in
+    let _paths = Greedy.route_permutation ws.greedy perms.(i) ~success in
+    failures := !failures + (ws.n_pairs - !success)
+  done;
+  !failures
+
+let draw_permutations ws rng ~probe =
+  Array.init probe.greedy_permutations (fun _ -> Rng.permutation rng ws.n_pairs)
+
 (* The verdict chain on the current strip: shorted terminals, isolated
    inputs, then the probes — [probe]'s greedy permutations drawn from
-   [rng], then the superconcentrator plan, drawn from [rng] after them
-   unless the trial already holds it. *)
-let verdict ws ~rng ~probe ~record =
+   [rng], then the superconcentrator plan, drawn from [rng] after them. *)
+let verdict ws ~rng ~probe =
   match Fault_strip.ws_shorted_terminals ws.fs with
   | _ :: _ as shorted -> Shorted shorted
   | [] -> (
       match Fault_strip.ws_isolated_inputs ws.fs with
       | _ :: _ as isolated -> Isolated isolated
       | [] ->
-          let n = ws.n_pairs in
-          let failures = ref 0 in
-          for _ = 1 to probe.greedy_permutations do
-            let pi = Rng.permutation rng n in
-            Greedy.clear ws.greedy;
-            let success = ref 0 in
-            let _paths = Greedy.route_permutation ws.greedy pi ~success in
-            failures := !failures + (n - !success)
-          done;
-          if ws.planned < 0 then draw_plan ws rng ~probes:probe.sc_probes;
-          let failures = !failures + plan_deficit ws ~record ~first:false in
+          let failures = greedy_failures ws (draw_permutations ws rng ~probe) in
+          draw_plan ws rng ~probes:probe.sc_probes;
+          let failures = failures + plan_deficit ws ~record:false ~first:false in
           if failures = 0 then Survived else Unroutable failures)
 
 let trial_ws ?(strip_radius = 0) ?(probe = default_probe) ws ~rng ~eps =
   let pattern = Fault_strip.ws_pattern ws.fs in
   Fault.sample_into rng ~eps_open:eps ~eps_close:eps pattern;
   Fault_strip.strip_into ~radius:strip_radius ws.fs pattern;
-  ws.planned <- -1;
-  verdict ws ~rng ~probe ~record:false
+  verdict ws ~rng ~probe
 
 let survival ?jobs ?target_ci ?progress ?trace ~trials ~rng ~eps ?strip_radius
     ?probe net =
@@ -221,16 +228,53 @@ let survival ?jobs ?target_ci ?progress ?trace ~trials ~rng ~eps ?strip_radius
       | Survived -> true
       | Shorted _ | Isolated _ | Unroutable _ -> false)
 
+(* ---------- the monotone part of the failure event ----------
+
+   As ε₁ + ε₂ grows over one draw vector, the failed edge set is nested,
+   so the faulty-vertex set, the stripped set and the allowed/edge_ok
+   masks are nested too.  Therefore an isolated input persists at every
+   larger ε, and Menger max-flow probe values are nonincreasing, so a
+   flow-probe deficit persists as well.  Both depend on the faulty edge
+   set only: stripping forbids a failed switch's endpoints whether it
+   failed open or closed.  [Shorted] does not persist (the closed set
+   {ε₁ ≤ u < ε₁ + ε₂} is not nested), and neither do greedy probes,
+   which edge removal can help.  So along nested fault sets [monotone]
+   is false and then true, and [first_failing] finds where it flips:
+   the survival curve along its grid, [critical_eps] along the prefixes
+   of a sort order. *)
+
+(* an input isolated, or a deficit of the stored plan, on the current
+   strip *)
+let monotone ws ~record =
+  Fault_strip.ws_isolated_inputs ws.fs <> []
+  || plan_deficit ws ~record ~first:true > 0
+
+(* the least [k] in [0, points) with [fails k], or [points] when there
+   is none, for a [fails] that is false and then true: lower-bound
+   bisection, at most ⌈log₂(points + 1)⌉ calls *)
+let first_failing ~points fails =
+  let lo = ref 0 and hi = ref points in
+  while !lo < !hi do
+    let mid = !lo + ((!hi - !lo) / 2) in
+    if fails mid then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let edge_buffer ws =
+  let m = Network.size (Fault_strip.ws_net ws.fs) in
+  if Array.length ws.edges < m then ws.edges <- Array.make m 0;
+  ws.edges
+
 (* ---------- CRN-coupled survival curve ----------
 
    One draw vector per trial, thresholded at every ε grid point with
-   [Fault.classify_into]'s comparisons; the probe stream for each point
-   is a fresh [Rng.copy] of the trial substream taken after the edge
-   draws — exactly the stream state an independent [survival] run at
-   that ε would hand its probes — so every point of the curve is
-   bit-identical to an independent run at that ε (the test suite pins
-   this).  The same stream state also means the same probe plan at every
-   point, so the trial draws it once and evaluates it with certificates.
+   [Fault.classify_into]'s comparisons; the probes at each point see a
+   copy of the trial substream taken after the edge draws — exactly the
+   stream state an independent [survival] run at that ε hands [verdict]
+   — so every point of the curve is bit-identical to an independent run
+   at that ε (the test suite pins this).  The same stream state means
+   the same greedy permutations and the same probe plan at every point,
+   so a trial draws them once and evaluates the plan with certificates.
 
    Sparse re-strips: a trial lists once its candidates, the edges that
    fail at the grid's largest ε and so include those failing at any
@@ -241,38 +285,18 @@ let survival ?jobs ?target_ci ?progress ?trace ~trials ~rng ~eps ?strip_radius
    touch.
    Every other edge stays [Normal] in the pattern buffer: a trial resets
    its predecessor's candidates, and the curve resets the whole buffer
-   when it takes the workspace.
+   when it takes the workspace, in which [trial_ws] and [critical_eps]
+   leave failed edges.
 
-   Monotonicity: as ε₁ + ε₂ grows over one draw vector, the failed edge
-   set is nested, so the faulty-vertex set, the stripped set and the
-   allowed/edge_ok masks are nested too.  Therefore [Isolated] persists
-   at every later (larger) ε, and Menger max-flow probe values are
-   nonincreasing, so a flow-probe deficit persists as well.  [Shorted]
-   does not (the closed set {ε₁ ≤ u < ε₁ + ε₂} is not nested), and
-   neither do greedy probes, which edge removal can help.
-
-   Bisection: on a nondecreasing grid with flow-only probes, "an input
-   is isolated or the plan has a deficit" is false and then true along
-   the grid, so its first failing point k* is found by bisection
-   ([first_failing]).  Every point from k* on fails; below k*, a point
-   survives iff its strip shorts no terminals.  Certificates are checked
-   against the current masks, so they allow the out-of-order visits.
-
-   Scan: other grids and presets evaluate the verdict point by point.
-   On a nondecreasing grid a trial skips its remaining points once
-   [Isolated] occurs — the same outcomes, since it persists.
-   Unchanged-pattern memo: if re-thresholding at the next point flips no
-   edge, the evaluation is a pure function of inputs it already saw
-   (same pattern, same strip, a fresh copy of the same stream), so the
-   previous point's outcome is reused verbatim. *)
-
-let first_failing ~points fails =
-  let lo = ref 0 and hi = ref points in
-  while !lo < !hi do
-    let mid = !lo + ((!hi - !lo) / 2) in
-    if fails mid then hi := mid else lo := mid + 1
-  done;
-  !lo
+   The walk: a trial visits the grid in ascending ε (a stable sort of
+   the indices, once per call), along which [monotone] is false and then
+   true.  It bisects for the first sorted position k* where [monotone]
+   holds, and decides each point it visits below k* on the spot.  Then
+   it strips only the points below k* the bisection did not visit.
+   Every point from k* on fails; below k*, a point survives iff its
+   strip shorts no terminals and every greedy permutation routes.
+   Certificates are checked against the current masks, so they allow
+   the out-of-order visits. *)
 
 (* reset the previous trial's candidates to [Normal], draw this trial's
    uniforms and list the edges failed at the grid's largest [emax] *)
@@ -280,84 +304,107 @@ let draw_candidates ws sub ~emax =
   let uniforms = Ftcsn_reliability.Scratch.uniforms (Fault_strip.ws_scratch ws.fs) in
   let pattern = Fault_strip.ws_pattern ws.fs in
   for i = 0 to ws.n_candidates - 1 do
-    pattern.(ws.candidates.(i)) <- Fault.Normal
+    pattern.(ws.edges.(i)) <- Fault.Normal
   done;
   Fault.sample_uniforms_into sub uniforms;
   ws.n_candidates <-
-    Fault.failed_edges_into ~uniforms ~eps_open:emax ~eps_close:emax
-      ws.candidates
+    Fault.failed_edges_into ~uniforms ~eps_open:emax ~eps_close:emax ws.edges
 
-(* classify the candidates at ε₁ = ε₂ = [e], listing the failed ones;
-   strip when some state changed or [force], and say whether it did
-   (otherwise the strip before stands) *)
-let restrip ws ~radius ~force e =
+(* classify the candidates at ε₁ = ε₂ = [e], listing the failed ones,
+   and strip *)
+let restrip ws ~radius e =
   let uniforms = Ftcsn_reliability.Scratch.uniforms (Fault_strip.ws_scratch ws.fs) in
   let pattern = Fault_strip.ws_pattern ws.fs in
   let failed = Fault_strip.ws_listed ws.fs in
-  let count, changed =
+  let count =
     Fault.classify_listed_into ~uniforms ~eps_open:e ~eps_close:e
-      ~edges:ws.candidates ~count:ws.n_candidates ~failed pattern
+      ~edges:ws.edges ~count:ws.n_candidates ~failed pattern
   in
-  let stripped = changed || force in
-  if stripped then
-    Fault_strip.strip_listed ~radius ws.fs pattern ~edges:failed ~count;
-  stripped
+  Fault_strip.strip_listed ~radius ws.fs pattern ~edges:failed ~count
 
-let bisected_trial ws sub outcomes ~eps ~radius ~probe =
-  draw_plan ws (Rng.copy sub) ~probes:probe.sc_probes;
+(* [order] lists the grid's indices by ascending ε; [visited] marks the
+   sorted positions the bisection decided *)
+let walk_trial ws sub outcomes ~eps ~order ~visited ~radius ~probe =
+  let rng = Rng.copy sub in
+  let perms = draw_permutations ws rng ~probe in
+  draw_plan ws rng ~probes:probe.sc_probes;
+  (* point [k], stripped, once [monotone] does not hold there *)
+  let decide k =
+    if Fault_strip.ws_healthy ws.fs && greedy_failures ws perms = 0 then
+      Bytes.set outcomes k '\001'
+  in
+  let points = Array.length order in
+  Bytes.fill visited 0 points '\000';
   let k_star =
-    first_failing ~points:(Array.length eps) (fun k ->
-        ignore (restrip ws ~radius ~force:true eps.(k));
-        Fault_strip.ws_isolated_inputs ws.fs <> []
-        || plan_deficit ws ~record:true ~first:true > 0)
+    first_failing ~points (fun i ->
+        Bytes.set visited i '\001';
+        restrip ws ~radius eps.(order.(i));
+        monotone ws ~record:true
+        || begin
+             decide order.(i);
+             false
+           end)
   in
-  for k = 0 to k_star - 1 do
-    ignore (restrip ws ~radius ~force:true eps.(k));
-    if Fault_strip.ws_healthy ws.fs then Bytes.set outcomes k '\001'
-  done
-
-(* [fresh]: the first point evaluates even if it leaves the all-normal
-   buffer unchanged.  [prev_ok] is the outcome of the last evaluated
-   point, reused while the pattern stays identical. *)
-let scanned_trial ws sub outcomes ~eps ~sorted ~radius ~probe =
-  ws.planned <- -1;
-  let dead = ref false and fresh = ref true and prev_ok = ref false in
-  for k = 0 to Array.length eps - 1 do
-    if not !dead then begin
-      if restrip ws ~radius ~force:!fresh eps.(k) then begin
-        fresh := false;
-        match verdict ws ~rng:(Rng.copy sub) ~probe ~record:true with
-        | Survived -> prev_ok := true
-        | Shorted _ | Unroutable _ -> prev_ok := false
-        | Isolated _ ->
-            prev_ok := false;
-            dead := sorted
-      end;
-      if !prev_ok then Bytes.set outcomes k '\001'
+  for i = 0 to k_star - 1 do
+    if Bytes.get visited i = '\000' then begin
+      restrip ws ~radius eps.(order.(i));
+      decide order.(i)
     end
   done
 
 let survival_curve ?jobs ?progress ?trace ~trials ~rng ~eps
     ?(strip_radius = 0) ?(probe = default_probe) net =
-  let sorted = ref true in
-  Array.iteri
-    (fun k e ->
-      Fault.check_probabilities ~eps_open:e ~eps_close:e;
-      if k > 0 && e < eps.(k - 1) then sorted := false)
-    eps;
+  Array.iter (fun e -> Fault.check_probabilities ~eps_open:e ~eps_close:e) eps;
+  let points = Array.length eps in
+  let order = Array.init points Fun.id in
+  Array.stable_sort (fun a b -> Float.compare eps.(a) eps.(b)) order;
   let emax = Array.fold_left Float.max 0.0 eps in
-  let radius = strip_radius in
-  let bisect = !sorted && probe.greedy_permutations = 0 in
   Ftcsn_sim.Trials.sweep ?jobs ?progress ?trace
-    ~label:"pipeline.survival_curve" ~trials ~rng ~points:(Array.length eps)
+    ~label:"pipeline.survival_curve" ~trials ~rng ~points
     ~init:(fun () ->
       let ws = domain_ws net in
-      let m = Network.size net in
-      Array.fill (Fault_strip.ws_pattern ws.fs) 0 m Fault.Normal;
-      if Array.length ws.candidates < m then ws.candidates <- Array.make m 0;
+      Array.fill (Fault_strip.ws_pattern ws.fs) 0 (Network.size net) Fault.Normal;
+      ignore (edge_buffer ws);
       ws.n_candidates <- 0;
-      ws)
-    (fun ws sub outcomes ->
+      (ws, Bytes.create points))
+    (fun (ws, visited) sub outcomes ->
       draw_candidates ws sub ~emax;
-      if bisect then bisected_trial ws sub outcomes ~eps ~radius ~probe
-      else scanned_trial ws sub outcomes ~eps ~sorted:!sorted ~radius ~probe)
+      walk_trial ws sub outcomes ~eps ~order ~visited ~radius:strip_radius
+        ~probe)
+
+(* ---------- critical ε ---------- *)
+
+let critical_eps ws u =
+  let m = Network.size (Fault_strip.ws_net ws.fs) in
+  if Array.length u <> m then
+    invalid_arg "Pipeline.critical_eps: uniform vector length mismatch";
+  let order = edge_buffer ws in
+  for e = 0 to m - 1 do
+    order.(e) <- e
+  done;
+  Array.sort (fun a b -> Float.compare u.(a) u.(b)) order;
+  (* [monotone] with exactly the first [j] edges of the sort order
+     faulty, open: the strip reads only those [j] edges, and the plan is
+     evaluated on every prefix the bisection visits, so it records its
+     certificates *)
+  let pattern = Fault_strip.ws_pattern ws.fs in
+  let prefix_fails j =
+    Array.fill pattern 0 m Fault.Normal;
+    for i = 0 to j - 1 do
+      pattern.(order.(i)) <- Fault.Open_failure
+    done;
+    Fault_strip.strip_listed ws.fs pattern ~edges:order ~count:j;
+    monotone ws ~record:true
+  in
+  (* the minimal failing prefix, m + 1 when even the full one passes *)
+  match first_failing ~points:(m + 1) prefix_fails with
+  | j when j > m -> infinity
+  | 0 -> 0.0
+  | j ->
+      (* faulty at rate eps iff u < 2 eps, so the event needs
+         u_(j-1) < 2 eps: the critical eps is u_(j-1) / 2 *)
+      u.(order.(j - 1)) /. 2.0
+
+let monotone_fails ws pattern =
+  Fault_strip.strip_into ws.fs pattern;
+  monotone ws ~record:false

@@ -43,17 +43,23 @@ type ws
     arrays), a greedy router with its scratch, a
     {!Ftcsn_routing.Flow_route} workspace (a greedy path certificate,
     then a Menger flow arena built on the first shortfall), the trial's
-    probe plan with one disjoint-path certificate per probe, and the
-    curve's candidate-edge list.
+    probe plan with one disjoint-path certificate per probe, and one
+    edge buffer, allocated on first use, that holds a curve trial's
+    candidate edges or {!critical_eps}'s sort order.
     Probes run over the original graph under the strip's vertex/edge
     masks, so no per-trial subgraph is ever rebuilt.  Single-domain
-    state.  {!survival} and {!survival_curve} keep the last workspace
-    built on each domain in a [Domain.DLS] slot and reuse it while the
-    network is physically the same ([==]), so repeated runs on one
-    network build one per domain; a reused workspace gives the same
-    results as a fresh one, also after a run that raised. *)
+    state. *)
 
 val create_ws : Ftcsn_networks.Network.t -> ws
+
+val domain_ws : Ftcsn_networks.Network.t -> ws
+(** The last workspace built on the calling domain, kept in a
+    [Domain.DLS] slot and reused while the network is physically the
+    same ([==]); otherwise a fresh one, which replaces it in the slot.
+    {!survival}, {!survival_curve} and {!Rare}'s estimators take their
+    workspaces here, so repeated runs on one network build one per
+    domain; a reused workspace gives the same results as a fresh one,
+    also after a run that raised. *)
 
 val trial_ws :
   ?strip_radius:int ->
@@ -92,16 +98,30 @@ val plan_deficit : ws -> record:bool -> first:bool -> int
     full success — is still unmasked is answered by it without routing.
     [record] keeps a certificate of each full success, for a plan
     evaluated on further strips ({!survival_curve}'s grid points,
-    {!Rare.threshold}'s prefixes); a plan evaluated once passes
-    [false] and skips the extraction. *)
+    {!critical_eps}'s prefixes); a plan evaluated once passes [false]
+    and skips the extraction. *)
 
-val first_failing : points:int -> (int -> bool) -> int
-(** The least [k] in [[0, points)] with [fails k], or [points] when there
-    is none, for a [fails] that is false and then true along [[0,
-    points)] (a monotone event on nested fault sets).  Lower-bound
-    bisection: it calls [fails] at most ⌈log₂(points + 1)⌉ times.
-    {!survival_curve} finds a trial's first failing grid point with it,
-    and {!Rare.threshold} its minimal failing prefix. *)
+val monotone_fails : ws -> Ftcsn_reliability.Fault.pattern -> bool
+(** The monotone part of the failure event on an explicit pattern under
+    the stored probe plan: strip, then an isolated input or a flow-probe
+    deficit (shorted terminals ignored — they are the non-monotone
+    part).  Depends on the pattern only through its faulty edge set.
+    Requires a plan ({!draw_plan}).  It reuses no certificate, so the
+    tests scan it over prefixes as the reference for {!critical_eps}
+    and enumerate it for the splitting exactness check. *)
+
+val critical_eps : ws -> float array -> float
+(** φ(u), {!Rare}'s importance function: the critical ε of the monotone
+    failure event under the stored probe plan, for a per-edge uniform
+    vector [u] (+∞ if even the all-faulty network passes — does not
+    occur on the paper's families).  At rate ε the faulty edges are
+    [{e : u_e < 2ε}], a prefix of the edges sorted by u, so φ(u) =
+    u₍ⱼ₎/2 for the minimal failing prefix j, found by lower-bound
+    bisection.  Cost: one sort of u plus ⌈log₂(m + 2)⌉ strips, each
+    reading only the edges of its prefix ({!Fault_strip.strip_listed});
+    a probe whose certificate from an earlier prefix or call is still
+    unmasked is not routed again.
+    @raise Invalid_argument when [u] does not have one entry per edge. *)
 
 val survival :
   ?jobs:int ->
@@ -150,23 +170,21 @@ val survival_curve :
     strips only those ({!Fault_strip.strip_listed}), so a point costs
     what its faults touch rather than O(n + m).
 
-    On a nondecreasing grid the failed edge sets are nested, so
-    [Isolated] (always) and a flow-probe deficit persist at every later
-    point; [Shorted] and greedy probes are not monotone.  With
-    flow-only probes ([probe] has no greedy permutations), a trial
-    therefore finds the first grid point where an input is isolated or
-    the plan has a deficit by bisection ({!first_failing}): every point
-    from there on fails, and an earlier point survives iff its strip
-    shorts no terminals.  Other grids and presets evaluate point by
-    point: on a nondecreasing grid a trial skips its remaining points
-    once [Isolated] occurs, and a point whose re-thresholding flips no
-    edge reuses the previous point's outcome.  All of these give the
-    same outcomes as evaluating every point.
-
-    Every point draws the same probe plan, so a trial draws it once and
-    records its certificates ({!plan_deficit}): while a probe's paths
-    stay unmasked at another point, they answer it there without
-    routing anything, in whatever order the points are visited.
+    A trial visits the grid points in ascending ε, whatever the grid's
+    order (a stable sort of its indices, once per call).  Along that
+    order the failed edge sets are nested, so the monotone part of the
+    failure event — an isolated input or a flow-probe deficit — is false
+    and then true, while [Shorted] and greedy probes are not monotone.
+    The trial draws the greedy permutations and the probe plan once,
+    bisects for the first point where the monotone part holds, and
+    decides each point the bisection visits below it on the spot; then
+    it strips only the earlier points the bisection did not visit.  Every
+    point from the first failing one on fails, and an earlier point
+    survives iff its strip shorts no terminals and every greedy
+    permutation routes.  The plan records its certificates
+    ({!plan_deficit}): while a probe's paths stay unmasked at another
+    point, they answer it there without routing anything, in whatever
+    order the points are visited.
 
     Estimates across the curve are positively correlated — ideal for
     reading off threshold locations and curve differences (Raginsky-

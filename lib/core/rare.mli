@@ -19,8 +19,9 @@
     or a flow-probe deficit; both depend on the faulty set only, because
     stripping forbids a faulty switch's endpoints whether it failed open
     or closed) therefore flips exactly once along that prefix order, and
-    {!threshold} finds the flip by bisection: φ(u) = u₍ⱼ₎/2 for the
-    minimal failing prefix j, so [P[φ ≤ ε] = P[monotone failure at ε]].
+    {!Pipeline.critical_eps} finds the flip by bisection: φ(u) = u₍ⱼ₎/2
+    for the minimal failing prefix j, so
+    [P[φ ≤ ε] = P[monotone failure at ε]].
     Shorted-terminal failures (a {e closed} path between terminals, not
     monotone in ε) are excluded from φ; they are O(ε²) against the
     monotone event's O(ε), and {!failure_tilted} — which measures the
@@ -31,54 +32,27 @@
     function of (plan, u) and both estimators target the same
     plan-averaged failure probability as [Pipeline.survival]. *)
 
-type ws
-(** Per-worker workspace: a {!Pipeline.ws} (strip state, routers, the
-    probe plan and its certificates) plus the sort order of the current
-    uniform vector.  Plans have [Pipeline.sc_probe_only]'s 3 probes.
-    Single-domain state. *)
-
-val create_ws : Ftcsn_networks.Network.t -> ws
-
-val size : ws -> int
-(** Edge (switch) count m — the length of uniform vectors and fault
-    patterns this workspace consumes. *)
-
-val fails : ws -> Ftcsn_prng.Rng.t -> Ftcsn_reliability.Fault.pattern -> bool
+val fails :
+  Pipeline.ws -> Ftcsn_prng.Rng.t -> Ftcsn_reliability.Fault.pattern -> bool
 (** The full failure event on a sampled pattern: terminals shorted, an
     input isolated, or a superconcentrator probe deficit (a plan drawn
     from the given stream, like [Pipeline.trial_ws] under
     [Pipeline.sc_probe_only]).  The event for
     {!Ftcsn_reliability.Splitting.tilted}. *)
 
-val prepare : ws -> Ftcsn_prng.Rng.t -> unit
-(** Draw and store this trial's probe plan; {!threshold} evaluates
-    against it, reusing its certificates, until the next [prepare]. *)
-
-val monotone_fails : ws -> Ftcsn_reliability.Fault.pattern -> bool
-(** The monotone sub-event on an explicit pattern under the stored probe
-    plan: strip, then isolated-input or flow-probe deficit (shorted
-    terminals ignored — they are the non-monotone part).  Depends on the
-    pattern only through its faulty edge set.  Requires a preceding
-    {!prepare}.  It reuses no certificate, so the tests scan it over
-    prefixes as the reference for {!threshold} and enumerate it for the
-    splitting exactness check. *)
-
-val threshold : ws -> float array -> float
-(** φ(u): the critical ε of the monotone failure event under the stored
-    probe plan (+∞ if even the all-faulty network passes — does not
-    occur on the paper's families).  Cost: one sort of u plus
-    ⌈log₂(m + 2)⌉ strips by {!Pipeline.first_failing}, each reading only
-    the edges of its prefix ({!Fault_strip.strip_listed}); a probe whose
-    certificate from an earlier prefix or call is still unmasked is not
-    routed again. *)
+val prepare : Pipeline.ws -> Ftcsn_prng.Rng.t -> unit
+(** Draw and store this trial's plan of [Pipeline.sc_probe_only]'s 3
+    probes; {!Pipeline.critical_eps} evaluates against it, reusing its
+    certificates, until the next [prepare]. *)
 
 (** {2 Drivers}
 
-    All take the paper's symmetric rate (ε₁ = ε₂ = ε), build their
-    workspaces internally, and run on {!Ftcsn_sim.Trials} — estimates
-    are bit-identical at every [jobs].  Pilot phases are sequential on
-    the caller's stream, so a pilot + estimate sequence is deterministic
-    end to end. *)
+    All take the paper's symmetric rate (ε₁ = ε₂ = ε) and run on
+    {!Ftcsn_sim.Trials}, with the per-domain workspace of
+    {!Pipeline.domain_ws} that {!Pipeline.survival} and
+    {!Pipeline.survival_curve} use — estimates are bit-identical at
+    every [jobs].  Pilot phases are sequential on the caller's stream,
+    so a pilot + estimate sequence is deterministic end to end. *)
 
 val tune_tilt :
   ?iters:int ->

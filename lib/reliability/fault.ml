@@ -6,12 +6,9 @@ type state = Normal | Open_failure | Closed_failure
 
 type pattern = state array
 
-let state_equal a b =
-  match (a, b) with
-  | Normal, Normal | Open_failure, Open_failure | Closed_failure, Closed_failure
-    ->
-      true
-  | (Normal | Open_failure | Closed_failure), _ -> false
+(* states are constant constructors, immediate values, so physical
+   equality compares them exactly *)
+let state_equal (a : state) b = a == b
 
 (* written as the negation of the valid range so that NaN is rejected *)
 let check_probabilities ~eps_open ~eps_close =
@@ -84,7 +81,7 @@ let classify_listed_into ~uniforms ~eps_open ~eps_close ~edges ~count ~failed
   if Array.length uniforms <> Array.length pattern then
     invalid_arg "Fault.classify_listed_into: uniforms/pattern length mismatch";
   let threshold = eps_open +. eps_close in
-  let n = ref 0 and changed = ref false in
+  let n = ref 0 in
   for i = 0 to count - 1 do
     let e = edges.(i) in
     let u = uniforms.(e) in
@@ -98,14 +95,9 @@ let classify_listed_into ~uniforms ~eps_open ~eps_close ~edges ~count ~failed
      | Open_failure | Closed_failure ->
          failed.(!n) <- e;
          incr n);
-    (* states are constant constructors, so [!=] compares them exactly,
-       without [state_equal]'s call in this per-candidate loop *)
-    if pattern.(e) != s then begin
-      pattern.(e) <- s;
-      changed := true
-    end
+    pattern.(e) <- s
   done;
-  (!n, !changed)
+  !n
 
 let sample rng ~eps_open ~eps_close ~m =
   let pattern = Array.make m Normal in

@@ -81,15 +81,10 @@ val classify_listed_into :
   count:int ->
   failed:int array ->
   pattern ->
-  int * bool
+  int
 (** {!classify_into} for the edges [edges.(0 .. count-1)] only; the rest
     of [pattern] is left as it is.  Writes the listed edges that fail to
-    the front of [failed], in list order, and returns their number and
-    whether any entry of [pattern] changed.  [false] means the buffer
-    already held this classification of the listed edges, so on a CRN
-    ε-grid walk every result derived from the pattern (stripping, probes
-    on a fixed RNG state) is the previous point's and can be reused
-    without re-evaluation. *)
+    the front of [failed], in list order, and returns their number. *)
 
 val all_normal : int -> pattern
 

@@ -96,9 +96,9 @@ let check_mutate mutate =
      of the 2·level cut (clamped to [0, 1)).  Class intervals are
      identical for parent and proposal, so this kernel is symmetric for
      any fixed cut and the same accept test keeps it exact.  Under the
-     [Rare.threshold] convention (faulty iff u < 2ε) it preserves the
-     faulty set at [level], so monotone importance functions accept it
-     almost surely; it cannot switch failure modes, but it renews the
+     [Pipeline.critical_eps] convention (faulty iff u < 2ε) it preserves
+     the faulty set at [level], so monotone importance functions accept
+     it almost surely; it cannot switch failure modes, but it renews the
      fine structure (and the running minimum) below the cut at every
      move instead of waiting for a global redraw to land there. *)
 let metropolis_move ~mutate ~threshold ~ws ~level ~src ~src_phi ~dst rng =

@@ -12,7 +12,7 @@
        through a scalar importance function φ(u) of the per-edge uniform
        vector u — here the {e critical ε}: the smallest failure rate at
        which thresholding u produces a failing fault set
-       ([Ftcsn.Rare.threshold] supplies it for the paper's networks).  The rare set [{φ ≤ ε}] is reached
+       ([Ftcsn.Pipeline.critical_eps] supplies it for the paper's networks).  The rare set [{φ ≤ ε}] is reached
        through a nested ladder of intermediate levels
        [L₀ > L₁ > … > ε]; particles that cross a level are cloned and
        mutated by a Markov kernel that leaves the conditional law

@@ -1065,6 +1065,28 @@ let test_rare_split () =
   check_contains "rare split" out "level schedule";
   check_contains "rare split" out "entry rate"
 
+(* the pilot and every chunk of a splitting run take the per-domain
+   survival workspace, so a one-domain run builds one strip scratch *)
+let test_rare_one_workspace () =
+  with_tmp ".json" @@ fun metrics ->
+  let code, _ =
+    run
+      (Printf.sprintf
+         "rare --net benes:8 --eps 1e-4 --method split --trials 600 \
+          --particles 64 --jobs 1 --metrics %s"
+         metrics)
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  match Ftcsn_obs.Json.parse (read_file metrics) with
+  | Error e -> Alcotest.failf "metrics file is not valid JSON: %s" e
+  | Ok j ->
+      Alcotest.(check (option int))
+        "one scratch workspace" (Some 1)
+        (Option.bind
+           (Option.bind (Ftcsn_obs.Json.member "counters" j)
+              (Ftcsn_obs.Json.member "scratch.create"))
+           Ftcsn_obs.Json.to_int)
+
 let test_rare_curve () =
   let code, out =
     run
@@ -1303,6 +1325,8 @@ let () =
           Alcotest.test_case "rare" `Quick test_rare;
           Alcotest.test_case "rare json" `Quick test_rare_json;
           Alcotest.test_case "rare split" `Slow test_rare_split;
+          Alcotest.test_case "rare split one workspace" `Quick
+            test_rare_one_workspace;
           Alcotest.test_case "rare curve" `Quick test_rare_curve;
           Alcotest.test_case "rare deterministic across jobs" `Quick
             test_rare_jobs_deterministic;

@@ -602,9 +602,10 @@ let curve_estimates_equal a b =
     a b
 
 let test_survival_curve_matches_independent () =
-  (* the CRN curve with its memo and monotone short-circuits must be
-     pointwise bit-identical to independent survival runs, for sorted
-     and unsorted grids, flow-only and mixed probes, at every jobs *)
+  (* the CRN curve, which bisects each trial's grid for its first
+     failing point, must be pointwise bit-identical to independent
+     survival runs, for sorted and unsorted grids, flow-only and mixed
+     probes, at every jobs *)
   let benes = Ftcsn_networks.Benes.network (Ftcsn_networks.Benes.make 8) in
   let trials = 120 in
   List.iter
@@ -638,8 +639,8 @@ let test_survival_curve_matches_independent () =
           ("sc", Pipeline.sc_probe_only); ("default", Pipeline.default_probe);
         ])
     [
-      [| 1e-3; 1e-2; 0.05; 0.12 |] (* ascending: short-circuits live *);
-      [| 0.05; 1e-3; 0.12 |] (* unsorted: every point evaluated *);
+      [| 1e-3; 1e-2; 0.05; 0.12 |];
+      [| 0.05; 1e-3; 0.12 |] (* visited in ascending order *);
     ]
 
 (* [survival] and [survival_curve] reuse the last workspace built on a
@@ -689,6 +690,45 @@ let test_curve_workspace_slot () =
           ("sc", Pipeline.sc_probe_only); ("default", Pipeline.default_probe);
         ])
     [ 1; 2 ]
+
+(* A trial strips each grid point at most once: the bisection decides
+   the points it visits, and after it only the unvisited points below
+   the first failing one are stripped.  So one curve adds at most
+   trials × points to [survivor.apply]: on ft:16 with flow-only probes
+   on perfbench's grid, and on benes:16 with the default preset on a
+   grid whose points mostly pass the bisection, where greedy routing
+   fails at the points it visits. *)
+let test_curve_strips_each_point_once () =
+  Ftcsn.Ft_topology.install ();
+  let applies =
+    Ftcsn_obs.Metrics.counter Ftcsn_obs.Metrics.default "survivor.apply"
+  in
+  (* 8 log-spaced points from [lo] to 1000 lo *)
+  let grid lo =
+    Array.init 8 (fun i -> lo *. (10.0 ** (3.0 *. float_of_int i /. 7.0)))
+  in
+  List.iter
+    (fun (spec, probe, trials, eps) ->
+      let net =
+        match
+          Ftcsn_networks.Topology.build_string ~rng:(Rng.create ~seed:3) spec
+        with
+        | Ok b -> b.Ftcsn_networks.Topology.net
+        | Error e -> failwith e
+      in
+      let before = Ftcsn_obs.Counter.get applies in
+      ignore
+        (Pipeline.survival_curve ~jobs:1 ~trials ~rng:(Rng.create ~seed:1) ~eps
+           ~probe net);
+      let strips = Ftcsn_obs.Counter.get applies - before in
+      let bound = trials * Array.length eps in
+      checkb
+        (Printf.sprintf "%s: %d strips <= %d" spec strips bound)
+        true (strips <= bound))
+    [
+      ("ft:16", Pipeline.sc_probe_only, 400, grid 1e-4);
+      ("benes:16", Pipeline.default_probe, 300, grid 1e-6);
+    ]
 
 (* ---------- Paper_bounds ---------- *)
 
@@ -1138,13 +1178,12 @@ let prop_strip_into_matches_oracle =
         (let clean = Fault.all_normal (Network.size net) in
          [ (sampled, 2); (clean, 0); (sampled, 0); (clean, 1); (sampled, 1) ]))
 
-(* On a sorted grid with flow-only probes the curve bisects for each
-   trial's first failing point; on any other grid it evaluates every
-   point.  A sorted grid with repeated points must give, point for
-   point, what a shuffled copy of it gives, under both presets (the
-   default preset scans both copies, with and without its monotone
-   short-circuit). *)
-let prop_bisected_curve_matches_scan =
+(* The curve visits its points in ascending ε, bisects for each trial's
+   first failing point and decides the others by their shorted
+   terminals and greedy permutations.  Whatever the grid's order and
+   repeats, the preset and the strip radius, every point must be what an
+   independent survival run at its ε gives. *)
+let prop_curve_matches_independent_runs =
   let nets =
     lazy
       (Ftcsn.Ft_topology.install ();
@@ -1162,11 +1201,13 @@ let prop_bisected_curve_matches_scan =
                 [ 8; 16 ])
             [ "benes"; "butterfly"; "valiant-sc"; "ft"; "cantor" ]))
   in
-  QCheck2.Test.make ~name:"survival curve: bisected sorted grid = shuffled scan"
-    ~count:30
+  QCheck2.Test.make
+    ~name:"survival curve point = independent run, any grid" ~count:30
     QCheck2.Gen.(
-      quad (int_range 0 100000) (int_range 0 9) (int_range 2 8) bool)
-    (fun (seed, which, points, flow_only) ->
+      pair
+        (quad (int_range 0 100000) (int_range 0 9) (int_range 2 8) bool)
+        (pair bool (int_range 0 1)))
+    (fun ((seed, which, points, shuffle), (flow_only, strip_radius)) ->
       let net = (Lazy.force nets).(which) in
       let rng = Rng.create ~seed in
       (* log-uniform in [1e-3, 0.3], a point repeated now and then *)
@@ -1177,24 +1218,27 @@ let prop_bisected_curve_matches_scan =
            else 1e-3 *. (300.0 ** Rng.float rng))
       done;
       Array.sort Float.compare grid;
-      let perm = Rng.permutation rng points in
-      let nondecreasing a =
-        Array.for_all Fun.id
-          (Array.init (points - 1) (fun k -> a.(k) <= a.(k + 1)))
+      let grid =
+        if shuffle then Array.map (fun k -> grid.(k)) (Rng.permutation rng points)
+        else grid
       in
-      (* a shuffle that stays sorted would bisect too *)
-      if nondecreasing (Array.map (fun k -> grid.(k)) perm) then
-        Array.iteri (fun k _ -> perm.(k) <- points - 1 - k) perm;
-      let shuffled = Array.map (fun k -> grid.(k)) perm in
       let probe =
         if flow_only then Pipeline.sc_probe_only else Pipeline.default_probe
       in
-      let curve eps =
-        Pipeline.survival_curve ~trials:30 ~rng:(Rng.create ~seed) ~eps ~probe
-          net
+      let trials = 30 in
+      let curve =
+        Pipeline.survival_curve ~trials ~rng:(Rng.create ~seed) ~eps:grid
+          ~strip_radius ~probe net
       in
-      let sorted = curve grid and scanned = curve shuffled in
-      curve_estimates_equal scanned (Array.map (fun k -> sorted.(k)) perm))
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun k (e : Ftcsn_reliability.Monte_carlo.estimate) ->
+             let single =
+               Pipeline.survival ~trials ~rng:(Rng.create ~seed) ~eps:grid.(k)
+                 ~strip_radius ~probe net
+             in
+             single.successes = e.successes && single.trials = e.trials)
+           curve))
 
 let prop_pipeline_ws_matches_trial_radius1 =
   QCheck2.Test.make
@@ -1229,7 +1273,7 @@ let core_props =
       prop_pipeline_survival_jobs_identical;
       prop_strip_into_matches_oracle;
       prop_pipeline_ws_matches_trial_radius1;
-      prop_bisected_curve_matches_scan;
+      prop_curve_matches_independent_runs;
     ]
 
 let () =
@@ -1334,6 +1378,8 @@ let () =
             test_survival_curve_matches_independent;
           Alcotest.test_case "one workspace per domain" `Quick
             test_curve_workspace_slot;
+          Alcotest.test_case "one strip per curve point" `Quick
+            test_curve_strips_each_point_once;
         ] );
       ( "ft-route",
         [

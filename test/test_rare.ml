@@ -183,7 +183,7 @@ let test_tilted_unbiased_vs_exact () =
   let eps = 0.05 in
   (* a fixed probe plan makes the event a pure pattern predicate that
      Exact can enumerate; a fresh seeded stream per call pins the plan *)
-  let oracle = Rare.create_ws net in
+  let oracle = Pipeline.create_ws net in
   let exact =
     Exact_ref.probability net.Network.graph ~eps_open:eps ~eps_close:eps
       (fun pattern -> Rare.fails oracle (Rng.create ~seed:99) pattern)
@@ -197,7 +197,7 @@ let test_tilted_unbiased_vs_exact () =
           Splitting.tilted ~trials:2_000
             ~rng:(Rng.create ~seed:(500 + r))
             ~m ~eps_open:eps ~eps_close:eps ~tilt
-            ~init:(fun () -> Rare.create_ws net)
+            ~init:(fun () -> Pipeline.create_ws net)
             ~event:(fun ws _sub pattern ->
               Rare.fails ws (Rng.create ~seed:99) pattern)
             ()
@@ -221,7 +221,7 @@ let test_mc_and_curve_vs_exact () =
   let g = net.Network.graph in
   let grid = [| 0.02; 0.05; 0.1 |] in
   let trials = 20_000 in
-  let oracle = Rare.create_ws net in
+  let oracle = Pipeline.create_ws net in
   let event pattern = Rare.fails oracle (Rng.create ~seed:99) pattern in
   let on_scratch sc = event (Ftcsn_reliability.Scratch.pattern sc) in
   let curve =
@@ -254,14 +254,14 @@ let test_splitting_unbiased_vs_exact () =
   let eps = 0.05 in
   (* same fixed plan for the enumeration and for every splitting trial *)
   let fixed_plan_ws () =
-    let ws = Rare.create_ws net in
+    let ws = Pipeline.create_ws net in
     Rare.prepare ws (Rng.create ~seed:99);
     ws
   in
   let oracle = fixed_plan_ws () in
   let exact =
     Exact_ref.probability net.Network.graph ~eps_open:eps ~eps_close:eps
-      (fun pattern -> Rare.monotone_fails oracle pattern)
+      (fun pattern -> Pipeline.monotone_fails oracle pattern)
   in
   checkb "monotone exact prob is nonzero" true (exact > 0.0);
   let rng = Rng.create ~seed:21 in
@@ -269,11 +269,11 @@ let test_splitting_unbiased_vs_exact () =
   let prepare _ _ = () in
   let schedule =
     Splitting.pilot ~particles:128 ~rng ~m ~target:eps ~init ~prepare
-      ~threshold:Rare.threshold ()
+      ~threshold:Pipeline.critical_eps ()
   in
   let est =
     Splitting.run ~trials:6_000 ~rng ~m ~schedule ~init ~prepare
-      ~threshold:Rare.threshold ()
+      ~threshold:Pipeline.critical_eps ()
   in
   let se = est.Splitting.rel_err *. est.Splitting.mean in
   checkb "within 5 se of enumeration" true
@@ -298,7 +298,7 @@ let qcheck_fails_is_not_survived =
     (fun (which, seed, permille) ->
       let net = (Lazy.force event_nets).(which) in
       let eps = float_of_int permille /. 1000.0 in
-      let pws = Pipeline.create_ws net and rws = Rare.create_ws net in
+      let pws = Pipeline.create_ws net and rws = Pipeline.create_ws net in
       let pattern = Array.make (Network.size net) Fault.Normal in
       let root = Rng.create ~seed in
       List.for_all
@@ -312,18 +312,18 @@ let qcheck_fails_is_not_survived =
           Rare.fails rws sub pattern = (verdict <> Pipeline.Survived))
         (List.init 10 Fun.id))
 
-(* threshold's bisection, which reuses certificates across prefixes and
-   calls, finds the first failing prefix of a linear scan of
+(* critical_eps's bisection, which reuses certificates across prefixes
+   and calls, finds the first failing prefix of a linear scan of
    monotone_fails, which records none, on a second workspace holding the
    same plan *)
-let qcheck_threshold_is_first_failing_prefix =
-  QCheck2.Test.make ~name:"Rare.threshold = first failing prefix of a scan"
-    ~count:20
+let qcheck_critical_eps_is_first_failing_prefix =
+  QCheck2.Test.make
+    ~name:"Pipeline.critical_eps = first failing prefix of a scan" ~count:20
     QCheck2.Gen.(pair (int_range 0 3) (int_range 0 100000))
     (fun (which, seed) ->
       let net = (Lazy.force event_nets).(which) in
       let m = Network.size net in
-      let ws = Rare.create_ws net and scan = Rare.create_ws net in
+      let ws = Pipeline.create_ws net and scan = Pipeline.create_ws net in
       Rare.prepare ws (Rng.create ~seed);
       Rare.prepare scan (Rng.create ~seed);
       let rng = Rng.create ~seed:(seed + 1) in
@@ -336,7 +336,7 @@ let qcheck_threshold_is_first_failing_prefix =
           Array.sort (fun a b -> Float.compare u.(a) u.(b)) order;
           Array.fill pattern 0 m Fault.Normal;
           let rec first j =
-            if Rare.monotone_fails scan pattern then
+            if Pipeline.monotone_fails scan pattern then
               if j = 0 then 0.0 else u.(order.(j - 1)) /. 2.0
             else if j = m then infinity
             else begin
@@ -344,7 +344,7 @@ let qcheck_threshold_is_first_failing_prefix =
               first (j + 1)
             end
           in
-          Rare.threshold ws u = first 0)
+          Pipeline.critical_eps ws u = first 0)
         (List.init 5 Fun.id))
 
 (* ---------- determinism: bit-identical at every --jobs ---------- *)
@@ -370,6 +370,44 @@ let test_jobs_bit_identity () =
   checkb "split jobs 1 = 2" true (s1 = s2);
   checkb "split jobs 1 = 4" true (s1 = s4);
   checkb "split nonzero" true (s1.Splitting.mean > 0.0)
+
+(* Rare's estimators, [Pipeline.survival] and the curve run on one
+   workspace per domain, whose edge buffer holds critical_eps's sort
+   order or a curve trial's candidates.  A splitting estimate must not
+   move after a curve and a survival run on the same network, nor the
+   curve after a splitting run, and every estimate must be the same at
+   jobs 1 and 2.  On valiant-sc:8 at this ε, a splitting run leaves
+   some twenty edges of its last prefix failed in the pattern buffer,
+   and the curve sees them unless it resets the buffer. *)
+let test_shared_workspace () =
+  let net = build_net "valiant-sc" ~n:8 in
+  let eps = 1e-2 in
+  let grid = [| 1e-3; 1e-2; 0.1 |] in
+  let split jobs =
+    let rng = Rng.create ~seed:43 in
+    let schedule = Rare.pilot_schedule ~particles:64 ~rng ~eps net in
+    Rare.failure_split ~jobs ~trials:400 ~rng ~schedule net
+  in
+  let curve jobs net =
+    Pipeline.survival_curve ~jobs ~trials:300 ~rng:(Rng.create ~seed:5)
+      ~eps:grid ~probe:Pipeline.sc_probe_only net
+  in
+  let run jobs =
+    let before = split jobs in
+    let c = curve jobs net in
+    let s =
+      Pipeline.survival ~jobs ~trials:300 ~rng:(Rng.create ~seed:6) ~eps:0.05
+        net
+    in
+    let after = split jobs in
+    checkb (Printf.sprintf "jobs=%d: split after curve and survival" jobs) true
+      (before = after);
+    (* a physically new network takes a fresh workspace *)
+    checkb (Printf.sprintf "jobs=%d: curve after split" jobs) true
+      (c = curve jobs (build_net "valiant-sc" ~n:8));
+    (before, c, s)
+  in
+  checkb "jobs 1 = 2" true (run 1 = run 2)
 
 (* ---------- tilted_curve coupling ---------- *)
 
@@ -528,12 +566,14 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             qcheck_fails_is_not_survived;
-            qcheck_threshold_is_first_failing_prefix;
+            qcheck_critical_eps_is_first_failing_prefix;
           ] );
       ( "engine",
         [
           Alcotest.test_case "bit-identical at jobs 1/2/4" `Slow
             test_jobs_bit_identity;
+          Alcotest.test_case "one workspace per domain" `Quick
+            test_shared_workspace;
           Alcotest.test_case "validation errors" `Quick test_validation;
           Alcotest.test_case "benes:16 at eps=1e-6" `Slow
             test_benes16_rare_regime;
