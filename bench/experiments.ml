@@ -284,13 +284,13 @@ let e3_depth () =
 
 (* the lemma's setting: a terminal feeding every first-column vertex;
    majority access to the last column through non-faulty vertices.
-   Runs on the Scratch workspace: the classified pattern, faulty bitset
-   and BFS arrays are all per-worker buffers. *)
-let grid_majority_access_event grid_s sc =
+   Runs on the Scratch workspace: the faulty bitset and BFS arrays are
+   per-worker buffers. *)
+let grid_majority_access_event grid_s sc _ pattern =
   let g = Scratch.graph sc in
   let grid = grid_s.Directed_grid.grid in
   let faulty = Scratch.faulty sc in
-  Fault.faulty_vertices_into g (Scratch.pattern sc) faulty;
+  Fault.faulty_vertices_into g pattern faulty;
   let ok v = not (Ftcsn_util.Bitset.mem faulty v) in
   let sources =
     Array.to_list grid.Directed_grid.columns.(0)
@@ -331,10 +331,12 @@ let e4_grid_access () =
          trial's per-edge draws, and because the historical loop re-seeded
          the same rng for every ε, the per-point numbers are unchanged *)
       let rng = rng_for (Printf.sprintf "e4-%d-%d" rows stages) in
+      let g = s.Directed_grid.graph in
       let ests =
         Monte_carlo.estimate_curve ~jobs:!jobs ~label:"e4.curve"
-          ~trials:(trials 6000) ~rng ~graph:s.Directed_grid.graph
+          ~trials:(trials 6000) ~rng ~m:(Digraph.edge_count g)
           ~grid:(Array.map (fun e -> (e, e)) e4_eps)
+          ~init:(fun () -> Scratch.create g)
           (grid_majority_access_event s)
       in
       Array.iteri
@@ -388,11 +390,13 @@ let e5_expander_faults () =
          table. *)
       let ests =
         Monte_carlo.estimate_curve ~jobs:!jobs ~label:"e5.curve"
-          ~monotone_event:true ~trials:(trials 8000) ~rng ~graph:g
+          ~monotone_event:true ~trials:(trials 8000) ~rng
+          ~m:(Digraph.edge_count g)
           ~grid:(Array.map (fun e -> (e, e)) eps_grid)
-          (fun sc ->
+          ~init:(fun () -> Scratch.create g)
+          (fun sc _ pattern ->
             let faulty = Scratch.faulty sc in
-            Fault.faulty_vertices_into g (Scratch.pattern sc) faulty;
+            Fault.faulty_vertices_into g pattern faulty;
             let count =
               Array.fold_left
                 (fun acc v ->
@@ -492,21 +496,13 @@ let e6_shorting () =
          not nested), so every point is evaluated. *)
       let rng = rng_for ("e6" ^ net.Network.name) in
       let ests =
-        Ftcsn_sim.Trials.sweep ~jobs:!jobs ~label:"e6.curve"
-          ~trials:(trials 4000) ~rng ~points:(Array.length eps_grid)
+        Monte_carlo.estimate_curve ~jobs:!jobs ~label:"e6.curve"
+          ~trials:(trials 4000) ~rng ~m:(Network.size net)
+          ~grid:(Array.map (fun e -> (e, e)) eps_grid)
           ~init:(fun () -> Fault_strip.create_ws net)
-          (fun ws sub outcomes ->
-            let uniforms = Scratch.uniforms (Fault_strip.ws_scratch ws) in
-            let pattern = Fault_strip.ws_pattern ws in
-            Fault.sample_uniforms_into sub uniforms;
-            Array.iteri
-              (fun k eps ->
-                Fault.classify_into ~uniforms ~eps_open:eps ~eps_close:eps
-                  pattern;
-                Fault_strip.strip_into ws pattern;
-                if not (Fault_strip.ws_healthy ws) then
-                  Bytes.set outcomes k '\001')
-              eps_grid)
+          (fun ws _ pattern ->
+            Fault_strip.strip_into ws pattern;
+            not (Fault_strip.ws_healthy ws))
       in
       Array.iteri
         (fun k est ->

@@ -591,33 +591,21 @@ let faults_cmd =
        per worker, so trials allocate nothing but the isolated-input
        lists *)
     let init () = Strip.create_ws net in
-    let clean ws pattern =
+    let clean ws _ pattern =
       Strip.strip_into ~radius ws pattern;
       Strip.ws_healthy ws && Strip.ws_isolated_inputs ws = []
     in
     match eps_grid with
     | Some grid ->
-        (* coupled curve survey: one uniform per switch per trial,
-           thresholded at every grid ε (common random numbers); the
+        (* coupled curve survey (common random numbers); the
            clean-survivor event reads the closed-edge set, which is not
            nested in ε, so every point is evaluated *)
         let ests =
           phase obs "estimate" (fun () ->
-              Trials.sweep ~jobs ?progress:obs.progress ?trace:obs.trace
-                ~label:"faults.survey_curve" ~trials ~rng
-                ~points:(Array.length grid) ~init
-                (fun ws sub outcomes ->
-                  let uniforms =
-                    Ftcsn_reliability.Scratch.uniforms (Strip.ws_scratch ws)
-                  in
-                  let pattern = Strip.ws_pattern ws in
-                  Fault.sample_uniforms_into sub uniforms;
-                  Array.iteri
-                    (fun k e ->
-                      Fault.classify_into ~uniforms ~eps_open:e ~eps_close:e
-                        pattern;
-                      if clean ws pattern then Bytes.set outcomes k '\001')
-                    grid))
+              Monte_carlo.estimate_curve ~jobs ?progress:obs.progress
+                ?trace:obs.trace ~label:"faults.survey_curve" ~trials ~rng ~m
+                ~grid:(Array.map (fun e -> (e, e)) grid)
+                ~init clean)
         in
         Format.printf
           "P[survivor clean] curve (%d coupled trials, jobs=%d):@." trials
@@ -627,12 +615,10 @@ let faults_cmd =
         if trials > 1 then begin
           let est =
             phase obs "estimate" (fun () ->
-                Trials.run_scratch ~jobs ?target_ci ?progress:obs.progress
-                  ?trace:obs.trace ~label:"faults.survey" ~trials ~rng ~init
-                  (fun ws sub ->
-                    let pattern = Strip.ws_pattern ws in
-                    Fault.sample_into sub ~eps_open:eps ~eps_close:eps pattern;
-                    clean ws pattern))
+                Monte_carlo.estimate_event ~jobs ?target_ci
+                  ?progress:obs.progress ?trace:obs.trace
+                  ~label:"faults.survey" ~trials ~rng ~m ~eps_open:eps
+                  ~eps_close:eps ~init clean)
           in
           note_estimate obs "faults.clean" est;
           Format.printf "P[survivor clean] = %a  (%d trials, jobs=%d)@."
@@ -671,37 +657,28 @@ let route_cmd =
         Ftcsn_routing.Greedy.create ~allowed:(Strip.ws_allowed fs)
           ~edge_ok:(Strip.ws_edge_ok fs) net )
     in
-    let full_route router pi =
+    (* the surveys' event: a random permutation, drawn after the
+       switches, routes fully on the strip *)
+    let full_route (fs, router) sub pattern =
+      Strip.strip_into fs pattern;
       Ftcsn_routing.Greedy.clear router;
       let success = ref 0 in
-      ignore (Ftcsn_routing.Greedy.route_permutation router pi ~success);
+      ignore
+        (Ftcsn_routing.Greedy.route_permutation router (Rng.permutation sub n')
+           ~success);
       !success = n'
     in
+    let m = Network.size net in
     match eps_grid with
     | Some grid ->
-        (* coupled curve survey: shared per-switch draws across the grid;
-           the permutation is drawn once from a copy of the substream
-           taken after the switch draws — the same stream state every
-           single-ε survey trial would hand its permutation draw *)
+        (* coupled curve survey: shared per-switch draws across the grid,
+           and every point draws the same permutation *)
         let ests =
           phase obs "estimate" (fun () ->
-              Trials.sweep ~jobs ?progress:obs.progress ?trace:obs.trace
-                ~label:"route.survey_curve" ~trials ~rng
-                ~points:(Array.length grid) ~init
-                (fun (fs, router) sub outcomes ->
-                  let uniforms =
-                    Ftcsn_reliability.Scratch.uniforms (Strip.ws_scratch fs)
-                  in
-                  let pattern = Strip.ws_pattern fs in
-                  Fault.sample_uniforms_into sub uniforms;
-                  let pi = Rng.permutation (Rng.copy sub) n' in
-                  Array.iteri
-                    (fun k e ->
-                      Fault.classify_into ~uniforms ~eps_open:e ~eps_close:e
-                        pattern;
-                      Strip.strip_into fs pattern;
-                      if full_route router pi then Bytes.set outcomes k '\001')
-                    grid))
+              Monte_carlo.estimate_curve ~jobs ?progress:obs.progress
+                ?trace:obs.trace ~label:"route.survey_curve" ~trials ~rng ~m
+                ~grid:(Array.map (fun e -> (e, e)) grid)
+                ~init full_route)
         in
         Format.printf
           "P[random permutation fully routes] curve (%d coupled trials, \
@@ -730,19 +707,13 @@ let route_cmd =
               | None -> Format.printf "  %d -> %d: BLOCKED@." i pi.(i))
             paths
     | None ->
-        (* survey mode: each trial draws its own fault pattern and its own
-           permutation; success = every request routed greedily *)
+        (* survey mode: each trial draws its own fault pattern and then
+           its own permutation; success = every request routed greedily *)
         let est =
           phase obs "estimate" (fun () ->
-              Trials.run_scratch ~jobs ?target_ci ?progress:obs.progress
-                ?trace:obs.trace ~label:"route.survey" ~trials ~rng ~init
-                (fun (fs, router) sub ->
-                  let pattern = Strip.ws_pattern fs in
-                  if eps > 0.0 then
-                    Fault.sample_into sub ~eps_open:eps ~eps_close:eps pattern
-                  else Array.fill pattern 0 (Array.length pattern) Fault.Normal;
-                  Strip.strip_into fs pattern;
-                  full_route router (Rng.permutation sub n')))
+              Monte_carlo.estimate_event ~jobs ?target_ci
+                ?progress:obs.progress ?trace:obs.trace ~label:"route.survey"
+                ~trials ~rng ~m ~eps_open:eps ~eps_close:eps ~init full_route)
         in
         note_estimate obs "route.full" est;
         Format.printf

@@ -68,8 +68,6 @@ let create_ws net =
 
 let ws_net ws = ws.ws_net
 
-let ws_scratch ws = ws.scratch
-
 let ws_pattern ws = Scratch.pattern ws.scratch
 
 let ws_allowed ws = ws.allowed_fn

@@ -26,12 +26,11 @@ val create_ws : Ftcsn_networks.Network.t -> ws
 
 val ws_net : ws -> Ftcsn_networks.Network.t
 
-val ws_scratch : ws -> Ftcsn_reliability.Scratch.t
-
 val ws_pattern : ws -> Ftcsn_reliability.Fault.pattern
-(** The workspace's own pattern buffer (refill with
-    {!Ftcsn_reliability.Fault.sample_into}, then pass to
-    {!strip_into}). *)
+(** The workspace's own pattern buffer, for callers that build patterns
+    themselves (the survival curve's sparse re-strips, criticality
+    scans); an estimate on [Ftcsn_reliability.Monte_carlo] hands its
+    event the pattern to pass to {!strip_into} instead. *)
 
 val strip_into : ?radius:int -> ws -> Ftcsn_reliability.Fault.pattern -> unit
 (** Strip [pattern] into the workspace: recomputes the faulty/stripped

@@ -4,6 +4,7 @@ module Fault = Ftcsn_reliability.Fault
 module Rng = Ftcsn_prng.Rng
 module Greedy = Ftcsn_routing.Greedy
 module Flow_route = Ftcsn_routing.Flow_route
+module Monte_carlo = Ftcsn_reliability.Monte_carlo
 
 type verdict =
   | Survived
@@ -69,6 +70,8 @@ type ws = {
      (the first [n_candidates]), or [critical_eps]'s sort order *)
   mutable edges : int array;
   mutable n_candidates : int;
+  (* a curve trial's draws, one per edge, allocated on first curve use *)
+  mutable uniforms : float array;
 }
 
 let create_ws net =
@@ -85,6 +88,7 @@ let create_ws net =
     planned = 0;
     edges = [||];
     n_candidates = 0;
+    uniforms = [||];
   }
 
 (* The last workspace built on this domain.  [survival],
@@ -219,14 +223,14 @@ let trial_ws ?(strip_radius = 0) ?(probe = default_probe) ws ~rng ~eps =
   verdict ws ~rng ~probe
 
 let survival ?jobs ?target_ci ?progress ?trace ~trials ~rng ~eps ?strip_radius
-    ?probe net =
-  Ftcsn_sim.Trials.run_scratch ?jobs ?target_ci ?progress ?trace
-    ~label:"pipeline.survival" ~trials ~rng
+    ?(probe = default_probe) net =
+  Monte_carlo.estimate_event ?jobs ?target_ci ?progress ?trace
+    ~label:"pipeline.survival" ~trials ~rng ~m:(Network.size net)
+    ~eps_open:eps ~eps_close:eps
     ~init:(fun () -> domain_ws net)
-    (fun ws sub ->
-      match trial_ws ?strip_radius ?probe ws ~rng:sub ~eps with
-      | Survived -> true
-      | Shorted _ | Isolated _ | Unroutable _ -> false)
+    (fun ws sub pattern ->
+      Fault_strip.strip_into ?radius:strip_radius ws.fs pattern;
+      verdict ws ~rng:sub ~probe = Survived)
 
 (* ---------- the monotone part of the failure event ----------
 
@@ -301,23 +305,22 @@ let edge_buffer ws =
 (* reset the previous trial's candidates to [Normal], draw this trial's
    uniforms and list the edges failed at the grid's largest [emax] *)
 let draw_candidates ws sub ~emax =
-  let uniforms = Ftcsn_reliability.Scratch.uniforms (Fault_strip.ws_scratch ws.fs) in
   let pattern = Fault_strip.ws_pattern ws.fs in
   for i = 0 to ws.n_candidates - 1 do
     pattern.(ws.edges.(i)) <- Fault.Normal
   done;
-  Fault.sample_uniforms_into sub uniforms;
+  Fault.sample_uniforms_into sub ws.uniforms;
   ws.n_candidates <-
-    Fault.failed_edges_into ~uniforms ~eps_open:emax ~eps_close:emax ws.edges
+    Fault.failed_edges_into ~uniforms:ws.uniforms ~eps_open:emax
+      ~eps_close:emax ws.edges
 
 (* classify the candidates at ε₁ = ε₂ = [e], listing the failed ones,
    and strip *)
 let restrip ws ~radius e =
-  let uniforms = Ftcsn_reliability.Scratch.uniforms (Fault_strip.ws_scratch ws.fs) in
   let pattern = Fault_strip.ws_pattern ws.fs in
   let failed = Fault_strip.ws_listed ws.fs in
   let count =
-    Fault.classify_listed_into ~uniforms ~eps_open:e ~eps_close:e
+    Fault.classify_listed_into ~uniforms:ws.uniforms ~eps_open:e ~eps_close:e
       ~edges:ws.edges ~count:ws.n_candidates ~failed pattern
   in
   Fault_strip.strip_listed ~radius ws.fs pattern ~edges:failed ~count
@@ -363,9 +366,11 @@ let survival_curve ?jobs ?progress ?trace ~trials ~rng ~eps
     ~label:"pipeline.survival_curve" ~trials ~rng ~points
     ~init:(fun () ->
       let ws = domain_ws net in
-      Array.fill (Fault_strip.ws_pattern ws.fs) 0 (Network.size net) Fault.Normal;
+      let m = Network.size net in
+      Array.fill (Fault_strip.ws_pattern ws.fs) 0 m Fault.Normal;
       ignore (edge_buffer ws);
       ws.n_candidates <- 0;
+      if Array.length ws.uniforms < m then ws.uniforms <- Array.make m 0.0;
       (ws, Bytes.create points))
     (fun (ws, visited) sub outcomes ->
       draw_candidates ws sub ~emax;

@@ -68,11 +68,12 @@ val trial_ws :
   rng:Ftcsn_prng.Rng.t ->
   eps:float ->
   verdict
-(** One fault sample at ε₁ = ε₂ = [eps], stripped at [strip_radius]
-    (default 0) and probed, on the workspace: the steady state allocates
-    only probe permutations/index sets and returned paths.  The qcheck
-    suite pins the verdicts against the subgraph-rebuilding oracle in
-    [test/strip_ref.ml]. *)
+(** One fault sample at ε₁ = ε₂ = [eps] into the workspace's pattern
+    buffer, stripped at [strip_radius] (default 0) and probed: the
+    verdict a {!survival} trial reaches on the same stream, with its
+    reason.  The steady state allocates only probe permutations/index
+    sets and returned paths.  The qcheck suite pins the verdicts against
+    the subgraph-rebuilding oracle in [test/strip_ref.ml]. *)
 
 (** {2 The probe plan}
 
@@ -140,8 +141,10 @@ val survival :
     is identical at every [jobs]; [target_ci] stops early once the Wilson
     95% half-width is small enough.  [trace] streams the engine's
     structured JSONL events (chunk timings, stopping decisions) without
-    perturbing the estimate.  Trials run {!trial_ws} on one {!ws}
-    workspace per worker domain. *)
+    perturbing the estimate.  Trials run on
+    {!Ftcsn_reliability.Monte_carlo.estimate_event} with one {!ws}
+    workspace per worker domain ({!domain_ws}): each strips its pattern
+    and reaches the verdict {!trial_ws} would. *)
 
 val survival_curve :
   ?jobs:int ->

@@ -37,8 +37,12 @@ val fails :
 (** The full failure event on a sampled pattern: terminals shorted, an
     input isolated, or a superconcentrator probe deficit (a plan drawn
     from the given stream, like [Pipeline.trial_ws] under
-    [Pipeline.sc_probe_only]).  The event for
-    {!Ftcsn_reliability.Splitting.tilted}. *)
+    [Pipeline.sc_probe_only]).  One event for the plain and the tilted
+    estimate: {!Ftcsn_reliability.Monte_carlo.estimate_event} of it on
+    {!Pipeline.domain_ws} fails exactly the trials
+    {!Pipeline.survival} under [sc_probe_only] does not survive (same
+    seed, same trials; test_rare pins the partition), and
+    {!Ftcsn_reliability.Splitting.tilted} weights it. *)
 
 val prepare : Pipeline.ws -> Ftcsn_prng.Rng.t -> unit
 (** Draw and store this trial's plan of [Pipeline.sc_probe_only]'s 3

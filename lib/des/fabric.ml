@@ -74,6 +74,9 @@ type t = {
   mutable free_head : int;
   mutable max_concurrent : int;
   mutable failed : int;
+  mutable events : int;
+  mutable failures : int;
+  mutable repairs : int;
   severed : int array;
   fs : float array;
 }
@@ -124,6 +127,9 @@ let create ?(engine = `Bfs) ~mtbf ~mttr net =
     free_head = (if cap > 0 then 0 else -1);
     max_concurrent = 0;
     failed = 0;
+    events = 0;
+    failures = 0;
+    repairs = 0;
     severed = Array.make 2 0;
     fs = Array.make 2 0.0;
   }
@@ -362,6 +368,7 @@ let tick f rng =
       if f.mttr < infinity then
         schedule f (Dist.exponential rng ~rate:(1.0 /. f.mttr)) (ev_repair e);
       f.failed <- f.failed + 1;
+      f.failures <- f.failures + 1;
       (e lsl 2) lor mark_failed f e ~closed
     end
   in
@@ -373,4 +380,47 @@ let tick f rng =
 let repair f rng e =
   mark_repaired f e;
   f.failed <- f.failed - 1;
+  f.repairs <- f.repairs + 1;
   if f.failed = Array.length f.fstate - 1 then arm_tick f rng
+
+(* ---- the event loop ---- *)
+
+type 'a handlers = {
+  stop : 'a -> bool;
+  arrival : 'a -> unit;
+  failure : 'a -> int -> unit;
+  release : 'a -> int -> unit;
+  repaired : 'a -> unit;
+}
+
+(* the heap's next time is read once per event: a second read boxes a
+   float on every event *)
+let fire f rng ~until h st =
+  let heap = f.heap in
+  let continue_ = ref true in
+  while !continue_ && not (h.stop st || Heap.is_empty heap) do
+    let t = Heap.min_time heap in
+    if t > until then continue_ := false
+    else begin
+      let ev = Heap.pop heap in
+      advance f t;
+      if ev = ev_tick then begin
+        let r = tick f rng in
+        if r <> discarded then begin
+          f.events <- f.events + 1;
+          h.failure st r
+        end
+      end
+      else begin
+        f.events <- f.events + 1;
+        match ev land 3 with
+        | 0 -> h.arrival st
+        | 1 ->
+            let slot = hangup f (ev lsr 2) in
+            if slot >= 0 then h.release st slot
+        | _ ->
+            repair f rng (ev lsr 2);
+            h.repaired st
+      end
+    end
+  done

@@ -7,12 +7,13 @@
     store, the vertex owner index, per-switch fault state with faulty
     degrees and {!Ftcsn_reliability.Dyn_conn}, the fault-masked
     {!Ftcsn_routing.Greedy} router with its route buffer, the
-    [∫ live·dt] accumulator, the failure clock, and the [(time, seq)]
-    event {!Heap} with its int event encoding.  Arrival processes,
-    statistics and replies stay in the engines.
+    [∫ live·dt] accumulator, the failure clock, the [(time, seq)]
+    event {!Heap} with its int event encoding, and the one loop that
+    fires its events ({!fire}).  Arrival processes, statistics and
+    replies stay in the engines, as {!handlers}.
 
     The call path — {!connect}, {!sever} with its reroute, {!release},
-    {!hangup} — allocates nothing once each slot's grow-once path
+    a fired hangup — allocates nothing once each slot's grow-once path
     buffers have reached the longest path it has carried.
 
     {2 The failure clock}
@@ -27,8 +28,8 @@
     Discarding (thinning) leaves each normal switch failing at exactly
     rate [1/mtbf], so this samples the per-switch process itself, not an
     approximation of it, while the heap holds one tick instead of m
-    clocks.  A discarded tick changes nothing, and the engines count it
-    as no event.
+    clocks.  A discarded tick changes nothing, and {!fire} counts it as
+    no event.
 
     When every switch has failed nothing can fail, so the clock stops:
     the tick is not re-armed, and the next {!repair} re-arms it (by
@@ -101,6 +102,9 @@ type t = private {
   mutable failed : int;
       (** switches the failure clock has failed and {!repair} has not
           yet repaired *)
+  mutable events : int;  (** events {!fire} applied, stale hangups too *)
+  mutable failures : int;  (** ticks that failed a switch *)
+  mutable repairs : int;  (** {!repair}s *)
   severed : int array;  (** the last {!sever}'s outcomes *)
   fs : float array;  (** [fs.(0)] = now, [fs.(1)] = [∫ live·dt] since reset *)
 }
@@ -151,10 +155,6 @@ val release : t -> int -> unit
 
 val hang_up_after : t -> int -> float -> unit
 (** Schedule the call's hangup event, keyed by slot and stamp. *)
-
-val hangup : t -> int -> int
-(** Fire a hangup event's key: the released slot, or [-1] when the key
-    is stale (the call was already released or dropped). *)
 
 val live_slots : t -> int list
 
@@ -207,3 +207,24 @@ val sever : t -> int -> int
     [severed.(j)] is [(slot lsl 1) lor 1] if the call was rerouted in
     place (same slot, same stamp, so its hangup stays valid) and
     [slot lsl 1] if it was dropped and its slot freed. *)
+
+(** {2 The event loop} *)
+
+type 'a handlers = {
+  stop : 'a -> bool;  (** asked before each event; [true] ends {!fire} *)
+  arrival : 'a -> unit;
+  failure : 'a -> int -> unit;  (** {!tick}'s code; the handler may {!sever} *)
+  release : 'a -> int -> unit;  (** the slot a live hangup freed *)
+  repaired : 'a -> unit;
+}
+(** An engine's part of each event, as functions of its state.  Build
+    the record once from top-level functions: closures over the state
+    would allocate on every {!fire}. *)
+
+val fire : t -> Ftcsn_prng.Rng.t -> until:float -> 'a handlers -> 'a -> unit
+(** [fire f rng ~until h st]: while [h.stop st] is false and an event is
+    due by [until], pop it in [(time, seq)] order, {!advance} to it,
+    apply it (a {!tick} or {!repair} draws from [rng]), count it in
+    [events] and tell [h].  A discarded tick and a stale hangup are not
+    heard, and a discarded tick is not counted.  [now] stays at the last
+    event: the caller advances to [until] if it needs to. *)

@@ -105,9 +105,6 @@ type state = {
   mutable dropped : int;
   mutable rerouted : int;
   mutable rearranged : int;
-  mutable failures : int;
-  mutable repairs : int;
-  mutable events : int;
   mutable window_start : float;
   mutable measuring : bool;
   mutable w_offered : int;
@@ -137,9 +134,6 @@ let init ~rng ~cfg net =
     dropped = 0;
     rerouted = 0;
     rearranged = 0;
-    failures = 0;
-    repairs = 0;
-    events = 0;
     window_start = 0.0;
     measuring = (match cfg.stop with Horizon _ -> true | Calls _ -> false);
     w_offered = 0;
@@ -291,50 +285,19 @@ let note_catastrophe st =
     st.degraded_at <- Some now;
   st.stopped <- true
 
-(* failures come from the fabric's one clock; a discarded tick is no
-   event *)
-let handle_tick st =
-  let r = Fabric.tick st.fab st.rng in
-  if r <> Fabric.discarded then begin
-    st.events <- st.events + 1;
-    st.failures <- st.failures + 1;
-    if r land 3 = Fabric.shorted then note_catastrophe st
-    else tally_sever st (r lsr 2)
-  end
+let handle_failure st r =
+  if r land 3 = Fabric.shorted then note_catastrophe st
+  else tally_sever st (r lsr 2)
 
-let handle_repair st e =
-  st.repairs <- st.repairs + 1;
-  Fabric.repair st.fab st.rng e
-
-let dispatch st ev =
-  if ev = Fabric.ev_tick then handle_tick st
-  else begin
-    st.events <- st.events + 1;
-    match ev land 3 with
-    | 0 -> handle_arrival st
-    | 1 -> ignore (Fabric.hangup st.fab (ev lsr 2))
-    | _ -> handle_repair st (ev lsr 2)
-  end
-
-let run_events st horizon =
-  let f = st.fab in
-  let continue_ = ref true in
-  while !continue_ do
-    if st.stopped || Heap.is_empty f.heap then continue_ := false
-    else begin
-      let t = Heap.min_time f.heap in
-      if t > horizon then begin
-        Fabric.advance f horizon;
-        st.stopped <- true;
-        continue_ := false
-      end
-      else begin
-        let ev = Heap.pop f.heap in
-        Fabric.advance f t;
-        dispatch st ev
-      end
-    end
-  done
+(* hangups and repairs need nothing beyond what the fabric does *)
+let handlers =
+  {
+    Fabric.stop = (fun st -> st.stopped);
+    arrival = handle_arrival;
+    failure = handle_failure;
+    release = (fun _ _ -> ());
+    repaired = ignore;
+  }
 
 let finish st =
   let f = st.fab in
@@ -351,19 +314,19 @@ let finish st =
   in
   let c name v = Counter.add (Metrics.counter Metrics.default name) v in
   c "traffic.runs" 1;
-  c "traffic.events" st.events;
+  c "traffic.events" f.events;
   c "traffic.offered" st.offered;
   c "traffic.served" st.served;
   c "traffic.blocked" st.blocked;
   c "traffic.blocked_full" st.blocked_full;
   c "traffic.dropped" st.dropped;
   c "traffic.rerouted" st.rerouted;
-  c "traffic.failures" st.failures;
-  c "traffic.repairs" st.repairs;
+  c "traffic.failures" f.failures;
+  c "traffic.repairs" f.repairs;
   if st.catastrophe_at <> None then c "traffic.catastrophes" 1;
   {
     sim_time = f.fs.(0);
-    events = st.events;
+    events = f.events;
     offered = st.offered;
     served = st.served;
     blocked = st.blocked;
@@ -371,8 +334,8 @@ let finish st =
     dropped = st.dropped;
     rerouted = st.rerouted;
     rearranged = st.rearranged;
-    failures = st.failures;
-    repairs = st.repairs;
+    failures = f.failures;
+    repairs = f.repairs;
     max_concurrent = f.max_concurrent;
     occupancy;
     carried;
@@ -396,10 +359,10 @@ let run ~rng ~config:cfg net =
     Fabric.schedule f (Dist.exponential st.rng ~rate:cfg.load)
       Fabric.ev_arrival;
   let horizon = match cfg.stop with Horizon h -> h | Calls _ -> infinity in
-  run_events st horizon;
-  (* a horizon run whose queue dried up still spans [0, h] *)
+  Fabric.fire f st.rng ~until:horizon handlers st;
+  (* a horizon run that did not stop early spans [0, h] *)
   (match cfg.stop with
-  | Horizon h when (not st.stopped) && f.fs.(0) < h -> Fabric.advance f h
+  | Horizon h when not st.stopped -> Fabric.advance f h
   | _ -> ());
   finish st
 

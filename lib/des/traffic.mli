@@ -16,15 +16,16 @@
     that contracts two terminals — the Lemma 7 catastrophe — ends the
     run.
 
-    The switches, calls, the failure clock and the event heap are a
-    {!Fabric}, the same core [Ftcsn_serve.Engine] drives; this module
-    adds the arrival process, the statistics, saturation and
-    rearrangement, and passes its one trial stream to
-    {!Fabric.start_clock}, {!Fabric.tick} and {!Fabric.repair}.
-    Failures come from the fabric's one thinned clock: a tick at rate
-    [m/mtbf] on a uniformly chosen switch, discarded when that switch
-    is already down.  A discarded tick counts in neither [events] nor
-    [failures].
+    The switches, calls, the failure clock, the event heap and its loop
+    are a {!Fabric}, the same core [Ftcsn_serve.Engine] drives: a run
+    fires the heap through {!Fabric.fire} with its one trial stream,
+    and this module adds only the handlers it treats differently — the
+    arrival process, the statistics, saturation and rearrangement, and
+    what a failure severs — and reads [events], [failures] and [repairs]
+    from the fabric's counters.  Failures come from the fabric's one
+    thinned clock: a tick at rate [m/mtbf] on a uniformly chosen switch,
+    discarded when that switch is already down.  A discarded tick counts
+    in neither [events] nor [failures].
 
     {2 Determinism contract}
 

@@ -4,7 +4,7 @@
     O(vertex-count) [Array.fill] per search to reset, which dominates the
     per-call price of routing on million-switch networks where a search
     touches only a few thousand vertices.  An arena replaces the refill
-    with the generation-stamp trick of {!Ftcsn_util.Union_find.Stamped}:
+    with the generation-stamp trick of {!Ftcsn_util.Union_find}:
     [stamp.(v) = gen] means "visited in the current search", and starting
     a new search is a counter bump ({!next_generation}) — O(1), touching
     nothing.  [parent.(v)] is only meaningful when [v] is stamped with

@@ -30,25 +30,28 @@ let make ~rows ~width =
   done;
   { graph = Digraph.Builder.freeze b; input; output; rows; width }
 
-(* Both estimators run on the Scratch workspace path: per-worker BFS
-   arrays and union-find, no per-trial allocation.  Labels and draw
-   order are unchanged, so curves match the historical runs exactly. *)
+let size t = Digraph.edge_count t.graph
+
+(* Both estimators run on a Scratch workspace per chunk: BFS arrays and
+   union-find, no per-trial allocation.  Labels and draw order are
+   unchanged, so curves match the historical runs exactly. *)
 let open_failure_prob ?jobs ?target_ci ?progress ?trace ~trials ~rng ~eps t =
-  Monte_carlo.estimate_event_scratch ?jobs ?target_ci ?progress ?trace
-    ~label:"hammock.open_failure_prob" ~trials ~rng ~graph:t.graph
-    ~eps_open:eps ~eps_close:eps (fun sc ->
+  Monte_carlo.estimate_event ?jobs ?target_ci ?progress ?trace
+    ~label:"hammock.open_failure_prob" ~trials ~rng ~m:(size t)
+    ~eps_open:eps ~eps_close:eps
+    ~init:(fun () -> Scratch.create t.graph)
+    (fun sc _ pattern ->
       not
-        (Survivor.connected_ignoring_opens_into sc (Scratch.pattern sc)
-           ~a:t.input ~b:t.output))
+        (Survivor.connected_ignoring_opens_into sc pattern ~a:t.input
+           ~b:t.output))
 
 let short_failure_prob ?jobs ?target_ci ?progress ?trace ~trials ~rng ~eps t =
-  Monte_carlo.estimate_event_scratch ?jobs ?target_ci ?progress ?trace
-    ~label:"hammock.short_failure_prob" ~trials ~rng ~graph:t.graph
-    ~eps_open:eps ~eps_close:eps (fun sc ->
-      Survivor.shorted_by_closure_into sc (Scratch.pattern sc) ~a:t.input
-        ~b:t.output)
-
-let size t = Digraph.edge_count t.graph
+  Monte_carlo.estimate_event ?jobs ?target_ci ?progress ?trace
+    ~label:"hammock.short_failure_prob" ~trials ~rng ~m:(size t)
+    ~eps_open:eps ~eps_close:eps
+    ~init:(fun () -> Scratch.create t.graph)
+    (fun sc _ pattern ->
+      Survivor.shorted_by_closure_into sc pattern ~a:t.input ~b:t.output)
 
 let depth t =
   Ftcsn_graph.Traverse.depth t.graph ~inputs:[ t.input ] ~outputs:[ t.output ]

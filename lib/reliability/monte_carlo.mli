@@ -5,15 +5,21 @@
     ~13 edges exact enumeration of all 3^m patterns is infeasible, so experiments
     estimate them from seeded samples and report Wilson 95% intervals.
 
-    These are thin façades over the {!Ftcsn_sim.Trials} engine: trial [i]
-    runs on the [i]-th substream of [rng], so estimates are bit-identical
-    at every [jobs] and a [jobs:1] run reproduces the historical
-    sequential split-per-trial loop exactly.  [target_ci] enables adaptive
-    stopping (run until the Wilson 95% half-width drops below it, capped
-    at [trials]); [progress] reports cumulative counts and throughput
-    after each chunk; [trace]/[label] stream the engine's structured
-    JSONL events (chunk timings, stopping decisions) to an
-    [Ftcsn_obs.Trace] sink without perturbing any estimate. *)
+    These are thin façades over the {!Ftcsn_sim.Trials} engine.  Plain
+    Monte-Carlo estimates of a fault-pattern event draw their patterns
+    here, a single ε in {!estimate_event} and a CRN curve in
+    {!estimate_curve}; only the survival curve's bisecting walk
+    ([Ftcsn.Pipeline.survival_curve]) and the estimators that judge one
+    draw several ways ({!Importance}, {!Substitution}, {!Splitting}) keep
+    their own.  Trial [i] runs on the [i]-th substream of [rng], so
+    estimates are bit-identical at every [jobs] and a [jobs:1] run
+    reproduces the historical sequential split-per-trial loop exactly.
+    [target_ci] enables adaptive stopping (run until the Wilson 95%
+    half-width drops below it, capped at [trials]); [progress] reports
+    cumulative counts and throughput after each chunk; [trace]/[label]
+    stream the engine's structured JSONL events (chunk timings, stopping
+    decisions) to an [Ftcsn_obs.Trace] sink without perturbing any
+    estimate. *)
 
 type estimate = Ftcsn_sim.Trials.estimate = {
   successes : int;
@@ -38,7 +44,7 @@ val estimate :
 (** Run the Bernoulli experiment up to [trials] times on independent
     substreams of [rng]; the estimate is of P[true]. *)
 
-val estimate_event_scratch :
+val estimate_event :
   ?jobs:int ->
   ?target_ci:float ->
   ?progress:(Ftcsn_sim.Trials.progress -> unit) ->
@@ -46,17 +52,20 @@ val estimate_event_scratch :
   ?label:string ->
   trials:int ->
   rng:Ftcsn_prng.Rng.t ->
-  graph:Ftcsn_graph.Digraph.t ->
+  m:int ->
   eps_open:float ->
   eps_close:float ->
-  (Scratch.t -> bool) ->
+  init:(unit -> 'ws) ->
+  ('ws -> Ftcsn_prng.Rng.t -> Fault.pattern -> bool) ->
   estimate
-(** Specialisation of {!estimate}: each trial refills the pattern
-    buffer of a per-worker {!Scratch} workspace on [graph]
-    ({!Fault.sample_into}, no per-trial allocation) and tests the event,
-    which can use the allocation-free [Survivor.*_into] operations
-    ({!Scratch.pattern} is the freshly sampled pattern).  The workspace
-    is scratch: the callback must not retain it across trials. *)
+(** P[event] over fault patterns of [m] switches, each open with
+    probability [eps_open] and closed with [eps_close].  Each chunk
+    builds [init ()] and an [m]-switch pattern; a trial fills the
+    pattern from its substream ({!Fault.sample_into}: [m] uniforms in
+    switch order), then calls [event ws sub pattern] with [sub] just
+    past those draws, so an event that draws more (a probe plan, a
+    permutation) draws after them — the contract {!Splitting.tilted}
+    shares.  The event must not retain the workspace or the pattern. *)
 
 val estimate_curve :
   ?jobs:int ->
@@ -66,21 +75,19 @@ val estimate_curve :
   ?monotone_event:bool ->
   trials:int ->
   rng:Ftcsn_prng.Rng.t ->
-  graph:Ftcsn_graph.Digraph.t ->
+  m:int ->
   grid:(float * float) array ->
-  (Scratch.t -> bool) ->
+  init:(unit -> 'ws) ->
+  ('ws -> Ftcsn_prng.Rng.t -> Fault.pattern -> bool) ->
   estimate array
 (** Coupled ε-curve: one estimate per [(eps_open, eps_close)] grid point,
-    all sharing the same [trials] executions.  Each trial draws one
-    uniform per edge ({!Fault.sample_uniforms_into} into the workspace's
-    {!Scratch.uniforms}), then thresholds that same draw vector at every
-    grid point ({!Fault.classify_into}) — common random numbers, so the
-    per-trial event indicators are coupled across the curve and curve
-    differences have far lower variance than independent runs.  The
-    event sees the freshly classified {!Scratch.pattern} exactly as
-    {!estimate_event_scratch} would: on a 1-point grid the estimate is
-    bit-identical to [estimate_event_scratch] with the same arguments
-    (same draws, same thresholds, same engine).
+    all over the same [trials] executions (common random numbers).  A
+    trial draws [m] uniforms once ({!Fault.sample_uniforms_into}); at
+    each point it evaluates, it thresholds them ({!Fault.classify_into})
+    and calls the event with a fresh [Rng.copy] of the substream past
+    the draws.  So every point equals an {!estimate_event} run at that
+    point, an event that draws sees the same values at every point, and
+    curve differences have far lower variance than independent runs.
 
     [monotone_event:true] asserts the event is nondecreasing along the
     grid order within every trial (true e.g. for open-connectivity
@@ -91,6 +98,8 @@ val estimate_curve :
     asserted monotonicity.  Default [false].
 
     No adaptive stopping; deterministic at every [jobs], tracing
-    observational, [label] defaults to ["monte_carlo.curve"]. *)
+    observational, [label] defaults to ["monte_carlo.curve"].
+    @raise Invalid_argument on a grid point {!Fault.sample} would
+    reject. *)
 
 val pp : Format.formatter -> estimate -> unit

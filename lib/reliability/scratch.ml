@@ -3,19 +3,18 @@ module Union_find = Ftcsn_util.Union_find
 module Bitset = Ftcsn_util.Bitset
 module Metrics = Ftcsn_obs.Metrics
 
-(* One workspace is created per worker domain (via Trials.run_scratch's
-   ~init hook) and then reused for every trial that domain executes, so
-   this counter staying at ~jobs while the survivor.* operation counters
-   grow with the trial count is what makes the zero-allocation claim
-   observable in `ftnet --metrics` output. *)
+(* One workspace is created per 256-trial chunk (an estimator's ~init
+   hook) and reused for every trial of the chunk, so this counter staying
+   at the chunk count while the survivor.* operation counters grow with
+   the trial count is what makes the zero-allocation claim observable in
+   `ftnet --metrics` output. *)
 let c_create = Metrics.counter Metrics.default "scratch.create"
 
 type t = {
   graph : Digraph.t;
   pattern : Fault.pattern;
-  uniforms : float array;
   faulty : Bitset.t;
-  suf : Union_find.Stamped.t;
+  suf : Union_find.t;
   queue : int array;
   dist : int array;
   mark : int array;
@@ -30,9 +29,8 @@ let create graph =
   {
     graph;
     pattern = Fault.all_normal m;
-    uniforms = Array.make m 0.0;
     faulty = Bitset.create n;
-    suf = Union_find.Stamped.create n;
+    suf = Union_find.create n;
     queue = Array.make n 0;
     dist = Array.make n (-1);
     mark = Array.make n 0;
@@ -43,8 +41,6 @@ let create graph =
 let graph t = t.graph
 
 let pattern t = t.pattern
-
-let uniforms t = t.uniforms
 
 let faulty t = t.faulty
 

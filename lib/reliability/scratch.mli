@@ -6,14 +6,16 @@
     the only reason they ever touched the allocator was that each trial
     built its scratch state afresh.  A [Scratch.t] hoists all of it — a
     fault pattern, a resettable union-find, BFS queue/distance arrays and
-    a generation-stamped marking array — into one bundle that
-    {!Ftcsn_sim.Trials.run_scratch} creates once per worker domain via its
-    [~init] hook.  Workspaces are single-domain state: never share one
-    between domains.
+    a generation-stamped marking array — into one bundle that an
+    estimator's [~init] hook ({!Monte_carlo.estimate_event},
+    {!Ftcsn_sim.Trials.map_reduce}) creates once per 256-trial chunk.
+    Workspaces are single-domain state: never share one between
+    domains.
 
     Creations are counted in [Ftcsn_obs.Metrics.default] under
-    [scratch.create]; a healthy sweep shows this counter at ~[jobs] while
-    the [survivor.*] operation counters grow with the trial count.
+    [scratch.create]; a healthy sweep keeps this counter at or below its
+    chunk count while the [survivor.*] operation counters grow with the
+    trial count.
 
     The record is exposed so that the scratch-path operations in
     {!Survivor}, [Ftcsn.Fault_strip] and friends can reach the arrays;
@@ -27,15 +29,10 @@ type t = {
   graph : Ftcsn_graph.Digraph.t;  (** the graph all trials run over *)
   pattern : Fault.pattern;
       (** per-trial fault pattern buffer, length [edge_count graph] *)
-  uniforms : float array;
-      (** per-trial CRN draw buffer, length [edge_count graph]: one
-          uniform per edge ({!Fault.sample_uniforms_into}), thresholded
-          into [pattern] at each ε-grid point by
-          {!Fault.classify_into} *)
   faulty : Ftcsn_util.Bitset.t;
       (** faulty-vertex buffer, capacity [vertex_count graph] (refill
           with {!Fault.faulty_vertices_into}) *)
-  suf : Ftcsn_util.Union_find.Stamped.t;
+  suf : Ftcsn_util.Union_find.t;
       (** contraction classes; generation-stamped, so the per-use reset
           is O(1) instead of O(n) *)
   queue : int array;  (** BFS ring buffer, length [vertex_count graph] *)
@@ -56,10 +53,6 @@ val graph : t -> Ftcsn_graph.Digraph.t
 val pattern : t -> Fault.pattern
 (** The workspace's own fault-pattern buffer (refill it with
     {!Fault.sample_into}). *)
-
-val uniforms : t -> float array
-(** The workspace's own CRN draw buffer (refill it with
-    {!Fault.sample_uniforms_into}). *)
 
 val faulty : t -> Ftcsn_util.Bitset.t
 (** The workspace's own faulty-vertex bitset (refill it with

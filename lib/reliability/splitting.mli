@@ -184,8 +184,10 @@ val tilted :
     (the substream, positioned after the per-edge draws, is passed
     through for probe randomness), and contributes its likelihood ratio
     when the event holds.  Exactly unbiased for any event and any valid
-    tilt.  Runs on {!Ftcsn_sim.Trials} — bit-identical at every
-    [jobs]. *)
+    tilt.  The workspace and event are those of
+    {!Monte_carlo.estimate_event}, so one event function serves the
+    plain and the tilted estimate of the same probability.  Runs on
+    {!Ftcsn_sim.Trials} — bit-identical at every [jobs]. *)
 
 val tilted_curve :
   ?jobs:int ->
@@ -206,7 +208,7 @@ val tilted_curve :
     the likelihood ratio differs per point (it depends on the pattern
     only through its open/closed fault counts).  The whole rare-event
     curve costs one event evaluation per trial and the points are
-    CRN-comparable, the tilted analogue of {!Ftcsn_sim.Trials.sweep}.
+    CRN-comparable, the tilted analogue of {!Monte_carlo.estimate_curve}.
     [tilted] of a point agrees with the corresponding entry of a
     [tilted_curve] up to floating-point association.  Points far from
     the tilt carry larger [rel_err]; widen the grid only with a tilt

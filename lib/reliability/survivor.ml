@@ -18,12 +18,12 @@ let c_connected =
    here is pinned against lives in [test/strip_ref.ml]. *)
 let contract sc pattern =
   let g = sc.Scratch.graph and uf = sc.Scratch.suf in
-  Union_find.Stamped.reset uf;
+  Union_find.reset uf;
   Array.iteri
     (fun e s ->
       if Fault.state_equal s Fault.Closed_failure then begin
         let src, dst = Digraph.edge_endpoints g e in
-        Union_find.Stamped.union uf src dst
+        Union_find.union uf src dst
       end)
     pattern
 
@@ -32,11 +32,11 @@ let apply_into sc pattern ~edges ~count =
   let g = sc.Scratch.graph and uf = sc.Scratch.suf in
   if Array.length pattern <> Digraph.edge_count g then
     invalid_arg "Survivor.apply_into: pattern arity";
-  Union_find.Stamped.reset uf;
+  Union_find.reset uf;
   for i = 0 to count - 1 do
     let e = edges.(i) in
     if Fault.state_equal pattern.(e) Fault.Closed_failure then
-      Union_find.Stamped.union uf (Digraph.edge_src g e) (Digraph.edge_dst g e)
+      Union_find.union uf (Digraph.edge_src g e) (Digraph.edge_dst g e)
   done
 
 let merged_pairs_into sc terminals =
@@ -47,7 +47,7 @@ let merged_pairs_into sc terminals =
   let pairs = ref [] in
   List.iter
     (fun v ->
-      let r = Union_find.Stamped.find uf v in
+      let r = Union_find.find uf v in
       if mark.(r) = gen then pairs := (mark_value.(r), v) :: !pairs;
       mark.(r) <- gen;
       mark_value.(r) <- v)
@@ -57,7 +57,7 @@ let merged_pairs_into sc terminals =
 let shorted_by_closure_into sc pattern ~a ~b =
   Ftcsn_obs.Counter.incr c_shorted;
   contract sc pattern;
-  Union_find.Stamped.equiv sc.Scratch.suf a b
+  Union_find.equiv sc.Scratch.suf a b
 
 let connected_ignoring_opens_into sc pattern ~a ~b =
   Ftcsn_obs.Counter.incr c_connected;

@@ -32,9 +32,6 @@ type t = {
   mutable rerouted : int;
   mutable dropped : int;
   mutable released : int;
-  mutable failures : int;
-  mutable repairs : int;
-  mutable events : int;
   mutable catastrophes : int;
   mutable cat_live : bool;  (* terminals currently fused *)
 }
@@ -66,9 +63,6 @@ let create ?(engine = `Bfs) ?(holding = Dist.Exponential) ?(mtbf = infinity)
     rerouted = 0;
     dropped = 0;
     released = 0;
-    failures = 0;
-    repairs = 0;
-    events = 0;
     catastrophes = 0;
     cat_live = false;
   }
@@ -107,58 +101,37 @@ let report_sever st e =
     end
   done
 
-(* a discarded tick is no event *)
-let handle_tick st =
-  let r = Fabric.tick st.fab st.frng in
-  if r <> Fabric.discarded then begin
-    st.events <- st.events + 1;
-    st.failures <- st.failures + 1;
-    if r land 3 = Fabric.shorted && not st.cat_live then begin
-      (* Lemma-7 catastrophe: report it, keep serving — repairs can
-         clear it, and the client deserves the signal either way *)
-      st.cat_live <- true;
-      st.catastrophes <- st.catastrophes + 1;
-      st.emit (Proto.Catastrophe { t = st.fab.fs.(0) })
-    end;
-    report_sever st (r lsr 2)
-  end
+let handle_failure st r =
+  if r land 3 = Fabric.shorted && not st.cat_live then begin
+    (* Lemma-7 catastrophe: report it, keep serving — repairs can
+       clear it, and the client deserves the signal either way *)
+    st.cat_live <- true;
+    st.catastrophes <- st.catastrophes + 1;
+    st.emit (Proto.Catastrophe { t = st.fab.fs.(0) })
+  end;
+  report_sever st (r lsr 2)
 
-let handle_repair st e =
-  st.repairs <- st.repairs + 1;
-  Fabric.repair st.fab st.frng e;
+let handle_repaired st =
   if st.cat_live && not (Fabric.terminals_shorted st.fab) then
     st.cat_live <- false
 
-(* serve schedules no arrivals, so tag 0 is only the tick *)
-let dispatch st ev =
-  if ev = Fabric.ev_tick then handle_tick st
-  else begin
-    st.events <- st.events + 1;
-    if ev land 3 = 1 then begin
-      let slot = Fabric.hangup st.fab (ev lsr 2) in
-      if slot >= 0 then note_release st slot
-    end
-    else handle_repair st (ev lsr 2)
-  end
+(* serve schedules no arrivals and never stops the clock early *)
+let handlers =
+  {
+    Fabric.stop = (fun _ -> false);
+    arrival = ignore;
+    failure = handle_failure;
+    release = note_release;
+    repaired = handle_repaired;
+  }
 
 let next_event_time st =
   let h = st.fab.heap in
   if Heap.is_empty h then infinity else Heap.min_time h
 
-(* fire every event due by [target] in the heap's (time, seq) order *)
-let rec fire st target =
-  let h = st.fab.heap in
-  if (not (Heap.is_empty h)) && Heap.min_time h <= target then begin
-    let t = Heap.min_time h in
-    let ev = Heap.pop h in
-    Fabric.advance st.fab t;
-    dispatch st ev;
-    fire st target
-  end
-
 let advance st target =
   if target > st.fab.fs.(0) then begin
-    fire st target;
+    Fabric.fire st.fab st.frng ~until:target handlers st;
     Fabric.advance st.fab target
   end
 
@@ -236,10 +209,10 @@ let metrics_json ?(queue_depth = 0) st =
       ("rerouted", Json.Int st.rerouted);
       ("dropped", Json.Int st.dropped);
       ("released", Json.Int st.released);
-      ("failures", Json.Int st.failures);
-      ("repairs", Json.Int st.repairs);
+      ("failures", Json.Int f.failures);
+      ("repairs", Json.Int f.repairs);
       ("catastrophes", Json.Int st.catastrophes);
-      ("events", Json.Int st.events);
+      ("events", Json.Int f.events);
       ("queue_depth", Json.Int queue_depth);
       ("decision_latency_ns", Histogram.to_json st.latency);
     ]
@@ -281,5 +254,5 @@ let summary st =
      %d dropped, %d released, %d failures, %d repairs, %d catastrophes, \
      sim-time %.6g, engine %s"
     st.offered st.accepted st.blocked st.overload st.rerouted st.dropped
-    st.released st.failures st.repairs st.catastrophes st.fab.fs.(0)
+    st.released st.fab.failures st.fab.repairs st.catastrophes st.fab.fs.(0)
     (engine_label st)

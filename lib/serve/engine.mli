@@ -11,7 +11,11 @@
     over fault masks, incremental Lemma-7 catastrophe detection, the
     fabric-wide failure clock ({!Ftcsn_des.Fabric.tick}), and one
     [(time, seq)] event heap holding hangups, repairs and the clock's
-    tick alike.  A
+    tick alike, fired by {!Ftcsn_des.Fabric.fire}.  Advancing to a
+    request's time fires every event due by then; this engine's
+    handlers only report what a failure severed, a catastrophe, a
+    released call and a cleared catastrophe, and its [failures],
+    [repairs] and [events] metrics are the fabric's counters.  A
     decision allocates only its protocol strings: steady-state
     allocation per decision is flat over a 10^8-call soak.
 

@@ -33,7 +33,9 @@ type progress = {
   jobs : int;
 }
 
-let default_chunk = 256
+(* trials per work unit: small enough that adaptive stopping is
+   responsive, large enough that domain dispatch cost is amortised *)
+let chunk = 256
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 
@@ -180,9 +182,8 @@ end
    a [`Stop] verdict discards every later chunk, including ones another
    domain already computed, so adaptive stopping is also scheduling-
    independent.  Returns the number of trials actually consumed. *)
-let exec ~jobs ~chunk ~cap ~run_chunk ~consume =
+let exec ~jobs ~cap ~run_chunk ~consume =
   if jobs < 1 then invalid_arg "Trials: jobs must be >= 1";
-  if chunk < 1 then invalid_arg "Trials: chunk must be >= 1";
   if cap < 0 then invalid_arg "Trials: trials must be >= 0";
   let n_chunks = (cap + chunk - 1) / chunk in
   let bounds c = (c * chunk, min cap ((c + 1) * chunk)) in
@@ -235,7 +236,7 @@ let exec ~jobs ~chunk ~cap ~run_chunk ~consume =
 
 type tracer = { sink : Trace.sink; run : int; t0 : int }
 
-let tracer_start trace ~label ~cap ~chunk ~jobs ~target_ci ~min_trials =
+let tracer_start trace ~label ~cap ~jobs ~target_ci ~min_trials =
   match trace with
   | None -> None
   | Some sink ->
@@ -279,14 +280,12 @@ let tracer_end tr ~executed ~successes =
 (* adaptive stopping's floor: no half-width is trusted before it *)
 let min_trials = 1000
 
-let run_scratch ?(jobs = 1) ?(chunk = default_chunk) ?target_ci ?progress
-    ?trace ?(label = "trials.run") ~trials:cap ~rng ~init f =
+let run_scratch ?(jobs = 1) ?target_ci ?progress ?trace ?(label = "trials.run")
+    ~trials:cap ~rng ~init f =
   let root = Rng.copy rng in
   let successes = ref 0 in
   let t0 = Unix.gettimeofday () in
-  let tr =
-    tracer_start trace ~label ~cap ~chunk ~jobs ~target_ci ~min_trials
-  in
+  let tr = tracer_start trace ~label ~cap ~jobs ~target_ci ~min_trials in
   let run_chunk ~lo ~hi =
     let scratch = init () in
     let s = ref 0 in
@@ -322,20 +321,20 @@ let run_scratch ?(jobs = 1) ?(chunk = default_chunk) ?target_ci ?progress
     | _ -> `Continue
   in
   let executed =
-    exec ~jobs ~chunk ~cap ~run_chunk:(timed_chunk tr run_chunk) ~consume
+    exec ~jobs ~cap ~run_chunk:(timed_chunk tr run_chunk) ~consume
   in
   tracer_end tr ~executed ~successes:(Some !successes);
   Rng.advance rng executed;
   of_counts ~successes:!successes ~trials:executed
 
-let sweep ?(jobs = 1) ?(chunk = default_chunk) ?progress ?trace
-    ?(label = "trials.sweep") ~trials:cap ~rng ~points ~init f =
+let sweep ?(jobs = 1) ?progress ?trace ?(label = "trials.sweep") ~trials:cap
+    ~rng ~points ~init f =
   if points < 1 then invalid_arg "Trials.sweep: points must be >= 1";
   let root = Rng.copy rng in
   let totals = Array.make points 0 in
   let t0 = Unix.gettimeofday () in
   let tr =
-    tracer_start trace ~label ~cap ~chunk ~jobs ~target_ci:None ~min_trials:0
+    tracer_start trace ~label ~cap ~jobs ~target_ci:None ~min_trials:0
   in
   let run_chunk ~lo ~hi =
     let scratch = init () in
@@ -372,19 +371,18 @@ let sweep ?(jobs = 1) ?(chunk = default_chunk) ?progress ?trace
     `Continue
   in
   let executed =
-    exec ~jobs ~chunk ~cap ~run_chunk:(timed_chunk tr run_chunk) ~consume
+    exec ~jobs ~cap ~run_chunk:(timed_chunk tr run_chunk) ~consume
   in
   tracer_end tr ~executed ~successes:None;
   Rng.advance rng executed;
   Array.map (fun s -> of_counts ~successes:s ~trials:executed) totals
 
-let map_reduce ?(jobs = 1) ?(chunk = default_chunk) ?trace
-    ?(label = "trials.map_reduce") ~trials:cap ~rng ~init ~create_acc ~trial
-    ~combine () =
+let map_reduce ?(jobs = 1) ?trace ?(label = "trials.map_reduce") ~trials:cap
+    ~rng ~init ~create_acc ~trial ~combine () =
   let root = Rng.copy rng in
   let global = create_acc () in
   let tr =
-    tracer_start trace ~label ~cap ~chunk ~jobs ~target_ci:None ~min_trials:0
+    tracer_start trace ~label ~cap ~jobs ~target_ci:None ~min_trials:0
   in
   let run_chunk ~lo ~hi =
     let scratch = init () in
@@ -400,18 +398,18 @@ let map_reduce ?(jobs = 1) ?(chunk = default_chunk) ?trace
     `Continue
   in
   let executed =
-    exec ~jobs ~chunk ~cap ~run_chunk:(timed_chunk tr run_chunk) ~consume
+    exec ~jobs ~cap ~run_chunk:(timed_chunk tr run_chunk) ~consume
   in
   tracer_end tr ~executed ~successes:None;
   Rng.advance rng executed;
   global
 
-let search ?(jobs = 1) ?(chunk = default_chunk) ?trace
-    ?(label = "trials.search") ~trials:cap ~rng ~init f =
+let search ?(jobs = 1) ?trace ?(label = "trials.search") ~trials:cap ~rng ~init
+    f =
   let root = Rng.copy rng in
   let found = ref None in
   let tr =
-    tracer_start trace ~label ~cap ~chunk ~jobs ~target_ci:None ~min_trials:0
+    tracer_start trace ~label ~cap ~jobs ~target_ci:None ~min_trials:0
   in
   let run_chunk ~lo ~hi =
     let scratch = init () in
@@ -433,7 +431,7 @@ let search ?(jobs = 1) ?(chunk = default_chunk) ?trace
     | None -> `Continue
   in
   let executed =
-    exec ~jobs ~chunk ~cap ~run_chunk:(timed_chunk tr run_chunk) ~consume
+    exec ~jobs ~cap ~run_chunk:(timed_chunk tr run_chunk) ~consume
   in
   tracer_end tr ~executed ~successes:None;
   Rng.advance rng executed;

@@ -19,8 +19,11 @@
     return, the caller's stream is advanced past every executed trial,
     exactly as the sequential loop would have left it.
 
-    Adaptive stopping is evaluated on chunk boundaries in index order, so
-    the executed trial count is deterministic too.
+    Trials run in chunks of 256 consecutive indices: small enough that
+    adaptive stopping is responsive, large enough that domain dispatch
+    cost is amortised.  Adaptive stopping is evaluated on chunk
+    boundaries in index order, so the executed trial count is
+    deterministic too.
 
     {2 Parallel execution}
 
@@ -89,7 +92,6 @@ val recommended_jobs : unit -> int
 
 val run_scratch :
   ?jobs:int ->
-  ?chunk:int ->
   ?target_ci:float ->
   ?progress:(progress -> unit) ->
   ?trace:Ftcsn_obs.Trace.sink ->
@@ -104,9 +106,6 @@ val run_scratch :
     [rng].
 
     - [jobs] (default 1): worker domains.
-    - [chunk] (default 256): trials per work unit — small enough that
-      adaptive stopping is responsive, large enough that domain dispatch
-      cost is amortised.
     - [target_ci]: adaptive stopping — stop at the first chunk boundary
       (after the first 1000 trials) where the Wilson 95% half-width
       drops to [target_ci] or below; [trials] remains a hard cap.
@@ -122,7 +121,6 @@ val run_scratch :
 
 val sweep :
   ?jobs:int ->
-  ?chunk:int ->
   ?progress:(progress -> unit) ->
   ?trace:Ftcsn_obs.Trace.sink ->
   ?label:string ->
@@ -153,7 +151,6 @@ val sweep :
 
 val map_reduce :
   ?jobs:int ->
-  ?chunk:int ->
   ?trace:Ftcsn_obs.Trace.sink ->
   ?label:string ->
   trials:int ->
@@ -175,7 +172,6 @@ val map_reduce :
 
 val search :
   ?jobs:int ->
-  ?chunk:int ->
   ?trace:Ftcsn_obs.Trace.sink ->
   ?label:string ->
   trials:int ->

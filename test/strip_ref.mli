@@ -24,7 +24,7 @@ type survivor = {
   contracted_classes : int;  (** number of quotient vertices *)
 }
 
-val compress_labels : Ftcsn_util.Union_find.t -> int array * int
+val compress_labels : Uf_ref.t -> int array * int
 (** [(label, k)] where [label.(i)] is a dense id in [0, k) shared exactly
     by equivalent elements — the class labels the quotient is built
     from. *)

@@ -1204,6 +1204,57 @@ let test_route_eps_grid () =
   check_contains "route grid" out
     "P[random permutation fully routes] curve (30 coupled trials"
 
+(* the single-ε survey and the coupled curve are one estimator: a survey
+   at ε prints the successes of the curve's point at ε, at ε = 0 too,
+   where a survey trial still draws every switch before its event
+   draws *)
+let survey_successes out =
+  (* "= MEAN [LO, HI] (S/T)  (T trials, ...)" *)
+  let rec find i =
+    if i + 3 > String.length out then Alcotest.failf "no survey in:\n%s" out
+    else if String.sub out i 3 = "] (" then
+      let j = String.index_from out (i + 3) ')' in
+      String.sub out (i + 3) (j - i - 3)
+    else find (i + 1)
+  in
+  find 0
+
+let curve_successes out eps =
+  let row =
+    List.find_opt
+      (fun line ->
+        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        | e :: _ -> e = eps
+        | [] -> false)
+      (String.split_on_char '\n' out)
+  in
+  match row with
+  | Some line -> List.hd (List.rev (String.split_on_char ' ' line))
+  | None -> Alcotest.failf "no curve row for eps %s in:\n%s" eps out
+
+let test_survey_equals_curve_point () =
+  List.iter
+    (fun cmd ->
+      let code, curve =
+        run (cmd ^ " --net benes:16 --eps-grid 0:0.002:3 --trials 2000 --seed 5")
+      in
+      Alcotest.(check int) "curve exit code" 0 code;
+      List.iter
+        (fun eps ->
+          let code, survey =
+            run
+              (Printf.sprintf "%s --net benes:16 --eps %s --trials 2000 --seed 5"
+                 cmd eps)
+          in
+          Alcotest.(check int) "survey exit code" 0 code;
+          Alcotest.(check string)
+            (Printf.sprintf "%s survey = curve point at eps %s" cmd eps)
+            (curve_successes curve eps) (survey_successes survey))
+        [ "0"; "0.001" ])
+    [ "route"; "faults" ];
+  let _, out = run "route --net benes:16 --eps 0.001 --trials 2000 --seed 5" in
+  check_contains "route survey at 0.001" out "(177/2000)"
+
 let test_error_eps_grid_malformed () =
   check_usage_error "eps-grid bad" "curve --net benes -n 8 --eps-grid bad"
     "expected LO:HI:STEPS[:log|:lin]";
@@ -1333,6 +1384,8 @@ let () =
           Alcotest.test_case "rare tuning flags" `Quick test_rare_tuning_flags;
           Alcotest.test_case "faults eps-grid" `Quick test_faults_eps_grid;
           Alcotest.test_case "route eps-grid" `Quick test_route_eps_grid;
+          Alcotest.test_case "survey = curve point" `Quick
+            test_survey_equals_curve_point;
           Alcotest.test_case "degrade" `Quick test_degrade;
           Alcotest.test_case "degrade arrival" `Quick test_degrade_arrival;
           Alcotest.test_case "degrade golden" `Quick test_degrade_golden;

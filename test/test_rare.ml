@@ -223,11 +223,12 @@ let test_mc_and_curve_vs_exact () =
   let trials = 20_000 in
   let oracle = Pipeline.create_ws net in
   let event pattern = Rare.fails oracle (Rng.create ~seed:99) pattern in
-  let on_scratch sc = event (Ftcsn_reliability.Scratch.pattern sc) in
+  let on_pattern () _ pattern = event pattern in
+  let m = Digraph.edge_count g in
   let curve =
-    Monte_carlo.estimate_curve ~trials ~rng:(Rng.create ~seed:31) ~graph:g
+    Monte_carlo.estimate_curve ~trials ~rng:(Rng.create ~seed:31) ~m
       ~grid:(Array.map (fun e -> (e, e)) grid)
-      on_scratch
+      ~init:ignore on_pattern
   in
   Array.iteri
     (fun k eps ->
@@ -242,11 +243,52 @@ let test_mc_and_curve_vs_exact () =
       in
       checkb "exact failure prob is nonzero" true (exact > 0.0);
       within "plain MC"
-        (Monte_carlo.estimate_event_scratch ~trials
-           ~rng:(Rng.create ~seed:(30 + k)) ~graph:g ~eps_open:eps
-           ~eps_close:eps on_scratch);
+        (Monte_carlo.estimate_event ~trials ~rng:(Rng.create ~seed:(30 + k))
+           ~m ~eps_open:eps ~eps_close:eps ~init:ignore on_pattern);
       within "CRN curve" curve.(k))
     grid
+
+(* Rare.fails is the complement of Pipeline.survival's event under
+   sc_probe_only, and both estimate on Monte_carlo.estimate_event, so on
+   one seed their counts partition the trials exactly; valiant-sc does
+   not stage, so its probes take the Dinic-only path.  On benes:8 the
+   plain interval must also overlap tilted IS's at the same ε, the
+   plain-vs-tilted half of the cross-estimator gate (splitting estimates
+   only the monotone part of the event, so it is not compared here). *)
+let test_plain_partitions_survival () =
+  let eps = 0.02 in
+  let plain ~trials net =
+    let failures =
+      Monte_carlo.estimate_event ~trials ~rng:(Rng.create ~seed:17)
+        ~m:(Network.size net) ~eps_open:eps ~eps_close:eps
+        ~init:(fun () -> Pipeline.domain_ws net)
+        Rare.fails
+    in
+    let survivals =
+      Pipeline.survival ~trials ~rng:(Rng.create ~seed:17) ~eps
+        ~probe:Pipeline.sc_probe_only net
+    in
+    Alcotest.(check int)
+      (net.Network.name ^ ": failures + survivals = trials")
+      trials
+      (failures.Monte_carlo.successes + survivals.Monte_carlo.successes);
+    failures
+  in
+  let net = build_net "benes" ~n:8 in
+  let failures = plain ~trials:3000 net in
+  List.iter
+    (fun spec -> ignore (plain ~trials:1000 (build_net spec ~n:8)))
+    [ "butterfly"; "valiant-sc" ];
+  let rng = Rng.create ~seed:18 in
+  let tilt = Rare.tune_tilt ~trials:500 ~rng ~eps net in
+  let tilted = Rare.failure_tilted ~trials:3000 ~rng ~eps ~tilt net in
+  checkb
+    (Printf.sprintf "plain MC [%g, %g] overlaps tilted IS [%g, %g]"
+       failures.Monte_carlo.ci_low failures.Monte_carlo.ci_high
+       tilted.Splitting.ci_low tilted.Splitting.ci_high)
+    true
+    (failures.Monte_carlo.ci_low <= tilted.Splitting.ci_high
+    && tilted.Splitting.ci_low <= failures.Monte_carlo.ci_high)
 
 let test_splitting_unbiased_vs_exact () =
   let net = build_net "crossbar" ~n:3 in
@@ -561,6 +603,8 @@ let () =
         [
           Alcotest.test_case "MC and CRN curve vs Exact (crossbar)" `Slow
             test_mc_and_curve_vs_exact;
+          Alcotest.test_case "plain MC = 1 - survival; overlaps tilted IS"
+            `Quick test_plain_partitions_survival;
         ] );
       ( "event",
         List.map QCheck_alcotest.to_alcotest

@@ -145,8 +145,8 @@ let test_monte_carlo_matches_exact () =
   let exact = Exact_ref.probability g ~eps_open:eps ~eps_close:eps event in
   let rng = Rng.create ~seed:2024 in
   let est =
-    Monte_carlo.estimate_event_scratch ~trials:20_000 ~rng ~graph:g
-      ~eps_open:eps ~eps_close:eps (fun sc -> event (Scratch.pattern sc))
+    Monte_carlo.estimate_event ~trials:20_000 ~rng ~m:2 ~eps_open:eps
+      ~eps_close:eps ~init:ignore (fun () _ pattern -> event pattern)
   in
   checkb "exact within CI" true (est.ci_low <= exact && exact <= est.ci_high)
 
@@ -570,8 +570,8 @@ let check_estimate msg (a : Trials.estimate) (b : Trials.estimate) =
 let run_at ~jobs ?target_ci () =
   let rng = Rng.create ~seed:2024 in
   let est =
-    Trials.run_scratch ~jobs ?target_ci ~chunk:64 ~trials:2000 ~rng
-      ~init:ignore (fun () sub -> spiky_trial sub)
+    Trials.run_scratch ~jobs ?target_ci ~trials:8000 ~rng ~init:ignore
+      (fun () sub -> spiky_trial sub)
   in
   (* the parent stream must also be advanced identically *)
   (est, Rng.int64 rng)
@@ -591,30 +591,43 @@ let test_trials_adaptive_deterministic () =
   check_estimate "adaptive jobs 1 vs 4" e1 e4;
   Alcotest.(check int64) "parent stream advanced identically" next1 next4;
   checkb "adaptive stopping actually stopped early" true
-    (e1.Trials.trials < 2000);
-  checkb "respects min_trials floor" true (e1.Trials.trials >= 1000)
+    (e1.Trials.trials < 8000);
+  checkb "respects min_trials floor" true (e1.Trials.trials >= 1000);
+  check "stops on a 256-trial chunk boundary" 0 (e1.Trials.trials mod 256)
 
-let test_estimate_event_scratch_jobs_deterministic () =
-  let g = Digraph.of_edges ~n:4 [| (0, 1); (1, 2); (2, 3); (0, 3) |] in
+let test_estimate_event_jobs_deterministic () =
   let run jobs =
     let rng = Rng.create ~seed:77 in
-    Monte_carlo.estimate_event_scratch ~jobs ~trials:1500 ~rng ~graph:g
-      ~eps_open:0.1 ~eps_close:0.1 (fun sc ->
-        Fault.count (Scratch.pattern sc) Fault.Normal > 2)
+    Monte_carlo.estimate_event ~jobs ~trials:1500 ~rng ~m:4 ~eps_open:0.1
+      ~eps_close:0.1 ~init:ignore (fun () _ pattern ->
+        Fault.count pattern Fault.Normal > 2)
   in
-  check_estimate "estimate_event_scratch jobs 1 vs 4" (run 1) (run 4)
+  check_estimate "estimate_event jobs 1 vs 4" (run 1) (run 4)
 
 let test_search_jobs_deterministic () =
+  (* a probe hits with probability 1/1000 and names its hit by a second
+     draw; the lowest-indexed hit lies past the first 256-trial chunk,
+     so the jobs 4 run must pick it over its round's later chunks *)
+  let probe sub =
+    if Rng.int sub 1000 = 0 then Some (Rng.int sub 1_000_000) else None
+  in
+  let root = Rng.create ~seed:9 in
+  let rec first i =
+    match probe (Rng.substream root i) with
+    | Some w -> (i, w)
+    | None -> first (i + 1)
+  in
+  let index, witness = first 0 in
+  checkb "the first hit lies past the first chunk" true (index >= 256);
   let find jobs =
     let rng = Rng.create ~seed:9 in
-    Trials.search ~jobs ~chunk:16 ~trials:400 ~rng ~init:ignore (fun () sub ->
-        let v = Rng.int sub 50 in
-        if v = 0 then Some v else None)
+    Trials.search ~jobs ~trials:8000 ~rng ~init:ignore (fun () sub -> probe sub)
   in
   match (find 1, find 4) with
-  | Some a, Some b -> check "same witness" a b
-  | None, None -> ()
-  | _ -> Alcotest.fail "search: jobs 1 and jobs 4 disagree on existence"
+  | Some a, Some b ->
+      check "jobs 1 finds the lowest-indexed witness" witness a;
+      check "same witness" a b
+  | _ -> Alcotest.fail "search: a run missed the witness"
 
 (* ---------- CRN ε-curve sweeps ---------- *)
 
@@ -622,29 +635,29 @@ let sweep_graph () =
   Digraph.of_edges ~n:6
     [| (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (0, 3); (1, 4); (2, 5) |]
 
-let sweep_event sc =
-  let pattern = Scratch.pattern sc in
+let sweep_m = Digraph.edge_count (sweep_graph ())
+
+let sweep_event () _ pattern =
   Fault.count pattern Fault.Normal > Array.length pattern - 3
 
 let test_sweep_one_point_matches_scratch () =
   (* a 1-point grid must reproduce the single-ε engine bit-for-bit:
      same draws, same thresholds, same parent-stream advance *)
-  let g = sweep_graph () in
   List.iter
     (fun jobs ->
       let rng_c = Rng.create ~seed:321 in
       let curve =
-        Monte_carlo.estimate_curve ~jobs ~trials:800 ~rng:rng_c ~graph:g
+        Monte_carlo.estimate_curve ~jobs ~trials:800 ~rng:rng_c ~m:sweep_m
           ~grid:[| (0.07, 0.05) |]
-          sweep_event
+          ~init:ignore sweep_event
       in
       let rng_s = Rng.create ~seed:321 in
       let single =
-        Monte_carlo.estimate_event_scratch ~jobs ~trials:800 ~rng:rng_s
-          ~graph:g ~eps_open:0.07 ~eps_close:0.05 sweep_event
+        Monte_carlo.estimate_event ~jobs ~trials:800 ~rng:rng_s ~m:sweep_m
+          ~eps_open:0.07 ~eps_close:0.05 ~init:ignore sweep_event
       in
       check "one point" 1 (Array.length curve);
-      check_estimate "1-point grid = estimate_event_scratch" curve.(0) single;
+      check_estimate "1-point grid = estimate_event" curve.(0) single;
       Alcotest.(check int64)
         "parent stream advanced identically" (Rng.int64 rng_s)
         (Rng.int64 rng_c))
@@ -653,24 +666,53 @@ let test_sweep_one_point_matches_scratch () =
 let test_curve_points_match_independent_runs () =
   (* every grid point equals an independent run at that (ε₁, ε₂): the
      coupling shares draws, never changes any single point's law *)
-  let g = sweep_graph () in
   let grid = [| (0.01, 0.0); (0.05, 0.02); (0.2, 0.1) |] in
   let curve =
     let rng = Rng.create ~seed:99 in
-    Monte_carlo.estimate_curve ~trials:600 ~rng ~graph:g ~grid sweep_event
+    Monte_carlo.estimate_curve ~trials:600 ~rng ~m:sweep_m ~grid ~init:ignore
+      sweep_event
   in
   Array.iteri
     (fun k (eps_open, eps_close) ->
       let rng = Rng.create ~seed:99 in
       let single =
-        Monte_carlo.estimate_event_scratch ~trials:600 ~rng ~graph:g ~eps_open
-          ~eps_close sweep_event
+        Monte_carlo.estimate_event ~trials:600 ~rng ~m:sweep_m ~eps_open
+          ~eps_close ~init:ignore sweep_event
+      in
+      check_estimate (Printf.sprintf "grid point %d" k) curve.(k) single)
+    grid
+
+(* an event that draws after the pattern (a probe, a permutation) draws
+   the same values at every point, and each point still equals its
+   independent run *)
+let test_curve_drawing_event_matches_independent_runs () =
+  let grid = [| (0.02, 0.01); (0.1, 0.05); (0.3, 0.2) |] in
+  let draws = Array.make (Array.length grid) 0 in
+  let event k () sub pattern =
+    let d = Rng.int sub 1000 in
+    (match k with Some k -> draws.(k) <- draws.(k) + d | None -> ());
+    sweep_event () sub pattern && d < 600
+  in
+  let point = ref 0 in
+  let curve =
+    Monte_carlo.estimate_curve ~trials:900 ~rng:(Rng.create ~seed:41)
+      ~m:sweep_m ~grid ~init:ignore (fun () sub pattern ->
+        let k = !point in
+        point := (k + 1) mod Array.length grid;
+        event (Some k) () sub pattern)
+  in
+  checkb "every point drew the same values" true
+    (Array.for_all (( = ) draws.(0)) draws);
+  Array.iteri
+    (fun k (eps_open, eps_close) ->
+      let single =
+        Monte_carlo.estimate_event ~trials:900 ~rng:(Rng.create ~seed:41)
+          ~m:sweep_m ~eps_open ~eps_close ~init:ignore (event None)
       in
       check_estimate (Printf.sprintf "grid point %d" k) curve.(k) single)
     grid
 
 let test_sweep_jobs_trace_deterministic () =
-  let g = sweep_graph () in
   let grid = [| (0.02, 0.01); (0.1, 0.05); (0.3, 0.2) |] in
   let run ~jobs ~traced =
     let rng = Rng.create ~seed:512 in
@@ -679,12 +721,14 @@ let test_sweep_jobs_trace_deterministic () =
         let sink, _drain = Ftcsn_obs.Trace.memory () in
         let r =
           Monte_carlo.estimate_curve ~jobs ~trace:sink ~trials:700 ~rng
-            ~graph:g ~grid sweep_event
+            ~m:sweep_m ~grid ~init:ignore sweep_event
         in
         Ftcsn_obs.Trace.close sink;
         r
       end
-      else Monte_carlo.estimate_curve ~jobs ~trials:700 ~rng ~graph:g ~grid sweep_event
+      else
+        Monte_carlo.estimate_curve ~jobs ~trials:700 ~rng ~m:sweep_m ~grid
+          ~init:ignore sweep_event
     in
     (ests, Rng.int64 rng)
   in
@@ -706,12 +750,13 @@ let test_sweep_jobs_trace_deterministic () =
    short-circuit trials that already failed *)
 let hammock_open_curve ~trials ~rng ~eps (h : Hammock.t) =
   Monte_carlo.estimate_curve ~monotone_event:true ~trials ~rng
-    ~graph:h.Hammock.graph
+    ~m:(Hammock.size h)
     ~grid:(Array.map (fun e -> (e, e)) eps)
-    (fun sc ->
+    ~init:(fun () -> Scratch.create h.Hammock.graph)
+    (fun sc _ pattern ->
       not
-        (Survivor.connected_ignoring_opens_into sc (Scratch.pattern sc)
-           ~a:h.Hammock.input ~b:h.Hammock.output))
+        (Survivor.connected_ignoring_opens_into sc pattern ~a:h.Hammock.input
+           ~b:h.Hammock.output))
 
 let test_crn_curve_monotone_successes () =
   (* CRN couples trials across the curve, so the per-point success
@@ -751,7 +796,7 @@ let test_pool_spawns_counted_once () =
   let run () =
     let rng = Rng.create ~seed:5 in
     ignore
-      (Trials.run_scratch ~jobs:3 ~chunk:32 ~trials:300 ~rng ~init:ignore
+      (Trials.run_scratch ~jobs:3 ~trials:1000 ~rng ~init:ignore
          (fun () sub -> spiky_trial sub))
   in
   run ();
@@ -775,11 +820,11 @@ let prop_survivor_class_count =
       let pattern = Fault.sample rng ~eps_open:0.2 ~eps_close:0.3 ~m in
       let s = Strip_ref.apply g pattern in
       (* classes computed independently via union-find over closed edges *)
-      let uf = Ftcsn_util.Union_find.create n in
+      let uf = Uf_ref.create n in
       Array.iteri
         (fun e st ->
           if Fault.state_equal st Fault.Closed_failure then
-            Ftcsn_util.Union_find.union uf (Digraph.edge_src g e)
+            Uf_ref.union uf (Digraph.edge_src g e)
               (Digraph.edge_dst g e))
         pattern;
       s.Strip_ref.contracted_classes
@@ -889,11 +934,11 @@ let prop_hammock_ws_matches_legacy =
          rebuilding oracle's BFS *)
       let legacy =
         let rng = Rng.create ~seed in
-        Monte_carlo.estimate_event_scratch ~trials ~rng ~graph:h.Hammock.graph
-          ~eps_open:eps ~eps_close:eps (fun sc ->
+        Monte_carlo.estimate_event ~trials ~rng ~m:(Hammock.size h)
+          ~eps_open:eps ~eps_close:eps ~init:ignore (fun () _ pattern ->
             not
-              (Strip_ref.connected_ignoring_opens h.Hammock.graph
-                 (Scratch.pattern sc) ~a:h.Hammock.input ~b:h.Hammock.output))
+              (Strip_ref.connected_ignoring_opens h.Hammock.graph pattern
+                 ~a:h.Hammock.input ~b:h.Hammock.output))
       in
       let e1 = run 1 in
       run 2 = e1 && run 4 = e1 && legacy = e1)
@@ -1031,8 +1076,8 @@ let () =
             test_trials_jobs_deterministic;
           Alcotest.test_case "adaptive stopping identical at every jobs" `Quick
             test_trials_adaptive_deterministic;
-          Alcotest.test_case "estimate_event_scratch identical at every jobs"
-            `Quick test_estimate_event_scratch_jobs_deterministic;
+          Alcotest.test_case "estimate_event identical at every jobs"
+            `Quick test_estimate_event_jobs_deterministic;
           Alcotest.test_case "search witness identical at every jobs" `Quick
             test_search_jobs_deterministic;
         ] );
@@ -1042,6 +1087,8 @@ let () =
             test_sweep_one_point_matches_scratch;
           Alcotest.test_case "curve points = independent runs" `Quick
             test_curve_points_match_independent_runs;
+          Alcotest.test_case "drawing event = independent runs" `Quick
+            test_curve_drawing_event_matches_independent_runs;
           Alcotest.test_case "identical across jobs and tracing" `Quick
             test_sweep_jobs_trace_deterministic;
           Alcotest.test_case "CRN success counts monotone" `Quick

@@ -7,7 +7,7 @@
 
 module Rng = Ftcsn_prng.Rng
 module Digraph = Ftcsn_graph.Digraph
-module Union_find = Ftcsn_util.Union_find
+module Union_find = Uf_ref
 module Dyn_conn = Ftcsn_reliability.Dyn_conn
 module Network = Ftcsn_networks.Network
 module Topology = Ftcsn_networks.Topology

@@ -105,9 +105,9 @@ let test_union_find_classes () =
   checkb "not equiv" false (Union_find.equiv uf 0 5)
 
 let test_union_find_labels () =
-  let uf = Union_find.create 6 in
-  Union_find.union uf 0 5;
-  Union_find.union uf 2 3;
+  let uf = Uf_ref.create 6 in
+  Uf_ref.union uf 0 5;
+  Uf_ref.union uf 2 3;
   let label, k = Strip_ref.compress_labels uf in
   check "class count" 4 k;
   check "same label" label.(0) label.(5);
@@ -115,11 +115,37 @@ let test_union_find_labels () =
   Array.iter (fun l -> checkb "dense" true (l >= 0 && l < k)) label
 
 let test_union_find_idempotent () =
-  let uf = Union_find.create 4 in
-  Union_find.union uf 0 1;
-  Union_find.union uf 0 1;
-  Union_find.union uf 1 0;
+  let uf = Uf_ref.create 4 in
+  Uf_ref.union uf 0 1;
+  Uf_ref.union uf 0 1;
+  Uf_ref.union uf 1 0;
   check "classes" 3 (snd (Strip_ref.compress_labels uf))
+
+(* a reset forest is n singletons again, and unions after it start from
+   scratch; the plain oracle forest agrees with it throughout *)
+let test_union_find_reset () =
+  let uf = Union_find.create 8 and oracle = Uf_ref.create 8 in
+  let same () =
+    for a = 0 to 7 do
+      for b = 0 to 7 do
+        checkb "agrees with Uf_ref" (Uf_ref.equiv oracle a b)
+          (Union_find.equiv uf a b)
+      done
+    done
+  in
+  List.iter
+    (fun (a, b) ->
+      Union_find.union uf a b;
+      Uf_ref.union oracle a b)
+    [ (0, 1); (2, 3); (1, 3); (6, 7) ];
+  same ();
+  Union_find.reset uf;
+  Uf_ref.reset oracle;
+  same ();
+  Union_find.union uf 4 5;
+  Uf_ref.union oracle 4 5;
+  same ();
+  checkb "old class gone" false (Union_find.equiv uf 0 3)
 
 (* ---------- Perm ---------- *)
 
@@ -401,6 +427,7 @@ let () =
           Alcotest.test_case "classes" `Quick test_union_find_classes;
           Alcotest.test_case "labels" `Quick test_union_find_labels;
           Alcotest.test_case "idempotent" `Quick test_union_find_idempotent;
+          Alcotest.test_case "reset" `Quick test_union_find_reset;
         ] );
       ( "perm",
         [

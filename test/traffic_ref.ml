@@ -20,7 +20,7 @@
 module Network = Ftcsn_networks.Network
 module Digraph = Ftcsn_graph.Digraph
 module Fault = Ftcsn_reliability.Fault
-module Union_find = Ftcsn_util.Union_find
+module Union_find = Uf_ref
 module Greedy = Ftcsn_routing.Greedy
 module Backtrack = Ftcsn_routing.Backtrack
 module Rng = Ftcsn_prng.Rng
