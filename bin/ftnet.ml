@@ -557,6 +557,31 @@ let topologies_cmd =
   let doc = "List every registered network family with its parameters." in
   Cmd.v (Cmd.info "topologies" ~doc) Term.(const run $ names_only)
 
+(* ---------- per-domain survey workspaces ---------- *)
+
+(* The surveys' trials run on a Fault_strip workspace (for route, with
+   the greedy router it masks), and each re-strips or clears what it
+   reads, so a reused one gives a fresh one's results.  The last one
+   built on each domain is kept while the network is the same, so a
+   survey builds one per domain instead of one per 256-trial chunk. *)
+let strip_slot = Ftcsn_util.Domain_slot.create ()
+
+let strip_ws net =
+  Ftcsn_util.Domain_slot.get strip_slot
+    ~fits:(fun ws -> Strip.ws_net ws == net)
+    ~build:(fun () -> Strip.create_ws net)
+
+let routed_slot = Ftcsn_util.Domain_slot.create ()
+
+let routed_ws net =
+  Ftcsn_util.Domain_slot.get routed_slot
+    ~fits:(fun (fs, _) -> Strip.ws_net fs == net)
+    ~build:(fun () ->
+      let fs = Strip.create_ws net in
+      ( fs,
+        Ftcsn_routing.Greedy.create ~allowed:(Strip.ws_allowed fs)
+          ~edge_ok:(Strip.ws_edge_ok fs) net ))
+
 (* ---------- faults ---------- *)
 
 let faults_cmd =
@@ -570,7 +595,7 @@ let faults_cmd =
     let closes = Fault.count pattern Fault.Closed_failure in
     Format.printf "switches: %d, open failures: %d, closed failures: %d@." m
       opens closes;
-    let ws = Strip.create_ws net in
+    let ws = strip_ws net in
     Strip.strip_into ~radius ws pattern;
     let stripped = Ftcsn_util.Bitset.cardinal (Strip.ws_stripped ws) in
     let vertices = Ftcsn_graph.Digraph.vertex_count net.Network.graph in
@@ -588,9 +613,9 @@ let faults_cmd =
       | is -> String.concat ", " (List.map string_of_int is));
     (* the surveys' event: a fresh pattern leaves a clean survivor (no
        shorted terminals, no isolated inputs); one Fault_strip workspace
-       per worker, so trials allocate nothing but the isolated-input
+       per domain, so trials allocate nothing but the isolated-input
        lists *)
-    let init () = Strip.create_ws net in
+    let init () = strip_ws net in
     let clean ws _ pattern =
       Strip.strip_into ~radius ws pattern;
       Strip.ws_healthy ws && Strip.ws_isolated_inputs ws = []
@@ -651,12 +676,7 @@ let route_cmd =
     let n' = min (Network.n_inputs net) (Network.n_outputs net) in
     (* one Fault_strip workspace and the greedy router it masks: the
        router runs on the original graph and sees each re-strip *)
-    let init () =
-      let fs = Strip.create_ws net in
-      ( fs,
-        Ftcsn_routing.Greedy.create ~allowed:(Strip.ws_allowed fs)
-          ~edge_ok:(Strip.ws_edge_ok fs) net )
-    in
+    let init () = routed_ws net in
     (* the surveys' event: a random permutation, drawn after the
        switches, routes fully on the strip *)
     let full_route (fs, router) sub pattern =
@@ -1735,9 +1755,9 @@ let critical_cmd =
     let rng = Seeds.critical net_args.seed in
     let g = net.Network.graph in
     (* event: the stripped survivor fails the class-fair probes; runs on
-       a per-worker Fault_strip workspace so the 3·sample evaluations per
+       a per-domain Fault_strip workspace so the 3·sample evaluations per
        trial stay allocation-free *)
-    let init () = Strip.create_ws net in
+    let init () = strip_ws net in
     let event ws pattern =
       Strip.strip_into ws pattern;
       (not (Strip.ws_healthy ws)) || Strip.ws_isolated_inputs ws <> []

@@ -99,15 +99,12 @@ let create_ws net =
    re-initialises the state it reads, and the curve resets the pattern
    buffer when it takes the workspace, so a reused workspace behaves
    like a fresh one. *)
-let slot : ws option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let slot = Ftcsn_util.Domain_slot.create ()
 
 let domain_ws net =
-  match Domain.DLS.get slot with
-  | Some ws when Fault_strip.ws_net ws.fs == net -> ws
-  | Some _ | None ->
-      let ws = create_ws net in
-      Domain.DLS.set slot (Some ws);
-      ws
+  Ftcsn_util.Domain_slot.get slot
+    ~fits:(fun ws -> Fault_strip.ws_net ws.fs == net)
+    ~build:(fun () -> create_ws net)
 
 let ws_fault_strip ws = ws.fs
 

@@ -4,6 +4,7 @@ module Fault = Ftcsn_reliability.Fault
 module Dyn_conn = Ftcsn_reliability.Dyn_conn
 module Greedy = Ftcsn_routing.Greedy
 module Rng = Ftcsn_prng.Rng
+module Vec = Ftcsn_util.Vec
 
 (* Events are unboxed ints: [(arg lsl 2) lor tag].  Pushing an immediate
    int onto the heap allocates nothing, and the [(time, push-seq)]
@@ -47,13 +48,14 @@ let is_idle p x = p.pos.(x) < p.size
 
 type t = {
   net : Network.t;
-  mtbf : float;
-  mttr : float;
+  mutable mtbf : float;
+  mutable mttr : float;
   heap : int Heap.t;
   router : Greedy.t;
   route_buf : int array;
   fstate : Fault.state array;
   faulty_deg : int array;
+  lost : int Vec.t;
   allowed : int -> bool;
   edge_ok : int -> bool;
   conn : Dyn_conn.t;
@@ -107,6 +109,7 @@ let create ?(engine = `Bfs) ~mtbf ~mttr net =
     route_buf = Array.make n 0;
     fstate;
     faulty_deg;
+    lost = Vec.create ();
     allowed;
     edge_ok;
     conn = Dyn_conn.create ~terminals:(Network.terminals net) g;
@@ -366,7 +369,8 @@ let tick f rng =
     else begin
       let closed = Rng.bool rng in
       if f.mttr < infinity then
-        schedule f (Dist.exponential rng ~rate:(1.0 /. f.mttr)) (ev_repair e);
+        schedule f (Dist.exponential rng ~rate:(1.0 /. f.mttr)) (ev_repair e)
+      else Vec.push f.lost e;
       f.failed <- f.failed + 1;
       f.failures <- f.failures + 1;
       (e lsl 2) lor mark_failed f e ~closed
@@ -382,6 +386,64 @@ let repair f rng e =
   f.failed <- f.failed - 1;
   f.repairs <- f.repairs + 1;
   if f.failed = Array.length f.fstate - 1 then arm_tick f rng
+
+(* ---- reset ---- *)
+
+let refill p =
+  let n = Array.length p.items in
+  for i = 0 to n - 1 do
+    p.items.(i) <- i;
+    p.pos.(i) <- i
+  done;
+  p.size <- n
+
+(* each step undoes what the run did, so the cost is the run's live
+   calls, its failed switches and its pending events, plus O(cap) for
+   the pools and the call store *)
+let reset f ~mtbf ~mttr =
+  let sl = ref f.live_head in
+  while !sl >= 0 do
+    unroute f !sl;
+    sl := f.c_next.(!sl)
+  done;
+  (* the switches the clock left failed: with a finite mttr each has
+     its one repair pending in the heap, with mttr = infinity none does
+     and each is on [lost] once *)
+  for i = 0 to Heap.size f.heap - 1 do
+    let ev = Heap.nth f.heap i in
+    if ev land 3 = 3 then mark_repaired f (ev lsr 2)
+  done;
+  for i = 0 to Vec.length f.lost - 1 do
+    mark_repaired f (Vec.get f.lost i)
+  done;
+  Vec.clear f.lost;
+  Heap.clear f.heap;
+  (* [draw] indexes the pool's items, so their order is part of the
+     draw stream: back to the identity [create] starts from *)
+  refill f.idle_in;
+  refill f.idle_out;
+  for s = 0 to f.cap - 1 do
+    f.c_in.(s) <- -1;
+    f.c_out.(s) <- -1;
+    f.c_stamp.(s) <- 0;
+    f.c_plen.(s) <- 0;
+    f.c_prev.(s) <- -1;
+    f.c_next.(s) <- (if s + 1 < f.cap then s + 1 else -1)
+  done;
+  f.live_head <- -1;
+  f.live_count <- 0;
+  f.free_head <- (if f.cap > 0 then 0 else -1);
+  f.max_concurrent <- 0;
+  f.failed <- 0;
+  f.events <- 0;
+  f.failures <- 0;
+  f.repairs <- 0;
+  f.severed.(0) <- 0;
+  f.severed.(1) <- 0;
+  f.fs.(0) <- 0.0;
+  f.fs.(1) <- 0.0;
+  f.mtbf <- mtbf;
+  f.mttr <- mttr
 
 (* ---- the event loop ---- *)
 

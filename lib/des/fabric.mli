@@ -16,6 +16,10 @@
     a fired hangup — allocates nothing once each slot's grow-once path
     buffers have reached the longest path it has carried.
 
+    One fabric serves many runs: {!reset} returns a used one to the
+    state {!create} returns, at a cost in what the last run touched, not
+    in the network's size.
+
     {2 The failure clock}
 
     Every switch fails independently at rate [1/mtbf].  Rather than one
@@ -71,13 +75,16 @@ val is_idle : pool -> int -> bool
 
 type t = private {
   net : Ftcsn_networks.Network.t;
-  mtbf : float;  (** per-switch mean time between failures *)
-  mttr : float;  (** per-switch mean time to repair *)
+  mutable mtbf : float;  (** per-switch mean time between failures *)
+  mutable mttr : float;  (** per-switch mean time to repair *)
   heap : int Heap.t;  (** the event queue; see the [ev_*] encoding *)
   router : Ftcsn_routing.Greedy.t;
   route_buf : int array;
   fstate : Ftcsn_reliability.Fault.state array;  (** per switch (edge) *)
   faulty_deg : int array;  (** failed switches incident to each vertex *)
+  lost : int Ftcsn_util.Vec.t;
+      (** with [mttr = infinity], the switches the clock has failed for
+          good: no repair event names them, so {!reset} finds them here *)
   allowed : int -> bool;
       (** the router's vertex mask: terminals, and internal vertices with
           no failed incident switch *)
@@ -121,6 +128,36 @@ val create :
 (** An idle, fault-free fabric at time 0 with an empty heap sized for
     one hangup per call slot, the next arrival and the tick; it grows by
     doubling. *)
+
+val reset : t -> mtbf:float -> mttr:float -> unit
+(** [reset f ~mtbf ~mttr] returns a used fabric to the state {!create}
+    returns with these rates, at a cost in what its last run touched: its
+    live calls, its failed switches and its pending events, plus O(cap)
+    for the pools and the call store — nothing in the switch or vertex
+    count.  Allocates nothing.  A fabric under reuse is built once per
+    network and router engine ([Traffic.run] keeps one per domain), and
+    every run on it equals a run on a fresh fabric, draw for draw:
+    - every live call is unrouted, which empties the router's busy set
+      and the owner index;
+    - every switch the failure clock left failed is repaired, which
+      restores fault states and faulty degrees and reopens each closed
+      switch in {!Ftcsn_reliability.Dyn_conn}.  Once no switch is
+      closed, every contraction class is a singleton again and no
+      terminals are shorted.  With a finite [mttr] each failed switch
+      has exactly one repair pending in the heap; with [mttr = infinity]
+      it is on [lost], once, since a failed switch never fails again;
+    - both idle pools are refilled in identity order, since {!draw}
+      picks by position and the pool order is part of the draw stream;
+    - the freelist is rebuilt as [0 .. cap-1] with every stamp 0, so
+      slots are claimed, and hangups keyed, as on a fresh fabric;
+    - the heap is emptied.  Its push counter keeps counting, which
+      keeps every later [(time, seq)] order the same;
+    - the counters, [now] and the integral return to 0.
+
+    The routers', the search arena's and [Dyn_conn]'s scratch is
+    epoch-stamped and needs nothing.  Requires every failed switch to
+    have been failed by {!tick}: a switch failed by hand with
+    {!mark_failed} must be repaired by hand. *)
 
 (** {2 Events}
 

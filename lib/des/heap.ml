@@ -98,6 +98,10 @@ let pop h =
   done;
   x
 
+let nth h i =
+  if i < 0 || i >= h.size then invalid_arg "Heap.nth: index out of range";
+  h.payload.(i)
+
 let clear h =
   Array.fill h.payload 0 h.size h.dummy;
   h.size <- 0

@@ -32,6 +32,11 @@ val pop : 'a t -> 'a
     Read {!min_time} first if the timestamp is needed.
     @raise Invalid_argument when empty. *)
 
+val nth : 'a t -> int -> 'a
+(** [nth h i], for [0 <= i < size h]: the [i]-th pending payload in the
+    heap's storage order, which is not pop order — for a walk over every
+    pending event that pops none. *)
+
 val clear : 'a t -> unit
 (** Forget all pending events (the seq counter keeps advancing, so
     ordering stays stable across reuse). *)

@@ -115,11 +115,7 @@ type state = {
   mutable stopped : bool;
 }
 
-let init ~rng ~cfg net =
-  let fab =
-    Fabric.create ~engine:(engine_of_policy cfg.policy) ~mtbf:cfg.mtbf
-      ~mttr:cfg.mttr net
-  in
+let init ~rng ~cfg fab =
   {
     cfg;
     rng;
@@ -346,10 +342,27 @@ let finish st =
     catastrophe_at = st.catastrophe_at;
   }
 
+(* The last fabric this domain ran on, with the engine it was built for.
+   A run takes it out of the slot and resets it while the network is
+   physically the same and the engine matches, and puts its fabric back
+   on return. *)
+let fabrics = Ftcsn_util.Domain_slot.create ()
+
 let run ~rng ~config:cfg net =
   if Network.n_inputs net = 0 || Network.n_outputs net = 0 then
     invalid_arg "Traffic.run: network has no terminals";
-  let st = init ~rng ~cfg net in
+  let engine = engine_of_policy cfg.policy in
+  let fab =
+    match
+      Ftcsn_util.Domain_slot.take fabrics ~fits:(fun (e, f) ->
+          e = engine && f.Fabric.net == net)
+    with
+    | Some (_, f) ->
+        Fabric.reset f ~mtbf:cfg.mtbf ~mttr:cfg.mttr;
+        f
+    | None -> Fabric.create ~engine ~mtbf:cfg.mtbf ~mttr:cfg.mttr net
+  in
+  let st = init ~rng ~cfg fab in
   (* deterministic bootstrap: saturation placements (no draws), the
      failure clock's first tick, then the first arrival *)
   if cfg.saturate then saturate st;
@@ -364,7 +377,9 @@ let run ~rng ~config:cfg net =
   (match cfg.stop with
   | Horizon h when not st.stopped -> Fabric.advance f h
   | _ -> ());
-  finish st
+  let stats = finish st in
+  Ftcsn_util.Domain_slot.put fabrics (engine, fab);
+  stats
 
 type summary = {
   replications : int;

@@ -27,6 +27,17 @@
     discarded when that switch is already down.  A discarded tick counts
     in neither [events] nor [failures].
 
+    {2 One fabric per domain}
+
+    Nothing a fabric builds — the router's staging, [Dyn_conn], the
+    per-switch and per-vertex arrays — depends on the replication, and
+    on ft:1024 building it costs about a quarter of a short run.  So
+    each domain keeps the fabric of its last {!run} and the next run
+    reuses it through {!Fabric.reset}, which undoes only what the last
+    run touched and leaves a fabric no run can tell from a fresh one.
+    {!estimate}, and every loop over {!run}, therefore builds one fabric
+    per domain, not one per replication.
+
     {2 Determinism contract}
 
     Events execute in [(time, push-sequence)] order ({!Heap}), and every
@@ -139,7 +150,9 @@ val router_name : config -> Ftcsn_networks.Network.t -> string
     ["loop"] — e.g. [Route_loop] resolves to ["staged"] on a non-Beneš
     staged family.  Builds (and discards) a router to ask it, so this
     costs one engine construction — fine for reporting, not for a hot
-    loop. *)
+    loop.  It leaves the domain's fabric alone: a caller that asks about
+    each of several networks as it builds them keeps none of them alive
+    through it. *)
 
 type stats = {
   sim_time : float;  (** simulated time at the end of the run *)
@@ -181,7 +194,18 @@ type stats = {
 }
 
 val run : rng:Ftcsn_prng.Rng.t -> config:config -> Ftcsn_networks.Network.t -> stats
-(** One replication.  All draws come from [rng] in event order. *)
+(** One replication.  All draws come from [rng] in event order.
+
+    The run takes its fabric from a [Domain.DLS] slot holding the last
+    one the calling domain ran on, and resets it, while the network is
+    physically the same ([==]) and the policy asks for the same router
+    engine; otherwise it builds a fresh one, which replaces it.  The
+    fabric leaves the slot for the run and goes back on return, so a run
+    that raises leaves no used fabric behind, and a run started inside
+    another (from a handler, say) finds the slot empty and builds its
+    own: [run] is not re-entrant on one fabric, and never needs to be.
+    Results are the same either way, bit for bit.  [Ftcsn_serve.Engine]
+    builds its own fabric and keeps it for the engine's lifetime. *)
 
 type summary = {
   replications : int;

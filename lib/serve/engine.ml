@@ -40,6 +40,9 @@ let create ?(engine = `Bfs) ?(holding = Dist.Exponential) ?(mtbf = infinity)
     ?(mttr = 10.0) ?trace ~emit ~rng net =
   if not (mtbf > 0.0) then invalid_arg "Engine.create: mtbf must be > 0";
   if not (mttr > 0.0) then invalid_arg "Engine.create: mttr must be > 0";
+  (* an engine owns its fabric for its lifetime, and two engines on one
+     network may both be live, so it builds its own rather than reusing
+     a domain's fabric as [Traffic.run] does *)
   let fab = Fabric.create ~engine ~mtbf ~mttr net in
   (* the failure clock draws only from its own substream, so no request
      decision can move a failure *)

@@ -1065,27 +1065,47 @@ let test_rare_split () =
   check_contains "rare split" out "level schedule";
   check_contains "rare split" out "entry rate"
 
-(* the pilot and every chunk of a splitting run take the per-domain
-   survival workspace, so a one-domain run builds one strip scratch *)
-let test_rare_one_workspace () =
+(* run a command with --metrics: its stdout, and whether it built
+   exactly one strip scratch *)
+let one_workspace args =
   with_tmp ".json" @@ fun metrics ->
-  let code, _ =
-    run
-      (Printf.sprintf
-         "rare --net benes:8 --eps 1e-4 --method split --trials 600 \
-          --particles 64 --jobs 1 --metrics %s"
-         metrics)
-  in
-  Alcotest.(check int) "exit code" 0 code;
-  match Ftcsn_obs.Json.parse (read_file metrics) with
+  let code, out = run (Printf.sprintf "%s --metrics %s" args metrics) in
+  Alcotest.(check int) (args ^ ": exit code") 0 code;
+  (match Ftcsn_obs.Json.parse (read_file metrics) with
   | Error e -> Alcotest.failf "metrics file is not valid JSON: %s" e
   | Ok j ->
       Alcotest.(check (option int))
-        "one scratch workspace" (Some 1)
+        (args ^ ": one scratch workspace")
+        (Some 1)
         (Option.bind
            (Option.bind (Ftcsn_obs.Json.member "counters" j)
               (Ftcsn_obs.Json.member "scratch.create"))
-           Ftcsn_obs.Json.to_int)
+           Ftcsn_obs.Json.to_int));
+  out
+
+(* the pilot and every chunk of a splitting run take the per-domain
+   survival workspace, so a one-domain run builds one strip scratch *)
+let test_rare_one_workspace () =
+  ignore
+    (one_workspace
+       "rare --net benes:8 --eps 1e-4 --method split --trials 600 \
+        --particles 64 --jobs 1")
+
+(* so do the surveys' eight 256-trial chunks, which faults shares with
+   its single pattern and critical with its three evaluations a trial;
+   the estimates are the ones a workspace per chunk gave *)
+let test_survey_one_workspace () =
+  List.iter
+    (fun (args, estimate) -> check_contains args (one_workspace args) estimate)
+    [
+      ( "faults --net benes:16 --eps 0.01 --trials 2048 --jobs 1",
+        "P[survivor clean] = 0.9497 [0.9394, 0.9584] (1945/2048)" );
+      ( "route --net benes:16 --eps 0.01 --trials 2048 --jobs 1",
+        "P[random permutation fully routes, eps=0.01] = 0.0015 [0.0005, \
+         0.0043] (3/2048)" );
+      ( "critical --net benes:16 --eps 0.01 --trials 600 --jobs 1",
+        "switch   125 (30 -> 79): open +0.0917  close +0.0917" );
+    ]
 
 let test_rare_curve () =
   let code, out =
@@ -1378,6 +1398,8 @@ let () =
           Alcotest.test_case "rare split" `Slow test_rare_split;
           Alcotest.test_case "rare split one workspace" `Quick
             test_rare_one_workspace;
+          Alcotest.test_case "surveys one workspace" `Quick
+            test_survey_one_workspace;
           Alcotest.test_case "rare curve" `Quick test_rare_curve;
           Alcotest.test_case "rare deterministic across jobs" `Quick
             test_rare_jobs_deterministic;

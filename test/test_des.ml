@@ -2,9 +2,9 @@
    ordering, stochastic primitives, batch-means intervals, the fabric's
    failure clock (the law of the per-switch failure process it samples)
    and call store, and the Traffic engine itself — conservation laws,
-   Little's law, determinism across the Trials fan-out, and agreement
-   with the Erlang-B formula on a crossbar (a true M/M/c/c loss
-   system). *)
+   Little's law, determinism across the Trials fan-out, a reused
+   fabric against fresh ones, and agreement with the Erlang-B formula on
+   a crossbar (a true M/M/c/c loss system). *)
 
 module Rng = Ftcsn_prng.Rng
 module Heap = Ftcsn_des.Heap
@@ -17,6 +17,10 @@ module Network = Ftcsn_networks.Network
 module Crossbar = Ftcsn_networks.Crossbar
 module Benes = Ftcsn_networks.Benes
 module Fault = Ftcsn_reliability.Fault
+module Topology = Ftcsn_networks.Topology
+
+(* the paper's network joins the registry as family "ft" *)
+let () = Ftcsn.Ft_topology.install ()
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -402,6 +406,62 @@ let prop_fabric_invariants =
       done;
       !ok)
 
+(* ---------- Fabric: reset ---------- *)
+
+(* Calls placed and some released, the clock run (ticks, repairs, closed
+   failures and shorts), then a reset to the next run's rates,
+   alternating finite and infinite mttr: each reset must leave exactly
+   what [create] returns and allocate nothing. *)
+let test_reset_alloc_free () =
+  let net = Benes.create 64 in
+  let g = net.Network.graph in
+  let f = Fabric.create ~mtbf:20.0 ~mttr:1.0 net in
+  let fresh = Fabric.create ~mtbf:20.0 ~mttr:1.0 net in
+  let words = Array.make 1 0.0 in
+  let closed = ref 0 and lost = ref 0 and shorted = ref 0 in
+  for k = 0 to 19 do
+    for i = 0 to 15 do
+      let slot = Fabric.connect f i (((i * 7) + k) mod 64) in
+      (* a freed slot's stamp moves on *)
+      if slot >= 0 && i mod 4 = 0 then Fabric.release f slot
+    done;
+    let r = drive_clock ~horizon:5.0 f (Rng.create ~seed:k) in
+    closed := !closed + r.closed;
+    lost := !lost + Ftcsn_util.Vec.length f.Fabric.lost;
+    if Fabric.terminals_shorted f then incr shorted;
+    let mttr = if k mod 2 = 0 then infinity else 1.0 in
+    let w0 = Gc.minor_words () in
+    Fabric.reset f ~mtbf:20.0 ~mttr;
+    let w1 = Gc.minor_words () in
+    words.(0) <- words.(0) +. (w1 -. w0);
+    checkb "no switch failed" true
+      (Array.for_all (fun s -> Fault.state_equal s Fault.Normal) f.Fabric.fstate);
+    checkb "no faulty degree" true (Array.for_all (( = ) 0) f.Fabric.faulty_deg);
+    checkb "no vertex owned" true (Array.for_all (( = ) (-1)) f.Fabric.owner);
+    checkb "no terminals shorted" false (Fabric.terminals_shorted f);
+    checkb "the call store is empty" true (call_store_ok f ~live:0 ~peak:0);
+    checkb "the heap is empty" true (Heap.is_empty f.Fabric.heap);
+    checkb "the new rates" true (f.Fabric.mtbf = 20.0 && f.Fabric.mttr = mttr);
+    checkb "fresh slots and counters" true
+      (f.Fabric.c_stamp = fresh.Fabric.c_stamp
+      && f.Fabric.c_next = fresh.Fabric.c_next
+      && f.Fabric.c_in = fresh.Fabric.c_in
+      && f.Fabric.free_head = fresh.Fabric.free_head
+      && f.Fabric.failed = 0 && f.Fabric.events = 0 && f.Fabric.failures = 0
+      && f.Fabric.repairs = 0 && f.Fabric.fs = fresh.Fabric.fs
+      && Ftcsn_util.Vec.length f.Fabric.lost = 0);
+    (* a closed-failure class left behind would still contract its ends *)
+    for e = 0 to Digraph.edge_count g - 1 do
+      if
+        Fabric.mark_failed f e ~closed:true = Fabric.shorted
+      then Alcotest.failf "switch %d alone shorts terminals after a reset" e;
+      Fabric.mark_repaired f e
+    done
+  done;
+  checkb "closed failures, permanent ones and shorts were reset" true
+    (!closed > 0 && !lost > 0 && !shorted > 0);
+  Alcotest.(check (float 0.0)) "minor words over 20 resets" 0.0 words.(0)
+
 (* ---------- Traffic: conservation laws ---------- *)
 
 (* the laws every horizon run obeys, whether it reaches the horizon or a
@@ -569,6 +629,138 @@ let prop_estimate_deterministic =
         (fun (jobs, traced) -> go ~jobs ~traced = reference)
         [ (1, true); (2, false); (4, false); (4, true) ])
 
+(* ---------- Traffic: a reused fabric runs as a fresh one ---------- *)
+
+let reuse_nets =
+  lazy
+    (Array.map
+       (fun spec ->
+         match Topology.build_string ~rng:(Rng.create ~seed:3) spec with
+         | Ok b -> b.Topology.net
+         | Error e -> failwith e)
+       [| "benes:8"; "ft:16"; "cantor:8"; "crossbar:4" |])
+
+type reuse = {
+  net : int;  (* into [reuse_nets] *)
+  other : int;  (* the network whose runs replace the domain's fabric *)
+  config : Traffic.config;
+  seeds : int list;
+}
+
+let print_reuse r =
+  let c = r.config in
+  Printf.sprintf
+    "net %d, other %d, load %g, mtbf %g, mttr %g, %s, %s, saturate %b, \
+     stop_on_degradation %b, seeds %s"
+    r.net r.other c.Traffic.load c.mtbf c.mttr
+    (match c.policy with
+    | Traffic.Route_greedy -> "greedy"
+    | Route_staged -> "staged"
+    | Route_loop -> "loop"
+    | Route_rearrange b -> Printf.sprintf "rearrange:%d" b)
+    (match c.stop with
+    | Traffic.Horizon h -> Printf.sprintf "horizon %g" h
+    | Calls { warmup; measured } -> Printf.sprintf "calls %d+%d" warmup measured)
+    c.saturate c.stop_on_degradation
+    (String.concat "," (List.map string_of_int r.seeds))
+
+(* The network-wide failure rate m/mtbf is drawn, not mtbf, so every
+   family sees from a handful to a few thousand failures per run; with
+   mttr = infinity or a fast rate many runs end in a Lemma-7
+   catastrophe. *)
+let gen_reuse =
+  let open QCheck2.Gen in
+  let* net = int_range 0 3 in
+  let* other = int_range 1 3 in
+  let* policy =
+    oneof
+      [
+        pure Traffic.Route_greedy;
+        pure Traffic.Route_staged;
+        pure Traffic.Route_loop;
+        map (fun b -> Traffic.Route_rearrange b) (int_range 1 200);
+      ]
+  in
+  let* saturate = bool in
+  let* stop_on_degradation = bool in
+  let* rate = float_range 0.2 40.0 in
+  let* mttr = oneof [ float_range 0.1 5.0; pure infinity ] in
+  let* load = float_range 0.5 4.0 in
+  let* stop =
+    oneof
+      [
+        map (fun h -> Traffic.Horizon h) (float_range 2.0 40.0);
+        map2
+          (fun warmup measured -> Traffic.Calls { warmup; measured })
+          (int_range 0 20) (int_range 10 100);
+      ]
+  in
+  let* seeds = list_repeat 3 (int_range 0 1_000_000) in
+  let m =
+    Digraph.edge_count (Lazy.force reuse_nets).(net).Network.graph
+  in
+  pure
+    {
+      net;
+      other = (net + other) mod 4;
+      config =
+        Traffic.config ~load ~mtbf:(float_of_int m /. rate) ~mttr ~stop ~policy
+          ~saturate ~stop_on_degradation ();
+      seeds;
+    }
+
+(* Three back-to-back runs on one network reuse the domain's fabric;
+   the same three runs, each after a run on another network, start from
+   a fresh one.  The whole stats records must be equal. *)
+let reused_catastrophes = ref 0
+
+let prop_reset_is_fresh =
+  QCheck2.Test.make ~name:"Traffic.run on a reused fabric = on a fresh one"
+    ~count:60 ~print:print_reuse gen_reuse (fun r ->
+      let nets = Lazy.force reuse_nets in
+      let run seed net = Traffic.run ~rng:(Rng.create ~seed) ~config:r.config net in
+      let reused = List.map (fun seed -> run seed nets.(r.net)) r.seeds in
+      let fresh =
+        List.map
+          (fun seed ->
+            ignore (run seed nets.(r.other));
+            run seed nets.(r.net))
+          r.seeds
+      in
+      List.iter
+        (fun s -> if s.Traffic.catastrophe_at <> None then incr reused_catastrophes)
+        reused;
+      reused = fresh)
+
+(* the property, and then that the runs it drew did reuse fabrics
+   after catastrophes *)
+let test_reset_is_fresh =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_reset_is_fresh in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      checkb "some reused runs ended in a catastrophe" true
+        (!reused_catastrophes > 0) )
+
+(* 600 replications fill three 256-trial chunks, which land on domains
+   whose fabrics have different histories *)
+let test_estimate_reuse_jobs () =
+  let net = Benes.create 8 in
+  let config =
+    Traffic.config ~load:2.0 ~mtbf:40.0 ~mttr:1.0
+      ~stop:(Traffic.Calls { warmup = 10; measured = 100 })
+      ()
+  in
+  let go jobs =
+    Traffic.estimate ~jobs ~trials:600 ~rng:(Rng.create ~seed:7) ~config net
+  in
+  let reference = go 1 in
+  checkb "some replications ended in a catastrophe" true
+    (reference.Traffic.catastrophes > 0);
+  checkb "jobs 2 = jobs 1" true (go 2 = reference);
+  checkb "jobs 4 = jobs 1" true (go 4 = reference)
+
 let props =
   List.map QCheck_alcotest.to_alcotest [ prop_estimate_deterministic ]
 
@@ -593,7 +785,12 @@ let () =
           Alcotest.test_case "a discarded tick is no event" `Quick
             test_discards_are_no_events;
         ] );
-      ("fabric", [ QCheck_alcotest.to_alcotest prop_fabric_invariants ]);
+      ( "fabric",
+        [
+          QCheck_alcotest.to_alcotest prop_fabric_invariants;
+          Alcotest.test_case "reset = create, allocation-free" `Quick
+            test_reset_alloc_free;
+        ] );
       ( "batch-means",
         [
           Alcotest.test_case "streaming batches" `Quick test_batch_means_basic;
@@ -613,4 +810,10 @@ let () =
           Alcotest.test_case "config validation" `Quick test_config_validation;
         ] );
       ("determinism", props);
+      ( "reuse",
+        [
+          test_reset_is_fresh;
+          Alcotest.test_case "estimate identical at jobs 1, 2, 4" `Quick
+            test_estimate_reuse_jobs;
+        ] );
     ]
