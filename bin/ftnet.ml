@@ -1429,9 +1429,12 @@ let serve_cmd =
       (* responses go to the current sink: stdout, or the connected
          client in --socket mode *)
       let sink = ref stdout in
+      let line = Buffer.create 256 in
       let emit r =
-        output_string !sink (Ftcsn_serve.Proto.response_to_string r);
-        output_char !sink '\n'
+        Buffer.clear line;
+        Ftcsn_serve.Proto.write_response line r;
+        Buffer.add_char line '\n';
+        Buffer.output_buffer !sink line
       in
       let engine =
         try

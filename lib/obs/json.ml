@@ -9,47 +9,88 @@ type t =
 
 (* ---------- printing ---------- *)
 
-let escape_into b s =
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+(* Copies runs of plain bytes whole and escapes the others one by one. *)
+let rec escape_from b s start i =
+  if i = String.length s then Buffer.add_substring b s start (i - start)
+  else
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\000' .. '\031') as c ->
+        Buffer.add_substring b s start (i - start);
+        (match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c)));
+        escape_from b s (i + 1) (i + 1)
+    | _ -> escape_from b s start (i + 1)
+
+let write_string b s =
+  Buffer.add_char b '"';
+  escape_from b s 0 0;
+  Buffer.add_char b '"'
+
+(* the C conversion [Printf]'s [%g] ends in, without the format
+   interpretation *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* The significant digits of a [%.17g] rendering, padded with zeros to
+   17 digits: the rendered magnitude scaled into [10^16, 10^17). *)
+let digits17 s =
+  let d = ref 0 and k = ref 0 and i = ref 0 in
+  while !i < String.length s && String.unsafe_get s !i <> 'e' do
+    (match String.unsafe_get s !i with
+    | '0' when !k = 0 -> ()
+    | '0' .. '9' as c ->
+        d := (!d * 10) + Char.code c - Char.code '0';
+        incr k
+    | _ -> ());
+    incr i
+  done;
+  while !k < 17 do
+    d := !d * 10;
+    incr k
+  done;
+  !d
+
+(* [Some (fmt f)] when that parses back to [f].  [d] is [digits17] of
+   [f]'s [%.17g] rendering: within 0.5 unit of [f]'s exact value, in
+   units of its 17th significant digit.  Every decimal that parses back
+   to a normal [f] lies within |f|·2^-53 < 10^17 / 2^53 < 11.2 units of
+   it.  So when [d] is more than 12 units from every multiple of [q] =
+   10^(17 - precision), no decimal of that precision parses back, and
+   [fmt] is not rendered at all.  Zero and subnormals come with [d = 0],
+   so they always render. *)
+let rendered_if_exact f d fmt q =
+  let r = d mod q in
+  if r > 12 && q - r > 12 then None
+  else
+    let s = format_float fmt f in
+    if float_of_string s = f then Some s else None
 
 let float_repr f =
   if not (Float.is_finite f) then "null"
   else
-    (* shortest %g that survives a parse round-trip *)
-    let try_prec p =
-      let s = Printf.sprintf "%.*g" p f in
-      if float_of_string s = f then Some s else None
-    in
-    let s =
-      match try_prec 12 with
-      | Some s -> s
-      | None -> (
-          match try_prec 15 with
-          | Some s -> s
-          | None -> Printf.sprintf "%.17g" f)
-    in
-    s
+    (* the first of %.12g, %.15g and %.17g that parses back to [f] *)
+    let s17 = format_float "%.17g" f in
+    let d = if Float.abs f >= Float.min_float then digits17 s17 else 0 in
+    match rendered_if_exact f d "%.12g" 100_000 with
+    | Some s -> s
+    | None -> (
+        match rendered_if_exact f d "%.15g" 100 with
+        | Some s -> s
+        | None -> s17)
+
+let write_float b f = Buffer.add_string b (float_repr f)
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
   | Int n -> Buffer.add_string b (string_of_int n)
-  | Float f -> Buffer.add_string b (float_repr f)
-  | String s ->
-      Buffer.add_char b '"';
-      escape_into b s;
-      Buffer.add_char b '"'
+  | Float f -> write_float b f
+  | String s -> write_string b s
   | List vs ->
       Buffer.add_char b '[';
       List.iteri
@@ -63,9 +104,8 @@ let rec write b = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          escape_into b k;
-          Buffer.add_string b "\":";
+          write_string b k;
+          Buffer.add_char b ':';
           write b v)
         fields;
       Buffer.add_char b '}'
@@ -78,6 +118,40 @@ let to_string v =
 (* ---------- parsing ---------- *)
 
 exception Fail of int * string
+
+let looking_at s pos c = !pos < String.length s && s.[!pos] = c
+
+let digits s pos =
+  let d0 = !pos in
+  while !pos < String.length s && s.[!pos] >= '0' && s.[!pos] <= '9' do
+    incr pos
+  done;
+  if !pos = d0 then raise (Fail (!pos, "expected digit"))
+
+(* The number that starts at [!pos], which is advanced past it.  A
+   literal with a fraction or an exponent is a [Float], as is an integer
+   that overflows [int]; the others are [Int]s. *)
+let number_at s pos =
+  let start = !pos in
+  if looking_at s pos '-' then incr pos;
+  digits s pos;
+  let fraction = looking_at s pos '.' in
+  if fraction then begin
+    incr pos;
+    digits s pos
+  end;
+  let exponent = looking_at s pos 'e' || looking_at s pos 'E' in
+  if exponent then begin
+    incr pos;
+    if looking_at s pos '+' || looking_at s pos '-' then incr pos;
+    digits s pos
+  end;
+  let lit = String.sub s start (!pos - start) in
+  if fraction || exponent then Float (float_of_string lit)
+  else
+    match int_of_string_opt lit with
+    | Some v -> Int v
+    | None -> Float (float_of_string lit)
 
 let parse s =
   let n = String.length s in
@@ -159,37 +233,6 @@ let parse s =
     in
     go ()
   in
-  let parse_number () =
-    let start = !pos in
-    let is_float = ref false in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let d0 = !pos in
-      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
-        advance ()
-      done;
-      if !pos = d0 then fail "expected digit"
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      is_float := true;
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        is_float := true;
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ());
-    let lit = String.sub s start (!pos - start) in
-    if !is_float then Float (float_of_string lit)
-    else
-      match int_of_string_opt lit with
-      | Some v -> Int v
-      | None -> Float (float_of_string lit)
-  in
   let rec parse_value () =
     skip_ws ();
     match peek () with
@@ -242,7 +285,7 @@ let parse s =
           expect '}';
           Obj (List.rev !fields)
         end
-    | Some ('-' | '0' .. '9') -> parse_number ()
+    | Some ('-' | '0' .. '9') -> number_at s pos
     | Some c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   match
@@ -273,3 +316,73 @@ let to_float = function
   | _ -> None
 
 let to_str = function String s -> Some s | _ -> None
+
+(* ---------- flat objects ---------- *)
+
+(* The closing quote of the escape-free string whose body starts at [i],
+   or -1. *)
+let rec plain_string_end s i =
+  if i >= String.length s then -1
+  else
+    match String.unsafe_get s i with
+    | '"' -> i
+    | '\\' -> -1
+    | _ -> plain_string_end s (i + 1)
+
+let rec same_from key s i j =
+  j = String.length key
+  || (key.[j] = s.[i + j] && same_from key s i (j + 1))
+
+(* [member]'s rule: the first binding of a key wins *)
+let keep vals k x = if Option.is_none vals.(k) then vals.(k) <- Some x
+
+let rec key_slot keys s i len k =
+  if k = Array.length keys then -1
+  else if String.length keys.(k) = len && same_from keys.(k) s i 0 then k
+  else key_slot keys s i len (k + 1)
+
+(* Scans the fields from the key that starts at [i] on; [false] as soon
+   as the line leaves the flat, compact form. *)
+let rec scan_fields keys s vals i =
+  let n = String.length s in
+  let ke = if i < n && s.[i] = '"' then plain_string_end s (i + 1) else -1 in
+  let k = if ke < 0 then -1 else key_slot keys s (i + 1) (ke - i - 1) 0 in
+  if k < 0 || ke + 2 >= n || s.[ke + 1] <> ':' then false
+  else
+    let v = ke + 2 in
+    let stop =
+      match s.[v] with
+      | '"' ->
+          let e = plain_string_end s (v + 1) in
+          if e < 0 then -1
+          else begin
+            keep vals k (String (String.sub s (v + 1) (e - v - 1)));
+            e + 1
+          end
+      | '-' | '0' .. '9' -> (
+          let pos = ref v in
+          match number_at s pos with
+          | x ->
+              keep vals k x;
+              !pos
+          | exception Fail _ -> -1)
+      | _ -> -1
+    in
+    if stop < 0 || stop >= n then false
+    else
+      match s.[stop] with
+      | ',' -> scan_fields keys s vals (stop + 1)
+      | '}' -> stop = n - 1
+      | _ -> false
+
+let members keys s =
+  let vals = Array.make (Array.length keys) None in
+  if String.length s > 1 && s.[0] = '{' && scan_fields keys s vals 1 then
+    Ok vals
+  else
+    match parse s with
+    | Error _ as e -> e
+    | Ok j ->
+        Array.iteri (fun i k -> vals.(i) <- member k j) keys;
+        Ok vals
+

@@ -24,10 +24,25 @@ val to_string : t -> string
     Strings are escaped per RFC 8259 (backslash escapes for the quote
     and backslash characters, [\u00XX] escapes for control
     characters); other bytes pass through untouched, so UTF-8
-    text survives.  Floats print with the shortest [%g] precision that
-    parses back to the identical IEEE value (17 significant digits in
-    the worst case); non-finite floats render as [null] since JSON
-    cannot represent them. *)
+    text survives.  A float prints as the first of [%.12g], [%.15g] and
+    [%.17g] that parses back to the identical IEEE value.  That is not
+    always the shortest round-tripping form ([0.1 +. 0.7] prints as
+    [0.79999999999999993], although 16 digits would parse back), and it
+    stays: the serve stream's goldens and digests pin its bytes.
+    Non-finite floats render as [null] since JSON cannot represent
+    them. *)
+
+val write : Buffer.t -> t -> unit
+(** [write b v] appends [to_string v] to [b]. *)
+
+val write_string : Buffer.t -> string -> unit
+(** [write_string b s] appends [to_string (String s)] to [b]. *)
+
+val write_float : Buffer.t -> float -> unit
+(** [write_float b f] appends [to_string (Float f)] to [b].  One [%.17g]
+    conversion settles most values: a shorter precision is rendered and
+    parsed back only when an exact test on those 17 digits leaves it
+    open. *)
 
 val parse : string -> (t, string) result
 (** Parse one complete JSON value; trailing content after it (other
@@ -39,6 +54,13 @@ val parse : string -> (t, string) result
 val member : string -> t -> t option
 (** [member k (Obj fields)] is the first binding of [k]; [None] on
     missing keys and non-object values. *)
+
+val members : string array -> string -> (t option array, string) result
+(** [members keys s] is [parse s] with each key of [keys] looked up by
+    {!member}, in order.  A compact flat object (no whitespace, every key
+    in [keys], every value an escape-free string or a number) is read in
+    one pass without building the tree; any other input goes through
+    {!parse}, so errors are {!parse}'s. *)
 
 val to_int : t -> int option
 (** [Int n] gives [n]; a {!Float} that is exactly integral is accepted

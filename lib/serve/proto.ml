@@ -47,143 +47,172 @@ let request_to_string r =
   in
   Json.to_string (Json.Obj fields)
 
+(* A line's diagnostic: [parse_request] pairs it with the line's id,
+   [response_of_string] returns it as is. *)
+exception Invalid of string
+
 (* field accessors that distinguish "absent" from "present but wrong":
    a present-but-mistyped field is a diagnosable client bug, not noise *)
-let get_int j k =
-  match Json.member k j with
-  | None -> Ok None
+let get_int v k =
+  match v with
+  | None -> None
   | Some v -> (
       match Json.to_int v with
-      | Some i -> Ok (Some i)
-      | None -> Result.Error (Printf.sprintf "field %S must be an integer" k))
+      | Some _ as i -> i
+      | None ->
+          raise (Invalid (Printf.sprintf "field %S must be an integer" k)))
 
-let get_float j k =
-  match Json.member k j with
-  | None -> Ok None
+let get_float v k =
+  match v with
+  | None -> None
   | Some v -> (
       match Json.to_float v with
-      | Some f -> Ok (Some f)
+      | Some _ as f -> f
       | None ->
-          Result.Error (Printf.sprintf "field %S must be a number" k))
+          raise (Invalid (Printf.sprintf "field %S must be a number" k)))
 
-let ( let* ) = Result.bind
+let request ~req ~id ~src ~dst ~hold ~at =
+  match Option.bind req Json.to_str with
+  | None -> raise (Invalid {|missing or non-string "req" field|})
+  | Some kind -> (
+      let at = get_float at "at" in
+      (match at with
+      | Some a when not (a >= 0.0 && a < infinity) ->
+          raise (Invalid {|field "at" must be finite and >= 0|})
+      | _ -> ());
+      match kind with
+      | "metrics" -> Metrics { at }
+      | "call" | "hangup" -> (
+          match id with
+          | None | Some "" -> raise (Invalid {|missing or empty "id" field|})
+          | Some id ->
+              if kind = "hangup" then Hangup { id; at }
+              else
+                let src = get_int src "in" in
+                let dst = get_int dst "out" in
+                let hold = get_float hold "hold" in
+                (match hold with
+                | Some h when not (h > 0.0 && h < infinity) ->
+                    raise (Invalid {|field "hold" must be finite and > 0|})
+                | _ -> ());
+                Call { id; src; dst; hold; at })
+      | other ->
+          raise (Invalid (Printf.sprintf "unknown request type %S" other)))
+
+let request_keys = [| "req"; "id"; "in"; "out"; "hold"; "at" |]
 
 let parse_request line =
-  match Json.parse line with
+  match Json.members request_keys line with
   | Result.Error e -> Result.Error (None, "bad json: " ^ e)
-  | Ok j -> (
-      let id = Option.bind (Json.member "id" j) Json.to_str in
-      let fail msg = Result.Error (id, msg) in
-      let with_id = function Ok v -> Ok v | Result.Error msg -> Result.Error (id, msg) in
-      match Option.bind (Json.member "req" j) Json.to_str with
-      | None -> fail {|missing or non-string "req" field|}
-      | Some kind -> (
-          let* at = with_id (get_float j "at") in
-          let* () =
-            match at with
-            | Some a when not (a >= 0.0 && a < infinity) ->
-                fail {|field "at" must be finite and >= 0|}
-            | _ -> Ok ()
-          in
-          match kind with
-          | "metrics" -> Ok (Metrics { at })
-          | "call" | "hangup" -> (
-              match id with
-              | None | Some "" -> fail {|missing or empty "id" field|}
-              | Some id ->
-                  if kind = "hangup" then Ok (Hangup { id; at })
-                  else
-                    let err msg = Result.Error (Some id, msg) in
-                    let* src = with_id (get_int j "in") in
-                    let* dst = with_id (get_int j "out") in
-                    let* hold = with_id (get_float j "hold") in
-                    let* () =
-                      match hold with
-                      | Some h when not (h > 0.0 && h < infinity) ->
-                          err {|field "hold" must be finite and > 0|}
-                      | _ -> Ok ()
-                    in
-                    Ok (Call { id; src; dst; hold; at }))
-          | other -> fail (Printf.sprintf "unknown request type %S" other)))
+  | Ok [| req; id; src; dst; hold; at |] -> (
+      let id = Option.bind id Json.to_str in
+      match request ~req ~id ~src ~dst ~hold ~at with
+      | r -> Ok r
+      | exception Invalid msg -> Result.Error (id, msg))
+  | Ok _ -> assert false
 
 (* ---- responses ---- *)
 
+(* {"resp":"TAG","id":ID,"t":T — the head every call's response shares *)
+let write_call b tag id t =
+  Buffer.add_string b {|{"resp":"|};
+  Buffer.add_string b tag;
+  Buffer.add_string b {|","id":|};
+  Json.write_string b id;
+  Buffer.add_string b {|,"t":|};
+  Json.write_float b t
+
+let write_path_len b n =
+  Buffer.add_string b {|,"path_len":|};
+  Buffer.add_string b (string_of_int n)
+
+let write_response b r =
+  (match r with
+  | Accept { id; t; path_len } ->
+      write_call b "accept" id t;
+      write_path_len b path_len
+  | Block { id; t; reason } ->
+      write_call b "block" id t;
+      Buffer.add_string b {|,"reason":"|};
+      Buffer.add_string b (reason_to_string reason);
+      Buffer.add_char b '"'
+  | Overload { id; t } -> write_call b "overload" id t
+  | Rerouted { id; t; path_len } ->
+      write_call b "rerouted" id t;
+      write_path_len b path_len
+  | Dropped { id; t } -> write_call b "dropped" id t
+  | Released { id; t } -> write_call b "released" id t
+  | Catastrophe { t } ->
+      Buffer.add_string b {|{"resp":"catastrophe","t":|};
+      Json.write_float b t
+  | Snapshot { t; data } ->
+      Buffer.add_string b {|{"resp":"metrics","t":|};
+      Json.write_float b t;
+      Buffer.add_string b {|,"data":|};
+      Json.write b data
+  | Error { id; message } ->
+      Buffer.add_string b {|{"resp":"error"|};
+      Option.iter
+        (fun id ->
+          Buffer.add_string b {|,"id":|};
+          Json.write_string b id)
+        id;
+      Buffer.add_string b {|,"message":|};
+      Json.write_string b message);
+  Buffer.add_char b '}'
+
+let line_buffer = Domain.DLS.new_key (fun () -> Buffer.create 256)
+
 let response_to_string r =
-  let call tag id t rest =
-    ("resp", Json.String tag)
-    :: ("id", Json.String id)
-    :: ("t", Json.Float t)
-    :: rest
-  in
-  let fields =
-    match r with
-    | Accept { id; t; path_len } ->
-        call "accept" id t [ ("path_len", Json.Int path_len) ]
-    | Block { id; t; reason } ->
-        call "block" id t [ ("reason", Json.String (reason_to_string reason)) ]
-    | Overload { id; t } -> call "overload" id t []
-    | Rerouted { id; t; path_len } ->
-        call "rerouted" id t [ ("path_len", Json.Int path_len) ]
-    | Dropped { id; t } -> call "dropped" id t []
-    | Released { id; t } -> call "released" id t []
-    | Catastrophe { t } ->
-        [ ("resp", Json.String "catastrophe"); ("t", Json.Float t) ]
-    | Snapshot { t; data } ->
-        [ ("resp", Json.String "metrics"); ("t", Json.Float t); ("data", data) ]
-    | Error { id; message } ->
-        ("resp", Json.String "error")
-        :: (opt "id" (fun i -> Json.String i) id
-           @ [ ("message", Json.String message) ])
-  in
-  Json.to_string (Json.Obj fields)
+  let b = Domain.DLS.get line_buffer in
+  Buffer.clear b;
+  write_response b r;
+  Buffer.contents b
+
+let need k = function
+  | Some v -> v
+  | None -> raise (Invalid (Printf.sprintf "missing %S" k))
+
+let response ~resp ~id ~t ~path_len ~reason ~message ~data =
+  let id = Option.bind id Json.to_str and t = Option.bind t Json.to_float in
+  let path_len = Option.bind path_len Json.to_int in
+  match Option.bind resp Json.to_str with
+  | None -> raise (Invalid {|missing or non-string "resp" field|})
+  | Some
+      (( "accept" | "block" | "overload" | "rerouted" | "dropped"
+       | "released" ) as tag) -> (
+      let id = need "id" id in
+      let t = need "t" t in
+      match tag with
+      | "accept" -> Accept { id; t; path_len = need "path_len" path_len }
+      | "block" -> (
+          match Option.bind reason Json.to_str with
+          | Some "full" -> Block { id; t; reason = Full }
+          | Some "no_path" -> Block { id; t; reason = No_path }
+          | _ -> raise (Invalid {|missing or unknown "reason"|}))
+      | "overload" -> Overload { id; t }
+      | "rerouted" -> Rerouted { id; t; path_len = need "path_len" path_len }
+      | "dropped" -> Dropped { id; t }
+      | _ -> Released { id; t })
+  | Some "catastrophe" -> Catastrophe { t = need "t" t }
+  | Some "metrics" ->
+      let t = need "t" t in
+      Snapshot { t; data = need "data" data }
+  | Some "error" ->
+      Error { id; message = need "message" (Option.bind message Json.to_str) }
+  | Some other ->
+      raise (Invalid (Printf.sprintf "unknown response type %S" other))
+
+let response_keys =
+  [| "resp"; "id"; "t"; "path_len"; "reason"; "message"; "data" |]
 
 let response_of_string line =
-  match Json.parse line with
+  match Json.members response_keys line with
   | Result.Error e -> Result.Error ("bad json: " ^ e)
-  | Ok j -> (
-      let str k = Option.bind (Json.member k j) Json.to_str in
-      let num k = Option.bind (Json.member k j) Json.to_float in
-      let int k = Option.bind (Json.member k j) Json.to_int in
-      let need_id f =
-        match (str "id", num "t") with
-        | Some id, Some t -> f id t
-        | None, _ -> Result.Error {|missing "id"|}
-        | _, None -> Result.Error {|missing "t"|}
-      in
-      match str "resp" with
-      | None -> Result.Error {|missing or non-string "resp" field|}
-      | Some "accept" ->
-          need_id (fun id t ->
-              match int "path_len" with
-              | Some path_len -> Ok (Accept { id; t; path_len })
-              | None -> Result.Error {|missing "path_len"|})
-      | Some "block" ->
-          need_id (fun id t ->
-              match str "reason" with
-              | Some "full" -> Ok (Block { id; t; reason = Full })
-              | Some "no_path" -> Ok (Block { id; t; reason = No_path })
-              | _ -> Result.Error {|missing or unknown "reason"|})
-      | Some "overload" -> need_id (fun id t -> Ok (Overload { id; t }))
-      | Some "rerouted" ->
-          need_id (fun id t ->
-              match int "path_len" with
-              | Some path_len -> Ok (Rerouted { id; t; path_len })
-              | None -> Result.Error {|missing "path_len"|})
-      | Some "dropped" -> need_id (fun id t -> Ok (Dropped { id; t }))
-      | Some "released" -> need_id (fun id t -> Ok (Released { id; t }))
-      | Some "catastrophe" -> (
-          match num "t" with
-          | Some t -> Ok (Catastrophe { t })
-          | None -> Result.Error {|missing "t"|})
-      | Some "metrics" -> (
-          match (num "t", Json.member "data" j) with
-          | Some t, Some data -> Ok (Snapshot { t; data })
-          | None, _ -> Result.Error {|missing "t"|}
-          | _, None -> Result.Error {|missing "data"|})
-      | Some "error" -> (
-          match str "message" with
-          | Some message -> Ok (Error { id = str "id"; message })
-          | None -> Result.Error {|missing "message"|})
-      | Some other -> Result.Error (Printf.sprintf "unknown response type %S" other))
+  | Ok [| resp; id; t; path_len; reason; message; data |] -> (
+      match response ~resp ~id ~t ~path_len ~reason ~message ~data with
+      | r -> Ok r
+      | exception Invalid msg -> Result.Error msg)
+  | Ok _ -> assert false
 
 let error_response ~id message = Error { id; message }

@@ -18,7 +18,22 @@
     switches); [rerouted]/[dropped]/[released] report asynchronous call
     fate under failure churn and hangups; [metrics] carries the snapshot;
     [error] is the normalized reply to a malformed line — the daemon never
-    dies on bad input, it answers and keeps reading. *)
+    dies on bad input, it answers and keeps reading.  Fields print in a
+    fixed order, e.g.
+
+    {v
+{"resp":"accept","id":"c1","t":0.25,"path_len":15}
+{"resp":"error","id":"c9","message":"field \"hold\" must be finite and > 0"}
+    v}
+
+    The wire path builds no {!Ftcsn_obs.Json.t}.  Responses are written
+    field by field into a buffer.  Both decoders read their line through
+    {!Ftcsn_obs.Json.members}: a compact flat line, such as a call's
+    response whose id needs no escape, is scanned in one pass; any other
+    line (whitespace, escapes, unknown keys, nested values, trailing
+    bytes) goes through {!Ftcsn_obs.Json.parse}, whose diagnostic a line
+    that is not JSON gets.  Either way the fields meet one validation, so
+    no reply depends on the path that read its line. *)
 
 type request =
   | Call of {
@@ -66,8 +81,15 @@ val parse_request : string -> (request, string option * string) result
 val request_to_string : request -> string
 (** One line, no trailing newline.  [parse_request] inverts it. *)
 
+val write_response : Buffer.t -> response -> unit
+(** Append one response line, without its newline.  Ids, messages,
+    times and a snapshot's [data] print by {!Ftcsn_obs.Json.to_string}'s
+    rules, so the bytes are those of the equivalent field list printed
+    whole. *)
+
 val response_to_string : response -> string
-(** One line, no trailing newline. *)
+(** One line, no trailing newline: {!write_response} into this domain's
+    reused buffer. *)
 
 val response_of_string : string -> (response, string) result
 (** Decode a response line — the test/tooling direction; inverts

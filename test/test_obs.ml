@@ -58,6 +58,88 @@ let test_json_float_repr () =
     "inf is null" "null"
     (Json.to_string (Json.Float infinity))
 
+(* Float bytes against test/json_ref.ml's three-step printer, which
+   renders %.12g, %.15g and %.17g in turn: the one-conversion printer
+   must agree byte for byte, subnormals and rounding-interval edges
+   included. *)
+let float_bytes_agree f =
+  let got = Json.to_string (Json.Float f) and want = Json_ref.float_repr f in
+  got = want || QCheck2.Test.fail_reportf "%h prints %s, oracle %s" f got want
+
+let qcheck_float_bits =
+  QCheck2.Test.make ~name:"float bytes = oracle on random bit patterns"
+    ~count:20_000
+    QCheck2.Gen.(
+      map2
+        (fun bits subnormal ->
+          (* every 8th draw clears the exponent: a subnormal or zero *)
+          Int64.float_of_bits
+            (if subnormal = 0 then Int64.logand bits 0x800F_FFFF_FFFF_FFFFL
+             else bits))
+        int64 (0 -- 7))
+    float_bytes_agree
+
+let qcheck_float_decimals =
+  QCheck2.Test.make
+    ~name:"float bytes = oracle on pred/succ of 1-17 digit decimals"
+    ~count:20_000
+    QCheck2.Gen.(
+      (1 -- 17) >>= fun digits ->
+      map2
+        (fun m e -> float_of_string (Printf.sprintf "%de%d" m e))
+        (0 -- (int_of_float (10. ** float_of_int digits) - 1))
+        (-320 -- 308))
+    (fun f ->
+      float_bytes_agree f
+      && float_bytes_agree (Float.pred f)
+      && float_bytes_agree (Float.succ f)
+      && float_bytes_agree (-.f))
+
+let check_float_bytes want f =
+  Alcotest.(check string) (Printf.sprintf "%h" f) want
+    (Json.to_string (Json.Float f))
+
+let test_json_float_bytes () =
+  (* powers of two, where the rounding interval is asymmetric, and their
+     neighbours, over every binary exponent *)
+  for k = -1074 to 1023 do
+    let p = Float.ldexp 1.0 k in
+    List.iter
+      (fun f ->
+        check_float_bytes (Json_ref.float_repr f) f;
+        check_float_bytes (Json_ref.float_repr (-.f)) (-.f))
+      [ Float.pred p; p; Float.succ p ]
+  done;
+  List.iter
+    (fun (f, want) ->
+      check_float_bytes want f;
+      check_float_bytes (Json_ref.float_repr f) f)
+    [
+      (0.0, "0");
+      (-0.0, "-0");
+      (5e-324, "4.94065645841e-324");
+      (Float.min_float, "2.2250738585072014e-308");
+      (Float.pred Float.min_float, "2.2250738585072009e-308");
+      (Float.max_float, "1.7976931348623157e+308");
+      (9007199254740991.0, "9007199254740991");
+      (9007199254740992.0, "9007199254740992");
+      (* 2^53 + 1 is not a double: the literal rounds to 2^53 *)
+      (9007199254740993.0, "9007199254740992");
+      (9007199254740994.0, "9007199254740994");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (* 16 digits would parse back; the 12/15/17 rule prints 17 *)
+      (0.1 +. 0.7, "0.79999999999999993");
+      (0.123456789012, "0.123456789012");
+      (0.123456789012345, "0.123456789012345");
+      (0.1234567890123456, "0.12345678901234559");
+      (0.12345678901234568, "0.12345678901234568");
+    ];
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "non-finite is null" "null"
+        (Json.to_string (Json.Float f)))
+    [ nan; -.nan; infinity; neg_infinity ]
+
 let test_json_parse_errors () =
   List.iter
     (fun s ->
@@ -358,9 +440,12 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "float repr" `Quick test_json_float_repr;
+          Alcotest.test_case "float bytes" `Quick test_json_float_bytes;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ qcheck_float_bits; qcheck_float_decimals ] );
       ( "histogram",
         [
           Alcotest.test_case "bucket invariants" `Quick test_histogram_buckets;

@@ -1,10 +1,12 @@
 (* Tests for the live-serving subsystem (lib/serve): Proto codec
-   round-trips (qcheck) and malformed-line diagnostics, admission
-   policies, engine conservation laws, the replay-determinism pin
-   (byte-identical response stream across runs, and the same verdicts
-   across engines), MD5 goldens of the response stream, and the soak
-   guard (steady-state allocation per decision stays flat between the
-   first and last window). *)
+   round-trips (qcheck) and malformed-line diagnostics, the wire path
+   against test/proto_ref.ml's tree codec (writer bytes, scanner
+   results and diagnostics, on valid, mutated and arbitrary lines) and
+   its allocation bound, admission policies, engine conservation laws,
+   the replay-determinism pin (byte-identical response stream across
+   runs, and the same verdicts across engines), MD5 goldens of the
+   response stream, and the soak guard (steady-state allocation per
+   decision stays flat between the first and last window). *)
 
 module Rng = Ftcsn_prng.Rng
 module Json = Ftcsn_obs.Json
@@ -20,13 +22,25 @@ let checks = Alcotest.(check string)
 
 (* ---------- Proto: generators ---------- *)
 
+(* text the writer must escape or pass through untouched: quotes,
+   backslashes, every control byte, DEL and multi-byte UTF-8 *)
+let gen_text size =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size size
+         (frequency
+            [
+              (4, map (String.make 1) printable);
+              (1, map (String.make 1) (char_range '\000' '\031'));
+              (1, oneofl [ "\""; "\\"; "\127"; "é"; "ε"; "€"; "𝄞" ]);
+            ])))
+
 let gen_id =
   QCheck2.Gen.(
-    map
-      (fun (c, s) -> Printf.sprintf "%c%s" c s)
-      (pair (char_range 'a' 'z') (string_size ~gen:printable (0 -- 12))))
+    map (fun (c, s) -> Printf.sprintf "%c%s" c s)
+      (pair (char_range 'a' 'z') (gen_text (0 -- 12))))
 
-(* finite, non-NaN floats that exercise the shortest-round-trip printer *)
+(* finite, non-NaN floats that exercise the float printer *)
 let gen_time = QCheck2.Gen.(map (fun f -> Float.abs f) pfloat)
 let gen_opt g = QCheck2.Gen.(opt g)
 
@@ -47,34 +61,70 @@ let gen_request =
         map (fun at -> Proto.Metrics { at }) (gen_opt gen_time);
       ])
 
-let gen_response =
+(* [t] draws the virtual times, [data] a snapshot's payload *)
+let gen_response_with ~t:t_gen ~data =
   QCheck2.Gen.(
     oneof
       [
         map
           (fun (id, t, path_len) -> Proto.Accept { id; t; path_len })
-          (triple gen_id gen_time (0 -- 64));
+          (triple gen_id t_gen (0 -- 64));
         map
           (fun (id, t, full) ->
             Proto.Block
               { id; t; reason = (if full then Proto.Full else Proto.No_path) })
-          (triple gen_id gen_time bool);
-        map (fun (id, t) -> Proto.Overload { id; t }) (pair gen_id gen_time);
+          (triple gen_id t_gen bool);
+        map (fun (id, t) -> Proto.Overload { id; t }) (pair gen_id t_gen);
         map
           (fun (id, t, path_len) -> Proto.Rerouted { id; t; path_len })
-          (triple gen_id gen_time (0 -- 64));
-        map (fun (id, t) -> Proto.Dropped { id; t }) (pair gen_id gen_time);
-        map (fun (id, t) -> Proto.Released { id; t }) (pair gen_id gen_time);
-        map (fun t -> Proto.Catastrophe { t }) gen_time;
-        map
-          (fun (t, k) ->
-            Proto.Snapshot
-              { t; data = Json.Obj [ ("k", Json.Int k) ] })
-          (pair gen_time (0 -- 1000));
+          (triple gen_id t_gen (0 -- 64));
+        map (fun (id, t) -> Proto.Dropped { id; t }) (pair gen_id t_gen);
+        map (fun (id, t) -> Proto.Released { id; t }) (pair gen_id t_gen);
+        map (fun t -> Proto.Catastrophe { t }) t_gen;
+        map (fun (t, data) -> Proto.Snapshot { t; data }) (pair t_gen data);
         map
           (fun (id, msg) -> Proto.Error { id; message = msg })
-          (pair (gen_opt gen_id) (string_size ~gen:printable (0 -- 30)));
+          (pair (gen_opt gen_id) (gen_text (0 -- 30)));
       ])
+
+let gen_response =
+  gen_response_with ~t:gen_time
+    ~data:
+      QCheck2.Gen.(map (fun k -> Json.Obj [ ("k", Json.Int k) ]) (0 -- 1000))
+
+(* any double: NaN, infinities, subnormals and negatives included *)
+let gen_any_float = QCheck2.Gen.(map Int64.float_of_bits int64)
+
+(* snapshot payloads that nest lists and objects over every leaf kind *)
+let gen_json =
+  QCheck2.Gen.(
+    sized_size (0 -- 3)
+    @@ fix (fun self depth ->
+           let leaf =
+             oneof
+               [
+                 pure Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun f -> Json.Float f) gen_any_float;
+                 map (fun s -> Json.String s) (gen_text (0 -- 8));
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 ( 2,
+                   map (fun l -> Json.List l)
+                     (list_size (0 -- 4) (self (depth - 1))) );
+                 ( 2,
+                   map (fun l -> Json.Obj l)
+                     (list_size (0 -- 4)
+                        (pair (gen_text (0 -- 6)) (self (depth - 1)))) );
+               ]))
+
+let gen_wild_response = gen_response_with ~t:gen_any_float ~data:gen_json
 
 let qcheck_request_roundtrip =
   QCheck2.Test.make ~name:"request_to_string |> parse_request is identity"
@@ -98,6 +148,198 @@ let qcheck_response_is_json =
       match Json.parse (Proto.response_to_string resp) with
       | Ok (Json.Obj _) -> true
       | _ -> false)
+
+(* ---------- Proto: the wire path against the tree codec ---------- *)
+
+let qcheck_writer_oracle =
+  QCheck2.Test.make
+    ~name:"response_to_string = field-list oracle, byte for byte" ~count:2000
+    gen_wild_response (fun r ->
+      let got = Proto.response_to_string r
+      and want = Proto_ref.response_to_string r in
+      got = want || QCheck2.Test.fail_reportf "writer %S\noracle %S" got want)
+
+(* Values a mutated line may carry: the wire's own kinds and the cases
+   where the scanner must hand over to the general parser or classify a
+   number exactly as it does. *)
+let gen_odd_value =
+  QCheck2.Gen.oneofl
+    [
+      {|"c1"|}; {|"c\u0031"|}; {|"a\"b"|}; {|""|}; {|"dance"|}; "3"; "3.0";
+      "1"; "-1"; "0"; "-0"; "-0.0"; "007"; "0.5"; "2.5E-3"; "1e400"; "-1e400";
+      "1e-400";
+      "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+      "-4611686018427387905"; "99999999999999999999"; "4503599627370497.0";
+      "null"; "nul"; "nope"; "true"; "tru"; "false"; "[]"; "[1]";
+      {|{"a":1}|}; "{}"; "1.5x"; "-"; "1."; ".5"; "+1"; "1e"; "0x10"; "NaN";
+      {|"unterminated|};
+    ]
+
+let gen_number =
+  QCheck2.Gen.(
+    oneof
+      [
+        map string_of_int (-3 -- 1000);
+        map (Printf.sprintf "%.17g") (float_range (-1.0) 1000.0);
+        map (fun f -> Json.to_string (Json.Float f)) gen_time;
+      ])
+
+(* a value for key [k]: mostly well-typed for it, sometimes odd *)
+let gen_value k =
+  QCheck2.Gen.(
+    let typical =
+      match k with
+      | "req" | {|r\u0065q|} ->
+          oneofl [ {|"call"|}; {|"hangup"|}; {|"metrics"|} ]
+      | "resp" ->
+          oneofl
+            [
+              {|"accept"|}; {|"block"|}; {|"overload"|}; {|"rerouted"|};
+              {|"dropped"|}; {|"released"|}; {|"catastrophe"|};
+              {|"metrics"|}; {|"error"|};
+            ]
+      | "id" -> map (Printf.sprintf {|"c%d"|}) (0 -- 99)
+      | "reason" -> oneofl [ {|"full"|}; {|"no_path"|} ]
+      | "message" -> oneofl [ {|"boom"|}; {|"x\ny"|} ]
+      | "data" -> oneofl [ {|{"k":1}|}; "[]"; "2" ]
+      | _ -> gen_number
+    in
+    frequency [ (3, typical); (1, gen_odd_value) ])
+
+(* A line that starts as an object tagged [tag] holding each of
+   [fields] or not, then mutates: values turn odd, up to two fields over
+   [extra] join (repeated, unknown and escaped keys), the order is
+   shuffled, whitespace falls between tokens now and then and, once in a
+   while, bytes follow the closing brace. *)
+let gen_mutated_line ~tag ~fields ~extra =
+  QCheck2.Gen.(
+    let ws =
+      frequency [ (12, pure ""); (1, oneofl [ " "; "\t"; "\n"; "\r"; "  " ]) ]
+    in
+    let field k = map (fun v -> (k, v)) (gen_value k) in
+    let render (k, v) =
+      map
+        (fun (w1, w2, w3) -> Printf.sprintf {|%s"%s"%s:%s%s|} w1 k w2 w3 v)
+        (triple ws ws ws)
+    in
+    let kvs =
+      triple (field tag)
+        (flatten_l (List.map (fun k -> opt (field k)) fields))
+        (list_size (0 -- 2) (oneofl extra >>= field))
+      >>= fun (t, present, more) ->
+      shuffle_l ((t :: List.filter_map Fun.id present) @ more)
+    in
+    map3
+      (fun parts (w0, w4) tail ->
+        w0 ^ "{" ^ String.concat "," parts ^ w4 ^ "}" ^ tail)
+      (kvs >>= fun kvs -> flatten_l (List.map render kvs))
+      (pair ws ws)
+      (frequency [ (12, pure ""); (1, oneofl [ " "; "x"; "}"; ","; "\n" ]) ]))
+
+let gen_mutated_request =
+  gen_mutated_line ~tag:"req"
+    ~fields:[ "id"; "in"; "out"; "hold"; "at" ]
+    ~extra:[ "req"; "id"; "in"; "hold"; "at"; "x"; ""; "ids"; {|r\u0065q|} ]
+
+let gen_mutated_response =
+  gen_mutated_line ~tag:"resp"
+    ~fields:[ "id"; "t"; "path_len"; "reason"; "message"; "data" ]
+    ~extra:[ "resp"; "id"; "t"; "message"; "x"; ""; "ts"; {|\u0074|} ]
+
+let gen_bytes = QCheck2.Gen.(string_size ~gen:char (0 -- 40))
+
+let parse_agrees line =
+  Proto.parse_request line = Proto_ref.parse_request line
+  || QCheck2.Test.fail_reportf "%S: scanner and tree decoder differ" line
+
+let decode_agrees line =
+  Proto.response_of_string line = Proto_ref.response_of_string line
+  || QCheck2.Test.fail_reportf "%S: scanner and tree decoder differ" line
+
+let prefixes_agree agrees line =
+  List.for_all
+    (fun k -> agrees (String.sub line 0 k))
+    (List.init (String.length line + 1) Fun.id)
+
+let qcheck_parse_agrees =
+  QCheck2.Test.make
+    ~name:"parse_request = tree decoder on wire lines and every prefix"
+    ~count:500 gen_request (fun r ->
+      prefixes_agree parse_agrees (Proto.request_to_string r))
+
+let qcheck_parse_agrees_mutated =
+  QCheck2.Test.make
+    ~name:"parse_request = tree decoder on mutated lines, diagnostics included"
+    ~count:10_000 gen_mutated_request parse_agrees
+
+let qcheck_parse_agrees_bytes =
+  QCheck2.Test.make ~name:"parse_request = tree decoder on arbitrary bytes"
+    ~count:2000
+    QCheck2.Gen.(
+      oneof [ gen_bytes; map (fun s -> "{" ^ s ^ "}") gen_bytes ])
+    parse_agrees
+
+let qcheck_decode_agrees =
+  QCheck2.Test.make
+    ~name:"response_of_string = tree decoder on writer lines and every prefix"
+    ~count:500 gen_wild_response (fun r ->
+      prefixes_agree decode_agrees (Proto.response_to_string r))
+
+let qcheck_decode_agrees_malformed =
+  QCheck2.Test.make
+    ~name:"response_of_string = tree decoder on mutated lines and bytes"
+    ~count:10_000
+    QCheck2.Gen.(oneof [ gen_mutated_response; gen_bytes ])
+    decode_agrees
+
+(* The wire path's allocation: call lines in, accept and released lines
+   out, at replay-like virtual times (Poisson arrivals at rate 1000). *)
+let test_wire_allocation () =
+  let n = 10_000 in
+  let rng = Rng.create ~seed:5 in
+  let now = ref 0.0 in
+  let times =
+    Array.init n (fun _ ->
+        now := !now +. Ftcsn_des.Dist.exponential rng ~rate:1000.0;
+        !now)
+  in
+  let lines =
+    Array.mapi
+      (fun k at ->
+        Proto.request_to_string
+          (Proto.Call
+             {
+               id = "c" ^ string_of_int k;
+               src = None;
+               dst = None;
+               hold = None;
+               at = Some at;
+             }))
+      times
+  in
+  let responses =
+    Array.mapi
+      (fun k t ->
+        let id = "c" ^ string_of_int k in
+        if k land 1 = 0 then Proto.Accept { id; t; path_len = 23 }
+        else Proto.Released { id; t })
+      times
+  in
+  let words_per f xs =
+    let w0 = Gc.minor_words () in
+    Array.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let parse = words_per Proto.parse_request lines in
+  let serialize = words_per Proto.response_to_string responses in
+  checkb
+    (Printf.sprintf "parse_request: %.1f minor words per call line (<= 80)"
+       parse)
+    true (parse <= 80.0);
+  checkb
+    (Printf.sprintf
+       "response_to_string: %.1f minor words per response (<= 30)" serialize)
+    true (serialize <= 30.0)
 
 (* ---------- Proto: malformed lines ---------- *)
 
@@ -420,9 +662,18 @@ let () =
             qcheck_request_roundtrip;
             qcheck_response_roundtrip;
             qcheck_response_is_json;
+            qcheck_writer_oracle;
+            qcheck_parse_agrees;
+            qcheck_parse_agrees_mutated;
+            qcheck_parse_agrees_bytes;
+            qcheck_decode_agrees;
+            qcheck_decode_agrees_malformed;
           ]
-        @ [ Alcotest.test_case "malformed lines" `Quick test_malformed_lines ]
-      );
+        @ [
+            Alcotest.test_case "malformed lines" `Quick test_malformed_lines;
+            Alcotest.test_case "wire allocation per line" `Quick
+              test_wire_allocation;
+          ] );
       ( "admission",
         [ Alcotest.test_case "policies" `Quick test_admission ] );
       ( "engine",
